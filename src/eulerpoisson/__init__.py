@@ -55,6 +55,7 @@ from .liouville import (
 from .ode import (
     EventSpec,
     IntegratorConfig,
+    IntegratorStats,
     OdeState,
     Trajectory,
     detect_events,

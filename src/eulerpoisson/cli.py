@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -98,6 +99,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a ValueError reads "invalid positive_int value")."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+def step_list(text: str) -> list[float]:
+    """argparse type: comma-separated positive finite step sizes."""
+    steps = [float(v) for v in text.split(",")]
+    if not all(0 < h < math.inf for h in steps):
+        raise argparse.ArgumentTypeError(f"steps must be positive and finite, got {text!r}")
+    return steps
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value file; flags override file values")
     sp.add_argument("--outdir", help="output directory (default: . or $EULERPOISSON_OUTDIR)")
@@ -121,7 +137,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--a0", type=float, default=1.0)
     p.add_argument("--a1", type=float, default=1.0)
     p.add_argument("--t-end", dest="t_end", type=float, default=50.0)
-    p.add_argument("--samples", type=int, default=1001)
+    p.add_argument("--samples", type=positive_int, default=1001)
     _add_common(p)
     p.set_defaults(func=cmd_emden)
     subparsers["emden"] = p
@@ -170,10 +186,11 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = sub.add_parser("verify", help="run the residual convergence bundle")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=positive_int, default=20)
     p.add_argument(
         "--h-list",
         dest="h_list",
+        type=step_list,
         default="1e-2,5e-3,2.5e-3",
         help="comma-separated decreasing stencil steps",
     )
@@ -220,7 +237,10 @@ def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
             if isinstance(action, argparse._StoreTrueAction):
                 values[key] = val.lower() in ("1", "true", "yes")
             elif action.type is not None:
-                values[key] = action.type(val)
+                try:
+                    values[key] = action.type(val)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise _ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
             else:
                 values[key] = val
     return values
@@ -260,6 +280,7 @@ def cmd_emden(args) -> int:
         "T_quadrature": None,
         "T_simulation": None,
         "touchdown_time": run.touchdown_time,
+        "integrator": traj.stats._asdict(),
     }
     if p.lam > 0 and p.xi != 0:
         report["abar"] = emden.equilibrium_radius(p)
@@ -290,6 +311,7 @@ def cmd_liouville(args) -> int:
         "version": __version__,
         "params": {"K": p.K, "lam": p.lam, "alpha": p.alpha, "s_max": args.s_max},
         "n_nodes": int(prof.traj.n_nodes),
+        "integrator": prof.traj.stats._asdict(),
         "max_abs_bracket": float(np.max(np.abs(bracket))),
     }
     out = _outdir(args)
@@ -298,36 +320,41 @@ def cmd_liouville(args) -> int:
     return 0
 
 
+def _disk_points(args) -> list[tuple[float, float]]:
+    """(x, y) nodes of the nx-by-ny grid on [-rmax, rmax]^2 inside the disk."""
+    xs = np.linspace(-args.rmax, args.rmax, args.nx)
+    ys = np.linspace(-args.rmax, args.rmax, args.ny)
+    return [(float(x), float(y)) for x in xs for y in ys if math.hypot(x, y) <= args.rmax]
+
+
+def _sample_rows(args, times, ev, skip):
+    """CSV rows of ev(t, x, y) -> FieldSample over the disk grid; a point
+    where ev raises one of `skip` is left out."""
+    pts = _disk_points(args)
+    for t in times:
+        for x, y in pts:
+            try:
+                s = ev(float(t), x, y)
+            except skip:
+                continue
+            yield (float(t), x, y, s.rho, s.u1, s.u2, s.phi_r)
+
+
 def _fields_rows_rotational(args, xi: float):
     sol = fields.build_rotational(
         lam=args.lam, xi=xi, K=args.K, alpha=args.alpha,
         a0=args.a0, a1=args.a1, t_max=args.t1,
     )
-    for t in np.linspace(args.t0, min(args.t1, sol.scale.t_end), args.nt):
-        for x in np.linspace(-args.rmax, args.rmax, args.nx):
-            for y in np.linspace(-args.rmax, args.rmax, args.ny):
-                if math.hypot(x, y) > args.rmax:
-                    continue
-                try:
-                    s = fields.eval_rotational(sol, float(t), float(x), float(y))
-                except (OutOfRange, DomainError):
-                    continue
-                yield (float(t), float(x), float(y), s.rho, s.u1, s.u2, s.phi_r)
+    times = np.linspace(args.t0, min(args.t1, sol.scale.t_end), args.nt)
+    ev = functools.partial(fields.eval_rotational, sol)
+    return _sample_rows(args, times, ev, (OutOfRange, DomainError))
 
 
 def _fields_rows_zz(args, inner: bool):
     zz = fields.ZZSolution(K=args.K, rho0=args.rho0)
-    ev = fields.eval_zz_inner if inner else fields.eval_zz_outer
-    for t in np.linspace(args.t0, args.t1, args.nt):
-        for x in np.linspace(-args.rmax, args.rmax, args.nx):
-            for y in np.linspace(-args.rmax, args.rmax, args.ny):
-                if math.hypot(x, y) > args.rmax:
-                    continue
-                try:
-                    s = ev(zz, float(t), float(x), float(y))
-                except (OutsideRegion, DomainError):
-                    continue
-                yield (float(t), float(x), float(y), s.rho, s.u1, s.u2, s.phi_r)
+    ev = functools.partial(fields.eval_zz_inner if inner else fields.eval_zz_outer, zz)
+    times = np.linspace(args.t0, args.t1, args.nt)
+    return _sample_rows(args, times, ev, (OutsideRegion, DomainError))
 
 
 def _fields_rows_gw(args):
@@ -338,19 +365,16 @@ def _fields_rows_gw(args):
     prof = goldreich_weber.solve_gw_profile(p)
     run = goldreich_weber.integrate_gw_scale(p, args.t1)
     traj = run.trajectory
+    pts = _disk_points(args)
     for t in np.linspace(args.t0, min(args.t1, traj.t_end), args.nt):
         a, adot = traj.state_at(float(t))
-        for x in np.linspace(-args.rmax, args.rmax, args.nx):
-            for y in np.linspace(-args.rmax, args.rmax, args.ny):
-                r = math.hypot(x, y)
-                if r > args.rmax:
-                    continue
-                try:
-                    rho = goldreich_weber.gw_density(prof, float(a), r)
-                except (NoCompactSupport, DomainError):
-                    continue
-                stretch = adot / a
-                yield (float(t), float(x), float(y), rho, stretch * x, stretch * y, None)
+        for x, y in pts:
+            try:
+                rho = goldreich_weber.gw_density(prof, float(a), math.hypot(x, y))
+            except (NoCompactSupport, DomainError):
+                continue
+            stretch = adot / a
+            yield (float(t), x, y, rho, stretch * x, stretch * y, None)
 
 
 def cmd_fields(args) -> int:
@@ -402,34 +426,26 @@ def _study_check(name, expected_converges, study) -> dict:
 
 def cmd_verify(args) -> int:
     t_begin = time.perf_counter()
-    h_list = [float(v) for v in args.h_list.split(",")]
+    h_list = args.h_list
     rng = np.random.default_rng(args.seed)
     checks: list[dict] = []
+
+    def disc_pts(t_lo, t_hi, r_lo, r_hi):
+        out = []
+        for _ in range(args.points):
+            t = rng.uniform(t_lo, t_hi)
+            r = rng.uniform(r_lo, r_hi)
+            ang = rng.uniform(0.0, 2 * math.pi)
+            out.append((float(t), float(r * math.cos(ang)), float(r * math.sin(ang))))
+        return out
 
     # rotating isothermal family, all four equations
     sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5)
     rot = lambda t, x, y: fields.eval_rotational(sol, t, x, y)
-    pts = []
-    for _ in range(args.points):
-        t = rng.uniform(0.1, 2.0)
-        r = rng.uniform(0.2, 3.0)
-        ang = rng.uniform(0.0, 2 * math.pi)
-        pts.append((float(t), float(r * math.cos(ang)), float(r * math.sin(ang))))
+    pts = disc_pts(0.1, 2.0, 0.2, 3.0)
     iso = residuals.PressureLaw("isothermal", K=1.0)
     mom_x = lambda f, p, c: residuals.momentum_residual(f, p, c, iso)[0]
     mom_y = lambda f, p, c: residuals.momentum_residual(f, p, c, iso)[1]
-    checks.append(_study_check(
-        "rotational/mass", True,
-        residuals.convergence_study(residuals.mass_residual, rot, pts, h_list)))
-    checks.append(_study_check(
-        "rotational/momentum_x", True,
-        residuals.convergence_study(mom_x, rot, pts, h_list)))
-    checks.append(_study_check(
-        "rotational/momentum_y", True,
-        residuals.convergence_study(mom_y, rot, pts, h_list)))
-    checks.append(_study_check(
-        "rotational/poisson", True,
-        residuals.convergence_study(residuals.poisson_residual, rot, pts, h_list)))
 
     # two-region spiral of the gamma=2 Euler equations
     zz = fields.ZZSolution(K=1.0, rho0=0.5)
@@ -439,26 +455,21 @@ def cmd_verify(args) -> int:
     g2 = residuals.PressureLaw("gamma2", K=zz.K)
     zmom_x = lambda f, p, c: residuals.momentum_residual(f, p, c, g2)[0]
     zmom_y = lambda f, p, c: residuals.momentum_residual(f, p, c, g2)[1]
-
-    def disc_pts(r_lo, r_hi):
-        out = []
-        for _ in range(args.points):
-            t = rng.uniform(1.0, 2.0)
-            r = rng.uniform(r_lo, r_hi)
-            ang = rng.uniform(0.0, 2 * math.pi)
-            out.append((float(t), float(r * math.cos(ang)), float(r * math.sin(ang))))
-        return out
-
-    pts_in = disc_pts(0.2, 1.2)   # interface radius is 2t >= 2 here
-    pts_out = disc_pts(5.0, 8.0)
+    pts_in = disc_pts(1.0, 2.0, 0.2, 1.2)   # interface radius is 2t >= 2 here
+    pts_out = disc_pts(1.0, 2.0, 5.0, 8.0)
+    mass, poisson = residuals.mass_residual, residuals.poisson_residual
     for name, expected, op, f, p in [
-        ("zz_inner/mass", True, residuals.mass_residual, inner, pts_in),
+        ("rotational/mass", True, mass, rot, pts),
+        ("rotational/momentum_x", True, mom_x, rot, pts),
+        ("rotational/momentum_y", True, mom_y, rot, pts),
+        ("rotational/poisson", True, poisson, rot, pts),
+        ("zz_inner/mass", True, mass, inner, pts_in),
         ("zz_inner/momentum_x", True, zmom_x, inner, pts_in),
         ("zz_inner/momentum_y", True, zmom_y, inner, pts_in),
-        ("zz_outer/mass", True, residuals.mass_residual, outer, pts_out),
+        ("zz_outer/mass", True, mass, outer, pts_out),
         ("zz_outer/momentum_x", True, zmom_x, outer, pts_out),
         ("zz_outer/momentum_y", True, zmom_y, outer, pts_out),
-        ("zz_inner_as_printed/mass", False, residuals.mass_residual, inner_bad, pts_in),
+        ("zz_inner_as_printed/mass", False, mass, inner_bad, pts_in),
     ]:
         checks.append(_study_check(name, expected, residuals.convergence_study(op, f, p, h_list)))
 
@@ -478,15 +489,9 @@ def cmd_verify(args) -> int:
 
     if args.inject_corruption:
         bad = residuals.corrupt_density_offset(rot, args.corruption_delta)
-        checks.append(_study_check(
-            "corrupted_rotational/mass", False,
-            residuals.convergence_study(residuals.mass_residual, bad, pts, h_list)))
-        checks.append(_study_check(
-            "corrupted_rotational/momentum_x", False,
-            residuals.convergence_study(mom_x, bad, pts, h_list)))
-        checks.append(_study_check(
-            "corrupted_rotational/poisson", False,
-            residuals.convergence_study(residuals.poisson_residual, bad, pts, h_list)))
+        for name, op in [("mass", mass), ("momentum_x", mom_x), ("poisson", poisson)]:
+            study = residuals.convergence_study(op, bad, pts, h_list)
+            checks.append(_study_check(f"corrupted_rotational/{name}", False, study))
 
     all_passed = all(c["passed"] for c in checks)
     report = {

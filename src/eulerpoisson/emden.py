@@ -92,11 +92,11 @@ def scale_rhs(p: EmdenParams):
     """Right-hand side of the first-order system (a, a')."""
     lam, xi2 = p.lam, p.xi * p.xi
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: tuple[float, float]) -> tuple[float, float]:
         a = y[0]
         if a <= 0.0:
-            return np.array([math.nan, math.nan])
-        return np.array([y[1], -lam / a + xi2 / (a * a * a)])
+            return (math.nan, math.nan)
+        return (y[1], -lam / a + xi2 / (a * a * a))
 
     return rhs
 
@@ -273,14 +273,26 @@ def integrate_scale(
     collapses at the singular time; that halt is reported as the touchdown
     time instead of an error.
     """
+    return _run_to_touchdown(scale_rhs(p), p.a0, p.a1, t_end, cfg)
+
+
+def _run_to_touchdown(
+    rhs, a0: float, a1: float, t_end: float, cfg: IntegratorConfig | None
+) -> ScaleRun:
+    """Integrate a scale factor (a, a') from (a0, a1) on [0, t_end].
+
+    A StepUnderflow or StateBlowup halt with a(t) already below 1e-6 * a0 is
+    a collapse and is returned as the touchdown time; any other halt is
+    re-raised with its context.
+    """
     if not t_end > 0:
         raise DomainError("t_end must be > 0")
     cfg = cfg or IntegratorConfig()
     try:
-        traj = integrate(scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
+        traj = integrate(rhs, OdeState(0.0, np.array([a0, a1])), t_end, cfg)
         return ScaleRun(trajectory=traj, touchdown_time=None)
     except (StepUnderflow, StateBlowup) as halt:
-        if halt.trajectory is None or halt.trajectory.y_end[0] > 1e-6 * p.a0:
+        if halt.trajectory is None or halt.trajectory.y_end[0] > 1e-6 * a0:
             raise  # not a collapse; surface the halt with its context
         return ScaleRun(trajectory=halt.trajectory, touchdown_time=halt.t)
 

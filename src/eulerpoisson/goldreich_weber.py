@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import ScaleRun
-from .errors import (
-    DomainError,
-    NoCompactSupport,
-    NonRealPower,
-    StateBlowup,
-    StepUnderflow,
-)
+from .emden import ScaleRun, _run_to_touchdown
+from .errors import DomainError, NoCompactSupport, NonRealPower
+from .liouville import SeriesProfile
 from .ode import (
     EventSpec,
     IntegratorConfig,
@@ -86,52 +81,17 @@ class GWParams:
             raise DomainError("all parameters must be finite")
 
 
-class GWProfile:
+class GWProfile(SeriesProfile):
     """Profile on (0, s_mu] (or (0, s_cap] when no zero exists)."""
 
+    center = property(lambda self: self.params.alpha_center)
+
     def __init__(
-        self,
-        params: GWParams,
-        traj: Trajectory,
-        s0: float,
-        series_c: float,
+        self, params: GWParams, traj: Trajectory, s0: float, series_c: float,
         s_mu: float | None,
     ):
-        self.params = params
-        self.traj = traj
-        self.s0 = s0
-        self.series_c = series_c
+        super().__init__(params, traj, s0, series_c)
         self.s_mu = s_mu
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.traj.ts
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.traj.ys[:, 0]
-
-    @property
-    def fdot(self) -> np.ndarray:
-        return self.traj.ys[:, 1]
-
-    @property
-    def s_max(self) -> float:
-        return self.traj.t_end
-
-    def f_at(self, s: float) -> float:
-        if s < 0 or s > self.s_max:
-            raise DomainError(f"s={s} outside (0, {self.s_max}]")
-        if s <= self.s0:
-            return self.params.alpha_center + self.series_c * s * s
-        return float(self.traj.state_at(s)[0])
-
-    def fdot_at(self, s: float) -> float:
-        if s < 0 or s > self.s_max:
-            raise DomainError(f"s={s} outside (0, {self.s_max}]")
-        if s <= self.s0:
-            return 2 * self.series_c * s
-        return float(self.traj.state_at(s)[1])
 
 
 def gw_series_coefficient(p: GWParams) -> float:
@@ -168,9 +128,9 @@ def solve_gw_profile(
     c = gw_series_coefficient(p)
     s0 = min(_S0, 0.5 * s_cap)
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+    def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
         f = y[0] if y[0] > 0.0 else 0.0
-        return np.array([y[1], forcing - grav * f**power - nm1 * y[1] / s])
+        return (y[1], forcing - grav * f**power - nm1 * y[1] / s)
 
     spec = EventSpec(lambda s, y: y[0], direction="falling", refine_tol=1e-13)
     parts: list[Trajectory] = []
@@ -202,24 +162,15 @@ def integrate_gw_scale(
     For lam > 0 the collapse reaches a = 0 in finite time; like the 2D case
     the halt time is reported as the touchdown time.
     """
-    if not t_end > 0:
-        raise DomainError("t_end must be > 0")
-    cfg = cfg or IntegratorConfig()
     lam, nm1 = p.lam, p.N - 1
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: tuple[float, float]) -> tuple[float, float]:
         a = y[0]
         if a <= 0.0:
-            return np.array([math.nan, math.nan])
-        return np.array([y[1], -lam / a**nm1])
+            return (math.nan, math.nan)
+        return (y[1], -lam / a**nm1)
 
-    try:
-        traj = integrate(rhs, OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
-        return ScaleRun(trajectory=traj, touchdown_time=None)
-    except (StepUnderflow, StateBlowup) as halt:
-        if halt.trajectory is None or halt.trajectory.y_end[0] > 1e-6 * p.a0:
-            raise
-        return ScaleRun(trajectory=halt.trajectory, touchdown_time=halt.t)
+    return _run_to_touchdown(rhs, p.a0, p.a1, t_end, cfg)
 
 
 def gw_density(prof: GWProfile, a: float, r: float) -> float:

@@ -29,6 +29,7 @@ from .ode import (
     Trajectory,
     _WGK,
     _XGK,
+    _hermite,
     integrate,
 )
 
@@ -55,17 +56,20 @@ def series_coefficient(p: LiouvilleParams) -> float:
     return (p.lam - math.pi * math.exp(p.alpha)) / (2 * p.K)
 
 
-class LiouvilleProfile:
-    """Solved profile: dense (f, f') on (0, s_max] plus the center series."""
+class SeriesProfile:
+    """Solved radial profile: the center series f = center + c*s^2 on
+    [0, s0] and the dense solution (f, f') on [s0, s_max].
 
-    def __init__(
-        self, params: LiouvilleParams, traj: Trajectory, s0: float, series_c: float
-    ):
+    Subclasses say which parameter is the center value f(0).
+    """
+
+    center: float
+
+    def __init__(self, params, traj: Trajectory, s0: float, series_c: float):
         self.params = params
         self.traj = traj
         self.s0 = s0
         self.series_c = series_c
-        self._node_mass: np.ndarray | None = None
 
     @property
     def grid(self) -> np.ndarray:
@@ -87,7 +91,7 @@ class LiouvilleProfile:
         if s < 0 or s > self.s_max:
             raise OutOfRange(f"s={s} outside (0, {self.s_max}]")
         if s <= self.s0:
-            return self.params.alpha + self.series_c * s * s
+            return self.center + self.series_c * s * s
         return float(self.traj.state_at(s)[0])
 
     def fdot_at(self, s: float) -> float:
@@ -96,6 +100,18 @@ class LiouvilleProfile:
         if s <= self.s0:
             return 2 * self.series_c * s
         return float(self.traj.state_at(s)[1])
+
+
+class LiouvilleProfile(SeriesProfile):
+    """Liouville profile with f(0) = alpha and the enclosed mass at its nodes."""
+
+    center = property(lambda self: self.params.alpha)
+
+    def __init__(
+        self, params: LiouvilleParams, traj: Trajectory, s0: float, series_c: float
+    ):
+        super().__init__(params, traj, s0, series_c)
+        self._node_mass: np.ndarray | None = None
 
     def _series_mass(self, s: float) -> float:
         # 2*pi * integral_0^s exp(alpha + c*tau^2) tau dtau, closed form;
@@ -114,23 +130,8 @@ class LiouvilleProfile:
         """
         if self._node_mass is not None:
             return self._node_mass
-        ts, ys, fs = self.traj.ts, self.traj.ys, self.traj.fs
-        t0, t1 = ts[:-1, None], ts[1:, None]
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t1 + t0)
-        x = np.concatenate([-_XGK[:-1][::-1], _XGK[::-1]])  # 15 ordered abscissas
-        w = np.concatenate([_WGK[:-1][::-1], _WGK[::-1]])
-        tau = mid + half * x  # (nseg, 15)
-        u = (tau - t0) / (t1 - t0)
-        u2, u3 = u * u, u**3
-        h = t1 - t0
-        fval = (
-            (2 * u3 - 3 * u2 + 1) * ys[:-1, 0, None]
-            + (u3 - 2 * u2 + u) * h * fs[:-1, 0, None]
-            + (-2 * u3 + 3 * u2) * ys[1:, 0, None]
-            + (u3 - u2) * h * fs[1:, 0, None]
-        )
-        seg = 2 * math.pi * np.sum(w * np.exp(fval) * tau, axis=1) * half[:, 0]
+        ts = self.traj.ts
+        seg = _panel_mass(self.traj, np.arange(len(ts) - 1), ts[:-1], ts[1:])
         mass = np.empty(len(ts))
         mass[0] = self._series_mass(float(ts[0]))
         np.cumsum(seg, out=mass[1:])
@@ -154,10 +155,8 @@ def solve_profile(
     two_lam_over_k = 2 * p.lam / p.K
     two_pi_over_k = 2 * math.pi / p.K
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        return np.array(
-            [y[1], two_lam_over_k - two_pi_over_k * math.exp(y[0]) - y[1] / s]
-        )
+    def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
+        return (y[1], two_lam_over_k - two_pi_over_k * math.exp(y[0]) - y[1] / s)
 
     traj = integrate(rhs, OdeState(s0, y0), s_max, cfg)
     return LiouvilleProfile(p, traj, s0, c)
@@ -175,19 +174,24 @@ def enclosed_mass(prof: LiouvilleProfile, s: float) -> float:
     i = min(i, len(ts) - 1)
     if ts[i] == s:
         return float(mass[i])
-    val = _gk15_dense_mass(prof, float(ts[i]), s)
-    return float(mass[i] + val)
+    val = _panel_mass(prof.traj, np.array([i]), ts[i : i + 1], np.array([s]))
+    return float(mass[i] + val[0])
 
 
-def _gk15_dense_mass(prof: LiouvilleProfile, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total = _WGK[7] * math.exp(prof.f_at(mid)) * mid
-    for j in range(7):
-        x = half * float(_XGK[j])
-        for tau in (mid - x, mid + x):
-            total += float(_WGK[j]) * math.exp(prof.f_at(tau)) * tau
-    return 2 * math.pi * total * half
+# the 15 Kronrod abscissas on [-1, 1] in increasing order, and their weights
+_GK_X = np.concatenate([-_XGK[:-1][::-1], _XGK[::-1]])
+_GK_W = np.concatenate([_WGK[:-1][::-1], _WGK[::-1]])
+
+
+def _panel_mass(traj: Trajectory, i: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2*pi * integral_a^b e^f(tau) tau dtau for each [a, b] inside segment i,
+    by one 15-point Kronrod panel on the dense cubic Hermite."""
+    ts, ys, fs = traj.ts, traj.ys, traj.fs
+    half = 0.5 * (b - a)[:, None]
+    tau = 0.5 * (a + b)[:, None] + half * _GK_X
+    f = _hermite(tau, ts[i, None], ts[i + 1, None], ys[i, 0, None], ys[i + 1, 0, None],
+                 fs[i, 0, None], fs[i + 1, 0, None])
+    return 2 * math.pi * np.sum(_GK_W * np.exp(f) * tau, axis=1) * half[:, 0]
 
 
 def momentum_bracket(prof: LiouvilleProfile, s: float) -> float:

@@ -1,9 +1,13 @@
 """Adaptive ODE integration and quadrature primitives.
 
 An explicit Dormand-Prince 5(4) pair drives all time integration in the
-package.  Accepted steps store the state and derivative at both ends, so the
-trajectory supports continuous cubic-Hermite dense output, post-hoc event
-location, and exact (bitwise) reproduction of node states.
+package.  Every system here has one or two components, so the step loop runs
+on Python floats: a right-hand side takes `(t, y)` with y a tuple of floats
+and returns a sequence of floats of the same length.  Accepted steps store
+the state and derivative at both ends, so the trajectory supports continuous
+cubic-Hermite dense output, post-hoc event location, and exact (bitwise)
+reproduction of node states.  Each trajectory carries the integrator's work
+counters in `Trajectory.stats`.
 
 Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
 for smooth integrands, and `quad_singular`, which first applies the
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .errors import (
     StepUnderflow,
 )
 
-RhsFn = Callable[[float, np.ndarray], np.ndarray]
+RhsFn = Callable[[float, tuple[float, ...]], Sequence[float]]
 EventFn = Callable[[float, np.ndarray], float]
 
 # Fixed guards for abnormal termination.  Blowup is detected, never
@@ -60,8 +64,6 @@ _E = (
     11 / 84 - 187 / 2100,
     -1 / 40,
 )
-_A_ROWS = [np.array(row) for row in _A]
-_E_ARR = np.array(_E)
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,17 @@ class IntegratorConfig:
             raise DomainError("max_steps must be > 0")
 
 
+class IntegratorStats(NamedTuple):
+    """Work counters of an integration: accepted and rejected steps, rhs calls."""
+
+    accepted: int = 0
+    rejected: int = 0
+    rhs_calls: int = 0
+
+    def __add__(self, other: "IntegratorStats") -> "IntegratorStats":
+        return IntegratorStats(*map(sum, zip(self, other)))
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """A scalar crossing condition evaluated along a trajectory.
@@ -129,12 +142,14 @@ class Trajectory:
     output continuous with continuous first derivative.
     """
 
-    __slots__ = ("ts", "ys", "fs")
+    __slots__ = ("ts", "ys", "fs", "stats")
 
-    def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray):
+    def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray,
+                 stats: IntegratorStats = IntegratorStats()):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
+        self.stats = stats
         if self.ts.ndim != 1 or len(self.ts) < 1:
             raise DomainError("trajectory needs at least one node")
         if np.any(np.diff(self.ts) <= 0):
@@ -171,15 +186,8 @@ class Trajectory:
             return self.ys[i].copy()
         if t == self.ts[i + 1]:
             return self.ys[i + 1].copy()
-        return _hermite(
-            t,
-            self.ts[i],
-            self.ts[i + 1],
-            self.ys[i],
-            self.ys[i + 1],
-            self.fs[i],
-            self.fs[i + 1],
-        )
+        ts, ys, fs = self.ts, self.ys, self.fs
+        return _hermite(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
 
     def derivative_at(self, t: float) -> np.ndarray:
         """Derivative of the dense interpolant at time t."""
@@ -188,15 +196,8 @@ class Trajectory:
             return self.fs[i].copy()
         if t == self.ts[i + 1]:
             return self.fs[i + 1].copy()
-        return _hermite_deriv(
-            t,
-            self.ts[i],
-            self.ts[i + 1],
-            self.ys[i],
-            self.ys[i + 1],
-            self.fs[i],
-            self.fs[i + 1],
-        )
+        ts, ys, fs = self.ts, self.ys, self.fs
+        return _hermite_deriv(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
 
     def __call__(self, t: float) -> np.ndarray:
         return self.state_at(t)
@@ -210,11 +211,11 @@ class Trajectory:
         keep = self.ts <= t_cut
         n = int(np.sum(keep))
         if self.ts[n - 1] == t_cut:
-            return Trajectory(self.ts[:n], self.ys[:n], self.fs[:n])
+            return Trajectory(self.ts[:n], self.ys[:n], self.fs[:n], self.stats)
         ts = np.append(self.ts[:n], t_cut)
         ys = np.vstack([self.ys[:n], self.state_at(t_cut)])
         fs = np.vstack([self.fs[:n], self.derivative_at(t_cut)])
-        return Trajectory(ts, ys, fs)
+        return Trajectory(ts, ys, fs, self.stats)
 
 
 def _hermite(t, t0, t1, y0, y1, f0, f1):
@@ -243,7 +244,10 @@ def _hermite_deriv(t, t0, t1, y0, y1, f0, f1):
 
 
 def concat_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
-    """Join contiguous trajectories (each starting where the previous ends)."""
+    """Join contiguous trajectories (each starting where the previous ends).
+
+    The joined trajectory's stats are the sums of the parts' stats.
+    """
     if not parts:
         raise DomainError("no trajectories to concatenate")
     ts = [parts[0].ts]
@@ -255,7 +259,8 @@ def concat_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
         ts.append(nxt.ts[1:])
         ys.append(nxt.ys[1:])
         fs.append(nxt.fs[1:])
-    return Trajectory(np.concatenate(ts), np.vstack(ys), np.vstack(fs))
+    stats = sum((p.stats for p in parts), IntegratorStats())
+    return Trajectory(np.concatenate(ts), np.vstack(ys), np.vstack(fs), stats)
 
 
 def integrate(
@@ -263,11 +268,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from y0.t to t_end with adaptive steps.
 
-    Local error is controlled against atol + rtol*|y| by the embedded 4th
-    order solution.  Non-finite right-hand sides or states cause step
-    rejection, so integrands may signal domain exits (for example a scale
-    factor touching zero) by returning NaN; the run then terminates with
-    StepUnderflow at the singular time.
+    `rhs` receives the state as a tuple of floats and returns a new sequence
+    of the same length (node derivatives keep it).  Local error is controlled against atol + rtol*|y| by
+    the embedded 4th order solution.  A step is rejected when a stage is not
+    finite or raises ArithmeticError (ZeroDivisionError, OverflowError), so
+    integrands may signal domain exits (for example a scale factor touching
+    zero) by returning NaN; the run then terminates with StepUnderflow at the
+    singular time.
 
     Raises:
         StepBudgetExceeded: config.max_steps attempted steps reached.
@@ -278,70 +285,94 @@ def integrate(
     t = float(y0.t)
     if not t_end > t:
         raise DomainError("t_end must exceed the initial time")
-    y = np.array(y0.y, dtype=float)
-    f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise DomainError("rhs is not finite at the initial state")
+    y = tuple(y0.y.tolist())
+    accepted = rejected = rhs_calls = 0
+    isfinite = math.isfinite
 
-    ts = [t]
-    ys = [y.copy()]
-    fs = [f.copy()]
-    k = np.empty((7, y.size))
-    k[0] = f
+    def stage(tc: float, yc: tuple[float, ...]) -> Sequence[float]:
+        # FloatingPointError marks a non-finite stage, like the
+        # ArithmeticError the rhs may raise itself
+        nonlocal rhs_calls
+        rhs_calls += 1
+        k = rhs(tc, yc)
+        if not all(map(isfinite, k)):
+            raise FloatingPointError
+        return k
 
     def make_traj() -> Trajectory:
-        return Trajectory(np.array(ts), np.vstack(ys), np.vstack(fs))
+        stats = IntegratorStats(accepted, rejected, rhs_calls)
+        return Trajectory(np.array(ts), np.array(ys), np.array(fs), stats)
 
-    h = min(cfg.h_init, cfg.h_max, t_end - t)
-    nsteps = 0
+    try:
+        k1 = stage(t, y)
+    except ArithmeticError:
+        raise DomainError("rhs is not finite at the initial state") from None
+    n = len(y)
+    if not 0 < len(k1) == n:
+        raise DomainError(f"rhs returned {len(k1)} components for a {n}-state")
+    ts, ys, fs = [t], [y], [k1]
+
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _A[1:5]
+    (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76) = _A[5:]
+    _, c2, c3, c4, c5, _, _ = _C
+    e1, _, e3, e4, e5, e6, e7 = _E
+    atol, rtol, h_max, max_steps = cfg.atol, cfg.rtol, cfg.h_max, cfg.max_steps
+    h = min(cfg.h_init, h_max, t_end - t)
     while t < t_end:
         if h < STEP_UNDERFLOW_REL * max(1.0, abs(t)):
-            raise StepUnderflow(
-                f"step size {h:.3e} underflowed at t={t!r}", t, make_traj()
-            )
-        if nsteps >= cfg.max_steps:
-            raise StepBudgetExceeded(
-                f"exceeded {cfg.max_steps} steps at t={t!r}", t, make_traj()
-            )
-        nsteps += 1
+            raise StepUnderflow(f"step size {h:.3e} underflowed at t={t!r}", t, make_traj())
+        if accepted + rejected >= max_steps:
+            raise StepBudgetExceeded(f"exceeded {max_steps} steps at t={t!r}", t, make_traj())
         hits_end = h >= t_end - t
-        h_step = t_end - t if hits_end else h
+        hs = t_end - t if hits_end else h
 
-        bad = False
-        for i in range(1, 7):
-            yi = y + h_step * (_A_ROWS[i] @ k[:i])
-            ki = np.asarray(rhs(t + _C[i] * h_step, yi), dtype=float)
-            if not np.all(np.isfinite(ki)):
-                bad = True
-                break
-            k[i] = ki
-        if not bad:
-            y_new = yi  # stage-7 input equals the 5th-order solution (FSAL)
-            err_vec = h_step * (_E_ARR @ k)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            bad = not math.isfinite(err)
-
-        if bad:
-            h = 0.1 * h_step
+        try:
+            k2 = stage(t + c2 * hs, tuple([a + hs * (a21 * b1) for a, b1 in zip(y, k1)]))
+            k3 = stage(t + c3 * hs, tuple([
+                a + hs * (a31 * b1 + a32 * b2) for a, b1, b2 in zip(y, k1, k2)]))
+            k4 = stage(t + c4 * hs, tuple([
+                a + hs * (a41 * b1 + a42 * b2 + a43 * b3)
+                for a, b1, b2, b3 in zip(y, k1, k2, k3)]))
+            k5 = stage(t + c5 * hs, tuple([
+                a + hs * (a51 * b1 + a52 * b2 + a53 * b3 + a54 * b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]))
+            k6 = stage(t + hs, tuple([
+                a + hs * (a61 * b1 + a62 * b2 + a63 * b3 + a64 * b4 + a65 * b5)
+                for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)]))
+            # the stage-7 input is the 5th-order solution (FSAL)
+            y_new = tuple([
+                a + hs * (a71 * b1 + a73 * b3 + a74 * b4 + a75 * b5 + a76 * b6)
+                for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)])
+            k7 = stage(t + hs, y_new)
+            sq = 0.0
+            for a, b, b1, b3, b4, b5, b6, b7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                a, b = abs(a), abs(b)
+                # not max(): a NaN in the new state must reach the norm
+                q = hs * (e1 * b1 + e3 * b3 + e4 * b4 + e5 * b5 + e6 * b6 + e7 * b7) / (
+                    atol + rtol * (a if a > b else b))
+                sq += q * q
+            err = math.sqrt(sq / n)
+            if not isfinite(err):
+                raise FloatingPointError
+        except ArithmeticError:
+            rejected += 1
+            h = 0.1 * hs
             continue
         if err > 1.0:
-            h = h_step * max(0.2, 0.9 * err ** -0.2)
+            rejected += 1
+            h = hs * max(0.2, 0.9 * err ** -0.2)
             continue
 
-        t = t_end if hits_end else t + h_step
-        y = y_new
-        f = k[6].copy()  # derivative at the accepted point, reused as stage 1
+        accepted += 1
+        t = t_end if hits_end else t + hs
+        y, k1 = y_new, k7  # the end derivative is the next step's stage 1
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(f)
-        k[0] = f
-        if np.any(np.abs(y) > OVERFLOW_GUARD):
-            raise StateBlowup(
-                f"state exceeded {OVERFLOW_GUARD:.0e} at t={t!r}", t, make_traj()
-            )
+        ys.append(y)
+        fs.append(k7)
+        if max(map(abs, y)) > OVERFLOW_GUARD:
+            raise StateBlowup(f"state exceeded {OVERFLOW_GUARD:.0e} at t={t!r}", t, make_traj())
         grow = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h = min(cfg.h_max, h_step * min(5.0, max(0.2, grow)))
+        h = min(h_max, hs * min(5.0, max(0.2, grow)))
     return make_traj()
 
 

@@ -48,22 +48,17 @@ FLOOR_COEFF = 1e-11
 class StencilConfig:
     h_space: float
     h_time: float
-    scheme: str = "centered2"
 
     def __post_init__(self):
         if not self.h_space > 0 or not self.h_time > 0:
             raise DomainError("stencil steps must be > 0")
-        if self.scheme != "centered2":
-            raise DomainError("only the centered second-order scheme is supported")
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     eq_name: str
-    points: tuple[Point, ...]
     max_abs: float
     l2: float
-    h_used: tuple[float, float]  # (h_space, h_time)
 
 
 @dataclass(frozen=True)
@@ -104,14 +99,12 @@ def _sample(field: FieldFn, t: float, x: float, y: float) -> FieldSample:
         ) from exc
 
 
-def _report(eq_name, pts, values, cfg) -> ResidualReport:
+def _report(eq_name, values) -> ResidualReport:
     arr = np.asarray(values)
     return ResidualReport(
         eq_name=eq_name,
-        points=tuple(tuple(p) for p in pts),
         max_abs=float(np.max(np.abs(arr))) if len(arr) else 0.0,
         l2=float(np.sqrt(np.sum(arr**2))),
-        h_used=(cfg.h_space, cfg.h_time),
     )
 
 
@@ -132,7 +125,7 @@ def mass_residual(
         flux_x = (s_xp.rho * s_xp.u1 - s_xm.rho * s_xm.u1) / (2 * hs)
         flux_y = (s_yp.rho * s_yp.u2 - s_ym.rho * s_ym.u2) / (2 * hs)
         vals.append(rho_t + flux_x + flux_y)
-    return _report("mass", pts, vals, cfg)
+    return _report("mass", vals)
 
 
 def momentum_residual(
@@ -182,8 +175,8 @@ def momentum_residual(
         vals_x.append(s0.rho * (u1_t + adv_x) + p_x + grav_x)
         vals_y.append(s0.rho * (u2_t + adv_y) + p_y + grav_y)
     return (
-        _report("momentum_x", pts, vals_x, cfg),
-        _report("momentum_y", pts, vals_y, cfg),
+        _report("momentum_x", vals_x),
+        _report("momentum_y", vals_y),
     )
 
 
@@ -207,7 +200,7 @@ def poisson_residual(
             raise MissingGravity("gravity residual requires phi_r in the samples")
         d_rphi = ((r + hs) * s_p.phi_r - (r - hs) * s_m.phi_r) / (2 * hs)
         vals.append(d_rphi / r - 2 * math.pi * s0.rho)
-    return _report("poisson", pts, vals, cfg)
+    return _report("poisson", vals)
 
 
 ResidualOp = Callable[[FieldFn, Sequence[Point], StencilConfig], ResidualReport]

@@ -163,3 +163,57 @@ class TestUsageAndConfig:
         lines = (tmp_path / "liouville.csv").read_text().splitlines()
         s_first = lines[1].split(",")[0]
         assert s_first == "9.9999999999999995e-07"
+
+    def test_bad_config_value_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points=abc\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "bad value for points" in capsys.readouterr().err
+
+
+class TestRobustness:
+    """Bad inputs end in one stderr line and a documented exit code."""
+
+    @staticmethod
+    def one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        return lines[0]
+
+    def test_tiny_K_underflows_cleanly(self, tmp_path, capsys):
+        # math.exp overflows in a trial stage: the step is rejected, not raised
+        assert run(tmp_path, "liouville", "--K", "1e-300") == 2
+        assert "underflowed" in self.one_line_error(capsys)
+
+    def test_negative_samples_is_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "emden", "--samples", "-1") == 1
+        assert "--samples" in self.one_line_error(capsys)
+
+    def test_non_numeric_h_list_is_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "--h-list", "1e-2,abc") == 1
+        assert "--h-list" in self.one_line_error(capsys)
+
+    def test_zero_points_is_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "--points", "0") == 1
+        assert "--points" in self.one_line_error(capsys)
+        assert not (tmp_path / "verify.json").exists()
+
+
+class TestIntegratorCounters:
+    @pytest.mark.parametrize(
+        "argv,report_name",
+        [(("emden",), "emden_report.json"),
+         (("liouville", "--s-max", "2"), "liouville_report.json")],
+    )
+    def test_reports_carry_counts(self, tmp_path, argv, report_name):
+        assert run(tmp_path / "a", *argv) == 0
+        assert run(tmp_path / "b", *argv) == 0
+        raw = (tmp_path / "a" / report_name).read_bytes()
+        assert raw == (tmp_path / "b" / report_name).read_bytes()
+        counts = json.loads(raw)["integrator"]
+        assert counts["accepted"] > 0
+        # no stage is ever non-finite on these runs: 6 rhs calls per attempt
+        attempts = counts["accepted"] + counts["rejected"]
+        assert counts["rhs_calls"] == 1 + 6 * attempts

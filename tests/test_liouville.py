@@ -21,7 +21,7 @@ from eulerpoisson.liouville import (
     series_coefficient,
     solve_profile,
 )
-from eulerpoisson.ode import Trajectory
+from eulerpoisson.ode import _WGK, _XGK, Trajectory
 
 
 def closed_form_lam0(s, K, alpha):
@@ -133,6 +133,30 @@ class TestEnclosedMass:
             enclosed_mass(unit_profile, 25.0)
         with pytest.raises(OutOfRange):
             enclosed_mass(unit_profile, 0.0)
+
+    def test_panels_match_scalar_reference_loop(self, unit_profile):
+        # the vectorised Kronrod panels against the same rule evaluated point
+        # by point through f_at; only the summation order differs
+        ts = unit_profile.traj.ts
+        node_mass = unit_profile._mass_at_nodes()
+        for i in (0, 7, len(ts) // 2, len(ts) - 2):
+            a, b = float(ts[i]), float(ts[i + 1])
+            full = _kronrod_mass_loop(unit_profile, a, b)
+            assert node_mass[i + 1] - node_mass[i] == pytest.approx(full, rel=1e-12)
+            s = a + 0.3 * (b - a)
+            want = node_mass[i] + _kronrod_mass_loop(unit_profile, a, s)
+            assert enclosed_mass(unit_profile, s) == pytest.approx(want, rel=1e-13)
+
+
+def _kronrod_mass_loop(prof, a, b):
+    """2*pi * integral_a^b e^f tau dtau by one 15-point Kronrod panel, scalar."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = _WGK[7] * math.exp(prof.f_at(mid)) * mid
+    for j in range(7):
+        x = half * float(_XGK[j])
+        for tau in (mid - x, mid + x):
+            total += float(_WGK[j]) * math.exp(prof.f_at(tau)) * tau
+    return 2 * math.pi * total * half
 
 
 class TestMomentumBracket:

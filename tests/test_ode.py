@@ -11,10 +11,14 @@ from eulerpoisson.errors import (
     StateBlowup,
     StepUnderflow,
 )
+from eulerpoisson.emden import EmdenParams, scale_rhs
+from eulerpoisson.liouville import LiouvilleParams, solve_profile
 from eulerpoisson.ode import (
     EventSpec,
     IntegratorConfig,
+    IntegratorStats,
     OdeState,
+    concat_trajectories,
     detect_events,
     integrate,
     quad_adaptive,
@@ -64,7 +68,7 @@ class TestIntegrate:
     def test_error_never_increases_under_tolerance_halving(self):
         cases = [
             (rhs_harmonic, [1.0, 0.0], 8 * math.pi, np.array([1.0, 0.0])),
-            (lambda t, y: -y, [1.0], 5.0, np.array([math.exp(-5.0)])),
+            (lambda t, y: (-y[0],), [1.0], 5.0, np.array([math.exp(-5.0)])),
         ]
         for rhs, y0, t_end, exact in cases:
             prev = math.inf
@@ -113,6 +117,110 @@ class TestIntegrate:
             IntegratorConfig(max_steps=0)
         with pytest.raises(DomainError):
             OdeState(0.0, [math.inf])
+
+
+# Linear systems y' = A y with closed-form solutions, one per state size.
+_LINEAR_SYSTEMS = [
+    pytest.param(
+        lambda t, y: (-2.0 * y[0],),
+        [1.5],
+        lambda t: [1.5 * math.exp(-2.0 * t)],
+        id="1-component decay",
+    ),
+    pytest.param(
+        lambda t, y: (y[1], -4.0 * y[0]),
+        [1.0, 0.0],
+        lambda t: [math.cos(2.0 * t), -2.0 * math.sin(2.0 * t)],
+        id="2-component oscillator",
+    ),
+    pytest.param(
+        lambda t, y: (-y[0], y[0] - 2.0 * y[1], y[1] - 3.0 * y[2]),
+        [1.0, 0.0, 0.0],
+        lambda t: [
+            math.exp(-t),
+            math.exp(-t) - math.exp(-2.0 * t),
+            0.5 * math.exp(-t) - math.exp(-2.0 * t) + 0.5 * math.exp(-3.0 * t),
+        ],
+        id="3-component cascade",
+    ),
+]
+
+
+class TestStepper:
+    @pytest.mark.parametrize("rhs,y0,exact", _LINEAR_SYSTEMS)
+    def test_any_state_size(self, rhs, y0, exact):
+        traj = integrate(rhs, OdeState(0.0, y0), 6.0, IntegratorConfig())
+        assert traj.ys.shape == (traj.n_nodes, len(y0))
+        assert traj.fs.shape == traj.ys.shape
+        for t, y in zip(traj.ts, traj.ys):
+            assert np.abs(y - exact(t)).max() <= 1e-8
+        assert traj.state_at(3.3).shape == (len(y0),)
+
+    @pytest.mark.parametrize(
+        "rhs,y0",
+        [
+            pytest.param(scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), [1.0, 1.0],
+                         id="unit Emden orbit"),
+            pytest.param(lambda t, y: (y[1], -y[0]), [1.0, 0.0], id="oscillator"),
+        ],
+    )
+    def test_agrees_with_scipy_dop853(self, rhs, y0):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        traj = integrate(rhs, OdeState(0.0, y0), 30.0, IntegratorConfig(rtol=1e-12, atol=1e-14))
+        ref = scipy_integrate.solve_ivp(
+            lambda t, y: list(rhs(t, tuple(y))), (0.0, 30.0), y0,
+            method="DOP853", rtol=1e-12, atol=1e-14, t_eval=traj.ts,
+        )
+        assert ref.success
+        assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
+
+    def test_profile_node_count_is_stable(self):
+        # guards the step controller: the seed took 4,031 nodes here
+        prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
+        assert abs(prof.traj.n_nodes - 4031) <= 0.01 * 4031
+
+    def test_stats_on_normal_run(self):
+        traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0)
+        st = traj.stats
+        assert st.accepted == traj.n_nodes - 1
+        assert st.rhs_calls == 1 + 6 * (st.accepted + st.rejected)
+        assert traj.truncated(5.0).stats == st
+
+    def test_stats_sum_over_concatenated_parts(self):
+        first = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 3.0)
+        second = integrate(rhs_harmonic, OdeState(first.t_end, first.y_end), 7.0)
+        joined = concat_trajectories([first, second])
+        assert joined.stats == first.stats + second.stats
+        assert joined.stats.accepted == joined.n_nodes - 1
+
+    @pytest.mark.parametrize(
+        "rhs,t_sing",
+        [
+            pytest.param(lambda t, y: (1.0 / float(t < 1.0),), 1.0,
+                         id="ZeroDivisionError"),
+            pytest.param(lambda t, y: (1e-300 * math.exp(800.0 * t),),
+                         1024 * math.log(2.0) / 800.0, id="OverflowError"),
+        ],
+    )
+    def test_arithmetic_error_rejects_the_step(self, rhs, t_sing):
+        with pytest.raises(StepUnderflow) as excinfo:
+            integrate(rhs, OdeState(0.0, [0.0]), 2.0)
+        halt = excinfo.value
+        assert 0.0 <= t_sing - halt.t <= 1e-9
+        st = halt.trajectory.stats
+        assert st.rejected > 0
+        assert st.accepted == halt.trajectory.n_nodes - 1
+        # a stage that raises stops the attempt, so calls fall short of 6 each
+        assert 1 < st.rhs_calls < 1 + 6 * (st.accepted + st.rejected)
+
+    def test_hand_built_trajectory_has_zero_stats(self):
+        traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 1.0)
+        rebuilt = type(traj)(traj.ts, traj.ys, traj.fs)
+        assert rebuilt.stats == IntegratorStats()
+
+    def test_rhs_length_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(lambda t, y: (y[0],), OdeState(0.0, [1.0, 0.0]), 1.0)
 
 
 def _touchdown_reference_rk4(h):
