@@ -106,6 +106,14 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a finite float (nan and +-inf are usage errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def step_list(text: str) -> list[float]:
     """argparse type: comma-separated positive finite step sizes."""
     steps = [float(v) for v in text.split(",")]
@@ -117,10 +125,10 @@ def step_list(text: str) -> list[float]:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value file; flags override file values")
     sp.add_argument("--outdir", help="output directory (default: . or $EULERPOISSON_OUTDIR)")
-    sp.add_argument("--rtol", type=float, help="integrator relative tolerance")
-    sp.add_argument("--atol", type=float, help="integrator absolute tolerance")
-    sp.add_argument("--h-init", dest="h_init", type=float, help="initial step")
-    sp.add_argument("--h-max", dest="h_max", type=float, help="maximum step")
+    sp.add_argument("--rtol", type=finite_float, help="integrator relative tolerance")
+    sp.add_argument("--atol", type=finite_float, help="integrator absolute tolerance")
+    sp.add_argument("--h-init", dest="h_init", type=finite_float, help="initial step")
+    sp.add_argument("--h-max", dest="h_max", type=finite_float, help="maximum step")
     sp.add_argument("--max-steps", dest="max_steps", type=int, help="step budget")
 
 
@@ -132,21 +140,21 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     # defaults reproduce the rotating-orbit example configuration
     p = sub.add_parser("emden", help="integrate the scale factor, emit orbit CSV")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--a0", type=float, default=1.0)
-    p.add_argument("--a1", type=float, default=1.0)
-    p.add_argument("--t-end", dest="t_end", type=float, default=50.0)
+    p.add_argument("--lam", type=finite_float, default=1.0)
+    p.add_argument("--xi", type=finite_float, default=1.0)
+    p.add_argument("--a0", type=finite_float, default=1.0)
+    p.add_argument("--a1", type=finite_float, default=1.0)
+    p.add_argument("--t-end", dest="t_end", type=finite_float, default=50.0)
     p.add_argument("--samples", type=positive_int, default=1001)
     _add_common(p)
     p.set_defaults(func=cmd_emden)
     subparsers["emden"] = p
 
     p = sub.add_parser("liouville", help="solve the radial profile, emit CSV")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--s-max", dest="s_max", type=float, default=20.0)
+    p.add_argument("--lam", type=finite_float, default=1.0)
+    p.add_argument("--K", type=finite_float, default=1.0)
+    p.add_argument("--alpha", type=finite_float, default=0.0)
+    p.add_argument("--s-max", dest="s_max", type=finite_float, default=20.0)
     _add_common(p)
     p.set_defaults(func=cmd_liouville)
     subparsers["liouville"] = p
@@ -157,18 +165,18 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         choices=["rotational", "yuen", "zz-inner", "zz-outer", "gw"],
         default="rotational",
     )
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--a0", type=float, default=1.0)
-    p.add_argument("--a1", type=float, default=1.0)
-    p.add_argument("--rho0", type=float, default=0.5, help="outer density (zz families)")
+    p.add_argument("--lam", type=finite_float, default=1.0)
+    p.add_argument("--xi", type=finite_float, default=1.0)
+    p.add_argument("--K", type=finite_float, default=1.0)
+    p.add_argument("--alpha", type=finite_float, default=0.0)
+    p.add_argument("--a0", type=finite_float, default=1.0)
+    p.add_argument("--a1", type=finite_float, default=1.0)
+    p.add_argument("--rho0", type=finite_float, default=0.5, help="outer density (zz families)")
     p.add_argument("--N", type=int, default=3, help="dimension (gw family)")
-    p.add_argument("--t0", type=float, default=0.5)
-    p.add_argument("--t1", type=float, default=2.0)
+    p.add_argument("--t0", type=finite_float, default=0.5)
+    p.add_argument("--t1", type=finite_float, default=2.0)
     p.add_argument("--nt", type=int, default=3)
-    p.add_argument("--rmax", type=float, default=2.0, help="disk radius of the xy grid")
+    p.add_argument("--rmax", type=finite_float, default=2.0, help="disk radius of the xy grid")
     p.add_argument("--nx", type=int, default=9)
     p.add_argument("--ny", type=int, default=9)
     _add_common(p)
@@ -176,10 +184,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     subparsers["fields"] = p
 
     p = sub.add_parser("period", help="compare quadrature and simulation periods")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--a0", type=float, default=1.0)
-    p.add_argument("--a1", type=float, default=1.0)
+    p.add_argument("--lam", type=finite_float, default=1.0)
+    p.add_argument("--xi", type=finite_float, default=1.0)
+    p.add_argument("--a0", type=finite_float, default=1.0)
+    p.add_argument("--a1", type=finite_float, default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_period)
     subparsers["period"] = p
@@ -202,7 +210,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument(
         "--corruption-delta",
         dest="corruption_delta",
-        type=float,
+        type=finite_float,
         default=0.01,
         help="density offset used by --inject-corruption",
     )
@@ -261,11 +269,11 @@ def cmd_emden(args) -> int:
     run = emden.integrate_scale(p, args.t_end, cfg)
     traj = run.trajectory
 
-    rows = []
-    for t in np.linspace(0.0, traj.t_end, args.samples):
-        a, adot = traj.state_at(float(t))
-        energy = adot * adot / 2 + emden.potential(float(a), p)
-        rows.append((float(t), float(a), float(adot), energy))
+    times = np.linspace(0.0, traj.t_end, args.samples)
+    rows = [
+        (t, a, adot, adot * adot / 2 + emden.potential(a, p))
+        for t, (a, adot) in zip(times.tolist(), traj.evaluate(times).tolist())
+    ]
 
     cls = emden.classify(p)
     report = {
@@ -366,15 +374,15 @@ def _fields_rows_gw(args):
     run = goldreich_weber.integrate_gw_scale(p, args.t1)
     traj = run.trajectory
     pts = _disk_points(args)
-    for t in np.linspace(args.t0, min(args.t1, traj.t_end), args.nt):
-        a, adot = traj.state_at(float(t))
+    times = np.linspace(args.t0, min(args.t1, traj.t_end), args.nt)
+    for t, (a, adot) in zip(times.tolist(), traj.evaluate(times).tolist()):
         for x, y in pts:
             try:
-                rho = goldreich_weber.gw_density(prof, float(a), math.hypot(x, y))
+                rho = goldreich_weber.gw_density(prof, a, math.hypot(x, y))
             except (NoCompactSupport, DomainError):
                 continue
             stretch = adot / a
-            yield (float(t), x, y, rho, stretch * x, stretch * y, None)
+            yield (t, x, y, rho, stretch * x, stretch * y, None)
 
 
 def cmd_fields(args) -> int:
@@ -405,6 +413,7 @@ def cmd_period(args) -> int:
         "T_quadrature": tq.T,
         "T_simulation": ts.T,
         "rel_diff": abs(tq.T - ts.T) / tq.T,
+        "simulation": {"chunks": ts.chunks, "integrator": ts.stats._asdict()},
     }
     _write_json(_outdir(args) / "period.json", report)
     return 0

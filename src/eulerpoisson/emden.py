@@ -29,6 +29,7 @@ from .errors import DomainError, NoConvergence, NotPeriodic, StateBlowup, StepUn
 from .ode import (
     EventSpec,
     IntegratorConfig,
+    IntegratorStats,
     OdeState,
     Trajectory,
     detect_events,
@@ -75,9 +76,14 @@ class TurningPoints(NamedTuple):
 
 @dataclass(frozen=True)
 class PeriodEstimate:
+    """A period with its error estimate; simulation estimates also carry the
+    number of integrated chunks and the summed integrator counters."""
+
     T: float
     method: str  # "quadrature" or "simulation"
     err_est: float
+    chunks: int = 0
+    stats: IntegratorStats = IntegratorStats()
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,8 @@ def period_by_simulation(
 
     The trajectory is extended in chunks until four maxima of a(t) are
     located; the period is the mean of the three gaps and err_est their
-    maximum deviation from the mean.
+    maximum deviation from the mean.  The estimate also reports how many
+    chunks were integrated and their summed integrator counters.
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
@@ -245,8 +252,10 @@ def period_by_simulation(
     chunk = 4.0 * linearized_period(p)
     state = OdeState(0.0, np.array([p.a0, p.a1]))
     events: list[float] = []
-    for _ in range(_PERIOD_MAX_CHUNKS):
+    stats = IntegratorStats()
+    for chunks in range(1, _PERIOD_MAX_CHUNKS + 1):
         traj = integrate(rhs, state, state.t + chunk, cfg)
+        stats += traj.stats
         for t_ev in detect_events(traj, spec):
             if not events or t_ev - events[-1] > 1e-9 * chunk:
                 events.append(t_ev)
@@ -259,7 +268,8 @@ def period_by_simulation(
     gaps = np.diff(events[:_PERIOD_EVENTS_NEEDED])
     T = float(np.mean(gaps))
     return PeriodEstimate(
-        T=T, method="simulation", err_est=float(np.max(np.abs(gaps - T)))
+        T=T, method="simulation", err_est=float(np.max(np.abs(gaps - T))),
+        chunks=chunks, stats=stats,
     )
 
 

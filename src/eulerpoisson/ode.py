@@ -6,8 +6,13 @@ on Python floats: a right-hand side takes `(t, y)` with y a tuple of floats
 and returns a sequence of floats of the same length.  Accepted steps store
 the state and derivative at both ends, so the trajectory supports continuous
 cubic-Hermite dense output, post-hoc event location, and exact (bitwise)
-reproduction of node states.  Each trajectory carries the integrator's work
-counters in `Trajectory.stats`.
+reproduction of node states.  Dense output comes one time at a time
+(`Trajectory.state_at`) or for a whole array of times at once
+(`Trajectory.evaluate`); both use the same Hermite kernel.  Event location
+evaluates the event function once on a subsample grid of every segment, so
+an event function takes `(t, y)` with t of shape (S,) and y of shape (n, S)
+(`y[k]` selects component k) as well as scalar t with a 1-D y.  Each
+trajectory carries the integrator's work counters in `Trajectory.stats`.
 
 Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
 for smooth integrands, and `quad_singular`, which first applies the
@@ -33,7 +38,7 @@ from .errors import (
 )
 
 RhsFn = Callable[[float, tuple[float, ...]], Sequence[float]]
-EventFn = Callable[[float, np.ndarray], float]
+EventFn = Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
 
 # Fixed guards for abnormal termination.  Blowup is detected, never
 # integrated through; persistent step rejection near a singularity ends in
@@ -118,6 +123,11 @@ class IntegratorStats(NamedTuple):
 class EventSpec:
     """A scalar crossing condition evaluated along a trajectory.
 
+    event_fn(t, y) is called on whole sample grids, with t of shape (S,) and
+    y of shape (n, S), and on single points, with scalar t and y of shape
+    (n,); `y[k]` is component k either way.  A scalar return means the same
+    value at every sample.
+
     direction: 'rising' detects sign changes - to +, 'falling' + to -,
     'any' both.
     """
@@ -188,6 +198,31 @@ class Trajectory:
             return self.ys[i + 1].copy()
         ts, ys, fs = self.ts, self.ys, self.fs
         return _hermite(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+
+    def evaluate(self, ts) -> np.ndarray:
+        """Dense states at the times `ts` (any shape), shape ts.shape + (n,).
+
+        One searchsorted and one Hermite evaluation for all times; every
+        value equals `state_at` bitwise, so node times give the stored node
+        states.  Raises DomainError when a time is outside [t_start, t_end].
+        """
+        t = np.asarray(ts, dtype=float)
+        nodes = self.ts
+        if not np.all((t >= nodes[0]) & (t <= nodes[-1])):
+            raise DomainError(
+                f"times outside trajectory range [{nodes[0]}, {nodes[-1]}]"
+            )
+        if len(nodes) == 1:
+            return np.broadcast_to(self.ys[0], t.shape + self.ys.shape[1:]).copy()
+        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
+        t0, t1 = nodes[i], nodes[i + 1]
+        y0, y1 = self.ys[i], self.ys[i + 1]
+        out = _hermite(t[..., None], t0[..., None], t1[..., None],
+                       y0, y1, self.fs[i], self.fs[i + 1])
+        at0, at1 = t == t0, t == t1
+        out[at0] = y0[at0]
+        out[at1] = y1[at1]
+        return out
 
     def derivative_at(self, t: float) -> np.ndarray:
         """Derivative of the dense interpolant at time t."""
@@ -386,25 +421,31 @@ _EVENT_SUBSAMPLES = 8
 def detect_events(traj: Trajectory, spec: EventSpec) -> list[float]:
     """Times where the event function crosses zero along the trajectory.
 
-    Each segment of the dense output is subsampled, sign changes are
-    bracketed, and each bracket is refined with a bisection/secant hybrid to
-    spec.refine_tol.  Results are sorted and deduplicated, so repeated calls
-    on the same trajectory return identical times.
+    Every segment of the dense output is subsampled at the same time: the
+    event function is called once on the whole (segments x subsamples) grid,
+    with t of shape (S,) and y of shape (n, S).  Sign changes are bracketed,
+    and only the bracketed pairs are refined, with scalar calls, by a
+    bisection/secant hybrid to spec.refine_tol.  Results are sorted and
+    deduplicated, so repeated calls on the same trajectory return identical
+    times.
     """
     g = lambda t: float(spec.event_fn(t, traj.state_at(t)))
     times: list[float] = []
-    for i in range(traj.n_nodes - 1):
-        a, b = traj.ts[i], traj.ts[i + 1]
-        samples = np.linspace(a, b, _EVENT_SUBSAMPLES)
-        vals = [g(t) for t in samples]
-        for (ta, ga), (tb, gb) in zip(
-            zip(samples, vals), zip(samples[1:], vals[1:])
-        ):
+    if traj.n_nodes > 1:
+        grid = np.linspace(traj.ts[:-1], traj.ts[1:], _EVENT_SUBSAMPLES, axis=1)
+        flat = grid.ravel()
+        vals = np.asarray(spec.event_fn(flat, traj.evaluate(flat).T), dtype=float)
+        vals = np.broadcast_to(vals, flat.shape).reshape(grid.shape)
+        lo, hi = vals[:, :-1], vals[:, 1:]
+        hits = (lo == 0) | (lo * hi < 0)
+        brackets = zip(grid[:, :-1][hits].tolist(), lo[hits].tolist(),
+                       grid[:, 1:][hits].tolist(), hi[hits].tolist())
+        for ta, ga, tb, gb in brackets:
             if ga == 0.0:
                 dirn = "falling" if gb < 0 else "rising" if gb > 0 else None
                 if dirn is not None and spec.direction in ("any", dirn):
-                    times.append(float(ta))
-            elif ga * gb < 0:
+                    times.append(ta)
+            else:
                 dirn = "falling" if ga > 0 else "rising"
                 if spec.direction in ("any", dirn):
                     times.append(_refine_crossing(g, ta, ga, tb, gb, spec.refine_tol))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from eulerpoisson import cli
 from eulerpoisson.cli import main
 
 
@@ -94,6 +95,19 @@ class TestPeriodCommand:
     def test_steady_exits_2(self, tmp_path):
         assert run(tmp_path, "period", "--a1", "0") == 2
 
+    def test_reports_simulation_counts(self, tmp_path):
+        assert run(tmp_path / "a", "period") == 0
+        assert run(tmp_path / "b", "period") == 0
+        raw = (tmp_path / "a" / "period.json").read_bytes()
+        assert raw == (tmp_path / "b" / "period.json").read_bytes()
+        sim = json.loads(raw)["simulation"]
+        assert sim["chunks"] >= 1
+        counts = sim["integrator"]
+        assert counts["accepted"] > 0
+        # one initial rhs call per chunk, then 6 per attempted step
+        attempts = counts["accepted"] + counts["rejected"]
+        assert counts["rhs_calls"] == sim["chunks"] + 6 * attempts
+
 
 class TestVerifyCommand:
     def test_passes_and_reports(self, tmp_path):
@@ -182,6 +196,10 @@ class TestRobustness:
         assert len(lines) == 1, err
         return lines[0]
 
+    @staticmethod
+    def must_not_run(args):
+        raise AssertionError(f"{args.command} ran with {args}")
+
     def test_tiny_K_underflows_cleanly(self, tmp_path, capsys):
         # math.exp overflows in a trial stage: the step is rejected, not raised
         assert run(tmp_path, "liouville", "--K", "1e-300") == 2
@@ -194,6 +212,33 @@ class TestRobustness:
     def test_non_numeric_h_list_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "--h-list", "1e-2,abc") == 1
         assert "--h-list" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            # wrote a header-only fields.csv and exited 0
+            (("fields", "--family", "rotational", "--rmax", "nan"), "--rmax"),
+            # ground through 1,000,000 steps before exiting 2
+            (("emden", "--t-end", "inf"), "--t-end"),
+            # never returned
+            (("liouville", "--s-max", "inf"), "--s-max"),
+            (("period", "--lam", "-inf"), "--lam"),
+            (("verify", "--corruption-delta", "nan"), "--corruption-delta"),
+        ],
+    )
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # rejected while parsing: the command itself must never start
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", self.must_not_run)
+        assert run(tmp_path, *argv) == 1
+        assert flag in self.one_line_error(capsys)
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_liouville", self.must_not_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s_max=inf\n")
+        assert main(["liouville", "--config", str(cfg)]) == 1
+        assert "bad value for s_max" in self.one_line_error(capsys)
 
     def test_zero_points_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "--points", "0") == 1

@@ -1,6 +1,7 @@
 """Integrator, event location, and quadrature against closed-form references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,19 +12,36 @@ from eulerpoisson.errors import (
     StateBlowup,
     StepUnderflow,
 )
-from eulerpoisson.emden import EmdenParams, scale_rhs
+from eulerpoisson.emden import (
+    EmdenParams,
+    energy_level,
+    linearized_period,
+    period_by_quadrature,
+    potential,
+    scale_rhs,
+    turning_points,
+)
+from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
 from eulerpoisson.liouville import LiouvilleParams, solve_profile
 from eulerpoisson.ode import (
+    _EVENT_SUBSAMPLES,
     EventSpec,
     IntegratorConfig,
     IntegratorStats,
     OdeState,
+    Trajectory,
+    _refine_crossing,
     concat_trajectories,
     detect_events,
     integrate,
     quad_adaptive,
     quad_singular,
 )
+
+# the ten orbits of acceptance criterion 03
+_ACCEPTANCE_03_ORBITS = [EmdenParams(1.0, 1.0, 1.0, 1.0)] + [
+    EmdenParams(lam, xi, 1.0, 1.0) for lam in (0.5, 1.0, 2.0) for xi in (0.5, 1.0, 2.0)
+]
 
 
 def rhs_harmonic(t, y):
@@ -281,6 +299,147 @@ class TestEvents:
         assert detect_events(traj, spec) == detect_events(traj, spec)
 
 
+def _detect_events_reference(traj, spec):
+    """detect_events as a scalar loop: eight state_at calls per segment.
+
+    This was the implementation before the event function was evaluated on
+    all segments at once; the vectorised one must return the same times,
+    bit for bit.
+    """
+    g = lambda t: float(spec.event_fn(t, traj.state_at(t)))
+    times = []
+    for i in range(traj.n_nodes - 1):
+        a, b = traj.ts[i], traj.ts[i + 1]
+        samples = np.linspace(a, b, _EVENT_SUBSAMPLES)
+        vals = [g(t) for t in samples]
+        for (ta, ga), (tb, gb) in zip(
+            zip(samples, vals), zip(samples[1:], vals[1:])
+        ):
+            if ga == 0.0:
+                dirn = "falling" if gb < 0 else "rising" if gb > 0 else None
+                if dirn is not None and spec.direction in ("any", dirn):
+                    times.append(float(ta))
+            elif ga * gb < 0:
+                dirn = "falling" if ga > 0 else "rising"
+                if spec.direction in ("any", dirn):
+                    times.append(_refine_crossing(g, ta, ga, tb, gb, spec.refine_tol))
+    tl = traj.ts[-1]
+    if traj.n_nodes > 1 and g(tl) == 0.0:
+        gprev = g(tl - min(spec.refine_tol, (tl - traj.ts[0]) * 1e-6))
+        dirn = "falling" if gprev > 0 else "rising" if gprev < 0 else None
+        if dirn is not None and spec.direction in ("any", dirn):
+            times.append(float(tl))
+    times.sort()
+    span = traj.t_end - traj.t_start
+    merged = []
+    for t in times:
+        if not merged or t - merged[-1] > max(10 * spec.refine_tol, 1e-14 * span):
+            merged.append(t)
+    return merged
+
+
+def _assert_matches_reference(traj, spec):
+    events = detect_events(traj, spec)
+    assert events == _detect_events_reference(traj, spec)
+    return events
+
+
+class TestEventsMatchScalarReference:
+    @pytest.mark.parametrize("direction", ["any", "rising", "falling"])
+    def test_harmonic_oscillator(self, direction):
+        traj = integrate(
+            rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 10.0,
+            IntegratorConfig(rtol=1e-12, atol=1e-14),
+        )
+        for fn in (lambda t, y: y[0], lambda t, y: y[1]):
+            events = _assert_matches_reference(traj, EventSpec(fn, direction))
+            assert events
+
+    @pytest.mark.parametrize("p", _ACCEPTANCE_03_ORBITS, ids=str)
+    def test_acceptance_03_orbits_chunked_like_period_by_simulation(self, p):
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
+        spec = EventSpec(lambda t, y: y[1], direction="falling", refine_tol=1e-12)
+        chunk = 4.0 * linearized_period(p)
+        state = OdeState(0.0, np.array([p.a0, p.a1]))
+        found = 0
+        while found < 4:
+            traj = integrate(scale_rhs(p), state, state.t + chunk, cfg)
+            found += len(_assert_matches_reference(traj, spec))
+            state = OdeState(traj.t_end, traj.y_end)
+
+    def test_goldreich_weber_profile(self):
+        prof = solve_gw_profile(GWParams(N=3, K=1.0, lam=-0.25, alpha_center=1.0))
+        assert prof.s_mu is not None
+        # the solver's own zero spec, and a level crossed inside the support
+        _assert_matches_reference(prof.traj, EventSpec(lambda s, y: y[0], "falling", 1e-13))
+        for direction in ("any", "falling"):
+            spec = EventSpec(lambda s, y: y[0] - 0.5, direction, refine_tol=1e-13)
+            assert _assert_matches_reference(prof.traj, spec)
+
+    @pytest.mark.parametrize("direction", ["any", "rising", "falling"])
+    def test_event_exactly_on_a_node(self, direction):
+        traj = integrate(rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 5.0)
+        k = traj.n_nodes // 2
+        t_node, level = float(traj.ts[k]), float(traj.ys[k, 0])
+        assert traj.ys[k, 1] < 0  # y[0] = sin(t) is falling through the node
+        # each function is exactly zero at the node: one through t, one through y
+        for fn, dirn in ((lambda t, y: t - t_node, "rising"),
+                         (lambda t, y: y[0] - level, "falling")):
+            events = _assert_matches_reference(traj, EventSpec(fn, direction))
+            assert (t_node in events) == (direction in ("any", dirn))
+
+    @pytest.mark.parametrize("direction", ["any", "rising", "falling"])
+    def test_trajectory_ending_on_a_zero(self, direction):
+        traj = integrate(rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 5.0)
+        t_end = traj.t_end
+        events = _assert_matches_reference(traj, EventSpec(lambda t, y: t - t_end, direction))
+        assert events == ([] if direction == "falling" else [t_end])
+
+    def test_single_node_trajectory_has_no_events(self):
+        traj = Trajectory([0.0], [[1.0, 0.0]], [[0.0, -1.0]])
+        spec = EventSpec(lambda t, y: y[0] - 1.0, "any")
+        assert _assert_matches_reference(traj, spec) == []
+
+
+class TestEvaluate:
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return integrate(
+            scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), OdeState(0.0, [1.0, 1.0]), 20.0
+        )
+
+    def test_equals_state_at_bitwise(self, traj):
+        interiors = 0.5 * (traj.ts[:-1] + traj.ts[1:])
+        rng = np.random.default_rng(7)
+        queries = np.concatenate([
+            traj.ts, interiors, rng.uniform(traj.t_start, traj.t_end, 300), [traj.t_end],
+        ])
+        dense = traj.evaluate(queries)
+        assert dense.shape == (len(queries), 2)
+        for t, y in zip(queries.tolist(), dense):
+            assert np.array_equal(y, traj.state_at(t))
+        # node times return the stored states themselves
+        assert np.array_equal(traj.evaluate(traj.ts), traj.ys)
+
+    def test_any_shape_gets_a_trailing_component_axis(self, traj):
+        grid = np.linspace(traj.ts[:-1], traj.ts[1:], 5, axis=1)
+        dense = traj.evaluate(grid)
+        assert dense.shape == grid.shape + (2,)
+        assert np.array_equal(dense[3, 2], traj.state_at(float(grid[3, 2])))
+        assert np.array_equal(traj.evaluate(traj.t_end), traj.ys[-1])
+
+    @pytest.mark.parametrize("bad", [-1e-9, 20.0 + 1e-9, math.nan])
+    def test_outside_the_range_raises(self, traj, bad):
+        with pytest.raises(DomainError):
+            traj.evaluate(np.array([1.0, bad]))
+
+    def test_single_node(self):
+        traj = Trajectory([2.0], [[1.0, 3.0]], [[0.0, 0.0]])
+        assert np.array_equal(traj.evaluate(np.array([2.0, 2.0])), [[1.0, 3.0]] * 2)
+        with pytest.raises(DomainError):
+            traj.evaluate(np.array([2.5]))
+
+
 class TestQuadrature:
     def test_inverse_sqrt(self):
         assert quad_singular(lambda x: x**-0.5, 0.0, 1.0, 1e-10) == pytest.approx(
@@ -316,6 +475,42 @@ class TestQuadrature:
     def test_no_convergence_on_pathological_integrand(self):
         with pytest.raises(NoConvergence):
             quad_adaptive(lambda x: math.sin(1.0 / x) / x, 1e-12, 1.0, 1e-14)
+
+
+class TestQuadratureAgainstScipy:
+    """scipy's QUADPACK (QAGS: extrapolation, no substitution) as an
+    independent oracle; scipy is a test-only dependency."""
+
+    @pytest.mark.parametrize("p", _ACCEPTANCE_03_ORBITS, ids=str)
+    def test_period_by_quadrature(self, p):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        tp, th = turning_points(p), energy_level(p)
+
+        def integrand(a):
+            ex = th - potential(a, p)
+            return 1.0 / math.sqrt(2.0 * ex) if ex > 0.0 else 0.0
+
+        with warnings.catch_warnings():
+            # QAGS may warn that it stalled short of epsrel=1e-12
+            warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
+            half, _ = scipy_integrate.quad(
+                integrand, tp.a_min, tp.a_max, epsabs=0.0, epsrel=1e-12, limit=200
+            )
+        T = period_by_quadrature(p).T
+        assert abs(T - 2.0 * half) <= 1e-9 * T
+
+    @pytest.mark.parametrize(
+        "g,exact",
+        [
+            pytest.param(lambda x: x**-0.5, 2.0, id="inverse sqrt"),
+            pytest.param(lambda x: (x * (1 - x)) ** -0.5, math.pi, id="beta type"),
+        ],
+    )
+    def test_singular_integrals(self, g, exact):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        ref, err = scipy_integrate.quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+        assert abs(ref - exact) <= 1e-11
+        assert abs(quad_singular(g, 0.0, 1.0, 1e-10) - ref) <= 1e-10
 
 
 _G7_X = (
