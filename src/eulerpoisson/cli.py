@@ -9,8 +9,10 @@ numbers are written with 17 significant digits, JSON keys are sorted, line
 endings are '\\n', and nothing volatile (wall time, paths, timestamps) goes
 into an output file.  Wall time is logged to stderr.
 
-Exit codes: 0 success, 1 usage error, 2 domain/range error,
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 package error (any
+`errors.EulerPoissonError`), 3 verification failure.  The integrator flags
+exist only on emden, liouville and period, and replace only the named
+fields of the solver's default `IntegratorConfig`.
 """
 
 from __future__ import annotations
@@ -28,26 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, emden, fields, goldreich_weber, liouville, residuals
-from .errors import (
-    DomainError,
-    IntegrationHalted,
-    NoCompactSupport,
-    NoConvergence,
-    NotPeriodic,
-    OutOfRange,
-    OutsideRegion,
-)
+from .errors import DomainError, EulerPoissonError, NoCompactSupport, OutOfRange, OutsideRegion
 from .ode import IntegratorConfig
-
-_DOMAIN_ERRORS = (
-    DomainError,
-    OutOfRange,
-    OutsideRegion,
-    NotPeriodic,
-    NoCompactSupport,
-    NoConvergence,
-    IntegrationHalted,
-)
 
 
 def _fmt(v) -> str:
@@ -77,16 +61,11 @@ def _outdir(args) -> Path:
     return path
 
 
-def _integrator_config(args, base: IntegratorConfig | None) -> IntegratorConfig | None:
-    """Override only the fields the user supplied; None keeps module defaults."""
-    overrides = {}
-    for name in ("rtol", "atol", "h_init", "h_max", "max_steps"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if not overrides:
-        return base
-    return dataclasses.replace(base or IntegratorConfig(), **overrides)
+def _integrator_config(args, base: IntegratorConfig) -> IntegratorConfig:
+    """The solver's default `base` with only the fields the user supplied replaced."""
+    names = ("rtol", "atol", "h_init", "h_max", "max_steps")
+    overrides = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    return dataclasses.replace(base, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +104,9 @@ def step_list(text: str) -> list[float]:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value file; flags override file values")
     sp.add_argument("--outdir", help="output directory (default: . or $EULERPOISSON_OUTDIR)")
+
+
+def _add_integrator(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rtol", type=finite_float, help="integrator relative tolerance")
     sp.add_argument("--atol", type=finite_float, help="integrator absolute tolerance")
     sp.add_argument("--h-init", dest="h_init", type=finite_float, help="initial step")
@@ -132,7 +114,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--max-steps", dest="max_steps", type=int, help="step budget")
 
 
+@functools.cache
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The parser and the subcommand parsers by name, built on first use and never modified."""
     parser = _Parser(prog="eulerpoisson", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,7 +131,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--t-end", dest="t_end", type=finite_float, default=50.0)
     p.add_argument("--samples", type=positive_int, default=1001)
     _add_common(p)
-    p.set_defaults(func=cmd_emden)
+    _add_integrator(p)
     subparsers["emden"] = p
 
     p = sub.add_parser("liouville", help="solve the radial profile, emit CSV")
@@ -156,7 +140,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--alpha", type=finite_float, default=0.0)
     p.add_argument("--s-max", dest="s_max", type=finite_float, default=20.0)
     _add_common(p)
-    p.set_defaults(func=cmd_liouville)
+    _add_integrator(p)
     subparsers["liouville"] = p
 
     p = sub.add_parser("fields", help="sample spacetime fields of a family")
@@ -180,7 +164,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--nx", type=int, default=9)
     p.add_argument("--ny", type=int, default=9)
     _add_common(p)
-    p.set_defaults(func=cmd_fields)
     subparsers["fields"] = p
 
     p = sub.add_parser("period", help="compare quadrature and simulation periods")
@@ -189,7 +172,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--a0", type=finite_float, default=1.0)
     p.add_argument("--a1", type=finite_float, default=1.0)
     _add_common(p)
-    p.set_defaults(func=cmd_period)
+    _add_integrator(p)
     subparsers["period"] = p
 
     p = sub.add_parser("verify", help="run the residual convergence bundle")
@@ -215,7 +198,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         help="density offset used by --inject-corruption",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
     subparsers["verify"] = p
 
     return parser, subparsers
@@ -306,7 +288,7 @@ def cmd_emden(args) -> int:
 
 def cmd_liouville(args) -> int:
     p = liouville.LiouvilleParams(K=args.K, lam=args.lam, alpha=args.alpha)
-    cfg = _integrator_config(args, None)
+    cfg = _integrator_config(args, liouville.PROFILE_CONFIG)
     prof = liouville.solve_profile(p, args.s_max, cfg)
 
     s = prof.grid
@@ -403,7 +385,7 @@ def cmd_fields(args) -> int:
 
 def cmd_period(args) -> int:
     p = emden.EmdenParams(lam=args.lam, xi=args.xi, a0=args.a0, a1=args.a1)
-    cfg = _integrator_config(args, IntegratorConfig(rtol=1e-12, atol=1e-14))
+    cfg = _integrator_config(args, emden.PERIOD_CONFIG)
     tq = emden.period_by_quadrature(p)
     ts = emden.period_by_simulation(p, cfg)
     report = {
@@ -521,29 +503,34 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 3
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Arguments of one run.  With --config, the file's values pre-fill a
+    namespace that the subcommand parser then fills from its part of the
+    command line, so an explicit flag wins over the file."""
     parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    sub = subparsers[args.command]
+    prefilled = argparse.Namespace(command=args.command, **_load_config_file(args.config, sub))
+    return sub.parse_args(argv[argv.index(args.command) + 1:], prefilled)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if getattr(args, "config", None):
-        try:
-            overrides = _load_config_file(args.config, subparsers[args.command])
-        except (_ConfigError, OSError) as exc:
-            print(f"eulerpoisson: config error: {exc}", file=sys.stderr)
-            return 1
-        subparsers[args.command].set_defaults(**overrides)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    except (_ConfigError, OSError) as exc:
+        print(f"eulerpoisson: config error: {exc}", file=sys.stderr)
+        return 1
 
     t0 = time.perf_counter()
     try:
-        code = args.func(args)
-    except _DOMAIN_ERRORS as exc:
+        # looked up per call, so the cached parser holds no command functions
+        code = globals()[f"cmd_{args.command}"](args)
+    except EulerPoissonError as exc:
         print(f"eulerpoisson {args.command}: error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.command}: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)

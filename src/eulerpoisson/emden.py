@@ -231,6 +231,7 @@ def linearized_period(p: EmdenParams) -> float:
 
 _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles
 _PERIOD_MAX_CHUNKS = 64
+PERIOD_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
 
 def period_by_simulation(
@@ -245,7 +246,7 @@ def period_by_simulation(
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
-    cfg = cfg or IntegratorConfig(rtol=1e-12, atol=1e-14)
+    cfg = cfg or PERIOD_CONFIG
     rhs = scale_rhs(p)
     spec = EventSpec(lambda t, y: y[1], direction="falling", refine_tol=1e-12)
 

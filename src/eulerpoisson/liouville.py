@@ -35,6 +35,10 @@ from .ode import (
 
 _S0_DEFAULT = 1e-6
 
+# solve_profile's default; the 0.005 step cap keeps the dense interpolant
+# accurate enough for a finite-difference residual check to reach 1e-8
+PROFILE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.005)
+
 
 @dataclass(frozen=True)
 class LiouvilleParams:
@@ -146,9 +150,7 @@ def solve_profile(
     """Integrate the profile from the series start at s0 = 1e-6 out to s_max."""
     if not s_max > 0:
         raise DomainError("s_max must be > 0")
-    # the 0.005 step cap keeps the dense interpolant accurate enough that a
-    # finite-difference residual check can reach 1e-8
-    cfg = cfg or IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.005)
+    cfg = cfg or PROFILE_CONFIG
     s0 = min(_S0_DEFAULT, 0.5 * s_max)
     c = series_coefficient(p)
     y0 = np.array([p.alpha + c * s0 * s0, 2 * c * s0])

@@ -182,7 +182,7 @@ class Trajectory:
         return len(self.ts)
 
     def _segment_index(self, t: float) -> int:
-        if t < self.ts[0] or t > self.ts[-1]:
+        if not (self.ts[0] <= t <= self.ts[-1]):  # NaN fails too
             raise DomainError(
                 f"t={t} outside trajectory range [{self.ts[0]}, {self.ts[-1]}]"
             )

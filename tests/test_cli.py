@@ -1,11 +1,12 @@
 """CLI contract: artifact schemas, determinism, exit codes, config handling."""
 
+import inspect
 import json
 import math
 
 import pytest
 
-from eulerpoisson import cli
+from eulerpoisson import cli, errors
 from eulerpoisson.cli import main
 
 
@@ -244,6 +245,66 @@ class TestRobustness:
         assert run(tmp_path, "verify", "--points", "0") == 1
         assert "--points" in self.one_line_error(capsys)
         assert not (tmp_path / "verify.json").exists()
+
+    def test_stencil_out_of_domain_exits_2(self, tmp_path, capsys):
+        # steps this wide carry stencil arms across the region boundaries
+        assert run(tmp_path, "verify", "--h-list", "0.5,0.2,0.1") == 2
+        assert "crossed a validity boundary" in self.one_line_error(capsys)
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_every_package_error_maps_to_exit_2(self):
+        classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                   if c.__module__ == errors.__name__]
+        assert errors.EulerPoissonError in classes
+        for c in classes:
+            assert issubclass(c, errors.EulerPoissonError)
+            # each also keeps its ValueError or RuntimeError base
+            assert c is errors.EulerPoissonError or issubclass(c, (ValueError, RuntimeError))
+
+
+class TestIntegratorFlags:
+    """Only emden, liouville and period take integrator flags, and each flag
+    changes only its own field of the solver's default configuration."""
+
+    @pytest.mark.parametrize(
+        "argv", [("fields", "--rtol", "1e-6"), ("verify", "--max-steps", "1")]
+    )
+    def test_commands_without_an_integrator_reject_the_flags(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", TestRobustness.must_not_run)
+        assert run(tmp_path, *argv) == 1
+        assert argv[1] in TestRobustness.one_line_error(capsys)
+
+    def test_fields_config_rejects_rtol(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_fields", TestRobustness.must_not_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rtol=1e-6\n")
+        assert main(["fields", "--config", str(cfg)]) == 1
+        assert "unknown key 'rtol'" in TestRobustness.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv,flags,names",
+        [
+            (("liouville",), ("--rtol", "1e-12"),
+             ("liouville.csv", "liouville_report.json")),
+            (("period",), ("--rtol", "1e-12", "--atol", "1e-14"), ("period.json",)),
+        ],
+    )
+    def test_default_valued_flags_keep_the_other_defaults(self, tmp_path, argv, flags, names):
+        assert run(tmp_path / "plain", *argv) == 0
+        assert run(tmp_path / "flagged", *argv, *flags) == 0
+        for name in names:
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "flagged" / name).read_bytes() == plain
+
+    def test_config_values_do_not_outlive_their_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi=0\n")
+        assert main(["emden", "--config", str(cfg), "--outdir", str(tmp_path / "a")]) == 0
+        assert main(["emden", "--outdir", str(tmp_path / "b")]) == 0
+        report = json.loads((tmp_path / "b" / "emden_report.json").read_text())
+        assert report["classification"] == "periodic"
 
 
 class TestIntegratorCounters:

@@ -432,6 +432,11 @@ class TestEvaluate:
     def test_outside_the_range_raises(self, traj, bad):
         with pytest.raises(DomainError):
             traj.evaluate(np.array([1.0, bad]))
+        # the scalar entry points reject the same times, NaN included
+        with pytest.raises(DomainError):
+            traj.state_at(bad)
+        with pytest.raises(DomainError):
+            traj.derivative_at(bad)
 
     def test_single_node(self):
         traj = Trajectory([2.0], [[1.0, 3.0]], [[0.0, 0.0]])
