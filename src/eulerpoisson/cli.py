@@ -2,7 +2,7 @@
 
 Commands: emden (scale-factor orbit data), liouville (radial profile and
 mass-identity bracket), fields (sampled spacetime fields of a family),
-period (two-way period comparison), verify (residual convergence bundle).
+period (two-way period comparison), verify (residual bundle, `verify.run_bundle`).
 
 Artifacts are byte-identical for identical configuration and version:
 numbers are written with 17 significant digits, JSON keys are sorted, line
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, emden, fields, goldreich_weber, liouville, residuals
+from . import __version__, emden, fields, goldreich_weber, liouville, verify
 from .errors import DomainError, EulerPoissonError, NoCompactSupport, OutOfRange, OutsideRegion
 from .ode import IntegratorConfig
 
@@ -159,10 +159,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--N", type=int, default=3, help="dimension (gw family)")
     p.add_argument("--t0", type=finite_float, default=0.5)
     p.add_argument("--t1", type=finite_float, default=2.0)
-    p.add_argument("--nt", type=int, default=3)
+    p.add_argument("--nt", type=positive_int, default=3)
     p.add_argument("--rmax", type=finite_float, default=2.0, help="disk radius of the xy grid")
-    p.add_argument("--nx", type=int, default=9)
-    p.add_argument("--ny", type=int, default=9)
+    p.add_argument("--nx", type=positive_int, default=9)
+    p.add_argument("--ny", type=positive_int, default=9)
     _add_common(p)
     subparsers["fields"] = p
 
@@ -310,17 +310,12 @@ def cmd_liouville(args) -> int:
     return 0
 
 
-def _disk_points(args) -> list[tuple[float, float]]:
-    """(x, y) nodes of the nx-by-ny grid on [-rmax, rmax]^2 inside the disk."""
+def _sample_rows(args, times, ev, skip):
+    """CSV rows of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2
+    inside the disk; a point where ev raises one of `skip` is left out."""
     xs = np.linspace(-args.rmax, args.rmax, args.nx)
     ys = np.linspace(-args.rmax, args.rmax, args.ny)
-    return [(float(x), float(y)) for x in xs for y in ys if math.hypot(x, y) <= args.rmax]
-
-
-def _sample_rows(args, times, ev, skip):
-    """CSV rows of ev(t, x, y) -> FieldSample over the disk grid; a point
-    where ev raises one of `skip` is left out."""
-    pts = _disk_points(args)
+    pts = [(float(x), float(y)) for x in xs for y in ys if math.hypot(x, y) <= args.rmax]
     for t in times:
         for x, y in pts:
             try:
@@ -353,18 +348,16 @@ def _fields_rows_gw(args):
         a0=args.a0, a1=args.a1,
     )
     prof = goldreich_weber.solve_gw_profile(p)
-    run = goldreich_weber.integrate_gw_scale(p, args.t1)
-    traj = run.trajectory
-    pts = _disk_points(args)
+    traj = goldreich_weber.integrate_gw_scale(p, args.t1).trajectory
     times = np.linspace(args.t0, min(args.t1, traj.t_end), args.nt)
-    for t, (a, adot) in zip(times.tolist(), traj.evaluate(times).tolist()):
-        for x, y in pts:
-            try:
-                rho = goldreich_weber.gw_density(prof, a, math.hypot(x, y))
-            except (NoCompactSupport, DomainError):
-                continue
-            stretch = adot / a
-            yield (t, x, y, rho, stretch * x, stretch * y, None)
+    scale = dict(zip(times.tolist(), traj.evaluate(times).tolist()))
+
+    def ev(t, x, y):
+        a, adot = scale[t]
+        rho = goldreich_weber.gw_density(prof, a, math.hypot(x, y))
+        return fields.FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
+
+    return _sample_rows(args, times, ev, (NoCompactSupport, DomainError))
 
 
 def cmd_fields(args) -> int:
@@ -401,105 +394,23 @@ def cmd_period(args) -> int:
     return 0
 
 
-def _study_check(name, expected_converges, study) -> dict:
-    converges = residuals.study_passes(study)
-    return {
-        "name": name,
-        "kind": "convergence",
-        "expected": "converges" if expected_converges else "fails",
-        "estimated_order": study.estimated_order,
-        "norms": list(study.norms),
-        "h_list": list(study.h_sequence),
-        "at_floor": study.at_floor,
-        "passed": converges == expected_converges,
-    }
-
-
 def cmd_verify(args) -> int:
-    t_begin = time.perf_counter()
-    h_list = args.h_list
-    rng = np.random.default_rng(args.seed)
-    checks: list[dict] = []
-
-    def disc_pts(t_lo, t_hi, r_lo, r_hi):
-        out = []
-        for _ in range(args.points):
-            t = rng.uniform(t_lo, t_hi)
-            r = rng.uniform(r_lo, r_hi)
-            ang = rng.uniform(0.0, 2 * math.pi)
-            out.append((float(t), float(r * math.cos(ang)), float(r * math.sin(ang))))
-        return out
-
-    # rotating isothermal family, all four equations
-    sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5)
-    rot = lambda t, x, y: fields.eval_rotational(sol, t, x, y)
-    pts = disc_pts(0.1, 2.0, 0.2, 3.0)
-    iso = residuals.PressureLaw("isothermal", K=1.0)
-    mom_x = lambda f, p, c: residuals.momentum_residual(f, p, c, iso)[0]
-    mom_y = lambda f, p, c: residuals.momentum_residual(f, p, c, iso)[1]
-
-    # two-region spiral of the gamma=2 Euler equations
-    zz = fields.ZZSolution(K=1.0, rho0=0.5)
-    inner = lambda t, x, y: fields.eval_zz_inner(zz, t, x, y)
-    inner_bad = lambda t, x, y: fields.eval_zz_inner(zz, t, x, y, as_printed=True)
-    outer = lambda t, x, y: fields.eval_zz_outer(zz, t, x, y)
-    g2 = residuals.PressureLaw("gamma2", K=zz.K)
-    zmom_x = lambda f, p, c: residuals.momentum_residual(f, p, c, g2)[0]
-    zmom_y = lambda f, p, c: residuals.momentum_residual(f, p, c, g2)[1]
-    pts_in = disc_pts(1.0, 2.0, 0.2, 1.2)   # interface radius is 2t >= 2 here
-    pts_out = disc_pts(1.0, 2.0, 5.0, 8.0)
-    mass, poisson = residuals.mass_residual, residuals.poisson_residual
-    for name, expected, op, f, p in [
-        ("rotational/mass", True, mass, rot, pts),
-        ("rotational/momentum_x", True, mom_x, rot, pts),
-        ("rotational/momentum_y", True, mom_y, rot, pts),
-        ("rotational/poisson", True, poisson, rot, pts),
-        ("zz_inner/mass", True, mass, inner, pts_in),
-        ("zz_inner/momentum_x", True, zmom_x, inner, pts_in),
-        ("zz_inner/momentum_y", True, zmom_y, inner, pts_in),
-        ("zz_outer/mass", True, mass, outer, pts_out),
-        ("zz_outer/momentum_x", True, zmom_x, outer, pts_out),
-        ("zz_outer/momentum_y", True, zmom_y, outer, pts_out),
-        ("zz_inner_as_printed/mass", False, mass, inner_bad, pts_in),
-    ]:
-        checks.append(_study_check(name, expected, residuals.convergence_study(op, f, p, h_list)))
-
-    # interface density continuity (exact algebra, checked numerically)
-    diffs = []
-    for t in (0.5, 1.0, 1.5, 2.0):
-        ri = fields.zz_interface_radius(zz, t)
-        s = fields.eval_zz_inner(zz, t, ri / math.sqrt(2), ri / math.sqrt(2))
-        diffs.append(abs(s.rho - zz.rho0))
-    checks.append({
-        "name": "zz_interface_continuity",
-        "kind": "equality",
-        "max_abs_diff": max(diffs),
-        "tol": 1e-12,
-        "passed": max(diffs) <= 1e-12,
-    })
-
-    if args.inject_corruption:
-        bad = residuals.corrupt_density_offset(rot, args.corruption_delta)
-        for name, op in [("mass", mass), ("momentum_x", mom_x), ("poisson", poisson)]:
-            study = residuals.convergence_study(op, bad, pts, h_list)
-            checks.append(_study_check(f"corrupted_rotational/{name}", False, study))
-
+    checks = verify.run_bundle(args.seed, args.points, args.h_list,
+                               args.inject_corruption, args.corruption_delta)
     all_passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
         "version": __version__,
         "seed": args.seed,
         "n_points": args.points,
-        "h_list": h_list,
+        "h_list": args.h_list,
         "inject_corruption": bool(args.inject_corruption),
         "checks": checks,
         "all_passed": all_passed,
     }
     _write_json(_outdir(args) / "verify.json", report)
-    print(f"verify: {time.perf_counter() - t_begin:.2f}s wall", file=sys.stderr)
     for c in checks:
-        status = "ok" if c["passed"] else "FAIL"
-        print(f"  [{status}] {c['name']}", file=sys.stderr)
+        print(f"  [{'ok' if c['passed'] else 'FAIL'}] {c['name']}", file=sys.stderr)
     return 0 if all_passed else 3
 
 

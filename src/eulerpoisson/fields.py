@@ -60,30 +60,23 @@ class RotSolution2D:
             raise DomainError("scale and profile must share the same lam")
 
 
+# scale-factor integration behind every rotational solution
+SCALE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.01)
+
+
 def build_rotational(
-    lam: float,
-    xi: float,
-    K: float,
-    alpha: float,
-    a0: float,
-    a1: float,
-    t_max: float,
-    s_max: float = 20.0,
-    scale_cfg: IntegratorConfig | None = None,
-    profile_cfg: IntegratorConfig | None = None,
+    lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float
 ) -> RotSolution2D:
-    """Solve the profile and the scale factor and bundle them for evaluation.
+    """Solve the profile (to s = 20, at its default configuration) and the
+    scale factor (at SCALE_CONFIG) and bundle them for evaluation.
 
     xi = 0 is allowed and yields the non-rotating family; with lam > 0 that
     trajectory ends at its finite touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
     liouville_p = LiouvilleParams(K=K, lam=lam, alpha=alpha)
-    profile = solve_profile(liouville_p, s_max, profile_cfg)
-    scale_cfg = scale_cfg or IntegratorConfig(
-        rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.01
-    )
-    run = integrate_scale(emden_p, t_max, scale_cfg)
+    profile = solve_profile(liouville_p, 20.0)
+    run = integrate_scale(emden_p, t_max, SCALE_CONFIG)
     return RotSolution2D(
         emden=emden_p,
         liouville=liouville_p,

@@ -11,7 +11,8 @@ with centered second-order stencils.  Feeding an exact solution must leave
 pure discretization error, so halving the step shrinks every residual by
 four; `convergence_study` fits that order and flags the floating-point
 floor.  Corrupted fields are first-class citizens: they are the negative
-controls proving the oracle can fail.
+controls proving the oracle can fail.  `eulerpoisson.verify` runs these
+studies over the exact families.
 
 Gravity gradients are never re-differenced: grad Phi = (x/r, y/r) * Phi_r
 uses the sampled radial derivative directly, since the potential itself is
@@ -99,6 +100,18 @@ def _sample(field: FieldFn, t: float, x: float, y: float) -> FieldSample:
         ) from exc
 
 
+def _neighbours(field: FieldFn, t, x, y, hs, ht) -> tuple[FieldSample, ...]:
+    """Samples at t +- ht, x +- hs and y +- hs around (t, x, y), in that order."""
+    return (
+        _sample(field, t + ht, x, y),
+        _sample(field, t - ht, x, y),
+        _sample(field, t, x + hs, y),
+        _sample(field, t, x - hs, y),
+        _sample(field, t, x, y + hs),
+        _sample(field, t, x, y - hs),
+    )
+
+
 def _report(eq_name, values) -> ResidualReport:
     arr = np.asarray(values)
     return ResidualReport(
@@ -115,12 +128,7 @@ def mass_residual(
     hs, ht = cfg.h_space, cfg.h_time
     vals = []
     for t, x, y in pts:
-        s_tp = _sample(field, t + ht, x, y)
-        s_tm = _sample(field, t - ht, x, y)
-        s_xp = _sample(field, t, x + hs, y)
-        s_xm = _sample(field, t, x - hs, y)
-        s_yp = _sample(field, t, x, y + hs)
-        s_ym = _sample(field, t, x, y - hs)
+        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours(field, t, x, y, hs, ht)
         rho_t = (s_tp.rho - s_tm.rho) / (2 * ht)
         flux_x = (s_xp.rho * s_xp.u1 - s_xm.rho * s_xm.u1) / (2 * hs)
         flux_y = (s_yp.rho * s_yp.u2 - s_ym.rho * s_ym.u2) / (2 * hs)
@@ -148,12 +156,7 @@ def momentum_residual(
             raise MissingGravity(
                 "isothermal momentum residual requires phi_r in the samples"
             )
-        s_tp = _sample(field, t + ht, x, y)
-        s_tm = _sample(field, t - ht, x, y)
-        s_xp = _sample(field, t, x + hs, y)
-        s_xm = _sample(field, t, x - hs, y)
-        s_yp = _sample(field, t, x, y + hs)
-        s_ym = _sample(field, t, x, y - hs)
+        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours(field, t, x, y, hs, ht)
 
         u1_t = (s_tp.u1 - s_tm.u1) / (2 * ht)
         u2_t = (s_tp.u2 - s_tm.u2) / (2 * ht)

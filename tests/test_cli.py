@@ -246,6 +246,28 @@ class TestRobustness:
         assert "--points" in self.one_line_error(capsys)
         assert not (tmp_path / "verify.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--nx", "-1"),  # a numpy ValueError traceback, exit 1
+            ("--nt", "0"),   # a header-only fields.csv, exit 0
+            ("--nx", "0"),   # the same
+        ],
+    )
+    def test_non_positive_grid_size_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        monkeypatch.setattr(cli, "cmd_fields", self.must_not_run)
+        assert run(tmp_path, "fields", flag, value) == 1
+        assert flag in self.one_line_error(capsys)
+        assert not (tmp_path / "fields.csv").exists()
+
+    def test_gw_at_defaults_fails_before_writing(self, tmp_path, capsys):
+        # alpha defaults to 0, which the gw profile rejects
+        assert run(tmp_path, "fields", "--family", "gw") == 2
+        assert "alpha_center must be > 0" in self.one_line_error(capsys)
+        assert not (tmp_path / "fields.csv").exists()
+
     def test_stencil_out_of_domain_exits_2(self, tmp_path, capsys):
         # steps this wide carry stencil arms across the region boundaries
         assert run(tmp_path, "verify", "--h-list", "0.5,0.2,0.1") == 2
