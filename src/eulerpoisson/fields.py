@@ -61,7 +61,7 @@ class RotSolution2D:
 
 
 # scale-factor integration behind every rotational solution
-SCALE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.01)
+SCALE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4)
 
 
 def build_rotational(
@@ -107,7 +107,8 @@ def eval_rotational(sol: RotSolution2D, t: float, x: float, y: float) -> FieldSa
     swirl = sol.emden.xi / (a * a)
     u1 = stretch * x - swirl * y
     u2 = swirl * x + stretch * y
-    phi_r = eval_gravity_radial(sol, t, r) if r > 0 else 0.0
+    # Phi_r as in eval_gravity_radial, from the scale factor read above
+    phi_r = enclosed_mass(sol.profile, s) / r if r > 0 else 0.0
     return FieldSample(rho=rho, u1=u1, u2=u2, phi_r=phi_r)
 
 

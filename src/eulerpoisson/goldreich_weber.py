@@ -119,7 +119,7 @@ def solve_gw_profile(
     the zero; the profile itself is truncated exactly at the event.  With no
     zero before s_cap the full trajectory is kept and s_mu is absent.
     """
-    cfg = cfg or IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.01)
+    cfg = cfg or IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4)
     power = p.N / (p.N - 2)
     denom = (2 * p.N - 2) * p.K
     forcing = p.N * (p.N - 2) * p.lam / denom

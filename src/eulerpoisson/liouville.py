@@ -29,15 +29,14 @@ from .ode import (
     Trajectory,
     _WGK,
     _XGK,
-    _hermite,
+    _dense,
     integrate,
 )
 
 _S0_DEFAULT = 1e-6
 
-# solve_profile's default; the 0.005 step cap keeps the dense interpolant
-# accurate enough for a finite-difference residual check to reach 1e-8
-PROFILE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.005)
+# solve_profile's default
+PROFILE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4)
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,9 @@ class LiouvilleProfile(SeriesProfile):
         """Cumulative 2*pi*integral e^f tau dtau at the grid nodes.
 
         One 15-point Kronrod panel per integration segment, evaluated on the
-        dense cubic-Hermite interpolant; panels are far shorter than the
-        integrand's variation scale, so each is accurate to roundoff.
+        segment's dense output; the error controller keeps segments short
+        against the integrand's variation scale, so each is accurate to
+        roundoff.
         """
         if self._node_mass is not None:
             return self._node_mass
@@ -187,12 +187,12 @@ _GK_W = np.concatenate([_WGK[:-1][::-1], _WGK[::-1]])
 
 def _panel_mass(traj: Trajectory, i: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """2*pi * integral_a^b e^f(tau) tau dtau for each [a, b] inside segment i,
-    by one 15-point Kronrod panel on the dense cubic Hermite."""
-    ts, ys, fs = traj.ts, traj.ys, traj.fs
+    by one 15-point Kronrod panel on the segment's dense output."""
+    ts, ys, fs, r5 = traj.ts, traj.ys, traj.fs, traj.r5
     half = 0.5 * (b - a)[:, None]
     tau = 0.5 * (a + b)[:, None] + half * _GK_X
-    f = _hermite(tau, ts[i, None], ts[i + 1, None], ys[i, 0, None], ys[i + 1, 0, None],
-                 fs[i, 0, None], fs[i + 1, 0, None])
+    f = _dense(tau, ts[i, None], ts[i + 1, None], ys[i, 0, None], ys[i + 1, 0, None],
+               fs[i, 0, None], fs[i + 1, 0, None], r5[i, 0, None])
     return 2 * math.pi * np.sum(_GK_W * np.exp(f) * tau, axis=1) * half[:, 0]
 
 

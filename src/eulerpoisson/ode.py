@@ -4,11 +4,12 @@ An explicit Dormand-Prince 5(4) pair drives all time integration in the
 package.  Every system here has one or two components, so the step loop runs
 on Python floats: a right-hand side takes `(t, y)` with y a tuple of floats
 and returns a sequence of floats of the same length.  Accepted steps store
-the state and derivative at both ends, so the trajectory supports continuous
-cubic-Hermite dense output, post-hoc event location, and exact (bitwise)
-reproduction of node states.  Dense output comes one time at a time
-(`Trajectory.state_at`) or for a whole array of times at once
-(`Trajectory.evaluate`); both use the same Hermite kernel.  Event location
+the state and derivative at both ends plus the stepper's own 4th-order
+continuous extension (Hairer, Norsett & Wanner I, section II.6), so the
+trajectory supports dense output, post-hoc event location, and exact
+(bitwise) reproduction of node states.  Dense output comes one time at a
+time (`Trajectory.state_at`) or for a whole array of times at once
+(`Trajectory.evaluate`); both use the same kernel.  Event location
 evaluates the event function once on a subsample grid of every segment, so
 an event function takes `(t, y)` with t of shape (S,) and y of shape (n, S)
 (`y[k]` selects component k) as well as scalar t with a 1-D y.  Each
@@ -69,6 +70,10 @@ _E = (
     11 / 84 - 187 / 2100,
     -1 / 40,
 )
+# Continuous extension (dopri5's CONTD5): the dense output of a step is its
+# cubic Hermite plus s^2 (1-s)^2 * r5, with r5 = h * sum(d_i k_i).
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+      701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 
 
 @dataclass(frozen=True)
@@ -144,18 +149,20 @@ class EventSpec:
 
 
 class Trajectory:
-    """Accepted integration nodes plus cubic-Hermite dense output.
+    """Accepted integration nodes plus the Dormand-Prince dense output.
 
     Nodes are strictly increasing in t.  Evaluation at a node time returns
-    the stored state bitwise; inside a segment the cubic Hermite through the
-    segment's end states and derivatives is used, which keeps the dense
-    output continuous with continuous first derivative.
+    the stored state bitwise; inside segment i the dense output is the
+    cubic Hermite through the segment's end states and derivatives plus
+    s^2 (1-s)^2 * r5[i], with s the fraction of the segment.  That keeps it
+    continuous with continuous first derivative.  `r5` holds one row per
+    segment and defaults to zeros, the plain cubic Hermite.
     """
 
-    __slots__ = ("ts", "ys", "fs", "stats")
+    __slots__ = ("ts", "ys", "fs", "r5", "stats")
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray,
-                 stats: IntegratorStats = IntegratorStats()):
+                 r5: np.ndarray | None = None, stats: IntegratorStats = IntegratorStats()):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
@@ -164,6 +171,10 @@ class Trajectory:
             raise DomainError("trajectory needs at least one node")
         if np.any(np.diff(self.ts) <= 0):
             raise DomainError("trajectory nodes must strictly increase")
+        shape = (len(self.ts) - 1,) + self.ys.shape[1:]
+        self.r5 = np.zeros(shape) if r5 is None else np.asarray(r5, dtype=float)
+        if self.r5.shape != shape:
+            raise DomainError(f"r5 has shape {self.r5.shape}, expected {shape}")
 
     @property
     def t_start(self) -> float:
@@ -197,12 +208,12 @@ class Trajectory:
         if t == self.ts[i + 1]:
             return self.ys[i + 1].copy()
         ts, ys, fs = self.ts, self.ys, self.fs
-        return _hermite(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+        return _dense(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1], self.r5[i])
 
     def evaluate(self, ts) -> np.ndarray:
         """Dense states at the times `ts` (any shape), shape ts.shape + (n,).
 
-        One searchsorted and one Hermite evaluation for all times; every
+        One searchsorted and one kernel evaluation for all times; every
         value equals `state_at` bitwise, so node times give the stored node
         states.  Raises DomainError when a time is outside [t_start, t_end].
         """
@@ -217,8 +228,8 @@ class Trajectory:
         i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
         t0, t1 = nodes[i], nodes[i + 1]
         y0, y1 = self.ys[i], self.ys[i + 1]
-        out = _hermite(t[..., None], t0[..., None], t1[..., None],
-                       y0, y1, self.fs[i], self.fs[i + 1])
+        out = _dense(t[..., None], t0[..., None], t1[..., None],
+                     y0, y1, self.fs[i], self.fs[i + 1], self.r5[i])
         at0, at1 = t == t0, t == t1
         out[at0] = y0[at0]
         out[at1] = y1[at1]
@@ -232,13 +243,16 @@ class Trajectory:
         if t == self.ts[i + 1]:
             return self.fs[i + 1].copy()
         ts, ys, fs = self.ts, self.ys, self.fs
-        return _hermite_deriv(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+        return _dense_deriv(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1],
+                            self.r5[i])
 
     def __call__(self, t: float) -> np.ndarray:
         return self.state_at(t)
 
     def truncated(self, t_cut: float) -> "Trajectory":
-        """Trajectory restricted to [t_start, t_cut], ending exactly at t_cut."""
+        """Trajectory restricted to [t_start, t_cut], ending exactly at t_cut,
+        with the same dense output: the cut segment's row is r5 * q^4, q the
+        kept fraction of that segment."""
         if t_cut >= self.t_end:
             return self
         if t_cut <= self.t_start:
@@ -246,27 +260,31 @@ class Trajectory:
         keep = self.ts <= t_cut
         n = int(np.sum(keep))
         if self.ts[n - 1] == t_cut:
-            return Trajectory(self.ts[:n], self.ys[:n], self.fs[:n], self.stats)
+            return Trajectory(self.ts[:n], self.ys[:n], self.fs[:n], self.r5[:n - 1], self.stats)
         ts = np.append(self.ts[:n], t_cut)
         ys = np.vstack([self.ys[:n], self.state_at(t_cut)])
         fs = np.vstack([self.fs[:n], self.derivative_at(t_cut)])
-        return Trajectory(ts, ys, fs, self.stats)
+        q = (t_cut - self.ts[n - 1]) / (self.ts[n] - self.ts[n - 1])
+        r5 = np.vstack([self.r5[:n - 1], self.r5[n - 1] * q**4])
+        return Trajectory(ts, ys, fs, r5, self.stats)
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
+def _dense(t, t0, t1, y0, y1, f0, f1, r5):
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
     s3 = s2 * s
+    w = s * (1 - s)
     return (
         (2 * s3 - 3 * s2 + 1) * y0
         + (s3 - 2 * s2 + s) * h * f0
         + (-2 * s3 + 3 * s2) * y1
         + (s3 - s2) * h * f1
+        + w * w * r5
     )
 
 
-def _hermite_deriv(t, t0, t1, y0, y1, f0, f1):
+def _dense_deriv(t, t0, t1, y0, y1, f0, f1, r5):
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
@@ -275,6 +293,7 @@ def _hermite_deriv(t, t0, t1, y0, y1, f0, f1):
         + (3 * s2 - 4 * s + 1) * f0
         + (-6 * s2 + 6 * s) / h * y1
         + (3 * s2 - 2 * s) * f1
+        + 2 * s * (1 - s) * (1 - 2 * s) / h * r5
     )
 
 
@@ -294,8 +313,9 @@ def concat_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
         ts.append(nxt.ts[1:])
         ys.append(nxt.ys[1:])
         fs.append(nxt.fs[1:])
+    r5 = np.vstack([p.r5 for p in parts])
     stats = sum((p.stats for p in parts), IntegratorStats())
-    return Trajectory(np.concatenate(ts), np.vstack(ys), np.vstack(fs), stats)
+    return Trajectory(np.concatenate(ts), np.vstack(ys), np.vstack(fs), r5, stats)
 
 
 def integrate(
@@ -322,7 +342,7 @@ def integrate(
         raise DomainError("t_end must exceed the initial time")
     y = tuple(y0.y.tolist())
     accepted = rejected = rhs_calls = 0
-    isfinite = math.isfinite
+    isfinite, sqrt = math.isfinite, math.sqrt
 
     def stage(tc: float, yc: tuple[float, ...]) -> Sequence[float]:
         # FloatingPointError marks a non-finite stage, like the
@@ -336,7 +356,8 @@ def integrate(
 
     def make_traj() -> Trajectory:
         stats = IntegratorStats(accepted, rejected, rhs_calls)
-        return Trajectory(np.array(ts), np.array(ys), np.array(fs), stats)
+        r5 = np.array(r5s).reshape(-1, n)
+        return Trajectory(np.array(ts), np.array(ys), np.array(fs), r5, stats)
 
     try:
         k1 = stage(t, y)
@@ -345,12 +366,14 @@ def integrate(
     n = len(y)
     if not 0 < len(k1) == n:
         raise DomainError(f"rhs returned {len(k1)} components for a {n}-state")
-    ts, ys, fs = [t], [y], [k1]
+    # r5 rows go into one flat list; a rejected attempt drops what it added
+    ts, ys, fs, r5s = [t], [y], [k1], []
 
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _A[1:5]
     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76) = _A[5:]
     _, c2, c3, c4, c5, _, _ = _C
     e1, _, e3, e4, e5, e6, e7 = _E
+    d1, _, d3, d4, d5, d6, d7 = _D
     atol, rtol, h_max, max_steps = cfg.atol, cfg.rtol, cfg.h_max, cfg.max_steps
     h = min(cfg.h_init, h_max, t_end - t)
     while t < t_end:
@@ -386,14 +409,17 @@ def integrate(
                 q = hs * (e1 * b1 + e3 * b3 + e4 * b4 + e5 * b5 + e6 * b6 + e7 * b7) / (
                     atol + rtol * (a if a > b else b))
                 sq += q * q
-            err = math.sqrt(sq / n)
+                r5s.append(hs * (d1 * b1 + d3 * b3 + d4 * b4 + d5 * b5 + d6 * b6 + d7 * b7))
+            err = sqrt(sq / n)
             if not isfinite(err):
                 raise FloatingPointError
         except ArithmeticError:
+            del r5s[n * accepted:]
             rejected += 1
             h = 0.1 * hs
             continue
         if err > 1.0:
+            del r5s[n * accepted:]
             rejected += 1
             h = hs * max(0.2, 0.9 * err ** -0.2)
             continue
@@ -407,7 +433,9 @@ def integrate(
         if max(map(abs, y)) > OVERFLOW_GUARD:
             raise StateBlowup(f"state exceeded {OVERFLOW_GUARD:.0e} at t={t!r}", t, make_traj())
         grow = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h = min(h_max, hs * min(5.0, max(0.2, grow)))
+        # min(h_max, hs * min(5.0, max(0.2, grow))) without the builtin calls
+        h = hs * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)
+        h = h if h < h_max else h_max
     return make_traj()
 
 

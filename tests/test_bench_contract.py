@@ -1,14 +1,17 @@
-"""What the benchmark's span tracer (`perfbench/tracing.py`) needs of the package.
+"""What the benchmark's span tracer (`perfbench/tracing.py`) and its output
+checks (`perfbench/workloads.py`) need of the package.
 
 The tracer patches the functions named in its LAYERS table and counts the
 fields sampled by `residuals.convergence_study` by wrapping its second
-argument.  These tests load the tracer by path, without changing it, so a
-refactor that breaks `perfbench/run.py --trace 1` fails here first.
+argument.  These tests load the tracer and the workloads by path, without
+changing them, so a refactor that breaks `perfbench/run.py --trace 1` or
+fails a benchmark check fails here first.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,15 +19,29 @@ import pytest
 from eulerpoisson import residuals
 from eulerpoisson.cli import main
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_layer_resolves_to_a_callable(tracing):
@@ -49,3 +66,14 @@ def test_tracer_sees_the_verify_bundle(tracing, tmp_path):
     for layer in ("fields.build_rotational", "fields.eval_rotational", "fields.eval_zz"):
         assert spans[layer]["calls"] > 0, layer
     assert tracer.counts["field_samples"] > 0
+
+
+def test_profiles_tasks_pass_their_check(workloads, tmp_path):
+    # the liouville.csv momentum bracket stays within BRACKET_ATOL (1e-8) on
+    # the profile's own step grid
+    for k, task in enumerate(workloads.make_pool("profiles", 1, 2)):
+        assert task.check is workloads.check_profile
+        outdir = tmp_path / str(k)
+        for argv in task.argvs:
+            assert main([*argv, "--outdir", str(outdir)]) == 0, argv
+        assert task.check(task, outdir) is None

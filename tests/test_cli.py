@@ -61,6 +61,10 @@ class TestLiouvilleCommand:
     def test_invalid_range_exits_2(self, tmp_path):
         assert run(tmp_path, "liouville", "--s-max", "-5") == 2
 
+    def test_h_init_alone_runs(self, tmp_path):
+        # the default configuration has no step cap for --h-init to exceed
+        assert run(tmp_path, "liouville", "--h-init", "0.01") == 0
+
 
 class TestFieldsCommand:
     @pytest.mark.parametrize("family", ["rotational", "yuen", "zz-inner", "zz-outer"])

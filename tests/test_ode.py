@@ -24,6 +24,9 @@ from eulerpoisson.emden import (
 from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
 from eulerpoisson.liouville import LiouvilleParams, solve_profile
 from eulerpoisson.ode import (
+    _A,
+    _C,
+    _D,
     _EVENT_SUBSAMPLES,
     EventSpec,
     IntegratorConfig,
@@ -193,9 +196,10 @@ class TestStepper:
         assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
 
     def test_profile_node_count_is_stable(self):
-        # guards the step controller: the seed took 4,031 nodes here
+        # guards the step controller: 1,907 nodes here with no step cap
+        # (4,031 when a 0.005 cap made up for a cubic-Hermite dense output)
         prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
-        assert abs(prof.traj.n_nodes - 4031) <= 0.01 * 4031
+        assert abs(prof.traj.n_nodes - 1907) <= 0.01 * 1907
 
     def test_stats_on_normal_run(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0)
@@ -443,6 +447,121 @@ class TestEvaluate:
         assert np.array_equal(traj.evaluate(np.array([2.0, 2.0])), [[1.0, 3.0]] * 2)
         with pytest.raises(DomainError):
             traj.evaluate(np.array([2.5]))
+
+
+def _old_hermite(t, t0, t1, y0, y1, f0, f1):
+    """The plain cubic Hermite through a segment's end states and derivatives."""
+    h = t1 - t0
+    s = (t - t0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2 * s3 - 3 * s2 + 1) * y0
+        + (s3 - 2 * s2 + s) * h * f0
+        + (-2 * s3 + 3 * s2) * y1
+        + (s3 - s2) * h * f1
+    )
+
+
+class TestDenseOutput:
+    """The Dormand-Prince continuous extension: Hermite plus s^2 (1-s)^2 * r5."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return integrate(
+            scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), OdeState(0.0, [1.0, 1.0]), 20.0
+        )
+
+    def test_matches_scipy_rk45_dense_output(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rhs = scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0))
+        solver = scipy_integrate.RK45(
+            lambda t, y: np.array(rhs(t, tuple(y))), 0.0, np.array([1.0, 1.0]), 20.0,
+            rtol=1e-6, atol=1e-9,
+        )
+        for _ in range(20):
+            t0, y0 = solver.t, solver.y.copy()
+            assert solver.step() is None
+            h = solver.t - t0
+            r5 = h * solver.K.T @ np.array(_D)
+            seg = Trajectory([t0, solver.t], [y0, solver.y], [solver.K[0], solver.K[-1]], [r5])
+            inside = np.linspace(t0, solver.t, 11)[1:-1]
+            ref = solver.dense_output()(inside).T
+            assert np.abs(seg.evaluate(inside) - ref).max() <= 1e-14 * np.abs(ref).max()
+            # the plain Hermite is far off on these long steps
+            hermite = Trajectory(seg.ts, seg.ys, seg.fs).evaluate(inside)
+            assert np.abs(hermite - ref).max() > 1e-9
+
+    def test_rows_follow_the_accepted_steps_through_rejections(self):
+        # a coarse first step and loose tolerances make the controller reject
+        traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 30.0,
+                         IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=0.5))
+        assert traj.stats.rejected > 20
+        assert traj.r5.shape == (traj.n_nodes - 1, 2)
+        for i in range(traj.n_nodes - 1):
+            t, y, h = traj.ts[i], traj.ys[i], traj.ts[i + 1] - traj.ts[i]
+            k = [rhs_harmonic(t, y)]  # one reference step from the module's tableau
+            for c, a in zip(_C[1:], _A[1:]):
+                k.append(rhs_harmonic(t + c * h, y + h * sum(aj * kj for aj, kj in zip(a, k))))
+            ref = h * sum(d * kj for d, kj in zip(_D, k))
+            assert np.abs(traj.r5[i] - ref).max() <= 1e-14 * h
+            assert np.abs(ref).max() > 1e-10
+
+    def test_a_failed_error_norm_leaves_no_partial_row(self):
+        # atol = 0 with a component that stays 0: the norm divides by zero
+        # after the first component's r5 entry was made, so every attempt fails
+        with pytest.raises(StepUnderflow) as excinfo:
+            integrate(lambda t, y: (-y[0], 0.0), OdeState(0.0, [1.0, 0.0]), 1.0,
+                      IntegratorConfig(atol=0.0))
+        halt = excinfo.value.trajectory
+        assert halt.stats.rejected > 0 and halt.r5.shape == (0, 2)
+
+    def test_truncated_keeps_the_interpolant(self, traj):
+        i = 7
+        t_cut = traj.ts[i] + 0.37 * (traj.ts[i + 1] - traj.ts[i])
+        cut = traj.truncated(t_cut)
+        assert cut.t_end == t_cut and cut.r5.shape == (i + 1, 2)
+        inside = np.linspace(traj.ts[i], t_cut, 50)
+        assert np.abs(cut.evaluate(inside) - traj.evaluate(inside)).max() <= 1e-15
+        for t in inside.tolist():
+            assert np.abs(cut.derivative_at(t) - traj.derivative_at(t)).max() <= 1e-13
+        before = np.linspace(traj.t_start, traj.ts[i], 200)
+        assert np.array_equal(cut.evaluate(before), traj.evaluate(before))
+        # keeping the cut segment's row unscaled would move the output
+        unscaled = Trajectory(cut.ts, cut.ys, cut.fs, traj.r5[: i + 1])
+        assert np.abs(unscaled.evaluate(inside) - traj.evaluate(inside)).max() > 1e-9
+
+    def test_concat_keeps_the_rows(self):
+        first = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 3.0)
+        second = integrate(rhs_harmonic, OdeState(first.t_end, first.y_end), 7.0)
+        joined = concat_trajectories([first, second])
+        assert np.array_equal(joined.r5, np.vstack([first.r5, second.r5]))
+        for part in (first, second):
+            t = np.linspace(part.t_start, part.t_end, 301)
+            assert np.array_equal(joined.evaluate(t), part.evaluate(t))
+
+    def test_without_r5_is_the_cubic_hermite(self, traj):
+        plain = Trajectory(traj.ts, traj.ys, traj.fs)
+        assert not plain.r5.any() and plain.r5.shape == (traj.n_nodes - 1, 2)
+        i = np.arange(traj.n_nodes - 1)
+        mid = 0.5 * (traj.ts[:-1] + traj.ts[1:])
+        ref = _old_hermite(mid[:, None], traj.ts[i, None], traj.ts[i + 1, None],
+                           traj.ys[i], traj.ys[i + 1], traj.fs[i], traj.fs[i + 1])
+        assert np.array_equal(plain.evaluate(mid), ref)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 1), (2,), (2, 2, 1)])
+    def test_bad_r5_shape_raises(self, shape):
+        with pytest.raises(DomainError):
+            Trajectory([0.0, 1.0, 2.0], np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(shape))
+
+    def test_lam0_profile_matches_closed_form_off_nodes(self):
+        # f = alpha - 2 ln(1 + b^2 s^2), b^2 = pi e^alpha / (4K), at lam = 0
+        prof = solve_profile(LiouvilleParams(K=1.0, lam=0.0, alpha=0.0), 20.0)
+        s = np.random.default_rng(3).uniform(prof.s0, 20.0, 200)
+        assert not np.isin(s, prof.grid).any()
+        b2 = math.pi / 4
+        f = prof.traj.evaluate(s)[:, 0]
+        assert np.abs(f + 2 * np.log1p(b2 * s * s)).max() <= 1e-10
 
 
 class TestQuadrature:

@@ -1,4 +1,5 @@
-"""The verification bundle as a library: check order and one sample per stencil point."""
+"""The verification bundle as a library: check order, one sample per stencil
+point, one scale-factor read per sample and one momentum call per step."""
 
 import collections
 import functools
@@ -6,7 +7,7 @@ import json
 
 import pytest
 
-from eulerpoisson import fields, verify
+from eulerpoisson import fields, ode, residuals, verify
 from eulerpoisson.cli import main
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
@@ -64,3 +65,32 @@ def test_memo_changes_no_result(monkeypatch):
     # the same bundle with every family field evaluated afresh at each sample
     monkeypatch.setattr(functools, "cache", lambda fn: fn)
     assert verify.run_bundle(7, 3, H_LIST, True, 0.01) == memoised
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_each_rotational_sample_reads_the_scale_factor_once(tmp_path, monkeypatch):
+    state_at = _count_calls(monkeypatch, ode.Trajectory, "state_at")
+    rotational = _count_calls(monkeypatch, fields, "eval_rotational")
+    assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
+    # one scale-factor and one profile lookup for each of the 500 points
+    assert len(rotational) == 500
+    assert len(state_at) == 2 * len(rotational)
+
+
+def test_momentum_components_share_one_call_per_step(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, residuals, "momentum_residual")
+    assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
+    # rotational, zz_inner, zz_outer and corrupted_rotational, 3 steps each
+    assert len(calls) == 12
+    assert len({(id(f), id(p), c, law) for f, p, c, law in calls}) == 12
