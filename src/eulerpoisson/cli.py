@@ -18,6 +18,7 @@ fields of the solver's default `IntegratorConfig`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -93,6 +94,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    if not finite_float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return float(text)
+
+
 def step_list(text: str) -> list[float]:
     """argparse type: comma-separated positive finite step sizes."""
     steps = [float(v) for v in text.split(",")]
@@ -160,7 +168,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--t0", type=finite_float, default=0.5)
     p.add_argument("--t1", type=finite_float, default=2.0)
     p.add_argument("--nt", type=positive_int, default=3)
-    p.add_argument("--rmax", type=finite_float, default=2.0, help="disk radius of the xy grid")
+    p.add_argument("--rmax", type=positive_float, default=2.0, help="disk radius of the xy grid")
     p.add_argument("--nx", type=positive_int, default=9)
     p.add_argument("--ny", type=positive_int, default=9)
     _add_common(p)
@@ -311,18 +319,24 @@ def cmd_liouville(args) -> int:
 
 
 def _sample_rows(args, times, ev, skip):
-    """CSV rows of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2
-    inside the disk; a point where ev raises one of `skip` is left out."""
-    xs = np.linspace(-args.rmax, args.rmax, args.nx)
-    ys = np.linspace(-args.rmax, args.rmax, args.ny)
-    pts = [(float(x), float(y)) for x in xs for y in ys if math.hypot(x, y) <= args.rmax]
-    for t in times:
-        for x, y in pts:
-            try:
-                s = ev(float(t), x, y)
-            except skip:
-                continue
-            yield (float(t), x, y, s.rho, s.u1, s.u2, s.phi_r)
+    """CSV rows of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2 inside
+    the disk, one call per time; if that call raises one of `skip` (a region boundary
+    crosses the disk), the time's points are sampled one by one, leaving out those that raise."""
+    grid = np.meshgrid(np.linspace(-args.rmax, args.rmax, args.nx),
+                       np.linspace(-args.rmax, args.rmax, args.ny), indexing="ij")
+    x, y = (g[np.hypot(*grid) <= args.rmax] for g in grid)
+    for t in times.tolist():
+        try:
+            parts = [(x, y, ev(t, x, y))]
+        except skip:
+            parts = []
+            for px, py in zip(x[:, None], y[:, None]):
+                with contextlib.suppress(*skip):
+                    parts.append((px, py, ev(t, px, py)))
+        for px, py, s in parts:
+            phi = [None] * len(px) if s.phi_r is None else s.phi_r
+            cols = (np.broadcast_to(v, px.shape).tolist() for v in (px, py, s.rho, s.u1, s.u2, phi))
+            yield from ((t, *row) for row in zip(*cols))
 
 
 def _fields_rows_rotational(args, xi: float):
@@ -354,7 +368,7 @@ def _fields_rows_gw(args):
 
     def ev(t, x, y):
         a, adot = scale[t]
-        rho = goldreich_weber.gw_density(prof, a, math.hypot(x, y))
+        rho = goldreich_weber.gw_density(prof, a, np.hypot(x, y))
         return fields.FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
 
     return _sample_rows(args, times, ev, (NoCompactSupport, DomainError))

@@ -5,13 +5,26 @@ maps to exit code 2, and also from ValueError or RuntimeError.
 
 Integration halts (blowup, step underflow, exhausted budget) carry the
 partial trajectory so callers can recover the solution up to the halt.
+`raise_where` raises for array arguments, naming the first bad point.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class EulerPoissonError(Exception):
     """Base of every exception raised by the package."""
+
+
+def raise_where(bad, error: type[EulerPoissonError], message: str, **point) -> None:
+    """Raise error(message) naming the coordinates where `bad` first holds (C order);
+    a bad input value raises also when the coordinates broadcast to no point."""
+    if np.any(bad):
+        bad, *coords = np.broadcast_arrays(bad, *point.values())
+        i = int(np.argmax(bad)) if bad.size else -1
+        where = ", ".join(f"{k}={float(v.flat[i])}" for k, v in zip(point, coords) if v.size)
+        raise error(f"{message} at ({where})")
 
 
 class DomainError(EulerPoissonError, ValueError):

@@ -10,8 +10,10 @@ Four families are assembled here:
 * the two-region Zhang-Zheng spiral of the gamma = 2 Euler equations
   (parabolic density inside an expanding circle, constant density outside).
 
-Everything is evaluated pointwise from immutable solution bundles; the
-residual verifier consumes these evaluations as a black box.
+Every evaluator takes t, x, y as floats or arrays that broadcast together
+and returns a FieldSample whose members broadcast to that shape; a float in
+gives a float out.  An element out of the domain raises, naming the first
+such point.  The residual verifier consumes these evaluations as a black box.
 
 The inner Zhang-Zheng velocity is handled in two variants.  The
 residual-validated default is u = ((x+y)/(2t), (y-x)/(2t)); the
@@ -25,15 +27,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .emden import EmdenParams, integrate_scale
-from .errors import DomainError, OutOfRange, OutsideRegion
+from .errors import DomainError, OutOfRange, OutsideRegion, raise_where
 from .liouville import LiouvilleParams, LiouvilleProfile, enclosed_mass, solve_profile
 from .ode import IntegratorConfig, Trajectory
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Primitive fields at one spacetime point.
+    """Primitive fields at spacetime points, each a float or an array that
+    broadcasts to the points' shape (a constant is fine).
 
     phi_r is the radial derivative of the gravitational potential; it is
     None for families that solve the pure Euler equations.
@@ -86,63 +91,57 @@ def build_rotational(
     )
 
 
-def _scale_at(sol: RotSolution2D, t: float) -> tuple[float, float]:
-    if t < sol.scale.t_start or t > sol.scale.t_end:
-        raise OutOfRange(
-            f"t={t} outside solved range [{sol.scale.t_start}, {sol.scale.t_end}]"
-        )
-    a, adot = sol.scale.state_at(t)
-    return float(a), float(adot)
-
-
-def eval_rotational(sol: RotSolution2D, t: float, x: float, y: float) -> FieldSample:
-    """rho = e^f(r/a)/a^2, u = (a'/a) x_vec + (xi/a^2) x_vec_perp, plus Phi_r."""
-    a, adot = _scale_at(sol, t)
-    r = math.hypot(x, y)
+def _scaled_radius(sol: RotSolution2D, t, r, point: dict):
+    """a, a' and s = r/a at times t and radii r, checked against the solved
+    ranges; `point` holds the coordinates an error names."""
+    raise_where((t < sol.scale.t_start) | (t > sol.scale.t_end), OutOfRange,
+                f"t outside solved range [{sol.scale.t_start}, {sol.scale.t_end}]", **point)
+    scale = sol.scale.evaluate(t)
+    a = scale[..., 0]
     s = r / a
-    if s > sol.profile.s_max:
-        raise OutOfRange(f"r/a = {s} beyond solved profile range {sol.profile.s_max}")
-    rho = math.exp(sol.profile.f_at(s)) / (a * a)
+    raise_where(s > sol.profile.s_max, OutOfRange,
+                f"r/a beyond solved profile range {sol.profile.s_max}", **point)
+    return a, scale[..., 1], s
+
+
+def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
+    """rho = e^f(r/a)/a^2, u = (a'/a) x_vec + (xi/a^2) x_vec_perp, plus Phi_r."""
+    r = np.hypot(x, y)
+    a, adot, s = _scaled_radius(sol, t, r, dict(t=t, x=x, y=y))
+    rho = np.exp(sol.profile.f_at(s)) / (a * a)
     stretch = adot / a
     swirl = sol.emden.xi / (a * a)
     u1 = stretch * x - swirl * y
     u2 = swirl * x + stretch * y
-    # Phi_r as in eval_gravity_radial, from the scale factor read above
-    phi_r = enclosed_mass(sol.profile, s) / r if r > 0 else 0.0
+    # Phi_r as in eval_gravity_radial, from the scale factor read above; 0 at r = 0
+    inside = r > 0
+    mass = enclosed_mass(sol.profile, np.where(inside, s, sol.profile.s_max))
+    phi_r = np.where(inside, mass / np.where(inside, r, 1.0), 0.0)[()]
     return FieldSample(rho=rho, u1=u1, u2=u2, phi_r=phi_r)
 
 
-def eval_gravity_radial(sol: RotSolution2D, t: float, r: float) -> float:
+def eval_gravity_radial(sol: RotSolution2D, t, r):
     """Phi_r(t, r) = (2*pi/r) * integral_0^r rho(t, eta) eta deta.
 
     Computed as enclosed_mass(profile, r/a) / r via quadrature on the dense
     profile (the scale factor cancels in the radial substitution).
     """
-    if not r > 0:
-        raise DomainError("gravity evaluation requires r > 0")
-    a, _ = _scale_at(sol, t)
-    s = r / a
-    if s > sol.profile.s_max:
-        raise OutOfRange(f"r/a = {s} beyond solved profile range {sol.profile.s_max}")
+    raise_where(np.logical_not(r > 0), DomainError, "gravity evaluation requires r > 0", t=t, r=r)
+    _, _, s = _scaled_radius(sol, t, r, dict(t=t, r=r))
     return enclosed_mass(sol.profile, s) / r
 
 
-def gravity_radial_two_ways(
-    sol: RotSolution2D, t: float, r: float
-) -> tuple[float, float]:
-    """Phi_r by quadrature and by the enclosed-mass identity, for cross-checks.
+def gravity_radial_two_ways(sol: RotSolution2D, t, r):
+    """Phi_r by quadrature (eval_gravity_radial) and by the enclosed-mass
+    identity, for cross-checks.
 
     The identity route is (lam*s - K*f'(s))/a at s = r/a; agreement of the
     two is an end-to-end check of the profile solve.
     """
-    if not r > 0:
-        raise DomainError("gravity evaluation requires r > 0")
-    a, _ = _scale_at(sol, t)
-    s = r / a
+    quad_route = eval_gravity_radial(sol, t, r)
+    a, _, s = _scaled_radius(sol, t, r, dict(t=t, r=r))
     p = sol.liouville
-    quad_route = enclosed_mass(sol.profile, s) / r
-    identity_route = (p.lam * s - p.K * sol.profile.fdot_at(s)) / a
-    return quad_route, identity_route
+    return quad_route, (p.lam * s - p.K * sol.profile.fdot_at(s)) / a
 
 
 # ----------------------------------------------------------------------
@@ -164,16 +163,17 @@ class SwirlAnsatz:
     G_fn: Callable[[float, float], float]
 
 
-def eval_swirl_ansatz(ansatz: SwirlAnsatz, t: float, x: float, y: float) -> FieldSample:
-    """Pointwise fields of the ansatz; the swirl term is defined as 0 at r = 0."""
-    a = ansatz.a_fn(t)
-    if not a > 0:
-        raise DomainError(f"a(t) must stay positive (got {a} at t={t})")
-    adot = ansatz.adot_fn(t)
-    r = math.hypot(x, y)
-    rho = ansatz.f_profile(r / a) / (a * a)
-    stretch = adot / a
-    swirl = ansatz.G_fn(t, r) / r if r > 0 else 0.0
+def eval_swirl_ansatz(ansatz: SwirlAnsatz, t, x, y) -> FieldSample:
+    """Fields of the ansatz, its scalar callables applied elementwise; the
+    swirl term is defined as 0 at r = 0 (G is called there too, unused)."""
+    a_fn, adot_fn, f_fn, g_fn = (np.vectorize(fn, otypes=[float]) for fn in (
+        ansatz.a_fn, ansatz.adot_fn, ansatz.f_profile, ansatz.G_fn))
+    a = a_fn(t)
+    raise_where(np.logical_not(a > 0), DomainError, "a(t) must stay positive", t=t, x=x, y=y)
+    r = np.hypot(x, y)
+    rho = f_fn(r / a) / (a * a)
+    stretch = adot_fn(t) / a
+    swirl = np.where(r > 0, g_fn(t, r) / np.where(r > 0, r, 1.0), 0.0)[()]
     return FieldSample(rho=rho, u1=stretch * x - swirl * y, u2=swirl * x + stretch * y)
 
 
@@ -201,42 +201,37 @@ class ZZSolution:
         return 2.0 * self.K * self.rho0
 
 
-def zz_interface_radius(zz: ZZSolution, t: float) -> float:
+def zz_interface_radius(zz: ZZSolution, t):
     """Radius 2*t*sqrt(P'(rho0)) of the expanding interface circle."""
-    if t < 0:
-        raise DomainError("interface radius requires t >= 0")
+    raise_where(t < 0, DomainError, "interface radius requires t >= 0", t=t)
     return 2.0 * t * math.sqrt(zz.pdot0)
 
 
-def eval_zz_inner(
-    zz: ZZSolution, t: float, x: float, y: float, as_printed: bool = False
-) -> FieldSample:
+def eval_zz_inner(zz: ZZSolution, t, x, y, as_printed: bool = False) -> FieldSample:
     """Inner region (r <= interface): rho = r^2/(8Kt^2), shear-rotation velocity.
 
     as_printed=True selects the u2 = (x-y)/(2t) variant, which fails the
     continuity check; it exists solely as a negative control.
     """
-    if not t > 0:
-        raise DomainError("inner region requires t > 0")
-    r = math.hypot(x, y)
-    if r > zz_interface_radius(zz, t):
-        raise OutsideRegion(f"r={r} beyond interface at t={t}")
+    raise_where(np.logical_not(t > 0), DomainError, "inner region requires t > 0", t=t, x=x, y=y)
+    r = np.hypot(x, y)
+    raise_where(r > zz_interface_radius(zz, t), OutsideRegion, "beyond the interface",
+                t=t, x=x, y=y)
     rho = r * r / (8.0 * zz.K * t * t)
     u1 = (x + y) / (2.0 * t)
     u2 = (x - y) / (2.0 * t) if as_printed else (y - x) / (2.0 * t)
     return FieldSample(rho=rho, u1=u1, u2=u2)
 
 
-def eval_zz_outer(zz: ZZSolution, t: float, x: float, y: float) -> FieldSample:
+def eval_zz_outer(zz: ZZSolution, t, x, y) -> FieldSample:
     """Outer region (r > interface): constant density, swirling free flow."""
-    if t < 0:
-        raise DomainError("outer region requires t >= 0")
-    r = math.hypot(x, y)
-    if r <= zz_interface_radius(zz, t):
-        raise OutsideRegion(f"r={r} inside interface at t={t}")
+    raise_where(t < 0, DomainError, "outer region requires t >= 0", t=t, x=x, y=y)
+    r = np.hypot(x, y)
+    raise_where(r <= zz_interface_radius(zz, t), OutsideRegion, "inside the interface",
+                t=t, x=x, y=y)
     pd = zz.pdot0
     cos_t, sin_t = x / r, y / r
-    tang = math.sqrt(2.0 * pd) * math.sqrt(r * r - 2.0 * t * t * pd)
+    tang = math.sqrt(2.0 * pd) * np.sqrt(r * r - 2.0 * t * t * pd)
     u1 = (2.0 * t * pd * cos_t + tang * sin_t) / r
     u2 = (2.0 * t * pd * sin_t - tang * cos_t) / r
     return FieldSample(rho=zz.rho0, u1=u1, u2=u2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emden import ScaleRun, _run_to_touchdown
-from .errors import DomainError, NoCompactSupport, NonRealPower
+from .errors import DomainError, NoCompactSupport, NonRealPower, raise_where
 from .liouville import SeriesProfile
 from .ode import (
     EventSpec,
@@ -173,22 +173,20 @@ def integrate_gw_scale(
     return _run_to_touchdown(rhs, p.a0, p.a1, t_end, cfg)
 
 
-def gw_density(prof: GWProfile, a: float, r: float) -> float:
-    """Density f(r/a)^(N/(N-2)) / a^N inside the support, exactly 0 outside."""
-    if not a > 0:
-        raise DomainError("scale factor a must be > 0")
-    if r < 0:
-        raise DomainError("radius r must be >= 0")
+def gw_density(prof: GWProfile, a, r):
+    """Density f(r/a)^(N/(N-2)) / a^N inside the support, exactly 0 outside;
+    a and r of any shapes that broadcast, a float in gives a float out."""
+    raise_where(np.logical_not(a > 0), DomainError, "scale factor a must be > 0", a=a, r=r)
+    raise_where(r < 0, DomainError, "radius r must be >= 0", a=a, r=r)
     p = prof.params
     s = r / a
     if prof.s_mu is not None:
-        if s >= prof.s_mu:
-            return 0.0
-    elif s > prof.s_max:
-        raise NoCompactSupport(
-            f"profile has no first zero and s={s} exceeds the solved range"
-        )
-    f = prof.f_at(s)
-    if f < -1e-9:
-        raise NonRealPower(f"profile value f={f} < 0 at s={s}")
-    return max(f, 0.0) ** (p.N / (p.N - 2)) / a**p.N
+        inside = np.logical_not(s >= prof.s_mu)
+    else:
+        raise_where(s > prof.s_max, NoCompactSupport,
+                    "profile has no first zero and s exceeds the solved range", a=a, r=r)
+        inside = True
+    f = prof.f_at(np.where(inside, s, 0.0))
+    raise_where(inside & (f < -1e-9), NonRealPower, "profile value f < 0", a=a, r=r)
+    rho = np.power(np.maximum(f, 0.0), p.N / (p.N - 2)) / np.power(a, p.N)
+    return np.where(inside, rho, 0.0)[()]

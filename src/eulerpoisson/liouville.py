@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRange
+from .errors import DomainError, OutOfRange, raise_where
 from .ode import (
     IntegratorConfig,
     OdeState,
@@ -90,19 +90,19 @@ class SeriesProfile:
     def s_max(self) -> float:
         return self.traj.t_end
 
-    def f_at(self, s: float) -> float:
-        if s < 0 or s > self.s_max:
-            raise OutOfRange(f"s={s} outside (0, {self.s_max}]")
-        if s <= self.s0:
-            return self.center + self.series_c * s * s
-        return float(self.traj.state_at(s)[0])
+    def f_at(self, s):
+        """f at radii s of any shape; a float in gives a float out."""
+        return self._at(s, 0)
 
-    def fdot_at(self, s: float) -> float:
-        if s < 0 or s > self.s_max:
-            raise OutOfRange(f"s={s} outside (0, {self.s_max}]")
-        if s <= self.s0:
-            return 2 * self.series_c * s
-        return float(self.traj.state_at(s)[1])
+    def fdot_at(self, s):
+        """f' at radii s of any shape; a float in gives a float out."""
+        return self._at(s, 1)
+
+    def _at(self, s, k: int):
+        raise_where((s < 0) | (s > self.s_max), OutOfRange, f"s outside (0, {self.s_max}]", s=s)
+        series = self.center + self.series_c * s * s if k == 0 else 2 * self.series_c * s
+        dense = self.traj.evaluate(np.maximum(s, self.s0))[..., k]
+        return np.where(s <= self.s0, series, dense)[()]
 
 
 class LiouvilleProfile(SeriesProfile):
@@ -116,13 +116,13 @@ class LiouvilleProfile(SeriesProfile):
         super().__init__(params, traj, s0, series_c)
         self._node_mass: np.ndarray | None = None
 
-    def _series_mass(self, s: float) -> float:
+    def _series_mass(self, s):
         # 2*pi * integral_0^s exp(alpha + c*tau^2) tau dtau, closed form;
         # expm1 avoids cancellation for s near zero
         a, c = self.params.alpha, self.series_c
         if c == 0.0:
             return math.pi * math.exp(a) * s * s
-        return (math.pi / c) * math.exp(a) * math.expm1(c * s * s)
+        return (math.pi / c) * math.exp(a) * np.expm1(c * s * s)
 
     def _mass_at_nodes(self) -> np.ndarray:
         """Cumulative 2*pi*integral e^f tau dtau at the grid nodes.
@@ -164,20 +164,17 @@ def solve_profile(
     return LiouvilleProfile(p, traj, s0, c)
 
 
-def enclosed_mass(prof: LiouvilleProfile, s: float) -> float:
-    """2*pi * integral_0^s e^f(tau) tau dtau via quadrature on the dense profile."""
-    if not 0 < s <= prof.s_max:
-        raise OutOfRange(f"s={s} outside (0, {prof.s_max}]")
-    if s <= prof.s0:
-        return prof._series_mass(s)
-    mass = prof._mass_at_nodes()
-    ts = prof.traj.ts
-    i = int(np.searchsorted(ts, s, side="right")) - 1
-    i = min(i, len(ts) - 1)
-    if ts[i] == s:
-        return float(mass[i])
-    val = _panel_mass(prof.traj, np.array([i]), ts[i : i + 1], np.array([s]))
-    return float(mass[i] + val[0])
+def enclosed_mass(prof: LiouvilleProfile, s):
+    """2*pi * integral_0^s e^f(tau) tau dtau via quadrature on the dense profile,
+    at radii s of any shape; a float in gives a float out."""
+    s = np.asarray(s, dtype=float)
+    raise_where(~((s > 0) & (s <= prof.s_max)), OutOfRange, f"s outside (0, {prof.s_max}]", s=s)
+    mass, ts = prof._mass_at_nodes(), prof.traj.ts
+    i = np.searchsorted(ts, s)  # ts[i-1] < s <= ts[i]
+    seg = np.maximum(i - 1, 0)
+    panel = _panel_mass(prof.traj, seg.ravel(), ts[seg].ravel(), s.ravel()).reshape(s.shape)
+    dense = np.where(ts[i] == s, mass[i], mass[seg] + panel)
+    return np.where(s <= prof.s0, prof._series_mass(np.minimum(s, prof.s0)), dense)[()]
 
 
 # the 15 Kronrod abscissas on [-1, 1] in increasing order, and their weights
@@ -196,17 +193,15 @@ def _panel_mass(traj: Trajectory, i: np.ndarray, a: np.ndarray, b: np.ndarray) -
     return 2 * math.pi * np.sum(_GK_W * np.exp(f) * tau, axis=1) * half[:, 0]
 
 
-def momentum_bracket(prof: LiouvilleProfile, s: float) -> float:
-    """-lam*s + K*f'(s) + enclosed_mass(s)/s; zero for an exact profile."""
-    if not 0 < s <= prof.s_max:
-        raise OutOfRange(f"s={s} outside (0, {prof.s_max}]")
-    p = prof.params
-    return -p.lam * s + p.K * prof.fdot_at(s) + enclosed_mass(prof, s) / s
+def momentum_bracket(prof: LiouvilleProfile, s):
+    """-lam*s + K*f'(s) + enclosed_mass(s)/s; zero for an exact profile.
+    OutOfRange unless 0 < s <= s_max."""
+    mass, p = enclosed_mass(prof, s), prof.params
+    return -p.lam * s + p.K * prof.fdot_at(s) + mass / s
 
 
-def mass_identity_residual(prof: LiouvilleProfile, s: float) -> float:
-    """|2*pi*integral e^f tau dtau - (lam*s^2 - K*s*f'(s))| at radius s."""
-    if not 0 < s <= prof.s_max:
-        raise OutOfRange(f"s={s} outside (0, {prof.s_max}]")
-    p = prof.params
-    return abs(enclosed_mass(prof, s) - (p.lam * s * s - p.K * s * prof.fdot_at(s)))
+def mass_identity_residual(prof: LiouvilleProfile, s):
+    """|2*pi*integral e^f tau dtau - (lam*s^2 - K*s*f'(s))| at radius s.
+    OutOfRange unless 0 < s <= s_max."""
+    mass, p = enclosed_mass(prof, s), prof.params
+    return abs(mass - (p.lam * s * s - p.K * s * prof.fdot_at(s)))

@@ -1,7 +1,7 @@
 """Finite-difference residuals of the compressible flow equations.
 
 The verifier treats a field as a black-box function (t, x, y) -> FieldSample
-and measures how well it satisfies
+on arrays of one shape and measures how well it satisfies
 
     mass:      rho_t + (rho u1)_x + (rho u2)_y = 0
     momentum:  rho (u_t + (u . grad) u) + grad P + rho grad Phi = 0
@@ -13,6 +13,10 @@ four; `convergence_study` fits that order and flags the floating-point
 floor.  Corrupted fields are first-class citizens: they are the negative
 controls proving the oracle can fail.  `eulerpoisson.verify` runs these
 studies over the exact families.
+
+Each operator makes one field call per step, on arrays of shape (n, 7) for
+mass and momentum (each point and its neighbours at t +- h, x +- h, y +- h)
+and (n, 3) for gravity (each point and its two radial neighbours).
 
 Gravity gradients are never re-differenced: grad Phi = (x/r, y/r) * Phi_r
 uses the sampled radial derivative directly, since the potential itself is
@@ -33,10 +37,11 @@ from .errors import (
     OutOfRange,
     OutsideRegion,
     StencilOutOfDomain,
+    raise_where,
 )
 from .fields import FieldSample
 
-FieldFn = Callable[[float, float, float], FieldSample]
+FieldFn = Callable[[np.ndarray, np.ndarray, np.ndarray], FieldSample]
 Point = tuple[float, float, float]
 
 # Norm level at the smallest step below which a study is considered to sit
@@ -91,33 +96,39 @@ class PressureLaw:
         return 0.0
 
 
-def _sample(field: FieldFn, t: float, x: float, y: float) -> FieldSample:
+# t, x and y offsets of the centre and its neighbours t +- ht, x +- hs, y +- hs
+_OFFSETS = np.array([[0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 1, -1]], float)
+
+
+def _columns(pts: Sequence[Point]) -> np.ndarray:
+    """The t, x and y columns of the points, each of shape (n, 1)."""
+    return np.asarray(pts, dtype=float).reshape(-1, 3).T[..., None]
+
+
+def _sample(field: FieldFn, t, x, y) -> list:
+    """rho, u1, u2 and phi_r (or None) of one field call, each broadcast to
+    the shape of t; the field's error names the point that left its domain."""
     try:
-        return field(t, x, y)
+        s = field(t, x, y)
     except (OutOfRange, OutsideRegion, DomainError) as exc:
-        raise StencilOutOfDomain(
-            f"stencil point (t={t}, x={x}, y={y}) crossed a validity boundary: {exc}"
-        ) from exc
+        raise StencilOutOfDomain(f"stencil point crossed a validity boundary: {exc}") from exc
+    return [v if v is None else np.broadcast_to(v, t.shape) for v in (s.rho, s.u1, s.u2, s.phi_r)]
 
 
-def _neighbours(field: FieldFn, t, x, y, hs, ht) -> tuple[FieldSample, ...]:
-    """Samples at t +- ht, x +- hs and y +- hs around (t, x, y), in that order."""
-    return (
-        _sample(field, t + ht, x, y),
-        _sample(field, t - ht, x, y),
-        _sample(field, t, x + hs, y),
-        _sample(field, t, x - hs, y),
-        _sample(field, t, x, y + hs),
-        _sample(field, t, x, y - hs),
-    )
+def _stencil(field: FieldFn, pts: Sequence[Point], cfg: StencilConfig):
+    """The centre columns and the samples at every point and its six
+    neighbours, one call on arrays of shape (n, 7) ordered as the offsets."""
+    t, x, y = _columns(pts)
+    hs, ht = cfg.h_space, cfg.h_time
+    return (t[:, 0], x[:, 0], y[:, 0]), _sample(
+        field, t + ht * _OFFSETS[0], x + hs * _OFFSETS[1], y + hs * _OFFSETS[2])
 
 
-def _report(eq_name, values) -> ResidualReport:
-    arr = np.asarray(values)
+def _report(eq_name, values: np.ndarray) -> ResidualReport:
     return ResidualReport(
         eq_name=eq_name,
-        max_abs=float(np.max(np.abs(arr))) if len(arr) else 0.0,
-        l2=float(np.sqrt(np.sum(arr**2))),
+        max_abs=float(np.max(np.abs(values))) if len(values) else 0.0,
+        l2=float(np.sqrt(np.sum(values**2))),
     )
 
 
@@ -126,14 +137,11 @@ def mass_residual(
 ) -> ResidualReport:
     """Centered residual of rho_t + (rho u1)_x + (rho u2)_y at each point."""
     hs, ht = cfg.h_space, cfg.h_time
-    vals = []
-    for t, x, y in pts:
-        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours(field, t, x, y, hs, ht)
-        rho_t = (s_tp.rho - s_tm.rho) / (2 * ht)
-        flux_x = (s_xp.rho * s_xp.u1 - s_xm.rho * s_xm.u1) / (2 * hs)
-        flux_y = (s_yp.rho * s_yp.u2 - s_ym.rho * s_ym.u2) / (2 * hs)
-        vals.append(rho_t + flux_x + flux_y)
-    return _report("mass", vals)
+    _, (rho, u1, u2, _) = _stencil(field, pts, cfg)
+    rho_t = (rho[:, 1] - rho[:, 2]) / (2 * ht)
+    flux_x = (rho[:, 3] * u1[:, 3] - rho[:, 4] * u1[:, 4]) / (2 * hs)
+    flux_y = (rho[:, 5] * u2[:, 5] - rho[:, 6] * u2[:, 6]) / (2 * hs)
+    return _report("mass", rho_t + flux_x + flux_y)
 
 
 def momentum_residual(
@@ -145,41 +153,30 @@ def momentum_residual(
     """Centered residuals of both momentum components.
 
     The gravity term rho * (x/r, y/r) * Phi_r is included whenever the
-    center sample carries phi_r; an isothermal residual without gravity data
+    samples carry phi_r; an isothermal residual without gravity data
     is a contract violation (MissingGravity) rather than a silent omission.
     """
     hs, ht = cfg.h_space, cfg.h_time
-    vals_x, vals_y = [], []
-    for t, x, y in pts:
-        s0 = _sample(field, t, x, y)
-        if s0.phi_r is None and pressure.kind == "isothermal":
-            raise MissingGravity(
-                "isothermal momentum residual requires phi_r in the samples"
-            )
-        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours(field, t, x, y, hs, ht)
+    (_, x, y), (rho, u1, u2, phi_r) = _stencil(field, pts, cfg)
+    if phi_r is None and pressure.kind == "isothermal":
+        raise MissingGravity("isothermal momentum residual requires phi_r in the samples")
 
-        u1_t = (s_tp.u1 - s_tm.u1) / (2 * ht)
-        u2_t = (s_tp.u2 - s_tm.u2) / (2 * ht)
-        u1_x = (s_xp.u1 - s_xm.u1) / (2 * hs)
-        u2_x = (s_xp.u2 - s_xm.u2) / (2 * hs)
-        u1_y = (s_yp.u1 - s_ym.u1) / (2 * hs)
-        u2_y = (s_yp.u2 - s_ym.u2) / (2 * hs)
-        p_x = (pressure(s_xp.rho) - pressure(s_xm.rho)) / (2 * hs)
-        p_y = (pressure(s_yp.rho) - pressure(s_ym.rho)) / (2 * hs)
+    def d(v, k, h):  # centered difference between offsets k and k + 1
+        return (v[:, k] - v[:, k + 1]) / (2 * h)
 
-        grav_x = grav_y = 0.0
-        if s0.phi_r is not None:
-            r = math.hypot(x, y)
-            if r > 0:
-                grav_x = s0.rho * (x / r) * s0.phi_r
-                grav_y = s0.rho * (y / r) * s0.phi_r
-        adv_x = s0.u1 * u1_x + s0.u2 * u1_y
-        adv_y = s0.u1 * u2_x + s0.u2 * u2_y
-        vals_x.append(s0.rho * (u1_t + adv_x) + p_x + grav_x)
-        vals_y.append(s0.rho * (u2_t + adv_y) + p_y + grav_y)
+    p = np.broadcast_to(pressure(rho), rho.shape)
+    rho0, u10, u20 = rho[:, 0], u1[:, 0], u2[:, 0]
+    grav_x = grav_y = 0.0
+    if phi_r is not None:
+        r = np.hypot(x, y)
+        r = np.where(r > 0, r, 1.0)  # x = y = 0 there, so both terms are 0
+        grav_x = rho0 * (x / r) * phi_r[:, 0]
+        grav_y = rho0 * (y / r) * phi_r[:, 0]
+    adv_x = u10 * d(u1, 3, hs) + u20 * d(u1, 5, hs)
+    adv_y = u10 * d(u2, 3, hs) + u20 * d(u2, 5, hs)
     return (
-        _report("momentum_x", vals_x),
-        _report("momentum_y", vals_y),
+        _report("momentum_x", rho0 * (d(u1, 1, ht) + adv_x) + d(p, 3, hs) + grav_x),
+        _report("momentum_y", rho0 * (d(u2, 1, ht) + adv_y) + d(p, 5, hs) + grav_y),
     )
 
 
@@ -188,22 +185,17 @@ def poisson_residual(
 ) -> ResidualReport:
     """Centered residual of (1/r) d(r Phi_r)/dr - 2 pi rho along each ray."""
     hs = cfg.h_space
-    vals = []
-    for t, x, y in pts:
-        r = math.hypot(x, y)
-        if r <= 2 * hs:
-            raise StencilOutOfDomain(
-                f"point (t={t}, x={x}, y={y}) too close to r=0 for h={hs}"
-            )
-        ex, ey = x / r, y / r
-        s0 = _sample(field, t, x, y)
-        s_p = _sample(field, t, x + hs * ex, y + hs * ey)
-        s_m = _sample(field, t, x - hs * ex, y - hs * ey)
-        if s0.phi_r is None or s_p.phi_r is None or s_m.phi_r is None:
-            raise MissingGravity("gravity residual requires phi_r in the samples")
-        d_rphi = ((r + hs) * s_p.phi_r - (r - hs) * s_m.phi_r) / (2 * hs)
-        vals.append(d_rphi / r - 2 * math.pi * s0.rho)
-    return _report("poisson", vals)
+    t, x, y = _columns(pts)
+    r = np.hypot(x, y)
+    raise_where(r <= 2 * hs, StencilOutOfDomain, f"point too close to r=0 for h={hs}",
+                t=t, x=x, y=y)
+    d = hs * np.array([0.0, 1.0, -1.0])  # the point and its radial neighbours
+    rho, _, _, phi_r = _sample(field, *np.broadcast_arrays(t, x + d * (x / r), y + d * (y / r)))
+    if phi_r is None:
+        raise MissingGravity("gravity residual requires phi_r in the samples")
+    r = r[:, 0]
+    d_rphi = ((r + hs) * phi_r[:, 1] - (r - hs) * phi_r[:, 2]) / (2 * hs)
+    return _report("poisson", d_rphi / r - 2 * math.pi * rho[:, 0])
 
 
 ResidualOp = Callable[[FieldFn, Sequence[Point], StencilConfig], ResidualReport]

@@ -2,11 +2,8 @@
 
 `run_bundle` runs one `residuals.convergence_study` per family and equation:
 the exact families must converge at second order, the negative controls
-must fail.  Each family field is memoised for the length of one call, so a
-stencil point shared by several equations or steps is evaluated once per
-run; the fields are deterministic in (t, x, y), so no result changes.  The
-momentum residual of a (field, points, step, pressure) is memoised the same
-way, so its two components come from one call.
+must fail.  Each study makes one batched field call per step size, on all
+of its stencil points at once.
 """
 
 from __future__ import annotations
@@ -17,14 +14,14 @@ import math
 import numpy as np
 
 from . import fields, residuals
+from .errors import DomainError
 
 
-def _equation(name: str, pressure: residuals.PressureLaw, momentum) -> residuals.ResidualOp:
-    """The residual operator of one named equation, as convergence_study calls
-    it; `momentum` computes both momentum components, like momentum_residual."""
+def _equation(name: str, pressure: residuals.PressureLaw) -> residuals.ResidualOp:
+    """The residual operator of one named equation, as convergence_study calls it."""
     if name.startswith("momentum_"):
         component = "xy".index(name[-1])
-        return lambda f, p, c: momentum(f, p, c, pressure)[component]
+        return lambda f, p, c: residuals.momentum_residual(f, p, c, pressure)[component]
     return {"mass": residuals.mass_residual, "poisson": residuals.poisson_residual}[name]
 
 
@@ -45,20 +42,18 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     """The checks of one run in report order, over `points` stencil centres
     per family drawn from `seed`; `inject_corruption` adds rho + delta on the
     rotating field as a control that must fail."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def disc_pts(t_lo, t_hi, r_lo, r_hi):
-        draws = [(rng.uniform(t_lo, t_hi), rng.uniform(r_lo, r_hi), rng.uniform(0.0, 2 * math.pi))
-                 for _ in range(points)]
-        return tuple((float(t), float(r * math.cos(a)), float(r * math.sin(a)))
-                     for t, r, a in draws)
-
-    def memo(eval_fn, *args, **kwargs):
-        return functools.cache(functools.partial(eval_fn, *args, **kwargs))
+        draws = rng.uniform((t_lo, r_lo, 0.0), (t_hi, r_hi, 2 * math.pi), size=(points, 3))
+        return np.array([(t, r * math.cos(a), r * math.sin(a)) for t, r, a in draws.tolist()])
 
     sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5)
     zz = fields.ZZSolution(K=1.0, rho0=0.5)
-    rot, inner = memo(fields.eval_rotational, sol), memo(fields.eval_zz_inner, zz)
+    rot = functools.partial(fields.eval_rotational, sol)
+    inner = functools.partial(fields.eval_zz_inner, zz)
     iso = residuals.PressureLaw("isothermal", K=1.0)
     g2 = residuals.PressureLaw("gamma2", K=zz.K)
     pts = disc_pts(0.1, 2.0, 0.2, 3.0)
@@ -68,9 +63,9 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     table = [  # (name prefix, expected to converge, pressure, field, points, equations)
         ("rotational", True, iso, rot, pts, flow + ("poisson",)),
         ("zz_inner", True, g2, inner, pts_in, flow),
-        ("zz_outer", True, g2, memo(fields.eval_zz_outer, zz), pts_out, flow),
-        ("zz_inner_as_printed", False, g2, memo(fields.eval_zz_inner, zz, as_printed=True),
-         pts_in, ("mass",)),
+        ("zz_outer", True, g2, functools.partial(fields.eval_zz_outer, zz), pts_out, flow),
+        ("zz_inner_as_printed", False, g2,
+         functools.partial(fields.eval_zz_inner, zz, as_printed=True), pts_in, ("mass",)),
     ]
     if inject_corruption:
         bad = residuals.corrupt_density_offset(rot, corruption_delta)
@@ -78,20 +73,18 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
             ("corrupted_rotational", False, iso, bad, pts, ("mass", "momentum_x", "poisson"))
         )
 
-    # keyed on (field, points, stencil, pressure); the points are tuples to hash
-    momentum = functools.cache(residuals.momentum_residual)
-
     def studies(rows):
         return [
             _study_check(f"{prefix}/{eq}", expected, residuals.convergence_study(
-                _equation(eq, law, momentum), field, p, h_list))
+                _equation(eq, law), field, p, h_list))
             for prefix, expected, law, field, p, eqs in rows
             for eq in eqs
         ]
 
     # interface density continuity (exact algebra, checked numerically)
-    corners = [(t, fields.zz_interface_radius(zz, t) / math.sqrt(2)) for t in (0.5, 1.0, 1.5, 2.0)]
-    diff = max(abs(inner(t, c, c).rho - zz.rho0) for t, c in corners)
+    t = np.array([0.5, 1.0, 1.5, 2.0])
+    corner = fields.zz_interface_radius(zz, t) / math.sqrt(2)
+    diff = float(np.max(np.abs(inner(t, corner, corner).rho - zz.rho0)))
     continuity = {"name": "zz_interface_continuity", "kind": "equality",
                   "max_abs_diff": diff, "tol": 1e-12, "passed": diff <= 1e-12}
     # the report lists it after the exact families, before the injected control

@@ -256,6 +256,8 @@ class TestRobustness:
             ("--nx", "-1"),  # a numpy ValueError traceback, exit 1
             ("--nt", "0"),   # a header-only fields.csv, exit 0
             ("--nx", "0"),   # the same
+            ("--rmax", "-1"),  # the same
+            ("--rmax", "0"),   # 81 copies of the origin per time, exit 0
         ],
     )
     def test_non_positive_grid_size_is_usage_error(
@@ -265,6 +267,12 @@ class TestRobustness:
         assert run(tmp_path, "fields", flag, value) == 1
         assert flag in self.one_line_error(capsys)
         assert not (tmp_path / "fields.csv").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # was a numpy ValueError traceback, exit 1
+        assert run(tmp_path, "verify", "--seed", "-1") == 2
+        assert "seed must be >= 0" in self.one_line_error(capsys)
+        assert not (tmp_path / "verify.json").exists()
 
     def test_gw_at_defaults_fails_before_writing(self, tmp_path, capsys):
         # alpha defaults to 0, which the gw profile rejects

@@ -17,6 +17,7 @@ from eulerpoisson.fields import (
 )
 from eulerpoisson.residuals import (
     PressureLaw,
+    ResidualReport,
     StencilConfig,
     convergence_study,
     corrupt_density_offset,
@@ -142,7 +143,7 @@ class TestPoissonResidual:
         assert not study_passes(study)
 
     def test_near_origin_rejected(self, rot_field):
-        with pytest.raises(StencilOutOfDomain):
+        with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.5, x=0\.001, y=0\.0\)"):
             poisson_residual(rot_field, [(0.5, 1e-3, 0.0)], StencilConfig(1e-3, 1e-3))
 
 
@@ -240,5 +241,118 @@ class TestZhangZhengResiduals:
     def test_stencil_across_interface_rejected(self, zz):
         inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
         ri = 2.0  # interface radius at t=1
-        with pytest.raises(StencilOutOfDomain):
+        # the t - h neighbour is the first stencil point past the interface,
+        # which has shrunk to r = 1.998 by then
+        with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.999, x=1\.9999, y=0\.0\)"):
             mass_residual(inner, [(1.0, ri - 1e-4, 0.0)], StencilConfig(1e-3, 1e-3))
+
+
+# ----------------------------------------------------------------------
+# The per-point operators that the batched ones replaced, kept as the
+# reference: the field is called with floats, one stencil point at a time.
+# ----------------------------------------------------------------------
+
+
+def _report_reference(eq_name, values):
+    arr = np.asarray(values)
+    return ResidualReport(eq_name, float(np.max(np.abs(arr))), float(np.sqrt(np.sum(arr**2))))
+
+
+def _neighbours_reference(field, t, x, y, hs, ht):
+    return (field(t + ht, x, y), field(t - ht, x, y), field(t, x + hs, y),
+            field(t, x - hs, y), field(t, x, y + hs), field(t, x, y - hs))
+
+
+def _mass_reference(field, pts, cfg):
+    hs, ht = cfg.h_space, cfg.h_time
+    vals = []
+    for t, x, y in pts:
+        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours_reference(field, t, x, y, hs, ht)
+        rho_t = (s_tp.rho - s_tm.rho) / (2 * ht)
+        flux_x = (s_xp.rho * s_xp.u1 - s_xm.rho * s_xm.u1) / (2 * hs)
+        flux_y = (s_yp.rho * s_yp.u2 - s_ym.rho * s_ym.u2) / (2 * hs)
+        vals.append(rho_t + flux_x + flux_y)
+    return _report_reference("mass", vals)
+
+
+def _momentum_reference(field, pts, cfg, pressure):
+    hs, ht = cfg.h_space, cfg.h_time
+    vals_x, vals_y = [], []
+    for t, x, y in pts:
+        s0 = field(t, x, y)
+        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours_reference(field, t, x, y, hs, ht)
+        u1_t = (s_tp.u1 - s_tm.u1) / (2 * ht)
+        u2_t = (s_tp.u2 - s_tm.u2) / (2 * ht)
+        u1_x = (s_xp.u1 - s_xm.u1) / (2 * hs)
+        u2_x = (s_xp.u2 - s_xm.u2) / (2 * hs)
+        u1_y = (s_yp.u1 - s_ym.u1) / (2 * hs)
+        u2_y = (s_yp.u2 - s_ym.u2) / (2 * hs)
+        p_x = (pressure(s_xp.rho) - pressure(s_xm.rho)) / (2 * hs)
+        p_y = (pressure(s_yp.rho) - pressure(s_ym.rho)) / (2 * hs)
+        grav_x = grav_y = 0.0
+        if s0.phi_r is not None:
+            r = math.hypot(x, y)
+            if r > 0:
+                grav_x = s0.rho * (x / r) * s0.phi_r
+                grav_y = s0.rho * (y / r) * s0.phi_r
+        adv_x = s0.u1 * u1_x + s0.u2 * u1_y
+        adv_y = s0.u1 * u2_x + s0.u2 * u2_y
+        vals_x.append(s0.rho * (u1_t + adv_x) + p_x + grav_x)
+        vals_y.append(s0.rho * (u2_t + adv_y) + p_y + grav_y)
+    return _report_reference("momentum_x", vals_x), _report_reference("momentum_y", vals_y)
+
+
+def _poisson_reference(field, pts, cfg):
+    hs = cfg.h_space
+    vals = []
+    for t, x, y in pts:
+        r = math.hypot(x, y)
+        ex, ey = x / r, y / r
+        s0 = field(t, x, y)
+        s_p = field(t, x + hs * ex, y + hs * ey)
+        s_m = field(t, x - hs * ex, y - hs * ey)
+        d_rphi = ((r + hs) * s_p.phi_r - (r - hs) * s_m.phi_r) / (2 * hs)
+        vals.append(d_rphi / r - 2 * math.pi * s0.rho)
+    return _report_reference("poisson", vals)
+
+
+class TestBatchedEqualsPerPointReference:
+    """The batched operators make one field call per step on all stencil
+    points; they must give the per-point loops' norms bit for bit."""
+
+    @staticmethod
+    def assert_same(batched, reference):
+        assert (batched.max_abs, batched.l2) == (reference.max_abs, reference.l2)
+
+    def check(self, field, pts, pressure, gravity):
+        for h in H_LIST:
+            cfg = StencilConfig(h, h)
+            self.assert_same(mass_residual(field, pts, cfg), _mass_reference(field, pts, cfg))
+            for got, want in zip(momentum_residual(field, pts, cfg, pressure),
+                                 _momentum_reference(field, pts, cfg, pressure)):
+                self.assert_same(got, want)
+            if gravity:
+                self.assert_same(poisson_residual(field, pts, cfg),
+                                 _poisson_reference(field, pts, cfg))
+
+    def test_rotational(self, rot_field, rot_points):
+        self.check(rot_field, rot_points, ISO, gravity=True)
+
+    def test_corrupted_rotational(self, rot_field, rot_points):
+        self.check(corrupt_density_offset(rot_field, 0.01), rot_points, ISO, gravity=True)
+
+    def test_zz_inner_and_outer(self, zz, pts_inner, pts_outer):
+        g2 = PressureLaw("gamma2", K=zz.K)
+        self.check(lambda t, x, y: eval_zz_inner(zz, t, x, y), pts_inner, g2, gravity=False)
+        self.check(lambda t, x, y: eval_zz_outer(zz, t, x, y), pts_outer, g2, gravity=False)
+
+    def test_swirl_ansatz(self):
+        ansatz = SwirlAnsatz(
+            f_profile=lambda s: math.exp(-s * s),
+            a_fn=lambda t: 2.0 + math.cos(t),
+            adot_fn=lambda t: -math.sin(t),
+            G_fn=lambda t, r: math.sin(t) * r * r,
+        )
+        field = lambda t, x, y: eval_swirl_ansatz(ansatz, t, x, y)
+        pts = disk_points(np.random.default_rng(5), 10, (0.5, 2.0), (0.3, 2.0))
+        self.check(field, pts, PressureLaw("none"), gravity=False)

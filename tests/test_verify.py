@@ -1,13 +1,12 @@
-"""The verification bundle as a library: check order, one sample per stencil
-point, one scale-factor read per sample and one momentum call per step."""
+"""The verification bundle as a library: check order, one batched field call
+per study and step, and one scale-factor read per batch."""
 
-import collections
-import functools
 import json
 
+import numpy as np
 import pytest
 
-from eulerpoisson import fields, ode, residuals, verify
+from eulerpoisson import fields, ode, verify
 from eulerpoisson.cli import main
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
@@ -41,32 +40,6 @@ def test_check_names_in_report_order(inject, names):
     assert [c["name"] for c in checks] == names
 
 
-def test_each_family_point_is_evaluated_once(tmp_path, monkeypatch):
-    seen = collections.Counter()
-
-    def counting(name, eval_fn):
-        def wrapper(sol, t, x, y, **kwargs):
-            seen[(name, t, x, y, tuple(sorted(kwargs.items())))] += 1
-            return eval_fn(sol, t, x, y, **kwargs)
-        return wrapper
-
-    for name in ("eval_rotational", "eval_zz_inner", "eval_zz_outer"):
-        monkeypatch.setattr(fields, name, counting(name, getattr(fields, name)))
-    assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
-    totals = collections.Counter(key[0] for key in seen)
-    assert set(totals) == {"eval_rotational", "eval_zz_inner", "eval_zz_outer"}
-    repeated = [key for key, n in seen.items() if n > 1]
-    assert not repeated, f"{len(repeated)} points evaluated more than once: {repeated[:3]}"
-
-
-def test_memo_changes_no_result(monkeypatch):
-    memoised = verify.run_bundle(7, 3, H_LIST, True, 0.01)
-    # the same bundle with every family field evaluated afresh at each sample
-    monkeypatch.setattr(functools, "cache", lambda fn: fn)
-    assert verify.run_bundle(7, 3, H_LIST, True, 0.01) == memoised
-
-
 def _count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -79,18 +52,27 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def test_each_study_step_is_one_batched_field_call(tmp_path, monkeypatch):
+    calls = {name: _count_calls(monkeypatch, fields, name)
+             for name in ("eval_rotational", "eval_zz_inner", "eval_zz_outer")}
+    assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
+    # 7 rotational studies (4 exact, 3 corrupted) x 3 steps; zz_inner has 4
+    # studies and the interface corners, zz_outer 3 studies
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eval_rotational": 21, "eval_zz_inner": 13, "eval_zz_outer": 9}
+    for c in calls.values():
+        for _, t, x, y in c:
+            assert all(isinstance(v, np.ndarray) for v in (t, x, y))
+
+
 def test_each_rotational_sample_reads_the_scale_factor_once(tmp_path, monkeypatch):
     state_at = _count_calls(monkeypatch, ode.Trajectory, "state_at")
+    evaluate = _count_calls(monkeypatch, ode.Trajectory, "evaluate")
     rotational = _count_calls(monkeypatch, fields, "eval_rotational")
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
-    # one scale-factor and one profile lookup for each of the 500 points
-    assert len(rotational) == 500
-    assert len(state_at) == 2 * len(rotational)
-
-
-def test_momentum_components_share_one_call_per_step(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, residuals, "momentum_residual")
-    assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
-    # rotational, zz_inner, zz_outer and corrupted_rotational, 3 steps each
-    assert len(calls) == 12
-    assert len({(id(f), id(p), c, law) for f, p, c, law in calls}) == 12
+    # one scale-factor lookup for each batch of stencil points, none per point
+    assert len(rotational) == 21
+    assert len(state_at) == 0
+    scale = rotational[0][0].scale
+    assert sum(args[0] is scale for args in evaluate) == len(rotational)
