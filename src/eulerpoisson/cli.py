@@ -211,6 +211,9 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, subparsers
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
     """Parse KEY=VALUE lines, validating keys against the subcommand's options."""
     actions = {
@@ -233,7 +236,10 @@ def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
                 raise _ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             action = actions[key]
             if isinstance(action, argparse._StoreTrueAction):
-                values[key] = val.lower() in ("1", "true", "yes")
+                if val.lower() not in _BOOLEANS:
+                    raise _ConfigError(f"{path}:{lineno}: bad value for {key}: expected "
+                                       f"1/0/true/false/yes/no, got {val!r}")
+                values[key] = _BOOLEANS[val.lower()]
             elif action.type is not None:
                 try:
                     values[key] = action.type(val)
@@ -320,18 +326,30 @@ def cmd_liouville(args) -> int:
 
 def _sample_rows(args, times, ev, skip):
     """CSV rows of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2 inside
-    the disk, one call per time; if that call raises one of `skip` (a region boundary
-    crosses the disk), the time's points are sampled one by one, leaving out those that raise."""
+    the disk.  A grid with no point in the disk, or a time outside the family's domain,
+    raises here, before any row is made.  Rows come one call per time; if that call raises
+    `skip` (a region boundary crosses the disk), the time's points are sampled one by one,
+    leaving out those that raise it."""
     grid = np.meshgrid(np.linspace(-args.rmax, args.rmax, args.nx),
                        np.linspace(-args.rmax, args.rmax, args.ny), indexing="ij")
     x, y = (g[np.hypot(*grid) <= args.rmax] for g in grid)
-    for t in times.tolist():
+    if not x.size:
+        raise DomainError(f"no point of the {args.nx}x{args.ny} grid lies in the disk "
+                          f"of radius {args.rmax}")
+    times = times.tolist()
+    for t in times:
+        ev(t, x[:0], y[:0])  # on no point, only a bad time raises
+    return _grid_rows(times, x, y, ev, skip)
+
+
+def _grid_rows(times, x, y, ev, skip):
+    for t in times:
         try:
             parts = [(x, y, ev(t, x, y))]
         except skip:
             parts = []
             for px, py in zip(x[:, None], y[:, None]):
-                with contextlib.suppress(*skip):
+                with contextlib.suppress(skip):
                     parts.append((px, py, ev(t, px, py)))
         for px, py, s in parts:
             phi = [None] * len(px) if s.phi_r is None else s.phi_r
@@ -346,14 +364,14 @@ def _fields_rows_rotational(args, xi: float):
     )
     times = np.linspace(args.t0, min(args.t1, sol.scale.t_end), args.nt)
     ev = functools.partial(fields.eval_rotational, sol)
-    return _sample_rows(args, times, ev, (OutOfRange, DomainError))
+    return _sample_rows(args, times, ev, OutOfRange)
 
 
 def _fields_rows_zz(args, inner: bool):
     zz = fields.ZZSolution(K=args.K, rho0=args.rho0)
     ev = functools.partial(fields.eval_zz_inner if inner else fields.eval_zz_outer, zz)
     times = np.linspace(args.t0, args.t1, args.nt)
-    return _sample_rows(args, times, ev, (OutsideRegion, DomainError))
+    return _sample_rows(args, times, ev, OutsideRegion)
 
 
 def _fields_rows_gw(args):
@@ -371,7 +389,7 @@ def _fields_rows_gw(args):
         rho = goldreich_weber.gw_density(prof, a, np.hypot(x, y))
         return fields.FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
 
-    return _sample_rows(args, times, ev, (NoCompactSupport, DomainError))
+    return _sample_rows(args, times, ev, NoCompactSupport)
 
 
 def cmd_fields(args) -> int:

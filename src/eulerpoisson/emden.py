@@ -88,7 +88,7 @@ class PeriodEstimate:
 
 @dataclass(frozen=True)
 class ScaleRun:
-    """Result of integrating the scale factor: trajectory plus touchdown, if any."""
+    """Result of a run to touchdown: trajectory plus touchdown time, if any."""
 
     trajectory: Trajectory
     touchdown_time: float | None = None
@@ -284,27 +284,30 @@ def integrate_scale(
     collapses at the singular time; that halt is reported as the touchdown
     time instead of an error.
     """
-    return _run_to_touchdown(scale_rhs(p), p.a0, p.a1, t_end, cfg)
+    return _run_to_touchdown(scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
 
 
 def _run_to_touchdown(
-    rhs, a0: float, a1: float, t_end: float, cfg: IntegratorConfig | None
+    rhs, start: OdeState, t_end: float, cfg: IntegratorConfig | None
 ) -> ScaleRun:
-    """Integrate a scale factor (a, a') from (a0, a1) on [0, t_end].
+    """Integrate (y, y') from `start` to t_end, stopping where y reaches zero.
 
-    A StepUnderflow or StateBlowup halt with a(t) already below 1e-6 * a0 is
-    a collapse and is returned as the touchdown time; any other halt is
-    re-raised with its context.
+    The callers (the 2D and the Goldreich-Weber scale factor, and the
+    Goldreich-Weber profile, whose zero is its support radius) let rhs
+    return NaN once y has crossed zero, so the step size collapses there.
+    A StepUnderflow or StateBlowup halt with y already below 1e-6 of its
+    start value is that touchdown: the trajectory up to the halt is
+    returned with the halt time.  Any other halt is re-raised with its
+    context.
     """
-    if not t_end > 0:
-        raise DomainError("t_end must be > 0")
+    if not t_end > start.t:
+        raise DomainError(f"t_end must be > {start.t:g}")
     cfg = cfg or IntegratorConfig()
     try:
-        traj = integrate(rhs, OdeState(0.0, np.array([a0, a1])), t_end, cfg)
-        return ScaleRun(trajectory=traj, touchdown_time=None)
+        return ScaleRun(trajectory=integrate(rhs, start, t_end, cfg), touchdown_time=None)
     except (StepUnderflow, StateBlowup) as halt:
-        if halt.trajectory is None or halt.trajectory.y_end[0] > 1e-6 * a0:
-            raise  # not a collapse; surface the halt with its context
+        if halt.trajectory is None or halt.trajectory.y_end[0] > 1e-6 * start.y[0]:
+            raise  # not a touchdown; surface the halt with its context
         return ScaleRun(trajectory=halt.trajectory, touchdown_time=halt.t)
 
 

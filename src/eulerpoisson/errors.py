@@ -22,8 +22,11 @@ def raise_where(bad, error: type[EulerPoissonError], message: str, **point) -> N
     a bad input value raises also when the coordinates broadcast to no point."""
     if np.any(bad):
         bad, *coords = np.broadcast_arrays(bad, *point.values())
-        i = int(np.argmax(bad)) if bad.size else -1
-        where = ", ".join(f"{k}={float(v.flat[i])}" for k, v in zip(point, coords) if v.size)
+        if bad.size:
+            i = int(np.argmax(bad))
+            where = ", ".join(f"{k}={float(v.flat[i])}" for k, v in zip(point, coords))
+        else:  # no point: name the coordinates given as scalars
+            where = ", ".join(f"{k}={float(v)}" for k, v in point.items() if np.ndim(v) == 0)
         raise error(f"{message} at ({where})")
 
 

@@ -22,18 +22,9 @@ import numpy as np
 
 from .emden import ScaleRun, _run_to_touchdown
 from .errors import DomainError, NoCompactSupport, NonRealPower, raise_where
-from .liouville import SeriesProfile
-from .ode import (
-    EventSpec,
-    IntegratorConfig,
-    OdeState,
-    Trajectory,
-    concat_trajectories,
-    detect_events,
-    integrate,
-)
+from .liouville import _S0_DEFAULT, PROFILE_CONFIG, SeriesProfile
+from .ode import IntegratorConfig, OdeState, Trajectory
 
-_S0 = 1e-6
 S_CAP_DEFAULT = 100.0
 
 
@@ -112,46 +103,32 @@ def solve_gw_profile(
     cfg: IntegratorConfig | None = None,
     s_cap: float = S_CAP_DEFAULT,
 ) -> GWProfile:
-    """Integrate the profile outward, stopping at the first zero of f.
+    """Integrate the profile outward from the center series (at PROFILE_CONFIG
+    by default) to its first zero s_mu, the support radius.
 
-    The right-hand side clamps f below zero (the fractional power would
-    otherwise leave the reals), which only matters for trial stages beyond
-    the zero; the profile itself is truncated exactly at the event.  With no
-    zero before s_cap the full trajectory is kept and s_mu is absent.
+    The right-hand side is NaN where f < 0, where the fractional power
+    leaves the reals, so the zero is a touchdown of `_run_to_touchdown`:
+    s_mu is the halt time, where the trajectory ends with f(s_mu) >= 0 and
+    tiny.  With no zero before s_cap the full trajectory is kept and s_mu is
+    None.
     """
-    cfg = cfg or IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4)
     power = p.N / (p.N - 2)
     denom = (2 * p.N - 2) * p.K
     forcing = p.N * (p.N - 2) * p.lam / denom
     grav = alpha_const(p.N) / denom
     nm1 = p.N - 1
     c = gw_series_coefficient(p)
-    s0 = min(_S0, 0.5 * s_cap)
+    s0 = min(_S0_DEFAULT, 0.5 * s_cap)
 
     def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-        f = y[0] if y[0] > 0.0 else 0.0
+        f = y[0]
+        if f < 0.0:
+            return (math.nan, math.nan)
         return (y[1], forcing - grav * f**power - nm1 * y[1] / s)
 
-    spec = EventSpec(lambda s, y: y[0], direction="falling", refine_tol=1e-13)
-    parts: list[Trajectory] = []
-    state = OdeState(s0, np.array([p.alpha_center + c * s0 * s0, 2 * c * s0]))
-    target = 1.0
-    while True:
-        traj = integrate(rhs, state, min(target, s_cap), cfg)
-        parts.append(traj)
-        if np.any(traj.ys[:, 0] <= 0.0):
-            break
-        if traj.t_end >= s_cap:
-            break
-        state = OdeState(traj.t_end, traj.y_end)
-        target *= 2.0
-
-    full = concat_trajectories(parts)
-    zeros = detect_events(full, spec)
-    if zeros:
-        s_mu = zeros[0]
-        return GWProfile(p, full.truncated(s_mu), s0, c, s_mu)
-    return GWProfile(p, full, s0, c, None)
+    start = OdeState(s0, np.array([p.alpha_center + c * s0 * s0, 2 * c * s0]))
+    run = _run_to_touchdown(rhs, start, s_cap, cfg or PROFILE_CONFIG)
+    return GWProfile(p, run.trajectory, s0, c, run.touchdown_time)
 
 
 def integrate_gw_scale(
@@ -170,7 +147,7 @@ def integrate_gw_scale(
             return (math.nan, math.nan)
         return (y[1], -lam / a**nm1)
 
-    return _run_to_touchdown(rhs, p.a0, p.a1, t_end, cfg)
+    return _run_to_touchdown(rhs, OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
 
 
 def gw_density(prof: GWProfile, a, r):

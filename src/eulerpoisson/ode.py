@@ -235,39 +235,6 @@ class Trajectory:
         out[at1] = y1[at1]
         return out
 
-    def derivative_at(self, t: float) -> np.ndarray:
-        """Derivative of the dense interpolant at time t."""
-        i = self._segment_index(t)
-        if t == self.ts[i]:
-            return self.fs[i].copy()
-        if t == self.ts[i + 1]:
-            return self.fs[i + 1].copy()
-        ts, ys, fs = self.ts, self.ys, self.fs
-        return _dense_deriv(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1],
-                            self.r5[i])
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.state_at(t)
-
-    def truncated(self, t_cut: float) -> "Trajectory":
-        """Trajectory restricted to [t_start, t_cut], ending exactly at t_cut,
-        with the same dense output: the cut segment's row is r5 * q^4, q the
-        kept fraction of that segment."""
-        if t_cut >= self.t_end:
-            return self
-        if t_cut <= self.t_start:
-            raise DomainError("t_cut must exceed t_start")
-        keep = self.ts <= t_cut
-        n = int(np.sum(keep))
-        if self.ts[n - 1] == t_cut:
-            return Trajectory(self.ts[:n], self.ys[:n], self.fs[:n], self.r5[:n - 1], self.stats)
-        ts = np.append(self.ts[:n], t_cut)
-        ys = np.vstack([self.ys[:n], self.state_at(t_cut)])
-        fs = np.vstack([self.fs[:n], self.derivative_at(t_cut)])
-        q = (t_cut - self.ts[n - 1]) / (self.ts[n] - self.ts[n - 1])
-        r5 = np.vstack([self.r5[:n - 1], self.r5[n - 1] * q**4])
-        return Trajectory(ts, ys, fs, r5, self.stats)
-
 
 def _dense(t, t0, t1, y0, y1, f0, f1, r5):
     h = t1 - t0
@@ -282,40 +249,6 @@ def _dense(t, t0, t1, y0, y1, f0, f1, r5):
         + (s3 - s2) * h * f1
         + w * w * r5
     )
-
-
-def _dense_deriv(t, t0, t1, y0, y1, f0, f1, r5):
-    h = t1 - t0
-    s = (t - t0) / h
-    s2 = s * s
-    return (
-        (6 * s2 - 6 * s) / h * y0
-        + (3 * s2 - 4 * s + 1) * f0
-        + (-6 * s2 + 6 * s) / h * y1
-        + (3 * s2 - 2 * s) * f1
-        + 2 * s * (1 - s) * (1 - 2 * s) / h * r5
-    )
-
-
-def concat_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
-    """Join contiguous trajectories (each starting where the previous ends).
-
-    The joined trajectory's stats are the sums of the parts' stats.
-    """
-    if not parts:
-        raise DomainError("no trajectories to concatenate")
-    ts = [parts[0].ts]
-    ys = [parts[0].ys]
-    fs = [parts[0].fs]
-    for prev, nxt in zip(parts, parts[1:]):
-        if nxt.t_start != prev.t_end:
-            raise DomainError("trajectories are not contiguous")
-        ts.append(nxt.ts[1:])
-        ys.append(nxt.ys[1:])
-        fs.append(nxt.fs[1:])
-    r5 = np.vstack([p.r5 for p in parts])
-    stats = sum((p.stats for p in parts), IntegratorStats())
-    return Trajectory(np.concatenate(ts), np.vstack(ys), np.vstack(fs), r5, stats)
 
 
 def integrate(

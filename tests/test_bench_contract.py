@@ -1,8 +1,8 @@
 """What the benchmark's span tracer (`perfbench/tracing.py`) and its output
 checks (`perfbench/workloads.py`) need of the package.
 
-The tracer patches the functions named in its LAYERS table and counts the
-fields sampled by `residuals.convergence_study` by wrapping its second
+The tracer patches the functions named in its LAYERS table and
+`ode.Trajectory.state_at`, and counts the fields sampled by `residuals.convergence_study` by wrapping its second
 argument.  These tests load the tracer and the workloads by path, without
 changing them, so a refactor that breaks `perfbench/run.py --trace 1` or
 fails a benchmark check fails here first.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerpoisson import residuals
+from eulerpoisson import ode, residuals
 from eulerpoisson.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -47,6 +47,19 @@ def workloads():
 def test_every_layer_resolves_to_a_callable(tracing):
     for span, module, attr in tracing.LAYERS:
         assert callable(getattr(importlib.import_module(module), attr, None)), span
+
+
+def test_tracer_counts_state_at(tracing):
+    original = ode.Trajectory.state_at
+    traj = ode.Trajectory([0.0, 1.0], [[1.0], [2.0]], [[1.0], [1.0]])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert traj.state_at(0.5)[0] == pytest.approx(1.5)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()[tracing.STATE_AT]["calls"] == 1
+    assert ode.Trajectory.state_at is original
 
 
 def test_convergence_study_takes_the_field_second():

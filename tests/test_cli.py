@@ -268,6 +268,36 @@ class TestRobustness:
         assert flag in self.one_line_error(capsys)
         assert not (tmp_path / "fields.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # each wrote a partial or header-only fields.csv and exited 0
+            (("--family", "rotational", "--t0", "5", "--t1", "1"), "t=5.0"),
+            (("--family", "rotational", "--t0", "-1"), "t=-1.0"),
+            (("--family", "zz-inner", "--t0", "-1", "--t1", "1"), "t=-1.0"),
+            (("--nx", "1", "--ny", "1"), "no point of the 1x1 grid"),
+        ],
+    )
+    def test_fields_drop_no_time_or_grid(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "fields", *argv) == 2
+        assert message in self.one_line_error(capsys)
+        assert not (tmp_path / "fields.csv").exists()
+
+    def test_config_boolean_must_be_a_boolean_word(self, tmp_path, capsys, monkeypatch):
+        # 'ture' ran without the negative control and exited 0
+        monkeypatch.setattr(cli, "cmd_verify", self.must_not_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("inject_corruption=ture\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "bad value for inject_corruption" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("word,value", [("YES", True), ("1", True), ("False", False),
+                                            ("no", False), ("0", False)])
+    def test_config_boolean_words(self, tmp_path, word, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"inject_corruption={word}\n")
+        assert cli._parse(["verify", "--config", str(cfg)]).inject_corruption is value
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # was a numpy ValueError traceback, exit 1
         assert run(tmp_path, "verify", "--seed", "-1") == 2

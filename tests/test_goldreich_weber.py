@@ -1,11 +1,16 @@
 """Compact-support profiles in N >= 3 and their collapsing scale factor."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerpoisson.errors import DomainError, NoCompactSupport
+from eulerpoisson import ode
+from eulerpoisson.errors import DomainError, NoCompactSupport, StepBudgetExceeded
 from eulerpoisson.goldreich_weber import (
     GWParams,
     alpha_const,
@@ -15,7 +20,8 @@ from eulerpoisson.goldreich_weber import (
     solve_gw_profile,
     unit_ball_volume,
 )
-from eulerpoisson.ode import quad_singular
+from eulerpoisson.liouville import PROFILE_CONFIG
+from eulerpoisson.ode import EventSpec, OdeState, detect_events, integrate, quad_singular
 
 # offline fixed-step reference for the first zero at N=3, lam=0, K=1, alpha=1
 S_MU_REFERENCE = 3.8911301
@@ -95,6 +101,68 @@ class TestProfile:
             norms.append(max(abs(r) for r in res))
         order = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(norms), 1)[0]
         assert 1.8 <= order <= 2.2
+
+
+def _clamped_reference_s_mu(p: GWParams, s_cap: float = 100.0) -> float | None:
+    """First falling zero of f from one integration to s_cap in which the
+    right-hand side clamps f < 0 to 0, located on the dense output."""
+    power, denom = p.N / (p.N - 2), (2 * p.N - 2) * p.K
+    forcing, grav = p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
+    c, s0 = gw_series_coefficient(p), 1e-6
+
+    def rhs(s, y):
+        f = max(y[0], 0.0)
+        return (y[1], forcing - grav * f**power - (p.N - 1) * y[1] / s)
+
+    start = OdeState(s0, [p.alpha_center + c * s0 * s0, 2 * c * s0])
+    traj = integrate(rhs, start, s_cap, PROFILE_CONFIG)
+    zeros = detect_events(traj, EventSpec(lambda s, y: y[0], "falling", 1e-13))
+    return zeros[0] if zeros else None
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Replace fn wherever an eulerpoisson module binds it; one list entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.startswith("eulerpoisson"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestSupportRadius:
+    """s_mu is where the one integration halts because f reached zero."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(N=st.integers(3, 6), K=st.floats(0.5, 2.0), lam=st.floats(-0.5, 0.0),
+           alpha_center=st.floats(0.5, 2.0))
+    def test_matches_the_clamped_reference(self, N, K, lam, alpha_center):
+        p = GWParams(N=N, K=K, lam=lam, alpha_center=alpha_center)
+        prof = solve_gw_profile(p)
+        ref = _clamped_reference_s_mu(p)
+        assert prof.s_mu is not None and ref is not None
+        assert prof.s_mu == prof.s_max
+        assert abs(prof.s_mu - ref) <= 1e-12 * ref
+        assert np.all(prof.f >= 0.0)
+        assert abs(prof.f_at(prof.s_mu)) <= 1e-10
+
+    def test_one_integration_and_no_event_search(self, monkeypatch):
+        integrations = _count_calls(monkeypatch, ode.integrate)
+        searches = _count_calls(monkeypatch, ode.detect_events)
+        for N in (3, 5):
+            solve_gw_profile(GWParams(N=N, K=1.0, lam=-0.2, alpha_center=1.0))
+        assert len(integrations) == 2 and searches == []
+
+    def test_a_halt_that_is_not_a_zero_raises(self):
+        cfg = dataclasses.replace(PROFILE_CONFIG, max_steps=50)
+        with pytest.raises(StepBudgetExceeded):
+            solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0), cfg)
 
 
 class TestScale:

@@ -34,7 +34,6 @@ from eulerpoisson.ode import (
     OdeState,
     Trajectory,
     _refine_crossing,
-    concat_trajectories,
     detect_events,
     integrate,
     quad_adaptive,
@@ -206,14 +205,6 @@ class TestStepper:
         st = traj.stats
         assert st.accepted == traj.n_nodes - 1
         assert st.rhs_calls == 1 + 6 * (st.accepted + st.rejected)
-        assert traj.truncated(5.0).stats == st
-
-    def test_stats_sum_over_concatenated_parts(self):
-        first = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 3.0)
-        second = integrate(rhs_harmonic, OdeState(first.t_end, first.y_end), 7.0)
-        joined = concat_trajectories([first, second])
-        assert joined.stats == first.stats + second.stats
-        assert joined.stats.accepted == joined.n_nodes - 1
 
     @pytest.mark.parametrize(
         "rhs,t_sing",
@@ -436,11 +427,9 @@ class TestEvaluate:
     def test_outside_the_range_raises(self, traj, bad):
         with pytest.raises(DomainError):
             traj.evaluate(np.array([1.0, bad]))
-        # the scalar entry points reject the same times, NaN included
+        # the scalar entry point rejects the same times, NaN included
         with pytest.raises(DomainError):
             traj.state_at(bad)
-        with pytest.raises(DomainError):
-            traj.derivative_at(bad)
 
     def test_single_node(self):
         traj = Trajectory([2.0], [[1.0, 3.0]], [[0.0, 0.0]])
@@ -515,30 +504,6 @@ class TestDenseOutput:
                       IntegratorConfig(atol=0.0))
         halt = excinfo.value.trajectory
         assert halt.stats.rejected > 0 and halt.r5.shape == (0, 2)
-
-    def test_truncated_keeps_the_interpolant(self, traj):
-        i = 7
-        t_cut = traj.ts[i] + 0.37 * (traj.ts[i + 1] - traj.ts[i])
-        cut = traj.truncated(t_cut)
-        assert cut.t_end == t_cut and cut.r5.shape == (i + 1, 2)
-        inside = np.linspace(traj.ts[i], t_cut, 50)
-        assert np.abs(cut.evaluate(inside) - traj.evaluate(inside)).max() <= 1e-15
-        for t in inside.tolist():
-            assert np.abs(cut.derivative_at(t) - traj.derivative_at(t)).max() <= 1e-13
-        before = np.linspace(traj.t_start, traj.ts[i], 200)
-        assert np.array_equal(cut.evaluate(before), traj.evaluate(before))
-        # keeping the cut segment's row unscaled would move the output
-        unscaled = Trajectory(cut.ts, cut.ys, cut.fs, traj.r5[: i + 1])
-        assert np.abs(unscaled.evaluate(inside) - traj.evaluate(inside)).max() > 1e-9
-
-    def test_concat_keeps_the_rows(self):
-        first = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 3.0)
-        second = integrate(rhs_harmonic, OdeState(first.t_end, first.y_end), 7.0)
-        joined = concat_trajectories([first, second])
-        assert np.array_equal(joined.r5, np.vstack([first.r5, second.r5]))
-        for part in (first, second):
-            t = np.linspace(part.t_start, part.t_end, 301)
-            assert np.array_equal(joined.evaluate(t), part.evaluate(t))
 
     def test_without_r5_is_the_cubic_hermite(self, traj):
         plain = Trajectory(traj.ts, traj.ys, traj.fs)
