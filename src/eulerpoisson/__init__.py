@@ -66,7 +66,6 @@ from .residuals import (
     ConvergenceResult,
     PressureLaw,
     ResidualReport,
-    StencilConfig,
     convergence_study,
     mass_residual,
     momentum_residual,

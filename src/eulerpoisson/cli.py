@@ -64,7 +64,7 @@ def _outdir(args) -> Path:
 
 def _integrator_config(args, base: IntegratorConfig) -> IntegratorConfig:
     """The solver's default `base` with only the fields the user supplied replaced."""
-    names = ("rtol", "atol", "h_init", "h_max", "max_steps")
+    names = (f.name for f in dataclasses.fields(IntegratorConfig))
     overrides = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     return dataclasses.replace(base, **overrides)
 
@@ -115,11 +115,12 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_integrator(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--rtol", type=finite_float, help="integrator relative tolerance")
-    sp.add_argument("--atol", type=finite_float, help="integrator absolute tolerance")
-    sp.add_argument("--h-init", dest="h_init", type=finite_float, help="initial step")
-    sp.add_argument("--h-max", dest="h_max", type=finite_float, help="maximum step")
-    sp.add_argument("--max-steps", dest="max_steps", type=int, help="step budget")
+    """One flag per `IntegratorConfig` field, in the help's "integrator" group."""
+    group = sp.add_argument_group("integrator")
+    group.add_argument("--rtol", type=finite_float, help="relative tolerance")
+    group.add_argument("--atol", type=finite_float, help="absolute tolerance")
+    group.add_argument("--h-init", dest="h_init", type=finite_float, help="initial step")
+    group.add_argument("--max-steps", dest="max_steps", type=int, help="step budget")
 
 
 @functools.cache

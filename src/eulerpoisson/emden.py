@@ -203,11 +203,15 @@ def turning_points(p: EmdenParams) -> TurningPoints:
     return TurningPoints(solve_side(0.5), solve_side(2.0))
 
 
-def period_by_quadrature(p: EmdenParams, tol: float = 1e-10) -> PeriodEstimate:
+# absolute tolerance of the half-period quadrature
+PERIOD_QUAD_TOL = 1e-10
+
+
+def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
     """Orbit period as 2 * integral da / sqrt(2*(theta - V(a))).
 
     The integrand has inverse-square-root singularities at both turning
-    points, handled by `quad_singular`.
+    points, handled by `quad_singular` to PERIOD_QUAD_TOL.
     """
     tp = turning_points(p)
     th = energy_level(p)
@@ -218,7 +222,7 @@ def period_by_quadrature(p: EmdenParams, tol: float = 1e-10) -> PeriodEstimate:
             return 0.0
         return 1.0 / math.sqrt(2.0 * ex)
 
-    val, err = quad_singular_estimate(integrand, tp.a_min, tp.a_max, tol)
+    val, err = quad_singular_estimate(integrand, tp.a_min, tp.a_max, PERIOD_QUAD_TOL)
     return PeriodEstimate(T=2.0 * val, method="quadrature", err_est=2.0 * err)
 
 

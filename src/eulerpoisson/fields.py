@@ -55,13 +55,12 @@ class RotSolution2D:
     """One member of the rotating isothermal family, fully solved."""
 
     emden: EmdenParams
-    liouville: LiouvilleParams
     profile: LiouvilleProfile
     scale: Trajectory
     touchdown_time: float | None = None
 
     def __post_init__(self):
-        if self.emden.lam != self.liouville.lam:
+        if self.emden.lam != self.profile.params.lam:
             raise DomainError("scale and profile must share the same lam")
 
 
@@ -79,12 +78,10 @@ def build_rotational(
     trajectory ends at its finite touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
-    liouville_p = LiouvilleParams(K=K, lam=lam, alpha=alpha)
-    profile = solve_profile(liouville_p, 20.0)
+    profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), 20.0)
     run = integrate_scale(emden_p, t_max, SCALE_CONFIG)
     return RotSolution2D(
         emden=emden_p,
-        liouville=liouville_p,
         profile=profile,
         scale=run.trajectory,
         touchdown_time=run.touchdown_time,
@@ -140,7 +137,7 @@ def gravity_radial_two_ways(sol: RotSolution2D, t, r):
     """
     quad_route = eval_gravity_radial(sol, t, r)
     a, _, s = _scaled_radius(sol, t, r, dict(t=t, r=r))
-    p = sol.liouville
+    p = sol.profile.params
     return quad_route, (p.lam * s - p.K * sol.profile.fdot_at(s)) / a
 
 

@@ -32,7 +32,10 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    try:
+        return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    except OverflowError:
+        raise DomainError(f"unit ball volume overflows at dimension N={n}") from None
 
 
 def alpha_const(n: int) -> float:
@@ -94,7 +97,11 @@ def gw_series_coefficient(p: GWParams) -> float:
     a_n = alpha_const(p.N)
     denom = (2 * p.N - 2) * p.K
     forcing = p.N * (p.N - 2) * p.lam / denom
-    gravity = a_n / denom * p.alpha_center ** (p.N / (p.N - 2))
+    try:
+        gravity = a_n / denom * p.alpha_center ** (p.N / (p.N - 2))
+    except OverflowError:
+        raise DomainError(f"alpha_center={p.alpha_center} overflows "
+                          f"alpha_center^(N/(N-2)) at N={p.N}") from None
     return (forcing - gravity) / (2 * p.N)
 
 

@@ -56,7 +56,10 @@ class LiouvilleParams:
 
 def series_coefficient(p: LiouvilleParams) -> float:
     """Quadratic coefficient of the center expansion f = alpha + c*s^2."""
-    return (p.lam - math.pi * math.exp(p.alpha)) / (2 * p.K)
+    try:
+        return (p.lam - math.pi * math.exp(p.alpha)) / (2 * p.K)
+    except OverflowError:
+        raise DomainError(f"alpha={p.alpha} overflows e^alpha") from None
 
 
 class SeriesProfile:

@@ -97,7 +97,6 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     h_init: float = 1e-3
-    h_max: float = math.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -107,8 +106,6 @@ class IntegratorConfig:
             raise DomainError("atol must be >= 0")
         if not self.h_init > 0:
             raise DomainError("h_init must be > 0")
-        if not self.h_max >= self.h_init:
-            raise DomainError("h_max must be >= h_init")
         if not self.max_steps > 0:
             raise DomainError("max_steps must be > 0")
 
@@ -307,8 +304,8 @@ def integrate(
     _, c2, c3, c4, c5, _, _ = _C
     e1, _, e3, e4, e5, e6, e7 = _E
     d1, _, d3, d4, d5, d6, d7 = _D
-    atol, rtol, h_max, max_steps = cfg.atol, cfg.rtol, cfg.h_max, cfg.max_steps
-    h = min(cfg.h_init, h_max, t_end - t)
+    atol, rtol, max_steps = cfg.atol, cfg.rtol, cfg.max_steps
+    h = min(cfg.h_init, t_end - t)
     while t < t_end:
         if h < STEP_UNDERFLOW_REL * max(1.0, abs(t)):
             raise StepUnderflow(f"step size {h:.3e} underflowed at t={t!r}", t, make_traj())
@@ -366,9 +363,8 @@ def integrate(
         if max(map(abs, y)) > OVERFLOW_GUARD:
             raise StateBlowup(f"state exceeded {OVERFLOW_GUARD:.0e} at t={t!r}", t, make_traj())
         grow = 0.9 * err ** -0.2 if err > 0 else 5.0
-        # min(h_max, hs * min(5.0, max(0.2, grow))) without the builtin calls
+        # hs * min(5.0, max(0.2, grow)) without the builtin calls
         h = hs * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)
-        h = h if h < h_max else h_max
     return make_traj()
 
 

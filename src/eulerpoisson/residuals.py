@@ -14,9 +14,10 @@ floor.  Corrupted fields are first-class citizens: they are the negative
 controls proving the oracle can fail.  `eulerpoisson.verify` runs these
 studies over the exact families.
 
-Each operator makes one field call per step, on arrays of shape (n, 7) for
-mass and momentum (each point and its neighbours at t +- h, x +- h, y +- h)
-and (n, 3) for gravity (each point and its two radial neighbours).
+Each operator takes one step h for time and space and makes one field call,
+on arrays of shape (n, 7) for mass and momentum (each point and its
+neighbours at t +- h, x +- h, y +- h) and (n, 3) for gravity (each point and
+its two radial neighbours).
 
 Gravity gradients are never re-differenced: grad Phi = (x/r, y/r) * Phi_r
 uses the sampled radial derivative directly, since the potential itself is
@@ -48,16 +49,8 @@ Point = tuple[float, float, float]
 # on the floating-point floor (residual indistinguishable from roundoff in
 # the stencil); the order estimate is meaningless there.
 FLOOR_COEFF = 1e-11
-
-
-@dataclass(frozen=True)
-class StencilConfig:
-    h_space: float
-    h_time: float
-
-    def __post_init__(self):
-        if not self.h_space > 0 or not self.h_time > 0:
-            raise DomainError("stencil steps must be > 0")
+# observed orders that count as second-order convergence
+ORDER_BAND = (1.8, 2.2)
 
 
 @dataclass(frozen=True)
@@ -96,12 +89,15 @@ class PressureLaw:
         return 0.0
 
 
-# t, x and y offsets of the centre and its neighbours t +- ht, x +- hs, y +- hs
+# t, x and y offsets of the centre and its neighbours t +- h, x +- h, y +- h
 _OFFSETS = np.array([[0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 1, -1]], float)
 
 
-def _columns(pts: Sequence[Point]) -> np.ndarray:
-    """The t, x and y columns of the points, each of shape (n, 1)."""
+def _columns(pts: Sequence[Point], h: float) -> np.ndarray:
+    """The t, x and y columns of the points, each of shape (n, 1), once the
+    stencil step h is known to be > 0."""
+    if not h > 0:  # NaN fails too
+        raise DomainError(f"stencil step must be > 0, got {h}")
     return np.asarray(pts, dtype=float).reshape(-1, 3).T[..., None]
 
 
@@ -115,13 +111,12 @@ def _sample(field: FieldFn, t, x, y) -> list:
     return [v if v is None else np.broadcast_to(v, t.shape) for v in (s.rho, s.u1, s.u2, s.phi_r)]
 
 
-def _stencil(field: FieldFn, pts: Sequence[Point], cfg: StencilConfig):
+def _stencil(field: FieldFn, pts: Sequence[Point], h: float):
     """The centre columns and the samples at every point and its six
     neighbours, one call on arrays of shape (n, 7) ordered as the offsets."""
-    t, x, y = _columns(pts)
-    hs, ht = cfg.h_space, cfg.h_time
+    t, x, y = _columns(pts, h)
     return (t[:, 0], x[:, 0], y[:, 0]), _sample(
-        field, t + ht * _OFFSETS[0], x + hs * _OFFSETS[1], y + hs * _OFFSETS[2])
+        field, t + h * _OFFSETS[0], x + h * _OFFSETS[1], y + h * _OFFSETS[2])
 
 
 def _report(eq_name, values: np.ndarray) -> ResidualReport:
@@ -132,22 +127,19 @@ def _report(eq_name, values: np.ndarray) -> ResidualReport:
     )
 
 
-def mass_residual(
-    field: FieldFn, pts: Sequence[Point], cfg: StencilConfig
-) -> ResidualReport:
+def mass_residual(field: FieldFn, pts: Sequence[Point], h: float) -> ResidualReport:
     """Centered residual of rho_t + (rho u1)_x + (rho u2)_y at each point."""
-    hs, ht = cfg.h_space, cfg.h_time
-    _, (rho, u1, u2, _) = _stencil(field, pts, cfg)
-    rho_t = (rho[:, 1] - rho[:, 2]) / (2 * ht)
-    flux_x = (rho[:, 3] * u1[:, 3] - rho[:, 4] * u1[:, 4]) / (2 * hs)
-    flux_y = (rho[:, 5] * u2[:, 5] - rho[:, 6] * u2[:, 6]) / (2 * hs)
+    _, (rho, u1, u2, _) = _stencil(field, pts, h)
+    rho_t = (rho[:, 1] - rho[:, 2]) / (2 * h)
+    flux_x = (rho[:, 3] * u1[:, 3] - rho[:, 4] * u1[:, 4]) / (2 * h)
+    flux_y = (rho[:, 5] * u2[:, 5] - rho[:, 6] * u2[:, 6]) / (2 * h)
     return _report("mass", rho_t + flux_x + flux_y)
 
 
 def momentum_residual(
     field: FieldFn,
     pts: Sequence[Point],
-    cfg: StencilConfig,
+    h: float,
     pressure: PressureLaw,
 ) -> tuple[ResidualReport, ResidualReport]:
     """Centered residuals of both momentum components.
@@ -156,12 +148,11 @@ def momentum_residual(
     samples carry phi_r; an isothermal residual without gravity data
     is a contract violation (MissingGravity) rather than a silent omission.
     """
-    hs, ht = cfg.h_space, cfg.h_time
-    (_, x, y), (rho, u1, u2, phi_r) = _stencil(field, pts, cfg)
+    (_, x, y), (rho, u1, u2, phi_r) = _stencil(field, pts, h)
     if phi_r is None and pressure.kind == "isothermal":
         raise MissingGravity("isothermal momentum residual requires phi_r in the samples")
 
-    def d(v, k, h):  # centered difference between offsets k and k + 1
+    def d(v, k):  # centered difference between offsets k and k + 1
         return (v[:, k] - v[:, k + 1]) / (2 * h)
 
     p = np.broadcast_to(pressure(rho), rho.shape)
@@ -172,33 +163,30 @@ def momentum_residual(
         r = np.where(r > 0, r, 1.0)  # x = y = 0 there, so both terms are 0
         grav_x = rho0 * (x / r) * phi_r[:, 0]
         grav_y = rho0 * (y / r) * phi_r[:, 0]
-    adv_x = u10 * d(u1, 3, hs) + u20 * d(u1, 5, hs)
-    adv_y = u10 * d(u2, 3, hs) + u20 * d(u2, 5, hs)
+    adv_x = u10 * d(u1, 3) + u20 * d(u1, 5)
+    adv_y = u10 * d(u2, 3) + u20 * d(u2, 5)
     return (
-        _report("momentum_x", rho0 * (d(u1, 1, ht) + adv_x) + d(p, 3, hs) + grav_x),
-        _report("momentum_y", rho0 * (d(u2, 1, ht) + adv_y) + d(p, 5, hs) + grav_y),
+        _report("momentum_x", rho0 * (d(u1, 1) + adv_x) + d(p, 3) + grav_x),
+        _report("momentum_y", rho0 * (d(u2, 1) + adv_y) + d(p, 5) + grav_y),
     )
 
 
-def poisson_residual(
-    field: FieldFn, pts: Sequence[Point], cfg: StencilConfig
-) -> ResidualReport:
+def poisson_residual(field: FieldFn, pts: Sequence[Point], h: float) -> ResidualReport:
     """Centered residual of (1/r) d(r Phi_r)/dr - 2 pi rho along each ray."""
-    hs = cfg.h_space
-    t, x, y = _columns(pts)
+    t, x, y = _columns(pts, h)
     r = np.hypot(x, y)
-    raise_where(r <= 2 * hs, StencilOutOfDomain, f"point too close to r=0 for h={hs}",
+    raise_where(r <= 2 * h, StencilOutOfDomain, f"point too close to r=0 for h={h}",
                 t=t, x=x, y=y)
-    d = hs * np.array([0.0, 1.0, -1.0])  # the point and its radial neighbours
+    d = h * np.array([0.0, 1.0, -1.0])  # the point and its radial neighbours
     rho, _, _, phi_r = _sample(field, *np.broadcast_arrays(t, x + d * (x / r), y + d * (y / r)))
     if phi_r is None:
         raise MissingGravity("gravity residual requires phi_r in the samples")
     r = r[:, 0]
-    d_rphi = ((r + hs) * phi_r[:, 1] - (r - hs) * phi_r[:, 2]) / (2 * hs)
+    d_rphi = ((r + h) * phi_r[:, 1] - (r - h) * phi_r[:, 2]) / (2 * h)
     return _report("poisson", d_rphi / r - 2 * math.pi * rho[:, 0])
 
 
-ResidualOp = Callable[[FieldFn, Sequence[Point], StencilConfig], ResidualReport]
+ResidualOp = Callable[[FieldFn, Sequence[Point], float], ResidualReport]
 
 
 def convergence_study(
@@ -218,10 +206,7 @@ def convergence_study(
         raise DomainError("need at least 3 step sizes")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise DomainError("h_list must be strictly decreasing")
-    norms = []
-    for h in h_list:
-        rep = residual_op(field, pts, StencilConfig(h_space=h, h_time=h))
-        norms.append(rep.max_abs)
+    norms = [residual_op(field, pts, h).max_abs for h in h_list]
     pos = [(h, n) for h, n in zip(h_list, norms) if n > 0]
     order = None
     if len(pos) >= 2:
@@ -237,13 +222,13 @@ def convergence_study(
     )
 
 
-def study_passes(result: ConvergenceResult, band: tuple[float, float] = (1.8, 2.2)) -> bool:
-    """A study passes when it converges at second order or sits at the floor."""
+def study_passes(result: ConvergenceResult) -> bool:
+    """A study passes when its order lies in ORDER_BAND or it sits at the floor."""
     if result.at_floor:
         return True
     return (
         result.estimated_order is not None
-        and band[0] <= result.estimated_order <= band[1]
+        and ORDER_BAND[0] <= result.estimated_order <= ORDER_BAND[1]
     )
 
 

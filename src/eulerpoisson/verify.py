@@ -21,7 +21,7 @@ def _equation(name: str, pressure: residuals.PressureLaw) -> residuals.ResidualO
     """The residual operator of one named equation, as convergence_study calls it."""
     if name.startswith("momentum_"):
         component = "xy".index(name[-1])
-        return lambda f, p, c: residuals.momentum_residual(f, p, c, pressure)[component]
+        return lambda f, p, h: residuals.momentum_residual(f, p, h, pressure)[component]
     return {"mass": residuals.mass_residual, "poisson": residuals.poisson_residual}[name]
 
 

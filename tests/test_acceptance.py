@@ -144,10 +144,8 @@ def test_06_liouville_identity_grid():
         for lam in (1.0, 2.0):
             for K in (1.0, 2.0):
                 for alpha in (-0.5, 0.0, 0.5):
-                    prof = solve_profile(
-                        LiouvilleParams(K=K, lam=lam, alpha=alpha), 20.0,
-                        IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4, h_max=0.01),
-                    )
+                    # at the solver's default, PROFILE_CONFIG
+                    prof = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), 20.0)
                     mass = prof._mass_at_nodes()
                     residual = np.abs(
                         mass - (lam * prof.grid**2 - K * prof.grid * prof.fdot)

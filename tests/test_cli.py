@@ -1,5 +1,7 @@
 """CLI contract: artifact schemas, determinism, exit codes, config handling."""
 
+import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -8,6 +10,7 @@ import pytest
 
 from eulerpoisson import cli, errors
 from eulerpoisson.cli import main
+from eulerpoisson.ode import IntegratorConfig
 
 
 def run(tmp_path, *argv):
@@ -304,6 +307,21 @@ class TestRobustness:
         assert "seed must be >= 0" in self.one_line_error(capsys)
         assert not (tmp_path / "verify.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # each was an OverflowError traceback, exit 1
+            (("liouville", "--alpha", "710"), "alpha=710.0"),
+            (("fields", "--family", "rotational", "--alpha", "710"), "alpha=710.0"),
+            (("fields", "--family", "gw", "--alpha", "1e200"), "alpha_center=1e+200"),
+            (("fields", "--family", "gw", "--alpha", "1", "--N", "400"), "N=400"),
+        ],
+    )
+    def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == 2
+        assert message in self.one_line_error(capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_gw_at_defaults_fails_before_writing(self, tmp_path, capsys):
         # alpha defaults to 0, which the gw profile rejects
         assert run(tmp_path, "fields", "--family", "gw") == 2
@@ -329,6 +347,33 @@ class TestRobustness:
 class TestIntegratorFlags:
     """Only emden, liouville and period take integrator flags, and each flag
     changes only its own field of the solver's default configuration."""
+
+    def test_flags_are_the_config_fields(self):
+        names = {f.name for f in dataclasses.fields(IntegratorConfig)}
+        assert names == {"rtol", "atol", "h_init", "max_steps"}
+        for command, sp in cli.build_parser()[1].items():
+            group = {a.dest for g in sp._action_groups if g.title == "integrator"
+                     for a in g._group_actions}
+            if command in ("emden", "liouville", "period"):
+                assert group == names
+            else:
+                assert not group and names.isdisjoint(a.dest for a in sp._actions)
+
+    def test_settable_value_count(self):
+        # every option of every subcommand, --config and --outdir included
+        settable = [a for sp in cli.build_parser()[1].values() for a in sp._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        assert len(settable) == 56
+
+    @pytest.mark.parametrize("command", ["emden", "liouville", "period"])
+    def test_h_max_is_gone(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, f"cmd_{command}", TestRobustness.must_not_run)
+        assert run(tmp_path, command, "--h-max", "0.01") == 1
+        assert "--h-max" in TestRobustness.one_line_error(capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h_max=0.01\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "unknown key 'h_max'" in TestRobustness.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv", [("fields", "--rtol", "1e-6"), ("verify", "--max-steps", "1")]

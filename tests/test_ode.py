@@ -132,8 +132,6 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             IntegratorConfig(rtol=0.0)
         with pytest.raises(DomainError):
-            IntegratorConfig(h_init=1e-3, h_max=1e-4)
-        with pytest.raises(DomainError):
             IntegratorConfig(max_steps=0)
         with pytest.raises(DomainError):
             OdeState(0.0, [math.inf])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eulerpoisson.errors import MissingGravity, StencilOutOfDomain
+from eulerpoisson.errors import DomainError, MissingGravity, StencilOutOfDomain
 from eulerpoisson.fields import (
     FieldSample,
     SwirlAnsatz,
@@ -18,7 +18,6 @@ from eulerpoisson.fields import (
 from eulerpoisson.residuals import (
     PressureLaw,
     ResidualReport,
-    StencilConfig,
     convergence_study,
     corrupt_density_offset,
     corrupt_density_scale,
@@ -37,11 +36,11 @@ G2 = PressureLaw("gamma2", K=1.0)
 
 
 def mom_x(pl):
-    return lambda f, p, c: momentum_residual(f, p, c, pl)[0]
+    return lambda f, p, h: momentum_residual(f, p, h, pl)[0]
 
 
 def mom_y(pl):
-    return lambda f, p, c: momentum_residual(f, p, c, pl)[1]
+    return lambda f, p, h: momentum_residual(f, p, h, pl)[1]
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +57,13 @@ def rot_points():
 class TestMassResidual:
     def test_static_uniform_is_machine_zero(self):
         field = lambda t, x, y: FieldSample(rho=1.0, u1=0.0, u2=0.0)
-        rep = mass_residual(field, [(0.0, 0.3, 0.4), (1.0, -1.0, 2.0)], StencilConfig(1e-3, 1e-3))
+        rep = mass_residual(field, [(0.0, 0.3, 0.4), (1.0, -1.0, 2.0)], 1e-3)
         assert rep.max_abs == 0.0
         assert rep.l2 == 0.0
 
     def test_rotational_is_discretization_error(self, rot_field, rot_points):
-        rep1 = mass_residual(rot_field, rot_points, StencilConfig(1e-3, 1e-3))
-        rep2 = mass_residual(rot_field, rot_points, StencilConfig(5e-4, 5e-4))
+        rep1 = mass_residual(rot_field, rot_points, 1e-3)
+        rep2 = mass_residual(rot_field, rot_points, 5e-4)
         assert rep1.max_abs <= 1e-5
         assert rep2.max_abs <= rep1.max_abs / 3.5  # about 4x smaller
         assert rep1.l2 <= rep1.max_abs * math.sqrt(len(rot_points))
@@ -85,7 +84,7 @@ class TestMassResidual:
 
 class TestMomentumResidual:
     def test_rotational_both_components(self, rot_field, rot_points):
-        rx, ry = momentum_residual(rot_field, rot_points, StencilConfig(1e-3, 1e-3), ISO)
+        rx, ry = momentum_residual(rot_field, rot_points, 1e-3, ISO)
         assert rx.max_abs <= 1e-5
         assert ry.max_abs <= 1e-5
         assert rx.eq_name == "momentum_x" and ry.eq_name == "momentum_y"
@@ -100,11 +99,11 @@ class TestMomentumResidual:
     def test_missing_gravity_raises(self):
         field = lambda t, x, y: FieldSample(rho=1.0, u1=0.0, u2=0.0, phi_r=None)
         with pytest.raises(MissingGravity):
-            momentum_residual(field, [(0.0, 1.0, 0.0)], StencilConfig(1e-3, 1e-3), ISO)
+            momentum_residual(field, [(0.0, 1.0, 0.0)], 1e-3, ISO)
 
     def test_zz_gamma2_without_gravity_is_fine(self, zz):
         inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
-        rx, ry = momentum_residual(inner, [(1.0, 0.3, 0.2)], StencilConfig(1e-3, 1e-3), G2)
+        rx, ry = momentum_residual(inner, [(1.0, 0.3, 0.2)], 1e-3, G2)
         assert rx.max_abs < 1e-6 and ry.max_abs < 1e-6
 
 
@@ -123,13 +122,13 @@ class TestPoissonResidual:
     def test_constant_profile_is_analytically_zero(self, rigid_rotation_field):
         # Phi_r = pi r, so (1/r)(r Phi_r)' = 2 pi = 2 pi rho exactly
         rep = poisson_residual(
-            rigid_rotation_field, [(0.5, 0.7, 0.0), (1.0, 0.0, 1.5)], StencilConfig(1e-3, 1e-3)
+            rigid_rotation_field, [(0.5, 0.7, 0.0), (1.0, 0.0, 1.5)], 1e-3
         )
         assert rep.max_abs <= 1e-9
 
     def test_solved_profile_tight_at_small_h(self, rot_field):
         pts = [(0.0, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 2.0, 0.0)]
-        rep = poisson_residual(rot_field, pts, StencilConfig(1e-4, 1e-4))
+        rep = poisson_residual(rot_field, pts, 1e-4)
         assert rep.max_abs <= 1e-6
 
     def test_gravity_scaling_breaks_it(self, rot_field, rot_points):
@@ -144,7 +143,19 @@ class TestPoissonResidual:
 
     def test_near_origin_rejected(self, rot_field):
         with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.5, x=0\.001, y=0\.0\)"):
-            poisson_residual(rot_field, [(0.5, 1e-3, 0.0)], StencilConfig(1e-3, 1e-3))
+            poisson_residual(rot_field, [(0.5, 1e-3, 0.0)], 1e-3)
+
+
+class TestStencilStep:
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("op", [mass_residual, mom_x(ISO), poisson_residual],
+                             ids=["mass", "momentum", "poisson"])
+    def test_non_positive_or_nan_step_raises(self, op, h):
+        def field(t, x, y):
+            pytest.fail("the step is checked before the field is called")
+
+        with pytest.raises(DomainError, match="stencil step must be > 0"):
+            op(field, [(0.5, 1.0, 0.0)], h)
 
 
 class TestConvergenceStudy:
@@ -169,8 +180,6 @@ class TestConvergenceStudy:
         assert not study_passes(study)
 
     def test_h_list_validation(self, rot_field):
-        from eulerpoisson.errors import DomainError
-
         with pytest.raises(DomainError):
             convergence_study(mass_residual, rot_field, [(0.5, 1, 0)], [1e-2, 5e-3])
         with pytest.raises(DomainError):
@@ -244,7 +253,7 @@ class TestZhangZhengResiduals:
         # the t - h neighbour is the first stencil point past the interface,
         # which has shrunk to r = 1.998 by then
         with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.999, x=1\.9999, y=0\.0\)"):
-            mass_residual(inner, [(1.0, ri - 1e-4, 0.0)], StencilConfig(1e-3, 1e-3))
+            mass_residual(inner, [(1.0, ri - 1e-4, 0.0)], 1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -258,37 +267,35 @@ def _report_reference(eq_name, values):
     return ResidualReport(eq_name, float(np.max(np.abs(arr))), float(np.sqrt(np.sum(arr**2))))
 
 
-def _neighbours_reference(field, t, x, y, hs, ht):
-    return (field(t + ht, x, y), field(t - ht, x, y), field(t, x + hs, y),
-            field(t, x - hs, y), field(t, x, y + hs), field(t, x, y - hs))
+def _neighbours_reference(field, t, x, y, h):
+    return (field(t + h, x, y), field(t - h, x, y), field(t, x + h, y),
+            field(t, x - h, y), field(t, x, y + h), field(t, x, y - h))
 
 
-def _mass_reference(field, pts, cfg):
-    hs, ht = cfg.h_space, cfg.h_time
+def _mass_reference(field, pts, h):
     vals = []
     for t, x, y in pts:
-        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours_reference(field, t, x, y, hs, ht)
-        rho_t = (s_tp.rho - s_tm.rho) / (2 * ht)
-        flux_x = (s_xp.rho * s_xp.u1 - s_xm.rho * s_xm.u1) / (2 * hs)
-        flux_y = (s_yp.rho * s_yp.u2 - s_ym.rho * s_ym.u2) / (2 * hs)
+        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours_reference(field, t, x, y, h)
+        rho_t = (s_tp.rho - s_tm.rho) / (2 * h)
+        flux_x = (s_xp.rho * s_xp.u1 - s_xm.rho * s_xm.u1) / (2 * h)
+        flux_y = (s_yp.rho * s_yp.u2 - s_ym.rho * s_ym.u2) / (2 * h)
         vals.append(rho_t + flux_x + flux_y)
     return _report_reference("mass", vals)
 
 
-def _momentum_reference(field, pts, cfg, pressure):
-    hs, ht = cfg.h_space, cfg.h_time
+def _momentum_reference(field, pts, h, pressure):
     vals_x, vals_y = [], []
     for t, x, y in pts:
         s0 = field(t, x, y)
-        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours_reference(field, t, x, y, hs, ht)
-        u1_t = (s_tp.u1 - s_tm.u1) / (2 * ht)
-        u2_t = (s_tp.u2 - s_tm.u2) / (2 * ht)
-        u1_x = (s_xp.u1 - s_xm.u1) / (2 * hs)
-        u2_x = (s_xp.u2 - s_xm.u2) / (2 * hs)
-        u1_y = (s_yp.u1 - s_ym.u1) / (2 * hs)
-        u2_y = (s_yp.u2 - s_ym.u2) / (2 * hs)
-        p_x = (pressure(s_xp.rho) - pressure(s_xm.rho)) / (2 * hs)
-        p_y = (pressure(s_yp.rho) - pressure(s_ym.rho)) / (2 * hs)
+        s_tp, s_tm, s_xp, s_xm, s_yp, s_ym = _neighbours_reference(field, t, x, y, h)
+        u1_t = (s_tp.u1 - s_tm.u1) / (2 * h)
+        u2_t = (s_tp.u2 - s_tm.u2) / (2 * h)
+        u1_x = (s_xp.u1 - s_xm.u1) / (2 * h)
+        u2_x = (s_xp.u2 - s_xm.u2) / (2 * h)
+        u1_y = (s_yp.u1 - s_ym.u1) / (2 * h)
+        u2_y = (s_yp.u2 - s_ym.u2) / (2 * h)
+        p_x = (pressure(s_xp.rho) - pressure(s_xm.rho)) / (2 * h)
+        p_y = (pressure(s_yp.rho) - pressure(s_ym.rho)) / (2 * h)
         grav_x = grav_y = 0.0
         if s0.phi_r is not None:
             r = math.hypot(x, y)
@@ -302,16 +309,15 @@ def _momentum_reference(field, pts, cfg, pressure):
     return _report_reference("momentum_x", vals_x), _report_reference("momentum_y", vals_y)
 
 
-def _poisson_reference(field, pts, cfg):
-    hs = cfg.h_space
+def _poisson_reference(field, pts, h):
     vals = []
     for t, x, y in pts:
         r = math.hypot(x, y)
         ex, ey = x / r, y / r
         s0 = field(t, x, y)
-        s_p = field(t, x + hs * ex, y + hs * ey)
-        s_m = field(t, x - hs * ex, y - hs * ey)
-        d_rphi = ((r + hs) * s_p.phi_r - (r - hs) * s_m.phi_r) / (2 * hs)
+        s_p = field(t, x + h * ex, y + h * ey)
+        s_m = field(t, x - h * ex, y - h * ey)
+        d_rphi = ((r + h) * s_p.phi_r - (r - h) * s_m.phi_r) / (2 * h)
         vals.append(d_rphi / r - 2 * math.pi * s0.rho)
     return _report_reference("poisson", vals)
 
@@ -326,14 +332,13 @@ class TestBatchedEqualsPerPointReference:
 
     def check(self, field, pts, pressure, gravity):
         for h in H_LIST:
-            cfg = StencilConfig(h, h)
-            self.assert_same(mass_residual(field, pts, cfg), _mass_reference(field, pts, cfg))
-            for got, want in zip(momentum_residual(field, pts, cfg, pressure),
-                                 _momentum_reference(field, pts, cfg, pressure)):
+            self.assert_same(mass_residual(field, pts, h), _mass_reference(field, pts, h))
+            for got, want in zip(momentum_residual(field, pts, h, pressure),
+                                 _momentum_reference(field, pts, h, pressure)):
                 self.assert_same(got, want)
             if gravity:
-                self.assert_same(poisson_residual(field, pts, cfg),
-                                 _poisson_reference(field, pts, cfg))
+                self.assert_same(poisson_residual(field, pts, h),
+                                 _poisson_reference(field, pts, h))
 
     def test_rotational(self, rot_field, rot_points):
         self.check(rot_field, rot_points, ISO, gravity=True)
