@@ -102,7 +102,11 @@ def gw_series_coefficient(p: GWParams) -> float:
     except OverflowError:
         raise DomainError(f"alpha_center={p.alpha_center} overflows "
                           f"alpha_center^(N/(N-2)) at N={p.N}") from None
-    return (forcing - gravity) / (2 * p.N)
+    c = (forcing - gravity) / (2 * p.N)
+    if not math.isfinite(c):
+        raise DomainError(f"the center series coefficient overflows at "
+                          f"alpha_center={p.alpha_center}, N={p.N}, K={p.K}, lam={p.lam}")
+    return c
 
 
 def solve_gw_profile(
@@ -133,7 +137,11 @@ def solve_gw_profile(
             return (math.nan, math.nan)
         return (y[1], forcing - grav * f**power - nm1 * y[1] / s)
 
-    start = OdeState(s0, np.array([p.alpha_center + c * s0 * s0, 2 * c * s0]))
+    f0 = p.alpha_center + c * s0 * s0
+    if not f0 > 0:
+        raise DomainError(f"alpha_center={p.alpha_center} puts the profile's zero inside "
+                          f"the center series, before s0={s0}")
+    start = OdeState(s0, np.array([f0, 2 * c * s0]))
     run = _run_to_touchdown(rhs, start, s_cap, cfg or PROFILE_CONFIG)
     return GWProfile(p, run.trajectory, s0, c, run.touchdown_time)
 

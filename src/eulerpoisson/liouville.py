@@ -57,9 +57,13 @@ class LiouvilleParams:
 def series_coefficient(p: LiouvilleParams) -> float:
     """Quadratic coefficient of the center expansion f = alpha + c*s^2."""
     try:
-        return (p.lam - math.pi * math.exp(p.alpha)) / (2 * p.K)
+        c = (p.lam - math.pi * math.exp(p.alpha)) / (2 * p.K)
     except OverflowError:
         raise DomainError(f"alpha={p.alpha} overflows e^alpha") from None
+    if not math.isfinite(c):
+        raise DomainError(f"the center series coefficient overflows at alpha={p.alpha}, "
+                          f"K={p.K}, lam={p.lam}")
+    return c
 
 
 class SeriesProfile:
@@ -188,11 +192,11 @@ _GK_W = np.concatenate([_WGK[:-1][::-1], _WGK[::-1]])
 def _panel_mass(traj: Trajectory, i: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """2*pi * integral_a^b e^f(tau) tau dtau for each [a, b] inside segment i,
     by one 15-point Kronrod panel on the segment's dense output."""
-    ts, ys, fs, r5 = traj.ts, traj.ys, traj.fs, traj.r5
+    ts, ys, fs, cont = traj.ts, traj.ys, traj.fs, traj.cont
     half = 0.5 * (b - a)[:, None]
     tau = 0.5 * (a + b)[:, None] + half * _GK_X
     f = _dense(tau, ts[i, None], ts[i + 1, None], ys[i, 0, None], ys[i + 1, 0, None],
-               fs[i, 0, None], fs[i + 1, 0, None], r5[i, 0, None])
+               fs[i, 0, None], fs[i + 1, 0, None], cont[i, 0, None])
     return 2 * math.pi * np.sum(_GK_W * np.exp(f) * tau, axis=1) * half[:, 0]
 
 

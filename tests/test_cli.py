@@ -112,9 +112,10 @@ class TestPeriodCommand:
         assert sim["chunks"] >= 1
         counts = sim["integrator"]
         assert counts["accepted"] > 0
-        # one initial rhs call per chunk, then 6 per attempted step
+        # one initial rhs call per chunk, 11 per attempted step, then the
+        # FSAL and three dense-output stages per accepted step
         attempts = counts["accepted"] + counts["rejected"]
-        assert counts["rhs_calls"] == sim["chunks"] + 6 * attempts
+        assert counts["rhs_calls"] == sim["chunks"] + 11 * attempts + 4 * counts["accepted"]
 
 
 class TestVerifyCommand:
@@ -315,6 +316,10 @@ class TestRobustness:
             (("fields", "--family", "rotational", "--alpha", "710"), "alpha=710.0"),
             (("fields", "--family", "gw", "--alpha", "1e200"), "alpha_center=1e+200"),
             (("fields", "--family", "gw", "--alpha", "1", "--N", "400"), "N=400"),
+            # each exited 2 with a message that named no parameter
+            (("liouville", "--alpha", "709"), "alpha=709.0"),
+            (("fields", "--family", "rotational", "--alpha", "709"), "alpha=709.0"),
+            (("fields", "--family", "gw", "--alpha", "1e100"), "alpha_center=1e+100"),
         ],
     )
     def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):
@@ -429,6 +434,7 @@ class TestIntegratorCounters:
         assert raw == (tmp_path / "b" / report_name).read_bytes()
         counts = json.loads(raw)["integrator"]
         assert counts["accepted"] > 0
-        # no stage is ever non-finite on these runs: 6 rhs calls per attempt
+        # no stage is ever non-finite on these runs: 11 rhs calls per
+        # attempt and 4 more per accepted step
         attempts = counts["accepted"] + counts["rejected"]
-        assert counts["rhs_calls"] == 1 + 6 * attempts
+        assert counts["rhs_calls"] == 1 + 11 * attempts + 4 * counts["accepted"]

@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eulerpoisson.emden import (
+    PERIOD_CONFIG,
     EmdenParams,
     OrbitClass,
     classify,
@@ -274,6 +277,16 @@ class TestIntegrateScale:
         )
         th = energy_level(unit_orbit)
         assert energy_drift(run.trajectory, unit_orbit) <= 1e-8 * max(1.0, abs(th))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(lam=st.floats(0.25, 4.0), xi=st.floats(0.25, 4.0), a0=st.floats(0.5, 2.0),
+           a1=st.floats(-2.5, 2.5))
+    def test_energy_is_conserved_over_the_orbits_box(self, lam, xi, a0, a1):
+        # the box of the benchmark's orbits workload, wide orbits included
+        p = EmdenParams(lam, xi, a0, a1)
+        assume(classify(p) is not OrbitClass.STEADY)
+        run = integrate_scale(p, 20.0, PERIOD_CONFIG)
+        assert energy_drift(run.trajectory, p) / max(1.0, abs(energy_level(p))) <= 1e-9
 
     def test_confinement_to_turning_points(self, unit_orbit):
         run = integrate_scale(

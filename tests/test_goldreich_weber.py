@@ -21,7 +21,7 @@ from eulerpoisson.goldreich_weber import (
     unit_ball_volume,
 )
 from eulerpoisson.liouville import PROFILE_CONFIG
-from eulerpoisson.ode import EventSpec, OdeState, detect_events, integrate, quad_singular
+from eulerpoisson.ode import quad_singular
 
 # offline fixed-step reference for the first zero at N=3, lam=0, K=1, alpha=1
 S_MU_REFERENCE = 3.8911301
@@ -69,6 +69,16 @@ class TestProfile:
         p = GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0)
         assert gw_series_coefficient(p) == pytest.approx(-math.pi / 6, rel=1e-15)
 
+    def test_series_coefficient_that_overflows_names_alpha_center(self):
+        # alpha_center^3 is finite, pi times it is not
+        with pytest.raises(DomainError, match="alpha_center=5e"):
+            gw_series_coefficient(GWParams(N=3, K=1.0, lam=0.0, alpha_center=5e102))
+
+    def test_zero_inside_the_center_series_names_alpha_center(self):
+        # the series term at s0 is -5e287: the zero lies before s0
+        with pytest.raises(DomainError, match="alpha_center=1e"):
+            solve_gw_profile(GWParams(N=3, K=1.0, lam=1.0, alpha_center=1e100))
+
     def test_balanced_forcing_gives_constant_profile(self):
         alpha_c = 1.3
         lam = alpha_const(3) * alpha_c**3 / 3.0
@@ -104,20 +114,36 @@ class TestProfile:
 
 
 def _clamped_reference_s_mu(p: GWParams, s_cap: float = 100.0) -> float | None:
-    """First falling zero of f from one integration to s_cap in which the
-    right-hand side clamps f < 0 to 0, located on the dense output."""
+    """First falling zero of f by scipy's DOP853, with a right-hand side that
+    clamps f < 0 to 0; independent of the package's stepper.
+
+    A first pass locates the zero; a second pass from 2% before it, with
+    steps of at most 1e-4 of it, locates it again on short steps.
+    """
+    import scipy.integrate as scipy_integrate  # a test dependency, never skipped
+
     power, denom = p.N / (p.N - 2), (2 * p.N - 2) * p.K
     forcing, grav = p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
     c, s0 = gw_series_coefficient(p), 1e-6
 
     def rhs(s, y):
         f = max(y[0], 0.0)
-        return (y[1], forcing - grav * f**power - (p.N - 1) * y[1] / s)
+        return [y[1], forcing - grav * f**power - (p.N - 1) * y[1] / s]
 
-    start = OdeState(s0, [p.alpha_center + c * s0 * s0, 2 * c * s0])
-    traj = integrate(rhs, start, s_cap, PROFILE_CONFIG)
-    zeros = detect_events(traj, EventSpec(lambda s, y: y[0], "falling", 1e-13))
-    return zeros[0] if zeros else None
+    def zero(s, y):
+        return y[0]
+
+    zero.terminal, zero.direction = True, -1
+    tight = dict(method="DOP853", rtol=1e-13, atol=1e-15, events=zero)
+    first = scipy_integrate.solve_ivp(
+        rhs, (s0, s_cap), [p.alpha_center + c * s0 * s0, 2 * c * s0],
+        dense_output=True, **tight)
+    if not first.t_events[0].size:
+        return None
+    z = float(first.t_events[0][0])
+    again = scipy_integrate.solve_ivp(
+        rhs, (0.98 * z, s_cap), first.sol(0.98 * z), max_step=1e-4 * z, **tight)
+    return float(again.t_events[0][0])
 
 
 def _count_calls(monkeypatch, fn) -> list:

@@ -49,6 +49,13 @@ class TestSolveProfile:
         c = series_coefficient(LiouvilleParams(K=2.0, lam=1.0, alpha=0.0))
         assert c == pytest.approx((1.0 - math.pi) / 4.0, rel=1e-15)
 
+    @pytest.mark.parametrize("K,alpha,names", [(1.0, 709.0, "alpha=709.0"),
+                                               (1e-310, 0.0, "K=1e-310")])
+    def test_series_coefficient_that_overflows_names_its_parameters(self, K, alpha, names):
+        # e^709 is finite, pi * e^709 is not
+        with pytest.raises(DomainError, match=names):
+            series_coefficient(LiouvilleParams(K=K, lam=1.0, alpha=alpha))
+
     @pytest.mark.parametrize("K,alpha", [(1.0, 0.0), (2.0, 0.5)])
     def test_zero_gravity_support_closed_form(self, K, alpha):
         prof = solve_profile(LiouvilleParams(K=K, lam=0.0, alpha=alpha), 20.0)

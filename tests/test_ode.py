@@ -27,6 +27,8 @@ from eulerpoisson.ode import (
     _A,
     _C,
     _D,
+    _E3,
+    _E5,
     _EVENT_SUBSAMPLES,
     EventSpec,
     IntegratorConfig,
@@ -193,16 +195,18 @@ class TestStepper:
         assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
 
     def test_profile_node_count_is_stable(self):
-        # guards the step controller: 1,907 nodes here with no step cap
-        # (4,031 when a 0.005 cap made up for a cubic-Hermite dense output)
+        # guards the step controller: 188 DOP853 nodes here (1,907 with the
+        # DP5 pair, 4,031 when a 0.005 cap made up for a cubic-Hermite
+        # dense output)
         prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
-        assert abs(prof.traj.n_nodes - 1907) <= 0.01 * 1907
+        assert abs(prof.traj.n_nodes - 188) <= 0.01 * 188
 
     def test_stats_on_normal_run(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0)
         st = traj.stats
         assert st.accepted == traj.n_nodes - 1
-        assert st.rhs_calls == 1 + 6 * (st.accepted + st.rejected)
+        # 11 calls per attempt, then the FSAL and three dense-output stages
+        assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
 
     @pytest.mark.parametrize(
         "rhs,t_sing",
@@ -221,8 +225,9 @@ class TestStepper:
         st = halt.trajectory.stats
         assert st.rejected > 0
         assert st.accepted == halt.trajectory.n_nodes - 1
-        # a stage that raises stops the attempt, so calls fall short of 6 each
-        assert 1 < st.rhs_calls < 1 + 6 * (st.accepted + st.rejected)
+        # a stage that raises stops the attempt, so calls fall short of
+        # 11 per attempt and 4 more per accepted step
+        assert 1 < st.rhs_calls < 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
 
     def test_hand_built_trajectory_has_zero_stats(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 1.0)
@@ -451,7 +456,8 @@ def _old_hermite(t, t0, t1, y0, y1, f0, f1):
 
 
 class TestDenseOutput:
-    """The Dormand-Prince continuous extension: Hermite plus s^2 (1-s)^2 * r5."""
+    """DOP853's continuous extension: the Hermite plus
+    w^2 (r0 + s (r1 + (1-s) (r2 + s r3))), w = s (1-s)."""
 
     @pytest.fixture(scope="class")
     def traj(self):
@@ -459,21 +465,32 @@ class TestDenseOutput:
             scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), OdeState(0.0, [1.0, 1.0]), 20.0
         )
 
-    def test_matches_scipy_rk45_dense_output(self):
+    def test_tableau_is_scipys(self):
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert _C == tuple(coeffs.C)
+        for i, row in enumerate(_A):
+            assert row == tuple(coeffs.A[i, :i])
+        # the FSAL stage carries no error weight
+        assert _E5 == tuple(coeffs.E5[:12]) and coeffs.E5[12] == 0.0
+        assert _E3 == tuple(coeffs.E3[:12]) and coeffs.E3[12] == 0.0
+        assert np.array_equal(np.array(_D), coeffs.D)
+
+    def test_matches_scipy_dop853_dense_output(self):
         scipy_integrate = pytest.importorskip("scipy.integrate")
         rhs = scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0))
-        solver = scipy_integrate.RK45(
+        solver = scipy_integrate.DOP853(
             lambda t, y: np.array(rhs(t, tuple(y))), 0.0, np.array([1.0, 1.0]), 20.0,
             rtol=1e-6, atol=1e-9,
         )
         for _ in range(20):
             t0, y0 = solver.t, solver.y.copy()
             assert solver.step() is None
-            h = solver.t - t0
-            r5 = h * solver.K.T @ np.array(_D)
-            seg = Trajectory([t0, solver.t], [y0, solver.y], [solver.K[0], solver.K[-1]], [r5])
             inside = np.linspace(t0, solver.t, 11)[1:-1]
+            # dense_output() evaluates the three extra stages into K_extended
             ref = solver.dense_output()(inside).T
+            h, k = solver.t - t0, solver.K_extended
+            cont = (h * np.array(_D) @ k).T[None]
+            seg = Trajectory([t0, solver.t], [y0, solver.y], [k[0], k[12]], cont)
             assert np.abs(seg.evaluate(inside) - ref).max() <= 1e-14 * np.abs(ref).max()
             # the plain Hermite is far off on these long steps
             hermite = Trajectory(seg.ts, seg.ys, seg.fs).evaluate(inside)
@@ -481,39 +498,44 @@ class TestDenseOutput:
 
     def test_rows_follow_the_accepted_steps_through_rejections(self):
         # a coarse first step and loose tolerances make the controller reject
-        traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 30.0,
+        rhs = lambda t, y: np.array(scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0))(t, tuple(y)))
+        traj = integrate(rhs, OdeState(0.0, [1.0, 1.0]), 30.0,
                          IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=0.5))
         assert traj.stats.rejected > 20
-        assert traj.r5.shape == (traj.n_nodes - 1, 2)
+        assert traj.cont.shape == (traj.n_nodes - 1, 2, 4)
         for i in range(traj.n_nodes - 1):
             t, y, h = traj.ts[i], traj.ys[i], traj.ts[i + 1] - traj.ts[i]
-            k = [rhs_harmonic(t, y)]  # one reference step from the module's tableau
+            k = [rhs(t, y)]  # one reference step from the module's tableau
             for c, a in zip(_C[1:], _A[1:]):
-                k.append(rhs_harmonic(t + c * h, y + h * sum(aj * kj for aj, kj in zip(a, k))))
-            ref = h * sum(d * kj for d, kj in zip(_D, k))
-            assert np.abs(traj.r5[i] - ref).max() <= 1e-14 * h
+                k.append(rhs(t + c * h, y + h * sum(aj * kj for aj, kj in zip(a, k))))
+            ref = h * np.array(_D) @ np.array(k)
+            # roundoff: the rows sum terms with weights up to 527, and the
+            # stage inputs weights up to 43, in another order than integrate
+            scale = h * np.abs(np.array(_D)) @ np.abs(np.array(k))
+            assert np.all(np.abs(traj.cont[i] - ref.T) <= 1e-14 * scale.T)
             assert np.abs(ref).max() > 1e-10
 
-    def test_a_failed_error_norm_leaves_no_partial_row(self):
-        # atol = 0 with a component that stays 0: the norm divides by zero
-        # after the first component's r5 entry was made, so every attempt fails
+    def test_a_failed_error_norm_leaves_no_row(self):
+        # atol = 0 with a component that stays 0: the norm divides by zero,
+        # so every attempt fails and no step adds continuation rows
         with pytest.raises(StepUnderflow) as excinfo:
             integrate(lambda t, y: (-y[0], 0.0), OdeState(0.0, [1.0, 0.0]), 1.0,
                       IntegratorConfig(atol=0.0))
         halt = excinfo.value.trajectory
-        assert halt.stats.rejected > 0 and halt.r5.shape == (0, 2)
+        assert halt.stats.rejected > 0 and halt.cont.shape == (0, 2, 4)
+        assert halt.stats.rhs_calls == 1 + 11 * halt.stats.rejected
 
-    def test_without_r5_is_the_cubic_hermite(self, traj):
+    def test_without_cont_is_the_cubic_hermite(self, traj):
         plain = Trajectory(traj.ts, traj.ys, traj.fs)
-        assert not plain.r5.any() and plain.r5.shape == (traj.n_nodes - 1, 2)
+        assert not plain.cont.any() and plain.cont.shape == (traj.n_nodes - 1, 2, 4)
         i = np.arange(traj.n_nodes - 1)
         mid = 0.5 * (traj.ts[:-1] + traj.ts[1:])
         ref = _old_hermite(mid[:, None], traj.ts[i, None], traj.ts[i + 1, None],
                            traj.ys[i], traj.ys[i + 1], traj.fs[i], traj.fs[i + 1])
         assert np.array_equal(plain.evaluate(mid), ref)
 
-    @pytest.mark.parametrize("shape", [(3, 2), (2, 1), (2,), (2, 2, 1)])
-    def test_bad_r5_shape_raises(self, shape):
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 4), (2, 1, 4), (2, 2, 3), (2, 2, 4, 1)])
+    def test_bad_cont_shape_raises(self, shape):
         with pytest.raises(DomainError):
             Trajectory([0.0, 1.0, 2.0], np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(shape))
 
