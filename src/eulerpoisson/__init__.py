@@ -53,7 +53,6 @@ from .liouville import (
     solve_profile,
 )
 from .ode import (
-    EventSpec,
     IntegratorConfig,
     IntegratorStats,
     OdeState,

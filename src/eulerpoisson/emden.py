@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NotPeriodic, StateBlowup, StepUnderflow
 from .ode import (
-    EventSpec,
     IntegratorConfig,
     IntegratorStats,
     OdeState,
@@ -60,6 +59,8 @@ class EmdenParams:
             raise DomainError("all parameters must be finite")
         if not self.a0 > 0:
             raise DomainError("a0 must be > 0")
+        if self.xi * self.xi == 0 != self.xi:
+            raise DomainError(f"xi={self.xi} underflows xi^2 to 0, losing the centrifugal term")
 
 
 class OrbitClass(enum.Enum):
@@ -116,7 +117,10 @@ def potential(a: float, p: EmdenParams) -> float:
 
 def energy_level(p: EmdenParams) -> float:
     """Conserved energy theta = a1^2/2 + lam*ln(a0) + xi^2/(2 a0^2)."""
-    return p.a1 * p.a1 / 2 + potential(p.a0, p)
+    theta = p.a1 * p.a1 / 2 + potential(p.a0, p)
+    if not math.isfinite(theta):
+        raise DomainError(f"the energy level overflows at {p}")
+    return theta
 
 
 def equilibrium_radius(p: EmdenParams) -> float:
@@ -186,7 +190,10 @@ def turning_points(p: EmdenParams) -> TurningPoints:
                 b, gb = m, gm
         root = 0.5 * (a + b)
         for _ in range(3):  # Newton polish, kept inside the bracket
-            dv = p.lam / root - p.xi * p.xi / root**3
+            try:
+                dv = p.lam / root - p.xi * p.xi / root**3
+            except OverflowError:
+                raise DomainError(f"the turning point a={root} overflows a^3 at {p}") from None
             if dv == 0:
                 break
             step = g(root) / dv
@@ -252,7 +259,6 @@ def period_by_simulation(
         raise NotPeriodic("period is defined only for periodic orbits")
     cfg = cfg or PERIOD_CONFIG
     rhs = scale_rhs(p)
-    spec = EventSpec(lambda t, y: y[1], direction="falling", refine_tol=1e-12)
 
     chunk = 4.0 * linearized_period(p)
     state = OdeState(0.0, np.array([p.a0, p.a1]))
@@ -261,9 +267,8 @@ def period_by_simulation(
     for chunks in range(1, _PERIOD_MAX_CHUNKS + 1):
         traj = integrate(rhs, state, state.t + chunk, cfg)
         stats += traj.stats
-        for t_ev in detect_events(traj, spec):
-            if not events or t_ev - events[-1] > 1e-9 * chunk:
-                events.append(t_ev)
+        # chunks meet at a node, where the finder reports a zero only once
+        events.extend(detect_events(traj, 1))
         if len(events) >= _PERIOD_EVENTS_NEEDED:
             break
         state = OdeState(traj.t_end, traj.y_end)

@@ -11,13 +11,13 @@ extension (section II.6), so a run makes 1 + 11*attempts + 4*accepted rhs
 calls.  Accepted steps store the state and derivative at both ends plus
 four continuation rows, so the trajectory supports dense output, post-hoc
 event location, and exact (bitwise) reproduction of node states.  Dense
-output comes one time at a time (`Trajectory.state_at`) or for a whole
-array of times at once (`Trajectory.evaluate`); both use the same kernel.
-Event location evaluates the event function once on a subsample grid of
-every segment, so an event function takes `(t, y)` with t of shape (S,)
-and y of shape (n, S) (`y[k]` selects component k) as well as scalar t
-with a 1-D y.  Each trajectory carries the integrator's work counters in
-`Trajectory.stats`.
+output is one kernel, `Trajectory.evaluate`, for an array of times at once;
+`Trajectory.state_at` is the same call on a single time.  Event location,
+`detect_events(traj, k)`, finds the falling zeros of component k on the
+dense output: it brackets them on an 8-point subsample grid of every
+segment, with y[k] > 0 at one sample and y[k] <= 0 at the next, and
+refines all brackets together to a width of 1e-12 * max(1, |t|).  Each
+trajectory carries the integrator's work counters in `Trajectory.stats`.
 
 Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
 for smooth integrands, and `quad_singular`, which first applies the
@@ -43,7 +43,6 @@ from .errors import (
 )
 
 RhsFn = Callable[[float, tuple[float, ...]], Sequence[float]]
-EventFn = Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
 
 # Fixed guards for abnormal termination.  Blowup is detected, never
 # integrated through; persistent step rejection near a singularity ends in
@@ -172,30 +171,6 @@ class IntegratorStats(NamedTuple):
         return IntegratorStats(*map(sum, zip(self, other)))
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """A scalar crossing condition evaluated along a trajectory.
-
-    event_fn(t, y) is called on whole sample grids, with t of shape (S,) and
-    y of shape (n, S), and on single points, with scalar t and y of shape
-    (n,); `y[k]` is component k either way.  A scalar return means the same
-    value at every sample.
-
-    direction: 'rising' detects sign changes - to +, 'falling' + to -,
-    'any' both.
-    """
-
-    event_fn: EventFn
-    direction: str = "any"
-    refine_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.direction not in ("rising", "falling", "any"):
-            raise DomainError("direction must be rising, falling, or any")
-        if not self.refine_tol > 0:
-            raise DomainError("refine_tol must be > 0")
-
-
 class Trajectory:
     """Accepted integration nodes plus the DOP853 dense output.
 
@@ -242,30 +217,16 @@ class Trajectory:
     def n_nodes(self) -> int:
         return len(self.ts)
 
-    def _segment_index(self, t: float) -> int:
-        if not (self.ts[0] <= t <= self.ts[-1]):  # NaN fails too
-            raise DomainError(
-                f"t={t} outside trajectory range [{self.ts[0]}, {self.ts[-1]}]"
-            )
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        return min(max(i, 0), len(self.ts) - 2) if len(self.ts) > 1 else 0
-
     def state_at(self, t: float) -> np.ndarray:
-        """Dense state at time t (bitwise equal to node states at nodes)."""
-        i = self._segment_index(t)
-        if t == self.ts[i]:
-            return self.ys[i].copy()
-        if t == self.ts[i + 1]:
-            return self.ys[i + 1].copy()
-        ts, ys, fs = self.ts, self.ys, self.fs
-        return _dense(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1], self.cont[i])
+        """Dense state at the single time t: `evaluate` on a scalar."""
+        return self.evaluate(t)
 
     def evaluate(self, ts) -> np.ndarray:
         """Dense states at the times `ts` (any shape), shape ts.shape + (n,).
 
-        One searchsorted and one kernel evaluation for all times; every
-        value equals `state_at` bitwise, so node times give the stored node
-        states.  Raises DomainError when a time is outside [t_start, t_end].
+        One searchsorted and one kernel evaluation for all times; node times
+        give the stored node states bitwise.  Raises DomainError when a time
+        is outside [t_start, t_end] or NaN.
         """
         t = np.asarray(ts, dtype=float)
         nodes = self.ts
@@ -486,73 +447,51 @@ def integrate(
 # ----------------------------------------------------------------------
 
 _EVENT_SUBSAMPLES = 8
+# a root is located once its bracket is at most this wide, relative to |t| past 1
+_EVENT_RTOL = 1e-12
 
 
-def detect_events(traj: Trajectory, spec: EventSpec) -> list[float]:
-    """Times where the event function crosses zero along the trajectory.
+def detect_events(traj: Trajectory, k: int) -> np.ndarray:
+    """Times where component k of the dense output falls through zero, ascending.
 
-    Every segment of the dense output is subsampled at the same time: the
-    event function is called once on the whole (segments x subsamples) grid,
-    with t of shape (S,) and y of shape (n, S).  Sign changes are bracketed,
-    and only the bracketed pairs are refined, with scalar calls, by a
-    bisection/secant hybrid to spec.refine_tol.  Results are sorted and
-    deduplicated, so repeated calls on the same trajectory return identical
-    times.
+    Every segment is subsampled on 8 points, all evaluated in one call.  A
+    bracket is a pair of adjacent samples with y[k] > 0 at the first and
+    y[k] <= 0 at the second; an exact zero at the second is the root itself.
+    By that half-open rule a zero on a node or on the last time is reported
+    once and a zero on the first time never, so trajectories that continue
+    one another report a zero where they meet once in total.  All brackets
+    are refined together, one `evaluate` call per round, by regula falsi
+    with the Illinois modification, until each is at most
+    tol = 1e-12 * max(1, |t|) wide; the root is then its midpoint.  Every
+    round shrinks a bracket by at least tol/4, so the refinement ends.
     """
-    g = lambda t: float(spec.event_fn(t, traj.state_at(t)))
-    times: list[float] = []
-    if traj.n_nodes > 1:
-        grid = np.linspace(traj.ts[:-1], traj.ts[1:], _EVENT_SUBSAMPLES, axis=1)
-        flat = grid.ravel()
-        vals = np.asarray(spec.event_fn(flat, traj.evaluate(flat).T), dtype=float)
-        vals = np.broadcast_to(vals, flat.shape).reshape(grid.shape)
-        lo, hi = vals[:, :-1], vals[:, 1:]
-        hits = (lo == 0) | (lo * hi < 0)
-        brackets = zip(grid[:, :-1][hits].tolist(), lo[hits].tolist(),
-                       grid[:, 1:][hits].tolist(), hi[hits].tolist())
-        for ta, ga, tb, gb in brackets:
-            if ga == 0.0:
-                dirn = "falling" if gb < 0 else "rising" if gb > 0 else None
-                if dirn is not None and spec.direction in ("any", dirn):
-                    times.append(ta)
-            else:
-                dirn = "falling" if ga > 0 else "rising"
-                if spec.direction in ("any", dirn):
-                    times.append(_refine_crossing(g, ta, ga, tb, gb, spec.refine_tol))
-    # trailing endpoint zero (interior node zeros are the 'ga == 0' case)
-    tl = traj.ts[-1]
-    if traj.n_nodes > 1 and g(tl) == 0.0:
-        gprev = g(tl - min(spec.refine_tol, (tl - traj.ts[0]) * 1e-6))
-        dirn = "falling" if gprev > 0 else "rising" if gprev < 0 else None
-        if dirn is not None and spec.direction in ("any", dirn):
-            times.append(float(tl))
-
-    times.sort()
-    span = traj.t_end - traj.t_start
-    merged: list[float] = []
-    for t in times:
-        if not merged or t - merged[-1] > max(10 * spec.refine_tol, 1e-14 * span):
-            merged.append(t)
-    return merged
-
-
-def _refine_crossing(g, ta, ga, tb, gb, tol, max_iter=200):
-    """Bracketed root of g on [ta, tb]: secant proposal, bisection fallback."""
-    for _ in range(max_iter):
-        if tb - ta <= tol:
-            break
-        tm = tb - gb * (tb - ta) / (gb - ga)
-        margin = 0.1 * (tb - ta)
-        if not (ta + margin <= tm <= tb - margin):
-            tm = 0.5 * (ta + tb)
-        gm = g(tm)
-        if gm == 0.0:
-            return float(tm)
-        if (ga > 0) == (gm > 0):
-            ta, ga = tm, gm
-        else:
-            tb, gb = tm, gm
-    return float(0.5 * (ta + tb))
+    if traj.n_nodes < 2:
+        return np.empty(0)
+    grid = np.linspace(traj.ts[:-1], traj.ts[1:], _EVENT_SUBSAMPLES, axis=1)
+    g = traj.evaluate(grid)[..., k]
+    hit = (g[:, :-1] > 0) & (g[:, 1:] <= 0)
+    ta, tb, ga, gb = grid[:, :-1][hit], grid[:, 1:][hit], g[:, :-1][hit], g[:, 1:][hit]
+    exact = gb == 0
+    moved = np.full(len(ta), -1)  # 1: the last round moved the left end, 0: the right
+    tol = lambda t: _EVENT_RTOL * np.maximum(1.0, np.abs(t))
+    wide = lambda i: i[tb[i] - ta[i] > tol(tb[i])]
+    live = wide(np.flatnonzero(~exact))
+    while live.size:
+        a, b, fa, fb = ta[live], tb[live], ga[live], gb[live]
+        # a proposal stays tol/4 inside the bracket, so an end already on the
+        # root closes it in one round; fmax/fmin send a NaN (0/0) to a + tol/4
+        d = 0.25 * tol(b)
+        tm = np.fmin(np.fmax(b - fb * (b - a) / (fb - fa), a + d), b - d)
+        gm = traj.evaluate(tm)[:, k]
+        left = gm > 0
+        # Illinois: an end kept for a second round running has its value halved
+        half = np.where(moved[live] == left, 0.5, 1.0)
+        moved[live] = left
+        ta[live], ga[live] = np.where(left, tm, a), np.where(left, gm, half * fa)
+        tb[live], gb[live] = np.where(left, b, tm), np.where(left, half * fb, gm)
+        exact[live] = gm == 0
+        live = wide(live[gm != 0])
+    return np.where(exact, tb, 0.5 * (ta + tb))
 
 
 # ----------------------------------------------------------------------

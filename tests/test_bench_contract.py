@@ -62,6 +62,18 @@ def test_tracer_counts_state_at(tracing):
     assert ode.Trajectory.state_at is original
 
 
+def test_tracer_sees_the_event_finder(tracing, tmp_path):
+    # the segment count reads the trajectory from detect_events' first argument
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["period", "--outdir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["ode.detect_events"]["calls"] >= 1
+    assert tracer.counts["segments"] > 0
+
+
 def test_convergence_study_takes_the_field_second():
     params = list(inspect.signature(residuals.convergence_study).parameters)
     assert params[1] == "field"

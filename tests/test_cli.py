@@ -320,6 +320,15 @@ class TestRobustness:
             (("liouville", "--alpha", "709"), "alpha=709.0"),
             (("fields", "--family", "rotational", "--alpha", "709"), "alpha=709.0"),
             (("fields", "--family", "gw", "--alpha", "1e100"), "alpha_center=1e+100"),
+            # each was a ZeroDivisionError or OverflowError traceback, exit 1: theta
+            # overflows, xi^2 underflows, a turning point's cube overflows
+            (("period", "--lam", "1", "--xi", "0.3", "--a0", "0.3", "--a1", "1e300"), "a1=1e+300"),
+            (("emden", "--lam", "1e10", "--xi", "1e-300", "--a0", "1e10", "--a1", "700"),
+             "xi=1e-300"),
+            (("period", "--lam", "1e10", "--xi", "1e-300", "--a0", "1e10", "--a1", "700"),
+             "xi=1e-300"),
+            (("emden", "--lam", "1e-300", "--xi", "1e10", "--a0", "1e300", "--a1", "1e-300"),
+             "a0=1e+300"),
         ],
     )
     def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):

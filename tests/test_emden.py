@@ -84,6 +84,17 @@ class TestEnergyAndPotential:
         with pytest.raises(DomainError):
             equilibrium_radius(EmdenParams(1.0, 0.0, 1.0, 0.0))
 
+    def test_unrepresentable_orbits_raise_domain_errors(self):
+        # xi^2 underflows to 0 (a subnormal square is kept); theta overflows;
+        # the cube of a turning point overflows in its Newton polish
+        with pytest.raises(DomainError, match="xi=1e-300"):
+            EmdenParams(1e10, 1e-300, 1e10, 700.0)
+        assert EmdenParams(1.0, 1e-161, 1.0, 0.0).xi == 1e-161
+        with pytest.raises(DomainError, match=r"a1=1e\+300"):
+            energy_level(EmdenParams(1.0, 0.3, 0.3, 1e300))
+        with pytest.raises(DomainError, match=r"overflows a\^3"):
+            turning_points(EmdenParams(1e-300, 1e10, 1e300, 1e-300))
+
 
 def _golden_minimize(f, lo, hi, iters=200):
     phi = (math.sqrt(5.0) - 1) / 2
@@ -213,15 +224,16 @@ class TestPeriods:
 
     def test_extrema_alternate_and_repeat_with_period(self, unit_orbit, tight_cfg):
         from eulerpoisson.emden import scale_rhs
-        from eulerpoisson.ode import EventSpec, OdeState, detect_events, integrate
+        from eulerpoisson.ode import OdeState, Trajectory, detect_events, integrate
 
         T = period_by_quadrature(unit_orbit).T
         traj = integrate(
             scale_rhs(unit_orbit), OdeState(0.0, np.array([1.0, 1.0])),
             2.6 * T, tight_cfg,
         )
-        maxima = detect_events(traj, EventSpec(lambda t, y: y[1], "falling"))
-        minima = detect_events(traj, EventSpec(lambda t, y: y[1], "rising"))
+        maxima = detect_events(traj, 1)
+        # minima: a' rises through zero, so -a' falls; negating the data is exact
+        minima = detect_events(Trajectory(traj.ts, -traj.ys, -traj.fs, -traj.cont), 1)
         merged = sorted([(t, "max") for t in maxima] + [(t, "min") for t in minima])
         kinds = [k for _, k in merged]
         assert len(merged) >= 5

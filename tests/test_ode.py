@@ -21,7 +21,7 @@ from eulerpoisson.emden import (
     scale_rhs,
     turning_points,
 )
-from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
+from eulerpoisson.goldreich_weber import GWParams, alpha_const, solve_gw_profile
 from eulerpoisson.liouville import LiouvilleParams, solve_profile
 from eulerpoisson.ode import (
     _A,
@@ -29,13 +29,10 @@ from eulerpoisson.ode import (
     _D,
     _E3,
     _E5,
-    _EVENT_SUBSAMPLES,
-    EventSpec,
     IntegratorConfig,
     IntegratorStats,
     OdeState,
     Trajectory,
-    _refine_crossing,
     detect_events,
     integrate,
     quad_adaptive,
@@ -264,139 +261,222 @@ def _touchdown_reference_rk4(h):
     return t + a / math.sqrt(-2.0 * math.log(a))
 
 
+def _negated(traj):
+    """The trajectory of -y: exact, because the dense kernel is linear in its
+    data, so its falling zeros are the rising zeros of the original."""
+    return Trajectory(traj.ts, -traj.ys, -traj.fs, -traj.cont)
+
+
+def _shifted(traj, level):
+    """The trajectory of y[0] - level: the Hermite weights of the end states
+    sum to one, so a constant shift of the states shifts the dense output."""
+    return Trajectory(traj.ts, traj.ys - [level, 0.0], traj.fs, traj.cont)
+
+
+def _rising_or_falling(traj, k):
+    """Zeros of component k in both directions, ascending."""
+    return np.sort(np.concatenate([detect_events(traj, k), detect_events(_negated(traj), k)]))
+
+
+def _scipy_zeros(rhs, t0, y0, t1, k, direction, level=0.0):
+    """Zeros of y[k] - level on (t0, t1] in the given direction (-1 falling,
+    1 rising, 0 both), located by scipy's DOP853 and its own event search on
+    its own dense output: an oracle independent of the package's stepper and
+    zero finder."""
+    import scipy.integrate as scipy_integrate  # a test dependency, never skipped
+
+    def event(t, y):
+        return y[k] - level
+
+    event.direction = direction
+    sol = scipy_integrate.solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-13,
+                                    atol=1e-15, events=event)
+    return sol.t_events[0]
+
+
+def _counting(evaluate, calls):
+    """Trajectory.evaluate that appends to `calls` once per call and fails
+    past 60 calls, so a refinement that crawls fails instead of hanging."""
+
+    def counted(self, ts):
+        calls.append(1)
+        assert len(calls) <= 60, "more than 60 evaluate calls"
+        return evaluate(self, ts)
+
+    return counted
+
+
+def _assert_matches(found, oracle):
+    assert len(found) == len(oracle), (found, oracle)
+    assert np.all(np.abs(found - oracle) <= 1e-10 * np.abs(oracle)), (found, oracle)
+
+
+def _harmonic_from_half():
+    # y[0] = sin(t), with the first zero well after the start
+    y0 = [math.sin(0.5), math.cos(0.5)]
+    traj = integrate(rhs_harmonic, OdeState(0.5, y0), 10.0,
+                     IntegratorConfig(rtol=1e-12, atol=1e-14))
+    return traj, y0
+
+
 class TestEvents:
     def test_sine_zero_falling(self):
         traj = integrate(
             rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 7.0,
             IntegratorConfig(rtol=1e-12, atol=1e-14),
         )
-        events = detect_events(traj, EventSpec(lambda t, y: y[0], "falling"))
+        events = detect_events(traj, 0)
         assert len(events) == 1
         assert events[0] == pytest.approx(math.pi, abs=1e-8)
 
     def test_direction_filter(self):
-        traj = integrate(
-            rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 10.0,
-            IntegratorConfig(rtol=1e-12, atol=1e-14),
-        )
-        rising = detect_events(traj, EventSpec(lambda t, y: y[0], "rising"))
-        falling = detect_events(traj, EventSpec(lambda t, y: y[0], "falling"))
-        both = detect_events(traj, EventSpec(lambda t, y: y[0], "any"))
-        # sin zeros: 0 (rising), pi (falling), 2pi (rising), 3pi (falling)
-        assert [pytest.approx(v, abs=1e-8) for v in rising] == [0.0, 2 * math.pi]
+        traj, _ = _harmonic_from_half()
+        # sin zeros: pi (falling), 2pi (rising), 3pi (falling)
+        falling = detect_events(traj, 0)
+        rising = detect_events(_negated(traj), 0)
+        assert np.array_equal(_negated(traj).evaluate(traj.ts[:5] + 0.1),
+                              -traj.evaluate(traj.ts[:5] + 0.1))
         assert [pytest.approx(v, abs=1e-8) for v in falling] == [math.pi, 3 * math.pi]
-        assert len(both) == 4
+        assert [pytest.approx(v, abs=1e-8) for v in rising] == [2 * math.pi]
+        assert len(_rising_or_falling(traj, 0)) == 3
 
-    def test_constant_event_fn_yields_nothing(self):
+    def test_positive_component_yields_nothing(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 5.0)
-        assert detect_events(traj, EventSpec(lambda t, y: 1.0, "any")) == []
+        assert detect_events(_shifted(traj, -2.0), 0).size == 0
 
     def test_idempotent(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 20.0)
-        spec = EventSpec(lambda t, y: y[0], "any")
-        assert detect_events(traj, spec) == detect_events(traj, spec)
+        assert np.array_equal(detect_events(traj, 0), detect_events(traj, 0))
 
+    @pytest.mark.parametrize("r", [0.3123456789, 1e5 + 0.3123456789])
+    def test_linear_zero_in_two_rounds(self, r, monkeypatch):
+        # regula falsi lands on the zero of a line; the next proposal is kept
+        # a quarter of the tolerance inside the bracket, which closes it
+        ts = np.array([r - 0.3123, r + 0.7])
+        traj = Trajectory(ts, (r - ts)[:, None], -np.ones((2, 1)))
+        calls = []
+        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        (root,) = detect_events(traj, 0)
+        assert len(calls) <= 3
+        assert abs(root - r) <= 1e-12 * r
 
-def _detect_events_reference(traj, spec):
-    """detect_events as a scalar loop: eight state_at calls per segment.
-
-    This was the implementation before the event function was evaluated on
-    all segments at once; the vectorised one must return the same times,
-    bit for bit.
-    """
-    g = lambda t: float(spec.event_fn(t, traj.state_at(t)))
-    times = []
-    for i in range(traj.n_nodes - 1):
-        a, b = traj.ts[i], traj.ts[i + 1]
-        samples = np.linspace(a, b, _EVENT_SUBSAMPLES)
-        vals = [g(t) for t in samples]
-        for (ta, ga), (tb, gb) in zip(
-            zip(samples, vals), zip(samples[1:], vals[1:])
-        ):
-            if ga == 0.0:
-                dirn = "falling" if gb < 0 else "rising" if gb > 0 else None
-                if dirn is not None and spec.direction in ("any", dirn):
-                    times.append(float(ta))
-            elif ga * gb < 0:
-                dirn = "falling" if ga > 0 else "rising"
-                if spec.direction in ("any", dirn):
-                    times.append(_refine_crossing(g, ta, ga, tb, gb, spec.refine_tol))
-    tl = traj.ts[-1]
-    if traj.n_nodes > 1 and g(tl) == 0.0:
-        gprev = g(tl - min(spec.refine_tol, (tl - traj.ts[0]) * 1e-6))
-        dirn = "falling" if gprev > 0 else "rising" if gprev < 0 else None
-        if dirn is not None and spec.direction in ("any", dirn):
-            times.append(float(tl))
-    times.sort()
-    span = traj.t_end - traj.t_start
-    merged = []
-    for t in times:
-        if not merged or t - merged[-1] > max(10 * spec.refine_tol, 1e-14 * span):
-            merged.append(t)
-    return merged
-
-
-def _assert_matches_reference(traj, spec):
-    events = detect_events(traj, spec)
-    assert events == _detect_events_reference(traj, spec)
-    return events
-
-
-class TestEventsMatchScalarReference:
-    @pytest.mark.parametrize("direction", ["any", "rising", "falling"])
-    def test_harmonic_oscillator(self, direction):
-        traj = integrate(
-            rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 10.0,
-            IntegratorConfig(rtol=1e-12, atol=1e-14),
-        )
-        for fn in (lambda t, y: y[0], lambda t, y: y[1]):
-            events = _assert_matches_reference(traj, EventSpec(fn, direction))
-            assert events
-
-    @pytest.mark.parametrize("p", _ACCEPTANCE_03_ORBITS, ids=str)
-    def test_acceptance_03_orbits_chunked_like_period_by_simulation(self, p):
-        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
-        spec = EventSpec(lambda t, y: y[1], direction="falling", refine_tol=1e-12)
-        chunk = 4.0 * linearized_period(p)
-        state = OdeState(0.0, np.array([p.a0, p.a1]))
-        found = 0
-        while found < 4:
-            traj = integrate(scale_rhs(p), state, state.t + chunk, cfg)
-            found += len(_assert_matches_reference(traj, spec))
-            state = OdeState(traj.t_end, traj.y_end)
-
-    def test_goldreich_weber_profile(self):
-        prof = solve_gw_profile(GWParams(N=3, K=1.0, lam=-0.25, alpha_center=1.0))
-        assert prof.s_mu is not None
-        # the solver's own zero spec, and a level crossed inside the support
-        _assert_matches_reference(prof.traj, EventSpec(lambda s, y: y[0], "falling", 1e-13))
-        for direction in ("any", "falling"):
-            spec = EventSpec(lambda s, y: y[0] - 0.5, direction, refine_tol=1e-13)
-            assert _assert_matches_reference(prof.traj, spec)
-
-    @pytest.mark.parametrize("direction", ["any", "rising", "falling"])
-    def test_event_exactly_on_a_node(self, direction):
-        traj = integrate(rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 5.0)
-        k = traj.n_nodes // 2
-        t_node, level = float(traj.ts[k]), float(traj.ys[k, 0])
-        assert traj.ys[k, 1] < 0  # y[0] = sin(t) is falling through the node
-        # each function is exactly zero at the node: one through t, one through y
-        for fn, dirn in ((lambda t, y: t - t_node, "rising"),
-                         (lambda t, y: y[0] - level, "falling")):
-            events = _assert_matches_reference(traj, EventSpec(fn, direction))
-            assert (t_node in events) == (direction in ("any", dirn))
-
-    @pytest.mark.parametrize("direction", ["any", "rising", "falling"])
-    def test_trajectory_ending_on_a_zero(self, direction):
-        traj = integrate(rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 5.0)
-        t_end = traj.t_end
-        events = _assert_matches_reference(traj, EventSpec(lambda t, y: t - t_end, direction))
-        assert events == ([] if direction == "falling" else [t_end])
+    def test_triple_zero_in_few_rounds(self, monkeypatch):
+        # the cubic Hermite is exact on -(t - r)^3, which is flat at its zero:
+        # plain regula falsi keeps one end and crawls, the Illinois halving does not
+        r = 0.3
+        ts = np.linspace(r - 0.7, r + 1.3, 3)
+        traj = Trajectory(ts, -((ts - r) ** 3)[:, None], -3 * ((ts - r) ** 2)[:, None])
+        calls = []
+        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        (root,) = detect_events(traj, 0)
+        assert root == pytest.approx(r, abs=1e-5)
 
     def test_single_node_trajectory_has_no_events(self):
-        traj = Trajectory([0.0], [[1.0, 0.0]], [[0.0, -1.0]])
-        spec = EventSpec(lambda t, y: y[0] - 1.0, "any")
-        assert _assert_matches_reference(traj, spec) == []
+        traj = Trajectory([0.0], [[-1.0, 0.0]], [[0.0, -1.0]])
+        assert detect_events(traj, 0).size == 0
+
+
+class TestEventsMatchScipyOracle:
+    """Falling zeros against scipy's DOP853 event location (direction=-1) at
+    rtol 1e-13, to 1e-10 relative; rising ones through the negated trajectory."""
+
+    @pytest.mark.parametrize("direction", [-1, 1, 0], ids=["falling", "rising", "any"])
+    def test_harmonic_oscillator(self, direction):
+        traj, y0 = _harmonic_from_half()
+        for k, first in ((0, math.pi), (1, 0.5 * math.pi)):
+            found = {-1: detect_events(traj, k), 1: detect_events(_negated(traj), k),
+                     0: _rising_or_falling(traj, k)}[direction]
+            oracle = _scipy_zeros(rhs_harmonic, 0.5, y0, traj.t_end, k, direction)
+            _assert_matches(found, oracle)
+            # the zeros of sin and cos are k pi and pi/2 + k pi
+            assert np.allclose((found - first) / math.pi, np.round((found - first) / math.pi),
+                               rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p", _ACCEPTANCE_03_ORBITS, ids=str)
+    def test_acceptance_03_orbits_chunked_like_period_by_simulation(self, p, monkeypatch):
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
+        chunk = 4.0 * linearized_period(p)
+        state = OdeState(0.0, np.array([p.a0, p.a1]))
+        found, calls = [], []
+        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        while len(found) < 4:
+            traj = integrate(scale_rhs(p), state, state.t + chunk, cfg)
+            calls.clear()
+            found.extend(detect_events(traj, 1))
+            # the grid and a few rounds (at most 4 measured; bisection alone
+            # takes about 30 from the grid's brackets to 1e-12 |t|)
+            assert len(calls) <= 8
+            state = OdeState(traj.t_end, traj.y_end)
+        monkeypatch.undo()
+        oracle = _scipy_zeros(scale_rhs(p), 0.0, [p.a0, p.a1], state.t, 1, -1)
+        _assert_matches(np.array(found), oracle)
+
+    def test_goldreich_weber_level_crossing(self):
+        p = GWParams(N=3, K=1.0, lam=-0.25, alpha_center=1.0)
+        prof = solve_gw_profile(p)
+        assert prof.s_mu is not None
+        power, denom = p.N / (p.N - 2), (2 * p.N - 2) * p.K
+        forcing, grav = p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
+
+        def rhs(s, y):
+            return [y[1], forcing - grav * max(y[0], 0.0) ** power - (p.N - 1) * y[1] / s]
+
+        traj = _shifted(prof.traj, 0.5)
+        for direction, found in ((-1, detect_events(traj, 0)),
+                                 (1, detect_events(_negated(traj), 0))):
+            oracle = _scipy_zeros(rhs, traj.t_start, prof.traj.ys[0], prof.s_mu, 0,
+                                  direction, level=0.5)
+            _assert_matches(found, oracle)
+        assert len(detect_events(traj, 0)) == 1
+
+
+class TestHalfOpenBrackets:
+    """A bracket is y > 0 at one sample and y <= 0 at the next, so a zero on
+    a sample is reported once, at the end where it is reached."""
+
+    @pytest.fixture(scope="class")
+    def on_node(self):
+        traj, _ = _harmonic_from_half()
+        k = int(np.flatnonzero((traj.ts > 2.0) & (traj.ys[:, 1] < 0))[0])
+        assert 0 < k < traj.n_nodes - 1
+        # sin(t) - sin(t_k) falls through zero exactly on node k
+        return _shifted(traj, float(traj.ys[k, 0])), k
+
+    def test_zero_on_an_interior_node_is_reported_once(self, on_node):
+        traj, k = on_node
+        events = detect_events(traj, 0)
+        assert list(events).count(traj.ts[k]) == 1
+        assert np.sum(np.abs(events - traj.ts[k]) < 1e-3) == 1
+
+    def test_trajectory_ending_on_a_falling_zero_reports_it_once(self, on_node):
+        traj, k = on_node
+        head = Trajectory(traj.ts[:k + 1], traj.ys[:k + 1], traj.fs[:k + 1], traj.cont[:k])
+        events = detect_events(head, 0)
+        assert events[-1] == head.t_end
+        assert np.sum(np.abs(events - head.t_end) < 1e-3) == 1
+
+    def test_chunks_meeting_at_a_zero_report_it_once(self, on_node):
+        traj, k = on_node
+        head = Trajectory(traj.ts[:k + 1], traj.ys[:k + 1], traj.fs[:k + 1], traj.cont[:k])
+        tail = Trajectory(traj.ts[k:], traj.ys[k:], traj.fs[k:], traj.cont[k:])
+        assert tail.ys[0, 0] == 0.0 and detect_events(tail, 0)[0] > tail.t_start
+        both = np.concatenate([detect_events(head, 0), detect_events(tail, 0)])
+        assert np.array_equal(both, detect_events(traj, 0))
+
+    def test_zero_near_1e5_stops_on_a_relative_width(self, monkeypatch):
+        t0 = 1e5
+        traj = integrate(rhs_harmonic, OdeState(t0, [0.0, 1.0]), t0 + 7.0,
+                         IntegratorConfig(rtol=1e-12, atol=1e-14))
+        calls = []
+        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        (root,) = detect_events(traj, 0)
+        monkeypatch.undo()
+        # an absolute 1e-12 stop cannot be met where ulp(t) > 1e-12; bisection
+        # alone would take about 20 rounds from the grid to this width
+        assert len(calls) <= 10
+        width = 1e-12 * root
+        assert traj.evaluate(root - width)[0] > 0 >= traj.evaluate(root + width)[0]
+        assert root == pytest.approx(t0 + math.pi, abs=1e-7)
 
 
 class TestEvaluate:
