@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, emden, fields, goldreich_weber, liouville, verify
 from .errors import DomainError, EulerPoissonError, NoCompactSupport, OutOfRange, OutsideRegion
-from .ode import IntegratorConfig
+from .ode import TIGHT_CONFIG, IntegratorConfig
 
 
 def _fmt(v) -> str:
@@ -44,10 +44,15 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write the header and rows; a row that raises a package error leaves no file."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    except EulerPoissonError:
+        path.unlink()
+        raise
 
 
 def _write_json(path: Path, obj) -> None:
@@ -119,7 +124,6 @@ def _add_integrator(sp: argparse.ArgumentParser) -> None:
     group = sp.add_argument_group("integrator")
     group.add_argument("--rtol", type=finite_float, help="relative tolerance")
     group.add_argument("--atol", type=finite_float, help="absolute tolerance")
-    group.add_argument("--h-init", dest="h_init", type=finite_float, help="initial step")
     group.add_argument("--max-steps", dest="max_steps", type=int, help="step budget")
 
 
@@ -303,7 +307,7 @@ def cmd_emden(args) -> int:
 
 def cmd_liouville(args) -> int:
     p = liouville.LiouvilleParams(K=args.K, lam=args.lam, alpha=args.alpha)
-    cfg = _integrator_config(args, liouville.PROFILE_CONFIG)
+    cfg = _integrator_config(args, TIGHT_CONFIG)
     prof = liouville.solve_profile(p, args.s_max, cfg)
 
     s = prof.grid
@@ -327,20 +331,16 @@ def cmd_liouville(args) -> int:
 
 def _sample_rows(args, times, ev, skip):
     """CSV rows of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2 inside
-    the disk.  A grid with no point in the disk, or a time outside the family's domain,
-    raises here, before any row is made.  Rows come one call per time; if that call raises
-    `skip` (a region boundary crosses the disk), the time's points are sampled one by one,
-    leaving out those that raise it."""
+    the disk; a grid with no point in the disk raises here.  Rows come one call per time; if
+    that call raises `skip` (a region boundary crosses the disk), the time's points are
+    sampled one by one, leaving out those that raise it.  A bad time must raise another error."""
     grid = np.meshgrid(np.linspace(-args.rmax, args.rmax, args.nx),
                        np.linspace(-args.rmax, args.rmax, args.ny), indexing="ij")
     x, y = (g[np.hypot(*grid) <= args.rmax] for g in grid)
     if not x.size:
         raise DomainError(f"no point of the {args.nx}x{args.ny} grid lies in the disk "
                           f"of radius {args.rmax}")
-    times = times.tolist()
-    for t in times:
-        ev(t, x[:0], y[:0])  # on no point, only a bad time raises
-    return _grid_rows(times, x, y, ev, skip)
+    return _grid_rows(times.tolist(), x, y, ev, skip)
 
 
 def _grid_rows(times, x, y, ev, skip):
@@ -364,6 +364,7 @@ def _fields_rows_rotational(args, xi: float):
         a0=args.a0, a1=args.a1, t_max=args.t1,
     )
     times = np.linspace(args.t0, min(args.t1, sol.scale.t_end), args.nt)
+    sol.scale.evaluate(times)  # a time outside the solved range raises DomainError here
     ev = functools.partial(fields.eval_rotational, sol)
     return _sample_rows(args, times, ev, OutOfRange)
 
@@ -411,7 +412,7 @@ def cmd_fields(args) -> int:
 
 def cmd_period(args) -> int:
     p = emden.EmdenParams(lam=args.lam, xi=args.xi, a0=args.a0, a1=args.a1)
-    cfg = _integrator_config(args, emden.PERIOD_CONFIG)
+    cfg = _integrator_config(args, TIGHT_CONFIG)
     tq = emden.period_by_quadrature(p)
     ts = emden.period_by_simulation(p, cfg)
     report = {

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NotPeriodic, StateBlowup, StepUnderflow
 from .ode import (
+    TIGHT_CONFIG,
     IntegratorConfig,
     IntegratorStats,
     OdeState,
@@ -112,7 +113,10 @@ def potential(a: float, p: EmdenParams) -> float:
     """Effective potential lam*ln(a) + xi^2/(2 a^2)."""
     if not a > 0:
         raise DomainError("potential requires a > 0")
-    return p.lam * math.log(a) + p.xi * p.xi / (2 * a * a)
+    try:
+        return p.lam * math.log(a) + p.xi * p.xi / (2 * a * a)
+    except ZeroDivisionError:  # a nonzero subnormal xi^2 can put a_min where a^2 underflows
+        raise DomainError(f"a={a} underflows a^2 to 0 in the potential at {p}") from None
 
 
 def energy_level(p: EmdenParams) -> float:
@@ -242,12 +246,9 @@ def linearized_period(p: EmdenParams) -> float:
 
 _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles
 _PERIOD_MAX_CHUNKS = 64
-PERIOD_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
 
-def period_by_simulation(
-    p: EmdenParams, cfg: IntegratorConfig | None = None
-) -> PeriodEstimate:
+def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = TIGHT_CONFIG) -> PeriodEstimate:
     """Orbit period timed from falling a'=0 events of a simulated trajectory.
 
     The trajectory is extended in chunks until four maxima of a(t) are
@@ -257,7 +258,6 @@ def period_by_simulation(
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
-    cfg = cfg or PERIOD_CONFIG
     rhs = scale_rhs(p)
 
     chunk = 4.0 * linearized_period(p)
@@ -284,7 +284,7 @@ def period_by_simulation(
 
 
 def integrate_scale(
-    p: EmdenParams, t_end: float, cfg: IntegratorConfig | None = None
+    p: EmdenParams, t_end: float, cfg: IntegratorConfig = IntegratorConfig()
 ) -> ScaleRun:
     """Trajectory of (a, a') on [0, t_end], stopping cleanly at touchdown.
 
@@ -296,9 +296,7 @@ def integrate_scale(
     return _run_to_touchdown(scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
 
 
-def _run_to_touchdown(
-    rhs, start: OdeState, t_end: float, cfg: IntegratorConfig | None
-) -> ScaleRun:
+def _run_to_touchdown(rhs, start: OdeState, t_end: float, cfg: IntegratorConfig) -> ScaleRun:
     """Integrate (y, y') from `start` to t_end, stopping where y reaches zero.
 
     The callers (the 2D and the Goldreich-Weber scale factor, and the
@@ -311,7 +309,6 @@ def _run_to_touchdown(
     """
     if not t_end > start.t:
         raise DomainError(f"t_end must be > {start.t:g}")
-    cfg = cfg or IntegratorConfig()
     try:
         return ScaleRun(trajectory=integrate(rhs, start, t_end, cfg), touchdown_time=None)
     except (StepUnderflow, StateBlowup) as halt:

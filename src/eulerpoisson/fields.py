@@ -32,7 +32,7 @@ import numpy as np
 from .emden import EmdenParams, integrate_scale
 from .errors import DomainError, OutOfRange, OutsideRegion, raise_where
 from .liouville import LiouvilleParams, LiouvilleProfile, enclosed_mass, solve_profile
-from .ode import IntegratorConfig, Trajectory
+from .ode import TIGHT_CONFIG, Trajectory
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,18 @@ class RotSolution2D:
             raise DomainError("scale and profile must share the same lam")
 
 
-# scale-factor integration behind every rotational solution
-SCALE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4)
-
-
 def build_rotational(
     lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float
 ) -> RotSolution2D:
-    """Solve the profile (to s = 20, at its default configuration) and the
-    scale factor (at SCALE_CONFIG) and bundle them for evaluation.
+    """Solve the profile (to s = 20) and the scale factor, both at
+    TIGHT_CONFIG, and bundle them for evaluation.
 
     xi = 0 is allowed and yields the non-rotating family; with lam > 0 that
     trajectory ends at its finite touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
     profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), 20.0)
-    run = integrate_scale(emden_p, t_max, SCALE_CONFIG)
+    run = integrate_scale(emden_p, t_max, TIGHT_CONFIG)
     return RotSolution2D(
         emden=emden_p,
         profile=profile,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .emden import ScaleRun, _run_to_touchdown
 from .errors import DomainError, NoCompactSupport, NonRealPower, raise_where
-from .liouville import _S0_DEFAULT, PROFILE_CONFIG, SeriesProfile
-from .ode import IntegratorConfig, OdeState, Trajectory
+from .liouville import _S0_DEFAULT, SeriesProfile
+from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Trajectory
 
 S_CAP_DEFAULT = 100.0
 
@@ -110,12 +110,10 @@ def gw_series_coefficient(p: GWParams) -> float:
 
 
 def solve_gw_profile(
-    p: GWParams,
-    cfg: IntegratorConfig | None = None,
-    s_cap: float = S_CAP_DEFAULT,
+    p: GWParams, cfg: IntegratorConfig = TIGHT_CONFIG, s_cap: float = S_CAP_DEFAULT
 ) -> GWProfile:
-    """Integrate the profile outward from the center series (at PROFILE_CONFIG
-    by default) to its first zero s_mu, the support radius.
+    """Integrate the profile outward from the center series to its first
+    zero s_mu, the support radius.
 
     The right-hand side is NaN where f < 0, where the fractional power
     leaves the reals, so the zero is a touchdown of `_run_to_touchdown`:
@@ -142,13 +140,11 @@ def solve_gw_profile(
         raise DomainError(f"alpha_center={p.alpha_center} puts the profile's zero inside "
                           f"the center series, before s0={s0}")
     start = OdeState(s0, np.array([f0, 2 * c * s0]))
-    run = _run_to_touchdown(rhs, start, s_cap, cfg or PROFILE_CONFIG)
+    run = _run_to_touchdown(rhs, start, s_cap, cfg)
     return GWProfile(p, run.trajectory, s0, c, run.touchdown_time)
 
 
-def integrate_gw_scale(
-    p: GWParams, t_end: float, cfg: IntegratorConfig | None = None
-) -> ScaleRun:
+def integrate_gw_scale(p: GWParams, t_end: float) -> ScaleRun:
     """Trajectory of the scale factor under a'' = -lam / a^(N-1).
 
     For lam > 0 the collapse reaches a = 0 in finite time; like the 2D case
@@ -162,7 +158,7 @@ def integrate_gw_scale(
             return (math.nan, math.nan)
         return (y[1], -lam / a**nm1)
 
-    return _run_to_touchdown(rhs, OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
+    return _run_to_touchdown(rhs, OdeState(0.0, np.array([p.a0, p.a1])), t_end, IntegratorConfig())
 
 
 def gw_density(prof: GWProfile, a, r):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRange, raise_where
 from .ode import (
+    TIGHT_CONFIG,
     IntegratorConfig,
     OdeState,
     Trajectory,
@@ -34,9 +35,6 @@ from .ode import (
 )
 
 _S0_DEFAULT = 1e-6
-
-# solve_profile's default
-PROFILE_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14, h_init=1e-4)
 
 
 @dataclass(frozen=True)
@@ -152,12 +150,11 @@ class LiouvilleProfile(SeriesProfile):
 
 
 def solve_profile(
-    p: LiouvilleParams, s_max: float, cfg: IntegratorConfig | None = None
+    p: LiouvilleParams, s_max: float, cfg: IntegratorConfig = TIGHT_CONFIG
 ) -> LiouvilleProfile:
     """Integrate the profile from the series start at s0 = 1e-6 out to s_max."""
     if not s_max > 0:
         raise DomainError("s_max must be > 0")
-    cfg = cfg or PROFILE_CONFIG
     s0 = min(_S0_DEFAULT, 0.5 * s_max)
     c = series_coefficient(p)
     y0 = np.array([p.alpha + c * s0 * s0, 2 * c * s0])

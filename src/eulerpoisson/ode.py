@@ -8,7 +8,10 @@ sequence of floats of the same length.  A step costs 11 rhs calls before
 its error check; an accepted one adds the derivative at the new point
 (FSAL) and three stages for the stepper's own 7th-order continuous
 extension (section II.6), so a run makes 1 + 11*attempts + 4*accepted rhs
-calls.  Accepted steps store the state and derivative at both ends plus
+calls.  The first step is Hairer's first estimate (section II.4), 0.01 *
+|y0| / |k1| with both norms in the error norm's scale atol + rtol*|y0|, or
+1e-6 when either norm is below 1e-5; it costs no rhs call and stops at
+t_end.  Accepted steps store the state and derivative at both ends plus
 four continuation rows, so the trajectory supports dense output, post-hoc
 event location, and exact (bitwise) reproduction of node states.  Dense
 output is one kernel, `Trajectory.evaluate`, for an array of times at once;
@@ -40,6 +43,7 @@ from .errors import (
     StateBlowup,
     StepBudgetExceeded,
     StepUnderflow,
+    raise_where,
 )
 
 RhsFn = Callable[[float, tuple[float, ...]], Sequence[float]]
@@ -146,7 +150,6 @@ class IntegratorConfig:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_init: float = 1e-3
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -154,10 +157,12 @@ class IntegratorConfig:
             raise DomainError("rtol must be > 0")
         if not self.atol >= 0:
             raise DomainError("atol must be >= 0")
-        if not self.h_init > 0:
-            raise DomainError("h_init must be > 0")
         if not self.max_steps > 0:
             raise DomainError("max_steps must be > 0")
+
+
+# the tight tolerances of the period, profile and rotational scale-factor solves
+TIGHT_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
 
 class IntegratorStats(NamedTuple):
@@ -226,14 +231,12 @@ class Trajectory:
 
         One searchsorted and one kernel evaluation for all times; node times
         give the stored node states bitwise.  Raises DomainError when a time
-        is outside [t_start, t_end] or NaN.
+        is outside [t_start, t_end] or NaN, naming the first such time.
         """
         t = np.asarray(ts, dtype=float)
         nodes = self.ts
-        if not np.all((t >= nodes[0]) & (t <= nodes[-1])):
-            raise DomainError(
-                f"times outside trajectory range [{nodes[0]}, {nodes[-1]}]"
-            )
+        raise_where(~((t >= nodes[0]) & (t <= nodes[-1])), DomainError,
+                    f"times outside trajectory range [{nodes[0]}, {nodes[-1]}]", t=t)
         if len(nodes) == 1:
             return np.broadcast_to(self.ys[0], t.shape + self.ys.shape[1:]).copy()
         i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
@@ -263,8 +266,19 @@ def _dense(t, t0, t1, y0, y1, f0, f1, cont):
     )
 
 
+def _first_step(y: Sequence[float], k1: Sequence[float], span: float, cfg: IntegratorConfig):
+    """Hairer's first estimate 0.01 * |y| / |k1| in the scale atol + rtol*|y|, where a
+    component of scale 0 counts in neither norm; 1e-6 when either norm is below 1e-5 or
+    the quotient is no positive number (an overflowed norm); at most `span`."""
+    sc = [cfg.atol + cfg.rtol * abs(u) for u in y]
+    d0 = math.hypot(*[u / s for u, s in zip(y, sc) if s])
+    d1 = math.hypot(*[p / s for p, s in zip(k1, sc) if s])
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 0.0
+    return min(h if h > 0.0 else 1e-6, span)
+
+
 def integrate(
-    rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig | None = None
+    rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from y0.t to t_end with adaptive DOP853 steps.
 
@@ -284,7 +298,6 @@ def integrate(
         StateBlowup: a component passed the 1e300 overflow guard.
         StepUnderflow: the step fell below 1e-14 * max(1, |t|).
     """
-    cfg = config or IntegratorConfig()
     t = float(y0.t)
     if not t_end > t:
         raise DomainError("t_end must exceed the initial time")
@@ -334,8 +347,8 @@ def integrate(
     a161, _, _, _, _, a166, a167, a168, a169, _, _, _, a1613, a1614, a1615 = _A[15]
     er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12 = _E5
     eh1, _, _, _, _, eh6, eh7, eh8, eh9, eh10, eh11, eh12 = _E3
-    atol, rtol, max_steps = cfg.atol, cfg.rtol, cfg.max_steps
-    h = min(cfg.h_init, t_end - t)
+    atol, rtol, max_steps = config.atol, config.rtol, config.max_steps
+    h = _first_step(y, k1, t_end - t, config)
     while t < t_end:
         if h < STEP_UNDERFLOW_REL * max(1.0, abs(t)):
             raise StepUnderflow(f"step size {h:.3e} underflowed at t={t!r}", t, make_traj())

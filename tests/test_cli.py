@@ -64,10 +64,6 @@ class TestLiouvilleCommand:
     def test_invalid_range_exits_2(self, tmp_path):
         assert run(tmp_path, "liouville", "--s-max", "-5") == 2
 
-    def test_h_init_alone_runs(self, tmp_path):
-        # the default configuration has no step cap for --h-init to exceed
-        assert run(tmp_path, "liouville", "--h-init", "0.01") == 0
-
 
 class TestFieldsCommand:
     @pytest.mark.parametrize("family", ["rotational", "yuen", "zz-inner", "zz-outer"])
@@ -214,6 +210,15 @@ class TestRobustness:
         assert run(tmp_path, "liouville", "--K", "1e-300") == 2
         assert "underflowed" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("atol", ["0", "1e-300"])
+    @pytest.mark.parametrize("command", ["emden", "liouville", "period"])
+    def test_vanishing_tolerances_exit_2(self, tmp_path, capsys, command, atol):
+        # the first step stays finite and positive however small the error scale
+        argv = (command, "--rtol", "1e-300", "--atol", atol, "--max-steps", "2000")
+        assert run(tmp_path, *argv) == 2
+        assert "underflowed" in self.one_line_error(capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_negative_samples_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "emden", "--samples", "-1") == 1
         assert "--samples" in self.one_line_error(capsys)
@@ -280,6 +285,11 @@ class TestRobustness:
             (("--family", "rotational", "--t0", "-1"), "t=-1.0"),
             (("--family", "zz-inner", "--t0", "-1", "--t1", "1"), "t=-1.0"),
             (("--nx", "1", "--ny", "1"), "no point of the 1x1 grid"),
+            # a time outside the domain on every family
+            (("--family", "yuen", "--t0", "-1"), "t=-1.0"),
+            (("--family", "zz-inner", "--t0", "0", "--t1", "1"), "t=0.0"),
+            (("--family", "zz-outer", "--t0", "1", "--t1", "-1"), "t=-1.0"),
+            (("--family", "gw", "--alpha", "1", "--lam", "0", "--t0", "-1"), "t=-1.0"),
         ],
     )
     def test_fields_drop_no_time_or_grid(self, tmp_path, capsys, argv, message):
@@ -329,6 +339,12 @@ class TestRobustness:
              "xi=1e-300"),
             (("emden", "--lam", "1e-300", "--xi", "1e10", "--a0", "1e300", "--a1", "1e-300"),
              "a0=1e+300"),
+            # each was a ZeroDivisionError traceback, exit 1: xi^2 is subnormal and
+            # a^2 underflows to 0 in the potential near a_min of about 1e-166
+            (("emden", "--lam", "1e10", "--xi", "1e-160", "--a0", "1e10", "--a1", "700"),
+             "xi=1e-160"),
+            (("period", "--lam", "1e10", "--xi", "1e-160", "--a0", "1e10", "--a1", "700"),
+             "xi=1e-160"),
         ],
     )
     def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):
@@ -364,7 +380,7 @@ class TestIntegratorFlags:
 
     def test_flags_are_the_config_fields(self):
         names = {f.name for f in dataclasses.fields(IntegratorConfig)}
-        assert names == {"rtol", "atol", "h_init", "max_steps"}
+        assert names == {"rtol", "atol", "max_steps"}
         for command, sp in cli.build_parser()[1].items():
             group = {a.dest for g in sp._action_groups if g.title == "integrator"
                      for a in g._group_actions}
@@ -377,17 +393,18 @@ class TestIntegratorFlags:
         # every option of every subcommand, --config and --outdir included
         settable = [a for sp in cli.build_parser()[1].values() for a in sp._actions
                     if a.option_strings and not isinstance(a, argparse._HelpAction)]
-        assert len(settable) == 56
+        assert len(settable) == 53
 
+    @pytest.mark.parametrize("flag,key", [("--h-max", "h_max"), ("--h-init", "h_init")])
     @pytest.mark.parametrize("command", ["emden", "liouville", "period"])
-    def test_h_max_is_gone(self, tmp_path, capsys, monkeypatch, command):
+    def test_h_max_is_gone(self, tmp_path, capsys, monkeypatch, command, flag, key):
         monkeypatch.setattr(cli, f"cmd_{command}", TestRobustness.must_not_run)
-        assert run(tmp_path, command, "--h-max", "0.01") == 1
-        assert "--h-max" in TestRobustness.one_line_error(capsys)
+        assert run(tmp_path, command, flag, "0.01") == 1
+        assert flag in TestRobustness.one_line_error(capsys)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("h_max=0.01\n")
+        cfg.write_text(f"{key}=0.01\n")
         assert main([command, "--config", str(cfg)]) == 1
-        assert "unknown key 'h_max'" in TestRobustness.one_line_error(capsys)
+        assert f"unknown key '{key}'" in TestRobustness.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv", [("fields", "--rtol", "1e-6"), ("verify", "--max-steps", "1")]

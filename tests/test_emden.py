@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerpoisson.emden import (
-    PERIOD_CONFIG,
     EmdenParams,
     OrbitClass,
     classify,
@@ -28,7 +27,7 @@ from eulerpoisson.emden import (
     turning_points,
 )
 from eulerpoisson.errors import DomainError, NotPeriodic
-from eulerpoisson.ode import IntegratorConfig, quad_singular
+from eulerpoisson.ode import TIGHT_CONFIG, IntegratorConfig, quad_singular
 
 # 50-digit offline references for lam=1, xi=1, a0=1, a1=1 (theta = 1)
 UNIT_ORBIT_A_MIN = 0.56377693540918529122
@@ -297,7 +296,7 @@ class TestIntegrateScale:
         # the box of the benchmark's orbits workload, wide orbits included
         p = EmdenParams(lam, xi, a0, a1)
         assume(classify(p) is not OrbitClass.STEADY)
-        run = integrate_scale(p, 20.0, PERIOD_CONFIG)
+        run = integrate_scale(p, 20.0, TIGHT_CONFIG)
         assert energy_drift(run.trajectory, p) / max(1.0, abs(energy_level(p))) <= 1e-9
 
     def test_confinement_to_turning_points(self, unit_orbit):

@@ -20,8 +20,7 @@ from eulerpoisson.goldreich_weber import (
     solve_gw_profile,
     unit_ball_volume,
 )
-from eulerpoisson.liouville import PROFILE_CONFIG
-from eulerpoisson.ode import quad_singular
+from eulerpoisson.ode import TIGHT_CONFIG, quad_singular
 
 # offline fixed-step reference for the first zero at N=3, lam=0, K=1, alpha=1
 S_MU_REFERENCE = 3.8911301
@@ -186,7 +185,7 @@ class TestSupportRadius:
         assert len(integrations) == 2 and searches == []
 
     def test_a_halt_that_is_not_a_zero_raises(self):
-        cfg = dataclasses.replace(PROFILE_CONFIG, max_steps=50)
+        cfg = dataclasses.replace(TIGHT_CONFIG, max_steps=50)
         with pytest.raises(StepBudgetExceeded):
             solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0), cfg)
 

@@ -5,9 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eulerpoisson import emden
 from eulerpoisson.errors import (
     DomainError,
+    EulerPoissonError,
     NoConvergence,
     StateBlowup,
     StepUnderflow,
@@ -17,6 +21,7 @@ from eulerpoisson.emden import (
     energy_level,
     linearized_period,
     period_by_quadrature,
+    period_by_simulation,
     potential,
     scale_rhs,
     turning_points,
@@ -29,10 +34,12 @@ from eulerpoisson.ode import (
     _D,
     _E3,
     _E5,
+    TIGHT_CONFIG,
     IntegratorConfig,
     IntegratorStats,
     OdeState,
     Trajectory,
+    _first_step,
     detect_events,
     integrate,
     quad_adaptive,
@@ -192,11 +199,12 @@ class TestStepper:
         assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
 
     def test_profile_node_count_is_stable(self):
-        # guards the step controller: 188 DOP853 nodes here (1,907 with the
-        # DP5 pair, 4,031 when a 0.005 cap made up for a cubic-Hermite
-        # dense output)
+        # guards the step controller: 194 DOP853 nodes here (188 with a fixed
+        # 1e-4 first step, before the first step was derived from the start
+        # state; 1,907 with the DP5 pair, 4,031 when a 0.005 cap made up for a
+        # cubic-Hermite dense output)
         prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
-        assert abs(prof.traj.n_nodes - 188) <= 0.01 * 188
+        assert abs(prof.traj.n_nodes - 194) <= 0.01 * 194
 
     def test_stats_on_normal_run(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0)
@@ -234,6 +242,78 @@ class TestStepper:
     def test_rhs_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda t, y: (y[0],), OdeState(0.0, [1.0, 0.0]), 1.0)
+
+
+def _zero_start(monkeypatch):
+    # y0 = 0 and k1 = 0: both norms vanish, so the first step is the fixed 1e-6
+    traj = integrate(lambda t, y: (0.0, 0.0), OdeState(0.0, [0.0, 0.0]), 1.0)
+    return traj, 1e-6
+
+
+def _step_past_the_end(monkeypatch):
+    # 0.01 * |y0| / |k1| = 1e4 against a span of 0.2: one step, ending on t_end
+    assert _first_step((1.0,), (1e-6,), 0.2, IntegratorConfig()) == 0.2
+    traj = integrate(lambda t, y: (1e-6,), OdeState(0.1, [1.0]), 0.3)
+    assert traj.n_nodes == 2
+    return traj, 0.3
+
+
+def _chunk_restart(monkeypatch):
+    # the second chunk of period_by_simulation on the unit orbit
+    trajs = []
+    monkeypatch.setattr(emden, "integrate", lambda *a: trajs.append(integrate(*a)) or trajs[-1])
+    period_by_simulation(EmdenParams(1.0, 1.0, 1.0, 1.0))
+    first, second = trajs
+    h = _first_step(second.ys[0].tolist(), second.fs[0].tolist(),
+                    second.t_end - second.t_start, TIGHT_CONFIG)
+    assert h != first.ts[1] - first.ts[0]
+    return second, second.t_start + h
+
+
+class TestFirstStep:
+    """The first step is Hairer's first estimate from y0 and k1, at no rhs call."""
+
+    @pytest.mark.parametrize("case", [_zero_start, _step_past_the_end, _chunk_restart],
+                             ids=["zero-start", "past-the-end", "chunk-restart"])
+    def test_first_node_is_one_derived_step_away(self, case, monkeypatch):
+        traj, t1 = case(monkeypatch)
+        assert traj.ts[1] == t1
+        st = traj.stats
+        assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(lam=st.floats(0.25, 4.0), xi=st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+           a0=st.floats(0.5, 2.0), a1=st.floats(-2.5, 2.5),
+           rtol=st.sampled_from([1e-300, 1e-14, 1e-10, 1e-6]),
+           atol=st.sampled_from([0.0, 1e-300, 1e-14, 1e-10, 1e-6]))
+    def test_any_tolerance_over_the_orbits_box(self, lam, xi, a0, a1, rtol, atol):
+        # the box of the benchmark's orbits workload, collapsing orbits included
+        cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=40)
+        rhs = scale_rhs(EmdenParams(lam, xi, a0, a1))
+        h = _first_step((a0, a1), rhs(0.0, (a0, a1)), 50.0, cfg)
+        assert math.isfinite(h) and 0.0 < h <= 50.0
+        calls, failed = [], []
+
+        def counted(t, y):
+            calls.append(t)
+            try:
+                k = rhs(t, y)
+            except ArithmeticError:
+                failed.append(t)
+                raise
+            failed.extend(v for v in k if not math.isfinite(v))
+            return k
+
+        try:
+            traj = integrate(counted, OdeState(0.0, [a0, a1]), 50.0, cfg)
+        except EulerPoissonError as exc:
+            traj = exc.trajectory
+        st = traj.stats
+        assert st.rhs_calls == len(calls)
+        if not failed:  # a failed stage ends its attempt early
+            assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
+        if st.accepted:
+            assert traj.ts[1] <= h  # the first attempt or a shorter retry
 
 
 def _touchdown_reference_rk4(h):
@@ -577,10 +657,10 @@ class TestDenseOutput:
             assert np.abs(hermite - ref).max() > 1e-9
 
     def test_rows_follow_the_accepted_steps_through_rejections(self):
-        # a coarse first step and loose tolerances make the controller reject
+        # loose tolerances make the controller reject
         rhs = lambda t, y: np.array(scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0))(t, tuple(y)))
         traj = integrate(rhs, OdeState(0.0, [1.0, 1.0]), 30.0,
-                         IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=0.5))
+                         IntegratorConfig(rtol=1e-6, atol=1e-9))
         assert traj.stats.rejected > 20
         assert traj.cont.shape == (traj.n_nodes - 1, 2, 4)
         for i in range(traj.n_nodes - 1):
