@@ -65,23 +65,29 @@ class RotSolution2D:
 
 
 def build_rotational(
-    lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float
+    lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float,
+    samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RotSolution2D:
-    """Solve the profile (to s = 20) and the scale factor, both at
+    """Solve the scale factor and the profile (to s = 20), both at
     TIGHT_CONFIG, and bundle them for evaluation.
 
+    Given `samples`, the (t, r) arrays to be evaluated, the profile stops 1
+    past their largest r/a if that is nearer: several profile steps, so the
+    samples fall in segments a solve to 20 shares bitwise.  Samples outside
+    the solved times are left out; evaluation rejects their time first.
     xi = 0 is allowed and yields the non-rotating family; with lam > 0 that
     trajectory ends at its finite touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
-    profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), 20.0)
     run = integrate_scale(emden_p, t_max, TIGHT_CONFIG)
-    return RotSolution2D(
-        emden=emden_p,
-        profile=profile,
-        scale=run.trajectory,
-        touchdown_time=run.touchdown_time,
-    )
+    scale, s_max = run.trajectory, 20.0
+    if samples is not None:
+        t, r = samples
+        solved = (t >= scale.t_start) & (t <= scale.t_end)
+        reach = np.max(r[solved] / scale.evaluate(t[solved])[..., 0], initial=0.0)
+        s_max = min(s_max, 1.0 + float(reach))
+    profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), s_max)
+    return RotSolution2D(emden_p, profile, scale, run.touchdown_time)
 
 
 def _scaled_radius(sol: RotSolution2D, t, r, point: dict):

@@ -2,25 +2,28 @@
 
 An explicit Dormand-Prince 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner I,
 section II.5), drives all time integration in the package.  Every system
-here has one or two components, so the step loop runs on Python floats: a
-right-hand side takes `(t, y)` with y a tuple of floats and returns a
-sequence of floats of the same length.  A step costs 11 rhs calls before
-its error check; an accepted one adds the derivative at the new point
-(FSAL) and three stages for the stepper's own 7th-order continuous
-extension (section II.6), so a run makes 1 + 11*attempts + 4*accepted rhs
-calls.  The first step is Hairer's first estimate (section II.4), 0.01 *
-|y0| / |k1| with both norms in the error norm's scale atol + rtol*|y0|, or
-1e-6 when either norm is below 1e-5; it costs no rhs call and stops at
-t_end.  Accepted steps store the state and derivative at both ends plus
-four continuation rows, so the trajectory supports dense output, post-hoc
-event location, and exact (bitwise) reproduction of node states.  Dense
-output is one kernel, `Trajectory.evaluate`, for an array of times at once;
-`Trajectory.state_at` is the same call on a single time.  Event location,
+here has a few components, so the step runs on Python floats: a right-hand
+side takes `(t, y)` with y a tuple of floats and returns a sequence of
+floats of the same length.  Each attempt is one straight-line function
+generated from the tableau for the state size n, with one local per stage
+and component and the tableau's term order; `_step_source(n)` returns its
+source.  A step costs 11 rhs calls before its error check; an accepted one
+adds the derivative at the new point (FSAL) and three stages for the
+stepper's own 7th-order continuous extension (section II.6), so a run makes
+1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
+estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
+norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
+costs no rhs call and stops at t_end.  Accepted steps store the state and
+derivative at both ends plus four continuation rows, so the trajectory
+supports dense output, post-hoc event location, and exact (bitwise)
+reproduction of node states.  Dense output is one kernel,
+`Trajectory.evaluate`, for an array of times at once; `Trajectory.state_at`
+is the same call on a single time.  Event location,
 `detect_events(traj, k)`, finds the falling zeros of component k on the
 dense output: it brackets them on an 8-point subsample grid of every
-segment, with y[k] > 0 at one sample and y[k] <= 0 at the next, and
-refines all brackets together to a width of 1e-12 * max(1, |t|).  Each
-trajectory carries the integrator's work counters in `Trajectory.stats`.
+segment, with y[k] > 0 at one sample and y[k] <= 0 at the next, and refines
+all brackets together to a width of 1e-12 * max(1, |t|).  Each trajectory
+carries the integrator's work counters in `Trajectory.stats`.
 
 Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
 for smooth integrands, and `quad_singular`, which first applies the
@@ -31,6 +34,7 @@ behaviour any integrand in this package exhibits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -277,13 +281,79 @@ def _first_step(y: Sequence[float], k1: Sequence[float], span: float, cfg: Integ
     return min(h if h > 0.0 else 1e-6, span)
 
 
+def _combo(weights: Sequence[float], j: int) -> str:
+    """sum(w_i * k{i+1}_j) over the nonzero weights, in stage order."""
+    return " + ".join(f"{w!r} * k{i + 1}_{j}" for i, w in enumerate(weights) if w).replace(
+        "+ -", "- ")
+
+
+def _step_source(n: int) -> str:
+    """Source of `attempt(rhs, t, h, y, k1, atol, rtol)`, one DOP853 step
+    attempt on an n-state: straight-line, one local per stage and component,
+    sums in the tableau's order without its zero weights.  It returns
+    (calls, err, y_new, k13, dense): the rhs calls made, the error norm and,
+    for err <= 1, the new state, its derivative and the stage values the
+    dense output weights.  err is None when a stage is not finite or raises
+    ArithmeticError, or the norm is not finite; an rhs result of another
+    length raises DomainError."""
+    js = range(n)
+    vec = lambda f: "(" + "".join(f"{f(j)}, " for j in js) + ")"
+    inputs = lambda i: vec(lambda j: f"y_{j} + h * ({_combo(_A[i - 1], j)})")
+    fail = "return {}, None, None, None, None"
+    body = []
+
+    def stage(i: int, y_in: str) -> None:
+        tc = "t + h" if _C[i - 1] == 1.0 else f"t + {_C[i - 1]!r} * h"
+        finite = " and ".join(f"isfinite(k{i}_{j})" for j in js)
+        body.extend([f"calls = {i - 1}", f"k = rhs({tc}, {y_in})",
+                     f"try: {vec(lambda j: f'k{i}_{j}')} = k",
+                     f"except ValueError: raise _length_error(k, {n}, {tc}) from None",
+                     f"if not ({finite}): {fail.format(i - 1)}"])
+
+    for i in range(2, 13):
+        stage(i, inputs(i))
+    for j in js:  # not max(): a NaN in the new state must reach the norm
+        body += [f"yn_{j} = y_{j} + h * ({_combo(_A[12], j)})",
+                 f"u, v = abs(y_{j}), abs(yn_{j})", "sc = atol + rtol * (u if u > v else v)",
+                 f"e5_{j} = ({_combo(_E5, j)}) / sc", f"e3_{j} = ({_combo(_E3, j)}) / sc"]
+    # both estimates zero: no error (a NaN still reaches the check)
+    body += [f"sq5 = {' + '.join(f'e5_{j} * e5_{j}' for j in js)}",
+             f"sq3 = {' + '.join(f'e3_{j} * e3_{j}' for j in js)}",
+             "den = sq5 + 0.01 * sq3", f"err = h * sq5 / sqrt(den * {n}) if den != 0.0 else 0.0",
+             f"if not isfinite(err): {fail.format(11)}",
+             "if err > 1.0: return 11, err, None, None, None", f"yn = {vec(lambda j: f'yn_{j}')}"]
+    stage(13, "yn")
+    for i in range(14, 17):
+        stage(i, inputs(i))
+    dense = "".join(f"k{i + 1}_{j}, " for i in _DENSE_STAGES for j in js)
+    return "\n".join([
+        "def attempt(rhs, t, h, y, k1, atol, rtol):",
+        f"    {vec(lambda j: f'y_{j}')} = y", f"    {vec(lambda j: f'k1_{j}')} = k1",
+        "    try:", *("        " + line for line in body),
+        "    except ArithmeticError:", f"        {fail.format('calls')}",
+        f"    return 15, err, yn, {vec(lambda j: f'k13_{j}')}, ({dense})", ""])
+
+
+def _length_error(k: Sequence[float], n: int, t: float) -> DomainError:
+    return DomainError(f"rhs returned {len(k)} components for a {n}-state at t={t!r}")
+
+
+@functools.cache
+def _attempt(n: int):
+    """The compiled `_step_source(n)`; its tracebacks name "<DOP853 attempt, n=...>"."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "_length_error": _length_error}
+    exec(compile(_step_source(n), f"<DOP853 attempt, n={n}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
 def integrate(
     rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from y0.t to t_end with adaptive DOP853 steps.
 
     `rhs` receives the state as a tuple of floats and returns a new sequence
-    of the same length (node derivatives keep it).  Local error is
+    of the same length (node derivatives keep it); another length raises
+    DomainError naming both lengths and the time.  Local error is
     controlled against atol + rtol*|y| by Hairer's combined 5th/3rd-order
     estimate, before the FSAL stage, so a rejected attempt costs 11 rhs
     calls and an accepted one 15 (11, the FSAL stage and three dense-output
@@ -291,7 +361,10 @@ def integrate(
     rejected when a stage is not finite or raises ArithmeticError
     (ZeroDivisionError, OverflowError), so integrands may signal domain
     exits (for example a scale factor touching zero) by returning NaN; the
-    run then terminates with StepUnderflow at the singular time.
+    run then terminates with StepUnderflow at the singular time.  A stage i
+    (2..16) that fails ends its attempt after i - 1 calls.  Each attempt is
+    one call of the function generated for n = len(y) on the first call
+    for that n; `_step_source(n)` returns its source.
 
     Raises:
         StepBudgetExceeded: config.max_steps attempted steps reached.
@@ -302,18 +375,9 @@ def integrate(
     if not t_end > t:
         raise DomainError("t_end must exceed the initial time")
     y = tuple(y0.y.tolist())
-    accepted = rejected = rhs_calls = 0
-    isfinite, sqrt = math.isfinite, math.sqrt
-
-    def stage(tc: float, yc: tuple[float, ...]) -> Sequence[float]:
-        # FloatingPointError marks a non-finite stage, like the
-        # ArithmeticError the rhs may raise itself
-        nonlocal rhs_calls
-        rhs_calls += 1
-        k = rhs(tc, yc)
-        if not all(map(isfinite, k)):
-            raise FloatingPointError
-        return k
+    n = len(y)
+    accepted = rejected = 0
+    rhs_calls = 1  # k1 below
 
     def make_traj() -> Trajectory:
         # the continuation rows h * D k of every accepted step, in one product
@@ -323,30 +387,16 @@ def integrate(
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), cont, stats)
 
     try:
-        k1 = stage(t, y)
+        k1 = rhs(t, y)
+        if not all(map(math.isfinite, k1)):
+            raise FloatingPointError
     except ArithmeticError:
         raise DomainError("rhs is not finite at the initial state") from None
-    n = len(y)
     if not 0 < len(k1) == n:
-        raise DomainError(f"rhs returned {len(k1)} components for a {n}-state")
+        raise _length_error(k1, n, t)
+    attempt = _attempt(n)
     # per accepted step: its size and the flat stage values the dense output weights
     ts, ys, fs, hs_acc, dense_ks = [t], [y], [k1], [], []
-
-    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C[1:11]
-    c14, c15, c16 = _C[13:]
-    (a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54) = _A[1:5]
-    (a61, _, _, a64, a65), (a71, _, _, a74, a75, a76) = _A[5:7]
-    a81, _, _, a84, a85, a86, a87 = _A[7]
-    a91, _, _, a94, a95, a96, a97, a98 = _A[8]
-    a101, _, _, a104, a105, a106, a107, a108, a109 = _A[9]
-    a111, _, _, a114, a115, a116, a117, a118, a119, a1110 = _A[10]
-    a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211 = _A[11]
-    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _A[12]
-    a141, _, _, _, _, _, a147, a148, a149, a1410, a1411, a1412, a1413 = _A[13]
-    a151, _, _, _, _, a156, a157, a158, _, _, a1511, a1512, a1513, a1514 = _A[14]
-    a161, _, _, _, _, a166, a167, a168, a169, _, _, _, a1613, a1614, a1615 = _A[15]
-    er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12 = _E5
-    eh1, _, _, _, _, eh6, eh7, eh8, eh9, eh10, eh11, eh12 = _E3
     atol, rtol, max_steps = config.atol, config.rtol, config.max_steps
     h = _first_step(y, k1, t_end - t, config)
     while t < t_end:
@@ -357,91 +407,16 @@ def integrate(
         hits_end = h >= t_end - t
         hs = t_end - t if hits_end else h
 
-        try:
-            k2 = stage(t + c2 * hs, tuple([u + hs * (a21 * p1) for u, p1 in zip(y, k1)]))
-            k3 = stage(t + c3 * hs, tuple([
-                u + hs * (a31 * p1 + a32 * p2) for u, p1, p2 in zip(y, k1, k2)]))
-            k4 = stage(t + c4 * hs, tuple([
-                u + hs * (a41 * p1 + a43 * p3) for u, p1, p3 in zip(y, k1, k3)]))
-            k5 = stage(t + c5 * hs, tuple([
-                u + hs * (a51 * p1 + a53 * p3 + a54 * p4) for u, p1, p3, p4 in zip(y, k1, k3, k4)]))
-            k6 = stage(t + c6 * hs, tuple([
-                u + hs * (a61 * p1 + a64 * p4 + a65 * p5) for u, p1, p4, p5 in zip(y, k1, k4, k5)]))
-            k7 = stage(t + c7 * hs, tuple([
-                u + hs * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6)
-                for u, p1, p4, p5, p6 in zip(y, k1, k4, k5, k6)]))
-            k8 = stage(t + c8 * hs, tuple([
-                u + hs * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7)
-                for u, p1, p4, p5, p6, p7 in zip(y, k1, k4, k5, k6, k7)]))
-            k9 = stage(t + c9 * hs, tuple([
-                u + hs * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7 + a98 * p8)
-                for u, p1, p4, p5, p6, p7, p8 in zip(y, k1, k4, k5, k6, k7, k8)]))
-            k10 = stage(t + c10 * hs, tuple([
-                u + hs * (a101 * p1 + a104 * p4 + a105 * p5 + a106 * p6 + a107 * p7
-                          + a108 * p8 + a109 * p9)
-                for u, p1, p4, p5, p6, p7, p8, p9 in zip(y, k1, k4, k5, k6, k7, k8, k9)]))
-            k11 = stage(t + c11 * hs, tuple([
-                u + hs * (a111 * p1 + a114 * p4 + a115 * p5 + a116 * p6 + a117 * p7
-                          + a118 * p8 + a119 * p9 + a1110 * p10)
-                for u, p1, p4, p5, p6, p7, p8, p9, p10
-                in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)]))
-            k12 = stage(t + hs, tuple([
-                u + hs * (a121 * p1 + a124 * p4 + a125 * p5 + a126 * p6 + a127 * p7
-                          + a128 * p8 + a129 * p9 + a1210 * p10 + a1211 * p11)
-                for u, p1, p4, p5, p6, p7, p8, p9, p10, p11
-                in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]))
-            y_new = tuple([
-                u + hs * (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
-                          + b11 * p11 + b12 * p12)
-                for u, p1, p6, p7, p8, p9, p10, p11, p12
-                in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)])
-            sq5 = sq3 = 0.0
-            for u, v, p1, p6, p7, p8, p9, p10, p11, p12 in zip(
-                    y, y_new, k1, k6, k7, k8, k9, k10, k11, k12):
-                u, v = abs(u), abs(v)
-                # not max(): a NaN in the new state must reach the norm
-                sc = atol + rtol * (u if u > v else v)
-                q = (er1 * p1 + er6 * p6 + er7 * p7 + er8 * p8 + er9 * p9 + er10 * p10
-                     + er11 * p11 + er12 * p12) / sc
-                sq5 += q * q
-                q = (eh1 * p1 + eh6 * p6 + eh7 * p7 + eh8 * p8 + eh9 * p9 + eh10 * p10
-                     + eh11 * p11 + eh12 * p12) / sc
-                sq3 += q * q
-            # both estimates zero: no error (a NaN still reaches the check)
-            den = sq5 + 0.01 * sq3
-            err = hs * sq5 / sqrt(den * n) if den != 0.0 else 0.0
-            if not isfinite(err):
-                raise FloatingPointError
-            if err <= 1.0:
-                # the FSAL stage and the three dense-output stages
-                k13 = stage(t + hs, y_new)
-                k14 = stage(t + c14 * hs, tuple([
-                    u + hs * (a141 * p1 + a147 * p7 + a148 * p8 + a149 * p9 + a1410 * p10
-                              + a1411 * p11 + a1412 * p12 + a1413 * p13)
-                    for u, p1, p7, p8, p9, p10, p11, p12, p13
-                    in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)]))
-                k15 = stage(t + c15 * hs, tuple([
-                    u + hs * (a151 * p1 + a156 * p6 + a157 * p7 + a158 * p8 + a1511 * p11
-                              + a1512 * p12 + a1513 * p13 + a1514 * p14)
-                    for u, p1, p6, p7, p8, p11, p12, p13, p14
-                    in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)]))
-                k16 = stage(t + c16 * hs, tuple([
-                    u + hs * (a161 * p1 + a166 * p6 + a167 * p7 + a168 * p8 + a169 * p9
-                              + a1613 * p13 + a1614 * p14 + a1615 * p15)
-                    for u, p1, p6, p7, p8, p9, p13, p14, p15
-                    in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)]))
-        except ArithmeticError:
+        calls, err, y_new, k13, dense = attempt(rhs, t, hs, y, k1, atol, rtol)
+        rhs_calls += calls
+        if err is None or err > 1.0:  # err None: a failed stage or error norm
             rejected += 1
-            h = 0.1 * hs
-            continue
-        if err > 1.0:
-            rejected += 1
-            h = hs * max(0.2, 0.9 * err ** -0.125)
+            h = 0.1 * hs if err is None else hs * max(0.2, 0.9 * err ** -0.125)
             continue
 
         accepted += 1
         hs_acc.append(hs)
-        dense_ks += (*k1, *k6, *k7, *k8, *k9, *k10, *k11, *k12, *k13, *k14, *k15, *k16)
+        dense_ks += dense
         t = t_end if hits_end else t + hs
         y, k1 = y_new, k13  # the end derivative is the next step's stage 1
         ts.append(t)

@@ -111,12 +111,17 @@ def _sample(field: FieldFn, t, x, y) -> list:
     return [v if v is None else np.broadcast_to(v, t.shape) for v in (s.rho, s.u1, s.u2, s.phi_r)]
 
 
+def stencil_points(pts: Sequence[Point], h: float) -> np.ndarray:
+    """t, x and y of every point and its six neighbours at step h, shape
+    (3, n, 7), the neighbours ordered as the offsets."""
+    return _columns(pts, h) + h * _OFFSETS[:, None]
+
+
 def _stencil(field: FieldFn, pts: Sequence[Point], h: float):
     """The centre columns and the samples at every point and its six
     neighbours, one call on arrays of shape (n, 7) ordered as the offsets."""
     t, x, y = _columns(pts, h)
-    return (t[:, 0], x[:, 0], y[:, 0]), _sample(
-        field, t + h * _OFFSETS[0], x + h * _OFFSETS[1], y + h * _OFFSETS[2])
+    return (t[:, 0], x[:, 0], y[:, 0]), _sample(field, *stencil_points(pts, h))
 
 
 def _report(eq_name, values: np.ndarray) -> ResidualReport:

@@ -50,15 +50,18 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
         draws = rng.uniform((t_lo, r_lo, 0.0), (t_hi, r_hi, 2 * math.pi), size=(points, 3))
         return np.array([(t, r * math.cos(a), r * math.sin(a)) for t, r, a in draws.tolist()])
 
-    sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5)
+    pts = disc_pts(0.1, 2.0, 0.2, 3.0)
+    pts_in = disc_pts(1.0, 2.0, 0.2, 1.2)   # interface radius is 2t >= 2 here
+    pts_out = disc_pts(1.0, 2.0, 5.0, 8.0)
+    # the profile needs to reach only as far as the rotating family's stencils
+    t, x, y = np.concatenate([residuals.stencil_points(pts, h) for h in h_list], axis=-1)
+    sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
+                                  t_max=2.5, samples=(t, np.hypot(x, y)))
     zz = fields.ZZSolution(K=1.0, rho0=0.5)
     rot = functools.partial(fields.eval_rotational, sol)
     inner = functools.partial(fields.eval_zz_inner, zz)
     iso = residuals.PressureLaw("isothermal", K=1.0)
     g2 = residuals.PressureLaw("gamma2", K=zz.K)
-    pts = disc_pts(0.1, 2.0, 0.2, 3.0)
-    pts_in = disc_pts(1.0, 2.0, 0.2, 1.2)   # interface radius is 2t >= 2 here
-    pts_out = disc_pts(1.0, 2.0, 5.0, 8.0)
     flow = ("mass", "momentum_x", "momentum_y")
     table = [  # (name prefix, expected to converge, pressure, field, points, equations)
         ("rotational", True, iso, rot, pts, flow + ("poisson",)),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from eulerpoisson.errors import DomainError, OutOfRange, OutsideRegion
@@ -87,6 +88,24 @@ class TestRotational:
             eval_rotational(rot_solution, 99.0, 0.1, 0.1)
         with pytest.raises(OutOfRange):
             eval_rotational(rot_solution, 1.0, 50.0, 0.0)
+
+    def test_samples_cut_the_profile_without_moving_a_sample(self, rot_solution):
+        t, r = np.linspace(0.1, 2.0, 40), np.linspace(0.2, 3.0, 40)
+        x, y = r * math.cos(1.0), r * math.sin(1.0)
+        cut = build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
+                               t_max=2.5, samples=(t, r))
+        a = rot_solution.scale.evaluate(t)[:, 0]
+        assert rot_solution.profile.s_max == 20.0
+        assert cut.profile.s_max == 1.0 + np.max(r / a)
+        full, part = eval_rotational(rot_solution, t, x, y), eval_rotational(cut, t, x, y)
+        for name in ("rho", "u1", "u2", "phi_r"):
+            assert np.array_equal(getattr(full, name), getattr(part, name))
+
+    def test_samples_beyond_the_profile_or_the_times_keep_20(self):
+        # r/a = 40/a(1) is past 19; t = 99 is outside [0, 2.5] and counts for nothing
+        sol = build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
+                               t_max=2.5, samples=(np.array([1.0, 99.0]), np.array([40.0, 1e9])))
+        assert sol.profile.s_max == 20.0
 
     def test_total_mass_constant_in_time(self, rot_solution):
         # with the cutoff fixed in profile coordinates the mass integral is

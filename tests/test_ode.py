@@ -1,5 +1,6 @@
 """Integrator, event location, and quadrature against closed-form references."""
 
+import hashlib
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from eulerpoisson.errors import (
 from eulerpoisson.emden import (
     EmdenParams,
     energy_level,
+    integrate_scale,
     linearized_period,
     period_by_quadrature,
     period_by_simulation,
@@ -40,6 +42,7 @@ from eulerpoisson.ode import (
     OdeState,
     Trajectory,
     _first_step,
+    _step_source,
     detect_events,
     integrate,
     quad_adaptive,
@@ -186,6 +189,8 @@ class TestStepper:
             pytest.param(scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), [1.0, 1.0],
                          id="unit Emden orbit"),
             pytest.param(lambda t, y: (y[1], -y[0]), [1.0, 0.0], id="oscillator"),
+            pytest.param(lambda t, y: (y[1] * y[2], -y[0] * y[2], -0.51 * y[0] * y[1]),
+                         [0.0, 1.0, 1.0], id="rigid body"),
         ],
     )
     def test_agrees_with_scipy_dop853(self, rhs, y0):
@@ -242,6 +247,78 @@ class TestStepper:
     def test_rhs_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda t, y: (y[0],), OdeState(0.0, [1.0, 0.0]), 1.0)
+
+
+def _oscillator_with(late, at):
+    """The oscillator's rhs, `late(y)` on the calls numbered in `at`; the calls' times."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return late(y) if at(len(calls)) else (y[1], -y[0])
+    return rhs, calls
+
+
+def _digest(traj):
+    h = hashlib.sha256()
+    for a in (traj.ts, traj.ys, traj.fs, traj.cont):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratedStep:
+    """The straight-line attempt that `integrate` generates per state size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_source_compiles_without_zip_or_comprehension(self, n):
+        src = _step_source(n)
+        compile(src, "<attempt>", "exec")
+        assert "zip" not in src and " for " not in src
+        assert all(f"k16_{j}" in src for j in range(n)) and f"k16_{n}" not in src
+
+    @pytest.mark.parametrize("failure", ["ZeroDivisionError", "NaN"])
+    @pytest.mark.parametrize("stage", range(2, 17))
+    def test_a_failed_stage_counts_its_calls(self, stage, failure):
+        def late(y):
+            if failure == "ZeroDivisionError":
+                raise ZeroDivisionError
+            return (math.nan, y[0])
+
+        # call 1 is k1, so call `stage` is that stage of the first attempt
+        rhs, calls = _oscillator_with(late, lambda i: i == stage)
+        traj = integrate(rhs, OdeState(0.0, [1.0, 0.0]), 1.0)
+        st = traj.stats
+        assert st.rhs_calls == len(calls)
+        # the failed attempt made stage - 1 calls; the others 11, plus 4 if accepted
+        attempts = st.accepted + st.rejected
+        assert st.rhs_calls == 1 + (stage - 1) + 11 * (attempts - 1) + 4 * st.accepted
+        assert st.rejected >= 1 and traj.t_end == 1.0
+
+    @pytest.mark.parametrize("late,got", [(lambda y: (y[1], -y[0], 0.0), 3),
+                                          (lambda y: (y[1],), 1)], ids=["longer", "shorter"])
+    def test_an_rhs_changing_its_length_raises_domain_error(self, late, got):
+        rhs, calls = _oscillator_with(late, lambda i: i >= 5)
+        with pytest.raises(DomainError, match=f"rhs returned {got} components for a 2-state") as e:
+            integrate(rhs, OdeState(0.0, [1.0, 0.0]), 1.0)
+        assert str(e.value).endswith(f"at t={calls[-1]!r}")
+
+    def test_an_rhs_value_error_is_its_own(self):
+        # math.log(-1) raises ValueError, which is neither a length change nor a rejection
+        rhs, _ = _oscillator_with(lambda y: (math.log(-1.0), 0.0), lambda i: i >= 5)
+        with pytest.raises(ValueError, match="math domain error"):
+            integrate(rhs, OdeState(0.0, [1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("solve,digest", [
+        pytest.param(lambda: integrate_scale(EmdenParams(1, 1, 1, 1), 50).trajectory,
+                     "be5b223f3588fee9a99df8b9b45037b5af1c76cb6093a65f29c5d3fdd4e9b836",
+                     id="unit-scale-factor"),
+        pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
+                     "2f1af66ab86cd9a4a84de7726a33c912cfad1edf4b4bb3be7ac97481a902c938",
+                     id="default-profile"),
+    ])
+    def test_nodes_and_rows_are_bitwise_pinned(self, solve, digest):
+        # recorded with the hand-unrolled stepper this generator replaced
+        assert _digest(solve()) == digest
 
 
 def _zero_start(monkeypatch):

@@ -75,4 +75,14 @@ def test_each_rotational_sample_reads_the_scale_factor_once(tmp_path, monkeypatc
     assert len(rotational) == 21
     assert len(state_at) == 0
     scale = rotational[0][0].scale
-    assert sum(args[0] is scale for args in evaluate) == len(rotational)
+    # and one more in build_rotational, where all the samples set the profile's radius
+    assert sum(args[0] is scale for args in evaluate) == len(rotational) + 1
+
+
+def test_the_profile_stops_one_past_the_largest_sampled_radius(monkeypatch):
+    rotational = _count_calls(monkeypatch, fields, "eval_rotational")
+    verify.run_bundle(5, 20, H_LIST, True, 0.01)
+    sol = rotational[0][0]
+    reach = max(np.max(np.hypot(x, y) / sol.scale.evaluate(t)[..., 0])
+                for _, t, x, y in rotational)
+    assert sol.profile.s_max == 1.0 + reach < 5.0
