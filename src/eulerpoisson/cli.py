@@ -35,21 +35,18 @@ from .errors import DomainError, EulerPoissonError, NoCompactSupport, OutOfRange
 from .ode import TIGHT_CONFIG, IntegratorConfig
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and rows; a row that raises a package error leaves no file."""
+    """Write the header and the rows, tuples of numbers with 17 significant digits and
+    an empty field for None; a row that raises a package error leaves no file."""
+    full = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                if None in row:
+                    fh.write(",".join(["" if v is None else "%.17g" % v for v in row]) + "\n")
+                else:
+                    fh.write(full % row)
     except EulerPoissonError:
         path.unlink()
         raise
@@ -422,7 +419,7 @@ def cmd_period(args) -> int:
         "T_quadrature": tq.T,
         "T_simulation": ts.T,
         "rel_diff": abs(tq.T - ts.T) / tq.T,
-        "simulation": {"chunks": ts.chunks, "integrator": ts.stats._asdict()},
+        "simulation": {"integrator": ts.stats._asdict()},
     }
     _write_json(_outdir(args) / "period.json", report)
     return 0

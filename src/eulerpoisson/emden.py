@@ -79,12 +79,11 @@ class TurningPoints(NamedTuple):
 @dataclass(frozen=True)
 class PeriodEstimate:
     """A period with its error estimate; simulation estimates also carry the
-    number of integrated chunks and the summed integrator counters."""
+    integrator counters of their one run."""
 
     T: float
     method: str  # "quadrature" or "simulation"
     err_est: float
-    chunks: int = 0
     stats: IntegratorStats = IntegratorStats()
 
 
@@ -198,6 +197,8 @@ def turning_points(p: EmdenParams) -> TurningPoints:
                 dv = p.lam / root - p.xi * p.xi / root**3
             except OverflowError:
                 raise DomainError(f"the turning point a={root} overflows a^3 at {p}") from None
+            except ZeroDivisionError:
+                raise DomainError(f"the turning point a={root} underflows a^3 to 0 at {p}") from None
             if dv == 0:
                 break
             step = g(root) / dv
@@ -245,42 +246,33 @@ def linearized_period(p: EmdenParams) -> float:
 
 
 _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles
-_PERIOD_MAX_CHUNKS = 64
+_PERIOD_BUDGET = 256  # linearized periods
 
 
 def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = TIGHT_CONFIG) -> PeriodEstimate:
     """Orbit period timed from falling a'=0 events of a simulated trajectory.
 
-    The trajectory is extended in chunks until four maxima of a(t) are
-    located; the period is the mean of the three gaps and err_est their
-    maximum deviation from the mean.  The estimate also reports how many
-    chunks were integrated and their summed integrator counters.
+    One run from t = 0 stops at the node of the fourth fall of a' or at a
+    time budget of 256 linearized periods, and the first four maxima of
+    a(t) are located on it; cfg.max_steps bounds the whole run.  The period
+    is the mean of the three gaps and err_est their maximum deviation from
+    the mean.  The estimate also reports the run's integrator counters.
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
-    rhs = scale_rhs(p)
-
-    chunk = 4.0 * linearized_period(p)
-    state = OdeState(0.0, np.array([p.a0, p.a1]))
-    events: list[float] = []
-    stats = IntegratorStats()
-    for chunks in range(1, _PERIOD_MAX_CHUNKS + 1):
-        traj = integrate(rhs, state, state.t + chunk, cfg)
-        stats += traj.stats
-        # chunks meet at a node, where the finder reports a zero only once
-        events.extend(detect_events(traj, 1))
-        if len(events) >= _PERIOD_EVENTS_NEEDED:
-            break
-        state = OdeState(traj.t_end, traj.y_end)
-    else:
+    budget = _PERIOD_BUDGET * linearized_period(p)
+    traj = integrate(scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1])), budget, cfg,
+                     falls=(1, _PERIOD_EVENTS_NEEDED))
+    # each counted fall has a bracket on the finder's grid; a zero that the
+    # nodes missed lies earlier, so the first four are the first four maxima
+    events = detect_events(traj, 1)[:_PERIOD_EVENTS_NEEDED]
+    if len(events) < _PERIOD_EVENTS_NEEDED:
         raise NoConvergence("no full cycles detected within the time budget")
 
-    gaps = np.diff(events[:_PERIOD_EVENTS_NEEDED])
+    gaps = np.diff(events)
     T = float(np.mean(gaps))
-    return PeriodEstimate(
-        T=T, method="simulation", err_est=float(np.max(np.abs(gaps - T))),
-        chunks=chunks, stats=stats,
-    )
+    return PeriodEstimate(T=T, method="simulation", err_est=float(np.max(np.abs(gaps - T))),
+                          stats=traj.stats)
 
 
 def integrate_scale(

@@ -176,9 +176,6 @@ class IntegratorStats(NamedTuple):
     rejected: int = 0
     rhs_calls: int = 0
 
-    def __add__(self, other: "IntegratorStats") -> "IntegratorStats":
-        return IntegratorStats(*map(sum, zip(self, other)))
-
 
 class Trajectory:
     """Accepted integration nodes plus the DOP853 dense output.
@@ -347,7 +344,8 @@ def _attempt(n: int):
 
 
 def integrate(
-    rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig = IntegratorConfig()
+    rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig = IntegratorConfig(),
+    falls: tuple[int, int] | None = None,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from y0.t to t_end with adaptive DOP853 steps.
 
@@ -365,6 +363,12 @@ def integrate(
     (2..16) that fails ends its attempt after i - 1 calls.  Each attempt is
     one call of the function generated for n = len(y) on the first call
     for that n; `_step_source(n)` returns its source.
+
+    With `falls=(k, n)` the run ends early, at the node of the n-th accepted
+    step where y[k] falls: > 0 at its start and <= 0 at its end, the
+    half-open rule of `detect_events` at the nodes, so that `detect_events`
+    finds at least n zeros.  A k outside the state or an n < 1 raises
+    DomainError.
 
     Raises:
         StepBudgetExceeded: config.max_steps attempted steps reached.
@@ -394,6 +398,9 @@ def integrate(
         raise DomainError("rhs is not finite at the initial state") from None
     if not 0 < len(k1) == n:
         raise _length_error(k1, n, t)
+    if falls and not (0 <= falls[0] < n and falls[1] >= 1):
+        raise DomainError(f"falls={falls} needs a component in range({n}) and a count >= 1")
+    fall_k, falls_left = falls or (0, 0)
     attempt = _attempt(n)
     # per accepted step: its size and the flat stage values the dense output weights
     ts, ys, fs, hs_acc, dense_ks = [t], [y], [k1], [], []
@@ -418,12 +425,16 @@ def integrate(
         hs_acc.append(hs)
         dense_ks += dense
         t = t_end if hits_end else t + hs
-        y, k1 = y_new, k13  # the end derivative is the next step's stage 1
+        y_old, y, k1 = y, y_new, k13  # the end derivative is the next step's stage 1
         ts.append(t)
         ys.append(y)
         fs.append(k13)
         if max(map(abs, y)) > OVERFLOW_GUARD:
             raise StateBlowup(f"state exceeded {OVERFLOW_GUARD:.0e} at t={t!r}", t, make_traj())
+        if falls and y_old[fall_k] > 0.0 >= y[fall_k]:
+            falls_left -= 1
+            if not falls_left:
+                break
         grow = 0.9 * err ** -0.125 if err > 0 else 5.0
         # hs * min(5.0, max(0.2, grow)) without the builtin calls
         h = hs * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)

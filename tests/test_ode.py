@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerpoisson import emden
+from eulerpoisson import ode
 from eulerpoisson.errors import (
     DomainError,
     EulerPoissonError,
@@ -335,12 +335,14 @@ def _step_past_the_end(monkeypatch):
     return traj, 0.3
 
 
-def _chunk_restart(monkeypatch):
-    # the second chunk of period_by_simulation on the unit orbit
-    trajs = []
-    monkeypatch.setattr(emden, "integrate", lambda *a: trajs.append(integrate(*a)) or trajs[-1])
-    period_by_simulation(EmdenParams(1.0, 1.0, 1.0, 1.0))
-    first, second = trajs
+def _restart(monkeypatch):
+    # a second run of the unit orbit from a node in the middle of a first one
+    p = EmdenParams(1.0, 1.0, 1.0, 1.0)
+    first = integrate(scale_rhs(p), OdeState(0.0, [p.a0, p.a1]), 4.0 * linearized_period(p),
+                      TIGHT_CONFIG)
+    mid = first.n_nodes // 2
+    second = integrate(scale_rhs(p), OdeState(first.ts[mid], first.ys[mid]), first.t_end,
+                       TIGHT_CONFIG)
     h = _first_step(second.ys[0].tolist(), second.fs[0].tolist(),
                     second.t_end - second.t_start, TIGHT_CONFIG)
     assert h != first.ts[1] - first.ts[0]
@@ -350,8 +352,8 @@ def _chunk_restart(monkeypatch):
 class TestFirstStep:
     """The first step is Hairer's first estimate from y0 and k1, at no rhs call."""
 
-    @pytest.mark.parametrize("case", [_zero_start, _step_past_the_end, _chunk_restart],
-                             ids=["zero-start", "past-the-end", "chunk-restart"])
+    @pytest.mark.parametrize("case", [_zero_start, _step_past_the_end, _restart],
+                             ids=["zero-start", "past-the-end", "restart"])
     def test_first_node_is_one_derived_step_away(self, case, monkeypatch):
         traj, t1 = case(monkeypatch)
         assert traj.ts[1] == t1
@@ -550,7 +552,7 @@ class TestEventsMatchScipyOracle:
                                rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("p", _ACCEPTANCE_03_ORBITS, ids=str)
-    def test_acceptance_03_orbits_chunked_like_period_by_simulation(self, p, monkeypatch):
+    def test_acceptance_03_orbits_in_consecutive_runs(self, p, monkeypatch):
         cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
         chunk = 4.0 * linearized_period(p)
         state = OdeState(0.0, np.array([p.a0, p.a1]))
@@ -634,6 +636,92 @@ class TestHalfOpenBrackets:
         width = 1e-12 * root
         assert traj.evaluate(root - width)[0] > 0 >= traj.evaluate(root + width)[0]
         assert root == pytest.approx(t0 + math.pi, abs=1e-7)
+
+
+def _node_falls(traj, k):
+    """Indices of the nodes where y[k] falls: > 0 at the node before, <= 0 here."""
+    y = traj.ys[:, k]
+    return np.flatnonzero((y[:-1] > 0) & (y[1:] <= 0)) + 1
+
+
+def _scripted(values):
+    """A stand-in for `ode._attempt(1)` that accepts every attempt with no error and
+    ends step i on values[i], with derivative 0 and zero continuation rows."""
+    nodes = iter(values)
+    dense = (0.0,) * len(ode._DENSE_STAGES)
+    return lambda rhs, t, h, y, k1, atol, rtol: (15, 0.0, (next(nodes),), (0.0,), dense)
+
+
+# period_by_simulation on the acceptance-03 orbits, as four-linearized-period
+# chunks timed them; the one run may move them by rounding only
+_ACCEPTANCE_03_PERIODS = [
+    7.089175331763054, 12.600439961660243, 26.639269261432645, 526.4488770833282,
+    4.808101449055983, 7.089175331763054, 30.958015303327475, 2.4845164557058266,
+    3.0657563578296667, 6.4692302361296425,
+]
+
+
+class TestFallStop:
+    """`integrate(..., falls=(k, n))` ends on the node of the n-th fall of y[k]."""
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        p = EmdenParams(1.0, 1.0, 1.0, 1.0)
+        return scale_rhs(p), OdeState(0.0, [p.a0, p.a1]), linearized_period(p)
+
+    def test_run_ends_on_the_node_of_the_nth_fall(self, unit):
+        rhs, y0, t_lin = unit
+        full = integrate(rhs, y0, 8.0 * t_lin, TIGHT_CONFIG)
+        end = _node_falls(full, 1)[2]
+        traj = integrate(rhs, y0, 8.0 * t_lin, TIGHT_CONFIG, falls=(1, 3))
+        assert traj.n_nodes == end + 1
+        # the same steps as the run without the rule, up to that node
+        assert np.array_equal(traj.ts, full.ts[:end + 1])
+        assert np.array_equal(traj.ys, full.ys[:end + 1])
+        assert np.array_equal(traj.cont, full.cont[:end])
+        st = traj.stats
+        assert st.accepted == traj.n_nodes - 1
+        assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
+
+    def test_run_reaching_t_end_first_ends_at_t_end(self, unit):
+        rhs, y0, t_lin = unit
+        full = integrate(rhs, y0, 1.5 * t_lin, TIGHT_CONFIG)
+        assert len(_node_falls(full, 1)) < 4
+        traj = integrate(rhs, y0, 1.5 * t_lin, TIGHT_CONFIG, falls=(1, 4))
+        assert traj.t_end == 1.5 * t_lin
+        assert _digest(traj) == _digest(full) and traj.stats == full.stats
+
+    def test_fall_exactly_on_a_node_is_counted_once(self, monkeypatch):
+        # node values 1, 0, -1, 1, 0, 0, -1, 1, -1: falls end on nodes 1, 4 and 8
+        monkeypatch.setattr(ode, "_attempt", lambda n: _scripted([0, -1, 1, 0, 0, -1, 1, -1]))
+        start = OdeState(0.0, [1.0])
+        assert integrate(lambda t, y: (0.0,), start, 1.0, falls=(0, 1)).n_nodes == 2
+        assert integrate(lambda t, y: (0.0,), start, 1.0, falls=(0, 2)).n_nodes == 5
+        traj = integrate(lambda t, y: (0.0,), start, 1.0, falls=(0, 3))
+        assert traj.n_nodes == 9
+        # the finder's half-open brackets see the same three falls
+        zeros = detect_events(traj, 0)
+        assert len(zeros) == 3 and list(zeros[:2]) == [traj.ts[1], traj.ts[4]]
+        assert traj.ts[7] < zeros[2] < traj.ts[8]
+
+    @pytest.mark.parametrize("p", _ACCEPTANCE_03_ORBITS, ids=str)
+    def test_first_zeros_match_scipy(self, p):
+        rhs, y0 = scale_rhs(p), [p.a0, p.a1]
+        traj = integrate(rhs, OdeState(0.0, y0), 256 * linearized_period(p), TIGHT_CONFIG,
+                         falls=(1, 4))
+        assert len(_node_falls(traj, 1)) == 4 and traj.ys[-1, 1] <= 0
+        found = detect_events(traj, 1)
+        assert len(found) >= 4
+        _assert_matches(found, _scipy_zeros(rhs, 0.0, y0, traj.t_end, 1, -1))
+
+    def test_acceptance_03_periods_hold_their_digits(self):
+        found = [period_by_simulation(p).T for p in _ACCEPTANCE_03_ORBITS]
+        assert found == pytest.approx(_ACCEPTANCE_03_PERIODS, rel=2e-11, abs=0)
+
+    @pytest.mark.parametrize("falls", [(2, 1), (-1, 1), (0, 0), (1, -3)])
+    def test_bad_component_or_count_raises(self, falls):
+        with pytest.raises(DomainError, match="falls="):
+            integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 1.0, falls=falls)
 
 
 class TestEvaluate:
