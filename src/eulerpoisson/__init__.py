@@ -66,7 +66,6 @@ from .residuals import (
     PressureLaw,
     ResidualReport,
     convergence_study,
-    mass_residual,
-    momentum_residual,
+    flow_residuals,
     poisson_residual,
 )

@@ -581,7 +581,7 @@ def quad_adaptive(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, f
             m = 0.5 * (a + b)
             stack.append((m, b))
             stack.append((a, m))
-    return value, err_acc
+    return float(value), float(err_acc)
 
 
 def quad_singular_estimate(

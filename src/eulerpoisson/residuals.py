@@ -14,10 +14,12 @@ floor.  Corrupted fields are first-class citizens: they are the negative
 controls proving the oracle can fail.  `eulerpoisson.verify` runs these
 studies over the exact families.
 
-Each operator takes one step h for time and space and makes one field call,
-on arrays of shape (n, 7) for mass and momentum (each point and its
-neighbours at t +- h, x +- h, y +- h) and (n, 3) for gravity (each point and
-its two radial neighbours).
+Each operator takes one step h for time and space, makes one field call and
+returns a report for every equation it can compute from that call:
+`flow_residuals` samples arrays of shape (n, 7) (each point and its
+neighbours at t +- h, x +- h, y +- h) for mass and both momentum components,
+`poisson_residual` arrays of shape (n, 3) (each point and its two radial
+neighbours) for gravity.
 
 Gravity gradients are never re-differenced: grad Phi = (x/r, y/r) * Phi_r
 uses the sampled radial derivative directly, since the potential itself is
@@ -57,7 +59,6 @@ ORDER_BAND = (1.8, 2.2)
 class ResidualReport:
     eq_name: str
     max_abs: float
-    l2: float
 
 
 @dataclass(frozen=True)
@@ -125,33 +126,22 @@ def _stencil(field: FieldFn, pts: Sequence[Point], h: float):
 
 
 def _report(eq_name, values: np.ndarray) -> ResidualReport:
-    return ResidualReport(
-        eq_name=eq_name,
-        max_abs=float(np.max(np.abs(values))) if len(values) else 0.0,
-        l2=float(np.sqrt(np.sum(values**2))),
-    )
+    return ResidualReport(eq_name, float(np.max(np.abs(values))) if len(values) else 0.0)
 
 
-def mass_residual(field: FieldFn, pts: Sequence[Point], h: float) -> ResidualReport:
-    """Centered residual of rho_t + (rho u1)_x + (rho u2)_y at each point."""
-    _, (rho, u1, u2, _) = _stencil(field, pts, h)
-    rho_t = (rho[:, 1] - rho[:, 2]) / (2 * h)
-    flux_x = (rho[:, 3] * u1[:, 3] - rho[:, 4] * u1[:, 4]) / (2 * h)
-    flux_y = (rho[:, 5] * u2[:, 5] - rho[:, 6] * u2[:, 6]) / (2 * h)
-    return _report("mass", rho_t + flux_x + flux_y)
-
-
-def momentum_residual(
+def flow_residuals(
     field: FieldFn,
     pts: Sequence[Point],
     h: float,
     pressure: PressureLaw,
-) -> tuple[ResidualReport, ResidualReport]:
-    """Centered residuals of both momentum components.
+) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
+    """Centered residuals of mass and both momentum components, from one
+    field call on the (n, 7) stencils.
 
     The gravity term rho * (x/r, y/r) * Phi_r is included whenever the
     samples carry phi_r; an isothermal residual without gravity data
     is a contract violation (MissingGravity) rather than a silent omission.
+    A caller that wants mass alone passes PressureLaw("none").
     """
     (_, x, y), (rho, u1, u2, phi_r) = _stencil(field, pts, h)
     if phi_r is None and pressure.kind == "isothermal":
@@ -171,12 +161,13 @@ def momentum_residual(
     adv_x = u10 * d(u1, 3) + u20 * d(u1, 5)
     adv_y = u10 * d(u2, 3) + u20 * d(u2, 5)
     return (
+        _report("mass", d(rho, 1) + d(rho * u1, 3) + d(rho * u2, 5)),
         _report("momentum_x", rho0 * (d(u1, 1) + adv_x) + d(p, 3) + grav_x),
         _report("momentum_y", rho0 * (d(u2, 1) + adv_y) + d(p, 5) + grav_y),
     )
 
 
-def poisson_residual(field: FieldFn, pts: Sequence[Point], h: float) -> ResidualReport:
+def poisson_residual(field: FieldFn, pts: Sequence[Point], h: float) -> tuple[ResidualReport]:
     """Centered residual of (1/r) d(r Phi_r)/dr - 2 pi rho along each ray."""
     t, x, y = _columns(pts, h)
     r = np.hypot(x, y)
@@ -188,10 +179,10 @@ def poisson_residual(field: FieldFn, pts: Sequence[Point], h: float) -> Residual
         raise MissingGravity("gravity residual requires phi_r in the samples")
     r = r[:, 0]
     d_rphi = ((r + h) * phi_r[:, 1] - (r - h) * phi_r[:, 2]) / (2 * h)
-    return _report("poisson", d_rphi / r - 2 * math.pi * rho[:, 0])
+    return (_report("poisson", d_rphi / r - 2 * math.pi * rho[:, 0]),)
 
 
-ResidualOp = Callable[[FieldFn, Sequence[Point], float], ResidualReport]
+ResidualOp = Callable[[FieldFn, Sequence[Point], float], tuple[ResidualReport, ...]]
 
 
 def convergence_study(
@@ -199,31 +190,41 @@ def convergence_study(
     field: FieldFn,
     pts: Sequence[Point],
     h_list: Sequence[float],
-) -> ConvergenceResult:
-    """Residual norms over a decreasing step sequence and the log-log order.
+) -> dict[str, ConvergenceResult]:
+    """Residual norms over a decreasing step sequence and the log-log order
+    of every equation the operator reports, in the operator's order.
 
-    The order is a least-squares slope over the steps with nonzero norm;
-    when the finest norm is already at the floating-point floor
-    (FLOOR_COEFF / h^2) the study is flagged and the order, if any, should
-    be ignored.
+    The operator runs once per step.  The order is a least-squares slope over
+    the steps with nonzero norm; when the finest norm is already at the
+    floating-point floor (FLOOR_COEFF / h^2) the study is flagged and the
+    order, if any, should be ignored.
     """
     if len(h_list) < 3:
         raise DomainError("need at least 3 step sizes")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise DomainError("h_list must be strictly decreasing")
-    norms = [residual_op(field, pts, h).max_abs for h in h_list]
+    h_min = h_list[-1]
+    floor = FLOOR_COEFF / h_min**2 if h_min**2 > 0 else math.inf
+    if not math.isfinite(floor):
+        raise DomainError(f"the roundoff floor {FLOOR_COEFF}/h^2 is not a finite number "
+                          f"at the smallest step h={h_min}")
+    per_step = [residual_op(field, pts, h) for h in h_list]
+    return {reports[0].eq_name: _fit(h_list, [r.max_abs for r in reports], floor)
+            for reports in zip(*per_step)}
+
+
+def _fit(h_list: Sequence[float], norms: list[float], floor: float) -> ConvergenceResult:
     pos = [(h, n) for h, n in zip(h_list, norms) if n > 0]
     order = None
     if len(pos) >= 2:
         hlog = np.log([h for h, _ in pos])
         nlog = np.log([n for _, n in pos])
         order = float(np.polyfit(hlog, nlog, 1)[0])
-    at_floor = norms[-1] <= FLOOR_COEFF / h_list[-1] ** 2
     return ConvergenceResult(
         h_sequence=tuple(h_list),
         norms=tuple(norms),
         estimated_order=order,
-        at_floor=at_floor,
+        at_floor=norms[-1] <= floor,
     )
 
 

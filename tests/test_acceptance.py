@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see one pass/fail line per
 criterion.  Each test measures its own wall time against the stated budget.
 """
 
+import functools
 import json
 import math
 import sys
@@ -42,8 +43,7 @@ from eulerpoisson.residuals import (
     PressureLaw,
     convergence_study,
     corrupt_density_offset,
-    mass_residual,
-    momentum_residual,
+    flow_residuals,
     poisson_residual,
     study_passes,
 )
@@ -51,6 +51,16 @@ from eulerpoisson.residuals import (
 from conftest import disk_points
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
+
+
+def studies(ops, field, pts):
+    """Every equation the residual operators report, by name."""
+    return {name: study for op in ops
+            for name, study in convergence_study(op, field, pts, H_LIST).items()}
+
+
+def flow(pressure):
+    return functools.partial(flow_residuals, pressure=pressure)
 
 
 class _Criterion:
@@ -161,19 +171,15 @@ def test_07_full_pde_verification():
         )
         field = lambda t, x, y: eval_rotational(sol, t, x, y)
         pts = disk_points(np.random.default_rng(7), 20, (0.1, 2.0), (0.2, 3.0))
-        iso = PressureLaw("isothermal", K=1.0)
-        ops = [
-            mass_residual,
-            lambda f, p, c: momentum_residual(f, p, c, iso)[0],
-            lambda f, p, c: momentum_residual(f, p, c, iso)[1],
-            poisson_residual,
-        ]
-        for op in ops:
-            study = convergence_study(op, field, pts, H_LIST)
+        ops = [flow(PressureLaw("isothermal", K=1.0)), poisson_residual]
+        four = ["mass", "momentum_x", "momentum_y", "poisson"]
+        exact = studies(ops, field, pts)
+        assert list(exact) == four
+        for study in exact.values():
             assert study.estimated_order == pytest.approx(2.0, abs=0.2), study
-        bad = corrupt_density_offset(field, 0.01)
-        for op in ops:
-            study = convergence_study(op, bad, pts, H_LIST)
+        corrupted = studies(ops, corrupt_density_offset(field, 0.01), pts)
+        assert list(corrupted) == four
+        for study in corrupted.values():
             assert not study_passes(study), study
 
 
@@ -193,26 +199,23 @@ def test_08_arbitrary_swirl_generality():
                 ),
             )
             field = lambda t, x, y: eval_swirl_ansatz(ansatz, t, x, y)
-            study = convergence_study(mass_residual, field, pts, H_LIST)
+            study = convergence_study(flow(PressureLaw("none")), field, pts, H_LIST)["mass"]
             assert study.estimated_order == pytest.approx(2.0, abs=0.2), study
 
 
 def test_09_zhang_zheng_verification(zz):
     with _Criterion(9, "spiral solution verified; as-printed variant is a "
                        "required failing control", 10.0):
-        g2 = PressureLaw("gamma2", K=zz.K)
-        ops = [
-            mass_residual,
-            lambda f, p, c: momentum_residual(f, p, c, g2)[0],
-            lambda f, p, c: momentum_residual(f, p, c, g2)[1],
-        ]
+        ops = [flow(PressureLaw("gamma2", K=zz.K))]
         inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
         outer = lambda t, x, y: eval_zz_outer(zz, t, x, y)
         pts_in = disk_points(np.random.default_rng(11), 15, (1.0, 2.0), (0.2, 1.2))
         pts_out = disk_points(np.random.default_rng(12), 15, (1.0, 2.0), (5.0, 8.0))
-        for op in ops:
-            assert study_passes(convergence_study(op, inner, pts_in, H_LIST))
-            assert study_passes(convergence_study(op, outer, pts_out, H_LIST))
+        for field, pts in ((inner, pts_in), (outer, pts_out)):
+            verified = studies(ops, field, pts)
+            assert list(verified) == ["mass", "momentum_x", "momentum_y"]
+            for study in verified.values():
+                assert study_passes(study), study
         # interface continuity, exact algebra
         for t in (0.5, 1.0, 2.0):
             ri = zz_interface_radius(zz, t)
@@ -220,7 +223,7 @@ def test_09_zhang_zheng_verification(zz):
             assert abs(s.rho - zz.rho0) <= 1e-12
         # REQUIRED failing negative control
         bad = lambda t, x, y: eval_zz_inner(zz, t, x, y, as_printed=True)
-        study = convergence_study(mass_residual, bad, pts_in, H_LIST)
+        study = studies(ops, bad, pts_in)["mass"]
         assert not study_passes(study), study
 
 

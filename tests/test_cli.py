@@ -7,6 +7,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eulerpoisson import cli, errors
 from eulerpoisson.cli import main
@@ -369,6 +371,37 @@ class TestRobustness:
         assert run(tmp_path, "verify", "--h-list", "0.5,0.2,0.1") == 2
         assert "crossed a validity boundary" in self.one_line_error(capsys)
         assert not (tmp_path / "verify.json").exists()
+
+    @pytest.mark.parametrize("h_list", ["1e-300,5e-301,2.5e-301", "1e-2,1e-100,1e-300",
+                                        "1e-2,1e-100,1e-160"])
+    def test_unrepresentable_roundoff_floor_exits_2(self, tmp_path, capsys, h_list):
+        # h^2 underflows to 0 in the floor test: a ZeroDivisionError traceback,
+        # exit 1; at 1e-160 the floor was inf and every study sat at it, exit 3
+        assert run(tmp_path, "verify", "--h-list", h_list) == 2
+        assert f"smallest step h={h_list.split(',')[-1]}" in self.one_line_error(capsys)
+        assert not (tmp_path / "verify.json").exists()
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=st.lists(st.sampled_from([1e300, 3.0, 1e-2, 1e-100, 1e-160, 1e-300]),
+                          min_size=3, max_size=3, unique=True),
+           decreasing=st.booleans(),
+           delta=st.sampled_from(["1e300", "0", "1e-300", "700"]))
+    def test_verify_numeric_flags_at_extremes(self, tmp_path_factory, capsys, steps,
+                                              decreasing, delta):
+        # most unsorted triples stop at the h_list check, so sort about half
+        if decreasing:
+            steps = sorted(steps, reverse=True)
+        capsys.readouterr()
+        outdir = tmp_path_factory.mktemp("verify")
+        code = run(outdir, "verify", "--points", "2", "--inject-corruption",
+                   "--h-list", ",".join(map(repr, steps)), "--corruption-delta", delta)
+        assert code in (0, 2, 3)
+        if code == 2:
+            self.one_line_error(capsys)
+            assert not any(outdir.iterdir())
+        else:
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_every_package_error_maps_to_exit_2(self):
         classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)

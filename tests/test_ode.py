@@ -899,6 +899,13 @@ class TestQuadrature:
         assert abs(val - ref) <= 10 * tol
         assert abs(val - exact) <= 10 * tol
 
+    def test_results_are_python_floats(self):
+        # the Kronrod weights are numpy arrays; the results were np.float64
+        assert type(quad_singular(math.sin, 0.0, math.pi)) is float
+        assert all(type(v) is float for v in quad_adaptive(math.exp, 0.0, 1.0))
+        est = period_by_quadrature(EmdenParams(1.0, 1.0, 1.0, 1.0))
+        assert type(est.T) is float and type(est.err_est) is float
+
     def test_zero_width(self):
         assert quad_singular(math.sin, 1.0, 1.0) == 0.0
 

@@ -1,5 +1,7 @@
 """The verification bundle as a library: check order, one batched field call
-per study and step, and one scale-factor read per batch."""
+per study and step (a study runs one residual operator, which reports every
+equation it can compute from that call), and one scale-factor read per
+batch."""
 
 import json
 
@@ -57,10 +59,11 @@ def test_each_study_step_is_one_batched_field_call(tmp_path, monkeypatch):
              for name in ("eval_rotational", "eval_zz_inner", "eval_zz_outer")}
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
-    # 7 rotational studies (4 exact, 3 corrupted) x 3 steps; zz_inner has 4
-    # studies and the interface corners, zz_outer 3 studies
+    # 4 rotational studies (flow and Poisson, exact and corrupted) x 3 steps;
+    # zz_inner has 2 flow studies (exact and as printed) and the interface
+    # corners, zz_outer 1 flow study
     assert {name: len(c) for name, c in calls.items()} == {
-        "eval_rotational": 21, "eval_zz_inner": 13, "eval_zz_outer": 9}
+        "eval_rotational": 12, "eval_zz_inner": 7, "eval_zz_outer": 3}
     for c in calls.values():
         for _, t, x, y in c:
             assert all(isinstance(v, np.ndarray) for v in (t, x, y))
@@ -72,7 +75,7 @@ def test_each_rotational_sample_reads_the_scale_factor_once(tmp_path, monkeypatc
     rotational = _count_calls(monkeypatch, fields, "eval_rotational")
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
     # one scale-factor lookup for each batch of stencil points, none per point
-    assert len(rotational) == 21
+    assert len(rotational) == 12
     assert len(state_at) == 0
     scale = rotational[0][0].scale
     # and one more in build_rotational, where all the samples set the profile's radius
