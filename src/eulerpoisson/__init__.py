@@ -64,7 +64,6 @@ from .ode import (
 from .residuals import (
     ConvergenceResult,
     PressureLaw,
-    ResidualReport,
     convergence_study,
     flow_residuals,
     poisson_residual,

@@ -181,8 +181,8 @@ def enclosed_mass(prof: LiouvilleProfile, s):
     return np.where(s <= prof.s0, prof._series_mass(np.minimum(s, prof.s0)), dense)[()]
 
 
-# the 15 Kronrod abscissas on [-1, 1] in increasing order, and their weights
-_GK_X = np.concatenate([-_XGK[:-1][::-1], _XGK[::-1]])
+# the 15 Kronrod abscissas on [-1, 1] and their weights
+_GK_X = np.concatenate([-np.array(_XGK[:-1][::-1]), _XGK[::-1]])
 _GK_W = np.concatenate([_WGK[:-1][::-1], _WGK[::-1]])
 
 

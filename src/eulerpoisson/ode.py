@@ -497,8 +497,8 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
 # Quadrature
 # ----------------------------------------------------------------------
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK constants).
-_XGK = np.array([
+# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK constants), as floats.
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -507,8 +507,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -517,13 +517,13 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:

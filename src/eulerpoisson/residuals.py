@@ -14,12 +14,14 @@ floor.  Corrupted fields are first-class citizens: they are the negative
 controls proving the oracle can fail.  `eulerpoisson.verify` runs these
 studies over the exact families.
 
-Each operator takes one step h for time and space, makes one field call and
-returns a report for every equation it can compute from that call:
-`flow_residuals` samples arrays of shape (n, 7) (each point and its
-neighbours at t +- h, x +- h, y +- h) for mass and both momentum components,
-`poisson_residual` arrays of shape (n, 3) (each point and its two radial
-neighbours) for gravity.
+An operator is split in two: for centres and one step h (for time and
+space) it states the names of its equations and the points it samples, and
+it turns the samples at those points into one residual array per equation.
+`flow_residuals` samples each point and its neighbours at t +- h, x +- h,
+y +- h (shape (n, 7)) for mass and both momentum components,
+`poisson_residual` each point and its two radial neighbours (shape (n, 3))
+for gravity.  `convergence_study` gathers the points of all its operators
+and steps, calls the field once, and hands each operator its samples back.
 
 Gravity gradients are never re-differenced: grad Phi = (x/r, y/r) * Phi_r
 uses the sampled radial derivative directly, since the potential itself is
@@ -56,12 +58,6 @@ ORDER_BAND = (1.8, 2.2)
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    eq_name: str
-    max_abs: float
-
-
-@dataclass(frozen=True)
 class ConvergenceResult:
     h_sequence: tuple[float, ...]
     norms: tuple[float, ...]
@@ -90,114 +86,98 @@ class PressureLaw:
         return 0.0
 
 
+# What an operator states for one step: its equation names, the (3, ...) t, x
+# and y it samples, and the function that turns rho, u1, u2 and phi_r there
+# (each of shape (...), phi_r possibly None) into one residual array per name.
+Stencil = tuple[tuple[str, ...], np.ndarray, Callable[..., tuple[np.ndarray, ...]]]
+ResidualOp = Callable[[Sequence[Point], float], Stencil]
+
 # t, x and y offsets of the centre and its neighbours t +- h, x +- h, y +- h
 _OFFSETS = np.array([[0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 1, -1]], float)
 
 
 def _columns(pts: Sequence[Point], h: float) -> np.ndarray:
-    """The t, x and y columns of the points, each of shape (n, 1), once the
+    """The t, x and y columns of the points, shape (3, n, 1), once the
     stencil step h is known to be > 0."""
     if not h > 0:  # NaN fails too
         raise DomainError(f"stencil step must be > 0, got {h}")
     return np.asarray(pts, dtype=float).reshape(-1, 3).T[..., None]
 
 
-def _sample(field: FieldFn, t, x, y) -> list:
-    """rho, u1, u2 and phi_r (or None) of one field call, each broadcast to
-    the shape of t; the field's error names the point that left its domain."""
-    try:
-        s = field(t, x, y)
-    except (OutOfRange, OutsideRegion, DomainError) as exc:
-        raise StencilOutOfDomain(f"stencil point crossed a validity boundary: {exc}") from exc
-    return [v if v is None else np.broadcast_to(v, t.shape) for v in (s.rho, s.u1, s.u2, s.phi_r)]
-
-
-def stencil_points(pts: Sequence[Point], h: float) -> np.ndarray:
-    """t, x and y of every point and its six neighbours at step h, shape
-    (3, n, 7), the neighbours ordered as the offsets."""
-    return _columns(pts, h) + h * _OFFSETS[:, None]
-
-
-def _stencil(field: FieldFn, pts: Sequence[Point], h: float):
-    """The centre columns and the samples at every point and its six
-    neighbours, one call on arrays of shape (n, 7) ordered as the offsets."""
-    t, x, y = _columns(pts, h)
-    return (t[:, 0], x[:, 0], y[:, 0]), _sample(field, *stencil_points(pts, h))
-
-
-def _report(eq_name, values: np.ndarray) -> ResidualReport:
-    return ResidualReport(eq_name, float(np.max(np.abs(values))) if len(values) else 0.0)
-
-
-def flow_residuals(
-    field: FieldFn,
-    pts: Sequence[Point],
-    h: float,
-    pressure: PressureLaw,
-) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
-    """Centered residuals of mass and both momentum components, from one
-    field call on the (n, 7) stencils.
+def flow_residuals(pts: Sequence[Point], h: float, pressure: PressureLaw) -> Stencil:
+    """Mass and both momentum components at step h: the names, the (3, n, 7)
+    t, x and y of every point and its six neighbours (ordered as the
+    offsets), and the centered residuals from the samples there.
 
     The gravity term rho * (x/r, y/r) * Phi_r is included whenever the
     samples carry phi_r; an isothermal residual without gravity data
     is a contract violation (MissingGravity) rather than a silent omission.
     A caller that wants mass alone passes PressureLaw("none").
     """
-    (_, x, y), (rho, u1, u2, phi_r) = _stencil(field, pts, h)
-    if phi_r is None and pressure.kind == "isothermal":
-        raise MissingGravity("isothermal momentum residual requires phi_r in the samples")
+    centre = _columns(pts, h)
+    x, y = centre[1:, :, 0]
 
-    def d(v, k):  # centered difference between offsets k and k + 1
-        return (v[:, k] - v[:, k + 1]) / (2 * h)
+    def residuals(rho, u1, u2, phi_r):
+        if phi_r is None and pressure.kind == "isothermal":
+            raise MissingGravity("isothermal momentum residual requires phi_r in the samples")
 
-    p = np.broadcast_to(pressure(rho), rho.shape)
-    rho0, u10, u20 = rho[:, 0], u1[:, 0], u2[:, 0]
-    grav_x = grav_y = 0.0
-    if phi_r is not None:
-        r = np.hypot(x, y)
-        r = np.where(r > 0, r, 1.0)  # x = y = 0 there, so both terms are 0
-        grav_x = rho0 * (x / r) * phi_r[:, 0]
-        grav_y = rho0 * (y / r) * phi_r[:, 0]
-    adv_x = u10 * d(u1, 3) + u20 * d(u1, 5)
-    adv_y = u10 * d(u2, 3) + u20 * d(u2, 5)
-    return (
-        _report("mass", d(rho, 1) + d(rho * u1, 3) + d(rho * u2, 5)),
-        _report("momentum_x", rho0 * (d(u1, 1) + adv_x) + d(p, 3) + grav_x),
-        _report("momentum_y", rho0 * (d(u2, 1) + adv_y) + d(p, 5) + grav_y),
-    )
+        def d(v, k):  # centered difference between offsets k and k + 1
+            return (v[:, k] - v[:, k + 1]) / (2 * h)
+
+        p = np.broadcast_to(pressure(rho), rho.shape)
+        rho0, u10, u20 = rho[:, 0], u1[:, 0], u2[:, 0]
+        grav_x = grav_y = 0.0
+        if phi_r is not None:
+            r = np.hypot(x, y)
+            r = np.where(r > 0, r, 1.0)  # x = y = 0 there, so both terms are 0
+            grav_x = rho0 * (x / r) * phi_r[:, 0]
+            grav_y = rho0 * (y / r) * phi_r[:, 0]
+        adv_x = u10 * d(u1, 3) + u20 * d(u1, 5)
+        adv_y = u10 * d(u2, 3) + u20 * d(u2, 5)
+        return (d(rho, 1) + d(rho * u1, 3) + d(rho * u2, 5),
+                rho0 * (d(u1, 1) + adv_x) + d(p, 3) + grav_x,
+                rho0 * (d(u2, 1) + adv_y) + d(p, 5) + grav_y)
+
+    return ("mass", "momentum_x", "momentum_y"), centre + h * _OFFSETS[:, None], residuals
 
 
-def poisson_residual(field: FieldFn, pts: Sequence[Point], h: float) -> tuple[ResidualReport]:
-    """Centered residual of (1/r) d(r Phi_r)/dr - 2 pi rho along each ray."""
+def poisson_residual(pts: Sequence[Point], h: float) -> Stencil:
+    """Gravity at step h: its name, the (3, n, 3) t, x and y of every point
+    and its two radial neighbours, and the centered residual of
+    (1/r) d(r Phi_r)/dr - 2 pi rho along each ray from the samples there."""
     t, x, y = _columns(pts, h)
     r = np.hypot(x, y)
     raise_where(r <= 2 * h, StencilOutOfDomain, f"point too close to r=0 for h={h}",
                 t=t, x=x, y=y)
     d = h * np.array([0.0, 1.0, -1.0])  # the point and its radial neighbours
-    rho, _, _, phi_r = _sample(field, *np.broadcast_arrays(t, x + d * (x / r), y + d * (y / r)))
-    if phi_r is None:
-        raise MissingGravity("gravity residual requires phi_r in the samples")
-    r = r[:, 0]
-    d_rphi = ((r + h) * phi_r[:, 1] - (r - h) * phi_r[:, 2]) / (2 * h)
-    return (_report("poisson", d_rphi / r - 2 * math.pi * rho[:, 0]),)
+    points = np.array(np.broadcast_arrays(t, x + d * (x / r), y + d * (y / r)))
 
+    def residuals(rho, u1, u2, phi_r):
+        if phi_r is None:
+            raise MissingGravity("gravity residual requires phi_r in the samples")
+        d_rphi = ((r[:, 0] + h) * phi_r[:, 1] - (r[:, 0] - h) * phi_r[:, 2]) / (2 * h)
+        return (d_rphi / r[:, 0] - 2 * math.pi * rho[:, 0],)
 
-ResidualOp = Callable[[FieldFn, Sequence[Point], float], tuple[ResidualReport, ...]]
+    return ("poisson",), points, residuals
 
 
 def convergence_study(
-    residual_op: ResidualOp,
+    ops: Sequence[ResidualOp],
     field: FieldFn,
     pts: Sequence[Point],
     h_list: Sequence[float],
 ) -> dict[str, ConvergenceResult]:
-    """Residual norms over a decreasing step sequence and the log-log order
-    of every equation the operator reports, in the operator's order.
+    """Residual norms (max |residual| over the points) over a decreasing step
+    sequence and the log-log order of every equation the operators report,
+    in operator order.
 
-    The operator runs once per step.  The order is a least-squares slope over
-    the steps with nonzero norm; when the finest norm is already at the
-    floating-point floor (FLOOR_COEFF / h^2) the study is flagged and the
-    order, if any, should be ignored.
+    The field is called once, on the points of every operator and step,
+    concatenated operator by operator, then step by step, then point by
+    point; a field error becomes StencilOutOfDomain naming the first bad
+    point in that order.  The order is a least-squares slope over the steps
+    with nonzero norm; when the finest norm is already at the floating-point
+    floor (FLOOR_COEFF / h^2) the study is flagged and the order, if any,
+    should be ignored.
     """
     if len(h_list) < 3:
         raise DomainError("need at least 3 step sizes")
@@ -208,12 +188,32 @@ def convergence_study(
     if not math.isfinite(floor):
         raise DomainError(f"the roundoff floor {FLOOR_COEFF}/h^2 is not a finite number "
                           f"at the smallest step h={h_min}")
-    per_step = [residual_op(field, pts, h) for h in h_list]
-    return {reports[0].eq_name: _fit(h_list, [r.max_abs for r in reports], floor)
-            for reports in zip(*per_step)}
+    if not ops:
+        raise DomainError("need at least one residual operator")
+    steps = len(h_list)
+    parts = [op(pts, h) for op in ops for h in h_list]
+    names = [name for op_names, _, _ in parts[::steps] for name in op_names]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise DomainError(f"more than one operator reports {', '.join(twice)}")
+    t, x, y = np.concatenate([p.reshape(3, -1) for _, p, _ in parts], axis=1)
+    try:
+        s = field(t, x, y)
+    except (OutOfRange, OutsideRegion, DomainError) as exc:
+        raise StencilOutOfDomain(f"stencil point crossed a validity boundary: {exc}") from exc
+    samples = [v if v is None else np.broadcast_to(v, t.shape)
+               for v in (s.rho, s.u1, s.u2, s.phi_r)]
+    stop, norms = 0, []
+    for _, p, residuals in parts:
+        start, stop = stop, stop + p[0].size
+        at = (v if v is None else v[start:stop].reshape(p.shape[1:]) for v in samples)
+        norms.append([float(np.max(np.abs(r))) if r.size else 0.0 for r in residuals(*at)])
+    return {name: _fit(h_list, per_step, floor)
+            for k in range(0, len(parts), steps)
+            for name, per_step in zip(parts[k][0], zip(*norms[k:k + steps]))}
 
 
-def _fit(h_list: Sequence[float], norms: list[float], floor: float) -> ConvergenceResult:
+def _fit(h_list: Sequence[float], norms: Sequence[float], floor: float) -> ConvergenceResult:
     pos = [(h, n) for h, n in zip(h_list, norms) if n > 0]
     order = None
     if len(pos) >= 2:

@@ -1,10 +1,11 @@
 """The residual verification bundle behind `eulerpoisson verify`.
 
-`run_bundle` runs one `residuals.convergence_study` per family and residual
-operator, the flow operator (mass and both momentum components) and the
-Poisson operator: the exact families must converge at second order, the
-negative controls must fail.  Each study makes one batched field call per
-step size, on all of its stencil points at once.
+`run_bundle` runs one `residuals.convergence_study` per family and control:
+the flow operator (mass and both momentum components) on every family, with
+the Poisson operator beside it on the rotating family and its corrupted
+control.  The exact families must converge at second order, the negative
+controls must fail.  Each study makes one field call, on the stencil points
+of all its operators and step sizes at once.
 """
 
 from __future__ import annotations
@@ -46,22 +47,22 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     pts = disc_pts(0.1, 2.0, 0.2, 3.0)
     pts_in = disc_pts(1.0, 2.0, 0.2, 1.2)   # interface radius is 2t >= 2 here
     pts_out = disc_pts(1.0, 2.0, 5.0, 8.0)
+    iso = functools.partial(residuals.flow_residuals,
+                            pressure=residuals.PressureLaw("isothermal", K=1.0))
+    rot_ops = (iso, residuals.poisson_residual)
     # the profile needs to reach only as far as the rotating family's stencils
-    t, x, y = np.concatenate([residuals.stencil_points(pts, h) for h in h_list], axis=-1)
+    t, x, y = np.concatenate([op(pts, h)[1].reshape(3, -1) for op in rot_ops for h in h_list],
+                             axis=1)
     sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
                                   t_max=2.5, samples=(t, np.hypot(x, y)))
     zz = fields.ZZSolution(K=1.0, rho0=0.5)
     rot = functools.partial(fields.eval_rotational, sol)
     inner = functools.partial(fields.eval_zz_inner, zz)
-    iso = functools.partial(residuals.flow_residuals,
-                            pressure=residuals.PressureLaw("isothermal", K=1.0))
-    g2 = functools.partial(residuals.flow_residuals,
-                           pressure=residuals.PressureLaw("gamma2", K=zz.K))
-    poisson = residuals.poisson_residual
+    g2 = (functools.partial(residuals.flow_residuals,
+                            pressure=residuals.PressureLaw("gamma2", K=zz.K)),)
     flow = ("mass", "momentum_x", "momentum_y")
-    table = [  # (name prefix, expected to converge, operator, field, points, equations)
-        ("rotational", True, iso, rot, pts, flow),
-        ("rotational", True, poisson, rot, pts, ("poisson",)),
+    table = [  # (name prefix, expected to converge, operators, field, points, equations)
+        ("rotational", True, rot_ops, rot, pts, flow + ("poisson",)),
         ("zz_inner", True, g2, inner, pts_in, flow),
         ("zz_outer", True, g2, functools.partial(fields.eval_zz_outer, zz), pts_out, flow),
         ("zz_inner_as_printed", False, g2,
@@ -69,13 +70,13 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     ]
     if inject_corruption:
         bad = residuals.corrupt_density_offset(rot, corruption_delta)
-        table += [("corrupted_rotational", False, iso, bad, pts, ("mass", "momentum_x")),
-                  ("corrupted_rotational", False, poisson, bad, pts, ("poisson",))]
+        table.append(("corrupted_rotational", False, rot_ops, bad, pts,
+                      ("mass", "momentum_x", "poisson")))
 
     def studies(rows):
         checks = []
-        for prefix, expected, op, field, p, eqs in rows:
-            study = residuals.convergence_study(op, field, p, h_list)
+        for prefix, expected, ops, field, p, eqs in rows:
+            study = residuals.convergence_study(ops, field, p, h_list)
             checks += [_study_check(f"{prefix}/{eq}", expected, study[eq]) for eq in eqs]
         return checks
 
@@ -86,4 +87,4 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     continuity = {"name": "zz_interface_continuity", "kind": "equality",
                   "max_abs_diff": diff, "tol": 1e-12, "passed": diff <= 1e-12}
     # the report lists it after the exact families, before the injected control
-    return studies(table[:5]) + [continuity] + studies(table[5:])
+    return studies(table[:4]) + [continuity] + studies(table[4:])

@@ -87,9 +87,9 @@ def test_tracer_sees_the_verify_bundle(tracing, tmp_path):
     finally:
         tracer.uninstall()
     spans = tracer.summary()
-    # one study per family and operator: flow and Poisson on the rotating field,
+    # one study per family: flow and Poisson together on the rotating field,
     # flow on zz_inner, zz_outer and the as-printed spiral
-    assert spans["residuals.convergence_study"]["calls"] == 5
+    assert spans["residuals.convergence_study"]["calls"] == 4
     for layer in ("fields.build_rotational", "fields.eval_rotational", "fields.eval_zz"):
         assert spans[layer]["calls"] > 0, layer
     assert tracer.counts["field_samples"] > 0

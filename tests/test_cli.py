@@ -366,10 +366,15 @@ class TestRobustness:
         assert "alpha_center must be > 0" in self.one_line_error(capsys)
         assert not (tmp_path / "fields.csv").exists()
 
-    def test_stencil_out_of_domain_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("h_list,message", [
+        # the Poisson stencils' r > 2h is checked before any field call
+        ("0.5,0.2,0.1", "point too close to r=0 for h=0.5"),
         # steps this wide carry stencil arms across the region boundaries
-        assert run(tmp_path, "verify", "--h-list", "0.5,0.2,0.1") == 2
-        assert "crossed a validity boundary" in self.one_line_error(capsys)
+        ("0.14,0.1,0.05", "crossed a validity boundary: t outside solved range"),
+    ])
+    def test_stencil_out_of_domain_exits_2(self, tmp_path, capsys, h_list, message):
+        assert run(tmp_path, "verify", "--h-list", h_list) == 2
+        assert message in self.one_line_error(capsys)
         assert not (tmp_path / "verify.json").exists()
 
     @pytest.mark.parametrize("h_list", ["1e-300,5e-301,2.5e-301", "1e-2,1e-100,1e-300",

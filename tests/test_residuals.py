@@ -18,7 +18,6 @@ from eulerpoisson.fields import (
 )
 from eulerpoisson.residuals import (
     PressureLaw,
-    ResidualReport,
     convergence_study,
     corrupt_density_offset,
     corrupt_density_scale,
@@ -44,8 +43,11 @@ def flow(pl):
 MASS = flow(PressureLaw("none"))
 
 
-def mass_of(field, pts, h):
-    return MASS(field, pts, h)[0]
+def at_step(op, field, pts, h):
+    """The residual norm of each equation of one operator at step h alone:
+    the first norm of a study that starts at h."""
+    return {name: study.norms[0]
+            for name, study in convergence_study([op], field, pts, [h, h / 2, h / 4]).items()}
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +64,16 @@ def rot_points():
 class TestMassResidual:
     def test_static_uniform_is_machine_zero(self):
         field = lambda t, x, y: FieldSample(rho=1.0, u1=0.0, u2=0.0)
-        rep = mass_of(field, [(0.0, 0.3, 0.4), (1.0, -1.0, 2.0)], 1e-3)
-        assert rep.eq_name == "mass"
-        assert rep.max_abs == 0.0
+        assert at_step(MASS, field, [(0.0, 0.3, 0.4), (1.0, -1.0, 2.0)], 1e-3)["mass"] == 0.0
 
     def test_rotational_is_discretization_error(self, rot_field, rot_points):
-        rep1 = mass_of(rot_field, rot_points, 1e-3)
-        rep2 = mass_of(rot_field, rot_points, 5e-4)
-        assert rep1.max_abs <= 1e-5
-        assert rep2.max_abs <= rep1.max_abs / 3.5  # about 4x smaller
+        norms = convergence_study([MASS], rot_field, rot_points, [1e-3, 5e-4, 2.5e-4])["mass"].norms
+        assert norms[0] <= 1e-5
+        assert norms[1] <= norms[0] / 3.5  # about 4x smaller
 
     def test_density_offset_breaks_it(self, rot_field, rot_points):
         bad = corrupt_density_offset(rot_field, 0.01)
-        study = convergence_study(MASS, bad, rot_points, H_LIST)["mass"]
+        study = convergence_study([MASS], bad, rot_points, H_LIST)["mass"]
         assert not study_passes(study)
         assert study.norms[-1] > 1e-3
 
@@ -82,31 +81,31 @@ class TestMassResidual:
         # continuity is linear in rho at fixed velocity: a scaled density is
         # still an exact solution of the mass equation
         scaled = corrupt_density_scale(rot_field, 1.01)
-        study = convergence_study(MASS, scaled, rot_points, H_LIST)["mass"]
+        study = convergence_study([MASS], scaled, rot_points, H_LIST)["mass"]
         assert study_passes(study)
 
 
 class TestMomentumResidual:
     def test_rotational_both_components(self, rot_field, rot_points):
-        _, rx, ry = flow_residuals(rot_field, rot_points, 1e-3, ISO)
-        assert rx.max_abs <= 1e-5
-        assert ry.max_abs <= 1e-5
-        assert rx.eq_name == "momentum_x" and ry.eq_name == "momentum_y"
+        norms = at_step(flow(ISO), rot_field, rot_points, 1e-3)
+        assert list(norms) == ["mass", "momentum_x", "momentum_y"]
+        assert norms["momentum_x"] <= 1e-5
+        assert norms["momentum_y"] <= 1e-5
 
     def test_steady_centripetal_balance(self, rigid_rotation_field):
         pts = [(0.5, 0.6, 0.1), (1.0, -0.4, 0.9), (2.0, 1.2, -1.1)]
-        study = convergence_study(flow(ISO), rigid_rotation_field, pts, H_LIST)
+        study = convergence_study([flow(ISO)], rigid_rotation_field, pts, H_LIST)
         assert study_passes(study["momentum_x"])
 
     def test_missing_gravity_raises(self):
         field = lambda t, x, y: FieldSample(rho=1.0, u1=0.0, u2=0.0, phi_r=None)
         with pytest.raises(MissingGravity):
-            flow_residuals(field, [(0.0, 1.0, 0.0)], 1e-3, ISO)
+            at_step(flow(ISO), field, [(0.0, 1.0, 0.0)], 1e-3)
 
     def test_zz_gamma2_without_gravity_is_fine(self, zz):
         inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
-        _, rx, ry = flow_residuals(inner, [(1.0, 0.3, 0.2)], 1e-3, G2)
-        assert rx.max_abs < 1e-6 and ry.max_abs < 1e-6
+        norms = at_step(flow(G2), inner, [(1.0, 0.3, 0.2)], 1e-3)
+        assert norms["momentum_x"] < 1e-6 and norms["momentum_y"] < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -123,29 +122,36 @@ def rigid_rotation_field():
 class TestPoissonResidual:
     def test_constant_profile_is_analytically_zero(self, rigid_rotation_field):
         # Phi_r = pi r, so (1/r)(r Phi_r)' = 2 pi = 2 pi rho exactly
-        (rep,) = poisson_residual(
-            rigid_rotation_field, [(0.5, 0.7, 0.0), (1.0, 0.0, 1.5)], 1e-3
-        )
-        assert rep.max_abs <= 1e-9
+        pts = [(0.5, 0.7, 0.0), (1.0, 0.0, 1.5)]
+        assert at_step(poisson_residual, rigid_rotation_field, pts, 1e-3)["poisson"] <= 1e-9
 
     def test_solved_profile_tight_at_small_h(self, rot_field):
         pts = [(0.0, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 2.0, 0.0)]
-        (rep,) = poisson_residual(rot_field, pts, 1e-4)
-        assert rep.max_abs <= 1e-6
+        assert at_step(poisson_residual, rot_field, pts, 1e-4)["poisson"] <= 1e-6
 
     def test_gravity_scaling_breaks_it(self, rot_field, rot_points):
         bad = corrupt_gravity_scale(rot_field, 1.01)
-        study = convergence_study(poisson_residual, bad, rot_points, H_LIST)
+        study = convergence_study([poisson_residual], bad, rot_points, H_LIST)
         assert not study_passes(study["poisson"])
 
     def test_density_scaling_breaks_it(self, rot_field, rot_points):
         bad = corrupt_density_scale(rot_field, 1.01)
-        study = convergence_study(poisson_residual, bad, rot_points, H_LIST)
+        study = convergence_study([poisson_residual], bad, rot_points, H_LIST)
         assert not study_passes(study["poisson"])
 
-    def test_near_origin_rejected(self, rot_field):
+    def test_near_origin_rejected(self):
         with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.5, x=0\.001, y=0\.0\)"):
-            poisson_residual(rot_field, [(0.5, 1e-3, 0.0)], 1e-3)
+            poisson_residual([(0.5, 1e-3, 0.0)], 1e-3)
+
+    def test_near_origin_rejected_before_the_field_call(self):
+        def field(t, x, y):
+            pytest.fail("the points are checked before the field is called")
+
+        # r = 3e-3 is within 2h of the origin only at the first step
+        with pytest.raises(StencilOutOfDomain,
+                           match=r"for h=0\.002 at \(t=0\.5, x=0\.003, y=0\.0\)"):
+            convergence_study([MASS, poisson_residual], field, [(0.5, 3e-3, 0.0)],
+                              [2e-3, 1e-3, 5e-4])
 
 
 class TestStencilStep:
@@ -153,56 +159,72 @@ class TestStencilStep:
     @pytest.mark.parametrize("op", [MASS, flow(ISO), poisson_residual],
                              ids=["mass", "momentum", "poisson"])
     def test_non_positive_or_nan_step_raises(self, op, h):
-        def field(t, x, y):
-            pytest.fail("the step is checked before the field is called")
-
+        # the operator states its points without sampling any field
         with pytest.raises(DomainError, match="stencil step must be > 0"):
-            op(field, [(0.5, 1.0, 0.0)], h)
+            op([(0.5, 1.0, 0.0)], h)
 
 
 class TestConvergenceStudy:
     def test_rotational_all_equations_second_order(self, rot_field, rot_points):
-        studies = {**convergence_study(flow(ISO), rot_field, rot_points, H_LIST),
-                   **convergence_study(poisson_residual, rot_field, rot_points, H_LIST)}
+        studies = convergence_study([flow(ISO), poisson_residual], rot_field, rot_points, H_LIST)
         assert list(studies) == ["mass", "momentum_x", "momentum_y", "poisson"]
         for study in studies.values():
             assert study.estimated_order == pytest.approx(2.0, abs=0.2)
             assert study_passes(study)
 
-    def test_one_operator_call_and_one_field_call_per_step(self, rot_field, rot_points):
+    def test_one_field_call_per_study(self, rot_field, rot_points):
         calls = []
 
         def counting(t, x, y):
             calls.append(t.shape)
             return rot_field(t, x, y)
 
-        studies = convergence_study(flow(ISO), counting, rot_points, H_LIST)
-        assert calls == [(len(rot_points), 7)] * len(H_LIST)
+        studies = convergence_study([flow(ISO)], counting, rot_points, H_LIST)
+        assert calls == [(len(H_LIST) * 7 * len(rot_points),)]
         assert list(studies) == ["mass", "momentum_x", "momentum_y"]
-        per_step = [flow_residuals(rot_field, rot_points, h, ISO) for h in H_LIST]
-        for k, study in enumerate(studies.values()):
+        per_step = [at_step(flow(ISO), rot_field, rot_points, h) for h in H_LIST]
+        for name, study in studies.items():
             assert study.h_sequence == tuple(H_LIST)
-            assert study.norms == tuple(reports[k].max_abs for reports in per_step)
+            assert study.norms == tuple(norms[name] for norms in per_step)
+
+    def test_a_joint_study_equals_its_one_operator_studies(self, rot_field, rot_points):
+        for field in (rot_field, corrupt_density_offset(rot_field, 0.01)):
+            joint = convergence_study([flow(ISO), poisson_residual], field, rot_points, H_LIST)
+            alone = [convergence_study([op], field, rot_points, H_LIST)
+                     for op in (flow(ISO), poisson_residual)]
+            # ConvergenceResult compares its norms and order as floats, so bit for bit
+            assert list(joint.items()) == [*alone[0].items(), *alone[1].items()]
+
+    def test_equation_reported_twice_raises(self):
+        def field(t, x, y):
+            pytest.fail("the names are checked before the field is called")
+
+        with pytest.raises(DomainError, match="more than one operator reports mass, momentum_x, momentum_y$"):
+            convergence_study([MASS, flow(ISO)], field, [(0.5, 1.0, 0.0)], H_LIST)
+
+    def test_no_operator_raises(self, rot_field):
+        with pytest.raises(DomainError, match="at least one residual operator"):
+            convergence_study([], rot_field, [(0.5, 1.0, 0.0)], H_LIST)
 
     def test_exact_zero_field_flagged_at_floor(self):
         field = lambda t, x, y: FieldSample(rho=2.0, u1=0.0, u2=0.0)
-        study = convergence_study(MASS, field, [(0.0, 1.0, 1.0)], H_LIST)["mass"]
+        study = convergence_study([MASS], field, [(0.0, 1.0, 1.0)], H_LIST)["mass"]
         assert study.at_floor
         assert study.estimated_order is None
         assert study_passes(study)
 
     def test_corrupted_field_not_excused(self, rot_field, rot_points):
         bad = corrupt_density_offset(rot_field, 0.01)
-        study = convergence_study(MASS, bad, rot_points, H_LIST)["mass"]
+        study = convergence_study([MASS], bad, rot_points, H_LIST)["mass"]
         assert not study.at_floor
         assert abs(study.estimated_order) < 0.5
         assert not study_passes(study)
 
     def test_h_list_validation(self, rot_field):
         with pytest.raises(DomainError):
-            convergence_study(MASS, rot_field, [(0.5, 1, 0)], [1e-2, 5e-3])
+            convergence_study([MASS], rot_field, [(0.5, 1, 0)], [1e-2, 5e-3])
         with pytest.raises(DomainError):
-            convergence_study(MASS, rot_field, [(0.5, 1, 0)], [1e-2, 1e-2, 5e-3])
+            convergence_study([MASS], rot_field, [(0.5, 1, 0)], [1e-2, 1e-2, 5e-3])
 
     # h^2 underflows to 0 (was a ZeroDivisionError) or to a subnormal whose
     # floor overflows to inf (every study was excused as at the floor)
@@ -213,7 +235,7 @@ class TestConvergenceStudy:
             pytest.fail("the steps are checked before the field is called")
 
         with pytest.raises(DomainError, match=f"smallest step h={h_list[-1]}$"):
-            convergence_study(flow(ISO), field, [(0.5, 1.0, 0.0)], h_list)
+            convergence_study([flow(ISO)], field, [(0.5, 1.0, 0.0)], h_list)
 
 
 class TestSwirlGenerality:
@@ -232,7 +254,7 @@ class TestSwirlGenerality:
             )
             ansatz = SwirlAnsatz(gauss, a_fn, adot_fn, G)
             field = lambda t, x, y: eval_swirl_ansatz(ansatz, t, x, y)
-            study = convergence_study(MASS, field, pts, H_LIST)["mass"]
+            study = convergence_study([MASS], field, pts, H_LIST)["mass"]
             assert study.estimated_order == pytest.approx(2.0, abs=0.2)
 
     def test_specific_swirl_example(self):
@@ -244,7 +266,7 @@ class TestSwirlGenerality:
         )
         field = lambda t, x, y: eval_swirl_ansatz(ansatz, t, x, y)
         pts = disk_points(np.random.default_rng(5), 10, (0.5, 2.0), (0.3, 2.0))
-        study = convergence_study(MASS, field, pts, H_LIST)["mass"]
+        study = convergence_study([MASS], field, pts, H_LIST)["mass"]
         assert study.estimated_order == pytest.approx(2.0, abs=0.2)
 
 
@@ -261,19 +283,19 @@ def pts_outer():
 class TestZhangZhengResiduals:
     def test_inner_corrected_passes_all(self, zz, pts_inner):
         inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
-        studies = convergence_study(flow(PressureLaw("gamma2", K=zz.K)), inner, pts_inner, H_LIST)
+        studies = convergence_study([flow(PressureLaw("gamma2", K=zz.K))], inner, pts_inner, H_LIST)
         assert list(studies) == ["mass", "momentum_x", "momentum_y"]
         assert all(study_passes(study) for study in studies.values())
 
     def test_outer_passes_all(self, zz, pts_outer):
         outer = lambda t, x, y: eval_zz_outer(zz, t, x, y)
-        studies = convergence_study(flow(PressureLaw("gamma2", K=zz.K)), outer, pts_outer, H_LIST)
+        studies = convergence_study([flow(PressureLaw("gamma2", K=zz.K))], outer, pts_outer, H_LIST)
         assert list(studies) == ["mass", "momentum_x", "momentum_y"]
         assert all(study_passes(study) for study in studies.values())
 
     def test_as_printed_inner_fails_mass(self, zz, pts_inner):
         bad = lambda t, x, y: eval_zz_inner(zz, t, x, y, as_printed=True)
-        study = convergence_study(MASS, bad, pts_inner, H_LIST)["mass"]
+        study = convergence_study([MASS], bad, pts_inner, H_LIST)["mass"]
         assert not study_passes(study)
         assert study.norms[-1] > 0.01  # stalls at O(1), not discretization error
 
@@ -283,7 +305,15 @@ class TestZhangZhengResiduals:
         # the t - h neighbour is the first stencil point past the interface,
         # which has shrunk to r = 1.998 by then
         with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.999, x=1\.9999, y=0\.0\)"):
-            MASS(inner, [(1.0, ri - 1e-4, 0.0)], 1e-3)
+            convergence_study([MASS], inner, [(1.0, ri - 1e-4, 0.0)], [1e-3, 5e-4, 2.5e-4])
+
+    def test_the_first_step_that_leaves_is_named(self, zz):
+        inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
+        # at t = 1 - h the interface is at 2 - 2h: the t - h neighbours of the
+        # two larger steps are past it, those of h = 2.5e-3 are not
+        with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.99, x=1\.994, y=0\.0\)"):
+            convergence_study([MASS], inner, [(1.0, 1.994, 0.0)], H_LIST)
+        convergence_study([MASS], inner, [(1.0, 1.994, 0.0)], [2.5e-3, 1.25e-3, 6.25e-4])
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +323,7 @@ class TestZhangZhengResiduals:
 
 
 def _report_reference(eq_name, values):
-    return ResidualReport(eq_name, float(np.max(np.abs(np.asarray(values)))))
+    return eq_name, float(np.max(np.abs(np.asarray(values))))
 
 
 def _neighbours_reference(field, t, x, y, h):
@@ -352,17 +382,19 @@ def _poisson_reference(field, pts, h):
 
 
 class TestBatchedEqualsPerPointReference:
-    """The batched operators make one field call per step on all stencil
-    points; they must give the per-point loops' reports, names and norms,
-    bit for bit."""
+    """A study makes one field call on the stencil points of all its
+    operators and steps; it must give the per-point loops' equation names
+    and norms, bit for bit."""
 
     def check(self, field, pts, pressure, gravity):
-        for h in H_LIST:
-            want = (_mass_reference(field, pts, h),
-                    *_momentum_reference(field, pts, h, pressure))
-            assert flow_residuals(field, pts, h, pressure) == want
-            if gravity:
-                assert poisson_residual(field, pts, h) == (_poisson_reference(field, pts, h),)
+        ops = [flow(pressure), poisson_residual] if gravity else [flow(pressure)]
+        got = {name: study.norms
+               for name, study in convergence_study(ops, field, pts, H_LIST).items()}
+        per_step = [(_mass_reference(field, pts, h), *_momentum_reference(field, pts, h, pressure),
+                     *([_poisson_reference(field, pts, h)] if gravity else []))
+                    for h in H_LIST]
+        want = {reports[0][0]: tuple(norm for _, norm in reports) for reports in zip(*per_step)}
+        assert list(got.items()) == list(want.items())
 
     def test_rotational(self, rot_field, rot_points):
         self.check(rot_field, rot_points, ISO, gravity=True)

@@ -1,7 +1,7 @@
 """The verification bundle as a library: check order, one batched field call
-per study and step (a study runs one residual operator, which reports every
-equation it can compute from that call), and one scale-factor read per
-batch."""
+per study (a study runs its residual operators on the points of all its
+steps at once, flow and Poisson together on the rotating family), and one
+scale-factor read per batch."""
 
 import json
 
@@ -54,16 +54,16 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_each_study_step_is_one_batched_field_call(tmp_path, monkeypatch):
+def test_each_study_is_one_batched_field_call(tmp_path, monkeypatch):
     calls = {name: _count_calls(monkeypatch, fields, name)
              for name in ("eval_rotational", "eval_zz_inner", "eval_zz_outer")}
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
-    # 4 rotational studies (flow and Poisson, exact and corrupted) x 3 steps;
-    # zz_inner has 2 flow studies (exact and as printed) and the interface
-    # corners, zz_outer 1 flow study
+    # 2 rotational studies (flow and Poisson, exact and corrupted); zz_inner
+    # has 2 flow studies (exact and as printed) and the interface corners,
+    # zz_outer 1 flow study
     assert {name: len(c) for name, c in calls.items()} == {
-        "eval_rotational": 12, "eval_zz_inner": 7, "eval_zz_outer": 3}
+        "eval_rotational": 2, "eval_zz_inner": 3, "eval_zz_outer": 1}
     for c in calls.values():
         for _, t, x, y in c:
             assert all(isinstance(v, np.ndarray) for v in (t, x, y))
@@ -75,7 +75,7 @@ def test_each_rotational_sample_reads_the_scale_factor_once(tmp_path, monkeypatc
     rotational = _count_calls(monkeypatch, fields, "eval_rotational")
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
     # one scale-factor lookup for each batch of stencil points, none per point
-    assert len(rotational) == 12
+    assert len(rotational) == 2
     assert len(state_at) == 0
     scale = rotational[0][0].scale
     # and one more in build_rotational, where all the samples set the profile's radius
