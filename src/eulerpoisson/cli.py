@@ -11,8 +11,9 @@ into an output file.  Wall time is logged to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 package error (any
 `errors.EulerPoissonError`), 3 verification failure.  The integrator flags
-exist only on emden, liouville and period, and replace only the named
-fields of the solver's default `IntegratorConfig`.
+exist only on emden, liouville and period and replace only the named fields
+of the base config, `ode.TIGHT_CONFIG` for liouville and the `IntegratorConfig`
+defaults otherwise; emden's flags govern both its CSV and its simulated period.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ def cmd_emden(args) -> int:
         tp = emden.turning_points(p)
         report["a_min"], report["a_max"] = tp.a_min, tp.a_max
         report["T_quadrature"] = emden.period_by_quadrature(p).T
-        report["T_simulation"] = emden.period_by_simulation(p).T
+        report["T_simulation"] = emden.period_by_simulation(p, cfg, traj).T
 
     out = _outdir(args)
     _write_csv(out / "emden.csv", ["t", "a", "adot", "energy"], rows)
@@ -409,7 +410,7 @@ def cmd_fields(args) -> int:
 
 def cmd_period(args) -> int:
     p = emden.EmdenParams(lam=args.lam, xi=args.xi, a0=args.a0, a1=args.a1)
-    cfg = _integrator_config(args, TIGHT_CONFIG)
+    cfg = _integrator_config(args, IntegratorConfig())
     tq = emden.period_by_quadrature(p)
     ts = emden.period_by_simulation(p, cfg)
     report = {

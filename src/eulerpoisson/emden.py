@@ -27,14 +27,13 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NotPeriodic, StateBlowup, StepUnderflow
 from .ode import (
-    TIGHT_CONFIG,
     IntegratorConfig,
     IntegratorStats,
     OdeState,
     Trajectory,
     detect_events,
     integrate,
-    quad_singular_estimate,
+    quad_singular,
 )
 
 # relative width of the band around (abar, 0) treated as the steady state
@@ -79,7 +78,7 @@ class TurningPoints(NamedTuple):
 @dataclass(frozen=True)
 class PeriodEstimate:
     """A period with its error estimate; simulation estimates also carry the
-    integrator counters of their one run."""
+    integrator counters of the run they added."""
 
     T: float
     method: str  # "quadrature" or "simulation"
@@ -172,12 +171,14 @@ def turning_points(p: EmdenParams) -> TurningPoints:
         hi = abar
         lo = abar * outward
         for _ in range(_BRACKET_MAX_DOUBLINGS):
+            if lo == math.inf:
+                raise DomainError(f"the turning-point bracket overflows at {p}")
             if g(lo) > 0:
                 break
             hi = lo
             lo *= outward
         else:
-            raise NoConvergence("turning-point bracket expansion failed")
+            raise NoConvergence(f"turning-point bracket expansion failed at {p}")
         a, b = (lo, hi) if lo < hi else (hi, lo)
         ga, gb = g(a), g(b)
         while b - a > _ROOT_ATOL:
@@ -234,7 +235,7 @@ def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
             return 0.0
         return 1.0 / math.sqrt(2.0 * ex)
 
-    val, err = quad_singular_estimate(integrand, tp.a_min, tp.a_max, PERIOD_QUAD_TOL)
+    val, err = quad_singular(integrand, tp.a_min, tp.a_max, PERIOD_QUAD_TOL)
     return PeriodEstimate(T=2.0 * val, method="quadrature", err_est=2.0 * err)
 
 
@@ -249,30 +250,43 @@ _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles
 _PERIOD_BUDGET = 256  # linearized periods
 
 
-def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = TIGHT_CONFIG) -> PeriodEstimate:
+def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfig(),
+                         run: Trajectory | None = None) -> PeriodEstimate:
     """Orbit period timed from falling a'=0 events of a simulated trajectory.
 
-    One run from t = 0 stops at the node of the fourth fall of a' or at a
-    time budget of 256 linearized periods, and the first four maxima of
-    a(t) are located on it; cfg.max_steps bounds the whole run.  The period
-    is the mean of the three gaps and err_est their maximum deviation from
-    the mean.  The estimate also reports the run's integrator counters.
+    The falls of a' count first on the nodes of `run`, a trajectory of this
+    orbit from t = 0 (else DomainError), and the event finder samples it only
+    up to the node of the fourth.  With fewer falls or no `run`, the orbit is
+    integrated on at cfg from the last node to the missing falls, within 256
+    linearized periods from t = 0.  The period is the mean of the three gaps
+    between the first four maxima of a(t), err_est their largest deviation
+    from it, and stats the counters of the integration that the call added.
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
-    budget = _PERIOD_BUDGET * linearized_period(p)
-    traj = integrate(scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1])), budget, cfg,
-                     falls=(1, _PERIOD_EVENTS_NEEDED))
+    y0 = (p.a0, p.a1)
+    if run is None:  # the start node alone; a lone node's derivative is never read
+        run = Trajectory([0.0], [y0], [y0])
+    elif not (run.t_start == 0.0 and np.array_equal(run.ys[0], y0)):
+        raise DomainError(f"the run must start at t = 0 from (a0, a1) of {p}")
+    adot = run.ys[:, 1]
+    fall_nodes = (np.flatnonzero((adot[:-1] > 0) & (adot[1:] <= 0)) + 1)[:_PERIOD_EVENTS_NEEDED]
+    n = fall_nodes[-1] + 1 if len(fall_nodes) == _PERIOD_EVENTS_NEEDED else run.n_nodes
     # each counted fall has a bracket on the finder's grid; a zero that the
     # nodes missed lies earlier, so the first four are the first four maxima
-    events = detect_events(traj, 1)[:_PERIOD_EVENTS_NEEDED]
+    events = detect_events(Trajectory(run.ts[:n], run.ys[:n], run.fs[:n], run.cont[:n - 1]), 1)
+    stats, budget = IntegratorStats(), _PERIOD_BUDGET * linearized_period(p)
+    if len(fall_nodes) < _PERIOD_EVENTS_NEEDED and run.t_end < budget:
+        more = integrate(scale_rhs(p), OdeState(run.t_end, run.y_end), budget, cfg,
+                         falls=(1, _PERIOD_EVENTS_NEEDED - len(fall_nodes)))
+        events, stats = np.concatenate([events, detect_events(more, 1)]), more.stats
     if len(events) < _PERIOD_EVENTS_NEEDED:
         raise NoConvergence("no full cycles detected within the time budget")
 
-    gaps = np.diff(events)
+    gaps = np.diff(events[:_PERIOD_EVENTS_NEEDED])
     T = float(np.mean(gaps))
     return PeriodEstimate(T=T, method="simulation", err_est=float(np.max(np.abs(gaps - T))),
-                          stats=traj.stats)
+                          stats=stats)
 
 
 def integrate_scale(

@@ -165,7 +165,7 @@ class IntegratorConfig:
             raise DomainError("max_steps must be > 0")
 
 
-# the tight tolerances of the period, profile and rotational scale-factor solves
+# the tight tolerances of the profile and rotational scale-factor solves
 TIGHT_CONFIG = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
 
@@ -584,10 +584,10 @@ def quad_adaptive(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, f
     return float(value), float(err_acc)
 
 
-def quad_singular_estimate(
-    g, lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Like `quad_singular` but also returns the accumulated error estimate."""
+def quad_singular(g, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """(value, error estimate) of the integral of g over (lo, hi), where g may have
+    |x-endpoint|^(-1/2) singularities: `quad_adaptive` after the substitution
+    x = lo + (hi-lo)*sin^2(theta), which makes them smooth."""
     if hi == lo:
         return 0.0, 0.0
     if hi < lo:
@@ -605,13 +605,3 @@ def quad_singular_estimate(
         return g(x) * span * math.sin(2 * theta)
 
     return quad_adaptive(transformed, 0.0, 0.5 * math.pi, tol)
-
-
-def quad_singular(g, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Integral of g over (lo, hi) allowing |x-endpoint|^(-1/2) singularities.
-
-    The substitution x = lo + (hi-lo)*sin^2(theta) turns an inverse square
-    root endpoint singularity into a smooth integrand, which an adaptive
-    Gauss-Kronrod rule then resolves to the requested tolerance.
-    """
-    return quad_singular_estimate(g, lo, hi, tol)[0]

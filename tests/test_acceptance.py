@@ -138,7 +138,7 @@ def test_05_blowup_limit():
         run = integrate_scale(EmdenParams(1.0, 0.0, 1.0, 0.0), 10.0)
         t_ref = quad_singular(
             lambda a: 1.0 / math.sqrt(-2.0 * math.log(a)), 0.0, 1.0, 1e-12
-        )
+        )[0]
         assert run.touchdown_time is not None
         assert abs(run.touchdown_time - t_ref) / t_ref <= 1e-6
 

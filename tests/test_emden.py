@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eulerpoisson import emden
 from eulerpoisson.emden import (
     EmdenParams,
     OrbitClass,
@@ -24,10 +25,20 @@ from eulerpoisson.emden import (
     period_by_quadrature,
     period_by_simulation,
     potential,
+    scale_rhs,
     turning_points,
 )
-from eulerpoisson.errors import DomainError, NotPeriodic
-from eulerpoisson.ode import TIGHT_CONFIG, IntegratorConfig, quad_singular
+from eulerpoisson.errors import DomainError, NoConvergence, NotPeriodic
+from eulerpoisson.ode import (
+    TIGHT_CONFIG,
+    IntegratorConfig,
+    IntegratorStats,
+    OdeState,
+    Trajectory,
+    detect_events,
+    integrate,
+    quad_singular,
+)
 
 # 50-digit offline references for lam=1, xi=1, a0=1, a1=1 (theta = 1)
 UNIT_ORBIT_A_MIN = 0.56377693540918529122
@@ -180,6 +191,14 @@ class TestTurningPoints:
         with pytest.raises(NotPeriodic):
             turning_points(EmdenParams(1.0, 1.0, 1.0, 0.0))
 
+    def test_a_bracket_that_overflows_or_stops_short_names_the_orbit(self):
+        # the outward bracket overflowed to inf, where V > theta ended the
+        # expansion: a_max = inf, and the period failed on a nameless a > 0 check
+        with pytest.raises(DomainError, match="bracket overflows at .*lam=1e-300"):
+            turning_points(EmdenParams(1e-300, 1.0, 1.0, 1.0))
+        with pytest.raises(NoConvergence, match=r"expansion failed at .*a0=1e\+300"):
+            turning_points(EmdenParams(1.0, 1.0, 1e300, 1.0))
+
 
 def _bisect(g, a, b, iters=100):
     ga = g(a)
@@ -248,6 +267,58 @@ class TestPeriods:
             period_by_simulation(steady)
 
 
+class TestPeriodOfARun:
+    """`period_by_simulation(p, cfg, run)` counts the falls of a' on `run` first."""
+
+    def test_the_prefix_gives_the_events_of_the_whole_run(self, unit_orbit, monkeypatch):
+        run = integrate_scale(unit_orbit, 200.0).trajectory
+        gaps = np.diff(detect_events(run, 1)[:4])
+        sampled = []
+        monkeypatch.setattr(emden, "detect_events",
+                            lambda traj, k: sampled.append(traj) or detect_events(traj, k))
+        est = period_by_simulation(unit_orbit, IntegratorConfig(), run)
+        assert est.T == float(np.mean(gaps))
+        assert est.err_est == float(np.max(np.abs(gaps - est.T)))
+        assert est.stats == IntegratorStats()  # the call integrated nothing
+        # the finder sampled the run only up to the node of its fourth fall
+        adot = run.ys[:, 1]
+        fourth = np.flatnonzero((adot[:-1] > 0) & (adot[1:] <= 0))[3] + 1
+        (prefix,) = sampled
+        assert np.array_equal(prefix.ts, run.ts[:fourth + 1])
+        assert np.array_equal(prefix.cont, run.cont[:fourth])
+
+    def test_a_fall_on_the_last_node_of_the_run_counts_once(self, unit_orbit):
+        p, cfg = unit_orbit, IntegratorConfig()
+        start = OdeState(0.0, [p.a0, p.a1])
+        first = detect_events(integrate(scale_rhs(p), start, 50.0, cfg, falls=(1, 1)), 1)[0]
+        run = integrate(scale_rhs(p), start, first, cfg)
+        assert run.ys[-2, 1] > 0
+        run.ys[-1, 1] = 0.0  # a' of the last node was within rounding of zero
+        est = period_by_simulation(p, cfg, run)
+        # the run holds one fall, so the call integrates on to three more ...
+        more = integrate(scale_rhs(p), OdeState(first, run.ys[-1]),
+                         256 * linearized_period(p), cfg, falls=(1, 3))
+        assert est.stats == more.stats
+        # ... and the zero on the shared node is the first maximum, once
+        gaps = np.diff([first, *detect_events(more, 1)[:3]])
+        assert est.T == float(np.mean(gaps))
+        assert est.T == pytest.approx(UNIT_ORBIT_PERIOD, rel=1e-8)
+
+    def test_a_run_past_the_budget_is_not_continued(self):
+        p = EmdenParams(1.0, 1.0, 1.0, 5.0)  # a_max near 7e5: no fall for ages
+        run = integrate_scale(p, 300 * linearized_period(p)).trajectory
+        with pytest.raises(NoConvergence, match="no full cycles"):
+            period_by_simulation(p, IntegratorConfig(), run)
+
+    def test_a_run_from_elsewhere_raises(self, unit_orbit):
+        run = integrate_scale(unit_orbit, 10.0).trajectory
+        late = Trajectory(run.ts + 1.0, run.ys, run.fs, run.cont)
+        other = integrate_scale(EmdenParams(1.0, 1.0, 1.0, 0.5), 10.0).trajectory
+        for bad in (late, other):
+            with pytest.raises(DomainError, match="must start at t = 0"):
+                period_by_simulation(unit_orbit, IntegratorConfig(), bad)
+
+
 class TestIntegrateScale:
     def test_steady_stays_put(self):
         run = integrate_scale(
@@ -261,7 +332,7 @@ class TestIntegrateScale:
         # oracle: time = integral_0^1 da / sqrt(-2 ln a), singular at a = 1
         t_ref = quad_singular(
             lambda a: 1.0 / math.sqrt(-2.0 * math.log(a)), 0.0, 1.0, 1e-12
-        )
+        )[0]
         assert run.touchdown_time is not None
         assert abs(run.touchdown_time - t_ref) / t_ref <= 1e-6
         assert t_ref == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)

@@ -207,7 +207,7 @@ class TestScale:
         # oracle: a'^2/2 = lam*(1/a - 1/a0) integrates to the free-fall time
         t_ref = quad_singular(
             lambda a: 1.0 / math.sqrt(2.0 * (1.0 / a - 1.0)), 0.0, 1.0, 1e-12
-        )
+        )[0]
         assert t_ref == pytest.approx(math.pi / (2 * math.sqrt(2.0)), rel=1e-10)
         assert run.touchdown_time == pytest.approx(t_ref, rel=1e-6)
 
