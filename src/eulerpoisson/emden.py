@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NotPeriodic, StateBlowup, StepUnderflow
+from .errors import (DomainError, IntegrationHalted, NoConvergence, NotPeriodic, StateBlowup,
+                     StepUnderflow)
 from .ode import (
     IntegratorConfig,
     IntegratorStats,
@@ -216,15 +217,15 @@ def turning_points(p: EmdenParams) -> TurningPoints:
     return TurningPoints(solve_side(0.5), solve_side(2.0))
 
 
-# absolute tolerance of the half-period quadrature
-PERIOD_QUAD_TOL = 1e-10
+# tolerance of the half-period quadrature, relative to each panel's value
+PERIOD_QUAD_TOL = 1e-12
 
 
 def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
     """Orbit period as 2 * integral da / sqrt(2*(theta - V(a))).
 
     The integrand has inverse-square-root singularities at both turning
-    points, handled by `quad_singular` to PERIOD_QUAD_TOL.
+    points, handled by `quad_singular` to the relative PERIOD_QUAD_TOL.
     """
     tp = turning_points(p)
     th = energy_level(p)
@@ -247,7 +248,6 @@ def linearized_period(p: EmdenParams) -> float:
 
 
 _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles
-_PERIOD_BUDGET = 256  # linearized periods
 
 
 def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfig(),
@@ -257,10 +257,11 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     The falls of a' count first on the nodes of `run`, a trajectory of this
     orbit from t = 0 (else DomainError), and the event finder samples it only
     up to the node of the fourth.  With fewer falls or no `run`, the orbit is
-    integrated on at cfg from the last node to the missing falls, within 256
-    linearized periods from t = 0.  The period is the mean of the three gaps
-    between the first four maxima of a(t), err_est their largest deviation
-    from it, and stats the counters of the integration that the call added.
+    integrated on at cfg from the last node to the missing falls, however
+    long that takes; cfg.max_steps bounds it, and a halt is re-raised with
+    its type and the orbit's parameters.  The period is the mean of the three
+    gaps between the first four maxima of a(t), err_est their largest
+    deviation from it, and stats the counters of the integration it added.
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
@@ -275,13 +276,14 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     # each counted fall has a bracket on the finder's grid; a zero that the
     # nodes missed lies earlier, so the first four are the first four maxima
     events = detect_events(Trajectory(run.ts[:n], run.ys[:n], run.fs[:n], run.cont[:n - 1]), 1)
-    stats, budget = IntegratorStats(), _PERIOD_BUDGET * linearized_period(p)
-    if len(fall_nodes) < _PERIOD_EVENTS_NEEDED and run.t_end < budget:
-        more = integrate(scale_rhs(p), OdeState(run.t_end, run.y_end), budget, cfg,
-                         falls=(1, _PERIOD_EVENTS_NEEDED - len(fall_nodes)))
+    stats = IntegratorStats()
+    if len(fall_nodes) < _PERIOD_EVENTS_NEEDED:
+        try:
+            more = integrate(scale_rhs(p), OdeState(run.t_end, run.y_end), math.inf, cfg,
+                             falls=(1, _PERIOD_EVENTS_NEEDED - len(fall_nodes)))
+        except IntegrationHalted as halt:
+            raise type(halt)(f"{halt} in the period of {p}", halt.t, halt.trajectory) from None
         events, stats = np.concatenate([events, detect_events(more, 1)]), more.stats
-    if len(events) < _PERIOD_EVENTS_NEEDED:
-        raise NoConvergence("no full cycles detected within the time budget")
 
     gaps = np.diff(events[:_PERIOD_EVENTS_NEEDED])
     T = float(np.mean(gaps))
@@ -313,8 +315,6 @@ def _run_to_touchdown(rhs, start: OdeState, t_end: float, cfg: IntegratorConfig)
     returned with the halt time.  Any other halt is re-raised with its
     context.
     """
-    if not t_end > start.t:
-        raise DomainError(f"t_end must be > {start.t:g}")
     try:
         return ScaleRun(trajectory=integrate(rhs, start, t_end, cfg), touchdown_time=None)
     except (StepUnderflow, StateBlowup) as halt:

@@ -29,7 +29,8 @@ Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
 for smooth integrands, and `quad_singular`, which first applies the
 substitution x = lo + (hi-lo)*sin^2(theta).  The substitution removes
 inverse-square-root endpoint singularities exactly, which is the worst
-behaviour any integrand in this package exhibits.
+behaviour any integrand in this package exhibits.  Both take a `tol`
+relative to each panel's own estimate.
 """
 
 from __future__ import annotations
@@ -368,7 +369,8 @@ def integrate(
     step where y[k] falls: > 0 at its start and <= 0 at its end, the
     half-open rule of `detect_events` at the nodes, so that `detect_events`
     finds at least n zeros.  A k outside the state or an n < 1 raises
-    DomainError.
+    DomainError.  t_end may then be math.inf: the run ends at the n-th fall
+    or halts, at the latest when config.max_steps is reached.
 
     Raises:
         StepBudgetExceeded: config.max_steps attempted steps reached.
@@ -554,34 +556,31 @@ _MAX_PANELS = 4096
 def quad_adaptive(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod integral of a smooth f over [lo, hi].
 
-    Returns (value, error estimate).  Deterministic: panels are processed in
-    a fixed order.  Raises NoConvergence when the panel budget is exhausted.
+    Returns (value, error estimate).  `tol` is relative: a panel is accepted
+    once its error estimate is at most tol * |its value|, so scaling f keeps
+    the panels, or once it is narrower than 1e-14 of [lo, hi], which alone
+    ends a panel whose value cancels to 0.  Panels are processed in a fixed
+    order.  Raises NoConvergence past 4,096 panels.
     """
     if hi == lo:
         return 0.0, 0.0
     if hi < lo:
         raise DomainError("quad_adaptive requires hi >= lo")
-    total = hi - lo
-    stack = [(lo, hi)]
-    value = 0.0
-    err_acc = 0.0
-    panels = 0
-    while stack:
+    floor, stack = 1e-14 * (hi - lo), [(lo, hi)]
+    value = err_acc = 0.0
+    for _ in range(_MAX_PANELS):
         a, b = stack.pop()
-        panels += 1
-        if panels > _MAX_PANELS:
-            raise NoConvergence(
-                f"quadrature budget exhausted ({_MAX_PANELS} panels) before tol={tol}"
-            )
         val, err = _gk15(f, a, b)
-        if err <= tol * (b - a) / total or (b - a) < 1e-14 * total:
+        if err <= tol * abs(val) or b - a < floor:
             value += val
             err_acc += err
         else:
             m = 0.5 * (a + b)
-            stack.append((m, b))
-            stack.append((a, m))
-    return float(value), float(err_acc)
+            stack += [(m, b), (a, m)]
+        if not stack:
+            return float(value), float(err_acc)
+    raise NoConvergence(f"quadrature budget exhausted ({_MAX_PANELS} panels) "
+                        f"before relative tol={tol}")
 
 
 def quad_singular(g, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:

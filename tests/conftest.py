@@ -10,6 +10,15 @@ from eulerpoisson.fields import ZZSolution, build_rotational
 from eulerpoisson.ode import IntegratorConfig
 
 
+# the two orbits of the benchmark's confirmation pool (orbits, seed 20261017)
+# whose period quadrature, at an absolute tolerance, exhausted its 4,096
+# panels; their periods are 6.5e6 and 6.4e10
+WIDE_ORBITS = [
+    EmdenParams(0.29609930847768234, 2.3140885660693904, 1.1969327522449682, 2.1311544245429976),
+    EmdenParams(0.37021281793076577, 1.8847639010257584, 0.5456176867545397, -2.4279244088861986),
+]
+
+
 @pytest.fixture(scope="session")
 def unit_orbit():
     """The canonical periodic configuration: lam = xi = a0 = a1 = 1."""

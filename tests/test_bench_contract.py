@@ -104,3 +104,15 @@ def test_profiles_tasks_pass_their_check(workloads, tmp_path):
         for argv in task.argvs:
             assert main([*argv, "--outdir", str(outdir)]) == 0, argv
         assert task.check(task, outdir) is None
+
+
+def test_orbits_tasks_pass_their_check(workloads, tmp_path):
+    # the benchmark's confirmation pool: every rotating orbit gets both
+    # periods, wide ones included, and every collapse its touchdown
+    tasks = workloads.make_pool("orbits", 20261017, 51)
+    for k, task in enumerate(tasks):
+        assert task.check is workloads.check_orbit
+        outdir = tmp_path / str(k)
+        (argv,) = task.argvs
+        assert main([*argv, "--outdir", str(outdir)]) == 0, argv
+        assert task.check(task, outdir) is None, argv

@@ -375,6 +375,10 @@ class TestRobustness:
             # each exited 2 with "turning-point bracket expansion failed" alone
             (("emden", "--a0", "1e300"), "a0=1e+300"),
             (("emden", "--lam", "1e-250", "--xi", "2"), "lam=1e-250"),
+            # each exited 2 with a nameless "quadrature budget exhausted"; the
+            # simulated period's step underflows near a_max of about 9e22
+            (("emden", "--a1", "10"), "a1=10.0"),
+            (("period", "--a1", "10"), "a1=10.0"),
         ],
     )
     def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):

@@ -6,12 +6,14 @@ lighter oracles (scalar bisection, linearization) run inline.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import WIDE_ORBITS
 from eulerpoisson import emden
 from eulerpoisson.emden import (
     EmdenParams,
@@ -28,7 +30,7 @@ from eulerpoisson.emden import (
     scale_rhs,
     turning_points,
 )
-from eulerpoisson.errors import DomainError, NoConvergence, NotPeriodic
+from eulerpoisson.errors import DomainError, NoConvergence, NotPeriodic, StepUnderflow
 from eulerpoisson.ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
@@ -267,6 +269,25 @@ class TestPeriods:
             period_by_simulation(steady)
 
 
+class TestBothPeriodsOverTheOrbitsBox:
+    """Every rotating orbit of the benchmark's `orbits` box gets both periods."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(lam=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
+           xi=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
+           a0=st.floats(0.5, 2.0), a1=st.floats(-2.5, 2.5))
+    @example(*astuple(WIDE_ORBITS[0]))
+    @example(*astuple(WIDE_ORBITS[1]))
+    def test_turning_points_and_both_periods(self, lam, xi, a0, a1):
+        p = EmdenParams(lam, xi, a0, a1)
+        assume(classify(p) is OrbitClass.PERIODIC)
+        th = energy_level(p)
+        for a in turning_points(p):
+            assert abs(potential(a, p) - th) <= 1e-12 * max(1.0, abs(th))
+        tq = period_by_quadrature(p).T
+        assert abs(tq - period_by_simulation(p).T) / tq <= 1e-6
+
+
 class TestPeriodOfARun:
     """`period_by_simulation(p, cfg, run)` counts the falls of a' on `run` first."""
 
@@ -296,19 +317,33 @@ class TestPeriodOfARun:
         run.ys[-1, 1] = 0.0  # a' of the last node was within rounding of zero
         est = period_by_simulation(p, cfg, run)
         # the run holds one fall, so the call integrates on to three more ...
-        more = integrate(scale_rhs(p), OdeState(first, run.ys[-1]),
-                         256 * linearized_period(p), cfg, falls=(1, 3))
+        more = integrate(scale_rhs(p), OdeState(first, run.ys[-1]), math.inf, cfg,
+                         falls=(1, 3))
         assert est.stats == more.stats
         # ... and the zero on the shared node is the first maximum, once
         gaps = np.diff([first, *detect_events(more, 1)[:3]])
         assert est.T == float(np.mean(gaps))
         assert est.T == pytest.approx(UNIT_ORBIT_PERIOD, rel=1e-8)
 
-    def test_a_run_past_the_budget_is_not_continued(self):
-        p = EmdenParams(1.0, 1.0, 1.0, 5.0)  # a_max near 7e5: no fall for ages
+    def test_a_run_far_short_of_its_falls_is_continued(self):
+        # a_max near 4e5: the run of 300 linearized periods holds no fall, and
+        # the period is about 1.1e6, far past the 256 that once bounded the
+        # continuation, which then gave up
+        p = EmdenParams(1.0, 1.0, 1.0, 5.0)
         run = integrate_scale(p, 300 * linearized_period(p)).trajectory
-        with pytest.raises(NoConvergence, match="no full cycles"):
-            period_by_simulation(p, IntegratorConfig(), run)
+        est = period_by_simulation(p, IntegratorConfig(), run)
+        assert est.stats.accepted > 0
+        tq = period_by_quadrature(p).T
+        assert tq > 256 * linearized_period(p)
+        assert abs(est.T - tq) / tq <= 1e-6
+
+    def test_a_halted_continuation_names_the_orbit(self):
+        # a_max near 9e22: the step underflows on the way out
+        p = EmdenParams(1.0, 1.0, 1.0, 10.0)
+        match = r"underflowed .* in the period of EmdenParams\(.*a1=10\.0"
+        with pytest.raises(StepUnderflow, match=match) as exc:
+            period_by_simulation(p)
+        assert exc.value.trajectory is not None and exc.value.t > 1e22
 
     def test_a_run_from_elsewhere_raises(self, unit_orbit):
         run = integrate_scale(unit_orbit, 10.0).trajectory

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import WIDE_ORBITS
 from eulerpoisson import ode
 from eulerpoisson.errors import (
     DomainError,
     EulerPoissonError,
     NoConvergence,
     StateBlowup,
+    StepBudgetExceeded,
     StepUnderflow,
 )
 from eulerpoisson.emden import (
@@ -718,6 +720,14 @@ class TestFallStop:
         found = [period_by_simulation(p, TIGHT_CONFIG).T for p in _ACCEPTANCE_03_ORBITS]
         assert found == pytest.approx(_ACCEPTANCE_03_PERIODS, rel=2e-11, abs=0)
 
+    def test_an_endless_run_ends_at_its_falls_or_its_step_budget(self, unit):
+        rhs, y0, t_lin = unit
+        traj = integrate(rhs, y0, math.inf, TIGHT_CONFIG, falls=(1, 2))
+        capped = integrate(rhs, y0, 8.0 * t_lin, TIGHT_CONFIG, falls=(1, 2))
+        assert _digest(traj) == _digest(capped) and traj.stats == capped.stats
+        with pytest.raises(StepBudgetExceeded, match="exceeded 50 steps"):
+            integrate(rhs, y0, math.inf, IntegratorConfig(max_steps=50))
+
     @pytest.mark.parametrize("falls", [(2, 1), (-1, 1), (0, 0), (1, -3)])
     def test_bad_component_or_count_raises(self, falls):
         with pytest.raises(DomainError, match="falls="):
@@ -913,6 +923,14 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             quad_singular(math.sin, 1.0, 0.0)
 
+    @pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
+    def test_tolerance_is_relative_to_the_integral(self, c):
+        # at an absolute tol the 1e-30 integrand was accepted on one panel, 11% off
+        exact = c * 0.2 * math.atan(10.0)
+        val, err = quad_adaptive(lambda x: c / (1.0 + 100.0 * x * x), -1.0, 1.0, 1e-10)
+        assert abs(val - exact) <= 1e-10 * exact
+        assert err <= 1e-10 * exact
+
     def test_no_convergence_on_pathological_integrand(self):
         with pytest.raises(NoConvergence):
             quad_adaptive(lambda x: math.sin(1.0 / x) / x, 1e-12, 1.0, 1e-14)
@@ -939,6 +957,24 @@ class TestQuadratureAgainstScipy:
             )
         T = period_by_quadrature(p).T
         assert abs(T - 2.0 * half) <= 1e-9 * T
+
+    @pytest.mark.parametrize("p", WIDE_ORBITS, ids=str)
+    def test_period_of_wide_orbits_against_a_log_oracle(self, p):
+        # QAGS in u = ln a, where a_max/a_min up to 3.5e10 is a span of 24
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        tp, th = turning_points(p), energy_level(p)
+
+        def integrand(u):
+            a = math.exp(u)
+            ex = th - potential(a, p)
+            return a / math.sqrt(2.0 * ex) if ex > 0.0 else 0.0
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
+            half, _ = scipy_integrate.quad(integrand, math.log(tp.a_min), math.log(tp.a_max),
+                                           epsabs=0.0, epsrel=1e-13, limit=500)
+        T = period_by_quadrature(p).T
+        assert abs(T - 2.0 * half) <= 1e-10 * T
 
     @pytest.mark.parametrize(
         "g,exact",
