@@ -327,8 +327,8 @@ class TestPeriodOfARun:
 
     def test_a_run_far_short_of_its_falls_is_continued(self):
         # a_max near 4e5: the run of 300 linearized periods holds no fall, and
-        # the period is about 1.1e6, far past the 256 that once bounded the
-        # continuation, which then gave up
+        # the period is about 1.1e6, far past the 256 linearized periods
+        # (about 1,100) that once bounded the continuation
         p = EmdenParams(1.0, 1.0, 1.0, 5.0)
         run = integrate_scale(p, 300 * linearized_period(p)).trajectory
         est = period_by_simulation(p, IntegratorConfig(), run)
