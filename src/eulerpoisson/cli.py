@@ -308,10 +308,11 @@ def cmd_liouville(args) -> int:
     cfg = _integrator_config(args, TIGHT_CONFIG)
     prof = liouville.solve_profile(p, args.s_max, cfg)
 
-    s = prof.grid
-    mass = prof._mass_at_nodes()
-    bracket = -p.lam * s + p.K * prof.fdot + mass / s
-    rows = zip(s.tolist(), prof.f.tolist(), prof.fdot.tolist(), mass.tolist(), bracket.tolist())
+    s = prof.grid[1:]  # the nodes after s = 0, where mass/s is 0/0
+    mass = liouville.enclosed_mass(prof, s)
+    bracket = liouville.momentum_bracket(prof, s)
+    rows = zip(s.tolist(), prof.f[1:].tolist(), prof.fdot[1:].tolist(), mass.tolist(),
+               bracket.tolist())
 
     report = {
         "command": "liouville",

@@ -134,8 +134,7 @@ def equilibrium_radius(p: EmdenParams) -> float:
 
 
 def _is_steady(p: EmdenParams) -> bool:
-    if p.lam <= 0 or p.xi == 0:
-        return False
+    """Whether a rotating orbit (lam > 0, xi != 0, as `classify` checks first) rests at abar."""
     abar = equilibrium_radius(p)
     return (
         abs(p.a0 - abar) <= STEADY_RTOL * abar
@@ -181,7 +180,7 @@ def turning_points(p: EmdenParams) -> TurningPoints:
         else:
             raise NoConvergence(f"turning-point bracket expansion failed at {p}")
         a, b = (lo, hi) if lo < hi else (hi, lo)
-        ga, gb = g(a), g(b)
+        ga = g(a)
         while b - a > _ROOT_ATOL:
             m = 0.5 * (a + b)
             if m == a or m == b:
@@ -192,7 +191,7 @@ def turning_points(p: EmdenParams) -> TurningPoints:
             if (gm > 0) == (ga > 0):
                 a, ga = m, gm
             else:
-                b, gb = m, gm
+                b = m
         root = 0.5 * (a + b)
         for _ in range(3):  # Newton polish, kept inside the bracket
             try:

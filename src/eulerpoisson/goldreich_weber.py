@@ -6,7 +6,9 @@ The radial profile obeys
 
 with f(0) = alpha_center > 0, f'(0) = 0, and (unlike the 2D isothermal
 family) reaches a first zero S_mu where the density touches down, so the
-star has compact support.  The companion scale factor obeys
+star has compact support.  As in `liouville`, integration starts at the
+regular singular point s = 0, where the right-hand side takes the limit
+(N-1)/s * f' -> (N-1) * f''(0).  The companion scale factor obeys
 a'' = -lam / a^(N-1).
 
 alpha(N) is the dimension constant tied to the volume of the unit ball:
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emden import ScaleRun, _run_to_touchdown
-from .errors import DomainError, NoCompactSupport, NonRealPower, raise_where
-from .liouville import _S0_DEFAULT, SeriesProfile
+from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
+from .liouville import RadialProfile
 from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Trajectory
 
 S_CAP_DEFAULT = 100.0
@@ -75,73 +77,70 @@ class GWParams:
             raise DomainError("all parameters must be finite")
 
 
-class GWProfile(SeriesProfile):
-    """Profile on (0, s_mu] (or (0, s_cap] when no zero exists)."""
+class GWProfile(RadialProfile):
+    """Profile on [0, s_mu] (or [0, s_cap] when no zero exists)."""
 
-    center = property(lambda self: self.params.alpha_center)
-
-    def __init__(
-        self, params: GWParams, traj: Trajectory, s0: float, series_c: float,
-        s_mu: float | None,
-    ):
-        super().__init__(params, traj, s0, series_c)
+    def __init__(self, params: GWParams, traj: Trajectory, s_mu: float | None):
+        super().__init__(params, traj)
         self.s_mu = s_mu
 
 
-def gw_series_coefficient(p: GWParams) -> float:
-    """Quadratic center-series coefficient, from matching the s -> 0 limit.
-
-    Substituting f = alpha + c*s^2 gives f'' + (N-1)f'/s -> 2Nc, so
-    2Nc + gravity(alpha) = forcing.
-    """
-    a_n = alpha_const(p.N)
+def _gw_coefficients(p: GWParams) -> tuple[float, float]:
+    """The profile equation's forcing N(N-2)*lam / ((2N-2)K) and gravity
+    coefficient alpha(N) / ((2N-2)K)."""
     denom = (2 * p.N - 2) * p.K
-    forcing = p.N * (p.N - 2) * p.lam / denom
+    return p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
+
+
+def gw_series_coefficient(p: GWParams) -> float:
+    """c = f''(0)/2, from the s -> 0 limit of the equation.
+
+    f'' -> 2c and (N-1)f'/s -> 2(N-1)c, so 2Nc + gravity(alpha_center) = forcing.
+    """
+    forcing, grav = _gw_coefficients(p)
     try:
-        gravity = a_n / denom * p.alpha_center ** (p.N / (p.N - 2))
+        gravity = grav * p.alpha_center ** (p.N / (p.N - 2))
     except OverflowError:
         raise DomainError(f"alpha_center={p.alpha_center} overflows "
                           f"alpha_center^(N/(N-2)) at N={p.N}") from None
     c = (forcing - gravity) / (2 * p.N)
     if not math.isfinite(c):
-        raise DomainError(f"the center series coefficient overflows at "
-                          f"alpha_center={p.alpha_center}, N={p.N}, K={p.K}, lam={p.lam}")
+        raise DomainError(f"f''(0) overflows at alpha_center={p.alpha_center}, N={p.N}, "
+                          f"K={p.K}, lam={p.lam}")
     return c
 
 
 def solve_gw_profile(
     p: GWParams, cfg: IntegratorConfig = TIGHT_CONFIG, s_cap: float = S_CAP_DEFAULT
 ) -> GWProfile:
-    """Integrate the profile outward from the center series to its first
-    zero s_mu, the support radius.
+    """Integrate the profile outward from s = 0, where f = alpha_center and
+    f' = 0, to its first zero s_mu, the support radius.  At s = 0 the
+    right-hand side is its limit (f', 2c), c the `gw_series_coefficient`.
 
     The right-hand side is NaN where f < 0, where the fractional power
     leaves the reals, so the zero is a touchdown of `_run_to_touchdown`:
     s_mu is the halt time, where the trajectory ends with f(s_mu) >= 0 and
     tiny.  With no zero before s_cap the full trajectory is kept and s_mu is
-    None.
+    None.  Any other halt is re-raised with the parameters in its message.
     """
     power = p.N / (p.N - 2)
-    denom = (2 * p.N - 2) * p.K
-    forcing = p.N * (p.N - 2) * p.lam / denom
-    grav = alpha_const(p.N) / denom
+    forcing, grav = _gw_coefficients(p)
     nm1 = p.N - 1
-    c = gw_series_coefficient(p)
-    s0 = min(_S0_DEFAULT, 0.5 * s_cap)
+    fpp0 = 2 * gw_series_coefficient(p)
 
     def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
         f = y[0]
         if f < 0.0:
             return (math.nan, math.nan)
+        if s == 0.0:
+            return (y[1], fpp0)
         return (y[1], forcing - grav * f**power - nm1 * y[1] / s)
 
-    f0 = p.alpha_center + c * s0 * s0
-    if not f0 > 0:
-        raise DomainError(f"alpha_center={p.alpha_center} puts the profile's zero inside "
-                          f"the center series, before s0={s0}")
-    start = OdeState(s0, np.array([f0, 2 * c * s0]))
-    run = _run_to_touchdown(rhs, start, s_cap, cfg)
-    return GWProfile(p, run.trajectory, s0, c, run.touchdown_time)
+    try:
+        run = _run_to_touchdown(rhs, OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg)
+    except IntegrationHalted as halt:
+        raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
+    return GWProfile(p, run.trajectory, run.touchdown_time)
 
 
 def integrate_gw_scale(p: GWParams, t_end: float) -> ScaleRun:

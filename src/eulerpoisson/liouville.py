@@ -1,9 +1,9 @@
 """Radial log-density profile f(s) with f'' + f'/s + (2*pi/K)*e^f = 2*lam/K.
 
-The origin is a regular singular point (the f'/s term), so integration
-starts at s0 = 1e-6 from the series f = alpha + c*s^2 with
-c = (lam - pi*e^alpha) / (2K), the unique coefficient compatible with
-f(0) = alpha, f'(0) = 0.
+The origin is a regular singular point (the f'/s term).  Integration
+starts there, from f(0) = alpha, f'(0) = 0, where the right-hand side takes
+the limit f'/s -> f''(0) = 2c with c = (lam - pi*e^alpha) / (2K); the
+stepper evaluates it at s = 0 only for the first stage of its first step.
 
 Integrating s * (the ODE) from 0 gives the enclosed-mass identity
 
@@ -34,8 +34,6 @@ from .ode import (
     integrate,
 )
 
-_S0_DEFAULT = 1e-6
-
 
 @dataclass(frozen=True)
 class LiouvilleParams:
@@ -53,31 +51,23 @@ class LiouvilleParams:
 
 
 def series_coefficient(p: LiouvilleParams) -> float:
-    """Quadratic coefficient of the center expansion f = alpha + c*s^2."""
+    """c = f''(0)/2 = (lam - pi*e^alpha) / (2K), from the s -> 0 limit of the
+    equation, where f'' and f'/s both tend to f''(0)."""
     try:
         c = (p.lam - math.pi * math.exp(p.alpha)) / (2 * p.K)
     except OverflowError:
         raise DomainError(f"alpha={p.alpha} overflows e^alpha") from None
     if not math.isfinite(c):
-        raise DomainError(f"the center series coefficient overflows at alpha={p.alpha}, "
-                          f"K={p.K}, lam={p.lam}")
+        raise DomainError(f"f''(0) overflows at alpha={p.alpha}, K={p.K}, lam={p.lam}")
     return c
 
 
-class SeriesProfile:
-    """Solved radial profile: the center series f = center + c*s^2 on
-    [0, s0] and the dense solution (f, f') on [s0, s_max].
+class RadialProfile:
+    """Solved radial profile: the dense solution (f, f') on [0, s_max]."""
 
-    Subclasses say which parameter is the center value f(0).
-    """
-
-    center: float
-
-    def __init__(self, params, traj: Trajectory, s0: float, series_c: float):
+    def __init__(self, params, traj: Trajectory):
         self.params = params
         self.traj = traj
-        self.s0 = s0
-        self.series_c = series_c
 
     @property
     def grid(self) -> np.ndarray:
@@ -104,30 +94,16 @@ class SeriesProfile:
         return self._at(s, 1)
 
     def _at(self, s, k: int):
-        raise_where((s < 0) | (s > self.s_max), OutOfRange, f"s outside (0, {self.s_max}]", s=s)
-        series = self.center + self.series_c * s * s if k == 0 else 2 * self.series_c * s
-        dense = self.traj.evaluate(np.maximum(s, self.s0))[..., k]
-        return np.where(s <= self.s0, series, dense)[()]
+        raise_where((s < 0) | (s > self.s_max), OutOfRange, f"s outside [0, {self.s_max}]", s=s)
+        return self.traj.evaluate(s)[..., k][()]
 
 
-class LiouvilleProfile(SeriesProfile):
+class LiouvilleProfile(RadialProfile):
     """Liouville profile with f(0) = alpha and the enclosed mass at its nodes."""
 
-    center = property(lambda self: self.params.alpha)
-
-    def __init__(
-        self, params: LiouvilleParams, traj: Trajectory, s0: float, series_c: float
-    ):
-        super().__init__(params, traj, s0, series_c)
+    def __init__(self, params: LiouvilleParams, traj: Trajectory):
+        super().__init__(params, traj)
         self._node_mass: np.ndarray | None = None
-
-    def _series_mass(self, s):
-        # 2*pi * integral_0^s exp(alpha + c*tau^2) tau dtau, closed form;
-        # expm1 avoids cancellation for s near zero
-        a, c = self.params.alpha, self.series_c
-        if c == 0.0:
-            return math.pi * math.exp(a) * s * s
-        return (math.pi / c) * math.exp(a) * np.expm1(c * s * s)
 
     def _mass_at_nodes(self) -> np.ndarray:
         """Cumulative 2*pi*integral e^f tau dtau at the grid nodes.
@@ -141,10 +117,8 @@ class LiouvilleProfile(SeriesProfile):
             return self._node_mass
         ts = self.traj.ts
         seg = _panel_mass(self.traj, np.arange(len(ts) - 1), ts[:-1], ts[1:])
-        mass = np.empty(len(ts))
-        mass[0] = self._series_mass(float(ts[0]))
+        mass = np.zeros(len(ts))
         np.cumsum(seg, out=mass[1:])
-        mass[1:] += mass[0]
         self._node_mass = mass
         return mass
 
@@ -152,20 +126,22 @@ class LiouvilleProfile(SeriesProfile):
 def solve_profile(
     p: LiouvilleParams, s_max: float, cfg: IntegratorConfig = TIGHT_CONFIG
 ) -> LiouvilleProfile:
-    """Integrate the profile from the series start at s0 = 1e-6 out to s_max."""
+    """Integrate the profile from s = 0, where f = alpha and f' = 0, out to
+    s_max.  At s = 0 the right-hand side is its limit (f', 2c), c the
+    `series_coefficient`."""
     if not s_max > 0:
         raise DomainError("s_max must be > 0")
-    s0 = min(_S0_DEFAULT, 0.5 * s_max)
-    c = series_coefficient(p)
-    y0 = np.array([p.alpha + c * s0 * s0, 2 * c * s0])
+    fpp0 = 2 * series_coefficient(p)
     two_lam_over_k = 2 * p.lam / p.K
     two_pi_over_k = 2 * math.pi / p.K
 
     def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
+        if s == 0.0:
+            return (y[1], fpp0)
         return (y[1], two_lam_over_k - two_pi_over_k * math.exp(y[0]) - y[1] / s)
 
-    traj = integrate(rhs, OdeState(s0, y0), s_max, cfg)
-    return LiouvilleProfile(p, traj, s0, c)
+    traj = integrate(rhs, OdeState(0.0, (p.alpha, 0.0)), s_max, cfg)
+    return LiouvilleProfile(p, traj)
 
 
 def enclosed_mass(prof: LiouvilleProfile, s):
@@ -174,11 +150,12 @@ def enclosed_mass(prof: LiouvilleProfile, s):
     s = np.asarray(s, dtype=float)
     raise_where(~((s > 0) & (s <= prof.s_max)), OutOfRange, f"s outside (0, {prof.s_max}]", s=s)
     mass, ts = prof._mass_at_nodes(), prof.traj.ts
-    i = np.searchsorted(ts, s)  # ts[i-1] < s <= ts[i]
-    seg = np.maximum(i - 1, 0)
-    panel = _panel_mass(prof.traj, seg.ravel(), ts[seg].ravel(), s.ravel()).reshape(s.shape)
-    dense = np.where(ts[i] == s, mass[i], mass[seg] + panel)
-    return np.where(s <= prof.s0, prof._series_mass(np.minimum(s, prof.s0)), dense)[()]
+    flat = s.ravel()
+    i = np.searchsorted(ts, flat)  # ts[i-1] < s <= ts[i], and ts[0] = 0 < s
+    out, inner = mass[i], ts[i] != flat  # a radius off the nodes takes one panel
+    seg = i[inner] - 1
+    out[inner] = mass[seg] + _panel_mass(prof.traj, seg, ts[seg], flat[inner])
+    return out.reshape(s.shape)[()]
 
 
 # the 15 Kronrod abscissas on [-1, 1] and their weights

@@ -131,10 +131,12 @@ class TestProfile:
     def test_enclosed_mass(self, rot_solution, args):
         assert_array_first(functools.partial(enclosed_mass, rot_solution.profile), args)
 
-    def test_enclosed_mass_at_nodes_and_in_the_series(self, rot_solution):
+    def test_enclosed_mass_at_nodes_and_in_the_first_segment(self, rot_solution):
         prof = rot_solution.profile
-        s = np.concatenate([prof.grid[::40], [prof.s_max, 2e-7, prof.s0]])
+        s = np.concatenate([prof.grid[1::40], [prof.s_max, 2e-7, prof.grid[1]]])
         assert_array_first(functools.partial(enclosed_mass, prof), [s])
+        # the liouville command's mass column reads the node masses exactly
+        assert np.array_equal(enclosed_mass(prof, prof.grid[1:]), prof._mass_at_nodes()[1:])
 
     @PROPERTY
     @given(args=inputs([(0.5, 2.0), (0.0, 8.0)], [(0, 0.0), (0, -1.0), (1, -1.0), (1, NAN)]))

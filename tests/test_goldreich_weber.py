@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerpoisson import ode
-from eulerpoisson.errors import DomainError, NoCompactSupport, StepBudgetExceeded
+from eulerpoisson.errors import DomainError, NoCompactSupport, StepBudgetExceeded, StepUnderflow
 from eulerpoisson.goldreich_weber import (
     GWParams,
     alpha_const,
@@ -73,9 +73,9 @@ class TestProfile:
         with pytest.raises(DomainError, match="alpha_center=5e"):
             gw_series_coefficient(GWParams(N=3, K=1.0, lam=0.0, alpha_center=5e102))
 
-    def test_zero_inside_the_center_series_names_alpha_center(self):
-        # the series term at s0 is -5e287: the zero lies before s0
-        with pytest.raises(DomainError, match="alpha_center=1e"):
+    def test_support_below_the_step_floor_names_alpha_center(self):
+        # the support radius is about 1e-100, below the step floor 1e-14 at s = 0
+        with pytest.raises(StepUnderflow, match="alpha_center=1e"):
             solve_gw_profile(GWParams(N=3, K=1.0, lam=1.0, alpha_center=1e100))
 
     def test_balanced_forcing_gives_constant_profile(self):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerpoisson.errors import DomainError, OutOfRange
 from eulerpoisson.liouville import (
@@ -108,6 +110,30 @@ class TestSolveProfile:
             vals.append(math.exp(prof.f_at(0.1)))
         assert vals[1] > vals[0]
 
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(K=st.floats(0.5, 2.0), lam=st.floats(0.5, 2.0), alpha=st.floats(-1.0, 1.0))
+    def test_start_at_the_center_matches_scipy(self, K, lam, alpha):
+        # oracle: scipy's DOP853 at tighter tolerances, started off the
+        # singular point at 1e-4 from f = alpha + c s^2 + d s^4
+        import scipy.integrate as scipy_integrate  # a test dependency, never skipped
+
+        p = LiouvilleParams(K=K, lam=lam, alpha=alpha)
+        prof = solve_profile(p, 20.0)
+        assert prof.f_at(0.0) == alpha and prof.fdot_at(0.0) == 0.0
+        c = series_coefficient(p)
+        d = -math.pi * math.exp(alpha) * c / (8 * K)
+        s0, s = 1e-4, np.geomspace(1e-3, 20.0, 60)
+
+        def rhs(s, y):
+            return [y[1], 2 * lam / K - 2 * math.pi / K * math.exp(y[0]) - y[1] / s]
+
+        ref = scipy_integrate.solve_ivp(
+            rhs, (s0, 20.0), [alpha + c * s0**2 + d * s0**4, 2 * c * s0 + 4 * d * s0**3],
+            method="DOP853", rtol=2.3e-14, atol=1e-16, t_eval=s)
+        assert ref.success
+        f = prof.f_at(s)
+        assert np.all(np.abs(f - ref.y[0]) <= 1e-10 * np.maximum(1.0, np.abs(f)))
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 0.0)
@@ -180,8 +206,6 @@ class TestMomentumBracket:
         fake = LiouvilleProfile(
             unit_profile.params,
             Trajectory(traj.ts, traj.ys + np.array([0.01, 0.0]), traj.fs),
-            unit_profile.s0,
-            unit_profile.series_c,
         )
         worst = max(abs(momentum_bracket(fake, s)) for s in (1.0, 3.0, 10.0))
         assert worst > 1e-4
@@ -196,8 +220,8 @@ class TestMassIdentity:
         prof = solve_profile(LiouvilleParams(K=2.0, lam=1.0, alpha=0.5), 5.0)
         assert mass_identity_residual(prof, 3.0) <= 1e-8
 
-    def test_series_start_is_consistent(self, unit_profile):
-        assert mass_identity_residual(unit_profile, unit_profile.s0) <= 1e-12
+    def test_identity_holds_at_the_first_node(self, unit_profile):
+        assert mass_identity_residual(unit_profile, unit_profile.grid[1]) <= 1e-12
 
     def test_equals_scaled_bracket(self, unit_profile):
         for s in (0.5, 2.0):

@@ -30,7 +30,12 @@ from eulerpoisson.emden import (
     scale_rhs,
     turning_points,
 )
-from eulerpoisson.goldreich_weber import GWParams, alpha_const, solve_gw_profile
+from eulerpoisson.goldreich_weber import (
+    GWParams,
+    alpha_const,
+    gw_series_coefficient,
+    solve_gw_profile,
+)
 from eulerpoisson.liouville import LiouvilleParams, solve_profile
 from eulerpoisson.ode import (
     _A,
@@ -206,12 +211,13 @@ class TestStepper:
         assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
 
     def test_profile_node_count_is_stable(self):
-        # guards the step controller: 194 DOP853 nodes here (188 with a fixed
-        # 1e-4 first step, before the first step was derived from the start
-        # state; 1,907 with the DP5 pair, 4,031 when a 0.005 cap made up for a
-        # cubic-Hermite dense output)
+        # guards the step controller: 191 DOP853 nodes from s = 0 here (194
+        # from a series start at s = 1e-6; 188 with a fixed 1e-4 first step,
+        # before the first step was derived from the start state; 1,907 with
+        # the DP5 pair, 4,031 when a 0.005 cap made up for a cubic-Hermite
+        # dense output)
         prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
-        assert abs(prof.traj.n_nodes - 194) <= 0.01 * 194
+        assert abs(prof.traj.n_nodes - 191) <= 0.01 * 191
 
     def test_stats_on_normal_run(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0)
@@ -315,11 +321,12 @@ class TestGeneratedStep:
                      "be5b223f3588fee9a99df8b9b45037b5af1c76cb6093a65f29c5d3fdd4e9b836",
                      id="unit-scale-factor"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
-                     "2f1af66ab86cd9a4a84de7726a33c912cfad1edf4b4bb3be7ac97481a902c938",
+                     "819ee6e4035b44e4240585e55598639cfd241ff30a723758cf158cb2ab7d0012",
                      id="default-profile"),
     ])
     def test_nodes_and_rows_are_bitwise_pinned(self, solve, digest):
-        # recorded with the hand-unrolled stepper this generator replaced
+        # recorded with the hand-unrolled stepper this generator replaced; the
+        # profile's digest again when the profile began to start at s = 0
         assert _digest(solve()) == digest
 
 
@@ -582,11 +589,14 @@ class TestEventsMatchScipyOracle:
         def rhs(s, y):
             return [y[1], forcing - grav * max(y[0], 0.0) ** power - (p.N - 1) * y[1] / s]
 
+        # the profile starts at s = 0, where this rhs divides by zero: the
+        # oracle starts at 1e-6 from the series f = alpha_center + c s^2
+        c, s0 = gw_series_coefficient(p), 1e-6
         traj = _shifted(prof.traj, 0.5)
         for direction, found in ((-1, detect_events(traj, 0)),
                                  (1, detect_events(_negated(traj), 0))):
-            oracle = _scipy_zeros(rhs, traj.t_start, prof.traj.ys[0], prof.s_mu, 0,
-                                  direction, level=0.5)
+            oracle = _scipy_zeros(rhs, s0, [p.alpha_center + c * s0 * s0, 2 * c * s0],
+                                  prof.s_mu, 0, direction, level=0.5)
             _assert_matches(found, oracle)
         assert len(detect_events(traj, 0)) == 1
 
@@ -877,7 +887,7 @@ class TestDenseOutput:
     def test_lam0_profile_matches_closed_form_off_nodes(self):
         # f = alpha - 2 ln(1 + b^2 s^2), b^2 = pi e^alpha / (4K), at lam = 0
         prof = solve_profile(LiouvilleParams(K=1.0, lam=0.0, alpha=0.0), 20.0)
-        s = np.random.default_rng(3).uniform(prof.s0, 20.0, 200)
+        s = np.random.default_rng(3).uniform(1e-6, 20.0, 200)
         assert not np.isin(s, prof.grid).any()
         b2 = math.pi / 4
         f = prof.traj.evaluate(s)[:, 0]
