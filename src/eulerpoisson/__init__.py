@@ -46,9 +46,8 @@ from .goldreich_weber import (
 )
 from .liouville import (
     LiouvilleParams,
-    LiouvilleProfile,
+    RadialProfile,
     enclosed_mass,
-    mass_identity_residual,
     momentum_bracket,
     solve_profile,
 )

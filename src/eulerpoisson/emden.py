@@ -82,7 +82,6 @@ class PeriodEstimate:
     integrator counters of the run they added."""
 
     T: float
-    method: str  # "quadrature" or "simulation"
     err_est: float
     stats: IntegratorStats = IntegratorStats()
 
@@ -236,7 +235,7 @@ def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
         return 1.0 / math.sqrt(2.0 * ex)
 
     val, err = quad_singular(integrand, tp.a_min, tp.a_max, PERIOD_QUAD_TOL)
-    return PeriodEstimate(T=2.0 * val, method="quadrature", err_est=2.0 * err)
+    return PeriodEstimate(T=2.0 * val, err_est=2.0 * err)
 
 
 def linearized_period(p: EmdenParams) -> float:
@@ -286,8 +285,7 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
 
     gaps = np.diff(events[:_PERIOD_EVENTS_NEEDED])
     T = float(np.mean(gaps))
-    return PeriodEstimate(T=T, method="simulation", err_est=float(np.max(np.abs(gaps - T))),
-                          stats=stats)
+    return PeriodEstimate(T=T, err_est=float(np.max(np.abs(gaps - T))), stats=stats)
 
 
 def integrate_scale(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .emden import EmdenParams, integrate_scale
 from .errors import DomainError, OutOfRange, OutsideRegion, raise_where
-from .liouville import LiouvilleParams, LiouvilleProfile, enclosed_mass, solve_profile
+from .liouville import LiouvilleParams, RadialProfile, enclosed_mass, solve_profile
 from .ode import TIGHT_CONFIG, Trajectory
 
 
@@ -55,7 +55,7 @@ class RotSolution2D:
     """One member of the rotating isothermal family, fully solved."""
 
     emden: EmdenParams
-    profile: LiouvilleProfile
+    profile: RadialProfile
     scale: Trajectory
     touchdown_time: float | None = None
 
@@ -107,7 +107,7 @@ def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
     """rho = e^f(r/a)/a^2, u = (a'/a) x_vec + (xi/a^2) x_vec_perp, plus Phi_r."""
     r = np.hypot(x, y)
     a, adot, s = _scaled_radius(sol, t, r, dict(t=t, x=x, y=y))
-    rho = np.exp(sol.profile.f_at(s)) / (a * a)
+    rho = sol.profile.density(sol.profile.f_at(s)) / (a * a)
     stretch = adot / a
     swirl = sol.emden.xi / (a * a)
     u1 = stretch * x - swirl * y

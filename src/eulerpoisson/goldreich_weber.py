@@ -1,18 +1,14 @@
 """Goldreich-Weber style profiles and scale dynamics in dimension N >= 3.
 
-The radial profile obeys
+The profile is the radial equation of `liouville` in dimension d = N,
 
-    f'' + (N-1)/s * f' + alpha(N)/((2N-2)K) * f^(N/(N-2)) = N(N-2)*lam / ((2N-2)K)
+    f'' + (N-1)/s * f' + alpha(N)/((2N-2)K) * f^(N/(N-2)) = N(N-2)*lam / ((2N-2)K),
 
-with f(0) = alpha_center > 0, f'(0) = 0, and (unlike the 2D isothermal
-family) reaches a first zero S_mu where the density touches down, so the
-star has compact support.  As in `liouville`, integration starts at the
-regular singular point s = 0, where the right-hand side takes the limit
-(N-1)/s * f' -> (N-1) * f''(0).  The companion scale factor obeys
+from f(0) = alpha_center > 0.  Unlike the 2D isothermal family it reaches a
+first zero S_mu where the density touches down, so the star has compact
+support.  Its first integral makes the enclosed mass
+(N-2)*lam*s^N - (2N-2)*K*s^(N-1)*f'(s).  The companion scale factor obeys
 a'' = -lam / a^(N-1).
-
-alpha(N) is the dimension constant tied to the volume of the unit ball:
-alpha(1) = 2, alpha(2) = 2*pi, alpha(N) = N(N-2)*V(N) for N >= 3.
 """
 
 from __future__ import annotations
@@ -24,31 +20,11 @@ import numpy as np
 
 from .emden import ScaleRun, _run_to_touchdown
 from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
-from .liouville import RadialProfile
+# alpha_const and unit_ball_volume live beside the enclosed mass and stay importable here
+from .liouville import RadialLaw, RadialProfile, _radial_rhs, alpha_const, unit_ball_volume
 from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Trajectory
 
 S_CAP_DEFAULT = 100.0
-
-
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1)."""
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
-    try:
-        return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    except OverflowError:
-        raise DomainError(f"unit ball volume overflows at dimension N={n}") from None
-
-
-def alpha_const(n: int) -> float:
-    """Gravitational coupling constant: 2, 2*pi, then N(N-2)*V(N) for N >= 3."""
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
-    if n == 1:
-        return 2.0
-    if n == 2:
-        return 2 * math.pi
-    return n * (n - 2) * unit_ball_volume(n)
 
 
 @dataclass(frozen=True)
@@ -76,6 +52,19 @@ class GWParams:
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("all parameters must be finite")
 
+    @property
+    def law(self) -> RadialLaw:
+        """d = N, rho = f^(N/(N-2)) (NaN below f = 0 on floats, 0 on arrays),
+        g = alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center."""
+        power, denom = self.N / (self.N - 2), (2 * self.N - 2) * self.K
+
+        def rho(f: float) -> float:
+            return f**power if f >= 0.0 else math.nan
+
+        return RadialLaw(self.N, alpha_const(self.N) / denom,
+                         self.N * (self.N - 2) * self.lam / denom, self.alpha_center,
+                         rho, lambda f: np.power(np.maximum(f, 0.0), power))
+
 
 class GWProfile(RadialProfile):
     """Profile on [0, s_mu] (or [0, s_cap] when no zero exists)."""
@@ -85,59 +74,20 @@ class GWProfile(RadialProfile):
         self.s_mu = s_mu
 
 
-def _gw_coefficients(p: GWParams) -> tuple[float, float]:
-    """The profile equation's forcing N(N-2)*lam / ((2N-2)K) and gravity
-    coefficient alpha(N) / ((2N-2)K)."""
-    denom = (2 * p.N - 2) * p.K
-    return p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
-
-
-def gw_series_coefficient(p: GWParams) -> float:
-    """c = f''(0)/2, from the s -> 0 limit of the equation.
-
-    f'' -> 2c and (N-1)f'/s -> 2(N-1)c, so 2Nc + gravity(alpha_center) = forcing.
-    """
-    forcing, grav = _gw_coefficients(p)
-    try:
-        gravity = grav * p.alpha_center ** (p.N / (p.N - 2))
-    except OverflowError:
-        raise DomainError(f"alpha_center={p.alpha_center} overflows "
-                          f"alpha_center^(N/(N-2)) at N={p.N}") from None
-    c = (forcing - gravity) / (2 * p.N)
-    if not math.isfinite(c):
-        raise DomainError(f"f''(0) overflows at alpha_center={p.alpha_center}, N={p.N}, "
-                          f"K={p.K}, lam={p.lam}")
-    return c
-
-
 def solve_gw_profile(
     p: GWParams, cfg: IntegratorConfig = TIGHT_CONFIG, s_cap: float = S_CAP_DEFAULT
 ) -> GWProfile:
     """Integrate the profile outward from s = 0, where f = alpha_center and
-    f' = 0, to its first zero s_mu, the support radius.  At s = 0 the
-    right-hand side is its limit (f', 2c), c the `gw_series_coefficient`.
+    f' = 0, to its first zero s_mu, the support radius.
 
-    The right-hand side is NaN where f < 0, where the fractional power
+    The density f^(N/(N-2)) is NaN where f < 0, where the fractional power
     leaves the reals, so the zero is a touchdown of `_run_to_touchdown`:
     s_mu is the halt time, where the trajectory ends with f(s_mu) >= 0 and
     tiny.  With no zero before s_cap the full trajectory is kept and s_mu is
     None.  Any other halt is re-raised with the parameters in its message.
     """
-    power = p.N / (p.N - 2)
-    forcing, grav = _gw_coefficients(p)
-    nm1 = p.N - 1
-    fpp0 = 2 * gw_series_coefficient(p)
-
-    def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-        f = y[0]
-        if f < 0.0:
-            return (math.nan, math.nan)
-        if s == 0.0:
-            return (y[1], fpp0)
-        return (y[1], forcing - grav * f**power - nm1 * y[1] / s)
-
     try:
-        run = _run_to_touchdown(rhs, OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg)
+        run = _run_to_touchdown(_radial_rhs(p), OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg)
     except IntegrationHalted as halt:
         raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
     return GWProfile(p, run.trajectory, run.touchdown_time)
@@ -165,7 +115,6 @@ def gw_density(prof: GWProfile, a, r):
     a and r of any shapes that broadcast, a float in gives a float out."""
     raise_where(np.logical_not(a > 0), DomainError, "scale factor a must be > 0", a=a, r=r)
     raise_where(r < 0, DomainError, "radius r must be >= 0", a=a, r=r)
-    p = prof.params
     s = r / a
     if prof.s_mu is not None:
         inside = np.logical_not(s >= prof.s_mu)
@@ -175,5 +124,5 @@ def gw_density(prof: GWProfile, a, r):
         inside = True
     f = prof.f_at(np.where(inside, s, 0.0))
     raise_where(inside & (f < -1e-9), NonRealPower, "profile value f < 0", a=a, r=r)
-    rho = np.power(np.maximum(f, 0.0), p.N / (p.N - 2)) / np.power(a, p.N)
+    rho = prof.density(f) / np.power(a, prof.d)
     return np.where(inside, rho, 0.0)[()]

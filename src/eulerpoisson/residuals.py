@@ -214,12 +214,14 @@ def convergence_study(
 
 
 def _fit(h_list: Sequence[float], norms: Sequence[float], floor: float) -> ConvergenceResult:
-    pos = [(h, n) for h, n in zip(h_list, norms) if n > 0]
+    # the least-squares slope of log(norm) on log(h) over the nonzero norms
+    pos = [(math.log(h), math.log(n)) for h, n in zip(h_list, norms) if n > 0]
     order = None
     if len(pos) >= 2:
-        hlog = np.log([h for h, _ in pos])
-        nlog = np.log([n for _, n in pos])
-        order = float(np.polyfit(hlog, nlog, 1)[0])
+        xm, ym = sum(x for x, _ in pos) / len(pos), sum(y for _, y in pos) / len(pos)
+        sxx = sum((x - xm) ** 2 for x, _ in pos)
+        if sxx > 0:  # steps so close that their logs coincide give no slope
+            order = sum((x - xm) * (y - ym) for x, y in pos) / sxx
     return ConvergenceResult(
         h_sequence=tuple(h_list),
         norms=tuple(norms),

@@ -5,6 +5,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +21,16 @@ from eulerpoisson.ode import IntegratorConfig
 
 def run(tmp_path, *argv):
     return main([*argv, "--outdir", str(tmp_path)])
+
+
+def test_importing_the_cli_loads_no_test_dependency():
+    # import time is the benchmark's setup_s, and scipy is a test dependency only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, eulerpoisson.cli; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+    test_only = ("scipy", "hypothesis", "pytest", "_pytest")
+    assert [name for name in out if name.split(".")[0] in test_only] == []
 
 
 class TestEmdenCommand:

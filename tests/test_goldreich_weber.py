@@ -15,11 +15,11 @@ from eulerpoisson.goldreich_weber import (
     GWParams,
     alpha_const,
     gw_density,
-    gw_series_coefficient,
     integrate_gw_scale,
     solve_gw_profile,
     unit_ball_volume,
 )
+from eulerpoisson.liouville import enclosed_mass
 from eulerpoisson.ode import TIGHT_CONFIG, quad_singular
 
 # offline fixed-step reference for the first zero at N=3, lam=0, K=1, alpha=1
@@ -63,15 +63,14 @@ class TestProfile:
         assert np.all(le3_profile.f[:-1] > 0)
         assert le3_profile.f_at(le3_profile.s_mu) == pytest.approx(0.0, abs=1e-10)
 
-    def test_series_coefficient(self):
-        # 2Nc = forcing - gravity at the center
-        p = GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0)
-        assert gw_series_coefficient(p) == pytest.approx(-math.pi / 6, rel=1e-15)
+    def test_series_coefficient(self, le3_profile):
+        # N f''(0) = 2Nc = forcing - gravity at the center; f''(0) is the first derivative row
+        assert le3_profile.traj.fs[0, 1] == pytest.approx(-math.pi / 3, rel=1e-15)
 
     def test_series_coefficient_that_overflows_names_alpha_center(self):
         # alpha_center^3 is finite, pi times it is not
         with pytest.raises(DomainError, match="alpha_center=5e"):
-            gw_series_coefficient(GWParams(N=3, K=1.0, lam=0.0, alpha_center=5e102))
+            solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=5e102))
 
     def test_support_below_the_step_floor_names_alpha_center(self):
         # the support radius is about 1e-100, below the step floor 1e-14 at s = 0
@@ -123,7 +122,8 @@ def _clamped_reference_s_mu(p: GWParams, s_cap: float = 100.0) -> float | None:
 
     power, denom = p.N / (p.N - 2), (2 * p.N - 2) * p.K
     forcing, grav = p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
-    c, s0 = gw_series_coefficient(p), 1e-6
+    # c = f''(0)/2, where N f''(0) = forcing - gravity at the center
+    c, s0 = (forcing - grav * p.alpha_center**power) / (2 * p.N), 1e-6
 
     def rhs(s, y):
         f = max(y[0], 0.0)
@@ -188,6 +188,19 @@ class TestSupportRadius:
         cfg = dataclasses.replace(TIGHT_CONFIG, max_steps=50)
         with pytest.raises(StepBudgetExceeded):
             solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0), cfg)
+
+
+class TestEnclosedMass:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(N=st.integers(3, 6), K=st.floats(0.5, 2.0), lam=st.floats(-0.5, 0.0),
+           alpha_center=st.floats(0.5, 2.0))
+    def test_first_integral(self, N, K, lam, alpha_center):
+        # s^(N-1) times the profile equation, integrated from 0:
+        # alpha(N) int_0^s f^(N/(N-2)) tau^(N-1) dtau = (N-2) lam s^N - (2N-2) K s^(N-1) f'(s)
+        prof = solve_gw_profile(GWParams(N=N, K=K, lam=lam, alpha_center=alpha_center))
+        s = prof.s_mu * np.array([1e-3, 0.05, 0.2, 0.37, 0.5, 0.73, 0.9, 0.999])
+        rhs = (N - 2) * lam * s**N - (2 * N - 2) * K * s ** (N - 1) * prof.fdot_at(s)
+        assert np.all(np.abs(enclosed_mass(prof, s) - rhs) <= 1e-9 * np.maximum(1.0, np.abs(rhs)))
 
 
 class TestScale:

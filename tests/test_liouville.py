@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 from eulerpoisson.errors import DomainError, OutOfRange
 from eulerpoisson.liouville import (
     LiouvilleParams,
-    LiouvilleProfile,
+    RadialProfile,
     enclosed_mass,
-    mass_identity_residual,
     momentum_bracket,
-    series_coefficient,
     solve_profile,
 )
 from eulerpoisson.ode import _WGK, _XGK, Trajectory
@@ -46,17 +44,19 @@ class TestSolveProfile:
         assert np.abs(constant_profile.f).max() == 0.0
         assert np.abs(constant_profile.fdot).max() == 0.0
 
-    def test_series_coefficient_balances(self):
-        assert series_coefficient(LiouvilleParams(K=1.0, lam=math.pi, alpha=0.0)) == 0.0
-        c = series_coefficient(LiouvilleParams(K=2.0, lam=1.0, alpha=0.0))
-        assert c == pytest.approx((1.0 - math.pi) / 4.0, rel=1e-15)
+    def test_series_coefficient_balances(self, constant_profile):
+        # f''(0) = 2c, the rhs at s = 0, is the profile's first derivative row
+        assert constant_profile.traj.fs[0, 1] == 0.0
+        prof = solve_profile(LiouvilleParams(K=2.0, lam=1.0, alpha=0.0), 0.5)
+        assert prof.traj.fs[0, 1] == pytest.approx((1.0 - math.pi) / 2.0, rel=1e-15)
 
     @pytest.mark.parametrize("K,alpha,names", [(1.0, 709.0, "alpha=709.0"),
+                                               (1.0, 710.0, "alpha=710.0"),
                                                (1e-310, 0.0, "K=1e-310")])
     def test_series_coefficient_that_overflows_names_its_parameters(self, K, alpha, names):
-        # e^709 is finite, pi * e^709 is not
+        # e^709 is finite, 2*pi * e^709 is not; e^710 overflows itself
         with pytest.raises(DomainError, match=names):
-            series_coefficient(LiouvilleParams(K=K, lam=1.0, alpha=alpha))
+            solve_profile(LiouvilleParams(K=K, lam=1.0, alpha=alpha), 20.0)
 
     @pytest.mark.parametrize("K,alpha", [(1.0, 0.0), (2.0, 0.5)])
     def test_zero_gravity_support_closed_form(self, K, alpha):
@@ -120,7 +120,7 @@ class TestSolveProfile:
         p = LiouvilleParams(K=K, lam=lam, alpha=alpha)
         prof = solve_profile(p, 20.0)
         assert prof.f_at(0.0) == alpha and prof.fdot_at(0.0) == 0.0
-        c = series_coefficient(p)
+        c = (lam - math.pi * math.exp(alpha)) / (2 * K)  # f''(0) / 2
         d = -math.pi * math.exp(alpha) * c / (8 * K)
         s0, s = 1e-4, np.geomspace(1e-3, 20.0, 60)
 
@@ -203,7 +203,7 @@ class TestMomentumBracket:
     def test_perturbed_profile_fails(self, unit_profile):
         # shift f by 0.01: no longer a solution, the bracket must detect it
         traj = unit_profile.traj
-        fake = LiouvilleProfile(
+        fake = RadialProfile(
             unit_profile.params,
             Trajectory(traj.ts, traj.ys + np.array([0.01, 0.0]), traj.fs),
         )
@@ -212,22 +212,19 @@ class TestMomentumBracket:
 
 
 class TestMassIdentity:
+    # s * momentum_bracket(s) = enclosed_mass(s) - (lam*s^2 - K*s*f'(s))
+
     def test_constant_profile(self, constant_profile):
         for s in (0.3, 1.0, 7.0):
-            assert mass_identity_residual(constant_profile, s) <= 1e-12
+            assert abs(s * momentum_bracket(constant_profile, s)) <= 1e-12
 
     def test_solved_profile(self):
         prof = solve_profile(LiouvilleParams(K=2.0, lam=1.0, alpha=0.5), 5.0)
-        assert mass_identity_residual(prof, 3.0) <= 1e-8
+        assert abs(3.0 * momentum_bracket(prof, 3.0)) <= 1e-8
 
     def test_identity_holds_at_the_first_node(self, unit_profile):
-        assert mass_identity_residual(unit_profile, unit_profile.grid[1]) <= 1e-12
-
-    def test_equals_scaled_bracket(self, unit_profile):
-        for s in (0.5, 2.0):
-            assert mass_identity_residual(unit_profile, s) == pytest.approx(
-                abs(s * momentum_bracket(unit_profile, s)), rel=1e-12
-            )
+        s = unit_profile.grid[1]
+        assert abs(s * momentum_bracket(unit_profile, s)) <= 1e-12
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     @pytest.mark.parametrize("K", [1.0, 2.0])

@@ -30,12 +30,7 @@ from eulerpoisson.emden import (
     scale_rhs,
     turning_points,
 )
-from eulerpoisson.goldreich_weber import (
-    GWParams,
-    alpha_const,
-    gw_series_coefficient,
-    solve_gw_profile,
-)
+from eulerpoisson.goldreich_weber import GWParams, alpha_const, solve_gw_profile
 from eulerpoisson.liouville import LiouvilleParams, solve_profile
 from eulerpoisson.ode import (
     _A,
@@ -323,10 +318,17 @@ class TestGeneratedStep:
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
                      "819ee6e4035b44e4240585e55598639cfd241ff30a723758cf158cb2ab7d0012",
                      id="default-profile"),
+        pytest.param(lambda: solve_gw_profile(GWParams(3, 1.0, -0.2, 1.0)).traj,
+                     "0918e2f3e2c901e3298c9682636bfdee946d7e7b432a506da77aa90cd1f93497",
+                     id="gw-profile-N3"),
+        pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
+                     "dffaccc164e6c13e3cbd33781f8812bec0bd2cb1885b8d1a4212588f536531f8",
+                     id="gw-profile-N5"),
     ])
     def test_nodes_and_rows_are_bitwise_pinned(self, solve, digest):
         # recorded with the hand-unrolled stepper this generator replaced; the
-        # profile's digest again when the profile began to start at s = 0
+        # profile's digest again when the profile began to start at s = 0; the
+        # GW digests before both profiles shared one radial equation
         assert _digest(solve()) == digest
 
 
@@ -590,8 +592,9 @@ class TestEventsMatchScipyOracle:
             return [y[1], forcing - grav * max(y[0], 0.0) ** power - (p.N - 1) * y[1] / s]
 
         # the profile starts at s = 0, where this rhs divides by zero: the
-        # oracle starts at 1e-6 from the series f = alpha_center + c s^2
-        c, s0 = gw_series_coefficient(p), 1e-6
+        # oracle starts at 1e-6 from the series f = alpha_center + c s^2,
+        # 2Nc = forcing - gravity at the center
+        c, s0 = (forcing - grav * p.alpha_center**power) / (2 * p.N), 1e-6
         traj = _shifted(prof.traj, 0.5)
         for direction, found in ((-1, detect_events(traj, 0)),
                                  (1, detect_events(_negated(traj), 0))):

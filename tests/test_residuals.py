@@ -213,6 +213,14 @@ class TestConvergenceStudy:
         assert study.estimated_order is None
         assert study_passes(study)
 
+    def test_steps_whose_logs_coincide_give_no_order(self):
+        # three adjacent floats near 1e10 share one log, so no slope can be fitted
+        h_mid = math.nextafter(1e10, math.inf)
+        h_list = [math.nextafter(h_mid, math.inf), h_mid, 1e10]
+        field = lambda t, x, y: FieldSample(rho=1.0 + t * t, u1=0.0, u2=0.0)
+        study = convergence_study([MASS], field, [(1.0, 1.0, 1.0)], h_list)["mass"]
+        assert min(study.norms) > 0 and study.estimated_order is None
+
     def test_corrupted_field_not_excused(self, rot_field, rot_points):
         bad = corrupt_density_offset(rot_field, 0.01)
         study = convergence_study([MASS], bad, rot_points, H_LIST)["mass"]
