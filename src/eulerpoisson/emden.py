@@ -14,6 +14,10 @@ The period of a periodic orbit is computed two independent ways: as the
 singular quadrature 2 * integral da / sqrt(2*(theta - V(a))) between the
 turning points, and by timing a'=0 events of a simulated trajectory.
 Agreement between the two is one of the package's core self-checks.
+
+Both work in the orbit's own scale u = ln(a/abar): V(a) - V(abar) = lam*phi(u),
+phi(u) = u + expm1(-2u)/2, and the orbit's energy above the minimum is
+E = a1^2/(2 lam) + phi(ln(a0/abar)).
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, IntegrationHalted, NoConvergence, NotPeriodic, StateBlowup,
-                     StepUnderflow)
+from .errors import DomainError, IntegrationHalted, NotPeriodic, StateBlowup, StepUnderflow
 from .ode import (
     IntegratorConfig,
     IntegratorStats,
@@ -39,10 +42,6 @@ from .ode import (
 
 # relative width of the band around (abar, 0) treated as the steady state
 STEADY_RTOL = 1e-12
-
-# tolerances for turning-point roots
-_BRACKET_MAX_DOUBLINGS = 600
-_ROOT_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -151,98 +150,97 @@ def classify(p: EmdenParams) -> OrbitClass:
     return OrbitClass.GLOBAL_NON_PERIODIC
 
 
-def turning_points(p: EmdenParams) -> TurningPoints:
-    """Extreme scale factors of a periodic orbit, the roots of V(a) = theta.
+def _phi(u: float) -> float:
+    """phi(u) = u + expm1(-2u)/2, by its Taylor series sum_{k>=2} (-2u)^k/(2 k!)
+    for |u| <= 1/4, where the two terms cancel."""
+    if abs(u) > 0.25:
+        return u + math.expm1(-2.0 * u) / 2
+    x = -2.0 * u
+    term, total, k = x * x / 4, 0.0, 2
+    while total + term != total:
+        total, k = total + term, k + 1
+        term *= x / k
+    return total
 
-    Brackets expand geometrically outward from the potential minimum, then
-    bisection plus a guarded Newton polish drives |V(a) - theta| below
-    1e-12 * max(1, |theta|).  When a1 = 0 the initial point itself is a
-    turning point and is returned exactly.
-    """
+
+def _turning_exponents(p: EmdenParams) -> tuple[TurningPoints, float, float]:
+    """The turning points and their exponents u_min, u_max (see `turning_points`)."""
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("turning points exist only for periodic orbits")
-    th = energy_level(p)
     abar = equilibrium_radius(p)
-    g = lambda a: potential(a, p) - th
-
-    def solve_side(outward: float) -> float:
-        # outward < 1 searches (0, abar), outward > 1 searches (abar, inf)
-        hi = abar
-        lo = abar * outward
-        for _ in range(_BRACKET_MAX_DOUBLINGS):
-            if lo == math.inf:
-                raise DomainError(f"the turning-point bracket overflows at {p}")
-            if g(lo) > 0:
-                break
-            hi = lo
-            lo *= outward
-        else:
-            raise NoConvergence(f"turning-point bracket expansion failed at {p}")
-        a, b = (lo, hi) if lo < hi else (hi, lo)
-        ga = g(a)
-        while b - a > _ROOT_ATOL:
-            m = 0.5 * (a + b)
-            if m == a or m == b:
-                break
-            gm = g(m)
-            if gm == 0.0:
-                return m
-            if (gm > 0) == (ga > 0):
-                a, ga = m, gm
-            else:
-                b = m
-        root = 0.5 * (a + b)
-        for _ in range(3):  # Newton polish, kept inside the bracket
-            try:
-                dv = p.lam / root - p.xi * p.xi / root**3
-            except OverflowError:
-                raise DomainError(f"the turning point a={root} overflows a^3 at {p}") from None
-            except ZeroDivisionError:
-                raise DomainError(f"the turning point a={root} underflows a^3 to 0 at {p}") from None
-            if dv == 0:
-                break
-            step = g(root) / dv
-            cand = root - step
-            if a <= cand <= b:
-                root = cand
-        return root
-
-    if p.a1 == 0.0:
-        # a0 lies exactly on the level set with a'=0
-        if p.a0 > abar:
-            return TurningPoints(solve_side(0.5), p.a0)
-        return TurningPoints(p.a0, solve_side(2.0))
-    return TurningPoints(solve_side(0.5), solve_side(2.0))
+    try:
+        u0 = math.log(p.a0 / abar)
+        E = p.a1 * p.a1 / (2 * p.lam) + _phi(u0)
+    except (OverflowError, ValueError):  # e^(-2 u0) overflows, or a0/abar underflows to 0
+        E = math.inf
+    if not 0.0 < E < math.inf:
+        raise DomainError(f"the energy above the minimum, E = {E}, is not a positive float at {p}")
+    r, radii, exps = math.sqrt(E), [], []
+    # u_max goes first: once a_max is a float, E < 1,500 and u_min's bracket is finite
+    for side, inside, outside in ((1, E - math.expm1(-2 * r) / 2, E + 0.5),
+                                  (-1, -math.log1p(2 * E) / 2, -math.log1p(2 * E + 2 * r) / 2)):
+        at_a0 = p.a1 == 0.0 and side * u0 > 0  # the initial point is this turning point
+        u = u0 if at_a0 else inside + (outside - inside) / 2
+        while not at_a0 and u != inside and u != outside:  # phi(inside) <= E < phi(outside)
+            inside, outside = (inside, u) if _phi(u) > E else (u, outside)
+            u = inside + (outside - inside) / 2
+        try:
+            a = p.a0 if at_a0 else abar * math.exp(u)
+        except OverflowError:
+            a = math.inf
+        if not 0.0 < a < math.inf:
+            raise DomainError(f"the turning point abar*e^{u} = {a} is not a positive float at {p}")
+        radii, exps = [a, *radii], [u, *exps]  # the lower turning point ends up first
+    return TurningPoints(*radii), *exps
 
 
-# tolerance of the half-period quadrature, relative to each panel's value
+def turning_points(p: EmdenParams) -> TurningPoints:
+    """Extreme scale factors abar*e^u of a periodic orbit, at the roots of phi(u) = E.
+
+    As phi'' = 2 e^(-2u), u_min lies in [-log1p(2E + 2 sqrt(E))/2, -log1p(2E)/2]
+    and u_max in [E - expm1(-2 sqrt(E))/2, E + 1/2], each bisected until the
+    midpoint equals an end; with a1 = 0, a0 is returned exactly.  A non-finite E
+    or a turning point that is not a positive float raises DomainError.
+    """
+    return _turning_exponents(p)[0]
+
+
+# tolerance of each half-period quadrature, relative to each panel's value
 PERIOD_QUAD_TOL = 1e-12
 
 
 def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
-    """Orbit period as 2 * integral da / sqrt(2*(theta - V(a))).
+    """Orbit period 2 * integral da / sqrt(2*(theta - V(a))), in u = ln(a/abar):
+    T = (2 abar/sqrt(lam)) * sum_t integral_0^w e^(u_t + s) / sqrt(2 X_t(s)) dd.
 
-    The integrand has inverse-square-root singularities at both turning
-    points, handled by `quad_singular` to the relative PERIOD_QUAD_TOL.
+    The sum runs over both turning points u_t, s = +-d points inward and
+    w = (u_max - u_min)/2, and each integral is one `quad_singular` call to
+    the relative PERIOD_QUAD_TOL.  X_t(s) = phi(u_t) - phi(u_t + s) is
+    -phi(s) - expm1(-2 u_t) expm1(-2s)/2 for |s| <= 1/4, else
+    -s - (e^(-2(u_t + s)) - e^(-2 u_t))/2.  An overflowing T raises DomainError.
     """
-    tp = turning_points(p)
-    th = energy_level(p)
+    tp, u_min, u_max = _turning_exponents(p)
+    total = err = 0.0
+    for u_t, inward in ((u_min, 1.0), (u_max, -1.0)):
+        def integrand(d: float, u_t=u_t, inward=inward) -> float:
+            s = inward * d
+            if abs(s) <= 0.25:
+                x = -_phi(s) - math.expm1(-2 * u_t) * math.expm1(-2 * s) / 2
+            else:
+                x = -s - (math.exp(-2 * (u_t + s)) - math.exp(-2 * u_t)) / 2
+            return math.exp(u_t + s - u_max) / math.sqrt(2 * x)  # a_max is applied below
 
-    def integrand(a: float) -> float:
-        ex = th - potential(a, p)
-        if ex <= 0.0:
-            return 0.0
-        return 1.0 / math.sqrt(2.0 * ex)
-
-    val, err = quad_singular(integrand, tp.a_min, tp.a_max, PERIOD_QUAD_TOL)
-    return PeriodEstimate(T=2.0 * val, err_est=2.0 * err)
+        val, e = quad_singular(integrand, 0.0, (u_max - u_min) / 2, PERIOD_QUAD_TOL)
+        total, err = total + val, err + e
+    scale = 2 * tp.a_max / math.sqrt(p.lam)  # a_max = abar e^(u_max)
+    if not math.isfinite(scale * total):
+        raise DomainError(f"the period overflows at {p}")
+    return PeriodEstimate(T=scale * total, err_est=scale * err)
 
 
 def linearized_period(p: EmdenParams) -> float:
-    """Small-oscillation period 2*pi/sqrt(V''(abar)) near the equilibrium."""
-    abar = equilibrium_radius(p)
-    ddv = -p.lam / abar**2 + 3 * p.xi * p.xi / abar**4
-    return 2 * math.pi / math.sqrt(ddv)
+    """Small-oscillation period 2*pi/sqrt(V''(abar)), where V''(abar) = 2 lam/abar^2."""
+    return 2 * math.pi * equilibrium_radius(p) / math.sqrt(2 * p.lam)
 
 
 _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles

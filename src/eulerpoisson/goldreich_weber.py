@@ -1,14 +1,15 @@
 """Goldreich-Weber style profiles and scale dynamics in dimension N >= 3.
 
-The profile is the radial equation of `liouville` in dimension d = N,
+They solve the N-dimensional Euler-Poisson system with P = K rho^gamma,
+gamma = (2N-2)/N, Laplacian(Phi) = alpha(N) rho, rho = f(r/a)^(N/(N-2)) / a^N,
+u = (a'/a) x and a'' = -lam / a^(N-1).  The radial momentum balance times a^(N-1),
+-lam*s + K(2N-2)/(N-2) f'(s) + alpha(N)/s^(N-1) * integral_0^s f^(N/(N-2)) t^(N-1) dt
+= 0, is the first integral of the radial equation of `liouville` in d = N,
 
-    f'' + (N-1)/s * f' + alpha(N)/((2N-2)K) * f^(N/(N-2)) = N(N-2)*lam / ((2N-2)K),
+    f'' + (N-1)/s * f' + (N-2)*alpha(N)/((2N-2)K) * f^(N/(N-2)) = N(N-2)*lam / ((2N-2)K),
 
 from f(0) = alpha_center > 0.  Unlike the 2D isothermal family it reaches a
-first zero S_mu where the density touches down, so the star has compact
-support.  Its first integral makes the enclosed mass
-(N-2)*lam*s^N - (2N-2)*K*s^(N-1)*f'(s).  The companion scale factor obeys
-a'' = -lam / a^(N-1).
+first zero S_mu where the density touches down: the star has compact support.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ class GWParams:
     @property
     def law(self) -> RadialLaw:
         """d = N, rho = f^(N/(N-2)) (NaN below f = 0 on floats, 0 on arrays),
-        g = alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center."""
+        g = (N-2)*alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center."""
         power, denom = self.N / (self.N - 2), (2 * self.N - 2) * self.K
 
         def rho(f: float) -> float:
             return f**power if f >= 0.0 else math.nan
 
-        return RadialLaw(self.N, alpha_const(self.N) / denom,
+        return RadialLaw(self.N, (self.N - 2) * alpha_const(self.N) / denom,
                          self.N * (self.N - 2) * self.lam / denom, self.alpha_center,
                          rho, lambda f: np.power(np.maximum(f, 0.0), power))
 

@@ -184,10 +184,10 @@ def convergence_study(
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise DomainError("h_list must be strictly decreasing")
     h_min = h_list[-1]
-    floor = FLOOR_COEFF / h_min**2 if h_min**2 > 0 else math.inf
-    if not math.isfinite(floor):
-        raise DomainError(f"the roundoff floor {FLOOR_COEFF}/h^2 is not a finite number "
-                          f"at the smallest step h={h_min}")
+    floor = FLOOR_COEFF / (h_min * h_min) if h_min * h_min > 0 else math.inf
+    if not 0 < floor < math.inf:
+        raise DomainError(f"the roundoff floor {FLOOR_COEFF}/h^2 is not a positive finite "
+                          f"number at the smallest step h={h_min}")
     if not ops:
         raise DomainError("need at least one residual operator")
     steps = len(h_list)

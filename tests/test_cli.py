@@ -24,12 +24,12 @@ def run(tmp_path, *argv):
 
 
 def test_importing_the_cli_loads_no_test_dependency():
-    # import time is the benchmark's setup_s, and scipy is a test dependency only
+    # import time is the benchmark's setup_s, and scipy and mpmath are test dependencies only
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, eulerpoisson.cli; print(*sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
-    test_only = ("scipy", "hypothesis", "pytest", "_pytest")
+    test_only = ("scipy", "hypothesis", "mpmath", "pytest", "_pytest")
     assert [name for name in out if name.split(".")[0] in test_only] == []
 
 
@@ -48,6 +48,13 @@ class TestEmdenCommand:
         # energy column is constant to integrator accuracy
         energies = [float(l.split(",")[3]) for l in lines[1:]]
         assert max(energies) - min(energies) < 1e-7
+
+    def test_a_near_steady_orbit_gets_both_periods(self, tmp_path):
+        # exited 2 when the period quadrature ran out of panels
+        assert run(tmp_path, "emden", "--a1", "1e-5") == 0
+        report = json.loads((tmp_path / "emden_report.json").read_text())
+        tq, ts = report["T_quadrature"], report["T_simulation"]
+        assert abs(tq - ts) / tq <= 1e-6
 
     def test_steady_constant_columns(self, tmp_path):
         assert run(tmp_path, "emden", "--a1", "0") == 0
@@ -126,6 +133,11 @@ class TestPeriodCommand:
         assert run(tmp_path, "period") == 0
         report = json.loads((tmp_path / "period.json").read_text())
         assert report["rel_diff"] <= 1e-6
+
+    def test_near_steady_agreement(self, tmp_path):
+        # exited 2 when the period quadrature ran out of panels
+        assert run(tmp_path, "period", "--a1", "1e-6") == 0
+        assert json.loads((tmp_path / "period.json").read_text())["rel_diff"] <= 1e-6
 
     def test_steady_exits_2(self, tmp_path):
         assert run(tmp_path, "period", "--a1", "0") == 2

@@ -30,7 +30,7 @@ from eulerpoisson.emden import (
     scale_rhs,
     turning_points,
 )
-from eulerpoisson.errors import DomainError, NoConvergence, NotPeriodic, StepUnderflow
+from eulerpoisson.errors import DomainError, NotPeriodic, StepUnderflow
 from eulerpoisson.ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
@@ -98,14 +98,17 @@ class TestEnergyAndPotential:
 
     def test_unrepresentable_orbits_raise_domain_errors(self):
         # xi^2 underflows to 0 (a subnormal square is kept); theta overflows;
-        # the cube of a turning point overflows in its Newton polish
+        # the turning points are finite (a^3 once overflowed in a Newton
+        # polish), but the period, about 1e450, is not
         with pytest.raises(DomainError, match="xi=1e-300"):
             EmdenParams(1e10, 1e-300, 1e10, 700.0)
         assert EmdenParams(1.0, 1e-161, 1.0, 0.0).xi == 1e-161
         with pytest.raises(DomainError, match=r"a1=1e\+300"):
             energy_level(EmdenParams(1.0, 0.3, 0.3, 1e300))
-        with pytest.raises(DomainError, match=r"overflows a\^3"):
-            turning_points(EmdenParams(1e-300, 1e10, 1e300, 1e-300))
+        p = EmdenParams(1e-300, 1e10, 1e300, 1e-300)
+        assert all(0 < a < math.inf for a in turning_points(p))
+        with pytest.raises(DomainError, match=r"period overflows at .*a0=1e\+300"):
+            period_by_quadrature(p)
 
 
 def _golden_minimize(f, lo, hi, iters=200):
@@ -193,13 +196,13 @@ class TestTurningPoints:
         with pytest.raises(NotPeriodic):
             turning_points(EmdenParams(1.0, 1.0, 1.0, 0.0))
 
-    def test_a_bracket_that_overflows_or_stops_short_names_the_orbit(self):
-        # the outward bracket overflowed to inf, where V > theta ended the
-        # expansion: a_max = inf, and the period failed on a nameless a > 0 check
-        with pytest.raises(DomainError, match="bracket overflows at .*lam=1e-300"):
+    def test_an_unrepresentable_turning_point_names_the_orbit(self):
+        # a_max = e^(5e299): once an outward bracket that overflowed to inf
+        with pytest.raises(DomainError, match="not a positive float at .*lam=1e-300"):
             turning_points(EmdenParams(1e-300, 1.0, 1.0, 1.0))
-        with pytest.raises(NoConvergence, match=r"expansion failed at .*a0=1e\+300"):
-            turning_points(EmdenParams(1.0, 1.0, 1e300, 1.0))
+        # once a bracket expansion that stopped short; now a_max is about 1.6e300
+        tp = turning_points(EmdenParams(1.0, 1.0, 1e300, 1.0))
+        assert tp.a_min < 1.0 < 1e300 < tp.a_max < math.inf
 
 
 def _bisect(g, a, b, iters=100):
@@ -285,6 +288,58 @@ class TestBothPeriodsOverTheOrbitsBox:
             assert abs(potential(a, p) - th) <= 1e-12 * max(1.0, abs(th))
         tq = period_by_quadrature(p).T
         assert abs(tq - period_by_simulation(p).T) / tq <= 1e-6
+
+
+def _mpmath_period(mp, p, tp):
+    """2 * integral of a / sqrt(2 (theta - V(a))) du over u = ln a, in 30 digits.
+
+    The turning points u_t are tp refined by mpmath's secant on V(u) = theta,
+    with 30 digits beyond those that V loses on an orbit of relative width
+    w = (a_max - a_min)/a_max, about 2 log10(1/w).
+    Each half runs from one u_t to the midpoint, in the offset d >= 0 with
+    s = +-d pointing inward, where V(u_t) - V(u_t + s) is
+    -lam s - (xi^2/2) e^(-2 u_t) expm1(-2s) at any d, however small.
+    """
+    lost = -2 * math.log10((tp.a_max - tp.a_min) / tp.a_max)
+    with mp.workdps(30 + max(0, int(lost))):
+        lam, xi2 = mp.mpf(p.lam), mp.mpf(p.xi) ** 2
+        V = lambda u: lam * u + xi2 * mp.exp(-2 * u) / 2
+        theta = mp.mpf(p.a1) ** 2 / 2 + V(mp.log(p.a0))
+        lo, hi = (mp.findroot(lambda u: V(u) - theta, mp.log(a)) for a in tp)
+    with mp.workdps(30):
+        total = 0
+        for u_t, inward in ((lo, 1), (hi, -1)):
+            excess = lambda d: (-lam * inward * d
+                                - xi2 * mp.exp(-2 * u_t) * mp.expm1(-2 * inward * d) / 2)
+            total += mp.quad(lambda d: mp.exp(u_t + inward * d) / mp.sqrt(2 * excess(d)),
+                             [0, (hi - lo) / 2])
+        return float(2 * total)
+
+
+class TestPeriodAgainstAnMpmathReference:
+    """The quadrature's error stays within max(err_est, 1e-12 T) over the
+    `orbits` box, for wide orbits, and for orbits next to the steady state."""
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(lam=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
+           xi=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
+           a0=st.floats(0.5, 2.0), a1=st.floats(-2.5, 2.5))
+    @example(*astuple(WIDE_ORBITS[0]))
+    @example(*astuple(WIDE_ORBITS[1]))
+    @example(1.0, 1.0, 1.0, 1e-8)  # without phi's series this was 1.7e-10 off
+    @example(1.0, 1.0, 1.0, 1e-11)
+    @example(1.0, 1.0, 1.0 + 3e-12, 0.0)
+    # two wide pool orbits where the small-s form of the excess, used everywhere,
+    # ran out of panels or divided by zero
+    @example(0.2917266355434524, 2.4610975554598666, 0.6067221986520434, -2.135985281678403)
+    @example(0.25131726453529085, 2.9456578703096774, 0.559442016300047, 1.4147370519609908)
+    def test_the_error_is_within_its_estimate(self, lam, xi, a0, a1):
+        mp = pytest.importorskip("mpmath")
+        p = EmdenParams(lam, xi, a0, a1)
+        assume(classify(p) is OrbitClass.PERIODIC)
+        est = period_by_quadrature(p)
+        assert abs(est.T - _mpmath_period(mp, p, turning_points(p))) <= max(est.err_est,
+                                                                            1e-12 * est.T)
 
 
 class TestPeriodOfARun:

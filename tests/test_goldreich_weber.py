@@ -121,7 +121,7 @@ def _clamped_reference_s_mu(p: GWParams, s_cap: float = 100.0) -> float | None:
     import scipy.integrate as scipy_integrate  # a test dependency, never skipped
 
     power, denom = p.N / (p.N - 2), (2 * p.N - 2) * p.K
-    forcing, grav = p.N * (p.N - 2) * p.lam / denom, alpha_const(p.N) / denom
+    forcing, grav = p.N * (p.N - 2) * p.lam / denom, (p.N - 2) * alpha_const(p.N) / denom
     # c = f''(0)/2, where N f''(0) = forcing - gravity at the center
     c, s0 = (forcing - grav * p.alpha_center**power) / (2 * p.N), 1e-6
 
@@ -196,11 +196,32 @@ class TestEnclosedMass:
            alpha_center=st.floats(0.5, 2.0))
     def test_first_integral(self, N, K, lam, alpha_center):
         # s^(N-1) times the profile equation, integrated from 0:
-        # alpha(N) int_0^s f^(N/(N-2)) tau^(N-1) dtau = (N-2) lam s^N - (2N-2) K s^(N-1) f'(s)
+        # alpha(N) int_0^s f^(N/(N-2)) tau^(N-1) dtau = lam s^N - (2N-2)/(N-2) K s^(N-1) f'(s)
         prof = solve_gw_profile(GWParams(N=N, K=K, lam=lam, alpha_center=alpha_center))
         s = prof.s_mu * np.array([1e-3, 0.05, 0.2, 0.37, 0.5, 0.73, 0.9, 0.999])
-        rhs = (N - 2) * lam * s**N - (2 * N - 2) * K * s ** (N - 1) * prof.fdot_at(s)
+        rhs = lam * s**N - (2 * N - 2) / (N - 2) * K * s ** (N - 1) * prof.fdot_at(s)
         assert np.all(np.abs(enclosed_mass(prof, s) - rhs) <= 1e-9 * np.maximum(1.0, np.abs(rhs)))
+
+
+class TestRadialBalance:
+    """The profile against the Euler-Poisson system it stands for, not its own ODE."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_momentum_balance_holds(self, N):
+        # rho = f(r/a)^(N/(N-2))/a^N, P = K rho^((2N-2)/N), Laplacian Phi = alpha(N) rho
+        # and u = (a'/a) x balance radial momentum where, times a^(N-1),
+        # -lam s + K (2N-2)/(N-2) f'(s) + alpha(N) M(s)/s^(N-1) = 0 with
+        # M(s) = int_0^s f^(N/(N-2)) sigma^(N-1) dsigma, here from scipy's QUADPACK
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        K, lam = 1.0, -0.2
+        prof = solve_gw_profile(GWParams(N=N, K=K, lam=lam, alpha_center=1.0))
+        for s in prof.s_mu * np.array([0.05, 0.2, 0.4, 0.6, 0.8, 0.95]):
+            mass, _ = scipy_integrate.quad(
+                lambda x: float(prof.f_at(x)) ** (N / (N - 2)) * x ** (N - 1), 0.0, s,
+                epsabs=0.0, epsrel=1e-13, limit=200)
+            balance = (-lam * s + K * (2 * N - 2) / (N - 2) * float(prof.fdot_at(s))
+                       + alpha_const(N) * mass / s ** (N - 1))
+            assert abs(balance) <= 1e-9, (s, balance)
 
 
 class TestScale:

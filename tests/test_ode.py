@@ -322,13 +322,14 @@ class TestGeneratedStep:
                      "0918e2f3e2c901e3298c9682636bfdee946d7e7b432a506da77aa90cd1f93497",
                      id="gw-profile-N3"),
         pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
-                     "dffaccc164e6c13e3cbd33781f8812bec0bd2cb1885b8d1a4212588f536531f8",
+                     "0a8851d074ea833708d7ca6d8b7b95f8ab4f60a68ac8705c14e24126920d5c46",
                      id="gw-profile-N5"),
     ])
     def test_nodes_and_rows_are_bitwise_pinned(self, solve, digest):
         # recorded with the hand-unrolled stepper this generator replaced; the
         # profile's digest again when the profile began to start at s = 0; the
-        # GW digests before both profiles shared one radial equation
+        # GW digests before both profiles shared one radial equation, and N = 5
+        # again when its gravity coefficient gained the factor N - 2 (1 at N = 3)
         assert _digest(solve()) == digest
 
 
