@@ -155,11 +155,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     subparsers["liouville"] = p
 
     p = sub.add_parser("fields", help="sample spacetime fields of a family")
-    p.add_argument(
-        "--family",
-        choices=["rotational", "yuen", "zz-inner", "zz-outer", "gw"],
-        default="rotational",
-    )
+    p.add_argument("--family", choices=list(_FIELD_FAMILIES), default="rotational")
     p.add_argument("--lam", type=finite_float, default=1.0)
     p.add_argument("--xi", type=finite_float, default=1.0)
     p.add_argument("--K", type=finite_float, default=1.0)
@@ -250,6 +246,9 @@ def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
                     raise _ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
             else:
                 values[key] = val
+            if action.choices is not None and values[key] not in action.choices:
+                raise _ConfigError(f"{path}:{lineno}: bad value for {key}: expected one of "
+                                   f"{', '.join(action.choices)}, got {val!r}")
     return values
 
 
@@ -269,10 +268,9 @@ def cmd_emden(args) -> int:
     traj = run.trajectory
 
     times = np.linspace(0.0, traj.t_end, args.samples)
-    rows = [
-        (t, a, adot, adot * adot / 2 + emden.potential(a, p))
-        for t, (a, adot) in zip(times.tolist(), traj.evaluate(times).tolist())
-    ]
+    a, adot = traj.evaluate(times).T
+    energy = adot * adot / 2 + emden.potential(a, p)
+    rows = zip(times.tolist(), a.tolist(), adot.tolist(), energy.tolist())
 
     cls = emden.classify(p)
     report = {
@@ -393,17 +391,18 @@ def _fields_rows_gw(args):
     return _sample_rows(args, times, ev, NoCompactSupport)
 
 
+# the rows of each family by name; these names are the --family choices
+_FIELD_FAMILIES = {
+    "rotational": lambda args: _fields_rows_rotational(args, xi=args.xi),
+    "yuen": lambda args: _fields_rows_rotational(args, xi=0.0),
+    "zz-inner": lambda args: _fields_rows_zz(args, inner=True),
+    "zz-outer": lambda args: _fields_rows_zz(args, inner=False),
+    "gw": _fields_rows_gw,
+}
+
+
 def cmd_fields(args) -> int:
-    if args.family == "rotational":
-        rows = _fields_rows_rotational(args, xi=args.xi)
-    elif args.family == "yuen":
-        rows = _fields_rows_rotational(args, xi=0.0)
-    elif args.family == "zz-inner":
-        rows = _fields_rows_zz(args, inner=True)
-    elif args.family == "zz-outer":
-        rows = _fields_rows_zz(args, inner=False)
-    else:
-        rows = _fields_rows_gw(args)
+    rows = _FIELD_FAMILIES[args.family](args)
     out = _outdir(args)
     _write_csv(out / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], rows)
     return 0

@@ -106,14 +106,18 @@ def scale_rhs(p: EmdenParams):
     return rhs
 
 
-def potential(a: float, p: EmdenParams) -> float:
-    """Effective potential lam*ln(a) + xi^2/(2 a^2)."""
-    if not a > 0:
+def potential(a, p: EmdenParams):
+    """Effective potential lam*ln(a) + xi^2/(2 a^2), elementwise on an array a of
+    any shape; a float gives a float."""
+    x = np.asarray(a, dtype=float)
+    if not np.all(x > 0):
         raise DomainError("potential requires a > 0")
-    try:
-        return p.lam * math.log(a) + p.xi * p.xi / (2 * a * a)
-    except ZeroDivisionError:  # a nonzero subnormal xi^2 can put a_min where a^2 underflows
-        raise DomainError(f"a={a} underflows a^2 to 0 in the potential at {p}") from None
+    with np.errstate(over="ignore"):  # an infinite a^2 leaves lam*ln(a)
+        a2 = 2 * x * x
+    if not np.all(a2):  # a nonzero subnormal xi^2 can put a_min where a^2 underflows
+        raise DomainError(f"a={x.min()} underflows a^2 to 0 in the potential at {p}")
+    v = p.lam * np.log(x) + p.xi * p.xi / a2
+    return float(v) if v.ndim == 0 else v
 
 
 def energy_level(p: EmdenParams) -> float:
@@ -250,10 +254,9 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
                          run: Trajectory | None = None) -> PeriodEstimate:
     """Orbit period timed from falling a'=0 events of a simulated trajectory.
 
-    The falls of a' count first on the nodes of `run`, a trajectory of this
-    orbit from t = 0 (else DomainError), and the event finder samples it only
-    up to the node of the fourth.  With fewer falls or no `run`, the orbit is
-    integrated on at cfg from the last node to the missing falls, however
+    The events are searched first on `run`, a trajectory of this orbit from
+    t = 0 (else DomainError).  With fewer than four, or no `run`, the orbit
+    is integrated on at cfg from the last node to the missing falls, however
     long that takes; cfg.max_steps bounds it, and a halt is re-raised with
     its type and the orbit's parameters.  The period is the mean of the three
     gaps between the first four maxima of a(t), err_est their largest
@@ -266,17 +269,12 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
         run = Trajectory([0.0], [y0], [y0])
     elif not (run.t_start == 0.0 and np.array_equal(run.ys[0], y0)):
         raise DomainError(f"the run must start at t = 0 from (a0, a1) of {p}")
-    adot = run.ys[:, 1]
-    fall_nodes = (np.flatnonzero((adot[:-1] > 0) & (adot[1:] <= 0)) + 1)[:_PERIOD_EVENTS_NEEDED]
-    n = fall_nodes[-1] + 1 if len(fall_nodes) == _PERIOD_EVENTS_NEEDED else run.n_nodes
-    # each counted fall has a bracket on the finder's grid; a zero that the
-    # nodes missed lies earlier, so the first four are the first four maxima
-    events = detect_events(Trajectory(run.ts[:n], run.ys[:n], run.fs[:n], run.cont[:n - 1]), 1)
+    events = detect_events(run, 1)[:_PERIOD_EVENTS_NEEDED]
     stats = IntegratorStats()
-    if len(fall_nodes) < _PERIOD_EVENTS_NEEDED:
+    if len(events) < _PERIOD_EVENTS_NEEDED:
         try:
             more = integrate(scale_rhs(p), OdeState(run.t_end, run.y_end), math.inf, cfg,
-                             falls=(1, _PERIOD_EVENTS_NEEDED - len(fall_nodes)))
+                             falls=(1, _PERIOD_EVENTS_NEEDED - len(events)))
         except IntegrationHalted as halt:
             raise type(halt)(f"{halt} in the period of {p}", halt.t, halt.trajectory) from None
         events, stats = np.concatenate([events, detect_events(more, 1)]), more.stats
@@ -320,8 +318,6 @@ def _run_to_touchdown(rhs, start: OdeState, t_end: float, cfg: IntegratorConfig)
 
 def energy_drift(traj: Trajectory, p: EmdenParams) -> float:
     """Max |energy(t) - theta| over the trajectory nodes."""
-    th = energy_level(p)
-    a = traj.ys[:, 0]
     adot = traj.ys[:, 1]
-    e = adot**2 / 2 + p.lam * np.log(a) + p.xi * p.xi / (2 * a**2)
-    return float(np.max(np.abs(e - th)))
+    e = adot**2 / 2 + potential(traj.ys[:, 0], p)
+    return float(np.max(np.abs(e - energy_level(p))))

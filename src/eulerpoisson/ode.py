@@ -20,9 +20,10 @@ reproduction of node states.  Dense output is one kernel,
 `Trajectory.evaluate`, for an array of times at once; `Trajectory.state_at`
 is the same call on a single time.  Event location,
 `detect_events(traj, k)`, finds the falling zeros of component k on the
-dense output: it brackets them on an 8-point subsample grid of every
-segment, with y[k] > 0 at one sample and y[k] <= 0 at the next, and refines
-all brackets together to a width of 1e-12 * max(1, |t|).  Each trajectory
+dense output: it searches only the segments over which y[k] falls at the
+nodes, brackets the zeros there on an 8-point subsample grid, with
+y[k] > 0 at one sample and y[k] <= 0 at the next, and refines all brackets
+together to a width of 1e-12 * max(1, |t|).  Each trajectory
 carries the integrator's work counters in `Trajectory.stats`.
 
 Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
@@ -366,10 +367,9 @@ def integrate(
     for that n; `_step_source(n)` returns its source.
 
     With `falls=(k, n)` the run ends early, at the node of the n-th accepted
-    step where y[k] falls: > 0 at its start and <= 0 at its end, the
-    half-open rule of `detect_events` at the nodes, so that `detect_events`
-    finds at least n zeros.  A k outside the state or an n < 1 raises
-    DomainError.  t_end may then be math.inf: the run ends at the n-th fall
+    step where y[k] falls: > 0 at its start and <= 0 at its end.  These are
+    the steps `detect_events` searches, and it finds a zero in each.  A k
+    outside the state or an n < 1 raises DomainError.  t_end may then be math.inf: the run ends at the n-th fall
     or halts, at the latest when config.max_steps is reached.
 
     Raises:
@@ -455,7 +455,10 @@ _EVENT_RTOL = 1e-12
 def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     """Times where component k of the dense output falls through zero, ascending.
 
-    Every segment is subsampled on 8 points, all evaluated in one call.  A
+    Only the segments over which y[k] falls at the nodes, > 0 at the start
+    and <= 0 at the end (the rule `integrate(falls=...)` counts), are
+    searched, so two zeros inside a segment whose nodes do not fall are not
+    reported.  Each is subsampled on 8 points, all evaluated in one call.  A
     bracket is a pair of adjacent samples with y[k] > 0 at the first and
     y[k] <= 0 at the second; an exact zero at the second is the root itself.
     By that half-open rule a zero on a node or on the last time is reported
@@ -466,9 +469,10 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     tol = 1e-12 * max(1, |t|) wide; the root is then its midpoint.  Every
     round shrinks a bracket by at least tol/4, so the refinement ends.
     """
-    if traj.n_nodes < 2:
+    fall = np.flatnonzero((traj.ys[:-1, k] > 0) & (traj.ys[1:, k] <= 0))
+    if not fall.size:
         return np.empty(0)
-    grid = np.linspace(traj.ts[:-1], traj.ts[1:], _EVENT_SUBSAMPLES, axis=1)
+    grid = np.linspace(traj.ts[fall], traj.ts[fall + 1], _EVENT_SUBSAMPLES, axis=1)
     g = traj.evaluate(grid)[..., k]
     hit = (g[:, :-1] > 0) & (g[:, 1:] <= 0)
     ta, tb, ga, gb = grid[:, :-1][hit], grid[:, 1:][hit], g[:, :-1][hit], g[:, 1:][hit]
@@ -544,10 +548,10 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     kron *= half
     gauss *= half
     err = abs(kron - gauss)
-    # standard QUADPACK error sharpening
+    # QUADPACK's error sharpening, floored at qk15's roundoff bound 50 eps |K|
     if err > 0:
-        err = err * min(1.0, (200.0 * err / max(abs(kron), 1e-300)) ** 1.5) + abs(kron) * 1e-16
-    return kron, err
+        err = err * min(1.0, (200.0 * err / max(abs(kron), 1e-300)) ** 1.5)
+    return kron, max(err, 50 * math.ulp(1.0) * abs(kron))
 
 
 _MAX_PANELS = 4096

@@ -355,6 +355,14 @@ class TestRobustness:
         cfg.write_text(f"inject_corruption={word}\n")
         assert cli._parse(["verify", "--config", str(cfg)]).inject_corruption is value
 
+    def test_fields_config_rejects_an_unknown_family(self, tmp_path, capsys):
+        # 'family=rotatonal' once wrote the gw family's fields.csv and exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=1\nfamily=bogus\n")
+        assert main(["fields", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+        assert f"{cfg}:2: bad value for family" in self.one_line_error(capsys)
+        assert not (tmp_path / "fields.csv").exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # was a numpy ValueError traceback, exit 1
         assert run(tmp_path, "verify", "--seed", "-1") == 2

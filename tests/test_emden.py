@@ -66,6 +66,10 @@ class TestEnergyAndPotential:
         p = EmdenParams(1.0, 1.0, 1.0, 0.0)
         assert potential(1.0, p) == pytest.approx(0.5)
         assert potential(math.e, EmdenParams(1.0, 0.0, 1.0, 0.0)) == pytest.approx(1.0)
+        assert type(potential(2.0, p)) is float
+        # elementwise on any shape, each element the value of its float
+        a = np.array([[0.5, 1.0], [2.0, math.e]])
+        assert np.array_equal(potential(a, p), [[potential(v, p) for v in r] for r in a.tolist()])
 
     def test_potential_minimum_at_equilibrium(self):
         # golden-section search over a 1-D grid is the independent oracle
@@ -81,6 +85,10 @@ class TestEnergyAndPotential:
             potential(0.0, EmdenParams(1.0, 1.0, 1.0, 0.0))
         with pytest.raises(DomainError):
             potential(-1.0, EmdenParams(1.0, 1.0, 1.0, 0.0))
+        with pytest.raises(DomainError, match="requires a > 0"):
+            potential(np.array([1.0, 0.0]), EmdenParams(1.0, 1.0, 1.0, 0.0))
+        with pytest.raises(DomainError, match="a=1e-170 underflows a"):
+            potential(np.array([1.0, 1e-170]), EmdenParams(1.0, 1e-160, 1.0, 0.0))
 
     @pytest.mark.parametrize(
         "lam,xi,expected", [(1.0, 1.0, 1.0), (4.0, 2.0, 1.0), (1.0, 3.0, 3.0)]
@@ -342,25 +350,33 @@ class TestPeriodAgainstAnMpmathReference:
                                                                             1e-12 * est.T)
 
 
-class TestPeriodOfARun:
-    """`period_by_simulation(p, cfg, run)` counts the falls of a' on `run` first."""
+    # the unit orbit, next to the steady state and at the default a1 = 1: the
+    # estimate once claimed 1.4e-15 and 7.8e-14 for errors of 4.5e-14 and 9.6e-14
+    @pytest.mark.parametrize("a0,a1", [(1.0, 1.0), (1.0, 1e-5), (1.0, 1e-8), (1.0, 1e-11),
+                                       (1.0 + 3e-12, 0.0)])
+    def test_the_estimate_bounds_the_error_of_the_unit_orbit(self, a0, a1):
+        mp = pytest.importorskip("mpmath")
+        p = EmdenParams(1.0, 1.0, a0, a1)
+        est = period_by_quadrature(p)
+        assert abs(est.T - _mpmath_period(mp, p, turning_points(p))) <= est.err_est
 
-    def test_the_prefix_gives_the_events_of_the_whole_run(self, unit_orbit, monkeypatch):
+
+class TestPeriodOfARun:
+    """`period_by_simulation(p, cfg, run)` searches the falls of a' on `run` first."""
+
+    def test_the_events_are_searched_on_the_run_itself(self, unit_orbit, monkeypatch):
         run = integrate_scale(unit_orbit, 200.0).trajectory
         gaps = np.diff(detect_events(run, 1)[:4])
-        sampled = []
+        searched = []
         monkeypatch.setattr(emden, "detect_events",
-                            lambda traj, k: sampled.append(traj) or detect_events(traj, k))
+                            lambda traj, k: searched.append(traj) or detect_events(traj, k))
         est = period_by_simulation(unit_orbit, IntegratorConfig(), run)
         assert est.T == float(np.mean(gaps))
         assert est.err_est == float(np.max(np.abs(gaps - est.T)))
         assert est.stats == IntegratorStats()  # the call integrated nothing
-        # the finder sampled the run only up to the node of its fourth fall
-        adot = run.ys[:, 1]
-        fourth = np.flatnonzero((adot[:-1] > 0) & (adot[1:] <= 0))[3] + 1
-        (prefix,) = sampled
-        assert np.array_equal(prefix.ts, run.ts[:fourth + 1])
-        assert np.array_equal(prefix.cont, run.cont[:fourth])
+        # one search, on the whole run: no trajectory is cut from it
+        (only,) = searched
+        assert only is run
 
     def test_a_fall_on_the_last_node_of_the_run_counts_once(self, unit_orbit):
         p, cfg = unit_orbit, IntegratorConfig()

@@ -542,6 +542,13 @@ class TestEvents:
         (root,) = detect_events(traj, 0)
         assert root == pytest.approx(r, abs=1e-5)
 
+    def test_a_dip_between_nodes_that_do_not_fall_is_not_reported(self):
+        # the cubic Hermite through y = 1 at both ends with slopes -10 and 10 reaches
+        # -1.5 at the middle: two zeros inside one step, over which y does not fall
+        traj = Trajectory([0.0, 1.0], [[1.0], [1.0]], [[-10.0], [10.0]])
+        assert traj.evaluate(0.5)[0] == -1.5
+        assert detect_events(traj, 0).size == 0
+
     def test_single_node_trajectory_has_no_events(self):
         traj = Trajectory([0.0], [[-1.0, 0.0]], [[0.0, -1.0]])
         assert detect_events(traj, 0).size == 0
