@@ -38,19 +38,14 @@ from .ode import TIGHT_CONFIG, IntegratorConfig
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write the header and the rows, tuples of numbers with 17 significant digits and
-    an empty field for None; a row that raises a package error leaves no file."""
+    an empty field for None.  Every row is formatted before the file is opened, so a
+    row that raises leaves no file."""
     full = ",".join(["%.17g"] * len(header)) + "\n"
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                if None in row:
-                    fh.write(",".join(["" if v is None else "%.17g" % v for v in row]) + "\n")
-                else:
-                    fh.write(full % row)
-    except EulerPoissonError:
-        path.unlink()
-        raise
+    text = "".join([",".join(header) + "\n"] + [
+        full % row if None not in row else ",".join(
+            ["" if v is None else "%.17g" % v for v in row]) + "\n" for row in rows])
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -106,6 +106,13 @@ def scale_rhs(p: EmdenParams):
     return rhs
 
 
+def sundman_rhs(p: EmdenParams):
+    """Right-hand side of (ln a, a', t) in Sundman time tau, dt = a dtau, in which
+    the bounce near a_min takes as many steps as the swing out to a_max."""
+    lam, xi2 = p.lam, p.xi * p.xi
+    return lambda tau, y: (y[1], -lam + xi2 * math.exp(-2.0 * y[0]), math.exp(y[0]))
+
+
 def potential(a, p: EmdenParams):
     """Effective potential lam*ln(a) + xi^2/(2 a^2), elementwise on an array a of
     any shape; a float gives a float."""
@@ -257,8 +264,11 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     The events are searched first on `run`, a trajectory of this orbit from
     t = 0 (else DomainError).  With fewer than four, or no `run`, the orbit
     is integrated on at cfg from the last node to the missing falls, however
-    long that takes; cfg.max_steps bounds it, and a halt is re-raised with
-    its type and the orbit's parameters.  The period is the mean of the three
+    long that takes, in Sundman time from (ln a, a', t) at tau = 0, where the
+    step of an orbit 1e25 wide would underflow in t (see `sundman_rhs`); the
+    falls' times t are read off its dense output.  cfg.max_steps bounds it,
+    and a halt is re-raised with its type, time tau, (ln a, a', t) trajectory
+    and the orbit's parameters.  The period is the mean of the three
     gaps between the first four maxima of a(t), err_est their largest
     deviation from it, and stats the counters of the integration it added.
     """
@@ -272,12 +282,15 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     events = detect_events(run, 1)[:_PERIOD_EVENTS_NEEDED]
     stats = IntegratorStats()
     if len(events) < _PERIOD_EVENTS_NEEDED:
+        (a, v), t = run.y_end, run.t_end
         try:
-            more = integrate(scale_rhs(p), OdeState(run.t_end, run.y_end), math.inf, cfg,
+            more = integrate(sundman_rhs(p), OdeState(0.0, (math.log(a), v, t)), math.inf, cfg,
                              falls=(1, _PERIOD_EVENTS_NEEDED - len(events)))
         except IntegrationHalted as halt:
-            raise type(halt)(f"{halt} in the period of {p}", halt.t, halt.trajectory) from None
-        events, stats = np.concatenate([events, detect_events(more, 1)]), more.stats
+            raise type(halt)(f"{halt} (Sundman time) in the period of {p}", halt.t,
+                             halt.trajectory) from None
+        found = more.evaluate(detect_events(more, 1))[:, 2]  # the falls' times t
+        events, stats = np.concatenate([events, found]), more.stats
 
     gaps = np.diff(events[:_PERIOD_EVENTS_NEEDED])
     T = float(np.mean(gaps))

@@ -13,10 +13,13 @@ stepper's own 7th-order continuous extension (section II.6), so a run makes
 1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
 estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
 norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
-costs no rhs call and stops at t_end.  Accepted steps store the state and
-derivative at both ends plus four continuation rows, so the trajectory
-supports dense output, post-hoc event location, and exact (bitwise)
-reproduction of node states.  Dense output is one kernel,
+costs no rhs call and stops at t_end.  The next step size is the smaller of
+the usual factor 0.9 err^(-1/8) and Gustafsson's predictive one (Hairer &
+Wanner II, section IV.8), which also weighs the last accepted step, so the
+step does not saw-tooth between growth and rejection.  Accepted steps
+store the state and derivative at both ends plus four continuation rows,
+so the trajectory supports dense output, post-hoc event location, and
+exact (bitwise) reproduction of node states.  Dense output is one kernel,
 `Trajectory.evaluate`, for an array of times at once; `Trajectory.state_at`
 is the same call on a single time.  Event location,
 `detect_events(traj, k)`, finds the falling zeros of component k on the
@@ -357,8 +360,11 @@ def integrate(
     controlled against atol + rtol*|y| by Hairer's combined 5th/3rd-order
     estimate, before the FSAL stage, so a rejected attempt costs 11 rhs
     calls and an accepted one 15 (11, the FSAL stage and three dense-output
-    stages); a run makes 1 + 11*attempts + 4*accepted calls.  A step is
-    rejected when a stage is not finite or raises ArithmeticError
+    stages); a run makes 1 + 11*attempts + 4*accepted calls.  A step h
+    accepted after an accepted h_prev is followed by h times the smaller of
+    0.9 err^(-1/8) and Gustafsson's 0.9 err^(-1/8) (h/h_prev)
+    (err_prev/err)^(1/8), err_prev the error of h_prev floored at 1e-2.  A
+    step is rejected when a stage is not finite or raises ArithmeticError
     (ZeroDivisionError, OverflowError), so integrands may signal domain
     exits (for example a scale factor touching zero) by returning NaN; the
     run then terminates with StepUnderflow at the singular time.  A stage i
@@ -408,6 +414,7 @@ def integrate(
     ts, ys, fs, hs_acc, dense_ks = [t], [y], [k1], [], []
     atol, rtol, max_steps = config.atol, config.rtol, config.max_steps
     h = _first_step(y, k1, t_end - t, config)
+    h_prev = err_prev = 0.0  # the last accepted step and its error, floored at 1e-2
     while t < t_end:
         if h < STEP_UNDERFLOW_REL * max(1.0, abs(t)):
             raise StepUnderflow(f"step size {h:.3e} underflowed at t={t!r}", t, make_traj())
@@ -438,6 +445,10 @@ def integrate(
             if not falls_left:
                 break
         grow = 0.9 * err ** -0.125 if err > 0 else 5.0
+        if h_prev and err > 0:  # Gustafsson's predictive factor, when it is the smaller
+            pred = grow * (hs / h_prev) * (err_prev / err) ** 0.125
+            grow = pred if pred < grow else grow
+        h_prev, err_prev = hs, err if err > 1e-2 else 1e-2
         # hs * min(5.0, max(0.2, grow)) without the builtin calls
         h = hs * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)
     return make_traj()

@@ -75,16 +75,22 @@ class TestEmdenCommand:
 
     @pytest.mark.parametrize("argv,starts", [((), [0.0]), (("--t-end", "3"), [0.0, 3.0])])
     def test_one_run_serves_the_csv_and_the_period(self, tmp_path, monkeypatch, argv, starts):
-        # a run to t_end that lacks four falls of a' is continued, not redone
+        # a run to t_end that lacks four falls of a' is continued, not redone:
+        # from Sundman time 0 at (ln a, a', t) of the run's last node
         seen = []
 
         def spy(rhs, y0, *rest, **kwargs):
-            seen.append(y0.t)
+            seen.append(y0)
             return ode.integrate(rhs, y0, *rest, **kwargs)
 
         monkeypatch.setattr(emden, "integrate", spy)
         assert run(tmp_path, "emden", *argv) == 0
-        assert seen == starts
+        assert [y0.t for y0 in seen] == [0.0] * len(starts)
+        assert seen[0].y.tolist() == [1.0, 1.0]
+        # the CSV's last row is the run's last node, printed to round-trip
+        t, a, adot, _ = map(float, (tmp_path / "emden.csv").read_text().splitlines()[-1].split(","))
+        for y0, start in zip(seen[1:], starts[1:]):
+            assert y0.y.tolist() == [math.log(a), adot, start] and t == start
         report = json.loads((tmp_path / "emden_report.json").read_text())
         assert abs(report["T_simulation"] / report["T_quadrature"] - 1) < 1e-8
 
@@ -396,12 +402,6 @@ class TestRobustness:
              "xi=1e-160"),
             (("period", "--lam", "1e10", "--xi", "1e-160", "--a0", "1e10", "--a1", "700"),
              "xi=1e-160"),
-            # each was a ZeroDivisionError traceback, exit 1: a turning point's
-            # cube underflows to 0 in the Newton polish
-            (("emden", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1"),
-             "xi=1e-150"),
-            (("period", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1"),
-             "xi=1e-150"),
             # each exited 2 with "potential requires a > 0": the outward
             # turning-point bracket overflowed to a_max = inf
             (("period", "--lam", "1e-300"), "lam=1e-300"),
@@ -409,16 +409,29 @@ class TestRobustness:
             # each exited 2 with "turning-point bracket expansion failed" alone
             (("emden", "--a0", "1e300"), "a0=1e+300"),
             (("emden", "--lam", "1e-250", "--xi", "2"), "lam=1e-250"),
-            # each exited 2 with a nameless "quadrature budget exhausted"; the
-            # simulated period's step underflows near a_max of about 9e22
-            (("emden", "--a1", "10"), "a1=10.0"),
-            (("period", "--a1", "10"), "a1=10.0"),
         ],
     )
     def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, *argv) == 2
         assert message in self.one_line_error(capsys)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # each was a ZeroDivisionError traceback, exit 1, where a turning point's
+        # cube underflowed to 0, then exited 2 when the simulated period's step
+        # underflowed in the bounce near a_min of about 1.9e-152
+        ("emden", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1"),
+        ("period", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1"),
+        # each exited 2 with a nameless "quadrature budget exhausted", then when
+        # the simulated period's step underflowed on an orbit 8.8e22 wide
+        ("emden", "--a1", "10"),
+        ("period", "--a1", "10"),
+    ])
+    def test_an_orbit_once_out_of_reach_gets_both_periods(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == 0
+        report = json.loads(next(tmp_path.glob("*.json")).read_text())
+        tq, ts = report["T_quadrature"], report["T_simulation"]
+        assert abs(tq - ts) / tq <= 1e-6
 
     def test_gw_at_defaults_fails_before_writing(self, tmp_path, capsys):
         # alpha defaults to 0, which the gw profile rejects

@@ -28,9 +28,10 @@ from eulerpoisson.emden import (
     period_by_simulation,
     potential,
     scale_rhs,
+    sundman_rhs,
     turning_points,
 )
-from eulerpoisson.errors import DomainError, NotPeriodic, StepUnderflow
+from eulerpoisson.errors import DomainError, NotPeriodic, StepBudgetExceeded
 from eulerpoisson.ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
@@ -288,6 +289,13 @@ class TestBothPeriodsOverTheOrbitsBox:
            a0=st.floats(0.5, 2.0), a1=st.floats(-2.5, 2.5))
     @example(*astuple(WIDE_ORBITS[0]))
     @example(*astuple(WIDE_ORBITS[1]))
+    # pool orbits 1.4e12 to 5e25 wide, whose simulated period halted with
+    # StepUnderflow in the bounce near a_min before it ran in Sundman time
+    @example(0.5471947610313358, 3.2240853940496828, 0.5774562585920169, -0.22490240055212407)
+    @example(0.2917266355434524, 2.4610975554598666, 0.6067221986520434, -2.135985281678403)
+    @example(0.6132139428289507, 3.6587089972588362, 0.6311748460299516, -0.8296775407040127)
+    @example(0.3611124046480019, 2.223036432301045, 0.5035774913329641, 0.9905438402028901)
+    @example(0.25131726453529085, 2.9456578703096774, 0.559442016300047, 1.4147370519609908)
     def test_turning_points_and_both_periods(self, lam, xi, a0, a1):
         p = EmdenParams(lam, xi, a0, a1)
         assume(classify(p) is OrbitClass.PERIODIC)
@@ -295,7 +303,7 @@ class TestBothPeriodsOverTheOrbitsBox:
         for a in turning_points(p):
             assert abs(potential(a, p) - th) <= 1e-12 * max(1.0, abs(th))
         tq = period_by_quadrature(p).T
-        assert abs(tq - period_by_simulation(p).T) / tq <= 1e-6
+        assert abs(tq - period_by_simulation(p).T) / tq <= 1e-8
 
 
 def _mpmath_period(mp, p, tp):
@@ -386,12 +394,13 @@ class TestPeriodOfARun:
         assert run.ys[-2, 1] > 0
         run.ys[-1, 1] = 0.0  # a' of the last node was within rounding of zero
         est = period_by_simulation(p, cfg, run)
-        # the run holds one fall, so the call integrates on to three more ...
-        more = integrate(scale_rhs(p), OdeState(first, run.ys[-1]), math.inf, cfg,
-                         falls=(1, 3))
+        # the run holds one fall, so the call integrates on to three more, in
+        # Sundman time from (ln a, a', t) at the run's end ...
+        start = OdeState(0.0, [math.log(run.ys[-1, 0]), 0.0, first])
+        more = integrate(sundman_rhs(p), start, math.inf, cfg, falls=(1, 3))
         assert est.stats == more.stats
         # ... and the zero on the shared node is the first maximum, once
-        gaps = np.diff([first, *detect_events(more, 1)[:3]])
+        gaps = np.diff([first, *more.evaluate(detect_events(more, 1)[:3])[:, 2]])
         assert est.T == float(np.mean(gaps))
         assert est.T == pytest.approx(UNIT_ORBIT_PERIOD, rel=1e-8)
 
@@ -407,13 +416,23 @@ class TestPeriodOfARun:
         assert tq > 256 * linearized_period(p)
         assert abs(est.T - tq) / tq <= 1e-6
 
-    def test_a_halted_continuation_names_the_orbit(self):
-        # a_max near 9e22: the step underflows on the way out
+    def test_an_orbit_9e22_wide_gets_its_period(self):
+        # in t the step underflowed in the bounce near a_min; in Sundman time
+        # the bounce takes as many steps as the swing out to a_max
         p = EmdenParams(1.0, 1.0, 1.0, 10.0)
-        match = r"underflowed .* in the period of EmdenParams\(.*a1=10\.0"
-        with pytest.raises(StepUnderflow, match=match) as exc:
-            period_by_simulation(p)
-        assert exc.value.trajectory is not None and exc.value.t > 1e22
+        a_min, a_max = turning_points(p)
+        assert a_max / a_min > 8e22
+        tq = period_by_quadrature(p).T
+        assert abs(period_by_simulation(p).T - tq) / tq <= 1e-8
+
+    def test_a_halted_continuation_names_the_orbit(self):
+        p = EmdenParams(1.0, 1.0, 1.0, 10.0)
+        match = r"exceeded 50 steps .* in the period of EmdenParams\(.*a1=10\.0"
+        with pytest.raises(StepBudgetExceeded, match=match) as exc:
+            period_by_simulation(p, IntegratorConfig(max_steps=50))
+        # the halt carries the Sundman-time run of (ln a, a', t)
+        assert exc.value.trajectory.ys.shape[1] == 3
+        assert exc.value.t == exc.value.trajectory.t_end
 
     def test_a_run_from_elsewhere_raises(self, unit_orbit):
         run = integrate_scale(unit_orbit, 10.0).trajectory
