@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -41,8 +42,8 @@ class GWParams:
     a1: float = 0.0
 
     def __post_init__(self):
-        if self.N < 3:
-            raise DomainError("N must be >= 3")
+        if not (isinstance(self.N, Integral) and self.N >= 3):
+            raise DomainError("N must be an integer >= 3")
         if not self.K > 0:
             raise DomainError("K must be > 0")
         if not self.alpha_center > 0:

@@ -21,13 +21,16 @@ store the state and derivative at both ends plus four continuation rows,
 so the trajectory supports dense output, post-hoc event location, and
 exact (bitwise) reproduction of node states.  Dense output is one kernel,
 `Trajectory.evaluate`, for an array of times at once; `Trajectory.state_at`
-is the same call on a single time.  Event location,
-`detect_events(traj, k)`, finds the falling zeros of component k on the
-dense output: it searches only the segments over which y[k] falls at the
-nodes, brackets the zeros there on an 8-point subsample grid, with
+is the same call on a single time.  It is Hairer's CONTD8 as one nested
+product, y0 + s (D + s' (h f0 - D + s (2 D - h (f1 + f0) + s' (r0 + s (r1 +
+s' (r2 + s r3)))))) with s' = 1 - s and D = y1 - y0, and returns bit for
+bit what scipy's `Dop853DenseOutput` returns for the same step.  Event
+location, `detect_events(traj, k)`, finds the falling zeros of component k
+on the dense output: it searches only the segments over which y[k] falls
+at the nodes, brackets the zeros there on an 8-point subsample grid, with
 y[k] > 0 at one sample and y[k] <= 0 at the next, and refines all brackets
-together to a width of 1e-12 * max(1, |t|).  Each trajectory
-carries the integrator's work counters in `Trajectory.stats`.
+together to a width of 1e-12 * max(1, |t|).  Each trajectory carries the
+integrator's work counters in `Trajectory.stats`.
 
 Quadrature comes in two flavours: a plain adaptive Gauss-Kronrod 7/15 rule
 for smooth integrands, and `quad_singular`, which first applies the
@@ -42,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -113,9 +117,9 @@ _E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.49575894
 _E3 = tuple(b - bhh for b, bhh in zip(_A[12], (
     0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118, 0.0, 0.0,
     0.022058823529411766)))
-# Continuous extension (dop853's CONTD8): the dense output of a step is its
-# cubic Hermite plus w^2 (r0 + s (r1 + (1-s) (r2 + s r3))), w = s (1-s),
-# with the rows r_j = h * sum(_D[j][i] k_i) over all 16 stages.
+# Continuous extension (dop853's CONTD8): the rows r_j = h * sum(_D[j][i] k_i)
+# over all 16 stages are Hairer's rcont5..8 and scipy's F[3:]; `_dense` nests
+# them with the step's end states and derivatives.
 _D = (
     (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
      2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
@@ -162,12 +166,12 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not self.rtol > 0:
-            raise DomainError("rtol must be > 0")
-        if not self.atol >= 0:
-            raise DomainError("atol must be >= 0")
-        if not self.max_steps > 0:
-            raise DomainError("max_steps must be > 0")
+        if not 0 < self.rtol < math.inf:
+            raise DomainError("rtol must be finite and > 0")
+        if not 0 <= self.atol < math.inf:
+            raise DomainError("atol must be finite and >= 0")
+        if not (isinstance(self.max_steps, Integral) and self.max_steps > 0):
+            raise DomainError("max_steps must be an integer > 0")
 
 
 # the tight tolerances of the profile and rotational scale-factor solves
@@ -186,13 +190,14 @@ class Trajectory:
     """Accepted integration nodes plus the DOP853 dense output.
 
     Nodes are strictly increasing in t.  Evaluation at a node time returns
-    the stored state bitwise; inside segment i the dense output is the
-    cubic Hermite through the segment's end states and derivatives plus
-    w^2 (r0 + s (r1 + (1-s) (r2 + s r3))) with w = s (1-s), s the fraction
-    of the segment and r0..r3 = cont[i, :, 0..3].  That keeps it continuous
-    with continuous first derivative.  `cont` holds four continuation rows
-    per segment, shape (segments, n, 4), and defaults to zeros, the plain
-    cubic Hermite.
+    the stored state bitwise.  Inside segment i, at the fraction s of its
+    step h, with s' = 1 - s, D = y1 - y0 and the end derivatives f0, f1, it
+    is y0 + s (D + s' (h f0 - D + s (2 D - h (f1 + f0) + s' (r0 + s (r1 +
+    s' (r2 + s r3)))))), where r0..r3 = cont[i, :, 0..3] are Hairer's
+    rcont5..8, scipy's F[3:].  They carry the factor s^2 s'^2, so the
+    output is continuous with continuous first derivative.  `cont` holds
+    four rows per segment, shape (segments, n, 4), and defaults to zeros,
+    the plain cubic Hermite.
     """
 
     __slots__ = ("ts", "ys", "fs", "cont", "stats")
@@ -257,19 +262,14 @@ class Trajectory:
 
 
 def _dense(t, t0, t1, y0, y1, f0, f1, cont):
+    # scipy's Dop853DenseOutput operation order, so the two agree bit for bit
     h = t1 - t0
     s = (t - t0) / h
-    s2 = s * s
-    s3 = s2 * s
-    w = s * (1 - s)
+    u = 1 - s
+    dy = y1 - y0
     r0, r1, r2, r3 = cont[..., 0], cont[..., 1], cont[..., 2], cont[..., 3]
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * f0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * f1
-        + w * w * (r0 + s * (r1 + (1 - s) * (r2 + s * r3)))
-    )
+    return y0 + s * (dy + u * (h * f0 - dy + s * (2 * dy - h * (f1 + f0) + u * (
+        r0 + s * (r1 + u * (r2 + s * r3))))))
 
 
 def _first_step(y: Sequence[float], k1: Sequence[float], span: float, cfg: IntegratorConfig):
@@ -336,6 +336,11 @@ def _step_source(n: int) -> str:
         f"    return 15, err, yn, {vec(lambda j: f'k13_{j}')}, ({dense})", ""])
 
 
+def _is_component(k, n: int) -> bool:
+    """k indexes one component of an n-state: an integer in range(n), never from the end."""
+    return isinstance(k, Integral) and 0 <= k < n
+
+
 def _length_error(k: Sequence[float], n: int, t: float) -> DomainError:
     return DomainError(f"rhs returned {len(k)} components for a {n}-state at t={t!r}")
 
@@ -375,7 +380,8 @@ def integrate(
     With `falls=(k, n)` the run ends early, at the node of the n-th accepted
     step where y[k] falls: > 0 at its start and <= 0 at its end.  These are
     the steps `detect_events` searches, and it finds a zero in each.  A k
-    outside the state or an n < 1 raises DomainError.  t_end may then be math.inf: the run ends at the n-th fall
+    outside range(len(y)), or an n that is no integer >= 1, raises
+    DomainError.  t_end may then be math.inf: the run ends at the n-th fall
     or halts, at the latest when config.max_steps is reached.
 
     Raises:
@@ -406,9 +412,9 @@ def integrate(
         raise DomainError("rhs is not finite at the initial state") from None
     if not 0 < len(k1) == n:
         raise _length_error(k1, n, t)
-    if falls and not (0 <= falls[0] < n and falls[1] >= 1):
-        raise DomainError(f"falls={falls} needs a component in range({n}) and a count >= 1")
-    fall_k, falls_left = falls or (0, 0)
+    fall_k, falls_left = falls or (0, 1)
+    if not (_is_component(fall_k, n) and isinstance(falls_left, Integral) and falls_left >= 1):
+        raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
     attempt = _attempt(n)
     # per accepted step: its size and the flat stage values the dense output weights
     ts, ys, fs, hs_acc, dense_ks = [t], [y], [k1], [], []
@@ -478,8 +484,11 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     are refined together, one `evaluate` call per round, by regula falsi
     with the Illinois modification, until each is at most
     tol = 1e-12 * max(1, |t|) wide; the root is then its midpoint.  Every
-    round shrinks a bracket by at least tol/4, so the refinement ends.
+    round shrinks a bracket by at least tol/4, so the refinement ends.  A k
+    outside range(n) raises DomainError, as in `integrate(falls=...)`.
     """
+    if not _is_component(k, traj.ys.shape[1]):
+        raise DomainError(f"component k={k!r} is not in range({traj.ys.shape[1]})")
     fall = np.flatnonzero((traj.ys[:-1, k] > 0) & (traj.ys[1:, k] <= 0))
     if not fall.size:
         return np.empty(0)

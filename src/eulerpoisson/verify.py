@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +39,8 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     rotating field as a control that must fail."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    if not (isinstance(points, Integral) and points >= 1):
+        raise DomainError(f"points must be an integer >= 1, got {points}")
     rng = np.random.default_rng(seed)
 
     def disc_pts(t_lo, t_hi, r_lo, r_hi):

@@ -292,6 +292,9 @@ class TestDensity:
     def test_param_validation(self):
         with pytest.raises(DomainError):
             GWParams(N=2, K=1.0, lam=0.0, alpha_center=1.0)
+        # N = 3.5 once solved a profile in "dimension 3.5"
+        with pytest.raises(DomainError, match="integer"):
+            GWParams(N=3.5, K=1.0, lam=0.0, alpha_center=1.0)
         with pytest.raises(DomainError):
             GWParams(N=3, K=1.0, lam=0.0, alpha_center=-1.0)
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class TestIntegrate:
             IntegratorConfig(rtol=0.0)
         with pytest.raises(DomainError):
             IntegratorConfig(max_steps=0)
+        # an infinite tolerance accepts every step: 23 nodes and energy drift 61
+        # on the unit orbit to t = 50
+        for bad in ({"rtol": math.inf}, {"atol": math.inf}, {"max_steps": 1.5}):
+            with pytest.raises(DomainError):
+                IntegratorConfig(**bad)
         with pytest.raises(DomainError):
             OdeState(0.0, [math.inf])
 
@@ -561,6 +567,13 @@ class TestEvents:
         traj = Trajectory([0.0], [[-1.0, 0.0]], [[0.0, -1.0]])
         assert detect_events(traj, 0).size == 0
 
+    @pytest.mark.parametrize("k", [2, -1, 1.5])
+    def test_a_component_outside_the_state_raises(self, k):
+        # k = -1 once searched the last component, 2 and 1.5 raised IndexError
+        traj = integrate(rhs_harmonic, OdeState(0.0, [0.0, 1.0]), 7.0)
+        with pytest.raises(DomainError, match=f"k={k}"):
+            detect_events(traj, k)
+
 
 class TestEventsMatchScipyOracle:
     """Falling zeros against scipy's DOP853 event location (direction=-1) at
@@ -757,7 +770,7 @@ class TestFallStop:
         with pytest.raises(StepBudgetExceeded, match="exceeded 50 steps"):
             integrate(rhs, y0, math.inf, IntegratorConfig(max_steps=50))
 
-    @pytest.mark.parametrize("falls", [(2, 1), (-1, 1), (0, 0), (1, -3)])
+    @pytest.mark.parametrize("falls", [(2, 1), (-1, 1), (0, 0), (1, -3), (0, 1.5)])
     def test_bad_component_or_count_raises(self, falls):
         with pytest.raises(DomainError, match="falls="):
             integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 1.0, falls=falls)
@@ -805,23 +818,20 @@ class TestEvaluate:
             traj.evaluate(np.array([2.5]))
 
 
-def _old_hermite(t, t0, t1, y0, y1, f0, f1):
-    """The plain cubic Hermite through a segment's end states and derivatives."""
+def _exact_hermite(t, t0, t1, y0, y1, f0, f1):
+    """The plain cubic Hermite through a segment's end states and derivatives,
+    in exact rational arithmetic on the same floats."""
+    t, t0, t1, y0, y1, f0, f1 = map(Fraction, (t, t0, t1, y0, y1, f0, f1))
     h = t1 - t0
     s = (t - t0) / h
-    s2 = s * s
-    s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * f0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * f1
-    )
+    return ((2 * s**3 - 3 * s**2 + 1) * y0 + (s**3 - 2 * s**2 + s) * h * f0
+            + (3 * s**2 - 2 * s**3) * y1 + (s**3 - s**2) * h * f1)
 
 
 class TestDenseOutput:
-    """DOP853's continuous extension: the Hermite plus
-    w^2 (r0 + s (r1 + (1-s) (r2 + s r3))), w = s (1-s)."""
+    """DOP853's continuous extension, Hairer's CONTD8: with s' = 1 - s and
+    D = y1 - y0, y0 + s (D + s' (h f0 - D + s (2 D - h (f1 + f0) +
+    s' (r0 + s (r1 + s' (r2 + s r3))))))."""
 
     @pytest.fixture(scope="class")
     def traj(self):
@@ -893,11 +903,35 @@ class TestDenseOutput:
     def test_without_cont_is_the_cubic_hermite(self, traj):
         plain = Trajectory(traj.ts, traj.ys, traj.fs)
         assert not plain.cont.any() and plain.cont.shape == (traj.n_nodes - 1, 2, 4)
-        i = np.arange(traj.n_nodes - 1)
         mid = 0.5 * (traj.ts[:-1] + traj.ts[1:])
-        ref = _old_hermite(mid[:, None], traj.ts[i, None], traj.ts[i + 1, None],
-                           traj.ys[i], traj.ys[i + 1], traj.fs[i], traj.fs[i + 1])
-        assert np.array_equal(plain.evaluate(mid), ref)
+        dense = plain.evaluate(mid)
+        # within 1 ulp of the larger end value (0.57 ulp here; 1.71 with the
+        # Hermite basis written out term by term)
+        for i, t in enumerate(mid.tolist()):
+            for j in range(2):
+                y0, y1 = traj.ys[i, j], traj.ys[i + 1, j]
+                exact = _exact_hermite(t, traj.ts[i], traj.ts[i + 1], y0, y1,
+                                       traj.fs[i, j], traj.fs[i + 1, j])
+                assert abs(Fraction(dense[i, j]) - exact) <= math.ulp(max(abs(y0), abs(y1)))
+
+    @pytest.mark.parametrize("solve", [
+        pytest.param(lambda: integrate(scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)),
+                                       OdeState(0.0, [1.0, 1.0]), 20.0), id="unit-orbit"),
+        pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
+                     id="default-profile"),
+    ])
+    def test_evaluate_is_scipys_dense_output_bitwise(self, solve):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        traj = solve()
+        ts, ys, fs = traj.ts, traj.ys, traj.fs
+        frac = np.random.default_rng(11).uniform(0.0, 1.0, (traj.n_nodes - 1, 3))
+        queries = ts[:-1, None] + frac * np.diff(ts)[:, None]
+        dense = traj.evaluate(queries)
+        for i, t in enumerate(queries):
+            h, dy = ts[i + 1] - ts[i], ys[i + 1] - ys[i]
+            F = np.vstack([dy, h * fs[i] - dy, 2 * dy - h * (fs[i + 1] + fs[i]), traj.cont[i].T])
+            ref = rk.Dop853DenseOutput(ts[i], ts[i + 1], ys[i], F)(t).T
+            assert np.array_equal(dense[i], ref)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 4), (2, 1, 4), (2, 2, 3), (2, 2, 4, 1)])
     def test_bad_cont_shape_raises(self, shape):

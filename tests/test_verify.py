@@ -10,6 +10,7 @@ import pytest
 
 from eulerpoisson import fields, ode, verify
 from eulerpoisson.cli import main
+from eulerpoisson.errors import DomainError
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
 
@@ -89,3 +90,11 @@ def test_the_profile_stops_one_past_the_largest_sampled_radius(monkeypatch):
     reach = max(np.max(np.hypot(x, y) / sol.scale.evaluate(t)[..., 0])
                 for _, t, x, y in rotational)
     assert sol.profile.s_max == 1.0 + reach < 5.0
+
+
+@pytest.mark.parametrize("points", [0, -3, 1.5])
+def test_points_must_be_an_integer_from_one(points):
+    # with 0 points every exact-family study once passed on empty norms, and
+    # 1.5 points raised a bare TypeError
+    with pytest.raises(DomainError, match="points must be an integer >= 1"):
+        verify.run_bundle(0, points, H_LIST, False, 0.01)
