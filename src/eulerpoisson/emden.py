@@ -34,6 +34,7 @@ from .ode import (
     IntegratorConfig,
     IntegratorStats,
     OdeState,
+    Rhs,
     Trajectory,
     detect_events,
     integrate,
@@ -93,24 +94,30 @@ class ScaleRun:
     touchdown_time: float | None = None
 
 
-def scale_rhs(p: EmdenParams):
-    """Right-hand side of the first-order system (a, a')."""
-    lam, xi2 = p.lam, p.xi * p.xi
-
-    def rhs(t: float, y: tuple[float, float]) -> tuple[float, float]:
-        a = y[0]
-        if a <= 0.0:
-            return (math.nan, math.nan)
-        return (y[1], -lam / a + xi2 / (a * a * a))
-
-    return rhs
+def scale_rhs(p: EmdenParams) -> Rhs:
+    """Right-hand side of the first-order system (a, a'); NaN once a <= 0."""
+    return Rhs(_SCALE_BODY, lam=p.lam, xi2=p.xi * p.xi)
 
 
-def sundman_rhs(p: EmdenParams):
+_SCALE_BODY = """\
+a = y_0
+if a <= 0.0:
+    f_0 = f_1 = math.nan
+else:
+    f_0 = y_1
+    f_1 = -lam / a + xi2 / (a * a * a)"""
+
+
+def sundman_rhs(p: EmdenParams) -> Rhs:
     """Right-hand side of (ln a, a', t) in Sundman time tau, dt = a dtau, in which
     the bounce near a_min takes as many steps as the swing out to a_max."""
-    lam, xi2 = p.lam, p.xi * p.xi
-    return lambda tau, y: (y[1], -lam + xi2 * math.exp(-2.0 * y[0]), math.exp(y[0]))
+    return Rhs(_SUNDMAN_BODY, lam=p.lam, xi2=p.xi * p.xi)
+
+
+_SUNDMAN_BODY = """\
+f_0 = y_1
+f_1 = -lam + xi2 * math.exp(-2.0 * y_0)
+f_2 = math.exp(y_0)"""
 
 
 def potential(a, p: EmdenParams):
@@ -302,12 +309,19 @@ def integrate_scale(
 ) -> ScaleRun:
     """Trajectory of (a, a') on [0, t_end], stopping cleanly at touchdown.
 
-    When the orbit collapses (a -> 0, possible only without rotation and
-    lam > 0, or with lam = xi = 0 and a1 < 0) the integrator's step size
-    collapses at the singular time; that halt is reported as the touchdown
-    time instead of an error.
+    Only an orbit without rotation can collapse (a -> 0 with lam > 0, or
+    with lam = xi = 0 and a1 < 0): the integrator's step size collapses at
+    the singular time, and that halt is reported as the touchdown time
+    instead of an error.  With xi != 0 the centrifugal barrier keeps a > 0,
+    so a halt is re-raised with its type, time, trajectory and p.
     """
-    return _run_to_touchdown(scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1])), t_end, cfg)
+    rhs, start = scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1]))
+    if p.xi == 0:
+        return _run_to_touchdown(rhs, start, t_end, cfg)
+    try:
+        return ScaleRun(trajectory=integrate(rhs, start, t_end, cfg))
+    except IntegrationHalted as halt:
+        raise type(halt)(f"{halt} in the scale factor of {p}", halt.t, halt.trajectory) from None
 
 
 def _run_to_touchdown(rhs, start: OdeState, t_end: float, cfg: IntegratorConfig) -> ScaleRun:

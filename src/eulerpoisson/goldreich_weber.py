@@ -24,7 +24,7 @@ from .emden import ScaleRun, _run_to_touchdown
 from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
 # alpha_const and unit_ball_volume live beside the enclosed mass and stay importable here
 from .liouville import RadialLaw, RadialProfile, _radial_rhs, alpha_const, unit_ball_volume
-from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Trajectory
+from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Rhs, Trajectory
 
 S_CAP_DEFAULT = 100.0
 
@@ -101,15 +101,22 @@ def integrate_gw_scale(p: GWParams, t_end: float) -> ScaleRun:
     For lam > 0 the collapse reaches a = 0 in finite time; like the 2D case
     the halt time is reported as the touchdown time.
     """
-    lam, nm1 = p.lam, p.N - 1
+    start = OdeState(0.0, np.array([p.a0, p.a1]))
+    return _run_to_touchdown(gw_scale_rhs(p), start, t_end, IntegratorConfig())
 
-    def rhs(t: float, y: tuple[float, float]) -> tuple[float, float]:
-        a = y[0]
-        if a <= 0.0:
-            return (math.nan, math.nan)
-        return (y[1], -lam / a**nm1)
 
-    return _run_to_touchdown(rhs, OdeState(0.0, np.array([p.a0, p.a1])), t_end, IntegratorConfig())
+def gw_scale_rhs(p: GWParams) -> Rhs:
+    """Right-hand side of the first-order system (a, a'); NaN once a <= 0."""
+    return Rhs(_GW_SCALE_BODY, lam=p.lam, nm1=p.N - 1)
+
+
+_GW_SCALE_BODY = """\
+a = y_0
+if a <= 0.0:
+    f_0 = f_1 = math.nan
+else:
+    f_0 = y_1
+    f_1 = -lam / a**nm1"""
 
 
 def gw_density(prof: GWProfile, a, r):

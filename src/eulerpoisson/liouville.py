@@ -29,7 +29,7 @@ from .ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
     OdeState,
-    RhsFn,
+    Rhs,
     Trajectory,
     _WGK,
     _XGK,
@@ -92,7 +92,7 @@ class LiouvilleParams:
                          math.exp, np.exp)
 
 
-def _radial_rhs(p) -> RhsFn:
+def _radial_rhs(p) -> Rhs:
     """The right-hand side (f', f'') of `p.law`; at s = 0 it is the limit
     (f', f''(0)) with f''(0) = (F - g*rho(f0)) / d, which is checked finite."""
     d, g, F, f0, rho, _ = p.law
@@ -102,14 +102,14 @@ def _radial_rhs(p) -> RhsFn:
             raise OverflowError
     except OverflowError:
         raise DomainError(f"f''(0) overflows at {p}") from None
-    nm1 = d - 1.0  # a float: an int factor costs a conversion per call
+    # nm1 is a float: an int factor costs a conversion per call
+    return Rhs(_RADIAL_BODY, F=F, g=g, rho=rho, nm1=d - 1.0, fpp0=fpp0)
 
-    def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-        if s == 0.0:
-            return (y[1], fpp0)
-        return (y[1], F - g * rho(y[0]) - nm1 * y[1] / s)
 
-    return rhs
+# the radius s is the integration time t
+_RADIAL_BODY = """\
+f_0 = y_1
+f_1 = fpp0 if t == 0.0 else F - g * rho(y_0) - nm1 * y_1 / t"""
 
 
 class RadialProfile:

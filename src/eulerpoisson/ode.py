@@ -6,11 +6,17 @@ here has a few components, so the step runs on Python floats: a right-hand
 side takes `(t, y)` with y a tuple of floats and returns a sequence of
 floats of the same length.  Each attempt is one straight-line function
 generated from the tableau for the state size n, with one local per stage
-and component and the tableau's term order; `_step_source(n)` returns its
-source.  A step costs 11 rhs calls before its error check; an accepted one
-adds the derivative at the new point (FSAL) and three stages for the
-stepper's own 7th-order continuous extension (section II.6), so a run makes
-1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
+and component and the tableau's term order; `_step_source` returns its
+source.  Every stage has one template: it sets t and y_0..y_{n-1} to the
+stage input, runs the system's body, which assigns f_0..f_{n-1}, and
+checks those finite.  The package's systems are `Rhs` objects, whose body
+is their own statements, pasted into each stage, so a stage makes no call;
+for any other callable the body is the call `f = rhs(t, (y_0, ...))`.  An
+attempt is compiled once per state size and system, on its first run,
+never per parameter set.  A step costs 11 rhs calls before its error
+check; an accepted one adds the derivative at the new point (FSAL) and
+three stages for the stepper's own 7th-order continuous extension (section
+II.6), so a run makes 1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
 estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
 norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
 costs no rhs call and stops at t_end.  The next step size is the smaller of
@@ -289,51 +295,64 @@ def _combo(weights: Sequence[float], j: int) -> str:
         "+ -", "- ")
 
 
-def _step_source(n: int) -> str:
-    """Source of `attempt(rhs, t, h, y, k1, atol, rtol)`, one DOP853 step
+def _step_source(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs",)) -> str:
+    """Source of `attempt(consts, t0, h, y0, k1, atol, rtol)`, one DOP853 step
     attempt on an n-state: straight-line, one local per stage and component,
-    sums in the tableau's order without its zero weights.  It returns
-    (calls, err, y_new, k13, dense): the rhs calls made, the error norm and,
-    for err <= 1, the new state, its derivative and the stage values the
-    dense output weights.  err is None when a stage is not finite or raises
-    ArithmeticError, or the norm is not finite; an rhs result of another
-    length raises DomainError."""
+    sums in the tableau's order without its zero weights.  `consts` holds
+    the values of the constants `names`.  Every stage is one template: it
+    sets `t` (only when `body` reads it, by its compiled `co_names`) and
+    `y_0..y_{n-1}` to the stage input, runs `body`, which assigns
+    `f_0..f_{n-1}`, copies those into `k{i}_j` and checks them finite.
+    `body` None is a plain callable, the constant `rhs`: its body is the call
+    `f = rhs(t, (y_0, ...))` unpacked into `f_0..`, where a result of
+    another length raises DomainError.  The attempt returns (calls, err,
+    y_new, k13, dense): the rhs calls made, the error norm and, for
+    err <= 1, the new state, its derivative and the stage values the dense
+    output weights.  err is None when a stage is not finite or raises
+    ArithmeticError, or the norm is not finite."""
     js = range(n)
     vec = lambda f: "(" + "".join(f"{f(j)}, " for j in js) + ")"
-    inputs = lambda i: vec(lambda j: f"y_{j} + h * ({_combo(_A[i - 1], j)})")
+    if body is None:
+        body = "\n".join([f"f = rhs(t, {vec(lambda j: f'y_{j}')})",
+                          f"try: {vec(lambda j: f'f_{j}')} = f",
+                          f"except ValueError: raise _length_error(f, {n}, t) from None"])
+    reads_t = "t" in compile(body, "<rhs>", "exec").co_names
     fail = "return {}, None, None, None, None"
-    body = []
+    lines = []
 
-    def stage(i: int, y_in: str) -> None:
-        tc = "t + h" if _C[i - 1] == 1.0 else f"t + {_C[i - 1]!r} * h"
+    def stage(i: int, y_in) -> None:
+        if reads_t:
+            lines.append("t = t0 + h" if _C[i - 1] == 1.0 else f"t = t0 + {_C[i - 1]!r} * h")
         finite = " and ".join(f"isfinite(k{i}_{j})" for j in js)
-        body.extend([f"calls = {i - 1}", f"k = rhs({tc}, {y_in})",
-                     f"try: {vec(lambda j: f'k{i}_{j}')} = k",
-                     f"except ValueError: raise _length_error(k, {n}, {tc}) from None",
-                     f"if not ({finite}): {fail.format(i - 1)}"])
+        lines.extend([*(f"y_{j} = {y_in(j)}" for j in js), f"calls = {i - 1}",
+                      *body.splitlines(), *(f"k{i}_{j} = f_{j}" for j in js),
+                      f"if not ({finite}): {fail.format(i - 1)}"])
 
+    inputs = lambda i: lambda j: f"y0_{j} + h * ({_combo(_A[i - 1], j)})"
     for i in range(2, 13):
         stage(i, inputs(i))
     for j in js:  # not max(): a NaN in the new state must reach the norm
-        body += [f"yn_{j} = y_{j} + h * ({_combo(_A[12], j)})",
-                 f"u, v = abs(y_{j}), abs(yn_{j})", "sc = atol + rtol * (u if u > v else v)",
-                 f"e5_{j} = ({_combo(_E5, j)}) / sc", f"e3_{j} = ({_combo(_E3, j)}) / sc"]
+        lines += [f"yn_{j} = y0_{j} + h * ({_combo(_A[12], j)})",
+                  f"u, v = abs(y0_{j}), abs(yn_{j})", "sc = atol + rtol * (u if u > v else v)",
+                  f"e5_{j} = ({_combo(_E5, j)}) / sc", f"e3_{j} = ({_combo(_E3, j)}) / sc"]
     # both estimates zero: no error (a NaN still reaches the check)
-    body += [f"sq5 = {' + '.join(f'e5_{j} * e5_{j}' for j in js)}",
-             f"sq3 = {' + '.join(f'e3_{j} * e3_{j}' for j in js)}",
-             "den = sq5 + 0.01 * sq3", f"err = h * sq5 / sqrt(den * {n}) if den != 0.0 else 0.0",
-             f"if not isfinite(err): {fail.format(11)}",
-             "if err > 1.0: return 11, err, None, None, None", f"yn = {vec(lambda j: f'yn_{j}')}"]
-    stage(13, "yn")
+    lines += [f"sq5 = {' + '.join(f'e5_{j} * e5_{j}' for j in js)}",
+              f"sq3 = {' + '.join(f'e3_{j} * e3_{j}' for j in js)}",
+              "den = sq5 + 0.01 * sq3", f"err = h * sq5 / sqrt(den * {n}) if den != 0.0 else 0.0",
+              f"if not isfinite(err): {fail.format(11)}",
+              "if err > 1.0: return 11, err, None, None, None"]
+    stage(13, lambda j: f"yn_{j}")
     for i in range(14, 17):
         stage(i, inputs(i))
     dense = "".join(f"k{i + 1}_{j}, " for i in _DENSE_STAGES for j in js)
     return "\n".join([
-        "def attempt(rhs, t, h, y, k1, atol, rtol):",
-        f"    {vec(lambda j: f'y_{j}')} = y", f"    {vec(lambda j: f'k1_{j}')} = k1",
-        "    try:", *("        " + line for line in body),
+        "def attempt(consts, t0, h, y0, k1, atol, rtol):",
+        f"    ({''.join(f'{name}, ' for name in names)}) = consts",
+        f"    {vec(lambda j: f'y0_{j}')} = y0", f"    {vec(lambda j: f'k1_{j}')} = k1",
+        "    try:", *("        " + line for line in lines),
         "    except ArithmeticError:", f"        {fail.format('calls')}",
-        f"    return 15, err, yn, {vec(lambda j: f'k13_{j}')}, ({dense})", ""])
+        f"    return 15, err, {vec(lambda j: f'yn_{j}')}, {vec(lambda j: f'k13_{j}')}, ({dense})",
+        ""])
 
 
 def _is_component(k, n: int) -> bool:
@@ -345,12 +364,56 @@ def _length_error(k: Sequence[float], n: int, t: float) -> DomainError:
     return DomainError(f"rhs returned {len(k)} components for a {n}-state at t={t!r}")
 
 
+_NAMESPACE = {"isfinite": math.isfinite, "sqrt": math.sqrt, "math": math,
+              "_length_error": _length_error}
+
+
 @functools.cache
-def _attempt(n: int):
-    """The compiled `_step_source(n)`; its tracebacks name "<DOP853 attempt, n=...>"."""
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "_length_error": _length_error}
-    exec(compile(_step_source(n), f"<DOP853 attempt, n={n}>", "exec"), namespace)
+def _attempt(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs",)):
+    """The compiled `_step_source(n, body, names)`, once per state size and system;
+    its tracebacks name "<DOP853 attempt, n=...>"."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(_step_source(n, body, names), f"<DOP853 attempt, n={n}>", "exec"), namespace)
     return namespace["attempt"]
+
+
+@functools.cache
+def _system_factory(body: str, names: tuple[str, ...]):
+    """`make(*names)`, which returns the closure `rhs(t, y)` running `body` on
+    y = (y_0, ...), and the number of components n, read off the `f_j` the body assigns."""
+    n = sum(name[:2] == "f_" and name[2:].isdigit()
+            for name in compile(body, "<rhs>", "exec").co_names)
+    vec = lambda x: "(" + "".join(f"{x}_{j}, " for j in range(n)) + ")"
+    source = "\n".join([f"def make({''.join(f'{name}, ' for name in names)}):",
+                        "    def rhs(t, y):", f"        {vec('y')} = y",
+                        *("        " + line for line in body.splitlines()),
+                        f"        return {vec('f')}", "    return rhs", ""])
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<rhs>", "exec"), namespace)
+    return namespace["make"], n
+
+
+class Rhs(functools.partial):
+    """A system y' = f(t, y) as Python statements, which `integrate` pastes
+    into every stage of its attempt in place of a call.
+
+    `body` reads `t`, `y_0..y_{n-1}`, the constants passed by keyword and
+    `math`, and assigns `f_0..f_{n-1}`; its other locals must not be the
+    attempt's own (`t0`, `h`, `y0_j`, `k{i}_j`, `yn_j`, ...).  Its attempt
+    is compiled once per process, whatever the constants, which reach it
+    as the tuple `consts`.  Calling an Rhs runs a closure over the
+    constants, compiled once from the same body.  `integrate` recognises
+    the type, never the attributes, which a `functools.wraps` wrapper copies.
+    """
+
+    # a partial with no arguments of its own: a traced call rhs(*args) reaches
+    # the closure without copying them
+    def __new__(cls, body: str, **consts):
+        names = tuple(consts)
+        make, n = _system_factory(body, names)
+        self = super().__new__(cls, make(*consts.values()))
+        self.body, self.names, self.consts, self.n = body, names, tuple(consts.values()), n
+        return self
 
 
 def integrate(
@@ -374,8 +437,13 @@ def integrate(
     exits (for example a scale factor touching zero) by returning NaN; the
     run then terminates with StepUnderflow at the singular time.  A stage i
     (2..16) that fails ends its attempt after i - 1 calls.  Each attempt is
-    one call of the function generated for n = len(y) on the first call
-    for that n; `_step_source(n)` returns its source.
+    one call of the function generated for n = len(y) and the system, on
+    the first run of that pair; `_step_source` returns its source.  An
+    `Rhs` (by type: a wrapper of one is a plain callable) has its body
+    pasted into every stage, and must have n components, else DomainError;
+    a plain callable is called at each stage.  Both make the same
+    arithmetic in the same order, so they give the same nodes, rows and
+    counts bit for bit.
 
     With `falls=(k, n)` the run ends early, at the node of the n-th accepted
     step where y[k] falls: > 0 at its start and <= 0 at its end.  These are
@@ -404,6 +472,12 @@ def integrate(
         stats = IntegratorStats(accepted, rejected, rhs_calls)
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), cont, stats)
 
+    if type(rhs) is not Rhs:  # the call template
+        attempt, consts = _attempt(n), (rhs,)
+    elif rhs.n == n:
+        attempt, consts = _attempt(n, rhs.body, rhs.names), rhs.consts
+    else:
+        raise DomainError(f"a {rhs.n}-component system cannot take a {n}-state")
     try:
         k1 = rhs(t, y)
         if not all(map(math.isfinite, k1)):
@@ -415,7 +489,6 @@ def integrate(
     fall_k, falls_left = falls or (0, 1)
     if not (_is_component(fall_k, n) and isinstance(falls_left, Integral) and falls_left >= 1):
         raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
-    attempt = _attempt(n)
     # per accepted step: its size and the flat stage values the dense output weights
     ts, ys, fs, hs_acc, dense_ks = [t], [y], [k1], [], []
     atol, rtol, max_steps = config.atol, config.rtol, config.max_steps
@@ -429,7 +502,7 @@ def integrate(
         hits_end = h >= t_end - t
         hs = t_end - t if hits_end else h
 
-        calls, err, y_new, k13, dense = attempt(rhs, t, hs, y, k1, atol, rtol)
+        calls, err, y_new, k13, dense = attempt(consts, t, hs, y, k1, atol, rtol)
         rhs_calls += calls
         if err is None or err > 1.0:  # err None: a failed stage or error norm
             rejected += 1

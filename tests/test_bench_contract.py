@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from eulerpoisson import ode, residuals
+from eulerpoisson import liouville, ode, residuals
 from eulerpoisson.cli import main
+from eulerpoisson.emden import EmdenParams, scale_rhs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,6 +61,21 @@ def test_tracer_counts_state_at(tracing):
         tracer.uninstall()
     assert tracer.summary()[tracing.STATE_AT]["calls"] == 1
     assert ode.Trajectory.state_at is original
+
+
+def test_tracer_sees_every_rhs_call(tracing):
+    # the tracer hands `integrate` a wrapper that copies the Rhs's attributes; a
+    # system recognised by them would be pasted past the wrapper, and count 0 spans
+    p = EmdenParams(1.0, 1.0, 1.0, 1.0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        orbit = ode.integrate(scale_rhs(p), ode.OdeState(0.0, [p.a0, p.a1]), 20.0)
+        profile = liouville.solve_profile(liouville.LiouvilleParams(1.0, 1.0, 0.0), 20.0)
+    finally:
+        tracer.uninstall()
+    calls = orbit.stats.rhs_calls + profile.traj.stats.rhs_calls
+    assert calls > 0 and tracer.summary()[tracing.RHS]["calls"] == calls
 
 
 def test_tracer_sees_the_event_finder(tracing, tmp_path):

@@ -33,6 +33,16 @@ def test_importing_the_cli_loads_no_test_dependency():
     assert [name for name in out if name.split(".")[0] in test_only] == []
 
 
+def test_importing_the_cli_compiles_no_attempt():
+    # each system's DOP853 attempt is compiled on its first run, never at import (setup_s)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import eulerpoisson.cli; from eulerpoisson import ode; "
+            "print(ode._attempt.cache_info().currsize, ode._system_factory.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+    assert out == ["0", "0"]
+
+
 class TestEmdenCommand:
     def test_default_is_periodic_orbit(self, tmp_path):
         assert run(tmp_path, "emden") == 0
@@ -420,7 +430,6 @@ class TestRobustness:
         # each was a ZeroDivisionError traceback, exit 1, where a turning point's
         # cube underflowed to 0, then exited 2 when the simulated period's step
         # underflowed in the bounce near a_min of about 1.9e-152
-        ("emden", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1"),
         ("period", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1"),
         # each exited 2 with a nameless "quadrature budget exhausted", then when
         # the simulated period's step underflowed on an orbit 8.8e22 wide
@@ -432,6 +441,17 @@ class TestRobustness:
         report = json.loads(next(tmp_path.glob("*.json")).read_text())
         tq, ts = report["T_quadrature"], report["T_simulation"]
         assert abs(tq - ts) / tq <= 1e-6
+
+    def test_a_rotating_orbit_takes_no_touchdown(self, tmp_path, capsys):
+        # exited 0 as "periodic" with touchdown_time 0.652 and an emden.csv cut there,
+        # where the step in t underflows in the bounce near a_min of about 1.9e-152
+        argv = ("emden", "--lam", "4", "--xi", "1e-150", "--a0", "1", "--a1", "0.1")
+        assert run(tmp_path, *argv) == 2
+        line = self.one_line_error(capsys)
+        assert "underflowed at t=0.65" in line
+        assert line.endswith(" in the scale factor of "
+                             "EmdenParams(lam=4.0, xi=1e-150, a0=1.0, a1=0.1)")
+        assert not any(tmp_path.iterdir())
 
     def test_gw_at_defaults_fails_before_writing(self, tmp_path, capsys):
         # alpha defaults to 0, which the gw profile rejects

@@ -31,7 +31,7 @@ from eulerpoisson.emden import (
     sundman_rhs,
     turning_points,
 )
-from eulerpoisson.errors import DomainError, NotPeriodic, StepBudgetExceeded
+from eulerpoisson.errors import DomainError, NotPeriodic, StepBudgetExceeded, StepUnderflow
 from eulerpoisson.ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
@@ -460,6 +460,16 @@ class TestIntegrateScale:
         assert run.touchdown_time is not None
         assert abs(run.touchdown_time - t_ref) / t_ref <= 1e-6
         assert t_ref == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
+
+    def test_a_rotating_halt_is_no_touchdown(self):
+        # the bounce near a_min of about 1.9e-152 underflows the step in t; with xi != 0
+        # a stays positive, so that halt is an error, not a touchdown at t = 0.652
+        p = EmdenParams(4.0, 1e-150, 1.0, 0.1)
+        with pytest.raises(StepUnderflow, match=r"in the scale factor of EmdenParams\(") as e:
+            integrate_scale(p, 50.0)
+        halt = e.value
+        assert 0.65 < halt.t < 0.66 and halt.trajectory.t_end == halt.t
+        assert str(p) in str(halt) and halt.trajectory.y_end[0] < 1e-6
 
     def test_global_growth_for_negative_lam(self):
         run = integrate_scale(EmdenParams(-1.0, 1.0, 1.0, 0.0), 100.0)

@@ -15,6 +15,7 @@ from eulerpoisson import ode
 from eulerpoisson.errors import (
     DomainError,
     EulerPoissonError,
+    IntegrationHalted,
     NoConvergence,
     StateBlowup,
     StepBudgetExceeded,
@@ -29,10 +30,11 @@ from eulerpoisson.emden import (
     period_by_simulation,
     potential,
     scale_rhs,
+    sundman_rhs,
     turning_points,
 )
-from eulerpoisson.goldreich_weber import GWParams, alpha_const, solve_gw_profile
-from eulerpoisson.liouville import LiouvilleParams, solve_profile
+from eulerpoisson.goldreich_weber import GWParams, alpha_const, gw_scale_rhs, solve_gw_profile
+from eulerpoisson.liouville import LiouvilleParams, _radial_rhs, solve_profile
 from eulerpoisson.ode import (
     _A,
     _C,
@@ -345,6 +347,50 @@ class TestGeneratedStep:
         # again when its gravity coefficient gained the factor N - 2 (1 at N = 3);
         # all four again when the controller gained Gustafsson's predictive factor
         assert _digest(solve()) == digest
+
+
+def _run_or_halt(rhs, y0, t_end, cfg, falls=None):
+    """The trajectory of a run and its halt's (type, time), or None when it ends."""
+    try:
+        return integrate(rhs, OdeState(0.0, y0), t_end, cfg, falls), None
+    except IntegrationHalted as halt:
+        return halt.trajectory, (type(halt), halt.t)
+
+
+class TestPastedSystems:
+    """Each package system, pasted into the attempt, against the same system
+    called through a plain callable, which takes the call template."""
+
+    _UNIT = EmdenParams(1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("rhs,y0,t_end,cfg,falls,halts", [
+        pytest.param(scale_rhs(_UNIT), (1.0, 1.0), 50.0, IntegratorConfig(), None, False,
+                     id="unit-orbit"),
+        pytest.param(scale_rhs(EmdenParams(1.0, 0.0, 1.0, 0.0)), (1.0, 0.0), 10.0,
+                     IntegratorConfig(), None, True, id="collapse"),
+        pytest.param(sundman_rhs(_UNIT), (0.0, 1.0, 0.0), math.inf, IntegratorConfig(), (1, 3),
+                     False, id="sundman-unit-orbit"),
+        pytest.param(_radial_rhs(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0)), (0.0, 0.0), 20.0,
+                     TIGHT_CONFIG, None, False, id="default-profile"),
+        pytest.param(_radial_rhs(GWParams(3, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
+                     None, True, id="gw-profile-N3"),
+        pytest.param(_radial_rhs(GWParams(5, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
+                     None, True, id="gw-profile-N5"),
+        pytest.param(gw_scale_rhs(GWParams(3, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
+                     IntegratorConfig(), None, True, id="gw-scale-collapse"),
+    ])
+    def test_each_body_equals_its_callable(self, rhs, y0, t_end, cfg, falls, halts):
+        assert type(rhs) is ode.Rhs
+        pasted, halt = _run_or_halt(rhs, y0, t_end, cfg, falls)
+        called, called_halt = _run_or_halt(lambda t, y: rhs(t, y), y0, t_end, cfg, falls)
+        assert _digest(pasted) == _digest(called)
+        assert pasted.stats == called.stats and halt == called_halt
+        # the collapses touch down and the GW profiles reach their support radius
+        assert (halt is not None) == halts
+
+    def test_a_system_of_another_size_raises_domain_error(self):
+        with pytest.raises(DomainError, match="a 2-component system cannot take a 3-state"):
+            integrate(scale_rhs(self._UNIT), OdeState(0.0, [1.0, 1.0, 0.0]), 1.0)
 
 
 def _zero_start(monkeypatch):
