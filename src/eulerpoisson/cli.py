@@ -36,14 +36,13 @@ from .errors import DomainError, EulerPoissonError, NoCompactSupport, OutOfRange
 from .ode import TIGHT_CONFIG, IntegratorConfig
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and the rows, tuples of numbers with 17 significant digits and
-    an empty field for None.  Every row is formatted before the file is opened, so a
-    row that raises leaves no file."""
-    full = ",".join(["%.17g"] * len(header)) + "\n"
-    text = "".join([",".join(header) + "\n"] + [
-        full % row if None not in row else ",".join(
-            ["" if v is None else "%.17g" % v for v in row]) + "\n" for row in rows])
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write the header and one row per entry of `columns`, equal-length float columns,
+    with 17 significant digits; a None column is empty in every row.  The whole text is
+    one `%` on the row template repeated, formatted before the file is opened."""
+    rows = np.column_stack([c for c in columns if c is not None])
+    row = ",".join("" if c is None else "%.17g" for c in columns) + "\n"
+    text = ",".join(header) + "\n" + row * len(rows) % tuple(rows.ravel().tolist())
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -265,7 +264,6 @@ def cmd_emden(args) -> int:
     times = np.linspace(0.0, traj.t_end, args.samples)
     a, adot = traj.evaluate(times).T
     energy = adot * adot / 2 + emden.potential(a, p)
-    rows = zip(times.tolist(), a.tolist(), adot.tolist(), energy.tolist())
 
     cls = emden.classify(p)
     report = {
@@ -291,7 +289,7 @@ def cmd_emden(args) -> int:
         report["T_simulation"] = emden.period_by_simulation(p, cfg, traj).T
 
     out = _outdir(args)
-    _write_csv(out / "emden.csv", ["t", "a", "adot", "energy"], rows)
+    _write_csv(out / "emden.csv", ["t", "a", "adot", "energy"], [times, a, adot, energy])
     _write_json(out / "emden_report.json", report)
     return 0
 
@@ -304,8 +302,6 @@ def cmd_liouville(args) -> int:
     s = prof.grid[1:]  # the nodes after s = 0, where mass/s is 0/0
     mass = liouville.enclosed_mass(prof, s)
     bracket = liouville.momentum_bracket(prof, s)
-    rows = zip(s.tolist(), prof.f[1:].tolist(), prof.fdot[1:].tolist(), mass.tolist(),
-               bracket.tolist())
 
     report = {
         "command": "liouville",
@@ -316,41 +312,57 @@ def cmd_liouville(args) -> int:
         "max_abs_bracket": float(np.max(np.abs(bracket))),
     }
     out = _outdir(args)
-    _write_csv(out / "liouville.csv", ["s", "f", "fdot", "enclosed_mass", "bracket"], rows)
+    _write_csv(out / "liouville.csv", ["s", "f", "fdot", "enclosed_mass", "bracket"],
+               [s, prof.f[1:], prof.fdot[1:], mass, bracket])
     _write_json(out / "liouville_report.json", report)
     return 0
 
 
-def _sample_rows(args, times, ev, skip):
-    """CSV rows of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2 inside
-    the disk; a grid with no point in the disk raises here.  Rows come one call per time; if
-    that call raises `skip` (a region boundary crosses the disk), the time's points are
-    sampled one by one, leaving out those that raise it.  A bad time must raise another error."""
+def _sample_columns(args, times, ev, skip):
+    """CSV columns of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2
+    inside the disk; a grid with no point in the disk raises here.  All times are sampled
+    in one call, ev(times[:, None], x, y).  If that raises a package error, the time-by-time
+    loop `_grid_parts` reruns, with its skipped points, row order and error messages."""
     grid = np.meshgrid(np.linspace(-args.rmax, args.rmax, args.nx),
                        np.linspace(-args.rmax, args.rmax, args.ny), indexing="ij")
     x, y = (g[np.hypot(*grid) <= args.rmax] for g in grid)
     if not x.size:
         raise DomainError(f"no point of the {args.nx}x{args.ny} grid lies in the disk "
                           f"of radius {args.rmax}")
-    return _grid_rows(times.tolist(), x, y, ev, skip)
+    t = times[:, None]
+    try:
+        return _part(t, x, y, ev(t, x, y))
+    except EulerPoissonError:
+        parts = _grid_parts(times.tolist(), x, y, ev, skip)
+    if not parts:  # every point skipped: the header alone
+        return [np.empty(0)] * 7
+    return [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
 
 
-def _grid_rows(times, x, y, ev, skip):
+def _grid_parts(times, x, y, ev, skip):
+    """`_part`s of one call per time; if that call raises `skip` (a region boundary crosses
+    the disk), the time's points are sampled one by one, leaving out those that raise it.
+    A bad time must raise another error."""
+    parts = []
     for t in times:
         try:
-            parts = [(x, y, ev(t, x, y))]
+            parts.append(_part(t, x, y, ev(t, x, y)))
         except skip:
-            parts = []
             for px, py in zip(x[:, None], y[:, None]):
                 with contextlib.suppress(skip):
-                    parts.append((px, py, ev(t, px, py)))
-        for px, py, s in parts:
-            phi = [None] * len(px) if s.phi_r is None else s.phi_r
-            cols = (np.broadcast_to(v, px.shape).tolist() for v in (px, py, s.rho, s.u1, s.u2, phi))
-            yield from ((t, *row) for row in zip(*cols))
+                    parts.append(_part(t, px, py, ev(t, px, py)))
+    return parts
 
 
-def _fields_rows_rotational(args, xi: float):
+def _part(t, x, y, s):
+    """The t, x, y, rho, u1, u2, phi_r columns of the sample s = ev(t, x, y), flattened
+    over their common shape; phi_r None when the family has none."""
+    values = (t, x, y, s.rho, s.u1, s.u2, s.phi_r)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values if v is not None))
+    return [None if v is None else np.broadcast_to(v, shape).ravel() for v in values]
+
+
+def _fields_columns_rotational(args, xi: float):
     sol = fields.build_rotational(
         lam=args.lam, xi=xi, K=args.K, alpha=args.alpha,
         a0=args.a0, a1=args.a1, t_max=args.t1,
@@ -358,17 +370,17 @@ def _fields_rows_rotational(args, xi: float):
     times = np.linspace(args.t0, min(args.t1, sol.scale.t_end), args.nt)
     sol.scale.evaluate(times)  # a time outside the solved range raises DomainError here
     ev = functools.partial(fields.eval_rotational, sol)
-    return _sample_rows(args, times, ev, OutOfRange)
+    return _sample_columns(args, times, ev, OutOfRange)
 
 
-def _fields_rows_zz(args, inner: bool):
+def _fields_columns_zz(args, inner: bool):
     zz = fields.ZZSolution(K=args.K, rho0=args.rho0)
     ev = functools.partial(fields.eval_zz_inner if inner else fields.eval_zz_outer, zz)
     times = np.linspace(args.t0, args.t1, args.nt)
-    return _sample_rows(args, times, ev, OutsideRegion)
+    return _sample_columns(args, times, ev, OutsideRegion)
 
 
-def _fields_rows_gw(args):
+def _fields_columns_gw(args):
     p = goldreich_weber.GWParams(
         N=args.N, K=args.K, lam=args.lam, alpha_center=args.alpha,
         a0=args.a0, a1=args.a1,
@@ -376,30 +388,30 @@ def _fields_rows_gw(args):
     prof = goldreich_weber.solve_gw_profile(p)
     traj = goldreich_weber.integrate_gw_scale(p, args.t1).trajectory
     times = np.linspace(args.t0, min(args.t1, traj.t_end), args.nt)
-    scale = dict(zip(times.tolist(), traj.evaluate(times).tolist()))
+    traj.evaluate(times)  # a time outside the solved range raises DomainError here
 
     def ev(t, x, y):
-        a, adot = scale[t]
+        a, adot = np.moveaxis(traj.evaluate(t), -1, 0)
         rho = goldreich_weber.gw_density(prof, a, np.hypot(x, y))
         return fields.FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
 
-    return _sample_rows(args, times, ev, NoCompactSupport)
+    return _sample_columns(args, times, ev, NoCompactSupport)
 
 
-# the rows of each family by name; these names are the --family choices
+# the columns of each family by name; these names are the --family choices
 _FIELD_FAMILIES = {
-    "rotational": lambda args: _fields_rows_rotational(args, xi=args.xi),
-    "yuen": lambda args: _fields_rows_rotational(args, xi=0.0),
-    "zz-inner": lambda args: _fields_rows_zz(args, inner=True),
-    "zz-outer": lambda args: _fields_rows_zz(args, inner=False),
-    "gw": _fields_rows_gw,
+    "rotational": lambda args: _fields_columns_rotational(args, xi=args.xi),
+    "yuen": lambda args: _fields_columns_rotational(args, xi=0.0),
+    "zz-inner": lambda args: _fields_columns_zz(args, inner=True),
+    "zz-outer": lambda args: _fields_columns_zz(args, inner=False),
+    "gw": _fields_columns_gw,
 }
 
 
 def cmd_fields(args) -> int:
-    rows = _FIELD_FAMILIES[args.family](args)
+    columns = _FIELD_FAMILIES[args.family](args)
     out = _outdir(args)
-    _write_csv(out / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], rows)
+    _write_csv(out / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
     return 0
 
 

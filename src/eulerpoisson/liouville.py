@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, OutOfRange, raise_where
+from .errors import DomainError, IntegrationHalted, OutOfRange, raise_where
 from .ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
@@ -170,10 +170,13 @@ def solve_profile(
     p: LiouvilleParams, s_max: float, cfg: IntegratorConfig = TIGHT_CONFIG
 ) -> RadialProfile:
     """Integrate the profile from s = 0, where f = alpha and f' = 0, out to
-    s_max, on the `_radial_rhs` of p."""
+    s_max, on the `_radial_rhs` of p.  A halt is re-raised with p in its message."""
     if not s_max > 0:
         raise DomainError("s_max must be > 0")
-    traj = integrate(_radial_rhs(p), OdeState(0.0, (p.alpha, 0.0)), s_max, cfg)
+    try:
+        traj = integrate(_radial_rhs(p), OdeState(0.0, (p.alpha, 0.0)), s_max, cfg)
+    except IntegrationHalted as halt:
+        raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
     return RadialProfile(p, traj)
 
 

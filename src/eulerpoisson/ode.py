@@ -4,25 +4,28 @@ An explicit Dormand-Prince 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner I,
 section II.5), drives all time integration in the package.  Every system
 here has a few components, so the step runs on Python floats: a right-hand
 side takes `(t, y)` with y a tuple of floats and returns a sequence of
-floats of the same length.  Each attempt is one straight-line function
-generated from the tableau for the state size n, with one local per stage
-and component and the tableau's term order; `_step_source` returns its
-source.  Every stage has one template: it sets t and y_0..y_{n-1} to the
-stage input, runs the system's body, which assigns f_0..f_{n-1}, and
-checks those finite.  The package's systems are `Rhs` objects, whose body
-is their own statements, pasted into each stage, so a stage makes no call;
-for any other callable the body is the call `f = rhs(t, (y_0, ...))`.  An
-attempt is compiled once per state size and system, on its first run,
-never per parameter set.  A step costs 11 rhs calls before its error
-check; an accepted one adds the derivative at the new point (FSAL) and
-three stages for the stepper's own 7th-order continuous extension (section
-II.6), so a run makes 1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
+floats of the same length.  Each run of `integrate` is one call of a
+function generated for the state size n, the system and the fall
+component; `_run_source` returns its source.  Its one loop holds the step
+checks, the attempt, the controller, the guards and the stores.  The
+attempt, `_step_lines`, is straight-line from the tableau, with one local
+per stage and component and the tableau's term order.  Every stage has one
+template: it sets t and y_0..y_{n-1} to the stage input, runs the system's
+body, which assigns f_0..f_{n-1}, and checks those finite.  The package's
+systems are `Rhs` objects, whose body is their own statements, pasted into
+each stage, so a stage makes no call; for any other callable the body is
+the call `f = rhs(t, (y_0, ...))`.  A run is compiled once per state size,
+system and fall component, on its first use, never per parameter set.  A
+step costs 11 rhs calls before its error check; an accepted one adds the
+derivative at the new point (FSAL) and three stages for the stepper's own
+7th-order continuous extension (section II.6), so a run makes 1 +
+11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
 estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
 norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
-costs no rhs call and stops at t_end.  The next step size is the smaller of
-the usual factor 0.9 err^(-1/8) and Gustafsson's predictive one (Hairer &
-Wanner II, section IV.8), which also weighs the last accepted step, so the
-step does not saw-tooth between growth and rejection.  Accepted steps
+costs no rhs call and stops at t_end.  The next step also weighs the last
+accepted one, by Gustafsson's predictive controller (Hairer & Wanner II,
+section IV.8; its formula is in `integrate`), so the step does not
+saw-tooth between growth and rejection.  Accepted steps
 store the state and derivative at both ends plus four continuation rows,
 so the trajectory supports dense output, post-hoc event location, and
 exact (bitwise) reproduction of node states.  Dense output is one kernel,
@@ -295,21 +298,20 @@ def _combo(weights: Sequence[float], j: int) -> str:
         "+ -", "- ")
 
 
-def _step_source(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs",)) -> str:
-    """Source of `attempt(consts, t0, h, y0, k1, atol, rtol)`, one DOP853 step
-    attempt on an n-state: straight-line, one local per stage and component,
-    sums in the tableau's order without its zero weights.  `consts` holds
-    the values of the constants `names`.  Every stage is one template: it
-    sets `t` (only when `body` reads it, by its compiled `co_names`) and
-    `y_0..y_{n-1}` to the stage input, runs `body`, which assigns
-    `f_0..f_{n-1}`, copies those into `k{i}_j` and checks them finite.
+def _step_lines(n: int, body: str | None = None) -> list[str]:
+    """One DOP853 step attempt on an n-state, as the lines `_run_source` pastes
+    into its loop: straight-line, one local per stage and component, sums in
+    the tableau's order without its zero weights.  Every stage is one
+    template: it sets `t` (only when `body` reads it, by its compiled
+    `co_names`) and `y_0..y_{n-1}` to the stage input, runs `body`, which
+    assigns `f_0..f_{n-1}`, copies those into `k{i}_j` and checks them finite.
     `body` None is a plain callable, the constant `rhs`: its body is the call
-    `f = rhs(t, (y_0, ...))` unpacked into `f_0..`, where a result of
-    another length raises DomainError.  The attempt returns (calls, err,
-    y_new, k13, dense): the rhs calls made, the error norm and, for
-    err <= 1, the new state, its derivative and the stage values the dense
-    output weights.  err is None when a stage is not finite or raises
-    ArithmeticError, or the norm is not finite."""
+    `f = rhs(t, (y_0, ...))` unpacked into `f_0..`, where a result of another
+    length raises DomainError.  The attempt steps h from t0, y0_j and k1_j and
+    ends with the error norm `err`, the new state `yn_j`, its derivative
+    `k13_j` and the stage values the dense output weights; a stage i that is
+    not finite, or an error norm that is not finite or above 1, rejects it
+    after the i - 1 (or 11) rhs calls it made."""
     js = range(n)
     vec = lambda f: "(" + "".join(f"{f(j)}, " for j in js) + ")"
     if body is None:
@@ -317,7 +319,6 @@ def _step_source(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs
                           f"try: {vec(lambda j: f'f_{j}')} = f",
                           f"except ValueError: raise _length_error(f, {n}, t) from None"])
     reads_t = "t" in compile(body, "<rhs>", "exec").co_names
-    fail = "return {}, None, None, None, None"
     lines = []
 
     def stage(i: int, y_in) -> None:
@@ -326,7 +327,7 @@ def _step_source(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs
         finite = " and ".join(f"isfinite(k{i}_{j})" for j in js)
         lines.extend([*(f"y_{j} = {y_in(j)}" for j in js), f"calls = {i - 1}",
                       *body.splitlines(), *(f"k{i}_{j} = f_{j}" for j in js),
-                      f"if not ({finite}): {fail.format(i - 1)}"])
+                      f"if not ({finite}): {_REJECT.format(i - 1)}"])
 
     inputs = lambda i: lambda j: f"y0_{j} + h * ({_combo(_A[i - 1], j)})"
     for i in range(2, 13):
@@ -339,20 +340,73 @@ def _step_source(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs
     lines += [f"sq5 = {' + '.join(f'e5_{j} * e5_{j}' for j in js)}",
               f"sq3 = {' + '.join(f'e3_{j} * e3_{j}' for j in js)}",
               "den = sq5 + 0.01 * sq3", f"err = h * sq5 / sqrt(den * {n}) if den != 0.0 else 0.0",
-              f"if not isfinite(err): {fail.format(11)}",
-              "if err > 1.0: return 11, err, None, None, None"]
+              f"if not isfinite(err): {_REJECT.format(11)}",
+              # h * max(0.2, 0.9 err^(-1/8)) without the builtin call
+              "if err > 1.0: grow = 0.9 * err ** -0.125; "
+              "rhs_calls += 11; rejected += 1; h_try = h * (grow if grow > 0.2 else 0.2); continue"]
     stage(13, lambda j: f"yn_{j}")
     for i in range(14, 17):
         stage(i, inputs(i))
+    return lines
+
+
+# a failed stage: its calls counted, the step rejected and retried at a tenth
+_REJECT = "rhs_calls += {}; rejected += 1; h_try = 0.1 * h; continue"
+
+
+def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
+                fall: int | None = None) -> str:
+    """Source of `run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps,
+    falls_left, ts, ys, fs, hs, ks)`, the whole DOP853 run of `integrate` on an
+    n-state from (t0, y0) with derivative k1 and first step h_try.  Each pass
+    of its loop checks the step for underflow and the budget, runs the
+    attempt `step` (`_step_lines`) inside a handler that rejects it on
+    ArithmeticError, and on acceptance stores the node (t0 on `ts`, the state
+    and derivative flat on `ys` and `fs`, the step on `hs`, the dense stage
+    values flat on `ks`), checks the overflow guard and, for `fall` k, the
+    fall of y[k], and sets the next step.  `consts` holds the values of the
+    constants `names`.  The run returns (halt, t, h_try, accepted, rejected,
+    rhs calls after k1), where halt is the error type that ends it, or None
+    at t_end or the `falls_left`-th fall."""
+    js = range(n)
+    vec = lambda f: "(" + "".join(f"{f(j)}, " for j in js) + ")"
+    halt = "return {}, t0, h_try, accepted, rejected, rhs_calls"
     dense = "".join(f"k{i + 1}_{j}, " for i in _DENSE_STAGES for j in js)
+    blowup = " or ".join(f"abs(y0_{j}) > {OVERFLOW_GUARD!r}" for j in js)
+    fall_rule = [] if fall is None else [
+        f"if y_old > 0.0 >= y0_{fall}:", "    falls_left -= 1",
+        f"    if not falls_left: {halt.format(None)}"]
+    loop = [
+        "u = abs(t0)",  # max(1.0, |t0|)
+        f"if h_try < {STEP_UNDERFLOW_REL!r} * (u if u > 1.0 else 1.0): "
+        f"{halt.format('StepUnderflow')}",
+        f"if accepted + rejected >= max_steps: {halt.format('StepBudgetExceeded')}",
+        "hits_end = h_try >= t_end - t0", "h = t_end - t0 if hits_end else h_try",
+        "try:", *("    " + line for line in step),
+        "except ArithmeticError:", f"    {_REJECT.format('calls')}",
+        "rhs_calls += 15", "accepted += 1", "hs.append(h)", f"ks += ({dense})",
+        *([f"y_old = y0_{fall}"] if fall is not None else []),
+        "t0 = t_end if hits_end else t0 + h",
+        *(f"y0_{j} = yn_{j}" for j in js),
+        *(f"k1_{j} = k13_{j}" for j in js),  # the end derivative is the next step's stage 1
+        "ts.append(t0)", f"ys += {vec(lambda j: f'y0_{j}')}", f"fs += {vec(lambda j: f'k1_{j}')}",
+        f"if {blowup}: {halt.format('StateBlowup')}", *fall_rule,
+        "grow = 0.9 * err ** -0.125 if err > 0 else 5.0",
+        "if h_prev and err > 0:  # Gustafsson's predictive factor, when it is the smaller",
+        "    pred = grow * (h / h_prev) * (err_prev / err) ** 0.125",
+        "    grow = pred if pred < grow else grow",
+        "h_prev, err_prev = h, err if err > 1e-2 else 1e-2",
+        # h * min(5.0, max(0.2, grow)) without the builtin calls
+        "h_try = h * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)"]
     return "\n".join([
-        "def attempt(consts, t0, h, y0, k1, atol, rtol):",
+        "def run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps, falls_left,"
+        " ts, ys, fs, hs, ks):",
         f"    ({''.join(f'{name}, ' for name in names)}) = consts",
         f"    {vec(lambda j: f'y0_{j}')} = y0", f"    {vec(lambda j: f'k1_{j}')} = k1",
-        "    try:", *("        " + line for line in lines),
-        "    except ArithmeticError:", f"        {fail.format('calls')}",
-        f"    return 15, err, {vec(lambda j: f'yn_{j}')}, {vec(lambda j: f'k13_{j}')}, ({dense})",
-        ""])
+        "    accepted = rejected = rhs_calls = 0",
+        "    h_prev = err_prev = 0.0  # the last accepted step and its error, floored at 1e-2",
+        "    while t0 < t_end:", *("        " + line for line in loop),
+        f"    {halt.format(None)}", ""])
 
 
 def _is_component(k, n: int) -> bool:
@@ -365,16 +419,18 @@ def _length_error(k: Sequence[float], n: int, t: float) -> DomainError:
 
 
 _NAMESPACE = {"isfinite": math.isfinite, "sqrt": math.sqrt, "math": math,
-              "_length_error": _length_error}
+              "_length_error": _length_error, "StepUnderflow": StepUnderflow,
+              "StepBudgetExceeded": StepBudgetExceeded, "StateBlowup": StateBlowup}
 
 
 @functools.cache
-def _attempt(n: int, body: str | None = None, names: tuple[str, ...] = ("rhs",)):
-    """The compiled `_step_source(n, body, names)`, once per state size and system;
-    its tracebacks name "<DOP853 attempt, n=...>"."""
+def _run(n: int, body: str | None, names: tuple[str, ...], fall: int | None):
+    """The compiled run of `_run_source` on the attempt of `body`, once per
+    state size, system and fall component; its tracebacks name "<DOP853 run, n=...>"."""
     namespace = dict(_NAMESPACE)
-    exec(compile(_step_source(n, body, names), f"<DOP853 attempt, n={n}>", "exec"), namespace)
-    return namespace["attempt"]
+    source = _run_source(n, _step_lines(n, body), names, fall)
+    exec(compile(source, f"<DOP853 run, n={n}>", "exec"), namespace)
+    return namespace["run"]
 
 
 @functools.cache
@@ -395,11 +451,11 @@ def _system_factory(body: str, names: tuple[str, ...]):
 
 class Rhs(functools.partial):
     """A system y' = f(t, y) as Python statements, which `integrate` pastes
-    into every stage of its attempt in place of a call.
+    into every stage of its generated run in place of a call.
 
     `body` reads `t`, `y_0..y_{n-1}`, the constants passed by keyword and
     `math`, and assigns `f_0..f_{n-1}`; its other locals must not be the
-    attempt's own (`t0`, `h`, `y0_j`, `k{i}_j`, `yn_j`, ...).  Its attempt
+    run's own (`t0`, `h`, `y0_j`, `k{i}_j`, `yn_j`, `err`, `grow`, ...).  Its run
     is compiled once per process, whatever the constants, which reach it
     as the tuple `consts`.  Calling an Rhs runs a closure over the
     constants, compiled once from the same body.  `integrate` recognises
@@ -436,14 +492,14 @@ def integrate(
     (ZeroDivisionError, OverflowError), so integrands may signal domain
     exits (for example a scale factor touching zero) by returning NaN; the
     run then terminates with StepUnderflow at the singular time.  A stage i
-    (2..16) that fails ends its attempt after i - 1 calls.  Each attempt is
-    one call of the function generated for n = len(y) and the system, on
-    the first run of that pair; `_step_source` returns its source.  An
-    `Rhs` (by type: a wrapper of one is a plain callable) has its body
-    pasted into every stage, and must have n components, else DomainError;
-    a plain callable is called at each stage.  Both make the same
-    arithmetic in the same order, so they give the same nodes, rows and
-    counts bit for bit.
+    (2..16) that fails ends its attempt after i - 1 calls.  The whole run is
+    one call of the function generated for n = len(y), the system and the
+    fall component, on the first run of that triple; `_run_source` returns
+    its source.  An `Rhs` (by type: a wrapper of one is a plain callable)
+    has its body pasted into every stage, and must have n components, else
+    DomainError; a plain callable is called at each stage.  Both make the
+    same arithmetic in the same order, so they give the same nodes, rows
+    and counts bit for bit.
 
     With `falls=(k, n)` the run ends early, at the node of the n-th accepted
     step where y[k] falls: > 0 at its start and <= 0 at its end.  These are
@@ -462,20 +518,10 @@ def integrate(
         raise DomainError("t_end must exceed the initial time")
     y = tuple(y0.y.tolist())
     n = len(y)
-    accepted = rejected = 0
-    rhs_calls = 1  # k1 below
-
-    def make_traj() -> Trajectory:
-        # the continuation rows h * D k of every accepted step, in one product
-        ks = np.array(dense_ks, dtype=float).reshape(-1, len(_DENSE_STAGES), n)
-        cont = np.array(hs_acc)[:, None, None] * np.einsum("sjn,rj->snr", ks, _D_KEPT)
-        stats = IntegratorStats(accepted, rejected, rhs_calls)
-        return Trajectory(np.array(ts), np.array(ys), np.array(fs), cont, stats)
-
     if type(rhs) is not Rhs:  # the call template
-        attempt, consts = _attempt(n), (rhs,)
+        body, names, consts = None, ("rhs",), (rhs,)
     elif rhs.n == n:
-        attempt, consts = _attempt(n, rhs.body, rhs.names), rhs.consts
+        body, names, consts = rhs.body, rhs.names, rhs.consts
     else:
         raise DomainError(f"a {rhs.n}-component system cannot take a {n}-state")
     try:
@@ -489,48 +535,24 @@ def integrate(
     fall_k, falls_left = falls or (0, 1)
     if not (_is_component(fall_k, n) and isinstance(falls_left, Integral) and falls_left >= 1):
         raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
-    # per accepted step: its size and the flat stage values the dense output weights
-    ts, ys, fs, hs_acc, dense_ks = [t], [y], [k1], [], []
-    atol, rtol, max_steps = config.atol, config.rtol, config.max_steps
-    h = _first_step(y, k1, t_end - t, config)
-    h_prev = err_prev = 0.0  # the last accepted step and its error, floored at 1e-2
-    while t < t_end:
-        if h < STEP_UNDERFLOW_REL * max(1.0, abs(t)):
-            raise StepUnderflow(f"step size {h:.3e} underflowed at t={t!r}", t, make_traj())
-        if accepted + rejected >= max_steps:
-            raise StepBudgetExceeded(f"exceeded {max_steps} steps at t={t!r}", t, make_traj())
-        hits_end = h >= t_end - t
-        hs = t_end - t if hits_end else h
-
-        calls, err, y_new, k13, dense = attempt(consts, t, hs, y, k1, atol, rtol)
-        rhs_calls += calls
-        if err is None or err > 1.0:  # err None: a failed stage or error norm
-            rejected += 1
-            h = 0.1 * hs if err is None else hs * max(0.2, 0.9 * err ** -0.125)
-            continue
-
-        accepted += 1
-        hs_acc.append(hs)
-        dense_ks += dense
-        t = t_end if hits_end else t + hs
-        y_old, y, k1 = y, y_new, k13  # the end derivative is the next step's stage 1
-        ts.append(t)
-        ys.append(y)
-        fs.append(k13)
-        if max(map(abs, y)) > OVERFLOW_GUARD:
-            raise StateBlowup(f"state exceeded {OVERFLOW_GUARD:.0e} at t={t!r}", t, make_traj())
-        if falls and y_old[fall_k] > 0.0 >= y[fall_k]:
-            falls_left -= 1
-            if not falls_left:
-                break
-        grow = 0.9 * err ** -0.125 if err > 0 else 5.0
-        if h_prev and err > 0:  # Gustafsson's predictive factor, when it is the smaller
-            pred = grow * (hs / h_prev) * (err_prev / err) ** 0.125
-            grow = pred if pred < grow else grow
-        h_prev, err_prev = hs, err if err > 1e-2 else 1e-2
-        # hs * min(5.0, max(0.2, grow)) without the builtin calls
-        h = hs * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)
-    return make_traj()
+    run = _run(n, body, names, int(fall_k) if falls else None)
+    # the nodes, and per accepted step its size and the stage values the dense output weights
+    ts, ys, fs, hs, ks = [t], list(y), list(k1), [], []
+    halt, t, h, accepted, rejected, calls = run(
+        consts, t, t_end, _first_step(y, k1, t_end - t, config), y, k1, config.atol,
+        config.rtol, config.max_steps, falls_left, ts, ys, fs, hs, ks)
+    # the continuation rows h * D k of every accepted step, in one product
+    ks = np.array(ks, dtype=float).reshape(-1, len(_DENSE_STAGES), n)
+    cont = np.array(hs)[:, None, None] * np.einsum("sjn,rj->snr", ks, _D_KEPT)
+    traj = Trajectory(np.array(ts), np.array(ys, dtype=float).reshape(-1, n),
+                      np.array(fs, dtype=float).reshape(-1, n), cont,
+                      IntegratorStats(accepted, rejected, 1 + calls))
+    if halt is None:
+        return traj
+    what = {StepUnderflow: f"step size {h:.3e} underflowed",
+            StepBudgetExceeded: f"exceeded {config.max_steps} steps",
+            StateBlowup: f"state exceeded {OVERFLOW_GUARD:.0e}"}[halt]
+    raise halt(f"{what} at t={t!r}", t, traj)
 
 
 # ----------------------------------------------------------------------

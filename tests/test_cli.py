@@ -10,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerpoisson import cli, emden, errors, ode
+from eulerpoisson import cli, emden, errors, fields, goldreich_weber, ode
 from eulerpoisson.cli import main
 from eulerpoisson.ode import IntegratorConfig
 
@@ -33,11 +34,11 @@ def test_importing_the_cli_loads_no_test_dependency():
     assert [name for name in out if name.split(".")[0] in test_only] == []
 
 
-def test_importing_the_cli_compiles_no_attempt():
-    # each system's DOP853 attempt is compiled on its first run, never at import (setup_s)
+def test_importing_the_cli_compiles_no_run():
+    # each system's DOP853 run is compiled on its first use, never at import (setup_s)
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import eulerpoisson.cli; from eulerpoisson import ode; "
-            "print(ode._attempt.cache_info().currsize, ode._system_factory.cache_info().currsize)")
+            "print(ode._run.cache_info().currsize, ode._system_factory.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
     assert out == ["0", "0"]
@@ -142,6 +143,55 @@ class TestFieldsCommand:
 
     def test_gw_rejects_bad_alpha(self, tmp_path):
         assert run(tmp_path, "fields", "--family", "gw", "--alpha", "0") == 2
+
+    @pytest.mark.parametrize("argv,module,name", [
+        (("--family", "gw", "--alpha", "1"), goldreich_weber, "gw_density"),
+        (("--family", "rotational"), fields, "eval_rotational"),
+    ], ids=["gw", "rotational"])
+    def test_all_times_take_one_evaluator_call(self, tmp_path, monkeypatch, argv, module, name):
+        calls, evaluator = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or evaluator(*args))
+        assert run(tmp_path, "fields", *argv) == 0
+        assert len(calls) == 1
+        # the 3 default times, each on the 49 points of the 9x9 grid in the disk
+        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + 3 * 49
+
+    @pytest.mark.parametrize("family", ["zz-inner", "zz-outer"])
+    def test_a_region_crossing_the_disk_keeps_its_points_and_order(self, tmp_path, family):
+        # at the defaults the interface circle crosses the disk, so the one call
+        # over all times raises and the times are sampled one by one
+        assert run(tmp_path, "fields", "--family", family) == 0
+        zz = fields.ZZSolution(K=1.0, rho0=0.5)
+        ev = fields.eval_zz_inner if family == "zz-inner" else fields.eval_zz_outer
+        axis = np.linspace(-2.0, 2.0, 9).tolist()
+        expected = ["t,x,y,rho,u1,u2,phi_r"]
+        for t in np.linspace(0.5, 2.0, 3).tolist():
+            for x in axis:
+                for y in axis:
+                    if np.hypot(x, y) > 2.0:
+                        continue
+                    try:
+                        s = ev(zz, t, x, y)
+                    except errors.OutsideRegion:
+                        continue
+                    expected.append("%.17g," * 6 % (t, x, y, s.rho, s.u1, s.u2))
+        assert (tmp_path / "fields.csv").read_text().splitlines() == expected
+        assert 1 < len(expected) < 1 + 3 * 49
+
+
+class TestWriteCsv:
+    _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e17, 1e-4, 1e-5, 1e300,
+                -1e300, 1 / 3, -2.5]
+
+    @pytest.mark.parametrize("rows", [len(_SPECIAL), 1, 0])
+    def test_equals_a_per_cell_join(self, tmp_path, rows):
+        a = np.array(self._SPECIAL[:rows])
+        columns = [None, a, a[::-1], None, -a, None]
+        cli._write_csv(tmp_path / "out.csv", list("abcdef"), columns)
+        expected = "a,b,c,d,e,f\n" + "".join(",".join(
+            "" if c is None else "%.17g" % c.tolist()[i] for c in columns) + "\n"
+            for i in range(rows))
+        assert (tmp_path / "out.csv").read_text() == expected
 
 
 class TestPeriodCommand:
@@ -268,6 +318,18 @@ class TestRobustness:
         # math.exp overflows in a trial stage: the step is rejected, not raised
         assert run(tmp_path, "liouville", "--K", "1e-300") == 2
         assert "underflowed" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv,where", [
+        (("liouville", "--s-max", "1e-300"), "at t=0.0 in the profile of LiouvilleParams("
+                                             "K=1.0, lam=1.0, alpha=0.0)"),
+        # the rotational family solves its profile through fields.build_rotational
+        (("fields", "--family", "rotational", "--K", "1e-300"), " in the profile of "
+                                                                 "LiouvilleParams(K=1e-300, "),
+    ], ids=["liouville", "fields-rotational"])
+    def test_a_profile_halt_names_its_parameters(self, tmp_path, capsys, argv, where):
+        assert run(tmp_path, *argv) == 2
+        line = self.one_line_error(capsys)
+        assert "underflowed" in line and where in line
 
     @pytest.mark.parametrize("atol", ["0", "1e-300"])
     @pytest.mark.parametrize("command", ["emden", "liouville", "period"])

@@ -1,5 +1,6 @@
 """Integrator, event location, and quadrature against closed-form references."""
 
+import functools
 import hashlib
 import math
 import warnings
@@ -47,7 +48,8 @@ from eulerpoisson.ode import (
     OdeState,
     Trajectory,
     _first_step,
-    _step_source,
+    _run_source,
+    _step_lines,
     detect_events,
     integrate,
     quad_adaptive,
@@ -285,14 +287,17 @@ def _digest(traj):
 
 
 class TestGeneratedStep:
-    """The straight-line attempt that `integrate` generates per state size."""
+    """The straight-line run that `integrate` generates per state size and system."""
 
+    @pytest.mark.parametrize("fall", [None, 0])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_source_compiles_without_zip_or_comprehension(self, n):
-        src = _step_source(n)
-        compile(src, "<attempt>", "exec")
-        assert "zip" not in src and " for " not in src
+    def test_source_compiles_without_zip_or_comprehension(self, n, fall):
+        src = _run_source(n, _step_lines(n), fall=fall)
+        compile(src, "<run>", "exec")
+        # one loop, the run's own; every stage and store is straight-line
+        assert "zip" not in src and " for " not in src and src.count("while ") == 1
         assert all(f"k16_{j}" in src for j in range(n)) and f"k16_{n}" not in src
+        assert ("falls_left -= 1" in src) == (fall is not None)
 
     @pytest.mark.parametrize("failure", ["ZeroDivisionError", "NaN"])
     @pytest.mark.parametrize("stage", range(2, 17))
@@ -387,6 +392,23 @@ class TestPastedSystems:
         assert pasted.stats == called.stats and halt == called_halt
         # the collapses touch down and the GW profiles reach their support radius
         assert (halt is not None) == halts
+
+    def test_one_compiled_run_per_size_body_and_fall_component(self, monkeypatch):
+        # a cache of its own, so the runs compiled by other tests do not count
+        run = functools.cache(ode._run.__wrapped__)
+        monkeypatch.setattr(ode, "_run", run)
+        a, b = scale_rhs(self._UNIT), scale_rhs(EmdenParams(2.0, 0.5, 1.0, 1.0))
+        assert a.body == b.body and a.consts != b.consts
+        start = OdeState(0.0, [1.0, 1.0])
+        sizes = []
+        for rhs, falls in [(a, None), (b, None), (a, (1, 1)), (b, (1, 2)), (b, (0, 1)),
+                           (gw_scale_rhs(GWParams(3, 1.0, -0.2, 1.0)), None),
+                           (lambda t, y: a(t, y), None), (lambda t, y: b(t, y), None)]:
+            integrate(rhs, start, 5.0, IntegratorConfig(), falls)
+            sizes.append(run.cache_info().currsize)
+        # parameters share a run; a fall component, another body or the call template do not
+        assert sizes == [1, 1, 2, 2, 3, 4, 5, 5]
+        assert run(2, a.body, a.names, None) is run(2, b.body, b.names, None)
 
     def test_a_system_of_another_size_raises_domain_error(self):
         with pytest.raises(DomainError, match="a 2-component system cannot take a 3-state"):
@@ -734,12 +756,15 @@ def _node_falls(traj, k):
     return np.flatnonzero((y[:-1] > 0) & (y[1:] <= 0)) + 1
 
 
-def _scripted(values):
-    """A stand-in for `ode._attempt(1)` that accepts every attempt with no error and
+def _scripted(values, fall):
+    """A stand-in for `ode._run` on a 1-state: the generated loop with the fall rule
+    of component `fall`, whose pasted step accepts every attempt with no error and
     ends step i on values[i], with derivative 0 and zero continuation rows."""
-    nodes = iter(values)
-    dense = (0.0,) * len(ode._DENSE_STAGES)
-    return lambda rhs, t, h, y, k1, atol, rtol: (15, 0.0, (next(nodes),), (0.0,), dense)
+    step = ["yn_0 = next(nodes)", "err = 0.0",
+            *(f"k{i + 1}_0 = 0.0" for i in ode._DENSE_STAGES if i)]
+    namespace = dict(ode._NAMESPACE, nodes=iter(values))
+    exec(compile(_run_source(1, step, fall=fall), "<scripted run>", "exec"), namespace)
+    return namespace["run"]
 
 
 # period_by_simulation at TIGHT_CONFIG on the acceptance-03 orbits, as
@@ -783,7 +808,8 @@ class TestFallStop:
 
     def test_fall_exactly_on_a_node_is_counted_once(self, monkeypatch):
         # node values 1, 0, -1, 1, 0, 0, -1, 1, -1: falls end on nodes 1, 4 and 8
-        monkeypatch.setattr(ode, "_attempt", lambda n: _scripted([0, -1, 1, 0, 0, -1, 1, -1]))
+        monkeypatch.setattr(ode, "_run", lambda n, body, names, fall: _scripted(
+            [0, -1, 1, 0, 0, -1, 1, -1], fall))
         start = OdeState(0.0, [1.0])
         assert integrate(lambda t, y: (0.0,), start, 1.0, falls=(0, 1)).n_nodes == 2
         assert integrate(lambda t, y: (0.0,), start, 1.0, falls=(0, 2)).n_nodes == 5
