@@ -58,7 +58,6 @@ from .ode import (
     Trajectory,
     detect_events,
     integrate,
-    quad_singular,
 )
 from .residuals import (
     ConvergenceResult,

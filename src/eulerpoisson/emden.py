@@ -11,7 +11,7 @@ theta = a1^2/2 + V(a0) classifies every orbit:
 * lam <= 0: the solution exists globally and is unbounded.
 
 The period of a periodic orbit is computed two independent ways: as the
-singular quadrature 2 * integral da / sqrt(2*(theta - V(a))) between the
+quadrature 2 * integral da / sqrt(2*(theta - V(a))) between the
 turning points, and by timing a'=0 events of a simulated trajectory.
 Agreement between the two is one of the package's core self-checks.
 
@@ -38,7 +38,7 @@ from .ode import (
     Trajectory,
     detect_events,
     integrate,
-    quad_singular,
+    quad_adaptive,
 )
 
 # relative width of the band around (abar, 0) treated as the steady state
@@ -223,37 +223,43 @@ def turning_points(p: EmdenParams) -> TurningPoints:
     return _turning_exponents(p)[0]
 
 
-# tolerance of each half-period quadrature, relative to each panel's value
-PERIOD_QUAD_TOL = 1e-12
-
-
 def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
-    """Orbit period 2 * integral da / sqrt(2*(theta - V(a))), in u = ln(a/abar):
-    T = (2 abar/sqrt(lam)) * sum_t integral_0^w e^(u_t + s) / sqrt(2 X_t(s)) dd.
+    """Orbit period 2 * integral da / sqrt(2*(theta - V(a))), as one midpoint sum
+    in an angle psi.
 
-    The sum runs over both turning points u_t, s = +-d points inward and
-    w = (u_max - u_min)/2, and each integral is one `quad_singular` call to
-    the relative PERIOD_QUAD_TOL.  X_t(s) = phi(u_t) - phi(u_t + s) is
-    -phi(s) - expm1(-2 u_t) expm1(-2s)/2 for |s| <= 1/4, else
-    -s - (e^(-2(u_t + s)) - e^(-2 u_t))/2.  An overflowing T raises DomainError.
+    In u = ln(a/abar) = u_min + s with s = 2w sin^2(psi/2), w = (u_max - u_min)/2,
+    du = sqrt(s (2w - s)) dpsi, so
+    T = (2 a_max/sqrt(2 lam)) * integral_0^pi e^(u - u_max) / sqrt(R) dpsi,
+    R = X_t/(s (2w - s)).  The excess X_t = phi(u_t) - phi(u_t + d) is taken
+    from u_t = u_min with d = s for psi <= pi/2 and from u_max with
+    d = -(2w - s) past it: -phi(d) - expm1(-2 u_t) expm1(-2d)/2 for |d| <= 1/4,
+    else -d - (e^(-2(u_t + d)) - e^(-2 u_t))/2, without cancellation at either
+    end.  The integrand is smooth, even and 2 pi-periodic in psi, so
+    `quad_adaptive`'s midpoint sum converges geometrically.  err_est is its
+    last halving difference plus the rounding 4 (1 + max|u_t|) eps T: the
+    turning exponents and u - u_max carry absolute errors of order
+    eps max|u_t|, which e^(u - u_max) and a_max turn into relative ones.
+    An overflowing T raises DomainError.
     """
     tp, u_min, u_max = _turning_exponents(p)
-    total = err = 0.0
-    for u_t, inward in ((u_min, 1.0), (u_max, -1.0)):
-        def integrand(d: float, u_t=u_t, inward=inward) -> float:
-            s = inward * d
-            if abs(s) <= 0.25:
-                x = -_phi(s) - math.expm1(-2 * u_t) * math.expm1(-2 * s) / 2
-            else:
-                x = -s - (math.exp(-2 * (u_t + s)) - math.exp(-2 * u_t)) / 2
-            return math.exp(u_t + s - u_max) / math.sqrt(2 * x)  # a_max is applied below
+    w = (u_max - u_min) / 2
 
-        val, e = quad_singular(integrand, 0.0, (u_max - u_min) / 2, PERIOD_QUAD_TOL)
-        total, err = total + val, err + e
-    scale = 2 * tp.a_max / math.sqrt(p.lam)  # a_max = abar e^(u_max)
-    if not math.isfinite(scale * total):
+    def integrand(psi: float) -> float:
+        s, rest = 2 * w * math.sin(psi / 2) ** 2, 2 * w * math.cos(psi / 2) ** 2
+        u_t, d = (u_min, s) if psi <= math.pi / 2 else (u_max, -rest)
+        if abs(d) <= 0.25:
+            x = -_phi(d) - math.expm1(-2 * u_t) * math.expm1(-2 * d) / 2
+        else:
+            x = -d - (math.exp(-2 * (u_t + d)) - math.exp(-2 * u_t)) / 2
+        return math.exp(-rest) / math.sqrt(x / (s * rest))  # a_max is applied below
+
+    val, diff = quad_adaptive(integrand, 0.0, math.pi)
+    scale = 2 * tp.a_max / math.sqrt(2 * p.lam)
+    T = scale * val
+    if not math.isfinite(T):
         raise DomainError(f"the period overflows at {p}")
-    return PeriodEstimate(T=scale * total, err_est=scale * err)
+    rounding = 4 * (1 + max(abs(u_min), abs(u_max))) * math.ulp(1.0) * T
+    return PeriodEstimate(T=T, err_est=scale * diff + rounding)
 
 
 def linearized_period(p: EmdenParams) -> float:

@@ -31,8 +31,6 @@ from .ode import (
     OdeState,
     Rhs,
     Trajectory,
-    _WGK,
-    _XGK,
     _dense,
     integrate,
 )
@@ -194,6 +192,27 @@ def enclosed_mass(prof: RadialProfile, s):
     return out.reshape(s.shape)[()]
 
 
+# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK constants), as floats.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
 # the 15 Kronrod abscissas on [-1, 1] and their weights
 _GK_X = np.concatenate([-np.array(_XGK[:-1][::-1]), _XGK[::-1]])
 _GK_W = np.concatenate([_WGK[:-1][::-1], _WGK[::-1]])

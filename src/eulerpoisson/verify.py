@@ -37,8 +37,8 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     """The checks of one run in report order, over `points` stencil centres
     per family drawn from `seed`; `inject_corruption` adds rho + delta on the
     rotating field as a control that must fail."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise DomainError(f"seed must be >= 0 and an integer, got {seed}")
     if not (isinstance(points, Integral) and points >= 1):
         raise DomainError(f"points must be an integer >= 1, got {points}")
     rng = np.random.default_rng(seed)

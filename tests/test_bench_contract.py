@@ -90,6 +90,19 @@ def test_tracer_sees_the_event_finder(tracing, tmp_path):
     assert tracer.counts["segments"] > 0
 
 
+def test_tracer_spans_the_period_quadrature(tracing, tmp_path):
+    # LAYERS patches `ode.quad_adaptive` and counts calls of its first argument;
+    # `period` makes one quadrature, whose integrand is called at each node
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["period", "--outdir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["ode.quad"]["calls"] == 1
+    assert tracer.counts["quad_evals"] > 0
+
+
 def test_convergence_study_takes_the_field_second():
     params = list(inspect.signature(residuals.convergence_study).parameters)
     assert params[1] == "field"

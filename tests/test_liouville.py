@@ -17,11 +17,13 @@ from eulerpoisson.errors import DomainError, OutOfRange
 from eulerpoisson.liouville import (
     LiouvilleParams,
     RadialProfile,
+    _WGK,
+    _XGK,
     enclosed_mass,
     momentum_bracket,
     solve_profile,
 )
-from eulerpoisson.ode import _WGK, _XGK, Trajectory
+from eulerpoisson.ode import Trajectory
 
 
 def closed_form_lam0(s, K, alpha):
@@ -190,6 +192,27 @@ def _kronrod_mass_loop(prof, a, b):
         for tau in (mid - x, mid + x):
             total += float(_WGK[j]) * math.exp(prof.f_at(tau)) * tau
     return 2 * math.pi * total * half
+
+
+class TestScaling:
+    """f_(alpha + 2 ln k, k^2 lam)(s) = f_(alpha, lam)(k s) + 2 ln k solves the
+    same equation, and its enclosed mass at s is the mass at k s."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(K=st.floats(0.5, 2.0), lam=st.floats(0.5, 2.0), alpha=st.floats(-1.0, 1.0),
+           log2_k=st.floats(-1.0, 1.0))
+    def test_a_rescaled_profile_is_the_profile_at_k_s(self, K, lam, alpha, log2_k):
+        # measured worsts over 40 draws: f 1.4e-11 * max(1, |f|), mass 2.5e-13
+        k = 2.0**log2_k
+        base = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), 40.0)
+        scaled = solve_profile(LiouvilleParams(K=K, lam=k * k * lam, alpha=alpha + 2 * math.log(k)),
+                               20.0)
+        s = np.linspace(0.05, 19.0, 200)
+        f = scaled.f_at(s)
+        ref = base.f_at(k * s) + 2 * math.log(k)
+        assert np.all(np.abs(f - ref) <= 1e-10 * np.maximum(1.0, np.abs(f)))
+        mass = enclosed_mass(base, k * s)
+        assert np.all(np.abs(enclosed_mass(scaled, s) - mass) <= 2.5e-12 * mass)
 
 
 class TestMomentumBracket:

@@ -98,3 +98,10 @@ def test_points_must_be_an_integer_from_one(points):
     # 1.5 points raised a bare TypeError
     with pytest.raises(DomainError, match="points must be an integer >= 1"):
         verify.run_bundle(0, points, H_LIST, False, 0.01)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+def test_seed_must_be_an_integer_from_zero(seed):
+    # a fractional seed raised numpy's bare TypeError from default_rng
+    with pytest.raises(DomainError, match="seed must be >= 0 and an integer"):
+        verify.run_bundle(seed, 1, H_LIST, False, 0.01)
