@@ -1,8 +1,9 @@
 """Command-line front end emitting reproducible CSV/JSON artifacts.
 
 Commands: emden (scale-factor orbit data), liouville (radial profile and
-mass-identity bracket), fields (sampled spacetime fields of a family),
-period (two-way period comparison), verify (residual bundle, `verify.run_bundle`).
+mass-identity bracket), fields (sampled spacetime fields of a family, in at
+most two evaluator calls: `_sample_columns`), period (two-way period comparison),
+verify (residual bundle, `verify.run_bundle`).
 
 Artifacts are byte-identical for identical configuration and version:
 numbers are written with 17 significant digits, JSON keys are sorted, line
@@ -19,7 +20,6 @@ defaults otherwise; emden's flags govern both its CSV and its simulated period.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, emden, fields, goldreich_weber, liouville, verify
-from .errors import DomainError, EulerPoissonError, NoCompactSupport, OutOfRange, OutsideRegion
+from .errors import (DomainError, EulerPoissonError, NoCompactSupport, OutOfRange,
+                     OutsideRegion, raise_where)
 from .ode import TIGHT_CONFIG, IntegratorConfig
 
 
@@ -320,9 +321,10 @@ def cmd_liouville(args) -> int:
 
 def _sample_columns(args, times, ev, skip):
     """CSV columns of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2
-    inside the disk; a grid with no point in the disk raises here.  All times are sampled
-    in one call, ev(times[:, None], x, y).  If that raises a package error, the time-by-time
-    loop `_grid_parts` reruns, with its skipped points, row order and error messages."""
+    inside the disk, in one call ev(times[:, None], x, y).  If that raises `skip`, the
+    points its `where` marks (outside the family's region) are dropped and the rest take
+    one more call.  A grid with no point in the disk, or in the region at any time, and
+    a non-finite sample raise here."""
     grid = np.meshgrid(np.linspace(-args.rmax, args.rmax, args.nx),
                        np.linspace(-args.rmax, args.rmax, args.ny), indexing="ij")
     x, y = (g[np.hypot(*grid) <= args.rmax] for g in grid)
@@ -330,36 +332,24 @@ def _sample_columns(args, times, ev, skip):
         raise DomainError(f"no point of the {args.nx}x{args.ny} grid lies in the disk "
                           f"of radius {args.rmax}")
     t = times[:, None]
-    try:
-        return _part(t, x, y, ev(t, x, y))
-    except EulerPoissonError:
-        parts = _grid_parts(times.tolist(), x, y, ev, skip)
-    if not parts:  # every point skipped: the header alone
-        return [np.empty(0)] * 7
-    return [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
-
-
-def _grid_parts(times, x, y, ev, skip):
-    """`_part`s of one call per time; if that call raises `skip` (a region boundary crosses
-    the disk), the time's points are sampled one by one, leaving out those that raise it.
-    A bad time must raise another error."""
-    parts = []
-    for t in times:
+    with np.errstate(all="ignore"):  # a non-finite sample raises below
         try:
-            parts.append(_part(t, x, y, ev(t, x, y)))
-        except skip:
-            for px, py in zip(x[:, None], y[:, None]):
-                with contextlib.suppress(skip):
-                    parts.append(_part(t, px, py, ev(t, px, py)))
-    return parts
-
-
-def _part(t, x, y, s):
-    """The t, x, y, rho, u1, u2, phi_r columns of the sample s = ev(t, x, y), flattened
-    over their common shape; phi_r None when the family has none."""
-    values = (t, x, y, s.rho, s.u1, s.u2, s.phi_r)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values if v is not None))
-    return [None if v is None else np.broadcast_to(v, shape).ravel() for v in values]
+            s = ev(t, x, y)
+        except skip as exc:
+            keep = ~np.broadcast_to(exc.where, (times.size, x.size))
+            if not keep.any():
+                raise DomainError(f"no point of the {args.nx}x{args.ny} grid lies in the "
+                                  f"{args.family} region at any time")
+            t, x, y = (np.broadcast_to(v, keep.shape)[keep] for v in (t, x, y))
+            s = ev(t, x, y)
+    # the t, x, y, rho, u1, u2, phi_r columns, flattened over the points' shape
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    columns = [None if v is None else np.broadcast_to(v, shape).ravel()
+               for v in (t, x, y, s.rho, s.u1, s.u2, s.phi_r)]
+    finite = np.isfinite([c for c in columns[3:] if c is not None]).all(axis=0)
+    raise_where(~finite, DomainError, f"non-finite {args.family} sample",
+                t=columns[0], x=columns[1], y=columns[2])
+    return columns
 
 
 def _fields_columns_rotational(args, xi: float):

@@ -5,7 +5,8 @@ maps to exit code 2, and also from ValueError or RuntimeError.
 
 Integration halts (blowup, step underflow, exhausted budget) carry the
 partial trajectory so callers can recover the solution up to the halt.
-`raise_where` raises for array arguments, naming the first bad point.
+`raise_where` raises for array arguments, naming the first bad point; the
+error keeps the mask of all of them, so a caller can drop them and go on.
 """
 
 from __future__ import annotations
@@ -14,20 +15,26 @@ import numpy as np
 
 
 class EulerPoissonError(Exception):
-    """Base of every exception raised by the package."""
+    """Base of every exception raised by the package; `where` is the mask of the bad
+    points, broadcast over the coordinates named, if `raise_where` raised it."""
+
+    where = None
 
 
 def raise_where(bad, error: type[EulerPoissonError], message: str, **point) -> None:
-    """Raise error(message) naming the coordinates where `bad` first holds (C order);
-    a bad input value raises also when the coordinates broadcast to no point."""
+    """Raise error(message) naming the coordinates where `bad` first holds (C order),
+    with the whole mask as its `where`; a bad input value raises also when the
+    coordinates broadcast to no point."""
     if np.any(bad):
         bad, *coords = np.broadcast_arrays(bad, *point.values())
         if bad.size:
             i = int(np.argmax(bad))
-            where = ", ".join(f"{k}={float(v.flat[i])}" for k, v in zip(point, coords))
+            at = ", ".join(f"{k}={float(v.flat[i])}" for k, v in zip(point, coords))
         else:  # no point: name the coordinates given as scalars
-            where = ", ".join(f"{k}={float(v)}" for k, v in point.items() if np.ndim(v) == 0)
-        raise error(f"{message} at ({where})")
+            at = ", ".join(f"{k}={float(v)}" for k, v in point.items() if np.ndim(v) == 0)
+        exc = error(f"{message} at ({at})")
+        exc.where = bad
+        raise exc
 
 
 class DomainError(EulerPoissonError, ValueError):

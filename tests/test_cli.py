@@ -144,22 +144,30 @@ class TestFieldsCommand:
     def test_gw_rejects_bad_alpha(self, tmp_path):
         assert run(tmp_path, "fields", "--family", "gw", "--alpha", "0") == 2
 
-    @pytest.mark.parametrize("argv,module,name", [
-        (("--family", "gw", "--alpha", "1"), goldreich_weber, "gw_density"),
-        (("--family", "rotational"), fields, "eval_rotational"),
-    ], ids=["gw", "rotational"])
-    def test_all_times_take_one_evaluator_call(self, tmp_path, monkeypatch, argv, module, name):
+    @pytest.mark.parametrize("argv,module,name,n_calls,rows", [
+        # the 3 default times, each on the 49 points of the 9x9 grid in the disk
+        (("--family", "gw", "--alpha", "1"), goldreich_weber, "gw_density", 1, 3 * 49),
+        (("--family", "rotational"), fields, "eval_rotational", 1, 3 * 49),
+        # a region boundary crosses the disk: the points outside it are dropped
+        # and the rest take a second call
+        (("--family", "zz-inner"), fields, "eval_zz_inner", 2, 111),
+        (("--family", "zz-outer"), fields, "eval_zz_outer", 2, 36),
+        (("--family", "rotational", "--rmax", "40"), fields, "eval_rotational", 2, 123),
+        (("--family", "gw", "--N", "3", "--alpha", "0.7", "--lam", "2", "--rmax", "150"),
+         goldreich_weber, "gw_density", 2, 75),
+    ], ids=["gw", "rotational", "zz-inner", "zz-outer", "rotational-rmax-40", "gw-no-support"])
+    def test_all_times_take_one_evaluator_call(self, tmp_path, monkeypatch, argv, module, name,
+                                               n_calls, rows):
         calls, evaluator = [], getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: calls.append(args) or evaluator(*args))
         assert run(tmp_path, "fields", *argv) == 0
-        assert len(calls) == 1
-        # the 3 default times, each on the 49 points of the 9x9 grid in the disk
-        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + 3 * 49
+        assert len(calls) == n_calls
+        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + rows
 
     @pytest.mark.parametrize("family", ["zz-inner", "zz-outer"])
     def test_a_region_crossing_the_disk_keeps_its_points_and_order(self, tmp_path, family):
         # at the defaults the interface circle crosses the disk, so the one call
-        # over all times raises and the times are sampled one by one
+        # over all times raises, and the points its mask leaves in are sampled again
         assert run(tmp_path, "fields", "--family", family) == 0
         zz = fields.ZZSolution(K=1.0, rho0=0.5)
         ev = fields.eval_zz_inner if family == "zz-inner" else fields.eval_zz_outer
@@ -411,12 +419,43 @@ class TestRobustness:
             (("--family", "zz-inner", "--t0", "0", "--t1", "1"), "t=0.0"),
             (("--family", "zz-outer", "--t0", "1", "--t1", "-1"), "t=-1.0"),
             (("--family", "gw", "--alpha", "1", "--lam", "0", "--t0", "-1"), "t=-1.0"),
+            # each wrote a header-only fields.csv and exited 0: the interface circle
+            # covers the disk at every time
+            (("--family", "zz-outer", "--t0", "3", "--t1", "4"),
+             "no point of the 9x9 grid lies in the zz-outer region at any time"),
+            (("--family", "zz-outer", "--t0", "5", "--t1", "1"),
+             "no point of the 9x9 grid lies in the zz-outer region at any time"),
+            # each wrote non-finite cells and exited 0: t*t underflows to 0 at the
+            # origin (rho = 0/0), and r*r overflows
+            (("--family", "zz-inner", "--t0", "1e-300", "--t1", "1e-300"),
+             "non-finite zz-inner sample at (t=1e-300, x=0.0, y=0.0)"),
+            (("--family", "zz-outer", "--rmax", "1e300"),
+             "non-finite zz-outer sample at (t=0.5, x=-1e+300, y=0.0)"),
         ],
     )
     def test_fields_drop_no_time_or_grid(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "fields", *argv) == 2
         assert message in self.one_line_error(capsys)
         assert not (tmp_path / "fields.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--K", "--rho0", "--t0", "--t1", "--rmax"])
+    @pytest.mark.parametrize("family", ["zz-inner", "zz-outer"])
+    def test_zz_fields_flags_over_the_sweep_values(self, tmp_path, capsys, family, flag):
+        # ROADMAP item 9's values, each given as flag=value so that argparse reads
+        # -1e300 as a value; the solver families wait for a sweep with a stubbed solver
+        values = ("1e300", "-1e300", "1e10", "-1e10", "-3", "1e-300", "-1e-300", "0",
+                  "1e-8", "0.3", "1", "7", "700")
+        for value in values:
+            out = tmp_path / value
+            code = run(out, "fields", "--family", family, f"{flag}={value}")
+            assert code in (0, 1, 2), value
+            self.one_line_error(capsys)
+            csv = out / "fields.csv"
+            assert csv.exists() == (code == 0), value
+            if code == 0:
+                rows = csv.read_text().splitlines()[1:]
+                cells = [float(c) for row in rows for c in row.split(",") if c]
+                assert rows and np.isfinite(cells).all(), value
 
     def test_config_boolean_must_be_a_boolean_word(self, tmp_path, capsys, monkeypatch):
         # 'ture' ran without the negative control and exited 0

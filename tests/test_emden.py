@@ -314,6 +314,9 @@ def _mpmath_period(mp, p, tp):
     Each half runs from one u_t to the midpoint, in the offset d >= 0 with
     s = +-d pointing inward, where V(u_t) - V(u_t + s) is
     -lam s - (xi^2/2) e^(-2 u_t) expm1(-2s) at any d, however small.
+    The integrand is scaled by e^(-u_max), and the sum back by e^(u_max), because
+    mp.quad's error test is absolute: unscaled, an orbit of period 9e-88 came out
+    8.7e-13 off relative.
     """
     lost = -2 * math.log10((tp.a_max - tp.a_min) / tp.a_max)
     with mp.workdps(30 + max(0, int(lost))):
@@ -326,9 +329,9 @@ def _mpmath_period(mp, p, tp):
         for u_t, inward in ((lo, 1), (hi, -1)):
             excess = lambda d: (-lam * inward * d
                                 - xi2 * mp.exp(-2 * u_t) * mp.expm1(-2 * inward * d) / 2)
-            total += mp.quad(lambda d: mp.exp(u_t + inward * d) / mp.sqrt(2 * excess(d)),
+            total += mp.quad(lambda d: mp.exp(u_t + inward * d - hi) / mp.sqrt(2 * excess(d)),
                              [0, (hi - lo) / 2])
-        return float(2 * total)
+        return float(2 * total * mp.exp(hi))
 
 
 class TestPeriodAgainstAnMpmathReference:
@@ -358,11 +361,16 @@ class TestPeriodAgainstAnMpmathReference:
 
     # the unit orbit, next to the steady state and at the default a1 = 1: the
     # estimate once claimed 1.4e-15 and 7.8e-14 for errors of 4.5e-14 and 9.6e-14
-    @pytest.mark.parametrize("a0,a1", [(1.0, 1.0), (1.0, 1e-5), (1.0, 1e-8), (1.0, 1e-11),
-                                       (1.0 + 3e-12, 0.0)])
-    def test_the_estimate_bounds_the_error_of_the_unit_orbit(self, a0, a1):
+    # and an orbit of period 9.0e-88, on which the reference was 8.75e-13 of T off
+    # (err_est 1.03e-15 of T) before it scaled its integrand
+    @pytest.mark.parametrize("lam,xi,a0,a1", [
+        (1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1e-5), (1.0, 1.0, 1.0, 1e-8),
+        (1.0, 1.0, 1.0, 1e-11), (1.0, 1.0, 1.0 + 3e-12, 0.0),
+        (0.8865, 1.80e-88, 1.91e-88, 1.7e-9),
+    ])
+    def test_the_estimate_bounds_the_error_of_the_unit_orbit(self, lam, xi, a0, a1):
         mp = pytest.importorskip("mpmath")
-        p = EmdenParams(1.0, 1.0, a0, a1)
+        p = EmdenParams(lam, xi, a0, a1)
         est = period_by_quadrature(p)
         assert abs(est.T - _mpmath_period(mp, p, turning_points(p))) <= est.err_est
 
