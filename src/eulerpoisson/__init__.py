@@ -41,7 +41,6 @@ from .goldreich_weber import (
     GWProfile,
     alpha_const,
     gw_density,
-    integrate_gw_scale,
     solve_gw_profile,
 )
 from .liouville import (

@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -73,6 +74,11 @@ def _integrator_config(args, base: IntegratorConfig) -> IntegratorConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e300 or -.5e3 is a negative number, not an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -376,7 +382,7 @@ def _fields_columns_gw(args):
         a0=args.a0, a1=args.a1,
     )
     prof = goldreich_weber.solve_gw_profile(p)
-    traj = goldreich_weber.integrate_gw_scale(p, args.t1).trajectory
+    traj = emden.integrate_scale(p, args.t1).trajectory
     times = np.linspace(args.t0, min(args.t1, traj.t_end), args.nt)
     traj.evaluate(times)  # a time outside the solved range raises DomainError here
 

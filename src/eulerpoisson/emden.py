@@ -1,6 +1,12 @@
-"""Dynamics of the scale factor a(t) with a'' = -lam/a + xi^2/a^3.
+"""Dynamics of the scale factor a(t) with a'' = -lam/a^(d-1) + xi^2/a^3.
 
-The motion is one-dimensional in the effective potential
+One law (`ScaleLaw`) serves both families: d = 2 for the rotating isothermal
+family (`EmdenParams`), d = N with xi = 0 for Goldreich-Weber (`GWParams`).
+With xi = 0 <= lam, a'' <= 0, so a fall cannot turn: a step underflow or
+blowup at (t, a, a' < 0) with a <= 1e-9 * max(1, t) * |a'| is the collapse's
+touchdown, and any other halt an error (`integrate_scale`).
+
+At d = 2 the motion is one-dimensional in the effective potential
 V(a) = lam*ln(a) + xi^2/(2 a^2), so the conserved energy
 theta = a1^2/2 + V(a0) classifies every orbit:
 
@@ -45,6 +51,16 @@ from .ode import (
 STEADY_RTOL = 1e-12
 
 
+class ScaleLaw(NamedTuple):
+    """a'' = -lam/a^(d-1) + xi2/a^3 from a(0) = a0, a'(0) = a1."""
+
+    d: int
+    lam: float
+    xi2: float
+    a0: float
+    a1: float
+
+
 @dataclass(frozen=True)
 class EmdenParams:
     """Parameters (lam, xi, a0, a1) of one scale-factor initial value problem."""
@@ -62,6 +78,11 @@ class EmdenParams:
             raise DomainError("a0 must be > 0")
         if self.xi * self.xi == 0 != self.xi:
             raise DomainError(f"xi={self.xi} underflows xi^2 to 0, losing the centrifugal term")
+
+    @property
+    def scale_law(self) -> ScaleLaw:
+        """d = 2, xi2 = xi^2."""
+        return ScaleLaw(2, self.lam, self.xi * self.xi, self.a0, self.a1)
 
 
 class OrbitClass(enum.Enum):
@@ -88,15 +109,18 @@ class PeriodEstimate:
 
 @dataclass(frozen=True)
 class ScaleRun:
-    """Result of a run to touchdown: trajectory plus touchdown time, if any."""
+    """Result of `integrate_scale` in either family: trajectory plus touchdown time, if any."""
 
     trajectory: Trajectory
     touchdown_time: float | None = None
 
 
-def scale_rhs(p: EmdenParams) -> Rhs:
-    """Right-hand side of the first-order system (a, a'); NaN once a <= 0."""
-    return Rhs(_SCALE_BODY, lam=p.lam, xi2=p.xi * p.xi)
+def scale_rhs(p) -> Rhs:
+    """Right-hand side of (a, a') under `p.scale_law`, NaN once a <= 0; at d = 2 the
+    divisor a^(d-1) is `a` itself, as `a ** 1.0` rounds alike but costs a power per stage."""
+    d, lam, xi2, _, _ = p.scale_law
+    return Rhs(_SCALE_BODY.format(a_dm1="a" if d == 2 else "a ** dm1"),
+               lam=lam, xi2=xi2, dm1=d - 1.0)
 
 
 _SCALE_BODY = """\
@@ -105,7 +129,7 @@ if a <= 0.0:
     f_0 = f_1 = math.nan
 else:
     f_0 = y_1
-    f_1 = -lam / a + xi2 / (a * a * a)"""
+    f_1 = -lam / {a_dm1} + xi2 / (a * a * a)"""
 
 
 def sundman_rhs(p: EmdenParams) -> Rhs:
@@ -310,43 +334,25 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     return PeriodEstimate(T=T, err_est=float(np.max(np.abs(gaps - T))), stats=stats)
 
 
-def integrate_scale(
-    p: EmdenParams, t_end: float, cfg: IntegratorConfig = IntegratorConfig()
-) -> ScaleRun:
-    """Trajectory of (a, a') on [0, t_end], stopping cleanly at touchdown.
+def integrate_scale(p, t_end: float, cfg: IntegratorConfig = IntegratorConfig()) -> ScaleRun:
+    """Trajectory of (a, a') under `p.scale_law` on [0, t_end], or up to its touchdown.
 
-    Only an orbit without rotation can collapse (a -> 0 with lam > 0, or
-    with lam = xi = 0 and a1 < 0): the integrator's step size collapses at
-    the singular time, and that halt is reported as the touchdown time
-    instead of an error.  With xi != 0 the centrifugal barrier keeps a > 0,
-    so a halt is re-raised with its type, time, trajectory and p.
+    Past a = 0 the rhs is NaN, so the step size collapses at the touchdown.
+    With xi2 = 0 <= lam, a StepUnderflow or StateBlowup halt whose last node
+    (t_k, a_k, a'_k) has a'_k < 0 and a_k <= 1e-9 * max(1, t_k) * |a'_k| is
+    that touchdown, within a_k/|a'_k| of t_k: the trajectory is returned with
+    the halt time.  Any other halt is re-raised with its type, time,
+    trajectory and p.
     """
-    rhs, start = scale_rhs(p), OdeState(0.0, np.array([p.a0, p.a1]))
-    if p.xi == 0:
-        return _run_to_touchdown(rhs, start, t_end, cfg)
+    law = p.scale_law
     try:
-        return ScaleRun(trajectory=integrate(rhs, start, t_end, cfg))
+        return ScaleRun(integrate(scale_rhs(p), OdeState(0.0, (law.a0, law.a1)), t_end, cfg))
     except IntegrationHalted as halt:
+        a, v = halt.trajectory.y_end
+        if (isinstance(halt, (StepUnderflow, StateBlowup)) and law.xi2 == 0 <= law.lam
+                and v < 0 and a <= 1e-9 * max(1.0, halt.t) * -v):
+            return ScaleRun(halt.trajectory, halt.t)
         raise type(halt)(f"{halt} in the scale factor of {p}", halt.t, halt.trajectory) from None
-
-
-def _run_to_touchdown(rhs, start: OdeState, t_end: float, cfg: IntegratorConfig) -> ScaleRun:
-    """Integrate (y, y') from `start` to t_end, stopping where y reaches zero.
-
-    The callers (the 2D and the Goldreich-Weber scale factor, and the
-    Goldreich-Weber profile, whose zero is its support radius) let rhs
-    return NaN once y has crossed zero, so the step size collapses there.
-    A StepUnderflow or StateBlowup halt with y already below 1e-6 of its
-    start value is that touchdown: the trajectory up to the halt is
-    returned with the halt time.  Any other halt is re-raised with its
-    context.
-    """
-    try:
-        return ScaleRun(trajectory=integrate(rhs, start, t_end, cfg), touchdown_time=None)
-    except (StepUnderflow, StateBlowup) as halt:
-        if halt.trajectory is None or halt.trajectory.y_end[0] > 1e-6 * start.y[0]:
-            raise  # not a touchdown; surface the halt with its context
-        return ScaleRun(trajectory=halt.trajectory, touchdown_time=halt.t)
 
 
 def energy_drift(traj: Trajectory, p: EmdenParams) -> float:

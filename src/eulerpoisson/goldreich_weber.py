@@ -10,6 +10,8 @@ u = (a'/a) x and a'' = -lam / a^(N-1).  The radial momentum balance times a^(N-1
 
 from f(0) = alpha_center > 0.  Unlike the 2D isothermal family it reaches a
 first zero S_mu where the density touches down: the star has compact support.
+The scale factor is the one law of `emden` at d = N with xi = 0
+(`GWParams.scale_law`), solved by `emden.integrate_scale`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .emden import ScaleRun, _run_to_touchdown
-from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
+from .emden import ScaleLaw
+from .errors import (DomainError, IntegrationHalted, NoCompactSupport, NonRealPower,
+                     StateBlowup, StepUnderflow, raise_where)
 # alpha_const and unit_ball_volume live beside the enclosed mass and stay importable here
 from .liouville import RadialLaw, RadialProfile, _radial_rhs, alpha_const, unit_ball_volume
-from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Rhs, Trajectory
+from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Trajectory, integrate
 
 S_CAP_DEFAULT = 100.0
 
@@ -67,6 +70,11 @@ class GWParams:
                          self.N * (self.N - 2) * self.lam / denom, self.alpha_center,
                          rho, lambda f: np.power(np.maximum(f, 0.0), power))
 
+    @property
+    def scale_law(self) -> ScaleLaw:
+        """d = N, xi2 = 0: a'' = -lam/a^(N-1)."""
+        return ScaleLaw(self.N, self.lam, 0.0, self.a0, self.a1)
+
 
 class GWProfile(RadialProfile):
     """Profile on [0, s_mu] (or [0, s_cap] when no zero exists)."""
@@ -83,40 +91,20 @@ def solve_gw_profile(
     f' = 0, to its first zero s_mu, the support radius.
 
     The density f^(N/(N-2)) is NaN where f < 0, where the fractional power
-    leaves the reals, so the zero is a touchdown of `_run_to_touchdown`:
+    leaves the reals, so the step size collapses at the zero: a StepUnderflow
+    or StateBlowup halt with f below 1e-6 of alpha_center is the zero, and
     s_mu is the halt time, where the trajectory ends with f(s_mu) >= 0 and
     tiny.  With no zero before s_cap the full trajectory is kept and s_mu is
     None.  Any other halt is re-raised with the parameters in its message.
     """
     try:
-        run = _run_to_touchdown(_radial_rhs(p), OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg)
+        traj = integrate(_radial_rhs(p), OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg)
     except IntegrationHalted as halt:
+        if (isinstance(halt, (StepUnderflow, StateBlowup))
+                and halt.trajectory.y_end[0] <= 1e-6 * p.alpha_center):
+            return GWProfile(p, halt.trajectory, halt.t)
         raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
-    return GWProfile(p, run.trajectory, run.touchdown_time)
-
-
-def integrate_gw_scale(p: GWParams, t_end: float) -> ScaleRun:
-    """Trajectory of the scale factor under a'' = -lam / a^(N-1).
-
-    For lam > 0 the collapse reaches a = 0 in finite time; like the 2D case
-    the halt time is reported as the touchdown time.
-    """
-    start = OdeState(0.0, np.array([p.a0, p.a1]))
-    return _run_to_touchdown(gw_scale_rhs(p), start, t_end, IntegratorConfig())
-
-
-def gw_scale_rhs(p: GWParams) -> Rhs:
-    """Right-hand side of the first-order system (a, a'); NaN once a <= 0."""
-    return Rhs(_GW_SCALE_BODY, lam=p.lam, nm1=p.N - 1)
-
-
-_GW_SCALE_BODY = """\
-a = y_0
-if a <= 0.0:
-    f_0 = f_1 = math.nan
-else:
-    f_0 = y_1
-    f_1 = -lam / a**nm1"""
+    return GWProfile(p, traj, None)
 
 
 def gw_density(prof: GWProfile, a, r):

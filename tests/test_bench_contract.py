@@ -124,6 +124,20 @@ def test_tracer_sees_the_verify_bundle(tracing, tmp_path):
     assert tracer.counts["field_samples"] > 0
 
 
+def test_tracer_spans_the_gw_scale_factor(tracing, tmp_path):
+    # the profiles workload's `fields --family gw` solves its scale factor through
+    # `emden.integrate_scale`, which the tracer patches in `emden` and `cli`
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["fields", "--family", "gw", "--alpha", "1", "--outdir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()
+    assert spans["emden.integrate_scale"]["calls"] == 1
+    assert spans["goldreich_weber.solve_gw_profile"]["calls"] == 1
+
+
 def test_profiles_tasks_pass_their_check(workloads, tmp_path):
     # the liouville.csv momentum bracket stays within BRACKET_ATOL (1e-8) on
     # the profile's own step grid

@@ -141,6 +141,19 @@ class TestFieldsCommand:
         lines = (tmp_path / "fields.csv").read_text().splitlines()
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("N", ["5", "6", "7", "10"])
+    def test_gw_collapse_samples_up_to_its_touchdown(self, tmp_path, N):
+        # each exited 2 with "step size ... underflowed": the halt's last a was above
+        # 1e-6 of a0, which was once the only touchdown rule
+        assert run(tmp_path, "fields", "--family", "gw", "--N", N, "--alpha", "1",
+                   "--a1", "0") == 0
+        cols = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1, usecols=(0, 3))
+        p = goldreich_weber.GWParams(int(N), 1.0, 1.0, 1.0, 1.0, 0.0)
+        touchdown = emden.integrate_scale(p, 2.0).touchdown_time
+        assert touchdown is not None and touchdown < 2.0
+        assert np.all(np.isfinite(cols[:, 1])) and np.all(cols[:, 1] >= 0)
+        assert cols[-1, 0] <= touchdown
+
     def test_gw_rejects_bad_alpha(self, tmp_path):
         assert run(tmp_path, "fields", "--family", "gw", "--alpha", "0") == 2
 
@@ -264,6 +277,15 @@ class TestVerifyCommand:
 
 
 class TestUsageAndConfig:
+    @pytest.mark.parametrize("value", ["-1e300", "-1e-300", "-1.5E+10", "-.5e3", "-3", "-0.25"])
+    @pytest.mark.parametrize("argv,dest", [(("emden", "--a1"), "a1"), (("period", "--lam"), "lam"),
+                                           (("fields", "--t0"), "t0"),
+                                           (("verify", "--corruption-delta"), "corruption_delta")])
+    def test_a_negative_number_is_a_value(self, argv, dest, value):
+        # exponent forms were read as options: "expected one argument", exit 1
+        parser, _ = cli.build_parser()
+        assert getattr(parser.parse_args([*argv, value]), dest) == float(value)
+
     def test_unknown_flag_exits_1(self, tmp_path):
         assert main(["emden", "--nonsense"]) == 1
 
@@ -441,15 +463,15 @@ class TestRobustness:
     @pytest.mark.parametrize("flag", ["--K", "--rho0", "--t0", "--t1", "--rmax"])
     @pytest.mark.parametrize("family", ["zz-inner", "zz-outer"])
     def test_zz_fields_flags_over_the_sweep_values(self, tmp_path, capsys, family, flag):
-        # ROADMAP item 9's values, each given as flag=value so that argparse reads
-        # -1e300 as a value; the solver families wait for a sweep with a stubbed solver
+        # ROADMAP item 9's values; the solver families wait for a sweep with a stubbed solver
         values = ("1e300", "-1e300", "1e10", "-1e10", "-3", "1e-300", "-1e-300", "0",
                   "1e-8", "0.3", "1", "7", "700")
         for value in values:
             out = tmp_path / value
-            code = run(out, "fields", "--family", family, f"{flag}={value}")
+            code = run(out, "fields", "--family", family, flag, value)
             assert code in (0, 1, 2), value
-            self.one_line_error(capsys)
+            # a negative value in exponent form was read as an option
+            assert "expected one argument" not in self.one_line_error(capsys), value
             csv = out / "fields.csv"
             assert csv.exists() == (code == 0), value
             if code == 0:
@@ -542,6 +564,18 @@ class TestRobustness:
         report = json.loads(next(tmp_path.glob("*.json")).read_text())
         tq, ts = report["T_quadrature"], report["T_simulation"]
         assert abs(tq - ts) / tq <= 1e-6
+
+    @pytest.mark.parametrize("argv,where", [
+        (("--lam", "1e300", "--a1", "-1"), "EmdenParams(lam=1e+300, xi=0.0, a0=1.0, a1=-1.0)"),
+        (("--a0", "1e-100", "--a1", "0"), "EmdenParams(lam=1.0, xi=0.0, a0=1e-100, a1=0.0)"),
+    ])
+    def test_a_collapse_halt_at_the_start_names_its_parameters(self, tmp_path, capsys, argv,
+                                                              where):
+        # each named no parameter: a halt at t = 0 with a still far from 0 is no touchdown
+        assert run(tmp_path, "emden", "--xi", "0", *argv) == 2
+        line = self.one_line_error(capsys)
+        assert "underflowed at t=0.0" in line and line.endswith(f" in the scale factor of {where}")
+        assert not any(tmp_path.iterdir())
 
     def test_a_rotating_orbit_takes_no_touchdown(self, tmp_path, capsys):
         # exited 0 as "periodic" with touchdown_time 0.652 and an emden.csv cut there,

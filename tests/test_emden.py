@@ -32,6 +32,7 @@ from eulerpoisson.emden import (
     turning_points,
 )
 from eulerpoisson.errors import DomainError, NotPeriodic, StepBudgetExceeded, StepUnderflow
+from eulerpoisson.goldreich_weber import GWParams
 from eulerpoisson.ode import (
     TIGHT_CONFIG,
     IntegratorConfig,
@@ -479,6 +480,38 @@ class TestPeriodOfARun:
                 period_by_simulation(unit_orbit, IntegratorConfig(), bad)
 
 
+def _collapse_time(mp, d, lam, a0, a1):
+    """Touchdown time of a'' = -lam/a^(d-1) from (a0, a1), at 40 digits; None when a
+    never reaches 0.  lam = 0: a0/|a1|.  d = 2: the fall from
+    a_max = a0 e^(a1^2/(2 lam)) takes a_max sqrt(pi/(2 lam)) erfc(-a1/sqrt(2 lam)).
+    d >= 3, with c = 2 lam/(d-2), e = a1^2 - c a0^(2-d) and al = 1/2 + 1/(d-2):
+    for e < 0, a = a_max u^(1/(d-2)) turns the time into incomplete beta
+    functions B(u; al, 1/2); for e >= 0 and a1 < 0, a^(d-2) = (c/e) v/(1-v) turns
+    it into B(v; al, -1/(d-2))."""
+    with mp.workdps(40):
+        lam, a0, a1 = mp.mpf(lam), mp.mpf(a0), mp.mpf(a1)
+        if lam == 0:
+            return float(a0 / -a1) if a1 < 0 else None
+        if d == 2:
+            s = mp.sqrt(2 * lam)
+            return float(a0 * mp.exp((a1 / s) ** 2) * mp.sqrt(mp.pi) / s * mp.erfc(-a1 / s))
+        c, al = 2 * lam / (d - 2), mp.mpf(1) / 2 + mp.mpf(1) / (d - 2)
+        e = a1 * a1 - c * a0 ** (2 - d)
+        if e < 0:  # u = (a0/a_max)^(d-2)
+            u = 1 - a1 * a1 * a0 ** (d - 2) / c
+            a_max = a0 / u ** (mp.mpf(1) / (d - 2))
+            part = mp.betainc(al, 0.5, 0, u)
+            fall = part if a1 <= 0 else 2 * mp.beta(al, 0.5) - part
+            return float(a_max ** (mp.mpf(d) / 2) / mp.sqrt(c) / (d - 2) * fall)
+        if a1 >= 0:
+            return None
+        if e == 0:  # the limit of the form below: integral of a^((d-2)/2)/sqrt(c)
+            return float(a0 ** (mp.mpf(d) / 2) / (d / 2) / mp.sqrt(c))
+        q0 = e * a0 ** (d - 2) / c
+        return float((c / e) ** al / mp.sqrt(c) / (d - 2)
+                     * mp.betainc(al, 0.5 - al, 0, q0 / (1 + q0)))
+
+
 class TestIntegrateScale:
     def test_steady_stays_put(self):
         run = integrate_scale(
@@ -557,6 +590,22 @@ class TestIntegrateScale:
         a_end, adot_end = run.trajectory.y_end
         assert a_end == pytest.approx(tp.a_max, abs=1e-7)
         assert adot_end == pytest.approx(0.0, abs=1e-7)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4, 5, 6]), lam=st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+           a0=st.floats(0.5, 2.0), a1=st.floats(-2.5, 2.5))
+    def test_touchdown_matches_the_closed_form(self, d, lam, a0, a1):
+        # one law and one collapse rule for the 2D (d = 2) and the GW (d = N) family;
+        # the rule's own bound a/|a'| stays below 1e-11 t* here, and the tight config
+        # keeps the trajectory's error apart from it (a GW orbit that nearly escapes
+        # is off by 2e-9 at the default rtol of 1e-10)
+        mp = pytest.importorskip("mpmath")
+        t_ref = _collapse_time(mp, d, lam, a0, a1)
+        if t_ref is None or not t_ref < 1e300:
+            reject()  # no touchdown, or one past the float range (lam = 0, a1 ~ -1e-300)
+        p = EmdenParams(lam, 0.0, a0, a1) if d == 2 else GWParams(d, 1.0, lam, 1.0, a0, a1)
+        run = integrate_scale(p, 2 * t_ref + 1, TIGHT_CONFIG)
+        assert abs(run.touchdown_time - t_ref) <= 1e-9 * t_ref
 
     def test_params_validation(self):
         with pytest.raises(DomainError):

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerpoisson import ode
+from eulerpoisson.emden import integrate_scale
 from eulerpoisson.errors import DomainError, NoCompactSupport, StepBudgetExceeded, StepUnderflow
 from eulerpoisson.goldreich_weber import (
     S_CAP_DEFAULT,
     GWParams,
     alpha_const,
     gw_density,
-    integrate_gw_scale,
     solve_gw_profile,
     unit_ball_volume,
 )
@@ -250,7 +250,7 @@ class TestRadialBalance:
 
 class TestScale:
     def test_free_motion_without_gravity(self):
-        run = integrate_gw_scale(
+        run = integrate_scale(
             GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0, a0=1.0, a1=0.5), 10.0
         )
         traj = run.trajectory
@@ -258,7 +258,7 @@ class TestScale:
         assert np.abs(traj.ys[:, 0] - (1.0 + 0.5 * traj.ts)).max() <= 1e-12
 
     def test_collapse_matches_energy_quadrature(self):
-        run = integrate_gw_scale(
+        run = integrate_scale(
             GWParams(N=3, K=1.0, lam=1.0, alpha_center=1.0, a0=1.0, a1=0.0), 10.0
         )
         assert run.touchdown_time is not None
@@ -267,8 +267,26 @@ class TestScale:
         t_ref = math.pi / (2 * math.sqrt(2.0))
         assert run.touchdown_time == pytest.approx(t_ref, rel=1e-6)
 
+    @pytest.mark.parametrize("N,lam,a0", [(5, 1.0, 1.0), (5, 0.5, 1.5), (6, 1.0, 1.0),
+                                          (6, 2.0, 0.7)])
+    def test_collapse_matches_the_beta_function(self, N, lam, a0):
+        # from rest, a'^2/2 = lam (a^(2-N) - a0^(2-N))/(N-2), and a = a0 u^(1/(N-2)) gives
+        # t* = a0^(N/2) sqrt((N-2)/(2 lam)) B(1/2 + 1/(N-2), 1/2)/(N-2); the step
+        # underflows where a is still 7e-6 (N = 5) or 5e-5 (N = 6) of a0
+        run = integrate_scale(GWParams(N, 1.0, lam, 1.0, a0, 0.0), 10.0)
+        x = 0.5 + 1 / (N - 2)
+        beta = math.gamma(x) * math.gamma(0.5) / math.gamma(x + 0.5)
+        t_ref = a0 ** (N / 2) * math.sqrt((N - 2) / (2 * lam)) * beta / (N - 2)
+        assert abs(run.touchdown_time - t_ref) <= 1e-9 * t_ref
+        assert run.trajectory.t_end == run.touchdown_time
+
+    def test_a_halt_that_is_no_touchdown_names_the_params(self):
+        p = GWParams(N=5, K=1.0, lam=1.0, alpha_center=1.0, a0=1.0, a1=0.0)
+        with pytest.raises(StepBudgetExceeded, match=r"in the scale factor of GWParams\(N=5,"):
+            integrate_scale(p, 10.0, ode.IntegratorConfig(max_steps=5))
+
     def test_negative_lam_expands(self):
-        run = integrate_gw_scale(
+        run = integrate_scale(
             GWParams(N=3, K=1.0, lam=-1.0, alpha_center=1.0, a0=1.0, a1=0.0), 20.0
         )
         a = run.trajectory.ys[:, 0]

@@ -34,7 +34,7 @@ from eulerpoisson.emden import (
     sundman_rhs,
     turning_points,
 )
-from eulerpoisson.goldreich_weber import GWParams, alpha_const, gw_scale_rhs, solve_gw_profile
+from eulerpoisson.goldreich_weber import GWParams, alpha_const, solve_gw_profile
 from eulerpoisson.liouville import LiouvilleParams, _radial_rhs, solve_profile
 from eulerpoisson.ode import (
     _A,
@@ -343,13 +343,18 @@ class TestGeneratedStep:
         pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
                      "e2046ee5f7f67a579b4c0786d5757a78bd131373fb96c87472efef31473ba3d6",
                      id="gw-profile-N5"),
+        pytest.param(lambda: integrate_scale(GWParams(5, 1.0, 1.0, 1.0), 10.0).trajectory,
+                     "c0555f9b66dbbe6ec7c1c62cff411785a78e9d535c787b30f4cc4629d7a916d3",
+                     id="gw-scale-collapse-N5"),
     ])
     def test_nodes_and_rows_are_bitwise_pinned(self, solve, digest):
         # recorded with the hand-unrolled stepper this generator replaced; the
         # profile's digest again when the profile began to start at s = 0; the
         # GW digests before both profiles shared one radial equation, and N = 5
         # again when its gravity coefficient gained the factor N - 2 (1 at N = 3);
-        # all four again when the controller gained Gustafsson's predictive factor
+        # all four again when the controller gained Gustafsson's predictive factor; the
+        # N = 5 collapse is the trajectory its StepUnderflow carried before that halt
+        # counted as the touchdown
         assert _digest(solve()) == digest
 
 
@@ -380,8 +385,10 @@ class TestPastedSystems:
                      None, True, id="gw-profile-N3"),
         pytest.param(_radial_rhs(GWParams(5, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
                      None, True, id="gw-profile-N5"),
-        pytest.param(gw_scale_rhs(GWParams(3, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
+        pytest.param(scale_rhs(GWParams(3, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
                      IntegratorConfig(), None, True, id="gw-scale-collapse"),
+        pytest.param(scale_rhs(GWParams(5, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
+                     IntegratorConfig(), None, True, id="gw-scale-collapse-N5"),
     ])
     def test_each_body_equals_its_callable(self, rhs, y0, t_end, cfg, falls, halts):
         assert type(rhs) is ode.Rhs
@@ -401,12 +408,14 @@ class TestPastedSystems:
         start = OdeState(0.0, [1.0, 1.0])
         sizes = []
         for rhs, falls in [(a, None), (b, None), (a, (1, 1)), (b, (1, 2)), (b, (0, 1)),
-                           (gw_scale_rhs(GWParams(3, 1.0, -0.2, 1.0)), None),
+                           (scale_rhs(GWParams(3, 1.0, -0.2, 1.0)), None),
+                           (scale_rhs(GWParams(5, 1.0, -0.2, 1.0)), None),
                            (lambda t, y: a(t, y), None), (lambda t, y: b(t, y), None)]:
             integrate(rhs, start, 5.0, IntegratorConfig(), falls)
             sizes.append(run.cache_info().currsize)
-        # parameters share a run; a fall component, another body or the call template do not
-        assert sizes == [1, 1, 2, 2, 3, 4, 5, 5]
+        # parameters share a run; a fall component, another body or the call template do
+        # not; the scale law's template yields two bodies, d = 2 and any other d
+        assert sizes == [1, 1, 2, 2, 3, 4, 4, 5, 5]
         assert run(2, a.body, a.names, None) is run(2, b.body, b.names, None)
 
     def test_a_system_of_another_size_raises_domain_error(self):
