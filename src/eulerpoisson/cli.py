@@ -306,9 +306,7 @@ def cmd_liouville(args) -> int:
     cfg = _integrator_config(args, TIGHT_CONFIG)
     prof = liouville.solve_profile(p, args.s_max, cfg)
 
-    s = prof.grid[1:]  # the nodes after s = 0, where mass/s is 0/0
-    mass = liouville.enclosed_mass(prof, s)
-    bracket = liouville.momentum_bracket(prof, s)
+    s, mass, bracket = liouville.node_brackets(prof)
 
     report = {
         "command": "liouville",

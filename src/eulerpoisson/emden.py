@@ -342,11 +342,13 @@ def integrate_scale(p, t_end: float, cfg: IntegratorConfig = IntegratorConfig())
     (t_k, a_k, a'_k) has a'_k < 0 and a_k <= 1e-9 * max(1, t_k) * |a'_k| is
     that touchdown, within a_k/|a'_k| of t_k: the trajectory is returned with
     the halt time.  Any other halt is re-raised with its type, time,
-    trajectory and p.
+    trajectory and p, and a run that cannot start (DomainError) with p.
     """
     law = p.scale_law
     try:
         return ScaleRun(integrate(scale_rhs(p), OdeState(0.0, (law.a0, law.a1)), t_end, cfg))
+    except DomainError as exc:
+        raise DomainError(f"{exc} in the scale factor of {p}") from None
     except IntegrationHalted as halt:
         a, v = halt.trajectory.y_end
         if (isinstance(halt, (StepUnderflow, StateBlowup)) and law.xi2 == 0 <= law.lam

@@ -8,10 +8,14 @@ u = (a'/a) x and a'' = -lam / a^(N-1).  The radial momentum balance times a^(N-1
 
     f'' + (N-1)/s * f' + (N-2)*alpha(N)/((2N-2)K) * f^(N/(N-2)) = N(N-2)*lam / ((2N-2)K),
 
-from f(0) = alpha_center > 0.  Unlike the 2D isothermal family it reaches a
-first zero S_mu where the density touches down: the star has compact support.
-The scale factor is the one law of `emden` at d = N with xi = 0
-(`GWParams.scale_law`), solved by `emden.integrate_scale`.
+from f(0) = alpha_center > 0, with the density max(f, 0)^(N/(N-2)) on floats
+and arrays alike.  Unlike the 2D isothermal family it reaches a first zero
+S_mu where the density touches down: the star has compact support.
+`solve_gw_profile` locates S_mu as the end of one run of Henon's swap, which
+takes -f as its independent variable (Henon 1982, Physica D 5, 412), so the
+step size never has to collapse at the zero.  The scale factor is the one
+law of `emden` at d = N with xi = 0 (`GWParams.scale_law`), solved by
+`emden.integrate_scale`.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from numbers import Integral
 import numpy as np
 
 from .emden import ScaleLaw
-from .errors import (DomainError, IntegrationHalted, NoCompactSupport, NonRealPower,
-                     StateBlowup, StepUnderflow, raise_where)
+from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
 # alpha_const and unit_ball_volume live beside the enclosed mass and stay importable here
-from .liouville import RadialLaw, RadialProfile, _radial_rhs, alpha_const, unit_ball_volume
-from .ode import TIGHT_CONFIG, IntegratorConfig, OdeState, Trajectory, integrate
+from .liouville import (RadialLaw, RadialProfile, _fpp_source, _radial_rhs, alpha_const,
+                        unit_ball_volume)
+from .ode import (TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, Trajectory,
+                  integrate)
 
 S_CAP_DEFAULT = 100.0
 
@@ -59,16 +64,13 @@ class GWParams:
 
     @property
     def law(self) -> RadialLaw:
-        """d = N, rho = f^(N/(N-2)) (NaN below f = 0 on floats, 0 on arrays),
+        """d = N, rho = f^(N/(N-2)) clamped to 0 below f = 0, on floats and arrays,
         g = (N-2)*alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center."""
         power, denom = self.N / (self.N - 2), (2 * self.N - 2) * self.K
-
-        def rho(f: float) -> float:
-            return f**power if f >= 0.0 else math.nan
-
         return RadialLaw(self.N, (self.N - 2) * alpha_const(self.N) / denom,
                          self.N * (self.N - 2) * self.lam / denom, self.alpha_center,
-                         rho, lambda f: np.power(np.maximum(f, 0.0), power))
+                         "{f} ** power if {f} > 0.0 else 0.0", {"power": power},
+                         lambda f: np.power(np.maximum(f, 0.0), power))
 
     @property
     def scale_law(self) -> ScaleLaw:
@@ -90,21 +92,53 @@ def solve_gw_profile(
     """Integrate the profile outward from s = 0, where f = alpha_center and
     f' = 0, to its first zero s_mu, the support radius.
 
-    The density f^(N/(N-2)) is NaN where f < 0, where the fractional power
-    leaves the reals, so the step size collapses at the zero: a StepUnderflow
-    or StateBlowup halt with f below 1e-6 of alpha_center is the zero, and
-    s_mu is the halt time, where the trajectory ends with f(s_mu) >= 0 and
-    tiny.  With no zero before s_cap the full trajectory is kept and s_mu is
-    None.  Any other halt is re-raised with the parameters in its message.
+    Three runs locate s_mu.  The run in s stops at the first step over which
+    f falls through 0 (`falls=(0, 1)`); that step is dropped, since the
+    clamped density has a kink inside it.  From its first node (s_k, f_k, f'_k),
+    the last with f > 0, Henon's swap integrates (s, f') in x = -f, with
+    ds/dx = -1/f' and df'/dx = -f''/f', from x = -f_k to 0, where f = 0
+    exactly: its s is s_mu.  A closing run in s from that node to s_mu makes
+    the profile end on the node (s_mu, 0.0, f').  The trajectory is the
+    prefix plus the closing run, and its stats add up all three runs.  With
+    no zero before s_cap the full trajectory is kept and s_mu is None.  A
+    halt, or a swap that cannot start because the zero lies inside the first
+    step (where f' = 0), is re-raised with the parameters in its message.
     """
+    rhs = _radial_rhs(p)
     try:
-        traj = integrate(_radial_rhs(p), OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg)
+        run = integrate(rhs, OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg, falls=(0, 1))
+        if run.y_end[0] > 0.0:
+            return GWProfile(p, run, None)
+        k = run.n_nodes - 2  # the crossing step starts here
+        swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], run.ys[k, 1])),
+                         0.0, cfg)
+        s_mu = float(swap.y_end[0])
+        tail = integrate(rhs, OdeState(run.ts[k], run.ys[k]), s_mu, cfg)
     except IntegrationHalted as halt:
-        if (isinstance(halt, (StepUnderflow, StateBlowup))
-                and halt.trajectory.y_end[0] <= 1e-6 * p.alpha_center):
-            return GWProfile(p, halt.trajectory, halt.t)
         raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
-    return GWProfile(p, traj, None)
+    except DomainError as exc:  # a run that cannot start: the swap where f' = 0, at s = 0
+        raise DomainError(f"{exc} in the profile of {p}") from None
+    ys = np.concatenate([run.ys[:k], tail.ys])
+    ys[-1, 0] = 0.0
+    stats = IntegratorStats(*map(sum, zip(run.stats, swap.stats, tail.stats)))
+    traj = Trajectory(np.concatenate([run.ts[:k], tail.ts]), ys,
+                      np.concatenate([run.fs[:k], tail.fs]),
+                      np.concatenate([run.cont[:k], tail.cont]), stats)
+    return GWProfile(p, traj, s_mu)
+
+
+def _henon_rhs(p: GWParams) -> Rhs:
+    """(ds/dx, df'/dx) = (-1/f', -f''/f') on the state (s, f') in x = -f, with
+    the f'' of `p.law`'s radial rhs (Henon 1982, Physica D 5, 412)."""
+    _, g, F, _, rho, consts, _ = p.law
+    body = _HENON_BODY.format(fpp=_fpp_source(rho, "(-t)", "y_1", "y_0"))
+    return Rhs(body, F=F, g=g, nm1=p.N - 1.0, **consts)
+
+
+_HENON_BODY = """\
+fpp = {fpp}
+f_0 = -1.0 / y_1
+f_1 = -fpp / y_1"""
 
 
 def gw_density(prof: GWProfile, a, r):

@@ -58,14 +58,17 @@ def alpha_const(n: int) -> float:
 
 
 class RadialLaw(NamedTuple):
-    """f'' + (d-1)/s * f' + g*rho(f) = F from f(0) = f0, f'(0) = 0; the
-    density law is rho on floats and rho_array on arrays."""
+    """f'' + (d-1)/s * f' + g*rho(f) = F from f(0) = f0, f'(0) = 0.  The
+    density law is `rho` on floats, a Python expression in `{f}` that reads
+    the constants `rho_consts` and is pasted into the rhs, and `rho_array`
+    on arrays."""
 
     d: int
     g: float
     F: float
     f0: float
-    rho: Callable[[float], float]
+    rho: str
+    rho_consts: dict[str, object]
     rho_array: Callable[[np.ndarray], np.ndarray]
 
 
@@ -87,27 +90,34 @@ class LiouvilleParams:
     def law(self) -> RadialLaw:
         """d = 2, rho = e^f, g = 2*pi/K, F = 2*lam/K, f0 = alpha."""
         return RadialLaw(2, 2 * math.pi / self.K, 2 * self.lam / self.K, self.alpha,
-                         math.exp, np.exp)
+                         "exp({f})", {"exp": math.exp}, np.exp)
 
 
 def _radial_rhs(p) -> Rhs:
     """The right-hand side (f', f'') of `p.law`; at s = 0 it is the limit
     (f', f''(0)) with f''(0) = (F - g*rho(f0)) / d, which is checked finite."""
-    d, g, F, f0, rho, _ = p.law
+    d, g, F, f0, rho, consts, _ = p.law
+    body = _RADIAL_BODY.format(rho=rho.format(f="y_0"), fpp=_fpp_source(rho, "y_0", "y_1", "t"))
+    # d and d - 1 are floats: an int factor costs a conversion per call
+    rhs = Rhs(body, F=F, g=g, d=float(d), nm1=d - 1.0, **consts)
     try:
-        fpp0 = (F - g * rho(f0)) / d
-        if not math.isfinite(fpp0):
-            raise OverflowError
+        if math.isfinite(rhs(0.0, (f0, 0.0))[1]):
+            return rhs
     except OverflowError:
-        raise DomainError(f"f''(0) overflows at {p}") from None
-    # nm1 is a float: an int factor costs a conversion per call
-    return Rhs(_RADIAL_BODY, F=F, g=g, rho=rho, nm1=d - 1.0, fpp0=fpp0)
+        pass
+    raise DomainError(f"f''(0) overflows at {p}")
+
+
+def _fpp_source(rho: str, f: str, fp: str, s: str) -> str:
+    """f'' = F - g*rho(f) - (d-1)*f'/s as Python source, with f, f' and s
+    spelled `f`, `fp` and `s` and the law's density expression `rho` pasted in."""
+    return f"F - g * ({rho.format(f=f)}) - nm1 * {fp} / {s}"
 
 
 # the radius s is the integration time t
 _RADIAL_BODY = """\
 f_0 = y_1
-f_1 = fpp0 if t == 0.0 else F - g * rho(y_0) - nm1 * y_1 / t"""
+f_1 = (F - g * ({rho})) / d if t == 0.0 else {fpp}"""
 
 
 class RadialProfile:
@@ -233,5 +243,18 @@ def _panel_mass(prof: RadialProfile, i: np.ndarray, a: np.ndarray, b: np.ndarray
 def momentum_bracket(prof: RadialProfile, s):
     """-lam*s + K*f'(s) + enclosed_mass(s)/s for a Liouville profile; zero for
     an exact profile.  OutOfRange unless 0 < s <= s_max."""
-    mass, p = enclosed_mass(prof, s), prof.params
-    return -p.lam * s + p.K * prof.fdot_at(s) + mass / s
+    mass = enclosed_mass(prof, s)
+    return _bracket(prof.params, s, prof.fdot_at(s), mass)
+
+
+def node_brackets(prof: RadialProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node radii after s = 0 (where mass/s is 0/0), the enclosed mass and
+    the momentum bracket there: `momentum_bracket` bit for bit, with f' read
+    off the nodes and the mass computed once."""
+    s = prof.grid[1:]
+    mass = enclosed_mass(prof, s)
+    return s, mass, _bracket(prof.params, s, prof.fdot[1:], mass)
+
+
+def _bracket(p: LiouvilleParams, s, fdot, mass):
+    return -p.lam * s + p.K * fdot + mass / s

@@ -19,6 +19,7 @@ import pytest
 from eulerpoisson import liouville, ode, residuals
 from eulerpoisson.cli import main
 from eulerpoisson.emden import EmdenParams, scale_rhs
+from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -136,6 +137,24 @@ def test_tracer_spans_the_gw_scale_factor(tracing, tmp_path):
     spans = tracer.summary()
     assert spans["emden.integrate_scale"]["calls"] == 1
     assert spans["goldreich_weber.solve_gw_profile"]["calls"] == 1
+
+
+def test_tracer_counts_the_joined_gw_profile(tracing, tmp_path):
+    # `solve_gw_profile` joins the run to the fall and the closing run after Henon's
+    # swap into one trajectory; its one span counts that trajectory's nodes
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["fields", "--family", "gw", "--alpha", "1", "--lam", "0"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()
+    assert spans["goldreich_weber.solve_gw_profile"]["calls"] == 1
+    # three runs for the profile, one for the scale factor
+    assert spans["ode.integrate"]["calls"] == 4
+    prof = solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0))
+    assert tracer.counts["gw_nodes"] == prof.traj.n_nodes
 
 
 def test_profiles_tasks_pass_their_check(workloads, tmp_path):

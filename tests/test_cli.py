@@ -577,6 +577,20 @@ class TestRobustness:
         assert "underflowed at t=0.0" in line and line.endswith(f" in the scale factor of {where}")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,where", [
+        (("emden", "--xi", "0"), "EmdenParams(lam=1.0, xi=0.0, a0=1e-110, a1=0.0)"),
+        (("fields", "--family", "gw", "--alpha", "1"),
+         "GWParams(N=3, K=1.0, lam=1.0, alpha_center=1.0, a0=1e-110, a1=0.0)"),
+    ])
+    def test_a_scale_run_that_cannot_start_names_its_parameters(self, tmp_path, capsys, argv,
+                                                                where):
+        # a*a*a underflows to 0 in the first rhs call; each exited 2 naming no parameter
+        assert run(tmp_path, *argv, "--a0", "1e-110", "--a1", "0") == 2
+        line = self.one_line_error(capsys)
+        assert "rhs is not finite at the initial state" in line
+        assert line.endswith(f" in the scale factor of {where}")
+        assert not any(tmp_path.iterdir())
+
     def test_a_rotating_orbit_takes_no_touchdown(self, tmp_path, capsys):
         # exited 0 as "periodic" with touchdown_time 0.652 and an emden.csv cut there,
         # where the step in t underflows in the bounce near a_min of about 1.9e-152

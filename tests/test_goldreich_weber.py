@@ -163,7 +163,7 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 class TestSupportRadius:
-    """s_mu is where the one integration halts because f reached zero."""
+    """s_mu is the zero that Henon's swap lands on, past the last node with f > 0."""
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(N=st.integers(3, 6), K=st.floats(0.5, 2.0), lam=st.floats(-0.5, 0.0),
@@ -173,17 +173,26 @@ class TestSupportRadius:
         prof = solve_gw_profile(p)
         ref = _clamped_reference_s_mu(p)
         assert prof.s_mu is not None and ref is not None
-        assert prof.s_mu == prof.s_max
+        assert prof.s_mu == prof.s_max and prof.f[-1] == 0.0
         assert abs(prof.s_mu - ref) <= 1e-12 * ref
         assert np.all(prof.f >= 0.0)
         assert abs(prof.f_at(prof.s_mu)) <= 1e-10
 
-    def test_one_integration_and_no_event_search(self, monkeypatch):
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_three_integrations_no_event_search_and_no_rejection_cascade(self, monkeypatch, N):
+        # the run in s to the fall, Henon's swap to f = 0 and the closing run; grinding
+        # into the zero took 34 (N = 3) and 33 (N = 5) rejected attempts
         integrations = _count_calls(monkeypatch, ode.integrate)
         searches = _count_calls(monkeypatch, ode.detect_events)
-        for N in (3, 5):
-            solve_gw_profile(GWParams(N=N, K=1.0, lam=-0.2, alpha_center=1.0))
-        assert len(integrations) == 2 and searches == []
+        prof = solve_gw_profile(GWParams(N=N, K=1.0, lam=-0.2, alpha_center=1.0))
+        assert len(integrations) == 3 and searches == []
+        assert prof.traj.stats.rejected <= 10
+
+    def test_a_zero_inside_the_first_step_names_alpha_center(self):
+        # f stays below atol, so the first step falls through 0 from s = 0, where
+        # f' = 0 and the swap cannot start (a StepUnderflow at s = 0 before)
+        with pytest.raises(DomainError, match="alpha_center=1e-30"):
+            solve_gw_profile(GWParams(N=3, K=1.0, lam=-1.0, alpha_center=1e-30))
 
     def test_a_halt_that_is_not_a_zero_raises(self):
         cfg = dataclasses.replace(TIGHT_CONFIG, max_steps=50)

@@ -34,7 +34,7 @@ from eulerpoisson.emden import (
     sundman_rhs,
     turning_points,
 )
-from eulerpoisson.goldreich_weber import GWParams, alpha_const, solve_gw_profile
+from eulerpoisson.goldreich_weber import GWParams, _henon_rhs, alpha_const, solve_gw_profile
 from eulerpoisson.liouville import LiouvilleParams, _radial_rhs, solve_profile
 from eulerpoisson.ode import (
     _A,
@@ -338,10 +338,10 @@ class TestGeneratedStep:
                      "2f57859b6ada4358e181e58598f9c11942479fe33903f4a82b7d5d34b8fa6132",
                      id="default-profile"),
         pytest.param(lambda: solve_gw_profile(GWParams(3, 1.0, -0.2, 1.0)).traj,
-                     "afc3052106cb348eeca886f3988d3e7f9e40082f362cf2d99aee5a515f6fdf72",
+                     "86ee8cb0b1b3eb8b1932d3ca7845e9081bba5eb3c75c819d1836b442cbb45642",
                      id="gw-profile-N3"),
         pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
-                     "e2046ee5f7f67a579b4c0786d5757a78bd131373fb96c87472efef31473ba3d6",
+                     "2a7e987e9977f378afeb7e50703995304996415b7c3fe86566062e0a5a6a4e9e",
                      id="gw-profile-N5"),
         pytest.param(lambda: integrate_scale(GWParams(5, 1.0, 1.0, 1.0), 10.0).trajectory,
                      "c0555f9b66dbbe6ec7c1c62cff411785a78e9d535c787b30f4cc4629d7a916d3",
@@ -354,14 +354,17 @@ class TestGeneratedStep:
         # again when its gravity coefficient gained the factor N - 2 (1 at N = 3);
         # all four again when the controller gained Gustafsson's predictive factor; the
         # N = 5 collapse is the trajectory its StepUnderflow carried before that halt
-        # counted as the touchdown
+        # counted as the touchdown; the GW profiles again when their support radius
+        # became the zero of Henon's swap, with the step over it replaced by a closing run
         assert _digest(solve()) == digest
 
 
 def _run_or_halt(rhs, y0, t_end, cfg, falls=None):
-    """The trajectory of a run and its halt's (type, time), or None when it ends."""
+    """The trajectory of a run from y0 (an OdeState, or the state at t = 0) and its
+    halt's (type, time), or None when it ends."""
+    start = y0 if isinstance(y0, OdeState) else OdeState(0.0, y0)
     try:
-        return integrate(rhs, OdeState(0.0, y0), t_end, cfg, falls), None
+        return integrate(rhs, start, t_end, cfg, falls), None
     except IntegrationHalted as halt:
         return halt.trajectory, (type(halt), halt.t)
 
@@ -382,9 +385,11 @@ class TestPastedSystems:
         pytest.param(_radial_rhs(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0)), (0.0, 0.0), 20.0,
                      TIGHT_CONFIG, None, False, id="default-profile"),
         pytest.param(_radial_rhs(GWParams(3, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
-                     None, True, id="gw-profile-N3"),
+                     (0, 1), False, id="gw-profile-N3"),
         pytest.param(_radial_rhs(GWParams(5, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
-                     None, True, id="gw-profile-N5"),
+                     (0, 1), False, id="gw-profile-N5"),
+        pytest.param(_henon_rhs(GWParams(3, 1.0, -0.2, 1.0)), OdeState(-0.02, (2.6, -0.25)), 0.0,
+                     TIGHT_CONFIG, None, False, id="gw-henon-swap"),
         pytest.param(scale_rhs(GWParams(3, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
                      IntegratorConfig(), None, True, id="gw-scale-collapse"),
         pytest.param(scale_rhs(GWParams(5, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
@@ -396,7 +401,7 @@ class TestPastedSystems:
         called, called_halt = _run_or_halt(lambda t, y: rhs(t, y), y0, t_end, cfg, falls)
         assert _digest(pasted) == _digest(called)
         assert pasted.stats == called.stats and halt == called_halt
-        # the collapses touch down and the GW profiles reach their support radius
+        # the collapses touch down; the GW profiles end at the fall of f, and the swap at f = 0
         assert (halt is not None) == halts
 
     def test_one_compiled_run_per_size_body_and_fall_component(self, monkeypatch):
