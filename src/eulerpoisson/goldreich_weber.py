@@ -101,8 +101,9 @@ def solve_gw_profile(
     the profile end on the node (s_mu, 0.0, f').  The trajectory is the
     prefix plus the closing run, and its stats add up all three runs.  With
     no zero before s_cap the full trajectory is kept and s_mu is None.  A
-    halt, or a swap that cannot start because the zero lies inside the first
-    step (where f' = 0), is re-raised with the parameters in its message.
+    halt is re-raised with the parameters in its message; a zero inside the
+    first step, where the swap cannot start since f' = 0 at s = 0, raises
+    DomainError naming them.
     """
     rhs = _radial_rhs(p)
     try:
@@ -110,13 +111,16 @@ def solve_gw_profile(
         if run.y_end[0] > 0.0:
             return GWProfile(p, run, None)
         k = run.n_nodes - 2  # the crossing step starts here
+        if k == 0:
+            raise DomainError("f falls through 0 inside the first step, so Henon's swap "
+                              "cannot start (f' = 0 at s = 0)")
         swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], run.ys[k, 1])),
                          0.0, cfg)
         s_mu = float(swap.y_end[0])
         tail = integrate(rhs, OdeState(run.ts[k], run.ys[k]), s_mu, cfg)
     except IntegrationHalted as halt:
         raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
-    except DomainError as exc:  # a run that cannot start: the swap where f' = 0, at s = 0
+    except DomainError as exc:  # a run that cannot start, or a zero inside the first step
         raise DomainError(f"{exc} in the profile of {p}") from None
     ys = np.concatenate([run.ys[:k], tail.ys])
     ys[-1, 0] = 0.0

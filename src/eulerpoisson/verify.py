@@ -4,8 +4,8 @@
 the flow operator (mass and both momentum components) on every family, with
 the Poisson operator beside it on the rotating family and its corrupted
 control.  The exact families must converge at second order, the negative
-controls must fail.  Each study makes one field call, on the stencil points
-of all its operators and step sizes at once.
+controls must fail.  Each study samples its field once, on all its stencil
+points; the corrupted control reuses the exact rotational study's samples.
 """
 
 from __future__ import annotations
@@ -31,6 +31,19 @@ def _study_check(name, expected_converges, study) -> dict:
         "at_floor": study.at_floor,
         "passed": residuals.study_passes(study) == expected_converges,
     }
+
+
+def _reusing_last_call(field):
+    """field, which returns its last sample again for bitwise the same t, x and y."""
+    last = [None, None]
+
+    def field_once(t, x, y):
+        key = [(v.dtype.str, v.shape, v.tobytes()) for v in map(np.asarray, (t, x, y))]
+        if key != last[0]:
+            last[:] = key, field(t, x, y)
+        return last[1]
+
+    return field_once
 
 
 def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> list[dict]:
@@ -59,7 +72,7 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
     sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
                                   t_max=2.5, samples=(t, np.hypot(x, y)))
     zz = fields.ZZSolution(K=1.0, rho0=0.5)
-    rot = functools.partial(fields.eval_rotational, sol)
+    rot = _reusing_last_call(functools.partial(fields.eval_rotational, sol))
     inner = functools.partial(fields.eval_zz_inner, zz)
     g2 = (functools.partial(residuals.flow_residuals,
                             pressure=residuals.PressureLaw("gamma2", K=zz.K)),)

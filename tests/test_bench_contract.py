@@ -125,6 +125,22 @@ def test_tracer_sees_the_verify_bundle(tracing, tmp_path):
     assert tracer.counts["field_samples"] > 0
 
 
+def test_tracer_sees_one_rotating_field_evaluation(tracing, tmp_path):
+    # the benchmark's verify tasks run --inject-corruption: 5 studies, and the
+    # corrupted control reuses the exact rotational study's samples
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()
+    assert spans["residuals.convergence_study"]["calls"] == 5
+    assert spans["fields.eval_rotational"]["calls"] == 1
+    # the tracer still counts one field call per study
+    assert tracer.counts["field_samples"] == 5
+
+
 def test_tracer_spans_the_gw_scale_factor(tracing, tmp_path):
     # the profiles workload's `fields --family gw` solves its scale factor through
     # `emden.integrate_scale`, which the tracer patches in `emden` and `cli`

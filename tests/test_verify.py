@@ -1,8 +1,11 @@
 """The verification bundle as a library: check order, one batched field call
 per study (a study runs its residual operators on the points of all its
-steps at once, flow and Poisson together on the rotating family), and one
-scale-factor read per batch."""
+steps at once, flow and Poisson together on the rotating family), one
+rotating-field evaluation per run (the corrupted control reuses the exact
+study's samples), one scale-factor read per batch, and reports pinned
+bit for bit."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -60,11 +63,12 @@ def test_each_study_is_one_batched_field_call(tmp_path, monkeypatch):
              for name in ("eval_rotational", "eval_zz_inner", "eval_zz_outer")}
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
-    # 2 rotational studies (flow and Poisson, exact and corrupted); zz_inner
-    # has 2 flow studies (exact and as printed) and the interface corners,
-    # zz_outer 1 flow study
+    # 2 rotational studies (flow and Poisson, exact and corrupted) on the same
+    # points, so the corrupted one reuses the exact one's samples; zz_inner has
+    # 2 flow studies (exact and as printed) and the interface corners, zz_outer
+    # 1 flow study
     assert {name: len(c) for name, c in calls.items()} == {
-        "eval_rotational": 2, "eval_zz_inner": 3, "eval_zz_outer": 1}
+        "eval_rotational": 1, "eval_zz_inner": 3, "eval_zz_outer": 1}
     for c in calls.values():
         for _, t, x, y in c:
             assert all(isinstance(v, np.ndarray) for v in (t, x, y))
@@ -75,8 +79,8 @@ def test_each_rotational_sample_reads_the_scale_factor_once(tmp_path, monkeypatc
     evaluate = _count_calls(monkeypatch, ode.Trajectory, "evaluate")
     rotational = _count_calls(monkeypatch, fields, "eval_rotational")
     assert main(["verify", "--inject-corruption", "--outdir", str(tmp_path)]) == 0
-    # one scale-factor lookup for each batch of stencil points, none per point
-    assert len(rotational) == 2
+    # one scale-factor lookup for the one batch of stencil points, none per point
+    assert len(rotational) == 1
     assert len(state_at) == 0
     scale = rotational[0][0].scale
     # and one more in build_rotational, where all the samples set the profile's radius
@@ -90,6 +94,50 @@ def test_the_profile_stops_one_past_the_largest_sampled_radius(monkeypatch):
     reach = max(np.max(np.hypot(x, y) / sol.scale.evaluate(t)[..., 0])
                 for _, t, x, y in rotational)
     assert sol.profile.s_max == 1.0 + reach < 5.0
+
+
+def test_a_rotational_evaluation_without_the_control_is_one_call(monkeypatch):
+    rotational = _count_calls(monkeypatch, fields, "eval_rotational")
+    verify.run_bundle(0, 2, H_LIST, False, 0.01)
+    assert len(rotational) == 1
+
+
+def test_the_field_is_evaluated_again_on_other_points():
+    calls = []
+
+    def field(t, x, y):
+        calls.append(t)
+        return fields.FieldSample(rho=t + x + y, u1=0.0, u2=0.0, phi_r=None)
+
+    once = verify._reusing_last_call(field)
+    t, x, y = np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.0, 3.0])
+    first = once(t, x, y)
+    assert once(t.copy(), x.copy(), y.copy()) is first and len(calls) == 1
+    # other values, a zero of the other sign, another shape or another dtype
+    # in any one of t, x and y is sampled afresh
+    for args in [(t, x, y + 1.0), (t, x, np.array([-0.0, 3.0])), (t, x.reshape(2, 1), y),
+                 (t.astype(np.float32), x, y)]:
+        n = len(calls)
+        once(*args)
+        assert len(calls) == n + 1
+    # only the last call is kept: the first points are sampled again
+    assert once(t, x, y) is not first and len(calls) == 6
+
+
+# sha256 of json.dumps(run_bundle(seed, 20, H_LIST, True, 0.01), sort_keys=True),
+# recorded when the corrupted control still sampled the rotating field anew
+REPORT_DIGESTS = {
+    0: "7baaa2eef36525d80f9905823cbe8a303095bb1476229397251f82b7a77e81e4",
+    7: "71dbbf931013215f7c1ce4e3dee2768d416bfe74c00d3551c7373c3ac94aff34",
+    20261017: "b7cc892702017401e63d87a43c43d667b89df3f266a5b96d4afdc75fe9ddee49",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_the_report_is_bitwise_pinned(seed):
+    checks = verify.run_bundle(seed, 20, H_LIST, True, 0.01)
+    digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("points", [0, -3, 1.5])
