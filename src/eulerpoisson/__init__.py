@@ -30,6 +30,7 @@ from .fields import (
     ZZSolution,
     build_rotational,
     eval_gravity_radial,
+    eval_gw,
     eval_rotational,
     eval_swirl_ansatz,
     eval_zz_inner,

@@ -356,15 +356,20 @@ def _sample_columns(args, times, ev, skip):
     return columns
 
 
+def _solved_columns(args, scale, ev, skip):
+    """`_sample_columns` at nt times from t0 to t1, or to the end of `scale` if sooner."""
+    times = np.linspace(args.t0, min(args.t1, scale.t_end), args.nt)
+    scale.evaluate(times)  # a time outside the solved range raises DomainError here
+    return _sample_columns(args, times, ev, skip)
+
+
 def _fields_columns_rotational(args, xi: float):
     sol = fields.build_rotational(
-        lam=args.lam, xi=xi, K=args.K, alpha=args.alpha,
-        a0=args.a0, a1=args.a1, t_max=args.t1,
+        lam=args.lam, xi=xi, K=args.K, alpha=args.alpha, a0=args.a0, a1=args.a1,
+        t_max=args.t1, samples=(np.linspace(args.t0, args.t1, args.nt), args.rmax),
     )
-    times = np.linspace(args.t0, min(args.t1, sol.scale.t_end), args.nt)
-    sol.scale.evaluate(times)  # a time outside the solved range raises DomainError here
     ev = functools.partial(fields.eval_rotational, sol)
-    return _sample_columns(args, times, ev, OutOfRange)
+    return _solved_columns(args, sol.scale, ev, OutOfRange)
 
 
 def _fields_columns_zz(args, inner: bool):
@@ -380,16 +385,9 @@ def _fields_columns_gw(args):
         a0=args.a0, a1=args.a1,
     )
     prof = goldreich_weber.solve_gw_profile(p)
-    traj = emden.integrate_scale(p, args.t1).trajectory
-    times = np.linspace(args.t0, min(args.t1, traj.t_end), args.nt)
-    traj.evaluate(times)  # a time outside the solved range raises DomainError here
-
-    def ev(t, x, y):
-        a, adot = np.moveaxis(traj.evaluate(t), -1, 0)
-        rho = goldreich_weber.gw_density(prof, a, np.hypot(x, y))
-        return fields.FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
-
-    return _sample_columns(args, times, ev, NoCompactSupport)
+    scale = emden.integrate_scale(p, args.t1).trajectory
+    ev = functools.partial(fields.eval_gw, prof, scale)
+    return _solved_columns(args, scale, ev, NoCompactSupport)
 
 
 # the columns of each family by name; these names are the --family choices

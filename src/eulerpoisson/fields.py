@@ -1,10 +1,12 @@
 """Closed-form spacetime fields (rho, u, Phi_r) for the exact families.
 
-Four families are assembled here:
+Five families are assembled here:
 
 * the rotating isothermal family: rho = e^f(r/a)/a^2 with uniform swirl
   xi/a^2 on top of the radial stretch a'/a;
 * its xi = 0 limit (purely radial velocity, collapsing scale factor);
+* the N-dimensional Goldreich-Weber family at z = 0 (`eval_gw`): the compact
+  support density of `gw_density` with the radial stretch a'/a alone, no Phi_r;
 * the general mass-equation ansatz with an arbitrary swirl profile G(t, r),
   which satisfies continuity for any choice of G, a, f;
 * the two-region Zhang-Zheng spiral of the gamma = 2 Euler equations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .emden import EmdenParams, integrate_scale
 from .errors import DomainError, OutOfRange, OutsideRegion, raise_where
+from .goldreich_weber import GWProfile, gw_density
 from .liouville import LiouvilleParams, RadialProfile, enclosed_mass, solve_profile
 from .ode import TIGHT_CONFIG, Trajectory
 
@@ -66,26 +69,26 @@ class RotSolution2D:
 
 def build_rotational(
     lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float,
-    samples: tuple[np.ndarray, np.ndarray] | None = None,
+    samples: tuple[np.ndarray, np.ndarray | float] | None = None,
 ) -> RotSolution2D:
     """Solve the scale factor and the profile (to s = 20), both at
     TIGHT_CONFIG, and bundle them for evaluation.
 
-    Given `samples`, the (t, r) arrays to be evaluated, the profile stops 1
-    past their largest r/a if that is nearer: several profile steps, so the
-    samples fall in segments a solve to 20 shares bitwise.  Samples outside
-    the solved times are left out; evaluation rejects their time first.
-    xi = 0 is allowed and yields the non-rotating family; with lam > 0 that
-    trajectory ends at its finite touchdown time instead of t_max.
+    Given `samples`, the t and r to be evaluated (they broadcast), the profile
+    stops 1 past their largest r/a if that is nearer: several profile steps,
+    so the samples fall in segments a solve to 20 shares bitwise.  A time
+    outside the solved range counts at its nearer end (past the end lies only
+    a touchdown, where a is so small that the reach stays 20).  xi = 0 yields
+    the non-rotating family; with lam > 0 that trajectory ends at its finite
+    touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
     run = integrate_scale(emden_p, t_max, TIGHT_CONFIG)
     scale, s_max = run.trajectory, 20.0
     if samples is not None:
         t, r = samples
-        solved = (t >= scale.t_start) & (t <= scale.t_end)
-        reach = np.max(r[solved] / scale.evaluate(t[solved])[..., 0], initial=0.0)
-        s_max = min(s_max, 1.0 + float(reach))
+        a = scale.evaluate(np.clip(t, scale.t_start, scale.t_end))[..., 0]
+        s_max = min(s_max, 1.0 + float(np.max(r / a, initial=0.0)))
     profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), s_max)
     return RotSolution2D(emden_p, profile, scale, run.touchdown_time)
 
@@ -117,6 +120,14 @@ def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
     mass = enclosed_mass(sol.profile, np.where(inside, s, sol.profile.s_max))
     phi_r = np.where(inside, mass / np.where(inside, r, 1.0), 0.0)[()]
     return FieldSample(rho=rho, u1=u1, u2=u2, phi_r=phi_r)
+
+
+def eval_gw(profile: GWProfile, scale: Trajectory, t, x, y) -> FieldSample:
+    """rho = gw_density(profile, a, r) and u = (a'/a) x_vec, with a and a' read
+    from the scale-factor trajectory `scale`; no swirl, and phi_r is None."""
+    a, adot = np.moveaxis(scale.evaluate(t), -1, 0)
+    rho = gw_density(profile, a, np.hypot(x, y))
+    return FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
 
 
 def eval_gravity_radial(sol: RotSolution2D, t, r):

@@ -4,6 +4,7 @@ bit, and it raises if and only if some element is out of the function's
 domain.  Where the inputs broadcast to no element at all, a bad value in one
 of them may still raise, but only a package error."""
 
+import dataclasses
 import functools
 import math
 
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from eulerpoisson.emden import integrate_scale
 from eulerpoisson.errors import EulerPoissonError
 from eulerpoisson.fields import (
     FieldSample,
     SwirlAnsatz,
     eval_gravity_radial,
+    eval_gw,
     eval_rotational,
     eval_swirl_ansatz,
     eval_zz_inner,
@@ -143,6 +146,14 @@ class TestProfile:
     def test_gw_density(self, gw_profiles, args):
         for prof in gw_profiles:  # with a first zero, and without (s beyond s_cap raises)
             assert_array_first(functools.partial(gw_density, prof), args)
+
+    @PROPERTY
+    @given(args=inputs([(0.0, 2.5), (-3.0, 3.0), (-3.0, 3.0)],
+                       T_BAD + [(1, 200.0), (2, NAN), (1, 0.0)]))
+    def test_eval_gw(self, gw_profiles, args):
+        for prof in gw_profiles:  # an expanding scale factor, solved to t = 2.5
+            scale = integrate_scale(dataclasses.replace(prof.params, a1=2.0), 2.5).trajectory
+            assert_array_first(functools.partial(eval_gw, prof, scale), args)
 
 
 class TestRegions:

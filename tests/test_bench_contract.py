@@ -143,7 +143,8 @@ def test_tracer_sees_one_rotating_field_evaluation(tracing, tmp_path):
 
 def test_tracer_spans_the_gw_scale_factor(tracing, tmp_path):
     # the profiles workload's `fields --family gw` solves its scale factor through
-    # `emden.integrate_scale`, which the tracer patches in `emden` and `cli`
+    # `emden.integrate_scale`, which the tracer patches in `emden` and `cli`, and
+    # samples its density through `gw_density`, patched in `goldreich_weber` and `fields`
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -153,6 +154,7 @@ def test_tracer_spans_the_gw_scale_factor(tracing, tmp_path):
     spans = tracer.summary()
     assert spans["emden.integrate_scale"]["calls"] == 1
     assert spans["goldreich_weber.solve_gw_profile"]["calls"] == 1
+    assert spans["goldreich_weber.gw_density"]["calls"] == 1
 
 
 def test_tracer_counts_the_joined_gw_profile(tracing, tmp_path):

@@ -159,7 +159,7 @@ class TestFieldsCommand:
 
     @pytest.mark.parametrize("argv,module,name,n_calls,rows", [
         # the 3 default times, each on the 49 points of the 9x9 grid in the disk
-        (("--family", "gw", "--alpha", "1"), goldreich_weber, "gw_density", 1, 3 * 49),
+        (("--family", "gw", "--alpha", "1"), fields, "eval_gw", 1, 3 * 49),
         (("--family", "rotational"), fields, "eval_rotational", 1, 3 * 49),
         # a region boundary crosses the disk: the points outside it are dropped
         # and the rest take a second call
@@ -167,7 +167,7 @@ class TestFieldsCommand:
         (("--family", "zz-outer"), fields, "eval_zz_outer", 2, 36),
         (("--family", "rotational", "--rmax", "40"), fields, "eval_rotational", 2, 123),
         (("--family", "gw", "--N", "3", "--alpha", "0.7", "--lam", "2", "--rmax", "150"),
-         goldreich_weber, "gw_density", 2, 75),
+         fields, "eval_gw", 2, 75),
     ], ids=["gw", "rotational", "zz-inner", "zz-outer", "rotational-rmax-40", "gw-no-support"])
     def test_all_times_take_one_evaluator_call(self, tmp_path, monkeypatch, argv, module, name,
                                                n_calls, rows):
@@ -176,6 +176,31 @@ class TestFieldsCommand:
         assert run(tmp_path, "fields", *argv) == 0
         assert len(calls) == n_calls
         assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + rows
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "rotational"),
+        ("--family", "rotational", "--rmax", "40"),
+        ("--family", "rotational", "--K", "1e-3"),
+        # a touchdown before t1 re-spaces the sampled times after the scale solve
+        ("--family", "yuen", "--lam", "2", "--xi", "0.5", "--a1", "-0.5"),
+    ], ids=["defaults", "rmax-40", "K-1e-3", "yuen-touchdown"])
+    def test_a_profile_solved_to_the_grid_writes_the_csv_of_a_solve_to_20(
+            self, tmp_path, monkeypatch, argv):
+        assert run(tmp_path / "grid", "fields", *argv) == 0
+        build = fields.build_rotational
+        monkeypatch.setattr(fields, "build_rotational",
+                            lambda *args, samples=None, **kwargs: build(*args, **kwargs))
+        assert run(tmp_path / "to-20", "fields", *argv) == 0
+        assert ((tmp_path / "grid" / "fields.csv").read_bytes()
+                == (tmp_path / "to-20" / "fields.csv").read_bytes())
+
+    def test_the_rotating_profile_reaches_1_past_the_grid(self, tmp_path, monkeypatch):
+        sols, build = [], fields.build_rotational
+        monkeypatch.setattr(fields, "build_rotational",
+                            lambda *args, **kwargs: sols.append(build(*args, **kwargs)) or sols[-1])
+        assert run(tmp_path, "fields", "--family", "rotational") == 0
+        a = sols[0].scale.evaluate(np.linspace(0.5, 2.0, 3))[:, 0]
+        assert sols[0].profile.s_max == 1.0 + np.max(2.0 / a) < 3.0
 
     @pytest.mark.parametrize("family", ["zz-inner", "zz-outer"])
     def test_a_region_crossing_the_disk_keeps_its_points_and_order(self, tmp_path, family):

@@ -101,9 +101,17 @@ class TestRotational:
             assert np.array_equal(getattr(full, name), getattr(part, name))
 
     def test_samples_beyond_the_profile_or_the_times_keep_20(self):
-        # r/a = 40/a(1) is past 19; t = 99 is outside [0, 2.5] and counts for nothing
+        # r/a = 40/a(1) is past 19; t = 99 is outside [0, 2.5] and counts at t = 2.5
         sol = build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
                                t_max=2.5, samples=(np.array([1.0, 99.0]), np.array([40.0, 1e9])))
+        assert sol.profile.s_max == 20.0
+
+    def test_a_time_past_a_touchdown_counts_at_the_touchdown(self):
+        # r/a = 1/a(0.5) is below 2, but t = 2 lies past the touchdown, where a is tiny
+        sol = build_rotational(lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0,
+                               t_max=2.0, samples=(np.array([0.5, 2.0]), 1.0))
+        assert sol.scale.t_end == sol.touchdown_time < 2.0
+        assert 1.0 / sol.scale.evaluate(0.5)[0] < 2.0
         assert sol.profile.s_max == 20.0
 
     def test_total_mass_constant_in_time(self, rot_solution):
