@@ -38,8 +38,14 @@ location, `detect_events(traj, k)`, finds the falling zeros of component k
 on the dense output: it searches only the segments over which y[k] falls
 at the nodes, brackets the zeros there on an 8-point subsample grid, with
 y[k] > 0 at one sample and y[k] <= 0 at the next, and refines all brackets
-together to a width of 1e-12 * max(1, |t|).  Each trajectory carries the
-integrator's work counters in `Trajectory.stats`.
+together to a width of 1e-12 * max(1, |t|).  Its rounds call the kernel on
+component k of the bracketed segments alone, gathered once, which gives
+the floats `evaluate` gives there.  `integrate` converts each list its run
+fills in one pass into a float64 array of the list's length and builds its
+trajectory unchecked (`Trajectory._unchecked`): the run makes strictly
+increasing node times, and the public constructor keeps every check.
+Each trajectory carries the integrator's work counters in
+`Trajectory.stats`.
 """
 
 from __future__ import annotations
@@ -212,12 +218,25 @@ class Trajectory:
         self.stats = stats
         if self.ts.ndim != 1 or len(self.ts) < 1:
             raise DomainError("trajectory needs at least one node")
+        if not np.all(np.isfinite(self.ts)):
+            raise DomainError("trajectory node times must be finite")
         if np.any(np.diff(self.ts) <= 0):
             raise DomainError("trajectory nodes must strictly increase")
         shape = (len(self.ts) - 1,) + self.ys.shape[1:] + (4,)
         self.cont = np.zeros(shape) if cont is None else np.asarray(cont, dtype=float)
         if self.cont.shape != shape:
             raise DomainError(f"cont has shape {self.cont.shape}, expected {shape}")
+
+    @classmethod
+    def _unchecked(cls, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, cont: np.ndarray,
+                   stats: IntegratorStats) -> Trajectory:
+        """A trajectory of arrays that pass the constructor's checks by the way
+        `integrate` builds them: float64 of matching shapes, on strictly
+        increasing times (a step is never below 1e-14 * max(1, |t|), so no
+        node time repeats)."""
+        self = object.__new__(cls)
+        self.ts, self.ys, self.fs, self.cont, self.stats = ts, ys, fs, cont, stats
+        return self
 
     @property
     def t_start(self) -> float:
@@ -244,22 +263,26 @@ class Trajectory:
 
         One searchsorted and one kernel evaluation for all times; node times
         give the stored node states bitwise.  Raises DomainError when a time
-        is outside [t_start, t_end] or NaN, naming the first such time.
+        is outside [t_start, t_end] or NaN, naming the first such time; the
+        range is checked on the least and greatest time (a NaN fails it), and
+        the per-time mask is built only to name the time.
         """
         t = np.asarray(ts, dtype=float)
         nodes = self.ts
-        raise_where(~((t >= nodes[0]) & (t <= nodes[-1])), DomainError,
-                    f"times outside trajectory range [{nodes[0]}, {nodes[-1]}]", t=t)
+        if t.size and not (nodes[0] <= t.min() and t.max() <= nodes[-1]):
+            raise_where(~((t >= nodes[0]) & (t <= nodes[-1])), DomainError,
+                        f"times outside trajectory range [{nodes[0]}, {nodes[-1]}]", t=t)
         if len(nodes) == 1:
             return np.broadcast_to(self.ys[0], t.shape + self.ys.shape[1:]).copy()
-        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
-        t0, t1 = nodes[i], nodes[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        out = _dense(t[..., None], t0[..., None], t1[..., None],
-                     y0, y1, self.fs[i], self.fs[i + 1], self.cont[i])
-        at0, at1 = t == t0, t == t1
-        out[at0] = y0[at0]
-        out[at1] = y1[at1]
+        # t >= nodes[0], so only t_end needs the cap to the last segment
+        i = np.minimum(np.searchsorted(nodes, t, side="right") - 1, len(nodes) - 2)
+        j = i + 1
+        t, t0, t1 = t[..., None], nodes.take(i)[..., None], nodes.take(j)[..., None]
+        y0, y1 = self.ys.take(i, 0), self.ys.take(j, 0)
+        out = _dense(t, t0, t1, y0, y1, self.fs.take(i, 0), self.fs.take(j, 0),
+                     self.cont.take(i, 0))
+        np.copyto(out, y0, where=t == t0)
+        np.copyto(out, y1, where=t == t1)
         return out
 
 
@@ -465,6 +488,12 @@ class Rhs(functools.partial):
         return self
 
 
+def _packed(values: list) -> np.ndarray:
+    """The floats of a list as a float64 array, filled in one pass into a
+    buffer of the list's length, without the type discovery of `np.array`."""
+    return np.fromiter(values, float, len(values))
+
+
 def integrate(
     rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig = IntegratorConfig(),
     falls: tuple[int, int] | None = None,
@@ -535,11 +564,11 @@ def integrate(
         consts, t, t_end, _first_step(y, k1, t_end - t, config), y, k1, config.atol,
         config.rtol, config.max_steps, falls_left, ts, ys, fs, hs, ks)
     # the continuation rows h * D k of every accepted step, in one product
-    ks = np.array(ks, dtype=float).reshape(-1, len(_DENSE_STAGES), n)
-    cont = np.array(hs)[:, None, None] * np.einsum("sjn,rj->snr", ks, _D_KEPT)
-    traj = Trajectory(np.array(ts), np.array(ys, dtype=float).reshape(-1, n),
-                      np.array(fs, dtype=float).reshape(-1, n), cont,
-                      IntegratorStats(accepted, rejected, 1 + calls))
+    ks = _packed(ks).reshape(-1, len(_DENSE_STAGES), n)
+    cont = _packed(hs)[:, None, None] * np.einsum("sjn,rj->snr", ks, _D_KEPT)
+    traj = Trajectory._unchecked(_packed(ts), _packed(ys).reshape(-1, n),
+                                 _packed(fs).reshape(-1, n), cont,
+                                 IntegratorStats(accepted, rejected, 1 + calls))
     if halt is None:
         return traj
     what = {StepUnderflow: f"step size {h:.3e} underflowed",
@@ -563,47 +592,63 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     Only the segments over which y[k] falls at the nodes, > 0 at the start
     and <= 0 at the end (the rule `integrate(falls=...)` counts), are
     searched, so two zeros inside a segment whose nodes do not fall are not
-    reported.  Each is subsampled on 8 points, all evaluated in one call.  A
-    bracket is a pair of adjacent samples with y[k] > 0 at the first and
-    y[k] <= 0 at the second; an exact zero at the second is the root itself.
-    By that half-open rule a zero on a node or on the last time is reported
-    once and a zero on the first time never, so trajectories that continue
-    one another report a zero where they meet once in total.  All brackets
-    are refined together, one `evaluate` call per round, by regula falsi
-    with the Illinois modification, until each is at most
-    tol = 1e-12 * max(1, |t|) wide; the root is then its midpoint.  Every
-    round shrinks a bracket by at least tol/4, so the refinement ends.  A k
-    outside range(n) raises DomainError, as in `integrate(falls=...)`.
+    reported.  Each is subsampled on 8 points, all evaluated in one
+    `evaluate` call.  A bracket is a pair of adjacent samples with y[k] > 0
+    at the first and y[k] <= 0 at the second; an exact zero at the second is
+    the root itself.  By that half-open rule a zero on a node or on the last
+    time is reported once and a zero on the first time never, so
+    trajectories that continue one another report a zero where they meet
+    once in total.  All brackets are refined together by regula falsi with
+    the Illinois modification, until each is at most tol = 1e-12 * max(1,
+    |t|) wide; the root is then its midpoint.  Every round shrinks a bracket
+    by at least tol/4, so the refinement ends.  The rounds evaluate only
+    component k, by one `_dense` call on the bracketed segments' rows,
+    gathered once.  A proposal lies at least tol/4 before its bracket's
+    right end, so before its segment's end, where `evaluate` takes the same
+    segment; on the segment's start, where y0 > 0, `_dense` gives y0 as
+    `evaluate`'s node override does.  So the roots are those of rounds
+    through `evaluate`, bit for bit.  A k outside range(n) raises
+    DomainError, as in `integrate(falls=...)`.
     """
     if not _is_component(k, traj.ys.shape[1]):
         raise DomainError(f"component k={k!r} is not in range({traj.ys.shape[1]})")
-    fall = np.flatnonzero((traj.ys[:-1, k] > 0) & (traj.ys[1:, k] <= 0))
+    y = traj.ys[:, k]
+    fall = np.flatnonzero((y[:-1] > 0) & (y[1:] <= 0))
     if not fall.size:
         return np.empty(0)
     grid = np.linspace(traj.ts[fall], traj.ts[fall + 1], _EVENT_SUBSAMPLES, axis=1)
     g = traj.evaluate(grid)[..., k]
-    hit = (g[:, :-1] > 0) & (g[:, 1:] <= 0)
-    ta, tb, ga, gb = grid[:, :-1][hit], grid[:, 1:][hit], g[:, :-1][hit], g[:, 1:][hit]
+    row, col = np.nonzero((g[:, :-1] > 0) & (g[:, 1:] <= 0))
+    ta, tb, ga, gb = grid[row, col], grid[row, col + 1], g[row, col], g[row, col + 1]
     exact = gb == 0
-    moved = np.full(len(ta), -1)  # 1: the last round moved the left end, 0: the right
-    tol = lambda t: _EVENT_RTOL * np.maximum(1.0, np.abs(t))
-    wide = lambda i: i[tb[i] - ta[i] > tol(tb[i])]
-    live = wide(np.flatnonzero(~exact))
+    width = _EVENT_RTOL * np.maximum(1.0, np.abs(tb))  # each bracket's tol, at its right end
+    live = np.flatnonzero(~exact & (tb - ta > width))
+    # the live brackets, and their segments' rows of component k
+    a, b, fa, fb, width = ta[live], tb[live], ga[live], gb[live], width[live]
+    i = fall[row[live]]
+    seg = (traj.ts[i], traj.ts[i + 1], y[i], y[i + 1], traj.fs[i, k], traj.fs[i + 1, k],
+           traj.cont[i, k])
+    moved = np.full(len(live), -1)  # 1: the last round moved the left end, 0: the right
     while live.size:
-        a, b, fa, fb = ta[live], tb[live], ga[live], gb[live]
         # a proposal stays tol/4 inside the bracket, so an end already on the
         # root closes it in one round; fmax/fmin send a NaN (0/0) to a + tol/4
-        d = 0.25 * tol(b)
+        d = 0.25 * width
         tm = np.fmin(np.fmax(b - fb * (b - a) / (fb - fa), a + d), b - d)
-        gm = traj.evaluate(tm)[:, k]
+        gm = _dense(tm, *seg)
         left = gm > 0
         # Illinois: an end kept for a second round running has its value halved
-        half = np.where(moved[live] == left, 0.5, 1.0)
-        moved[live] = left
-        ta[live], ga[live] = np.where(left, tm, a), np.where(left, gm, half * fa)
-        tb[live], gb[live] = np.where(left, b, tm), np.where(left, half * fb, gm)
-        exact[live] = gm == 0
-        live = wide(live[gm != 0])
+        half = np.where(moved == left, 0.5, 1.0)
+        moved = left
+        a, fa = np.where(left, tm, a), np.where(left, gm, half * fa)
+        b, fb = np.where(left, b, tm), np.where(left, half * fb, gm)
+        width = _EVENT_RTOL * np.maximum(1.0, np.abs(b))
+        keep = (gm != 0) & (b - a > width)
+        if not keep.all():  # store the closed brackets and drop them
+            done = live[~keep]
+            ta[done], tb[done], exact[done] = a[~keep], b[~keep], gm[~keep] == 0
+            live, a, b, fa, fb, width, moved = (
+                x[keep] for x in (live, a, b, fa, fb, width, moved))
+            seg = tuple(x[keep] for x in seg)
     return np.where(exact, tb, 0.5 * (ta + tb))
 
 

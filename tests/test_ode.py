@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -560,16 +561,19 @@ def _scipy_zeros(rhs, t0, y0, t1, k, direction, level=0.0):
     return sol.t_events[0]
 
 
-def _counting(evaluate, calls):
-    """Trajectory.evaluate that appends to `calls` once per call and fails
-    past 60 calls, so a refinement that crawls fails instead of hanging."""
+def _count_rounds(monkeypatch, calls):
+    """Patch the dense kernel `ode._dense` to append to `calls` once per call
+    and fail past 60 calls, so a refinement that crawls fails instead of
+    hanging.  `detect_events` calls it once for its grid (through `evaluate`)
+    and once per refinement round."""
+    dense = ode._dense
 
-    def counted(self, ts):
+    def counted(*args):
         calls.append(1)
-        assert len(calls) <= 60, "more than 60 evaluate calls"
-        return evaluate(self, ts)
+        assert len(calls) <= 60, "more than 60 dense-output calls"
+        return dense(*args)
 
-    return counted
+    monkeypatch.setattr(ode, "_dense", counted)
 
 
 def _assert_matches(found, oracle):
@@ -621,7 +625,7 @@ class TestEvents:
         ts = np.array([r - 0.3123, r + 0.7])
         traj = Trajectory(ts, (r - ts)[:, None], -np.ones((2, 1)))
         calls = []
-        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        _count_rounds(monkeypatch, calls)
         (root,) = detect_events(traj, 0)
         assert len(calls) <= 3
         assert abs(root - r) <= 1e-12 * r
@@ -633,7 +637,7 @@ class TestEvents:
         ts = np.linspace(r - 0.7, r + 1.3, 3)
         traj = Trajectory(ts, -((ts - r) ** 3)[:, None], -3 * ((ts - r) ** 2)[:, None])
         calls = []
-        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        _count_rounds(monkeypatch, calls)
         (root,) = detect_events(traj, 0)
         assert root == pytest.approx(r, abs=1e-5)
 
@@ -678,7 +682,7 @@ class TestEventsMatchScipyOracle:
         chunk = 4.0 * linearized_period(p)
         state = OdeState(0.0, np.array([p.a0, p.a1]))
         found, calls = [], []
-        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        _count_rounds(monkeypatch, calls)
         while len(found) < 4:
             traj = integrate(scale_rhs(p), state, state.t + chunk, cfg)
             calls.clear()
@@ -714,17 +718,22 @@ class TestEventsMatchScipyOracle:
         assert len(detect_events(traj, 0)) == 1
 
 
+def _zero_on_a_node():
+    """A harmonic trajectory whose y[0] falls through zero exactly on interior node k."""
+    traj, _ = _harmonic_from_half()
+    k = int(np.flatnonzero((traj.ts > 2.0) & (traj.ys[:, 1] < 0))[0])
+    assert 0 < k < traj.n_nodes - 1
+    # sin(t) - sin(t_k) falls through zero exactly on node k
+    return _shifted(traj, float(traj.ys[k, 0])), k
+
+
 class TestHalfOpenBrackets:
     """A bracket is y > 0 at one sample and y <= 0 at the next, so a zero on
     a sample is reported once, at the end where it is reached."""
 
     @pytest.fixture(scope="class")
     def on_node(self):
-        traj, _ = _harmonic_from_half()
-        k = int(np.flatnonzero((traj.ts > 2.0) & (traj.ys[:, 1] < 0))[0])
-        assert 0 < k < traj.n_nodes - 1
-        # sin(t) - sin(t_k) falls through zero exactly on node k
-        return _shifted(traj, float(traj.ys[k, 0])), k
+        return _zero_on_a_node()
 
     def test_zero_on_an_interior_node_is_reported_once(self, on_node):
         traj, k = on_node
@@ -752,7 +761,7 @@ class TestHalfOpenBrackets:
         traj = integrate(rhs_harmonic, OdeState(t0, [0.0, 1.0]), t0 + 7.0,
                          IntegratorConfig(rtol=1e-12, atol=1e-14))
         calls = []
-        monkeypatch.setattr(Trajectory, "evaluate", _counting(Trajectory.evaluate, calls))
+        _count_rounds(monkeypatch, calls)
         (root,) = detect_events(traj, 0)
         monkeypatch.undo()
         # an absolute 1e-12 stop cannot be met where ulp(t) > 1e-12; bisection
@@ -761,6 +770,88 @@ class TestHalfOpenBrackets:
         width = 1e-12 * root
         assert traj.evaluate(root - width)[0] > 0 >= traj.evaluate(root + width)[0]
         assert root == pytest.approx(t0 + math.pi, abs=1e-7)
+
+
+def _events_through_evaluate(traj, k):
+    """`detect_events` with every refinement round one `evaluate` call on the
+    whole trajectory, all components and node overrides included: the
+    oracle of the rounds on the gathered fall segments, bit for bit."""
+    fall = np.flatnonzero((traj.ys[:-1, k] > 0) & (traj.ys[1:, k] <= 0))
+    if not fall.size:
+        return np.empty(0)
+    grid = np.linspace(traj.ts[fall], traj.ts[fall + 1], 8, axis=1)
+    g = traj.evaluate(grid)[..., k]
+    hit = (g[:, :-1] > 0) & (g[:, 1:] <= 0)
+    ta, tb, ga, gb = grid[:, :-1][hit], grid[:, 1:][hit], g[:, :-1][hit], g[:, 1:][hit]
+    exact = gb == 0
+    moved = np.full(len(ta), -1)
+    tol = lambda t: 1e-12 * np.maximum(1.0, np.abs(t))
+    wide = lambda i: i[tb[i] - ta[i] > tol(tb[i])]
+    live = wide(np.flatnonzero(~exact))
+    while live.size:
+        a, b, fa, fb = ta[live], tb[live], ga[live], gb[live]
+        d = 0.25 * tol(b)
+        tm = np.fmin(np.fmax(b - fb * (b - a) / (fb - fa), a + d), b - d)
+        gm = traj.evaluate(tm)[:, k]
+        left = gm > 0
+        half = np.where(moved[live] == left, 0.5, 1.0)
+        moved[live] = left
+        ta[live], ga[live] = np.where(left, tm, a), np.where(left, gm, half * fa)
+        tb[live], gb[live] = np.where(left, b, tm), np.where(left, half * fb, gm)
+        exact[live] = gm == 0
+        live = wide(live[gm != 0])
+    return np.where(exact, tb, 0.5 * (ta + tb))
+
+
+def _assert_events_bitwise(traj, k):
+    found, oracle = detect_events(traj, k), _events_through_evaluate(traj, k)
+    assert found.shape == oracle.shape and found.tobytes() == oracle.tobytes(), (found, oracle)
+    return found
+
+
+class TestEventsMatchTheEvaluateRefinement:
+    """The rounds on the gathered fall segments return the roots of rounds
+    through `evaluate` bit for bit, falling and rising."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lam=st.floats(0.25, 4.0), xi=st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+           a0=st.floats(0.5, 2.0), a1=st.floats(-2.5, 2.5))
+    def test_orbits_box(self, lam, xi, a0, a1):
+        # the box of the benchmark's orbits workload, collapsing orbits included
+        try:
+            traj = integrate(scale_rhs(EmdenParams(lam, xi, a0, a1)), OdeState(0.0, [a0, a1]),
+                             50.0)
+        except IntegrationHalted as halt:  # a touchdown
+            traj = halt.trajectory
+        for k in (0, 1):
+            _assert_events_bitwise(traj, k)
+            _assert_events_bitwise(_negated(traj), k)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(t0=st.one_of(st.floats(-1e3, 1e3), st.floats(1e4, 1e6)), phase=st.floats(0.0, 7.0),
+           amplitude=st.floats(1e-6, 1e6), rtol=st.sampled_from([1e-12, 1e-8, 1e-4]))
+    def test_harmonic_oscillator(self, t0, phase, amplitude, rtol):
+        y0 = [amplitude * math.sin(phase), amplitude * math.cos(phase)]
+        traj = integrate(rhs_harmonic, OdeState(t0, y0), t0 + 20.0,
+                         IntegratorConfig(rtol=rtol, atol=1e-3 * rtol * amplitude))
+        assert len(_assert_events_bitwise(traj, 0)) >= 2
+        _assert_events_bitwise(traj, 1)
+        _assert_events_bitwise(_negated(traj), 0)
+
+    def test_zero_on_an_interior_node(self):
+        traj, k = _zero_on_a_node()
+        assert traj.ts[k] in _assert_events_bitwise(traj, 0)
+
+    def test_zero_at_the_last_node(self):
+        traj, k = _zero_on_a_node()
+        head = Trajectory(traj.ts[:k + 1], traj.ys[:k + 1], traj.fs[:k + 1], traj.cont[:k])
+        assert _assert_events_bitwise(head, 0)[-1] == head.t_end
+
+    def test_zero_near_1e5(self):
+        traj = integrate(rhs_harmonic, OdeState(1e5, [0.0, 1.0]), 1e5 + 7.0,
+                         IntegratorConfig(rtol=1e-12, atol=1e-14))
+        (root,) = _assert_events_bitwise(traj, 0)
+        assert root == pytest.approx(1e5 + math.pi, abs=1e-7)
 
 
 def _node_falls(traj, k):
@@ -901,6 +992,45 @@ class TestEvaluate:
         assert np.array_equal(traj.evaluate(np.array([2.0, 2.0])), [[1.0, 3.0]] * 2)
         with pytest.raises(DomainError):
             traj.evaluate(np.array([2.5]))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -1e-9, 20.0 + 1e-9],
+                             ids=["nan", "-inf", "below", "above"])
+    def test_a_bad_time_raises_naming_the_first(self, traj, shape, bad):
+        t = np.full(shape, 1.5)
+        t.flat[min(1, t.size - 1)] = bad
+        if t.size > 2:  # a later bad time of another kind is not the one named
+            t.flat[-1] = 30.0 if math.isnan(bad) else math.nan
+        with pytest.raises(DomainError, match=re.escape(f"at (t={bad})")) as err:
+            traj.evaluate(t)
+        assert err.value.where.shape == shape
+
+    @pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((0, 3))])
+    def test_an_empty_query_has_no_rows(self, traj, empty):
+        assert traj.evaluate(empty).shape == np.shape(empty) + (2,)
+
+    def test_integrate_returns_writable_contiguous_float64(self, traj):
+        # a run halted before its first step keeps its start node and no segment
+        with pytest.raises(StepUnderflow) as halted:
+            integrate(lambda t, y: (1.0 if t == 0.0 else math.nan,), OdeState(0.0, [1.0]), 1.0)
+        for run in (traj, halted.value.trajectory):
+            for a in (run.ts, run.ys, run.fs, run.cont):
+                assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+            assert run.ys.shape == run.fs.shape == (run.n_nodes, run.ys.shape[1])
+            assert run.cont.shape == (run.n_nodes - 1, run.ys.shape[1], 4)
+            assert np.all(np.diff(run.ts) > 0)
+            # the public constructor accepts the arrays and keeps them
+            again = Trajectory(run.ts, run.ys, run.fs, run.cont, run.stats)
+            assert all(a is b for a, b in zip((again.ts, again.ys, again.fs, again.cont),
+                                              (run.ts, run.ys, run.fs, run.cont)))
+        assert halted.value.trajectory.n_nodes == 1
+
+    @pytest.mark.parametrize("ts", [[0.0, math.nan, 2.0], [0.0, math.inf], [-math.inf, 0.0],
+                                    [math.nan]])
+    def test_non_finite_node_times_raise(self, ts):
+        n = len(ts)
+        with pytest.raises(DomainError, match="finite"):
+            Trajectory(ts, np.zeros((n, 1)), np.zeros((n, 1)))
 
 
 def _exact_hermite(t, t0, t1, y0, y1, f0, f1):
