@@ -22,10 +22,12 @@ derivative at the new point (FSAL) and three stages for the stepper's own
 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
 estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
 norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
-costs no rhs call and stops at t_end.  The next step also weighs the last
-accepted one, by Gustafsson's predictive controller (Hairer & Wanner II,
-section IV.8; its formula is in `integrate`), so the step does not
-saw-tooth between growth and rejection.  Accepted steps
+costs no rhs call and stops at t_end.  Only a first estimate at or below
+the underflow floor takes the second phase of that algorithm, one explicit
+Euler step and one more rhs call (`_euler_start`).  The next step also
+weighs the last accepted one, by Gustafsson's predictive controller
+(Hairer & Wanner II, section IV.8; its formula is in `integrate`), so the
+step does not saw-tooth between growth and rejection.  Accepted steps
 store the state and derivative at both ends plus four continuation rows,
 so the trajectory supports dense output, post-hoc event location, and
 exact (bitwise) reproduction of node states.  Dense output is one kernel,
@@ -297,15 +299,37 @@ def _dense(t, t0, t1, y0, y1, f0, f1, cont):
         r0 + s * (r1 + u * (r2 + s * r3))))))
 
 
-def _first_step(y: Sequence[float], k1: Sequence[float], span: float, cfg: IntegratorConfig):
-    """Hairer's first estimate 0.01 * |y| / |k1| in the scale atol + rtol*|y|, where a
-    component of scale 0 counts in neither norm; 1e-6 when either norm is below 1e-5 or
-    the quotient is no positive number (an overflowed norm); at most `span`."""
+def _norm(v: Sequence[float], y: Sequence[float], cfg: IntegratorConfig) -> float:
+    """|v| in the scale atol + rtol*|y|, where a component of scale 0 counts not at all."""
     sc = [cfg.atol + cfg.rtol * abs(u) for u in y]
-    d0 = math.hypot(*[u / s for u, s in zip(y, sc) if s])
-    d1 = math.hypot(*[p / s for p, s in zip(k1, sc) if s])
+    return math.hypot(*[p / s for p, s in zip(v, sc) if s])
+
+
+def _first_step(y: Sequence[float], k1: Sequence[float], span: float, cfg: IntegratorConfig):
+    """Hairer's first estimate 0.01 * d0 / d1 with d0 = |y| and d1 = |k1| (`_norm`); 1e-6
+    when either norm is below 1e-5 or the quotient is no positive number (an overflowed
+    norm); at most `span`."""
+    d0, d1 = _norm(y, y, cfg), _norm(k1, y, cfg)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 0.0
     return min(h if h > 0.0 else 1e-6, span)
+
+
+def _euler_start(rhs: RhsFn, t: float, y: Sequence[float], k1: Sequence[float], h0: float,
+                 span: float, cfg: IntegratorConfig) -> float:
+    """The second phase of Hairer's starting step from the first estimate h0: one
+    explicit Euler step of h0 gives d2, the `_norm` of the change in the derivative
+    per unit step, and the step is min(100 h0, (0.01 / max(d1, d2))^(1/8), span), with
+    max(1e-6, 1e-3 h0) in place of the middle term when both norms are at most 1e-15.
+    0 when the Euler step gives no finite derivative, so that the run halts at once."""
+    try:
+        k2 = rhs(t + h0, tuple(u + h0 * p for u, p in zip(y, k1)))
+        d2 = _norm([q - p for q, p in zip(k2, k1)], y, cfg) / h0
+    except ArithmeticError:
+        return 0.0
+    if not d2 < math.inf:  # NaN fails too
+        return 0.0
+    d = max(_norm(k1, y, cfg), d2)
+    return min(100 * h0, (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0), span)
 
 
 def _combo(weights: Sequence[float], j: int) -> str:
@@ -397,7 +421,10 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
         f"if h_try < {STEP_UNDERFLOW_REL!r} * (u if u > 1.0 else 1.0): "
         f"{halt.format('StepUnderflow')}",
         f"if accepted + rejected >= max_steps: {halt.format('StepBudgetExceeded')}",
-        "hits_end = h_try >= t_end - t0", "h = t_end - t0 if hits_end else h_try",
+        "if h_try >= t_end - t0:",  # the last step, or with t_end inf a step past the floats
+        "    h = t_end - t0; hits_end = True",
+        f"    if h == inf: {halt.format('StateBlowup')}",
+        "else: h = h_try; hits_end = False",
         "try:", *("    " + line for line in step),
         "except ArithmeticError:", f"    {_REJECT.format('calls')}",
         "rhs_calls += 15", "accepted += 1", "hs.append(h)", f"ks += ({dense})",
@@ -422,7 +449,8 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
         "    accepted = rejected = rhs_calls = 0",
         "    h_prev = err_prev = 0.0  # the last accepted step and its error, floored at 1e-2",
         "    while t0 < t_end:", *("        " + line for line in loop),
-        f"    {halt.format(None)}", ""])
+        # with t_end inf the loop ends only when the time overflowed on a finite step
+        f"    {halt.format('None if t0 < inf else StateBlowup')}", ""])
 
 
 def _is_component(k, n: int) -> bool:
@@ -434,7 +462,7 @@ def _length_error(k: Sequence[float], n: int, t: float) -> DomainError:
     return DomainError(f"rhs returned {len(k)} components for a {n}-state at t={t!r}")
 
 
-_NAMESPACE = {"isfinite": math.isfinite, "sqrt": math.sqrt, "math": math,
+_NAMESPACE = {"isfinite": math.isfinite, "sqrt": math.sqrt, "math": math, "inf": math.inf,
               "_length_error": _length_error, "StepUnderflow": StepUnderflow,
               "StepBudgetExceeded": StepBudgetExceeded, "StateBlowup": StateBlowup}
 
@@ -506,10 +534,12 @@ def integrate(
     controlled against atol + rtol*|y| by Hairer's combined 5th/3rd-order
     estimate, before the FSAL stage, so a rejected attempt costs 11 rhs
     calls and an accepted one 15 (11, the FSAL stage and three dense-output
-    stages); a run makes 1 + 11*attempts + 4*accepted calls.  A step h
-    accepted after an accepted h_prev is followed by h times the smaller of
-    0.9 err^(-1/8) and Gustafsson's 0.9 err^(-1/8) (h/h_prev)
-    (err_prev/err)^(1/8), err_prev the error of h_prev floored at 1e-2.  A
+    stages); a run makes 1 + 11*attempts + 4*accepted calls, and one more
+    when its first estimate is at or below the underflow floor
+    (`_euler_start`).  A step h accepted after an accepted h_prev is
+    followed by h times the smaller of 0.9 err^(-1/8) and Gustafsson's
+    0.9 err^(-1/8) (h/h_prev) (err_prev/err)^(1/8), err_prev the error of
+    h_prev floored at 1e-2.  A
     step is rejected when a stage is not finite or raises ArithmeticError
     (ZeroDivisionError, OverflowError), so integrands may signal domain
     exits (for example a scale factor touching zero) by returning NaN; the
@@ -532,7 +562,8 @@ def integrate(
 
     Raises:
         StepBudgetExceeded: config.max_steps attempted steps reached.
-        StateBlowup: a component passed the 1e300 overflow guard.
+        StateBlowup: a component passed the 1e300 overflow guard, or the time
+            or the step of a run to t_end = math.inf passed the float range.
         StepUnderflow: the step fell below 1e-14 * max(1, |t|).
     """
     t = float(y0.t)
@@ -558,22 +589,26 @@ def integrate(
     if not (_is_component(fall_k, n) and isinstance(falls_left, Integral) and falls_left >= 1):
         raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
     run = _run(n, body, names, int(fall_k) if falls else None)
+    h, starts = _first_step(y, k1, t_end - t, config), 1  # the rhs calls before the run
+    if h <= STEP_UNDERFLOW_REL * max(1.0, abs(t)):
+        h, starts = _euler_start(rhs, t, y, k1, h, t_end - t, config), 2
     # the nodes, and per accepted step its size and the stage values the dense output weights
     ts, ys, fs, hs, ks = [t], list(y), list(k1), [], []
     halt, t, h, accepted, rejected, calls = run(
-        consts, t, t_end, _first_step(y, k1, t_end - t, config), y, k1, config.atol,
-        config.rtol, config.max_steps, falls_left, ts, ys, fs, hs, ks)
+        consts, t, t_end, h, y, k1, config.atol, config.rtol, config.max_steps, falls_left,
+        ts, ys, fs, hs, ks)
     # the continuation rows h * D k of every accepted step, in one product
     ks = _packed(ks).reshape(-1, len(_DENSE_STAGES), n)
     cont = _packed(hs)[:, None, None] * np.einsum("sjn,rj->snr", ks, _D_KEPT)
     traj = Trajectory._unchecked(_packed(ts), _packed(ys).reshape(-1, n),
                                  _packed(fs).reshape(-1, n), cont,
-                                 IntegratorStats(accepted, rejected, 1 + calls))
+                                 IntegratorStats(accepted, rejected, starts + calls))
     if halt is None:
         return traj
     what = {StepUnderflow: f"step size {h:.3e} underflowed",
             StepBudgetExceeded: f"exceeded {config.max_steps} steps",
-            StateBlowup: f"state exceeded {OVERFLOW_GUARD:.0e}"}[halt]
+            StateBlowup: f"state exceeded {OVERFLOW_GUARD:.0e}" if t + h < math.inf
+            else f"step size {h:.3e} overflowed"}[halt]
     raise halt(f"{what} at t={t!r}", t, traj)
 
 

@@ -14,14 +14,16 @@ floor.  Corrupted fields are first-class citizens: they are the negative
 controls proving the oracle can fail.  `eulerpoisson.verify` runs these
 studies over the exact families.
 
-An operator is split in two: for centres and one step h (for time and
+An operator is split in two: for centres and a step h (for time and
 space) it states the names of its equations and the points it samples, and
 it turns the samples at those points into one residual array per equation.
 `flow_residuals` samples each point and its neighbours at t +- h, x +- h,
 y +- h (shape (n, 7)) for mass and both momentum components,
 `poisson_residual` each point and its two radial neighbours (shape (n, 3))
-for gravity.  `convergence_study` gathers the points of all its operators
-and steps, calls the field once, and hands each operator its samples back.
+for gravity.  h may also be an array of steps: every stencil and residual
+array then gains a leading step axis, whose slice k is the call at h[k].
+`convergence_study` calls each operator once on all its steps, the field
+once on all their points, and hands each operator its samples back.
 
 Gravity gradients are never re-differenced: grad Phi = (x/r, y/r) * Phi_r
 uses the sampled radial derivative directly, since the potential itself is
@@ -31,7 +33,7 @@ only defined up to a constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,25 +88,28 @@ class PressureLaw:
         return 0.0
 
 
-# What an operator states for one step: its equation names, the (3, ...) t, x
-# and y it samples, and the function that turns rho, u1, u2 and phi_r there
-# (each of shape (...), phi_r possibly None) into one residual array per name.
+# What an operator states for its step h (or steps): its equation names, the
+# (3, ...) t, x and y it samples, and the function that turns rho, u1, u2 and
+# phi_r there (each of shape (...), phi_r possibly None) into one residual array per name.
 Stencil = tuple[tuple[str, ...], np.ndarray, Callable[..., tuple[np.ndarray, ...]]]
-ResidualOp = Callable[[Sequence[Point], float], Stencil]
+ResidualOp = Callable[[Sequence[Point], "float | np.ndarray"], Stencil]
 
 # t, x and y offsets of the centre and its neighbours t +- h, x +- h, y +- h
 _OFFSETS = np.array([[0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 1, -1]], float)
 
 
-def _columns(pts: Sequence[Point], h: float) -> np.ndarray:
-    """The t, x and y columns of the points, shape (3, n, 1), once the
-    stencil step h is known to be > 0."""
-    if not h > 0:  # NaN fails too
-        raise DomainError(f"stencil step must be > 0, got {h}")
-    return np.asarray(pts, dtype=float).reshape(-1, 3).T[..., None]
+def _columns(pts: Sequence[Point], h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The t, x and y columns of the points, shape (3, n, 1) for one step h
+    and (3, 1, n, 1) for an array of steps, and the steps with two trailing
+    axes, once every step is known to be > 0."""
+    h = np.asarray(h, dtype=float)
+    if not (positive := h > 0).all():  # NaN fails too
+        raise DomainError(f"stencil step must be > 0, got {h.flat[np.argmin(positive)]}")
+    centre = np.asarray(pts, dtype=float).reshape(-1, 3).T
+    return centre.reshape(3, *[1] * h.ndim, -1, 1), h[..., None, None]
 
 
-def flow_residuals(pts: Sequence[Point], h: float, pressure: PressureLaw) -> Stencil:
+def flow_residuals(pts: Sequence[Point], h: float | np.ndarray, pressure: PressureLaw) -> Stencil:
     """Mass and both momentum components at step h: the names, the (3, n, 7)
     t, x and y of every point and its six neighbours (ordered as the
     offsets), and the centered residuals from the samples there.
@@ -114,49 +119,54 @@ def flow_residuals(pts: Sequence[Point], h: float, pressure: PressureLaw) -> Ste
     is a contract violation (MissingGravity) rather than a silent omission.
     A caller that wants mass alone passes PressureLaw("none").
     """
-    centre = _columns(pts, h)
-    x, y = centre[1:, :, 0]
+    centre, hs = _columns(pts, h)
+    x, y = centre[1:, ..., 0]
+    two_h = 2 * hs[..., 0]
 
     def residuals(rho, u1, u2, phi_r):
         if phi_r is None and pressure.kind == "isothermal":
             raise MissingGravity("isothermal momentum residual requires phi_r in the samples")
 
         def d(v, k):  # centered difference between offsets k and k + 1
-            return (v[:, k] - v[:, k + 1]) / (2 * h)
+            return (v[..., k] - v[..., k + 1]) / two_h
 
         p = np.broadcast_to(pressure(rho), rho.shape)
-        rho0, u10, u20 = rho[:, 0], u1[:, 0], u2[:, 0]
+        rho0, u10, u20 = rho[..., 0], u1[..., 0], u2[..., 0]
         grav_x = grav_y = 0.0
         if phi_r is not None:
             r = np.hypot(x, y)
             r = np.where(r > 0, r, 1.0)  # x = y = 0 there, so both terms are 0
-            grav_x = rho0 * (x / r) * phi_r[:, 0]
-            grav_y = rho0 * (y / r) * phi_r[:, 0]
+            grav_x = rho0 * (x / r) * phi_r[..., 0]
+            grav_y = rho0 * (y / r) * phi_r[..., 0]
         adv_x = u10 * d(u1, 3) + u20 * d(u1, 5)
         adv_y = u10 * d(u2, 3) + u20 * d(u2, 5)
         return (d(rho, 1) + d(rho * u1, 3) + d(rho * u2, 5),
                 rho0 * (d(u1, 1) + adv_x) + d(p, 3) + grav_x,
                 rho0 * (d(u2, 1) + adv_y) + d(p, 5) + grav_y)
 
-    return ("mass", "momentum_x", "momentum_y"), centre + h * _OFFSETS[:, None], residuals
+    offsets = _OFFSETS.reshape(3, *centre.shape[1:-2], 1, 7)
+    return ("mass", "momentum_x", "momentum_y"), centre + hs * offsets, residuals
 
 
-def poisson_residual(pts: Sequence[Point], h: float) -> Stencil:
+def poisson_residual(pts: Sequence[Point], h: float | np.ndarray) -> Stencil:
     """Gravity at step h: its name, the (3, n, 3) t, x and y of every point
     and its two radial neighbours, and the centered residual of
-    (1/r) d(r Phi_r)/dr - 2 pi rho along each ray from the samples there."""
-    t, x, y = _columns(pts, h)
+    (1/r) d(r Phi_r)/dr - 2 pi rho along each ray from the samples there.  A point
+    within 2h of the origin raises StencilOutOfDomain, at the first step where one is."""
+    (t, x, y), hs = _columns(pts, h)
     r = np.hypot(x, y)
-    raise_where(r <= 2 * h, StencilOutOfDomain, f"point too close to r=0 for h={h}",
-                t=t, x=x, y=y)
-    d = h * np.array([0.0, 1.0, -1.0])  # the point and its radial neighbours
+    if (bad := r <= 2 * hs).any():  # the step of the first bad point, steps outermost
+        first = np.broadcast_to(hs, bad.shape).flat[np.argmax(bad)]
+        raise_where(bad, StencilOutOfDomain, f"point too close to r=0 for h={first}", t=t, x=x, y=y)
+    d = hs * np.array([0.0, 1.0, -1.0])  # the point and its radial neighbours
     points = np.array(np.broadcast_arrays(t, x + d * (x / r), y + d * (y / r)))
+    r, h = r[..., 0], hs[..., 0]
 
     def residuals(rho, u1, u2, phi_r):
         if phi_r is None:
             raise MissingGravity("gravity residual requires phi_r in the samples")
-        d_rphi = ((r[:, 0] + h) * phi_r[:, 1] - (r[:, 0] - h) * phi_r[:, 2]) / (2 * h)
-        return (d_rphi / r[:, 0] - 2 * math.pi * rho[:, 0],)
+        d_rphi = ((r + h) * phi_r[..., 1] - (r - h) * phi_r[..., 2]) / (2 * h)
+        return (d_rphi / r - 2 * math.pi * rho[..., 0],)
 
     return ("poisson",), points, residuals
 
@@ -190,9 +200,8 @@ def convergence_study(
                           f"number at the smallest step h={h_min}")
     if not ops:
         raise DomainError("need at least one residual operator")
-    steps = len(h_list)
-    parts = [op(pts, h) for op in ops for h in h_list]
-    names = [name for op_names, _, _ in parts[::steps] for name in op_names]
+    parts = [op(pts, h_list) for op in ops]
+    names = [name for op_names, _, _ in parts for name in op_names]
     twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
         raise DomainError(f"more than one operator reports {', '.join(twice)}")
@@ -203,14 +212,14 @@ def convergence_study(
         raise StencilOutOfDomain(f"stencil point crossed a validity boundary: {exc}") from exc
     samples = [v if v is None else np.broadcast_to(v, t.shape)
                for v in (s.rho, s.u1, s.u2, s.phi_r)]
-    stop, norms = 0, []
-    for _, p, residuals in parts:
+    stop, studies = 0, {}
+    for op_names, p, residuals in parts:
         start, stop = stop, stop + p[0].size
         at = (v if v is None else v[start:stop].reshape(p.shape[1:]) for v in samples)
-        norms.append([float(np.max(np.abs(r))) if r.size else 0.0 for r in residuals(*at)])
-    return {name: _fit(h_list, per_step, floor)
-            for k in range(0, len(parts), steps)
-            for name, per_step in zip(parts[k][0], zip(*norms[k:k + steps]))}
+        for name, r in zip(op_names, residuals(*at)):
+            # the largest |residual| at each step; 0 where a step has no point
+            studies[name] = _fit(h_list, np.max(np.abs(r), axis=-1, initial=0.0).tolist(), floor)
+    return studies
 
 
 def _fit(h_list: Sequence[float], norms: Sequence[float], floor: float) -> ConvergenceResult:
@@ -232,12 +241,8 @@ def _fit(h_list: Sequence[float], norms: Sequence[float], floor: float) -> Conve
 
 def study_passes(result: ConvergenceResult) -> bool:
     """A study passes when its order lies in ORDER_BAND or it sits at the floor."""
-    if result.at_floor:
-        return True
-    return (
-        result.estimated_order is not None
-        and ORDER_BAND[0] <= result.estimated_order <= ORDER_BAND[1]
-    )
+    return result.at_floor or (result.estimated_order is not None
+                               and ORDER_BAND[0] <= result.estimated_order <= ORDER_BAND[1])
 
 
 # ----------------------------------------------------------------------
@@ -245,35 +250,29 @@ def study_passes(result: ConvergenceResult) -> bool:
 # ----------------------------------------------------------------------
 
 
-def corrupt_density_offset(field: FieldFn, delta: float) -> FieldFn:
-    """Add a constant to rho.  Breaks mass, momentum, and gravity residuals
-    (the offset feels div(u), the inertial terms, and the source term)."""
+def _changed(field: FieldFn, **change: Callable) -> FieldFn:
+    """field, with each named member of its samples passed through its function."""
 
     def corrupted(t: float, x: float, y: float) -> FieldSample:
         s = field(t, x, y)
-        return FieldSample(rho=s.rho + delta, u1=s.u1, u2=s.u2, phi_r=s.phi_r)
+        return replace(s, **{name: f(getattr(s, name)) for name, f in change.items()})
 
     return corrupted
+
+
+def corrupt_density_offset(field: FieldFn, delta: float) -> FieldFn:
+    """Add a constant to rho.  Breaks mass, momentum, and gravity residuals
+    (the offset feels div(u), the inertial terms, and the source term)."""
+    return _changed(field, rho=lambda rho: rho + delta)
 
 
 def corrupt_density_scale(field: FieldFn, factor: float) -> FieldFn:
     """Multiply rho by a constant.  Mass and momentum are linear in rho at
     fixed velocity, so they stay exactly satisfied; only the gravity
     residual detects this corruption."""
-
-    def corrupted(t: float, x: float, y: float) -> FieldSample:
-        s = field(t, x, y)
-        return FieldSample(rho=s.rho * factor, u1=s.u1, u2=s.u2, phi_r=s.phi_r)
-
-    return corrupted
+    return _changed(field, rho=lambda rho: rho * factor)
 
 
 def corrupt_gravity_scale(field: FieldFn, factor: float) -> FieldFn:
     """Multiply phi_r by a constant; breaks the gravity residual."""
-
-    def corrupted(t: float, x: float, y: float) -> FieldSample:
-        s = field(t, x, y)
-        phi = None if s.phi_r is None else s.phi_r * factor
-        return FieldSample(rho=s.rho, u1=s.u1, u2=s.u2, phi_r=phi)
-
-    return corrupted
+    return _changed(field, phi_r=lambda phi_r: None if phi_r is None else phi_r * factor)

@@ -67,8 +67,7 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
                             pressure=residuals.PressureLaw("isothermal", K=1.0))
     rot_ops = (iso, residuals.poisson_residual)
     # the profile needs to reach only as far as the rotating family's stencils
-    t, x, y = np.concatenate([op(pts, h)[1].reshape(3, -1) for op in rot_ops for h in h_list],
-                             axis=1)
+    t, x, y = np.concatenate([op(pts, h_list)[1].reshape(3, -1) for op in rot_ops], axis=1)
     sol = fields.build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
                                   t_max=2.5, samples=(t, np.hypot(x, y)))
     zz = fields.ZZSolution(K=1.0, rho0=0.5)

@@ -18,6 +18,7 @@ from eulerpoisson.fields import (
     eval_zz_outer,
 )
 from eulerpoisson.residuals import (
+    ConvergenceResult,
     PressureLaw,
     convergence_study,
     corrupt_density_offset,
@@ -163,6 +164,67 @@ class TestStencilStep:
         # the operator states its points without sampling any field
         with pytest.raises(DomainError, match="stencil step must be > 0"):
             op([(0.5, 1.0, 0.0)], h)
+
+
+class TestStepAxis:
+    """An operator called on an array of steps states the scalar calls'
+    stencils and residuals stacked along a leading step axis, bit for bit."""
+
+    @pytest.mark.parametrize("op,width", [(flow(ISO), 7), (poisson_residual, 3)],
+                             ids=["flow", "poisson"])
+    def test_batched_stencils_and_residuals_stack_the_scalar_calls(self, op, width, rot_field,
+                                                                     rot_points):
+        names, points, residuals = op(rot_points, np.array(H_LIST))
+        assert points.shape == (3, len(H_LIST), len(rot_points), width)
+        batched = residuals(*vars(rot_field(*points)).values())
+        for k, h in enumerate(H_LIST):
+            one_names, one_points, one_residuals = op(rot_points, h)
+            assert one_names == names
+            assert one_points.tobytes() == points[:, k].tobytes()
+            for r, one in zip(batched, one_residuals(*vars(rot_field(*one_points)).values())):
+                assert one.shape == (len(rot_points),)
+                assert one.tobytes() == r[k].tobytes()
+
+    @pytest.mark.parametrize("h_list,bad", [([1e-2, 0.0, -1e-3], "0.0"),
+                                            ([1e-2, math.nan, 1e-3], "nan"),
+                                            ([1e-2, -1e-3, -2e-3, -4e-3], "-0.001")])
+    @pytest.mark.parametrize("ops", [[MASS], [poisson_residual], [MASS, poisson_residual]],
+                             ids=["mass", "poisson", "both"])
+    def test_a_bad_step_inside_h_list_is_named_before_any_field_call(self, ops, h_list, bad):
+        def field(t, x, y):
+            pytest.fail("the steps are checked before the field is called")
+
+        with pytest.raises(DomainError, match=f"stencil step must be > 0, got {bad}$"):
+            convergence_study(ops, field, [(0.5, 1.0, 0.0)], h_list)
+
+    def test_the_first_step_too_close_to_the_origin_is_named(self):
+        # no point is within 2h of the origin at h = 1e-3; at 2e-3 (and 1.6e-3) the last
+        # two are, and the first of them is named
+        pts = [(0.5, 1.0, 0.0), (0.7, 0.0, 3e-3), (0.9, -2.5e-3, 0.0)]
+        with pytest.raises(StencilOutOfDomain,
+                           match=r"for h=0\.002 at \(t=0\.7, x=0\.0, y=0\.003\)$"):
+            poisson_residual(pts, [1e-3, 2e-3, 1.6e-3])
+
+
+class TestStudyPasses:
+    """The pass rule of a study: its order within ORDER_BAND = (1.8, 2.2),
+    both ends included, or its finest norm at the floor whatever its order."""
+
+    @staticmethod
+    def study(order, at_floor=False):
+        return ConvergenceResult((1e-2, 5e-3, 2.5e-3), (1.0, 0.25, 0.0625), order, at_floor)
+
+    @pytest.mark.parametrize("order", [1.8, 2.0, 2.2])
+    def test_orders_inside_the_band_pass(self, order):
+        assert study_passes(self.study(order))
+
+    @pytest.mark.parametrize("order", [1.79, 2.21, 1.0, 3.0, -2.0, None])
+    def test_orders_outside_the_band_fail_off_the_floor(self, order):
+        assert not study_passes(self.study(order))
+
+    @pytest.mark.parametrize("order", [None, 0.0, 2.21, -1.0])
+    def test_a_study_at_the_floor_passes(self, order):
+        assert study_passes(self.study(order, at_floor=True))
 
 
 class TestConvergenceStudy:
