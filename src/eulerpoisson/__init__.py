@@ -39,7 +39,6 @@ from .fields import (
 )
 from .goldreich_weber import (
     GWParams,
-    GWProfile,
     alpha_const,
     gw_density,
     solve_gw_profile,

@@ -128,11 +128,11 @@ def _add_integrator(sp: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    """The parser and the subcommand parsers by name, built on first use and never modified."""
+    """The parser and argparse's own map of subcommand parsers by name, built on
+    first use and never modified."""
     parser = _Parser(prog="eulerpoisson", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     # defaults reproduce the rotating-orbit example configuration
     p = sub.add_parser("emden", help="integrate the scale factor, emit orbit CSV")
@@ -144,7 +144,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--samples", type=positive_int, default=1001)
     _add_common(p)
     _add_integrator(p)
-    subparsers["emden"] = p
 
     p = sub.add_parser("liouville", help="solve the radial profile, emit CSV")
     p.add_argument("--lam", type=finite_float, default=1.0)
@@ -153,7 +152,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--s-max", dest="s_max", type=finite_float, default=20.0)
     _add_common(p)
     _add_integrator(p)
-    subparsers["liouville"] = p
 
     p = sub.add_parser("fields", help="sample spacetime fields of a family")
     p.add_argument("--family", choices=list(_FIELD_FAMILIES), default="rotational")
@@ -172,7 +170,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--nx", type=positive_int, default=9)
     p.add_argument("--ny", type=positive_int, default=9)
     _add_common(p)
-    subparsers["fields"] = p
 
     p = sub.add_parser("period", help="compare quadrature and simulation periods")
     p.add_argument("--lam", type=finite_float, default=1.0)
@@ -181,7 +178,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--a1", type=finite_float, default=1.0)
     _add_common(p)
     _add_integrator(p)
-    subparsers["period"] = p
 
     p = sub.add_parser("verify", help="run the residual convergence bundle")
     p.add_argument("--seed", type=int, default=0)
@@ -206,9 +202,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         help="density offset used by --inject-corruption",
     )
     _add_common(p)
-    subparsers["verify"] = p
 
-    return parser, subparsers
+    return parser, sub.choices
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

@@ -33,7 +33,7 @@ import numpy as np
 
 from .emden import EmdenParams, integrate_scale
 from .errors import DomainError, OutOfRange, OutsideRegion, raise_where
-from .goldreich_weber import GWProfile, gw_density
+from .goldreich_weber import gw_density
 from .liouville import LiouvilleParams, RadialProfile, enclosed_mass, solve_profile
 from .ode import TIGHT_CONFIG, Trajectory
 
@@ -122,7 +122,7 @@ def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
     return FieldSample(rho=rho, u1=u1, u2=u2, phi_r=phi_r)
 
 
-def eval_gw(profile: GWProfile, scale: Trajectory, t, x, y) -> FieldSample:
+def eval_gw(profile: RadialProfile, scale: Trajectory, t, x, y) -> FieldSample:
     """rho = gw_density(profile, a, r) and u = (a'/a) x_vec, with a and a' read
     from the scale-factor trajectory `scale`; no swirl, and phi_r is None."""
     a, adot = np.moveaxis(scale.evaluate(t), -1, 0)

@@ -11,11 +11,11 @@ u = (a'/a) x and a'' = -lam / a^(N-1).  The radial momentum balance times a^(N-1
 from f(0) = alpha_center > 0, with the density max(f, 0)^(N/(N-2)) on floats
 and arrays alike.  Unlike the 2D isothermal family it reaches a first zero
 S_mu where the density touches down: the star has compact support.
-`solve_gw_profile` locates S_mu as the end of one run of Henon's swap, which
-takes -f as its independent variable (Henon 1982, Physica D 5, 412), so the
-step size never has to collapse at the zero.  The scale factor is the one
-law of `emden` at d = N with xi = 0 (`GWParams.scale_law`), solved by
-`emden.integrate_scale`.
+`solve_gw_profile` returns it as the profile's `RadialProfile.s_mu`, found
+as the end of one run of Henon's swap, which takes -f as its independent
+variable (Henon 1982, Physica D 5, 412), so the step size never has to
+collapse at the zero.  The scale factor is the one law of `emden` at d = N
+with xi = 0 (`GWParams.scale_law`), solved by `emden.integrate_scale`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ import numpy as np
 
 from .emden import ScaleLaw
 from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
-# alpha_const and unit_ball_volume live beside the enclosed mass and stay importable here
-from .liouville import (RadialLaw, RadialProfile, _fpp_source, _radial_rhs, alpha_const,
-                        unit_ball_volume)
+from .liouville import RadialLaw, RadialProfile, _fpp_source, _radial_rhs, alpha_const
 from .ode import (TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, Trajectory,
                   integrate)
 
@@ -78,17 +76,9 @@ class GWParams:
         return ScaleLaw(self.N, self.lam, 0.0, self.a0, self.a1)
 
 
-class GWProfile(RadialProfile):
-    """Profile on [0, s_mu] (or [0, s_cap] when no zero exists)."""
-
-    def __init__(self, params: GWParams, traj: Trajectory, s_mu: float | None):
-        super().__init__(params, traj)
-        self.s_mu = s_mu
-
-
 def solve_gw_profile(
     p: GWParams, cfg: IntegratorConfig = TIGHT_CONFIG, s_cap: float = S_CAP_DEFAULT
-) -> GWProfile:
+) -> RadialProfile:
     """Integrate the profile outward from s = 0, where f = alpha_center and
     f' = 0, to its first zero s_mu, the support radius.
 
@@ -109,7 +99,7 @@ def solve_gw_profile(
     try:
         run = integrate(rhs, OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg, falls=(0, 1))
         if run.y_end[0] > 0.0:
-            return GWProfile(p, run, None)
+            return RadialProfile(p, run)
         k = run.n_nodes - 2  # the crossing step starts here
         if k == 0:
             raise DomainError("f falls through 0 inside the first step, so Henon's swap "
@@ -128,7 +118,7 @@ def solve_gw_profile(
     traj = Trajectory(np.concatenate([run.ts[:k], tail.ts]), ys,
                       np.concatenate([run.fs[:k], tail.fs]),
                       np.concatenate([run.cont[:k], tail.cont]), stats)
-    return GWProfile(p, traj, s_mu)
+    return RadialProfile(p, traj, s_mu)
 
 
 def _henon_rhs(p: GWParams) -> Rhs:
@@ -145,7 +135,7 @@ f_0 = -1.0 / y_1
 f_1 = -fpp / y_1"""
 
 
-def gw_density(prof: GWProfile, a, r):
+def gw_density(prof: RadialProfile, a, r):
     """Density f(r/a)^(N/(N-2)) / a^N inside the support, exactly 0 outside;
     a and r of any shapes that broadcast, a float in gives a float out."""
     raise_where(np.logical_not(a > 0), DomainError, "scale factor a must be > 0", a=a, r=r)

@@ -2,7 +2,8 @@
 
 A family's parameters give d, g, F, f0 and the density law rho (`RadialLaw`).
 The Liouville profile of the rotating isothermal family is d = 2, rho = e^f,
-g = 2*pi/K, F = 2*lam/K, f0 = alpha; `goldreich_weber` is the case d = N.
+g = 2*pi/K, F = 2*lam/K, f0 = alpha; `goldreich_weber` is the case d = N,
+whose profile ends at its first zero, the support radius `RadialProfile.s_mu`.
 Integration starts at the regular singular point s = 0, where f'/s -> f''(0)
 and the right-hand side takes its limit f''(0) = (F - g*rho(f0)) / d.
 
@@ -122,15 +123,16 @@ f_1 = (F - g * ({rho})) / d if t == 0.0 else {fpp}"""
 
 class RadialProfile:
     """Solved radial profile: the dense solution (f, f') on [0, s_max], the
-    dimension d and array density law of its params, and the enclosed mass
-    at its nodes once asked for."""
+    dimension d and array density law of its params, and the support radius
+    s_mu: None for a Liouville profile, whose density e^f never vanishes,
+    and for a Goldreich-Weber profile with no zero before its cap."""
 
-    def __init__(self, params, traj: Trajectory):
+    def __init__(self, params, traj: Trajectory, s_mu: float | None = None):
         self.params = params
         self.traj = traj
+        self.s_mu = s_mu
         law = params.law
         self.d, self.density = law.d, law.rho_array
-        self._node_mass: np.ndarray | None = None
 
     @property
     def grid(self) -> np.ndarray:
@@ -164,13 +166,10 @@ class RadialProfile:
         """Cumulative enclosed mass at the grid nodes, one Kronrod panel per
         segment; the error controller keeps segments short against the
         integrand's variation scale, so each is accurate to roundoff."""
-        if self._node_mass is not None:
-            return self._node_mass
         ts = self.traj.ts
         seg = _panel_mass(self, np.arange(len(ts) - 1), ts[:-1], ts[1:])
         mass = np.zeros(len(ts))
         np.cumsum(seg, out=mass[1:])
-        self._node_mass = mass
         return mass
 
 

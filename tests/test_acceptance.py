@@ -35,9 +35,8 @@ from eulerpoisson.goldreich_weber import (
     alpha_const,
     gw_density,
     solve_gw_profile,
-    unit_ball_volume,
 )
-from eulerpoisson.liouville import LiouvilleParams, solve_profile
+from eulerpoisson.liouville import LiouvilleParams, solve_profile, unit_ball_volume
 from eulerpoisson.ode import IntegratorConfig
 from eulerpoisson.residuals import (
     PressureLaw,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerpoisson import cli, emden, errors, fields, goldreich_weber, ode
+from eulerpoisson import cli, emden, errors, fields, goldreich_weber, liouville, ode
 from eulerpoisson.cli import main
 from eulerpoisson.ode import IntegratorConfig
 
@@ -319,7 +319,8 @@ class TestUsageAndConfig:
 
     def test_config_file_applies_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("xi=0\na1=0   # collapse configuration\n")
+        # a blank or comment-only line is skipped
+        cfg.write_text("# collapse\n\nxi=0\na1=0   # collapse configuration\n")
         out = tmp_path / "out"
         assert main(["emden", "--config", str(cfg), "--outdir", str(out)]) == 0
         report = json.loads((out / "emden_report.json").read_text())
@@ -335,6 +336,18 @@ class TestUsageAndConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
         assert main(["emden", "--config", str(cfg)]) == 1
+
+    def test_a_line_without_equals_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi 0\n")
+        assert main(["emden", "--config", str(cfg)]) == 1
+        assert "expected KEY=VALUE" in capsys.readouterr().err
+
+    def test_the_subcommand_map_is_argparses_own(self):
+        parser, subparsers = cli.build_parser()
+        action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert subparsers is action.choices
+        assert list(subparsers) == ["emden", "liouville", "fields", "period", "verify"]
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EULERPOISSON_OUTDIR", str(tmp_path / "envout"))
@@ -402,6 +415,10 @@ class TestRobustness:
     def test_non_numeric_h_list_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "--h-list", "1e-2,abc") == 1
         assert "--h-list" in self.one_line_error(capsys)
+
+    def test_a_zero_step_in_h_list_is_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "--h-list", "1e-2,0,1e-3") == 1
+        assert "steps must be positive and finite" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -756,6 +773,25 @@ class TestIntegratorFlags:
         assert main(["emden", "--outdir", str(tmp_path / "b")]) == 0
         report = json.loads((tmp_path / "b" / "emden_report.json").read_text())
         assert report["classification"] == "periodic"
+
+
+class TestNodeMass:
+    @pytest.mark.parametrize("argv", [("liouville",), ("verify", "--inject-corruption"),
+                                      ("fields", "--family", "rotational")])
+    def test_each_profile_sums_its_node_mass_once(self, tmp_path, monkeypatch, argv):
+        made, passes = [], []
+        profile = liouville.RadialProfile
+        init, mass_at_nodes = profile.__init__, profile._mass_at_nodes
+
+        def record(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(profile, "__init__", record)
+        monkeypatch.setattr(profile, "_mass_at_nodes",
+                            lambda self: passes.append(self) or mass_at_nodes(self))
+        assert run(tmp_path, *argv) == 0
+        assert len(made) == 1 and passes == made
 
 
 class TestIntegratorCounters:

@@ -1,10 +1,12 @@
 """Field assembly: rotating family, swirl ansatz, and the two-region spiral."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from eulerpoisson.emden import EmdenParams
 from eulerpoisson.errors import DomainError, OutOfRange, OutsideRegion
 from eulerpoisson.fields import (
     SwirlAnsatz,
@@ -39,6 +41,10 @@ class TestRotational:
             assert s.u2 == pytest.approx(omega * x, abs=1e-12)
             r = math.hypot(x, y)
             assert s.phi_r == pytest.approx(math.pi * r, rel=1e-11)
+
+    def test_scale_and_profile_must_share_lam(self, rot_solution):
+        with pytest.raises(DomainError, match="same lam"):
+            dataclasses.replace(rot_solution, emden=EmdenParams(2.0, 1.0, 1.0, 1.0))
 
     def test_origin(self, rot_solution):
         s = eval_rotational(rot_solution, 0.7, 0.0, 0.0)

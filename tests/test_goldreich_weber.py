@@ -18,9 +18,8 @@ from eulerpoisson.goldreich_weber import (
     alpha_const,
     gw_density,
     solve_gw_profile,
-    unit_ball_volume,
 )
-from eulerpoisson.liouville import enclosed_mass
+from eulerpoisson.liouville import RadialProfile, enclosed_mass, unit_ball_volume
 from eulerpoisson.ode import TIGHT_CONFIG
 
 # offline fixed-step reference for the first zero at N=3, lam=0, K=1, alpha=1
@@ -53,11 +52,13 @@ class TestAlphaConst:
     def test_domain(self):
         with pytest.raises(DomainError):
             alpha_const(0)
+        with pytest.raises(DomainError, match="dimension must be >= 1"):
+            unit_ball_volume(0)
 
 
 class TestProfile:
     def test_first_zero_matches_reference(self, le3_profile):
-        assert le3_profile.s_mu is not None
+        assert type(le3_profile) is RadialProfile and le3_profile.s_mu is not None
         assert le3_profile.s_mu == pytest.approx(S_MU_REFERENCE, abs=1e-5)
 
     def test_positive_inside_support(self, le3_profile):
@@ -84,7 +85,7 @@ class TestProfile:
         prof = solve_gw_profile(
             GWParams(N=3, K=1.0, lam=lam, alpha_center=alpha_c), s_cap=20.0
         )
-        assert prof.s_mu is None
+        assert type(prof) is RadialProfile and prof.s_mu is None
         assert np.abs(prof.f - alpha_c).max() == 0.0
 
     def test_support_grows_with_pressure(self):
@@ -348,5 +349,11 @@ class TestDensity:
             GWParams(N=3.5, K=1.0, lam=0.0, alpha_center=1.0)
         with pytest.raises(DomainError):
             GWParams(N=3, K=1.0, lam=0.0, alpha_center=-1.0)
+        with pytest.raises(DomainError, match="K must be > 0"):
+            GWParams(N=3, K=0.0, lam=0.0, alpha_center=1.0)
+        with pytest.raises(DomainError, match="a0 must be > 0"):
+            GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0, a0=0.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            GWParams(N=3, K=1.0, lam=math.nan, alpha_center=1.0)
         with pytest.raises(DomainError):
             gw_density(solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0)), -1.0, 0.5)

@@ -44,6 +44,7 @@ def unit_profile():
 class TestSolveProfile:
     def test_constant_solution(self, constant_profile):
         assert np.abs(constant_profile.f).max() == 0.0
+        assert constant_profile.s_mu is None  # e^f never vanishes: no support radius
         assert np.abs(constant_profile.fdot).max() == 0.0
 
     def test_series_coefficient_balances(self, constant_profile):
@@ -141,6 +142,8 @@ class TestSolveProfile:
             solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 0.0)
         with pytest.raises(DomainError):
             LiouvilleParams(K=0.0, lam=1.0, alpha=0.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            LiouvilleParams(K=1.0, lam=math.inf, alpha=0.0)
 
 
 class TestEnclosedMass:

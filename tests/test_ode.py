@@ -121,6 +121,16 @@ class TestIntegrate:
                 assert err <= prev
                 prev = err
 
+    def test_a_state_below_the_overflow_guard_completes(self):
+        # 1e250 e^10 is below the guard 1e300, so the run is no blowup
+        traj = integrate(ode.Rhs("f_0 = y_0"), OdeState(0.0, [1e250]), 10.0)
+        assert traj.t_end == 10.0
+        assert traj.y_end[0] == pytest.approx(1e250 * math.exp(10.0), rel=1e-8)
+
+    def test_an_rhs_not_finite_at_the_start_raises(self):
+        with pytest.raises(DomainError, match="rhs is not finite at the initial state"):
+            integrate(lambda t, y: (math.nan,), OdeState(0.0, [1.0]), 1.0)
+
     def test_dense_output_reproduces_nodes_bitwise(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0, IntegratorConfig())
         for i in range(traj.n_nodes):
@@ -478,6 +488,15 @@ class TestFirstStep:
         traj = integrate(lambda t, y: (1.0,), OdeState(0.0, [0.0]), 1e-14)
         assert traj.ts.tolist() == [0.0, 1e-14]
         assert traj.stats == IntegratorStats(accepted=1, rejected=0, rhs_calls=2 + 15)
+
+    @pytest.mark.parametrize("bad", [lambda: 1 / 0, lambda: math.nan], ids=["raises", "nan"])
+    def test_an_euler_start_with_no_finite_derivative_halts_at_once(self, bad):
+        # k1 = 1e20 puts the first estimate below the floor; the Euler step's
+        # derivative raises or is NaN, so the step is 0 and the run halts at t = 0
+        with pytest.raises(StepUnderflow) as halted:
+            integrate(lambda t, y: (1e20 if t == 0 else bad(),), OdeState(0.0, [1.0]), 1.0)
+        assert halted.value.t == 0.0
+        assert halted.value.trajectory.stats == IntegratorStats(0, 0, rhs_calls=2)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(lam=st.floats(0.25, 4.0), xi=st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
@@ -1153,6 +1172,14 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="finite"):
             Trajectory(ts, np.zeros((n, 1)), np.zeros((n, 1)))
 
+    @pytest.mark.parametrize("ts,message", [([], "at least one node"),
+                                            ([0.0, 0.0], "strictly increase"),
+                                            ([1.0, 2.0, 1.5], "strictly increase")])
+    def test_no_node_or_a_non_increasing_time_raises(self, ts, message):
+        n = len(ts)
+        with pytest.raises(DomainError, match=message):
+            Trajectory(ts, np.zeros((n, 1)), np.zeros((n, 1)))
+
 
 def _exact_hermite(t, t0, t1, y0, y1, f0, f1):
     """The plain cubic Hermite through a segment's end states and derivatives,
@@ -1320,6 +1347,17 @@ class TestQuadrature:
         assert type(val) is float and type(diff) is float
         est = period_by_quadrature(EmdenParams(1.0, 1.0, 1.0, 1.0))
         assert type(est.T) is float and type(est.err_est) is float
+
+    def test_a_slowly_settling_integrand_takes_8192_nodes(self):
+        # integral_0^2pi dpsi / (eps + 2 sin^2(psi/2)) = 2pi/sqrt(eps (2 + eps)), the
+        # form of 1/(1 + eps - cos psi) free of cancellation; its poles at distance
+        # about sqrt(2 eps) from the real axis slow the sum, which settles at n = 8192
+        eps = 1e-4
+        f = self.counted(lambda psi: 1.0 / (eps + 2.0 * math.sin(psi / 2) ** 2))
+        val, _ = quad_adaptive(f, 0.0, 2 * math.pi)
+        assert f.calls == 2 * 8192 - 8
+        exact = 2 * math.pi / math.sqrt(eps * (2.0 + eps))
+        assert abs(val - exact) <= 1e-14 * exact
 
     def test_zero_width(self):
         assert quad_adaptive(math.sin, 1.0, 1.0) == (0.0, 0.0)

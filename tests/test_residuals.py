@@ -104,6 +104,12 @@ class TestMomentumResidual:
         with pytest.raises(MissingGravity):
             at_step(flow(ISO), field, [(0.0, 1.0, 0.0)], 1e-3)
 
+    @pytest.mark.parametrize("kind,K,message", [("adiabatic", 1.0, "pressure kind must be"),
+                                                ("gamma2", 0.0, "needs K > 0")])
+    def test_a_bad_pressure_law_raises(self, kind, K, message):
+        with pytest.raises(DomainError, match=message):
+            PressureLaw(kind, K=K)
+
     def test_zz_gamma2_without_gravity_is_fine(self, zz):
         inner = lambda t, x, y: eval_zz_inner(zz, t, x, y)
         norms = at_step(flow(G2), inner, [(1.0, 0.3, 0.2)], 1e-3)
@@ -140,6 +146,11 @@ class TestPoissonResidual:
         bad = corrupt_density_scale(rot_field, 1.01)
         study = convergence_study([poisson_residual], bad, rot_points, H_LIST)
         assert not study_passes(study["poisson"])
+
+    def test_missing_gravity_raises(self):
+        field = lambda t, x, y: FieldSample(rho=1.0, u1=0.0, u2=0.0, phi_r=None)
+        with pytest.raises(MissingGravity):
+            at_step(poisson_residual, field, [(0.0, 1.0, 0.0)], 1e-3)
 
     def test_near_origin_rejected(self):
         with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.5, x=0\.001, y=0\.0\)"):
