@@ -42,12 +42,17 @@ at the nodes, brackets the zeros there on an 8-point subsample grid, with
 y[k] > 0 at one sample and y[k] <= 0 at the next, and refines all brackets
 together to a width of 1e-12 * max(1, |t|).  Its rounds call the kernel on
 component k of the bracketed segments alone, gathered once, which gives
-the floats `evaluate` gives there.  `integrate` converts each list its run
-fills in one pass into a float64 array of the list's length and builds its
-trajectory unchecked (`Trajectory._unchecked`): the run makes strictly
-increasing node times, and the public constructor keeps every check.
-Each trajectory carries the integrator's work counters in
-`Trajectory.stats`.
+the floats `evaluate` gives there.  A run keeps its nodes and steps in
+Python lists only for 512 accepted steps at a time: then it packs them
+(`_pack`) into a chunk of float64 arrays, each list converted in one pass
+and the chunk's continuation rows formed in one product, and clears them.
+So a run's memory is its arrays plus at most one chunk of lists, and a run
+of any length gives the nodes and rows of one packing at its end, bit for
+bit.  `integrate` packs what remains, concatenates the chunks only when the
+run packed one, and builds its trajectory unchecked
+(`Trajectory._unchecked`): the run makes strictly increasing node times,
+and the public constructor keeps every check.  Each trajectory carries the
+integrator's work counters in `Trajectory.stats`.
 """
 
 from __future__ import annotations
@@ -320,7 +325,9 @@ def _euler_start(rhs: RhsFn, t: float, y: Sequence[float], k1: Sequence[float], 
     explicit Euler step of h0 gives d2, the `_norm` of the change in the derivative
     per unit step, and the step is min(100 h0, (0.01 / max(d1, d2))^(1/8), span), with
     max(1e-6, 1e-3 h0) in place of the middle term when both norms are at most 1e-15.
-    0 when the Euler step gives no finite derivative, so that the run halts at once."""
+    The cap 100 h0 is dropped when it lies below the underflow floor 1e-14 * max(1,
+    |t|), where it would halt the run before its first step.  0 when the Euler step
+    gives no finite derivative, so that the run halts at once."""
     try:
         k2 = rhs(t + h0, tuple(u + h0 * p for u, p in zip(y, k1)))
         d2 = _norm([q - p for q, p in zip(k2, k1)], y, cfg) / h0
@@ -329,7 +336,9 @@ def _euler_start(rhs: RhsFn, t: float, y: Sequence[float], k1: Sequence[float], 
     if not d2 < math.inf:  # NaN fails too
         return 0.0
     d = max(_norm(k1, y, cfg), d2)
-    return min(100 * h0, (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0), span)
+    h = min((0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0), span)
+    cap = 100 * h0
+    return h if cap < STEP_UNDERFLOW_REL * max(1.0, abs(t)) else min(cap, h)
 
 
 def _combo(weights: Sequence[float], j: int) -> str:
@@ -392,19 +401,24 @@ def _step_lines(n: int, body: str | None = None) -> list[str]:
 
 # a failed stage: its calls counted, the step rejected and retried at a tenth
 _REJECT = "rhs_calls += {}; rejected += 1; h_try = 0.1 * h; continue"
+# accepted steps per packed chunk of a run's lists, a power of two (the run
+# tests `accepted & (_CHUNK - 1)`)
+_CHUNK = 512
 
 
 def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
                 fall: int | None = None) -> str:
     """Source of `run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps,
-    falls_left, ts, ys, fs, hs, ks)`, the whole DOP853 run of `integrate` on an
-    n-state from (t0, y0) with derivative k1 and first step h_try.  Each pass
-    of its loop checks the step for underflow and the budget, runs the
-    attempt `step` (`_step_lines`) inside a handler that rejects it on
-    ArithmeticError, and on acceptance stores the node (t0 on `ts`, the state
-    and derivative flat on `ys` and `fs`, the step on `hs`, the dense stage
-    values flat on `ks`), checks the overflow guard and, for `fall` k, the
-    fall of y[k], and sets the next step.  `consts` holds the values of the
+    falls_left, ts, ys, fs, hs, ks, chunks, pack)`, the whole DOP853 run of
+    `integrate` on an n-state from (t0, y0) with derivative k1 and first step
+    h_try.  Each pass of its loop checks the step for underflow and the
+    budget, runs the attempt `step` (`_step_lines`) inside a handler that
+    rejects it on ArithmeticError, and on acceptance stores the node (t0 on
+    `ts`, the state and derivative flat on `ys` and `fs`, the step on `hs`,
+    the dense stage values flat on `ks`), after every 512th accepted step
+    appends `pack(n, ts, ys, fs, hs, ks)` (`_pack`, which empties the lists)
+    to `chunks`, checks the overflow guard and, for `fall` k, the fall of
+    y[k], and sets the next step.  `consts` holds the values of the
     constants `names`.  The run returns (halt, t, h_try, accepted, rejected,
     rhs calls after k1), where halt is the error type that ends it, or None
     at t_end or the `falls_left`-th fall."""
@@ -433,6 +447,7 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
         *(f"y0_{j} = yn_{j}" for j in js),
         *(f"k1_{j} = k13_{j}" for j in js),  # the end derivative is the next step's stage 1
         "ts.append(t0)", f"ys += {vec(lambda j: f'y0_{j}')}", f"fs += {vec(lambda j: f'k1_{j}')}",
+        f"if not accepted & {_CHUNK - 1}: chunks.append(pack({n}, ts, ys, fs, hs, ks))",
         f"if {blowup}: {halt.format('StateBlowup')}", *fall_rule,
         "grow = 0.9 * err ** -0.125 if err > 0 else 5.0",
         "if h_prev and err > 0:  # Gustafsson's predictive factor, when it is the smaller",
@@ -443,7 +458,7 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
         "h_try = h * (5.0 if grow > 5.0 else 0.2 if grow < 0.2 else grow)"]
     return "\n".join([
         "def run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps, falls_left,"
-        " ts, ys, fs, hs, ks):",
+        " ts, ys, fs, hs, ks, chunks, pack):",
         f"    ({''.join(f'{name}, ' for name in names)}) = consts",
         f"    {vec(lambda j: f'y0_{j}')} = y0", f"    {vec(lambda j: f'k1_{j}')} = k1",
         "    accepted = rejected = rhs_calls = 0",
@@ -522,6 +537,20 @@ def _packed(values: list) -> np.ndarray:
     return np.fromiter(values, float, len(values))
 
 
+def _pack(n: int, ts: list, ys: list, fs: list, hs: list, ks: list):
+    """The chunk (ts, ys, fs, cont) of arrays of a run's lists, which it
+    empties in place: the nodes, and per accepted step the continuation rows
+    h * D k in one product, each row bitwise the same whatever the number of
+    rows."""
+    k = _packed(ks).reshape(-1, len(_DENSE_STAGES), n)
+    ks.clear()  # most of the chunk's boxed floats, freed before the product
+    chunk = (_packed(ts), _packed(ys).reshape(-1, n), _packed(fs).reshape(-1, n),
+             _packed(hs)[:, None, None] * np.einsum("sjn,rj->snr", k, _D_KEPT))
+    for values in (ts, ys, fs, hs):
+        values.clear()
+    return chunk
+
+
 def integrate(
     rhs: RhsFn, y0: OdeState, t_end: float, config: IntegratorConfig = IntegratorConfig(),
     falls: tuple[int, int] | None = None,
@@ -551,7 +580,11 @@ def integrate(
     has its body pasted into every stage, and must have n components, else
     DomainError; a plain callable is called at each stage.  Both make the
     same arithmetic in the same order, so they give the same nodes, rows
-    and counts bit for bit.
+    and counts bit for bit.  The run packs its lists into float64 arrays
+    every 512 accepted steps (`_pack`), so it holds at most one chunk of
+    boxed floats besides its arrays; the trajectory, and the one a halt
+    carries, is the whole run, the same bit for bit as one packing at its
+    end.
 
     With `falls=(k, n)` the run ends early, at the node of the n-th accepted
     step where y[k] falls: > 0 at its start and <= 0 at its end.  These are
@@ -585,24 +618,27 @@ def integrate(
         raise DomainError("rhs is not finite at the initial state") from None
     if not 0 < len(k1) == n:
         raise _length_error(k1, n, t)
-    fall_k, falls_left = falls or (0, 1)
-    if not (_is_component(fall_k, n) and isinstance(falls_left, Integral) and falls_left >= 1):
-        raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
-    run = _run(n, body, names, int(fall_k) if falls else None)
+    fall_k, falls_left = None, 1  # no fall rule and no check: isinstance on an ABC is slow
+    if falls:
+        fall_k, falls_left = falls
+        if not (_is_component(fall_k, n) and isinstance(falls_left, Integral)
+                and falls_left >= 1):
+            raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
+        fall_k = int(fall_k)
+    run = _run(n, body, names, fall_k)
     h, starts = _first_step(y, k1, t_end - t, config), 1  # the rhs calls before the run
     if h <= STEP_UNDERFLOW_REL * max(1.0, abs(t)):
         h, starts = _euler_start(rhs, t, y, k1, h, t_end - t, config), 2
-    # the nodes, and per accepted step its size and the stage values the dense output weights
-    ts, ys, fs, hs, ks = [t], list(y), list(k1), [], []
+    # the nodes, and per accepted step its size and the stage values the dense output
+    # weights; the run packs them into `chunks` of arrays every _CHUNK accepted steps
+    ts, ys, fs, hs, ks, chunks = [t], list(y), list(k1), [], [], []
     halt, t, h, accepted, rejected, calls = run(
         consts, t, t_end, h, y, k1, config.atol, config.rtol, config.max_steps, falls_left,
-        ts, ys, fs, hs, ks)
-    # the continuation rows h * D k of every accepted step, in one product
-    ks = _packed(ks).reshape(-1, len(_DENSE_STAGES), n)
-    cont = _packed(hs)[:, None, None] * np.einsum("sjn,rj->snr", ks, _D_KEPT)
-    traj = Trajectory._unchecked(_packed(ts), _packed(ys).reshape(-1, n),
-                                 _packed(fs).reshape(-1, n), cont,
-                                 IntegratorStats(accepted, rejected, starts + calls))
+        ts, ys, fs, hs, ks, chunks, _pack)
+    if ts:  # the steps since the last full chunk, or all of a run shorter than one
+        chunks.append(_pack(n, ts, ys, fs, hs, ks))
+    arrays = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
+    traj = Trajectory._unchecked(*arrays, IntegratorStats(accepted, rejected, starts + calls))
     if halt is None:
         return traj
     what = {StepUnderflow: f"step size {h:.3e} underflowed",

@@ -4,10 +4,12 @@ import functools
 import hashlib
 import math
 import re
+import subprocess
 import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +444,86 @@ class TestPastedSystems:
             integrate(scale_rhs(self._UNIT), OdeState(0.0, [1.0, 1.0, 0.0]), 1.0)
 
 
+_UNIT_START = (scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), OdeState(0.0, [1.0, 1.0]))
+# a node time of the unit orbit's run to t = 400: the run that ends there
+# makes exactly 1,024 accepted steps, so its last one fills the second chunk
+_TIME_OF_NODE_1024 = 156.17461526602028
+
+
+class TestChunkedPacking:
+    """A run packs its lists into arrays every 512 accepted steps; the chunks
+    make the trajectory of one packing at the end, bit for bit."""
+
+    @pytest.mark.parametrize("solve,accepted,digest", [
+        pytest.param(lambda: integrate_scale(EmdenParams(1, 1, 1, 1), 300.0).trajectory, 1962,
+                     "df007adf4edf2d0d0eb89a498073eddfecce5d6985c7f3096cf3317110a56093",
+                     id="unit-orbit-4-chunks"),
+        pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0),
+                                           400.0).traj, 3009,
+                     "2d8475118065719fca51e8615cc300fa08161e20584a6df4b68cf1766b6a2f14",
+                     id="profile-6-chunks"),
+        pytest.param(lambda: integrate(*_UNIT_START, _TIME_OF_NODE_1024), 1024,
+                     "b9d65af44b6fe107fd53dacde478ea94f13192fcaf26d9b17217fce431f8c251",
+                     id="ends-on-a-chunk-boundary"),
+        pytest.param(lambda: integrate(*_UNIT_START, math.inf, falls=(1, 15)), 664,
+                     "89efcb8cf3200c8b54bd654bdf49f0e8215dae30d006eef21ca24466301d74da",
+                     id="falls-after-a-pack"),
+    ])
+    def test_multi_chunk_runs_are_bitwise_pinned(self, solve, accepted, digest):
+        # recorded when a run packed its lists once, at its end
+        traj = solve()
+        assert traj.stats.accepted == accepted == traj.n_nodes - 1
+        assert _digest(traj) == digest
+
+    def test_a_budget_halt_past_the_first_chunk_carries_the_whole_run(self):
+        with pytest.raises(StepBudgetExceeded, match="exceeded 700 steps") as halted:
+            integrate(*_UNIT_START, 1000.0, IntegratorConfig(max_steps=700))
+        traj = halted.value.trajectory
+        assert traj.stats == IntegratorStats(accepted=632, rejected=68, rhs_calls=10229)
+        assert traj.n_nodes == 633 and traj.t_end == halted.value.t
+        # recorded when a run packed its lists once, at its end
+        assert _digest(traj) == "30b76cbea34a9190abffe1fbe06541518b0c291a027b3fc11a011137c196743c"
+        # the first 632 steps of the run without a budget
+        full = integrate(*_UNIT_START, 1000.0)
+        assert np.array_equal(traj.ts, full.ts[:633]) and np.array_equal(traj.ys, full.ys[:633])
+        assert np.array_equal(traj.cont, full.cont[:632])
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: integrate(lambda t, y: (1e20 if t == 0 else math.nan,),
+                                       OdeState(0.0, [1.0]), 1.0), id="halts-at-once"),
+        pytest.param(lambda: integrate(*_UNIT_START, 1.0), id="one-chunk"),
+        pytest.param(lambda: integrate(*_UNIT_START, 400.0), id="six-chunks"),
+        pytest.param(lambda: integrate(*_UNIT_START, _TIME_OF_NODE_1024), id="two-full-chunks"),
+        pytest.param(lambda: integrate(*_UNIT_START, 1000.0, IntegratorConfig(max_steps=700)),
+                     id="budget-halt"),
+    ])
+    def test_each_chunk_holds_at_most_512_steps(self, run, monkeypatch):
+        steps, pack = [], ode._pack  # the steps (len(hs)) of every packed chunk
+
+        def spy(n, ts, ys, fs, hs, ks):
+            steps.append(len(hs))
+            return pack(n, ts, ys, fs, hs, ks)
+        monkeypatch.setattr(ode, "_pack", spy)
+        try:
+            traj = run()
+        except IntegrationHalted as halt:
+            traj = halt.trajectory
+        accepted = traj.stats.accepted
+        assert len(steps) == max(1, math.ceil(accepted / 512))
+        assert sum(steps) == accepted and all(s == 512 for s in steps[:-1]) and steps[-1] <= 512
+
+    def test_the_peak_rss_rise_is_at_most_three_times_the_kept_arrays(self):
+        # a fresh process, so that no earlier test sets the peak; the run to
+        # t = 4600 keeps 30,069 nodes (3.0 MiB), and its lists once raised the
+        # peak by about 12 times that
+        tool = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
+        out = subprocess.run([sys.executable, str(tool), "--t-end", "4600"], capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        got = dict(line.split() for line in out.splitlines())
+        assert int(got["nodes"]) == 30069
+        assert float(got["peak_rss_rise_mb"]) <= 3 * float(got["kept_arrays_mb"])
+
+
 def _zero_start(monkeypatch):
     # y0 = 0 and k1 = 0: both norms vanish, so the first step is the fixed 1e-6
     traj = integrate(lambda t, y: (0.0, 0.0), OdeState(0.0, [0.0, 0.0]), 1.0)
@@ -497,6 +579,35 @@ class TestFirstStep:
             integrate(lambda t, y: (1e20 if t == 0 else bad(),), OdeState(0.0, [1.0]), 1.0)
         assert halted.value.t == 0.0
         assert halted.value.trajectory.stats == IntegratorStats(0, 0, rhs_calls=2)
+
+    @pytest.mark.parametrize("t0,y0,cfg,nodes", [
+        pytest.param(0.0, (0.0, 1.0), IntegratorConfig(1e-6, 1e-30), 8, id="atol-1e-30"),
+        pytest.param(1e10, (1.0, 0.0), IntegratorConfig(1e-6, 1e-10), 5, id="start-at-1e10"),
+    ])
+    def test_a_cap_below_the_floor_is_dropped(self, t0, y0, cfg, nodes):
+        # the first estimate and its cap 100 h0 both lie below the floor
+        # 1e-14 * max(1, |t0|): with the cap the run halted before its first step
+        import scipy.integrate as scipy_integrate  # a test dependency, never skipped
+
+        rhs = lambda t, y: (y[1], -y[0])
+        k1 = rhs(t0, y0)
+        h0 = _first_step(y0, k1, 1.0, cfg)
+        assert 100 * h0 < 1e-14 * max(1.0, t0)
+        h = _euler_start(rhs, t0, y0, k1, h0, 1.0, cfg)
+        # (0.01 / d)^(1/8), where d1 = |k1| is the larger norm: 1e-4 and 10^-1.5
+        assert h > 100 * h0 and h == (0.01 / ode._norm(k1, y0, cfg)) ** 0.125
+        traj = integrate(rhs, OdeState(t0, list(y0)), t0 + 1.0, cfg)
+        assert traj.n_nodes == nodes and traj.t_end == t0 + 1.0
+        c, s = math.cos(1.0), math.sin(1.0)
+        exact = np.array([c * y0[0] + s * y0[1], c * y0[1] - s * y0[0]])
+        ref = scipy_integrate.solve_ivp(rhs, (t0, t0 + 1.0), y0, method="DOP853", rtol=cfg.rtol,
+                                        atol=cfg.atol).y[:, -1]
+        assert np.abs(ref - exact).max() <= cfg.rtol
+        # a node time rounds t + h to the floats (spacing 1.9e-6 at 1e10) while the
+        # state moves by h, so each node before the last may add half a spacing
+        slack = cfg.rtol + (traj.stats.accepted - 1) * math.ulp(t0 + 1.0) / 2
+        assert np.abs(traj.y_end - exact).max() <= slack
+        assert np.abs(traj.y_end - ref).max() <= slack + cfg.rtol
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(lam=st.floats(0.25, 4.0), xi=st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
