@@ -78,8 +78,8 @@ class IntegrationHalted(EulerPoissonError, RuntimeError):
 
     Attributes:
         t: time at which integration stopped.
-        trajectory: partial trajectory up to ``t`` (None when no step was
-            accepted before the halt).
+        trajectory: partial trajectory up to ``t``, at least its start node:
+            `integrate` builds one for every halt, and re-raises pass it on.
     """
 
     def __init__(self, message: str, t: float, trajectory=None):

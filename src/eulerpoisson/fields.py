@@ -60,7 +60,6 @@ class RotSolution2D:
     emden: EmdenParams
     profile: RadialProfile
     scale: Trajectory
-    touchdown_time: float | None = None
 
     def __post_init__(self):
         if self.emden.lam != self.profile.params.lam:
@@ -83,14 +82,13 @@ def build_rotational(
     touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
-    run = integrate_scale(emden_p, t_max, TIGHT_CONFIG)
-    scale, s_max = run.trajectory, 20.0
+    scale, s_max = integrate_scale(emden_p, t_max, TIGHT_CONFIG).trajectory, 20.0
     if samples is not None:
         t, r = samples
         a = scale.evaluate(np.clip(t, scale.t_start, scale.t_end))[..., 0]
         s_max = min(s_max, 1.0 + float(np.max(r / a, initial=0.0)))
     profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), s_max)
-    return RotSolution2D(emden_p, profile, scale, run.touchdown_time)
+    return RotSolution2D(emden_p, profile, scale)
 
 
 def _scaled_radius(sol: RotSolution2D, t, r, point: dict):

@@ -96,17 +96,11 @@ class LiouvilleParams:
 
 def _radial_rhs(p) -> Rhs:
     """The right-hand side (f', f'') of `p.law`; at s = 0 it is the limit
-    (f', f''(0)) with f''(0) = (F - g*rho(f0)) / d, which is checked finite."""
-    d, g, F, f0, rho, consts, _ = p.law
+    (f', f''(0)) with f''(0) = (F - g*rho(f0)) / d, which `integrate` checks."""
+    d, g, F, _, rho, consts, _ = p.law
     body = _RADIAL_BODY.format(rho=rho.format(f="y_0"), fpp=_fpp_source(rho, "y_0", "y_1", "t"))
     # d and d - 1 are floats: an int factor costs a conversion per call
-    rhs = Rhs(body, F=F, g=g, d=float(d), nm1=d - 1.0, **consts)
-    try:
-        if math.isfinite(rhs(0.0, (f0, 0.0))[1]):
-            return rhs
-    except OverflowError:
-        pass
-    raise DomainError(f"f''(0) overflows at {p}")
+    return Rhs(body, F=F, g=g, d=float(d), nm1=d - 1.0, **consts)
 
 
 def _fpp_source(rho: str, f: str, fp: str, s: str) -> str:
@@ -177,13 +171,15 @@ def solve_profile(
     p: LiouvilleParams, s_max: float, cfg: IntegratorConfig = TIGHT_CONFIG
 ) -> RadialProfile:
     """Integrate the profile from s = 0, where f = alpha and f' = 0, out to
-    s_max, on the `_radial_rhs` of p.  A halt is re-raised with p in its message."""
+    s_max, on the `_radial_rhs` of p.  A halt or DomainError is re-raised naming p."""
     if not s_max > 0:
         raise DomainError("s_max must be > 0")
     try:
         traj = integrate(_radial_rhs(p), OdeState(0.0, (p.alpha, 0.0)), s_max, cfg)
     except IntegrationHalted as halt:
         raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
+    except DomainError as exc:  # a run that cannot start
+        raise DomainError(f"{exc} in the profile of {p}") from None
     return RadialProfile(p, traj)
 
 

@@ -5,25 +5,24 @@ section II.5), drives all time integration in the package.  Every system
 here has a few components, so the step runs on Python floats: a right-hand
 side takes `(t, y)` with y a tuple of floats and returns a sequence of
 floats of the same length.  Each run of `integrate` is one call of a
-function generated for the state size n, the system and the fall
-component; `_run_source` returns its source.  Its one loop holds the step
-checks, the attempt, the controller, the guards and the stores.  The
-attempt, `_step_lines`, is straight-line from the tableau, with one local
-per stage and component and the tableau's term order.  Every stage has one
-template: it sets t and y_0..y_{n-1} to the stage input, runs the system's
-body, which assigns f_0..f_{n-1}, and checks those finite.  The package's
-systems are `Rhs` objects, whose body is their own statements, pasted into
-each stage, so a stage makes no call; for any other callable the body is
-the call `f = rhs(t, (y_0, ...))`.  A run is compiled once per state size,
-system and fall component, on its first use, never per parameter set.  A
-step costs 11 rhs calls before its error check; an accepted one adds the
-derivative at the new point (FSAL) and three stages for the stepper's own
-7th-order continuous extension (section II.6), so a run makes 1 +
-11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
+function compiled on first use for the state size n, the system and the
+fall component, never per parameter set; `_run_source` returns its
+source.  Its one loop holds the step checks, the attempt, the controller,
+the guards and the stores.  The attempt, `_step_lines`, is straight-line
+from the tableau, with one local per stage and component and the
+tableau's term order.  Every stage has one template: it sets t and
+y_0..y_{n-1} to the stage input, runs the body of the system, an `Rhs`,
+which assigns f_0..f_{n-1}, and checks those finite.  A package system's
+body is its own statements, so a stage makes no call; any other callable
+fn becomes the `Rhs` of its call `f = fn(t, (y_0, ...))` and length
+check.  A step costs 11 rhs calls before its error check; an accepted one
+adds the derivative at the new point (FSAL) and three stages for the
+stepper's own 7th-order continuous extension (section II.6), so a run makes
+1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
 estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
 norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
-costs no rhs call and stops at t_end.  Only a first estimate at or below
-the underflow floor takes the second phase of that algorithm, one explicit
+costs no rhs call and stops at t_end.  Only a first estimate at or below the
+underflow floor takes the second phase of that algorithm, one explicit
 Euler step and one more rhs call (`_euler_start`).  The next step also
 weighs the last accepted one, by Gustafsson's predictive controller
 (Hairer & Wanner II, section IV.8; its formula is in `integrate`), so the
@@ -160,7 +159,7 @@ _D_KEPT = np.array(_D)[:, _DENSE_STAGES]
 
 @dataclass(frozen=True)
 class OdeState:
-    """A time point and the state vector attached to it."""
+    """A time point and the state vector attached to it, 1-D and not empty."""
 
     t: float
     y: np.ndarray
@@ -168,6 +167,8 @@ class OdeState:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "y", y)
+        if y.ndim != 1 or not y.size:
+            raise DomainError(f"OdeState requires a 1-D y of at least one component, not {y.shape}")
         if not math.isfinite(self.t) or not np.all(np.isfinite(y)):
             raise DomainError("OdeState requires finite t and y")
 
@@ -347,26 +348,18 @@ def _combo(weights: Sequence[float], j: int) -> str:
         "+ -", "- ")
 
 
-def _step_lines(n: int, body: str | None = None) -> list[str]:
+def _step_lines(n: int, body: str) -> list[str]:
     """One DOP853 step attempt on an n-state, as the lines `_run_source` pastes
     into its loop: straight-line, one local per stage and component, sums in
-    the tableau's order without its zero weights.  Every stage is one
-    template: it sets `t` (only when `body` reads it, by its compiled
-    `co_names`) and `y_0..y_{n-1}` to the stage input, runs `body`, which
-    assigns `f_0..f_{n-1}`, copies those into `k{i}_j` and checks them finite.
-    `body` None is a plain callable, the constant `rhs`: its body is the call
-    `f = rhs(t, (y_0, ...))` unpacked into `f_0..`, where a result of another
-    length raises DomainError.  The attempt steps h from t0, y0_j and k1_j and
-    ends with the error norm `err`, the new state `yn_j`, its derivative
-    `k13_j` and the stage values the dense output weights; a stage i that is
-    not finite, or an error norm that is not finite or above 1, rejects it
-    after the i - 1 (or 11) rhs calls it made."""
+    the tableau's order without its zero weights.  Every stage is one template:
+    it sets `t` (only when `body` reads it, by its compiled `co_names`) and
+    `y_0..y_{n-1}` to the stage input, runs `body`, an `Rhs`'s, which assigns
+    `f_0..f_{n-1}`, copies those into `k{i}_j` and checks them finite.  The
+    attempt steps h from t0, y0_j and k1_j and ends with the error norm `err`,
+    the new state `yn_j`, its derivative `k13_j` and the stage values the dense
+    output weights; a stage i that is not finite, or an error norm that is not
+    finite or above 1, rejects it after the i - 1 (or 11) rhs calls it made."""
     js = range(n)
-    vec = lambda f: "(" + "".join(f"{f(j)}, " for j in js) + ")"
-    if body is None:
-        body = "\n".join([f"f = rhs(t, {vec(lambda j: f'y_{j}')})",
-                          f"try: {vec(lambda j: f'f_{j}')} = f",
-                          f"except ValueError: raise _length_error(f, {n}, t) from None"])
     reads_t = "t" in compile(body, "<rhs>", "exec").co_names
     lines = []
 
@@ -406,8 +399,7 @@ _REJECT = "rhs_calls += {}; rejected += 1; h_try = 0.1 * h; continue"
 _CHUNK = 512
 
 
-def _run_source(n: int, step: list[str], names: tuple[str, ...] = ("rhs",),
-                fall: int | None = None) -> str:
+def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | None) -> str:
     """Source of `run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps,
     falls_left, ts, ys, fs, hs, ks, chunks, pack)`, the whole DOP853 run of
     `integrate` on an n-state from (t0, y0) with derivative k1 and first step
@@ -473,8 +465,17 @@ def _is_component(k, n: int) -> bool:
     return isinstance(k, Integral) and 0 <= k < n
 
 
-def _length_error(k: Sequence[float], n: int, t: float) -> DomainError:
-    return DomainError(f"rhs returned {len(k)} components for a {n}-state at t={t!r}")
+def _length_error(f, n: int, t: float) -> DomainError:
+    got = f"{len(f)} components" if isinstance(f, Sequence) else repr(f)  # an array by its repr
+    return DomainError(f"rhs returned {got} for a {n}-state at t={t!r}")
+
+
+@functools.cache
+def _call_body(n: int) -> str:
+    """The `Rhs` body of a plain callable `fn` on an n-state; not `rhs`, the closure's name."""
+    y, f = (", ".join(f"{x}_{j}" for j in range(n)) + "," for x in "yf")
+    return (f"f = fn(t, ({y}))\ntry: {f} = f\n"
+            f"except (TypeError, ValueError): raise _length_error(f, {n}, t) from None")
 
 
 _NAMESPACE = {"isfinite": math.isfinite, "sqrt": math.sqrt, "math": math, "inf": math.inf,
@@ -483,7 +484,7 @@ _NAMESPACE = {"isfinite": math.isfinite, "sqrt": math.sqrt, "math": math, "inf":
 
 
 @functools.cache
-def _run(n: int, body: str | None, names: tuple[str, ...], fall: int | None):
+def _run(n: int, body: str, names: tuple[str, ...], fall: int | None):
     """The compiled run of `_run_source` on the attempt of `body`, once per
     state size, system and fall component; its tracebacks name "<DOP853 run, n=...>"."""
     namespace = dict(_NAMESPACE)
@@ -518,7 +519,8 @@ class Rhs(functools.partial):
     is compiled once per process, whatever the constants, which reach it
     as the tuple `consts`.  Calling an Rhs runs a closure over the
     constants, compiled once from the same body.  `integrate` recognises
-    the type, never the attributes, which a `functools.wraps` wrapper copies.
+    the type, never the attributes (a `functools.wraps` wrapper copies
+    them), and makes any other callable fn `Rhs(_call_body(n), fn=fn)`.
     """
 
     # a partial with no arguments of its own: a traced call rhs(*args) reaches
@@ -557,34 +559,32 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from y0.t to t_end with adaptive DOP853 steps.
 
-    `rhs` receives the state as a tuple of floats and returns a new sequence
-    of the same length (node derivatives keep it); another length raises
-    DomainError naming both lengths and the time.  Local error is
+    `rhs` receives the state as a tuple of floats and returns a new sequence of
+    the same length (node derivatives keep it); another length, or no sequence,
+    raises DomainError naming what came back and the time.  Local error is
     controlled against atol + rtol*|y| by Hairer's combined 5th/3rd-order
-    estimate, before the FSAL stage, so a rejected attempt costs 11 rhs
-    calls and an accepted one 15 (11, the FSAL stage and three dense-output
-    stages); a run makes 1 + 11*attempts + 4*accepted calls, and one more
-    when its first estimate is at or below the underflow floor
-    (`_euler_start`).  A step h accepted after an accepted h_prev is
-    followed by h times the smaller of 0.9 err^(-1/8) and Gustafsson's
-    0.9 err^(-1/8) (h/h_prev) (err_prev/err)^(1/8), err_prev the error of
-    h_prev floored at 1e-2.  A
-    step is rejected when a stage is not finite or raises ArithmeticError
-    (ZeroDivisionError, OverflowError), so integrands may signal domain
-    exits (for example a scale factor touching zero) by returning NaN; the
-    run then terminates with StepUnderflow at the singular time.  A stage i
-    (2..16) that fails ends its attempt after i - 1 calls.  The whole run is
-    one call of the function generated for n = len(y), the system and the
-    fall component, on the first run of that triple; `_run_source` returns
-    its source.  An `Rhs` (by type: a wrapper of one is a plain callable)
-    has its body pasted into every stage, and must have n components, else
-    DomainError; a plain callable is called at each stage.  Both make the
-    same arithmetic in the same order, so they give the same nodes, rows
-    and counts bit for bit.  The run packs its lists into float64 arrays
-    every 512 accepted steps (`_pack`), so it holds at most one chunk of
-    boxed floats besides its arrays; the trajectory, and the one a halt
-    carries, is the whole run, the same bit for bit as one packing at its
-    end.
+    estimate, before the FSAL stage, so a rejected attempt costs 11 rhs calls
+    and an accepted one 15 (11, the FSAL stage and three dense-output stages);
+    a run makes 1 + 11*attempts + 4*accepted calls, and one more when its first
+    estimate is at or below the underflow floor (`_euler_start`).  A step h
+    accepted after an accepted h_prev is followed by h times the smaller of 0.9
+    err^(-1/8) and Gustafsson's 0.9 err^(-1/8) (h/h_prev) (err_prev/err)^(1/8),
+    err_prev the error of h_prev floored at 1e-2.  A step is rejected when a
+    stage is not finite or raises ArithmeticError (ZeroDivisionError,
+    OverflowError), so integrands may signal domain exits (for example a scale
+    factor touching zero) by returning NaN; the run then terminates with
+    StepUnderflow at the singular time.  A stage i (2..16) that fails ends its
+    attempt after i - 1 calls.  The whole run is one call of the function
+    generated for n = len(y), the system and the fall component, on the first
+    run of that triple; `_run_source` returns its source.  An `Rhs` (by type: a
+    wrapper of one is a plain callable) has its body pasted into every stage,
+    and must have n components, else DomainError; a plain callable becomes the
+    `Rhs` whose body is its call (`_call_body`).  Both make the same arithmetic
+    in the same order, so they give the same nodes, rows and counts bit for
+    bit.  The run packs its lists into float64 arrays every 512 accepted steps
+    (`_pack`), so it holds at most one chunk of boxed floats besides its
+    arrays; the trajectory, and the one a halt carries, is the whole run, the
+    same bit for bit as one packing at its end.
 
     With `falls=(k, n)` the run ends early, at the node of the n-th accepted
     step where y[k] falls: > 0 at its start and <= 0 at its end.  These are
@@ -604,11 +604,9 @@ def integrate(
         raise DomainError("t_end must exceed the initial time")
     y = tuple(y0.y.tolist())
     n = len(y)
-    if type(rhs) is not Rhs:  # the call template
-        body, names, consts = None, ("rhs",), (rhs,)
-    elif rhs.n == n:
-        body, names, consts = rhs.body, rhs.names, rhs.consts
-    else:
+    if type(rhs) is not Rhs:
+        rhs = Rhs(_call_body(n), fn=rhs)
+    elif rhs.n != n:
         raise DomainError(f"a {rhs.n}-component system cannot take a {n}-state")
     try:
         k1 = rhs(t, y)
@@ -616,8 +614,6 @@ def integrate(
             raise FloatingPointError
     except ArithmeticError:
         raise DomainError("rhs is not finite at the initial state") from None
-    if not 0 < len(k1) == n:
-        raise _length_error(k1, n, t)
     fall_k, falls_left = None, 1  # no fall rule and no check: isinstance on an ABC is slow
     if falls:
         fall_k, falls_left = falls
@@ -625,7 +621,7 @@ def integrate(
                 and falls_left >= 1):
             raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
         fall_k = int(fall_k)
-    run = _run(n, body, names, fall_k)
+    run = _run(n, rhs.body, rhs.names, fall_k)
     h, starts = _first_step(y, k1, t_end - t, config), 1  # the rhs calls before the run
     if h <= STEP_UNDERFLOW_REL * max(1.0, abs(t)):
         h, starts = _euler_start(rhs, t, y, k1, h, t_end - t, config), 2
@@ -633,7 +629,7 @@ def integrate(
     # weights; the run packs them into `chunks` of arrays every _CHUNK accepted steps
     ts, ys, fs, hs, ks, chunks = [t], list(y), list(k1), [], [], []
     halt, t, h, accepted, rejected, calls = run(
-        consts, t, t_end, h, y, k1, config.atol, config.rtol, config.max_steps, falls_left,
+        rhs.consts, t, t_end, h, y, k1, config.atol, config.rtol, config.max_steps, falls_left,
         ts, ys, fs, hs, ks, chunks, _pack)
     if ts:  # the steps since the last full chunk, or all of a run shorter than one
         chunks.append(_pack(n, ts, ys, fs, hs, ks))

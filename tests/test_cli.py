@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,13 @@ class TestUsageAndConfig:
 
     def test_missing_command_exits_1(self):
         assert main([]) == 1
+
+    def test_the_module_runs_as_main(self, monkeypatch, capsys):
+        # runpy warns that the module it runs is already imported
+        monkeypatch.setattr(sys, "argv", ["eulerpoisson.cli", "--version"])
+        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as e:
+            runpy.run_module("eulerpoisson.cli", run_name="__main__")
+        assert e.value.code == 0 and capsys.readouterr().out.strip() == cli.__version__
 
     def test_config_file_applies_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eulerpoisson.emden import EmdenParams
+from eulerpoisson.emden import EmdenParams, integrate_scale
 from eulerpoisson.errors import DomainError, OutOfRange, OutsideRegion
 from eulerpoisson.fields import (
     SwirlAnsatz,
@@ -20,6 +20,7 @@ from eulerpoisson.fields import (
     gravity_radial_two_ways,
     zz_interface_radius,
 )
+from eulerpoisson.ode import TIGHT_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,11 @@ def rigid_rotation():
         lam=math.pi, xi=math.sqrt(math.pi), K=1.0, alpha=0.0,
         a0=1.0, a1=0.0, t_max=3.0,
     )
+
+
+def _collapse_touchdown():
+    """The touchdown of the scale factor of build_rotational(lam=1, xi=0, a0=1, a1=0, t_max=2)."""
+    return integrate_scale(EmdenParams(1.0, 0.0, 1.0, 0.0), 2.0, TIGHT_CONFIG).touchdown_time
 
 
 class TestRotational:
@@ -80,8 +86,9 @@ class TestRotational:
         sol = build_rotational(
             lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0, t_max=2.0
         )
-        assert sol.touchdown_time is not None  # non-rotating collapse
-        t = 0.5 * sol.touchdown_time
+        touchdown = _collapse_touchdown()
+        assert touchdown is not None  # non-rotating collapse
+        t = 0.5 * touchdown
         a, adot = sol.scale.state_at(t)
         for (x, y) in [(0.3, 0.4), (-0.2, 0.1)]:
             s = eval_rotational(sol, t, x, y)
@@ -116,7 +123,7 @@ class TestRotational:
         # r/a = 1/a(0.5) is below 2, but t = 2 lies past the touchdown, where a is tiny
         sol = build_rotational(lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0,
                                t_max=2.0, samples=(np.array([0.5, 2.0]), 1.0))
-        assert sol.scale.t_end == sol.touchdown_time < 2.0
+        assert sol.scale.t_end == _collapse_touchdown() < 2.0
         assert 1.0 / sol.scale.evaluate(0.5)[0] < 2.0
         assert sol.profile.s_max == 20.0
 

@@ -74,6 +74,13 @@ class TestProfile:
         with pytest.raises(DomainError, match="alpha_center=5e"):
             solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=5e102))
 
+    def test_a_profile_that_cannot_start_names_its_parameters(self):
+        # alpha_center^3 overflows in f''(0), the rhs at s = 0
+        p = GWParams(3, 1.0, 1.0, 1e200)
+        with pytest.raises(DomainError) as e:
+            solve_gw_profile(p)
+        assert str(e.value) == f"rhs is not finite at the initial state in the profile of {p}"
+
     def test_support_below_the_step_floor_names_alpha_center(self):
         # the support radius is about 1e-100, below the step floor 1e-14 at s = 0
         with pytest.raises(StepUnderflow, match="alpha_center=1e"):

@@ -61,6 +61,13 @@ class TestSolveProfile:
         with pytest.raises(DomainError, match=names):
             solve_profile(LiouvilleParams(K=K, lam=1.0, alpha=alpha), 20.0)
 
+    def test_a_profile_that_cannot_start_names_its_parameters(self):
+        # e^710 overflows in f''(0), the rhs at s = 0
+        p = LiouvilleParams(1, 1, 710)
+        with pytest.raises(DomainError) as e:
+            solve_profile(p, 20.0)
+        assert str(e.value) == f"rhs is not finite at the initial state in the profile of {p}"
+
     @pytest.mark.parametrize("K,alpha", [(1.0, 0.0), (2.0, 0.5)])
     def test_zero_gravity_support_closed_form(self, K, alpha):
         prof = solve_profile(LiouvilleParams(K=K, lam=0.0, alpha=alpha), 20.0)

@@ -52,6 +52,7 @@ from eulerpoisson.ode import (
     IntegratorStats,
     OdeState,
     Trajectory,
+    _call_body,
     _euler_start,
     _first_step,
     _run_source,
@@ -132,6 +133,13 @@ class TestIntegrate:
     def test_an_rhs_not_finite_at_the_start_raises(self):
         with pytest.raises(DomainError, match="rhs is not finite at the initial state"):
             integrate(lambda t, y: (math.nan,), OdeState(0.0, [1.0]), 1.0)
+
+    @pytest.mark.parametrize("y", [[], [[1.0, 2.0]]], ids=["empty", "2-D"])
+    def test_a_state_empty_or_not_1d_raises_domain_error(self, y):
+        # an empty y reached the run ("rhs returned 0 components for a 0-state"); a 2-D
+        # one ended in a TypeError or "a 2-component system cannot take a 1-state"
+        with pytest.raises(DomainError, match=r"OdeState requires a 1-D y .*, not \("):
+            OdeState(0.0, y)
 
     def test_dense_output_reproduces_nodes_bitwise(self):
         traj = integrate(rhs_harmonic, OdeState(0.0, [1.0, 0.0]), 10.0, IntegratorConfig())
@@ -307,7 +315,7 @@ class TestGeneratedStep:
     @pytest.mark.parametrize("fall", [None, 0])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_source_compiles_without_zip_or_comprehension(self, n, fall):
-        src = _run_source(n, _step_lines(n), fall=fall)
+        src = _run_source(n, _step_lines(n, _call_body(n)), ("fn",), fall)
         compile(src, "<run>", "exec")
         # one loop, the run's own; every stage and store is straight-line
         assert "zip" not in src and " for " not in src and src.count("while ") == 1
@@ -332,13 +340,19 @@ class TestGeneratedStep:
         assert st.rhs_calls == 1 + (stage - 1) + 11 * (attempts - 1) + 4 * st.accepted
         assert st.rejected >= 1 and traj.t_end == 1.0
 
-    @pytest.mark.parametrize("late,got", [(lambda y: (y[1], -y[0], 0.0), 3),
-                                          (lambda y: (y[1],), 1)], ids=["longer", "shorter"])
-    def test_an_rhs_changing_its_length_raises_domain_error(self, late, got):
-        rhs, calls = _oscillator_with(late, lambda i: i >= 5)
-        with pytest.raises(DomainError, match=f"rhs returned {got} components for a 2-state") as e:
+    @pytest.mark.parametrize("late,got,first", [
+        (lambda y: (y[1], -y[0], 0.0), "3 components", 5), (lambda y: (y[1],), "1 components", 5),
+        # a result that is no sequence, mid-run and at k1, was a TypeError traceback
+        (lambda y: 1.0, "1.0", 5), (lambda y: None, "None", 5),
+        (lambda y: (y[1],), "1 components", 1), (lambda y: 1.0, "1.0", 1),
+        (lambda y: None, "None", 1),
+    ], ids=["longer", "shorter", "float", "none", "k1-shorter", "k1-float", "k1-none"])
+    def test_an_rhs_changing_its_length_raises_domain_error(self, late, got, first):
+        # the calls from number `first` on return late(y); call 1 is k1
+        rhs, calls = _oscillator_with(late, lambda i: i >= first)
+        with pytest.raises(DomainError, match=f"rhs returned {re.escape(got)} for a 2-state") as e:
             integrate(rhs, OdeState(0.0, [1.0, 0.0]), 1.0)
-        assert str(e.value).endswith(f"at t={calls[-1]!r}")
+        assert str(e.value).endswith(f"at t={calls[-1]!r}") and len(calls) >= first
 
     def test_an_rhs_value_error_is_its_own(self):
         # math.log(-1) raises ValueError, which is neither a length change nor a rejection
@@ -387,7 +401,7 @@ def _run_or_halt(rhs, y0, t_end, cfg, falls=None):
 
 class TestPastedSystems:
     """Each package system, pasted into the attempt, against the same system
-    called through a plain callable, which takes the call template."""
+    called through a plain callable, whose body is the call."""
 
     _UNIT = EmdenParams(1.0, 1.0, 1.0, 1.0)
 
@@ -434,8 +448,8 @@ class TestPastedSystems:
                            (lambda t, y: a(t, y), None), (lambda t, y: b(t, y), None)]:
             integrate(rhs, start, 5.0, IntegratorConfig(), falls)
             sizes.append(run.cache_info().currsize)
-        # parameters share a run; a fall component, another body or the call template do
-        # not; the scale law's template yields two bodies, d = 2 and any other d
+        # parameters share a run; a fall component, another body or a call body do not;
+        # the scale law's template yields two bodies, d = 2 and any other d
         assert sizes == [1, 1, 2, 2, 3, 4, 4, 5, 5]
         assert run(2, a.body, a.names, None) is run(2, b.body, b.names, None)
 
@@ -1118,7 +1132,7 @@ def _scripted(values, fall):
     step = ["yn_0 = next(nodes)", "err = 0.0",
             *(f"k{i + 1}_0 = 0.0" for i in ode._DENSE_STAGES if i)]
     namespace = dict(ode._NAMESPACE, nodes=iter(values))
-    exec(compile(_run_source(1, step, fall=fall), "<scripted run>", "exec"), namespace)
+    exec(compile(_run_source(1, step, ("fn",), fall), "<scripted run>", "exec"), namespace)
     return namespace["run"]
 
 

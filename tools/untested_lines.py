@@ -11,7 +11,7 @@ process are not traced, so a line that only they reach is listed too.
 
 Arguments are passed to pytest.  Tracing roughly doubles the suite's wall
 time, so a test that bounds a wall time of a few milliseconds may fail
-here alone.  The exit code is pytest's.
+here alone.  The exit code is 1 when a line is listed, else pytest's.
 """
 
 from __future__ import annotations
@@ -58,13 +58,15 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
 
+    listed = False
     for name, path in sources.items():
         text = path.read_text()
         src_lines = text.splitlines()
         missed = executable_lines(compile(text, name, "exec")) - ran[name]
         for line in sorted(missed):
             print(f"{path.relative_to(ROOT)}:{line}: {src_lines[line - 1].strip()}")
-    return int(code)
+        listed = listed or bool(missed)
+    return 1 if listed else int(code)
 
 
 if __name__ == "__main__":
