@@ -118,6 +118,11 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--outdir", help="output directory (default: . or $EULERPOISSON_OUTDIR)")
 
 
+def _add_orbit(sp: argparse.ArgumentParser) -> None:
+    for name in ("lam", "xi", "a0", "a1"):
+        sp.add_argument(f"--{name}", type=finite_float, default=1.0)
+
+
 def _add_integrator(sp: argparse.ArgumentParser) -> None:
     """One flag per `IntegratorConfig` field, in the help's "integrator" group."""
     group = sp.add_argument_group("integrator")
@@ -136,10 +141,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     # defaults reproduce the rotating-orbit example configuration
     p = sub.add_parser("emden", help="integrate the scale factor, emit orbit CSV")
-    p.add_argument("--lam", type=finite_float, default=1.0)
-    p.add_argument("--xi", type=finite_float, default=1.0)
-    p.add_argument("--a0", type=finite_float, default=1.0)
-    p.add_argument("--a1", type=finite_float, default=1.0)
+    _add_orbit(p)
     p.add_argument("--t-end", dest="t_end", type=finite_float, default=50.0)
     p.add_argument("--samples", type=positive_int, default=1001)
     _add_common(p)
@@ -155,12 +157,9 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = sub.add_parser("fields", help="sample spacetime fields of a family")
     p.add_argument("--family", choices=list(_FIELD_FAMILIES), default="rotational")
-    p.add_argument("--lam", type=finite_float, default=1.0)
-    p.add_argument("--xi", type=finite_float, default=1.0)
+    _add_orbit(p)
     p.add_argument("--K", type=finite_float, default=1.0)
-    p.add_argument("--alpha", type=finite_float, default=0.0)
-    p.add_argument("--a0", type=finite_float, default=1.0)
-    p.add_argument("--a1", type=finite_float, default=1.0)
+    p.add_argument("--alpha", type=finite_float, help="default 1.0 for gw, else 0.0")
     p.add_argument("--rho0", type=finite_float, default=0.5, help="outer density (zz families)")
     p.add_argument("--N", type=int, default=3, help="dimension (gw family)")
     p.add_argument("--t0", type=finite_float, default=0.5)
@@ -172,10 +171,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_common(p)
 
     p = sub.add_parser("period", help="compare quadrature and simulation periods")
-    p.add_argument("--lam", type=finite_float, default=1.0)
-    p.add_argument("--xi", type=finite_float, default=1.0)
-    p.add_argument("--a0", type=finite_float, default=1.0)
-    p.add_argument("--a1", type=finite_float, default=1.0)
+    _add_orbit(p)
     _add_common(p)
     _add_integrator(p)
 
@@ -375,10 +371,8 @@ def _fields_columns_zz(args, inner: bool):
 
 
 def _fields_columns_gw(args):
-    p = goldreich_weber.GWParams(
-        N=args.N, K=args.K, lam=args.lam, alpha_center=args.alpha,
-        a0=args.a0, a1=args.a1,
-    )
+    p = goldreich_weber.GWParams(N=args.N, K=args.K, lam=args.lam, alpha_center=args.alpha,
+                                 a0=args.a0, a1=args.a1)
     prof = goldreich_weber.solve_gw_profile(p)
     scale = emden.integrate_scale(p, args.t1).trajectory
     ev = functools.partial(fields.eval_gw, prof, scale)
@@ -396,9 +390,10 @@ _FIELD_FAMILIES = {
 
 
 def cmd_fields(args) -> int:
+    if args.alpha is None:  # the family's own central value: gw's must be > 0
+        args.alpha = 1.0 if args.family == "gw" else 0.0
     columns = _FIELD_FAMILIES[args.family](args)
-    out = _outdir(args)
-    _write_csv(out / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
+    _write_csv(_outdir(args) / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
     return 0
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, IntegrationHalted, NotPeriodic, StateBlowup, StepUnderflow
+from .errors import DomainError, NotPeriodic, StateBlowup, StepUnderflow, naming
 from .ode import (
     IntegratorConfig,
     IntegratorStats,
@@ -303,11 +303,11 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     is integrated on at cfg from the last node to the missing falls, however
     long that takes, in Sundman time from (ln a, a', t) at tau = 0, where the
     step of an orbit 1e25 wide would underflow in t (see `sundman_rhs`); the
-    falls' times t are read off its dense output.  cfg.max_steps bounds it,
-    and a halt is re-raised with its type, time tau, (ln a, a', t) trajectory
-    and the orbit's parameters.  The period is the mean of the three
-    gaps between the first four maxima of a(t), err_est their largest
-    deviation from it, and stats the counters of the integration it added.
+    falls' times t are read off its dense output.  cfg.max_steps bounds it;
+    a halt (time tau, (ln a, a', t) trajectory) or a start that cannot run
+    names p (`naming`).  The period is the mean of the three gaps between the
+    first four maxima of a(t), err_est their largest deviation from it, and
+    stats the counters of the integration it added.
     """
     if classify(p) is not OrbitClass.PERIODIC:
         raise NotPeriodic("period is defined only for periodic orbits")
@@ -320,12 +320,9 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     stats = IntegratorStats()
     if len(events) < _PERIOD_EVENTS_NEEDED:
         (a, v), t = run.y_end, run.t_end
-        try:
+        with naming(f"(Sundman time) in the period of {p}"):
             more = integrate(sundman_rhs(p), OdeState(0.0, (math.log(a), v, t)), math.inf, cfg,
                              falls=(1, _PERIOD_EVENTS_NEEDED - len(events)))
-        except IntegrationHalted as halt:
-            raise type(halt)(f"{halt} (Sundman time) in the period of {p}", halt.t,
-                             halt.trajectory) from None
         found = more.evaluate(detect_events(more, 1))[:, 2]  # the falls' times t
         events, stats = np.concatenate([events, found]), more.stats
 
@@ -341,20 +338,18 @@ def integrate_scale(p, t_end: float, cfg: IntegratorConfig = IntegratorConfig())
     With xi2 = 0 <= lam, a StepUnderflow or StateBlowup halt whose last node
     (t_k, a_k, a'_k) has a'_k < 0 and a_k <= 1e-9 * max(1, t_k) * |a'_k| is
     that touchdown, within a_k/|a'_k| of t_k: the trajectory is returned with
-    the halt time.  Any other halt is re-raised with its type, time,
-    trajectory and p, and a run that cannot start (DomainError) with p.
+    the halt time.  Any other halt, and a run that cannot start (DomainError),
+    is re-raised naming p (`naming`).
     """
     law = p.scale_law
-    try:
-        return ScaleRun(integrate(scale_rhs(p), OdeState(0.0, (law.a0, law.a1)), t_end, cfg))
-    except DomainError as exc:
-        raise DomainError(f"{exc} in the scale factor of {p}") from None
-    except IntegrationHalted as halt:
-        a, v = halt.trajectory.y_end
-        if (isinstance(halt, (StepUnderflow, StateBlowup)) and law.xi2 == 0 <= law.lam
-                and v < 0 and a <= 1e-9 * max(1.0, halt.t) * -v):
-            return ScaleRun(halt.trajectory, halt.t)
-        raise type(halt)(f"{halt} in the scale factor of {p}", halt.t, halt.trajectory) from None
+    with naming(f"in the scale factor of {p}"):
+        try:
+            return ScaleRun(integrate(scale_rhs(p), OdeState(0.0, (law.a0, law.a1)), t_end, cfg))
+        except (StepUnderflow, StateBlowup) as halt:
+            a, v = halt.trajectory.y_end
+            if law.xi2 == 0 <= law.lam and v < 0 and a <= 1e-9 * max(1.0, halt.t) * -v:
+                return ScaleRun(halt.trajectory, halt.t)
+            raise
 
 
 def energy_drift(traj: Trajectory, p: EmdenParams) -> float:

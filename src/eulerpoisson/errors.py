@@ -11,6 +11,8 @@ error keeps the mask of all of them, so a caller can drop them and go on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -79,7 +81,7 @@ class IntegrationHalted(EulerPoissonError, RuntimeError):
     Attributes:
         t: time at which integration stopped.
         trajectory: partial trajectory up to ``t``, at least its start node:
-            `integrate` builds one for every halt, and re-raises pass it on.
+            `integrate` builds one for every halt, and `naming` passes it on.
     """
 
     def __init__(self, message: str, t: float, trajectory=None):
@@ -98,3 +100,15 @@ class StateBlowup(IntegrationHalted):
 
 class StepUnderflow(IntegrationHalted):
     """The step size collapsed below the relative floor (singularity ahead)."""
+
+
+@contextmanager
+def naming(clause: str):
+    """How a solver's failure names its parameters: a halt or DomainError raised in the block
+    is re-raised as its own type, `clause` after its message, a halt with its t and trajectory."""
+    try:
+        yield
+    except IntegrationHalted as halt:
+        raise type(halt)(f"{halt} {clause}", halt.t, halt.trajectory) from None
+    except DomainError as exc:
+        raise DomainError(f"{exc} {clause}") from None

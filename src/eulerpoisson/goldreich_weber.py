@@ -27,7 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .emden import ScaleLaw
-from .errors import DomainError, IntegrationHalted, NoCompactSupport, NonRealPower, raise_where
+from .errors import DomainError, NoCompactSupport, NonRealPower, naming, raise_where
 from .liouville import RadialLaw, RadialProfile, _fpp_source, _radial_rhs, alpha_const
 from .ode import (TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, Trajectory,
                   integrate)
@@ -79,8 +79,8 @@ class GWParams:
 def solve_gw_profile(
     p: GWParams, cfg: IntegratorConfig = TIGHT_CONFIG, s_cap: float = S_CAP_DEFAULT
 ) -> RadialProfile:
-    """Integrate the profile outward from s = 0, where f = alpha_center and
-    f' = 0, to its first zero s_mu, the support radius.
+    """Integrate the profile outward from s = 0, where f = law.f0 = alpha_center
+    and f' = 0, to its first zero s_mu, the support radius.
 
     Three runs locate s_mu.  The run in s stops at the first step over which
     f falls through 0 (`falls=(0, 1)`); that step is dropped, since the
@@ -91,13 +91,13 @@ def solve_gw_profile(
     the profile end on the node (s_mu, 0.0, f').  The trajectory is the
     prefix plus the closing run, and its stats add up all three runs.  With
     no zero before s_cap the full trajectory is kept and s_mu is None.  A
-    halt is re-raised with the parameters in its message; a zero inside the
-    first step, where the swap cannot start since f' = 0 at s = 0, raises
-    DomainError naming them.
+    halt, a run that cannot start, and a zero inside the first step, where
+    the swap cannot start since f' = 0 at s = 0 (DomainError), name the
+    parameters (`errors.naming`).
     """
     rhs = _radial_rhs(p)
-    try:
-        run = integrate(rhs, OdeState(0.0, (p.alpha_center, 0.0)), s_cap, cfg, falls=(0, 1))
+    with naming(f"in the profile of {p}"):
+        run = integrate(rhs, OdeState(0.0, (p.law.f0, 0.0)), s_cap, cfg, falls=(0, 1))
         if run.y_end[0] > 0.0:
             return RadialProfile(p, run)
         k = run.n_nodes - 2  # the crossing step starts here
@@ -108,10 +108,6 @@ def solve_gw_profile(
                          0.0, cfg)
         s_mu = float(swap.y_end[0])
         tail = integrate(rhs, OdeState(run.ts[k], run.ys[k]), s_mu, cfg)
-    except IntegrationHalted as halt:
-        raise type(halt)(f"{halt} in the profile of {p}", halt.t, halt.trajectory) from None
-    except DomainError as exc:  # a run that cannot start, or a zero inside the first step
-        raise DomainError(f"{exc} in the profile of {p}") from None
     ys = np.concatenate([run.ys[:k], tail.ys])
     ys[-1, 0] = 0.0
     stats = IntegratorStats(*map(sum, zip(run.stats, swap.stats, tail.stats)))

@@ -158,6 +158,18 @@ class TestFieldsCommand:
     def test_gw_rejects_bad_alpha(self, tmp_path):
         assert run(tmp_path, "fields", "--family", "gw", "--alpha", "0") == 2
 
+    def test_gw_at_defaults_takes_its_own_alpha(self, tmp_path):
+        # exited 2 with "alpha_center must be > 0": --alpha defaulted to 0.0 for every family
+        assert run(tmp_path / "defaults", "fields", "--family", "gw") == 0
+        text = (tmp_path / "defaults" / "fields.csv").read_text()
+        assert len(text.splitlines()) == 1 + 3 * 49  # the 3 default times on the 9x9 disk
+        assert run(tmp_path / "alpha-1", "fields", "--family", "gw", "--alpha", "1") == 0
+        assert (tmp_path / "alpha-1" / "fields.csv").read_text() == text
+        # a config file's alpha still applies over the family's default
+        (tmp_path / "alpha.cfg").write_text("alpha=0\n")
+        assert run(tmp_path / "file", "fields", "--family", "gw",
+                   "--config", str(tmp_path / "alpha.cfg")) == 2
+
     @pytest.mark.parametrize("argv,module,name,n_calls,rows", [
         # the 3 default times, each on the 49 points of the 9x9 grid in the disk
         (("--family", "gw", "--alpha", "1"), fields, "eval_gw", 1, 3 * 49),
@@ -652,9 +664,9 @@ class TestRobustness:
                              "EmdenParams(lam=4.0, xi=1e-150, a0=1.0, a1=0.1)")
         assert not any(tmp_path.iterdir())
 
-    def test_gw_at_defaults_fails_before_writing(self, tmp_path, capsys):
-        # alpha defaults to 0, which the gw profile rejects
-        assert run(tmp_path, "fields", "--family", "gw") == 2
+    def test_gw_at_alpha_0_fails_before_writing(self, tmp_path, capsys):
+        # the gw profile rejects a center value of 0
+        assert run(tmp_path, "fields", "--family", "gw", "--alpha", "0") == 2
         assert "alpha_center must be > 0" in self.one_line_error(capsys)
         assert not (tmp_path / "fields.csv").exists()
 

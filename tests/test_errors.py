@@ -1,0 +1,58 @@
+"""The naming rule: a solver's failure is re-raised as its own error, naming the
+solver's parameters (`errors.naming`)."""
+
+import pytest
+
+from eulerpoisson import emden, goldreich_weber, liouville
+from eulerpoisson.emden import EmdenParams
+from eulerpoisson.errors import DomainError, IntegrationHalted, StepBudgetExceeded
+from eulerpoisson.goldreich_weber import GWParams
+from eulerpoisson.liouville import LiouvilleParams
+from eulerpoisson.ode import IntegratorConfig
+
+_FEW = IntegratorConfig(max_steps=5)
+_ORBIT = EmdenParams(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("module,solve,p,error,clause", [
+    (emden, lambda p: emden.integrate_scale(p, 50.0, _FEW), _ORBIT, StepBudgetExceeded,
+     "in the scale factor of"),
+    # a^3 underflows to 0 in the first rhs call
+    (emden, lambda p: emden.integrate_scale(p, 50.0), EmdenParams(1.0, 0.0, 1e-110, 0.0),
+     DomainError, "in the scale factor of"),
+    (emden, lambda p: emden.period_by_simulation(p, _FEW), _ORBIT, StepBudgetExceeded,
+     "(Sundman time) in the period of"),
+    # the Sundman start's rhs is not finite; this start once named no parameter
+    (emden, emden.period_by_simulation, EmdenParams(1.0, 1e-160, 1e-170, 0.0), DomainError,
+     "(Sundman time) in the period of"),
+    (liouville, lambda p: liouville.solve_profile(p, 20.0, _FEW), LiouvilleParams(1.0, 1.0, 0.0),
+     StepBudgetExceeded, "in the profile of"),
+    # e^710 overflows in f''(0)
+    (liouville, lambda p: liouville.solve_profile(p, 20.0), LiouvilleParams(1.0, 1.0, 710.0),
+     DomainError, "in the profile of"),
+    (goldreich_weber, lambda p: goldreich_weber.solve_gw_profile(p, _FEW),
+     GWParams(3, 1.0, 1.0, 1.0), StepBudgetExceeded, "in the profile of"),
+    # alpha_center^3 overflows in f''(0)
+    (goldreich_weber, goldreich_weber.solve_gw_profile, GWParams(3, 1.0, 1.0, 1e200),
+     DomainError, "in the profile of"),
+], ids=["scale-halt", "scale-start", "period-halt", "period-start", "liouville-halt",
+        "liouville-start", "gw-halt", "gw-start"])
+def test_a_failure_is_its_own_error_naming_the_parameters(monkeypatch, module, solve, p, error,
+                                                          clause):
+    raised, integrate = [], module.integrate
+
+    def recorded(*args, **kwargs):
+        try:
+            return integrate(*args, **kwargs)
+        except (IntegrationHalted, DomainError) as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(module, "integrate", recorded)
+    with pytest.raises(error) as e:
+        solve(p)
+    (raw,), named = raised, e.value
+    assert type(named) is type(raw) is error
+    assert str(named) == f"{raw} {clause} {p}"
+    if isinstance(raw, IntegrationHalted):
+        assert named.t == raw.t and named.trajectory is raw.trajectory

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerpoisson import liouville
 from eulerpoisson.errors import DomainError, OutOfRange
+from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
 from eulerpoisson.liouville import (
     LiouvilleParams,
     RadialProfile,
@@ -191,6 +193,25 @@ class TestEnclosedMass:
             s = a + 0.3 * (b - a)
             want = node_mass[i] + _kronrod_mass_loop(unit_profile, a, s)
             assert enclosed_mass(unit_profile, s) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0),
+        lambda: solve_gw_profile(GWParams(N=3, K=1.0, lam=1.0, alpha_center=1.0)),
+    ], ids=["liouville", "gw"])
+    def test_panels_read_the_dense_output_as_evaluate_does(self, monkeypatch, solve):
+        # the panels call the kernel on their segments' rows, not evaluate, for speed
+        prof, panels, dense = solve(), [], liouville._dense
+        monkeypatch.setattr(liouville, "_dense",
+                            lambda tau, *rows: panels.append((tau, dense(tau, *rows))) or
+                            panels[-1][1])
+        ts = prof.traj.ts
+        prof._mass_at_nodes()
+        enclosed_mass(prof, 0.5 * (ts[:-1] + ts[1:]))  # one panel off the nodes per segment
+        node, off = panels[0], panels[-1]
+        assert node[0].shape == off[0].shape == (len(ts) - 1, 15)
+        assert np.all(node[0][:, 0] > ts[:-1]) and np.all(off[0][:, -1] < 0.5 * (ts[:-1] + ts[1:]))
+        for tau, f in panels:
+            assert f.tobytes() == prof.traj.evaluate(tau)[..., 0].tobytes()
 
 
 def _kronrod_mass_loop(prof, a, b):

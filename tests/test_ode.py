@@ -674,6 +674,13 @@ def _timed(call):
     return out, dt
 
 
+def _within_10_ms(dt):
+    """The wall bound of `TestEdgesEndAtOnce`, held only when no tracer is set:
+    `tools/untested_lines.py` runs the suite under `sys.settrace`, which slows
+    these runs to the edge of the bound, so there only their behaviour is checked."""
+    return dt < 0.01 or sys.gettrace() is not None
+
+
 class TestEdgesEndAtOnce:
     """Runs at the edges of the float range end within 10 ms, with a typed halt
     that names the cause or a completed trajectory."""
@@ -685,7 +692,7 @@ class TestEdgesEndAtOnce:
         h0 = _first_step(y0, rhs(100.0, y0), 20.0, cfg)
         assert h0 <= 1e-14 * 100.0
         traj, dt = _timed(lambda: integrate(rhs, OdeState(100.0, list(y0)), 120.0, cfg))
-        assert dt < 0.01 and traj.t_end == 120.0
+        assert _within_10_ms(dt) and traj.t_end == 120.0
         assert traj.ts[1] == 100.0 + _euler_start(rhs, 100.0, y0, rhs(100.0, y0), h0, 20.0, cfg)
         assert traj.ts[1] == 100.0 + 100 * h0
         st = traj.stats
@@ -697,7 +704,7 @@ class TestEdgesEndAtOnce:
         # whole step budget in rejections before)
         exc, dt = _timed(lambda: integrate(ode.Rhs("f_0 = 0.0"), OdeState(0.0, [1.0]), math.inf,
                                            falls=(0, 1)))
-        assert isinstance(exc, StateBlowup) and dt < 0.01
+        assert isinstance(exc, StateBlowup) and _within_10_ms(dt)
         assert str(exc) == "step size inf overflowed at t=8.59888141768587e+307"
         assert exc.t == exc.trajectory.t_end and exc.trajectory.stats.rejected == 0
 
@@ -705,7 +712,7 @@ class TestEdgesEndAtOnce:
         # here the last finite step carries t past the largest float
         exc, dt = _timed(lambda: integrate(ode.Rhs("f_0 = c", c=5e-11), OdeState(0.0, [1.0]),
                                            math.inf, falls=(0, 1)))
-        assert isinstance(exc, StateBlowup) and dt < 0.01
+        assert isinstance(exc, StateBlowup) and _within_10_ms(dt)
         assert str(exc).endswith("overflowed at t=inf")
         assert exc.trajectory.stats.rejected == 0 and math.isfinite(exc.trajectory.ts[-2])
 

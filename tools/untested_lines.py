@@ -10,8 +10,12 @@ process are not traced, so a line that only they reach is listed too.
     python tools/untested_lines.py tests/test_ode.py -k Trajectory
 
 Arguments are passed to pytest.  Tracing roughly doubles the suite's wall
-time, so a test that bounds a wall time of a few milliseconds may fail
-here alone.  The exit code is 1 when a line is listed, else pytest's.
+time, so the suite holds its bounds of a few milliseconds of wall time only
+when `sys.gettrace()` is None; under this tool those tests check their
+behaviour alone, and the result does not depend on the host's load.
+
+It exits 0 exactly when it lists no line and every test passes: 1 when a
+line is listed, else pytest's exit code.
 """
 
 from __future__ import annotations
