@@ -33,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, emden, fields, goldreich_weber, liouville, verify
-from .errors import (DomainError, EulerPoissonError, NoCompactSupport, OutOfRange,
-                     OutsideRegion, raise_where)
+from .errors import DomainError, EulerPoissonError, OutOfRange, naming, raise_where
 from .ode import TIGHT_CONFIG, IntegratorConfig
 
 
@@ -314,12 +313,12 @@ def cmd_liouville(args) -> int:
     return 0
 
 
-def _sample_columns(args, times, ev, skip):
+def _sample_columns(args, times, ev):
     """CSV columns of ev(t, x, y) -> FieldSample on the nx-by-ny grid of [-rmax, rmax]^2
-    inside the disk, in one call ev(times[:, None], x, y).  If that raises `skip`, the
-    points its `where` marks (outside the family's region) are dropped and the rest take
-    one more call.  A grid with no point in the disk, or in the region at any time, and
-    a non-finite sample raise here."""
+    inside the disk, in one call ev(times[:, None], x, y).  If that raises OutOfRange, the
+    points its `where` marks (with no field) are dropped and the rest take one more
+    call.  A grid with no point in the disk, or in the region at any time, and a
+    non-finite sample raise here."""
     grid = np.meshgrid(np.linspace(-args.rmax, args.rmax, args.nx),
                        np.linspace(-args.rmax, args.rmax, args.ny), indexing="ij")
     x, y = (g[np.hypot(*grid) <= args.rmax] for g in grid)
@@ -330,7 +329,7 @@ def _sample_columns(args, times, ev, skip):
     with np.errstate(all="ignore"):  # a non-finite sample raises below
         try:
             s = ev(t, x, y)
-        except skip as exc:
+        except OutOfRange as exc:
             keep = ~np.broadcast_to(exc.where, (times.size, x.size))
             if not keep.any():
                 raise DomainError(f"no point of the {args.nx}x{args.ny} grid lies in the "
@@ -347,52 +346,46 @@ def _sample_columns(args, times, ev, skip):
     return columns
 
 
-def _solved_columns(args, scale, ev, skip):
-    """`_sample_columns` at nt times from t0 to t1, or to the end of `scale` if sooner."""
-    times = np.linspace(args.t0, min(args.t1, scale.t_end), args.nt)
-    scale.evaluate(times)  # a time outside the solved range raises DomainError here
-    return _sample_columns(args, times, ev, skip)
-
-
-def _fields_columns_rotational(args, xi: float):
+def _fields_rotational(args, xi: float):
     sol = fields.build_rotational(
         lam=args.lam, xi=xi, K=args.K, alpha=args.alpha, a0=args.a0, a1=args.a1,
         t_max=args.t1, samples=(np.linspace(args.t0, args.t1, args.nt), args.rmax),
     )
-    ev = functools.partial(fields.eval_rotational, sol)
-    return _solved_columns(args, sol.scale, ev, OutOfRange)
+    return sol.scale, functools.partial(fields.eval_rotational, sol)
 
 
-def _fields_columns_zz(args, inner: bool):
-    zz = fields.ZZSolution(K=args.K, rho0=args.rho0)
-    ev = functools.partial(fields.eval_zz_inner if inner else fields.eval_zz_outer, zz)
-    times = np.linspace(args.t0, args.t1, args.nt)
-    return _sample_columns(args, times, ev, OutsideRegion)
-
-
-def _fields_columns_gw(args):
+def _fields_gw(args):
     p = goldreich_weber.GWParams(N=args.N, K=args.K, lam=args.lam, alpha_center=args.alpha,
                                  a0=args.a0, a1=args.a1)
-    prof = goldreich_weber.solve_gw_profile(p)
+    prof = goldreich_weber.solve_gw_profile(p)  # first, so a run failing both names it
     scale = emden.integrate_scale(p, args.t1).trajectory
-    ev = functools.partial(fields.eval_gw, prof, scale)
-    return _solved_columns(args, scale, ev, NoCompactSupport)
+    return scale, functools.partial(fields.eval_gw, prof, scale)
 
 
-# the columns of each family by name; these names are the --family choices
+# each family's scale-factor trajectory (None for the zz families) and evaluator by
+# name; these names are the --family choices
 _FIELD_FAMILIES = {
-    "rotational": lambda args: _fields_columns_rotational(args, xi=args.xi),
-    "yuen": lambda args: _fields_columns_rotational(args, xi=0.0),
-    "zz-inner": lambda args: _fields_columns_zz(args, inner=True),
-    "zz-outer": lambda args: _fields_columns_zz(args, inner=False),
-    "gw": _fields_columns_gw,
+    "rotational": lambda args: _fields_rotational(args, xi=args.xi),
+    "yuen": lambda args: _fields_rotational(args, xi=0.0),
+    "zz-inner": lambda args: (None, functools.partial(
+        fields.eval_zz_inner, fields.ZZSolution(K=args.K, rho0=args.rho0))),
+    "zz-outer": lambda args: (None, functools.partial(
+        fields.eval_zz_outer, fields.ZZSolution(K=args.K, rho0=args.rho0))),
+    "gw": _fields_gw,
 }
 
 
 def cmd_fields(args) -> int:
+    """nt times from t0 to t1, or to the end of the family's scale factor if that comes
+    sooner, checked against its solved range, then sampled by `_sample_columns`."""
     if args.alpha is None:  # the family's own central value: gw's must be > 0
         args.alpha = 1.0 if args.family == "gw" else 0.0
-    columns = _FIELD_FAMILIES[args.family](args)
+    scale, ev = _FIELD_FAMILIES[args.family](args)
+    times = np.linspace(args.t0, args.t1 if scale is None else min(args.t1, scale.t_end), args.nt)
+    if scale is not None:
+        with naming(f"in the scale factor of the {args.family} family"):
+            scale.evaluate(times)  # a time outside the solved range raises DomainError
+    columns = _sample_columns(args, times, ev)
     _write_csv(_outdir(args) / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
     return 0
 

@@ -12,9 +12,10 @@ theta = a1^2/2 + V(a0) classifies every orbit:
 
 * lam > 0, xi != 0: V has a single minimum at abar = |xi|/sqrt(lam); the
   orbit is steady exactly at the minimum and periodic otherwise.
-* xi = 0, lam > 0: no centrifugal barrier, a reaches zero in finite time
-  (density blowup).
-* lam <= 0: the solution exists globally and is unbounded.
+* xi = 0, lam > 0, or xi = 0 = lam with a1 < 0: no centrifugal barrier, a
+  reaches zero in finite time (density blowup), at a0/|a1| when lam = 0.
+* otherwise (lam <= 0): the solution exists globally and is unbounded, or
+  constant at xi = 0 = lam = a1.
 
 The period of a periodic orbit is computed two independent ways: as the
 quadrature 2 * integral da / sqrt(2*(theta - V(a))) between the
@@ -183,13 +184,21 @@ def _is_steady(p: EmdenParams) -> bool:
 
 
 def classify(p: EmdenParams) -> OrbitClass:
-    """Orbit trichotomy: steady / periodic (lam>0, xi!=0), blowup (xi=0, lam>0),
-    global otherwise (lam<=0)."""
+    """Orbit trichotomy: steady / periodic (lam>0, xi!=0), blowup (xi=0 and lam>0, or
+    xi=0=lam with a1<0, a = a0 + a1*t), global otherwise (lam<=0)."""
     if p.lam > 0 and p.xi != 0:
         return OrbitClass.STEADY if _is_steady(p) else OrbitClass.PERIODIC
-    if p.lam > 0:
+    if p.xi == 0 and (p.lam > 0 or (p.lam == 0 and p.a1 < 0)):
         return OrbitClass.FINITE_TIME_BLOWUP
     return OrbitClass.GLOBAL_NON_PERIODIC
+
+
+def _require_periodic(p: EmdenParams) -> None:
+    """Raise NotPeriodic naming p and its class unless its orbit is periodic."""
+    cls = classify(p)
+    if cls is not OrbitClass.PERIODIC:
+        raise NotPeriodic(f"turning points and periods exist only for periodic orbits, "
+                          f"not for the {cls.value} orbit of {p!r}")
 
 
 def _phi(u: float) -> float:
@@ -207,8 +216,7 @@ def _phi(u: float) -> float:
 
 def _turning_exponents(p: EmdenParams) -> tuple[TurningPoints, float, float]:
     """The turning points and their exponents u_min, u_max (see `turning_points`)."""
-    if classify(p) is not OrbitClass.PERIODIC:
-        raise NotPeriodic("turning points exist only for periodic orbits")
+    _require_periodic(p)
     abar = equilibrium_radius(p)
     try:
         u0 = math.log(p.a0 / abar)
@@ -309,8 +317,7 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     first four maxima of a(t), err_est their largest deviation from it, and
     stats the counters of the integration it added.
     """
-    if classify(p) is not OrbitClass.PERIODIC:
-        raise NotPeriodic("period is defined only for periodic orbits")
+    _require_periodic(p)
     y0 = (p.a0, p.a1)
     if run is None:  # the start node alone; a lone node's derivative is never read
         run = Trajectory([0.0], [y0], [y0])

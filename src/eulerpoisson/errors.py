@@ -44,10 +44,10 @@ class DomainError(EulerPoissonError, ValueError):
 
 
 class OutOfRange(EulerPoissonError, ValueError):
-    """A query point lies outside the solved time or profile range."""
+    """A point has no field: it is outside the solved range or, as a subclass, a region."""
 
 
-class OutsideRegion(EulerPoissonError, ValueError):
+class OutsideRegion(OutOfRange):
     """A spacetime point violates the validity region of a solution piece."""
 
 
@@ -59,7 +59,7 @@ class NoConvergence(EulerPoissonError, RuntimeError):
     """An iterative refinement exhausted its budget before reaching tolerance."""
 
 
-class NoCompactSupport(EulerPoissonError, ValueError):
+class NoCompactSupport(OutOfRange):
     """A profile has no first zero, so no support radius is available."""
 
 

@@ -113,7 +113,7 @@ def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
     swirl = sol.emden.xi / (a * a)
     u1 = stretch * x - swirl * y
     u2 = swirl * x + stretch * y
-    # Phi_r as in eval_gravity_radial, from the scale factor read above; 0 at r = 0
+    # Phi_r = enclosed_mass(r/a)/r (a cancels in the radial substitution), 0 at r = 0
     inside = r > 0
     mass = enclosed_mass(sol.profile, np.where(inside, s, sol.profile.s_max))
     phi_r = np.where(inside, mass / np.where(inside, r, 1.0), 0.0)[()]
@@ -129,14 +129,10 @@ def eval_gw(profile: RadialProfile, scale: Trajectory, t, x, y) -> FieldSample:
 
 
 def eval_gravity_radial(sol: RotSolution2D, t, r):
-    """Phi_r(t, r) = (2*pi/r) * integral_0^r rho(t, eta) eta deta.
-
-    Computed as enclosed_mass(profile, r/a) / r via quadrature on the dense
-    profile (the scale factor cancels in the radial substitution).
-    """
+    """Phi_r(t, r) = (2*pi/r) * integral_0^r rho(t, eta) eta deta, for r > 0: the phi_r
+    of `eval_rotational` at (x, y) = (r, 0)."""
     raise_where(np.logical_not(r > 0), DomainError, "gravity evaluation requires r > 0", t=t, r=r)
-    _, _, s = _scaled_radius(sol, t, r, dict(t=t, r=r))
-    return enclosed_mass(sol.profile, s) / r
+    return eval_rotational(sol, t, r, 0.0).phi_r
 
 
 def gravity_radial_two_ways(sol: RotSolution2D, t, r):

@@ -38,14 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MissingGravity,
-    OutOfRange,
-    OutsideRegion,
-    StencilOutOfDomain,
-    raise_where,
-)
+from .errors import DomainError, MissingGravity, OutOfRange, StencilOutOfDomain, raise_where
 from .fields import FieldSample
 
 FieldFn = Callable[[np.ndarray, np.ndarray, np.ndarray], FieldSample]
@@ -208,7 +201,7 @@ def convergence_study(
     t, x, y = np.concatenate([p.reshape(3, -1) for _, p, _ in parts], axis=1)
     try:
         s = field(t, x, y)
-    except (OutOfRange, OutsideRegion, DomainError) as exc:
+    except (OutOfRange, DomainError) as exc:
         raise StencilOutOfDomain(f"stencil point crossed a validity boundary: {exc}") from exc
     samples = [v if v is None else np.broadcast_to(v, t.shape)
                for v in (s.rho, s.u1, s.u2, s.phi_r)]

@@ -85,6 +85,14 @@ class TestEmdenCommand:
         assert float(lines[-1].split(",")[0]) <= td
         assert float(lines[-1].split(",")[1]) < 1e-6  # density blew up
 
+    def test_a_linear_collapse_is_a_blowup_at_a0_over_its_speed(self, tmp_path):
+        # xi = 0 = lam: a = a0 + a1*t; the report once said global_non_periodic
+        # beside the touchdown of its own run
+        assert run(tmp_path, "emden", "--lam", "0", "--xi", "0", "--a0", "2", "--a1", "-0.5") == 0
+        report = json.loads((tmp_path / "emden_report.json").read_text())
+        assert report["classification"] == "finite_time_blowup"
+        assert abs(report["touchdown_time"] - 2.0 / 0.5) <= 1e-9
+
     @pytest.mark.parametrize("argv,starts", [((), [0.0]), (("--t-end", "3"), [0.0, 3.0])])
     def test_one_run_serves_the_csv_and_the_period(self, tmp_path, monkeypatch, argv, starts):
         # a run to t_end that lacks four falls of a' is continued, not redone:
@@ -215,6 +223,31 @@ class TestFieldsCommand:
         a = sols[0].scale.evaluate(np.linspace(0.5, 2.0, 3))[:, 0]
         assert sols[0].profile.s_max == 1.0 + np.max(2.0 / a) < 3.0
 
+    @pytest.mark.parametrize("argv,name,error,rows", [
+        # the inner points of the disk lie inside the interface
+        (("--family", "zz-outer"), "eval_zz_outer", errors.OutsideRegion, 36),
+        # the points past the profile solved to s = 20
+        (("--family", "rotational", "--rmax", "100"), "eval_rotational", errors.OutOfRange, 23),
+        # the points past a profile with no zero
+        (("--family", "gw", "--lam", "1", "--t1", "1", "--rmax", "200"), "eval_gw",
+         errors.NoCompactSupport, 87),
+    ], ids=["zz-outer", "rotational-rmax-100", "gw-no-support"])
+    def test_one_rule_drops_the_points_with_no_field(self, tmp_path, monkeypatch, argv, name,
+                                                     error, rows):
+        raised, evaluator = [], getattr(fields, name)
+
+        def recorded(*args):
+            try:
+                return evaluator(*args)
+            except errors.OutOfRange as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(fields, name, recorded)
+        assert run(tmp_path, "fields", *argv) == 0
+        assert raised == [error]
+        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + rows
+
     @pytest.mark.parametrize("family", ["zz-inner", "zz-outer"])
     def test_a_region_crossing_the_disk_keeps_its_points_and_order(self, tmp_path, family):
         # at the defaults the interface circle crosses the disk, so the one call
@@ -266,6 +299,12 @@ class TestPeriodCommand:
 
     def test_steady_exits_2(self, tmp_path):
         assert run(tmp_path, "period", "--a1", "0") == 2
+
+    def test_a_global_orbit_names_its_class(self, tmp_path, capsys):
+        # once "turning points exist only for periodic orbits", naming no orbit
+        assert run(tmp_path, "period", "--lam", "-1") == 2
+        assert "global_non_periodic" in TestRobustness.one_line_error(capsys)
+        assert not (tmp_path / "period.json").exists()
 
     def test_reports_simulation_counts(self, tmp_path):
         assert run(tmp_path / "a", "period") == 0
@@ -520,6 +559,18 @@ class TestRobustness:
     def test_fields_drop_no_time_or_grid(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "fields", *argv) == 2
         assert message in self.one_line_error(capsys)
+        assert not (tmp_path / "fields.csv").exists()
+
+    @pytest.mark.parametrize("argv,end", [
+        (("--family", "yuen"), "1.2533141373154573"),
+        (("--family", "gw", "--lam", "1"), "1.110720734543315"),
+    ], ids=["yuen", "gw"])
+    def test_a_window_after_the_collapse_names_the_family(self, tmp_path, capsys, argv, end):
+        # the scale factor touches down before t0; the message once named no family
+        assert run(tmp_path, "fields", *argv, "--a1", "0", "--t0", "1.5", "--t1", "4") == 2
+        assert self.one_line_error(capsys) == (
+            f"eulerpoisson fields: error: times outside trajectory range [0.0, {end}] "
+            f"at (t=1.5) in the scale factor of the {argv[1]} family")
         assert not (tmp_path / "fields.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--K", "--rho0", "--t0", "--t1", "--rmax"])

@@ -143,6 +143,10 @@ class TestClassify:
             (EmdenParams(1.0, 0.0, 1.0, 0.0), OrbitClass.FINITE_TIME_BLOWUP),
             (EmdenParams(-1.0, 1.0, 1.0, 0.0), OrbitClass.GLOBAL_NON_PERIODIC),
             (EmdenParams(0.0, 1.0, 1.0, 0.0), OrbitClass.GLOBAL_NON_PERIODIC),
+            # xi = 0 = lam: a = a0 + a1*t reaches 0 at a0/|a1| exactly when a1 < 0
+            (EmdenParams(0.0, 0.0, 1.0, -1.0), OrbitClass.FINITE_TIME_BLOWUP),
+            (EmdenParams(0.0, 0.0, 1.0, 0.0), OrbitClass.GLOBAL_NON_PERIODIC),
+            (EmdenParams(0.0, 0.0, 1.0, 1.0), OrbitClass.GLOBAL_NON_PERIODIC),
             (EmdenParams(4.0, 2.0, 1.0, 0.0), OrbitClass.STEADY),
             (EmdenParams(1.0, 1.0, 1.0, 1e-6), OrbitClass.PERIODIC),
             (EmdenParams(1.0, 1.0, 1.0 + 1e-6, 0.0), OrbitClass.PERIODIC),

@@ -1,11 +1,12 @@
-"""The naming rule: a solver's failure is re-raised as its own error, naming the
-solver's parameters (`errors.naming`)."""
+"""The naming rules: a solver's failure is re-raised as its own error, naming the
+solver's parameters (`errors.naming`); a period asked of an orbit that has none
+names the orbit and its class; and a point with no field is one error type."""
 
 import pytest
 
-from eulerpoisson import emden, goldreich_weber, liouville
-from eulerpoisson.emden import EmdenParams
-from eulerpoisson.errors import DomainError, IntegrationHalted, StepBudgetExceeded
+from eulerpoisson import emden, errors, goldreich_weber, liouville
+from eulerpoisson.emden import EmdenParams, OrbitClass
+from eulerpoisson.errors import DomainError, IntegrationHalted, NotPeriodic, StepBudgetExceeded
 from eulerpoisson.goldreich_weber import GWParams
 from eulerpoisson.liouville import LiouvilleParams
 from eulerpoisson.ode import IntegratorConfig
@@ -56,3 +57,24 @@ def test_a_failure_is_its_own_error_naming_the_parameters(monkeypatch, module, s
     assert str(named) == f"{raw} {clause} {p}"
     if isinstance(raw, IntegrationHalted):
         assert named.t == raw.t and named.trajectory is raw.trajectory
+
+
+@pytest.mark.parametrize("p,cls", [
+    (EmdenParams(1.0, 1.0, 1.0, 0.0), OrbitClass.STEADY),
+    (EmdenParams(1.0, 0.0, 1.0, 0.0), OrbitClass.FINITE_TIME_BLOWUP),
+    (EmdenParams(-1.0, 1.0, 1.0, 1.0), OrbitClass.GLOBAL_NON_PERIODIC),
+], ids=["steady", "collapsing", "global"])
+@pytest.mark.parametrize("entry", [
+    emden.turning_points, emden.period_by_quadrature, emden.period_by_simulation,
+], ids=["turning_points", "period_by_quadrature", "period_by_simulation"])
+def test_a_period_of_an_orbit_with_none_names_the_orbit_and_its_class(entry, p, cls):
+    assert emden.classify(p) is cls
+    with pytest.raises(NotPeriodic) as e:
+        entry(p)
+    assert repr(p) in str(e.value) and cls.value in str(e.value)
+
+
+@pytest.mark.parametrize("error", [errors.OutsideRegion, errors.NoCompactSupport])
+def test_a_region_error_is_an_out_of_range_error(error):
+    # so one `except OutOfRange` drops every point with no field, whatever the family
+    assert issubclass(error, errors.OutOfRange)

@@ -170,6 +170,15 @@ class TestGravity:
         with pytest.raises(DomainError):
             eval_gravity_radial(rot_solution, 0.0, 0.0)
 
+    def test_is_the_phi_r_of_the_rotating_field(self, rot_solution):
+        rng = np.random.default_rng(42)
+        t, r = rng.uniform(0.0, 2.5, 200), rng.uniform(1e-6, 4.0, 200)
+        phi_r = eval_gravity_radial(rot_solution, t, r)
+        assert np.array_equal(phi_r, eval_rotational(rot_solution, t, r, 0.0).phi_r)
+        # a radius past the solved profile is named as the point (r, 0) of the plane
+        with pytest.raises(OutOfRange, match=r"at \(t=0\.5, x=100\.0, y=0\.0\)$"):
+            eval_gravity_radial(rot_solution, 0.5, 100.0)
+
 
 class TestSwirlAnsatz:
     def test_static_gaussian_without_swirl(self):

@@ -8,15 +8,18 @@ import re
 import numpy as np
 import pytest
 
-from eulerpoisson.errors import DomainError, MissingGravity, StencilOutOfDomain
+from eulerpoisson.emden import integrate_scale
+from eulerpoisson.errors import DomainError, MissingGravity, NoCompactSupport, StencilOutOfDomain
 from eulerpoisson.fields import (
     FieldSample,
     SwirlAnsatz,
+    eval_gw,
     eval_rotational,
     eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
 )
+from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
 from eulerpoisson.residuals import (
     ConvergenceResult,
     PressureLaw,
@@ -397,6 +400,22 @@ class TestZhangZhengResiduals:
         with pytest.raises(StencilOutOfDomain, match=r"at \(t=0\.99, x=1\.994, y=0\.0\)"):
             convergence_study([MASS], inner, [(1.0, 1.994, 0.0)], H_LIST)
         convergence_study([MASS], inner, [(1.0, 1.994, 0.0)], [2.5e-3, 1.25e-3, 6.25e-4])
+
+
+
+class TestGoldreichWeberStencils:
+    def test_a_stencil_past_a_profile_with_no_zero_is_out_of_domain(self):
+        # lam = 1: f has no first zero on the profile solved to s = 100, so a point
+        # beyond 100*a(t) has no field; convergence_study once let NoCompactSupport out
+        p = GWParams(N=3, K=1.0, lam=1.0, alpha_center=1.0)
+        prof = solve_gw_profile(p)
+        assert prof.s_mu is None and prof.s_max == 100.0
+        scale = integrate_scale(p, 1.0).trajectory
+        field = functools.partial(eval_gw, prof, scale)
+        r = 100.0 * scale.evaluate(0.5)[0] - 5e-3  # inside; its x + h neighbour is not
+        with pytest.raises(StencilOutOfDomain, match="profile has no first zero") as e:
+            convergence_study([MASS], field, [(0.5, r, 0.0)], H_LIST)
+        assert isinstance(e.value.__cause__, NoCompactSupport)
 
 
 # ----------------------------------------------------------------------
