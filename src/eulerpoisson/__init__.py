@@ -47,7 +47,6 @@ from .liouville import (
     LiouvilleParams,
     RadialProfile,
     enclosed_mass,
-    momentum_bracket,
     solve_profile,
 )
 from .ode import (

@@ -346,10 +346,17 @@ def _sample_columns(args, times, ev):
     return columns
 
 
+def _t_max(args) -> float:
+    """t1, where a solved family's scale factor, which starts at t = 0, is run to."""
+    if args.t1 > 0:
+        return args.t1
+    raise DomainError(f"t1={args.t1} must exceed 0, where the {args.family} scale factor starts")
+
+
 def _fields_rotational(args, xi: float):
     sol = fields.build_rotational(
         lam=args.lam, xi=xi, K=args.K, alpha=args.alpha, a0=args.a0, a1=args.a1,
-        t_max=args.t1, samples=(np.linspace(args.t0, args.t1, args.nt), args.rmax),
+        t_max=_t_max(args), samples=(np.linspace(args.t0, args.t1, args.nt), args.rmax),
     )
     return sol.scale, functools.partial(fields.eval_rotational, sol)
 
@@ -358,7 +365,7 @@ def _fields_gw(args):
     p = goldreich_weber.GWParams(N=args.N, K=args.K, lam=args.lam, alpha_center=args.alpha,
                                  a0=args.a0, a1=args.a1)
     prof = goldreich_weber.solve_gw_profile(p)  # first, so a run failing both names it
-    scale = emden.integrate_scale(p, args.t1).trajectory
+    scale = emden.integrate_scale(p, _t_max(args)).trajectory
     return scale, functools.partial(fields.eval_gw, prof, scale)
 
 
@@ -376,8 +383,8 @@ _FIELD_FAMILIES = {
 
 
 def cmd_fields(args) -> int:
-    """nt times from t0 to t1, or to the end of the family's scale factor if that comes
-    sooner, checked against its solved range, then sampled by `_sample_columns`."""
+    """nt times from t0 to t1, or to the scale factor's touchdown if that comes sooner (but
+    not at t0), checked against its solved range, then sampled by `_sample_columns`."""
     if args.alpha is None:  # the family's own central value: gw's must be > 0
         args.alpha = 1.0 if args.family == "gw" else 0.0
     scale, ev = _FIELD_FAMILIES[args.family](args)
@@ -385,6 +392,8 @@ def cmd_fields(args) -> int:
     if scale is not None:
         with naming(f"in the scale factor of the {args.family} family"):
             scale.evaluate(times)  # a time outside the solved range raises DomainError
+            if args.t0 == scale.t_end < args.t1:
+                raise DomainError(f"the window from t0={args.t0} to t1={args.t1} is the touchdown")
     columns = _sample_columns(args, times, ev)
     _write_csv(_outdir(args) / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
     return 0

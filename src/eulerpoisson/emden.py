@@ -294,11 +294,6 @@ def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
     return PeriodEstimate(T=T, err_est=scale * diff + rounding)
 
 
-def linearized_period(p: EmdenParams) -> float:
-    """Small-oscillation period 2*pi/sqrt(V''(abar)), where V''(abar) = 2 lam/abar^2."""
-    return 2 * math.pi * equilibrium_radius(p) / math.sqrt(2 * p.lam)
-
-
 _PERIOD_EVENTS_NEEDED = 4  # 3 full cycles
 
 
@@ -357,10 +352,3 @@ def integrate_scale(p, t_end: float, cfg: IntegratorConfig = IntegratorConfig())
             if law.xi2 == 0 <= law.lam and v < 0 and a <= 1e-9 * max(1.0, halt.t) * -v:
                 return ScaleRun(halt.trajectory, halt.t)
             raise
-
-
-def energy_drift(traj: Trajectory, p: EmdenParams) -> float:
-    """Max |energy(t) - theta| over the trajectory nodes."""
-    adot = traj.ys[:, 1]
-    e = adot**2 / 2 + potential(traj.ys[:, 0], p)
-    return float(np.max(np.abs(e - energy_level(p))))

@@ -91,25 +91,18 @@ def build_rotational(
     return RotSolution2D(emden_p, profile, scale)
 
 
-def _scaled_radius(sol: RotSolution2D, t, r, point: dict):
-    """a, a' and s = r/a at times t and radii r, checked against the solved
-    ranges; `point` holds the coordinates an error names."""
+def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
+    """rho = e^f(r/a)/a^2, u = (a'/a) x_vec + (xi/a^2) x_vec_perp, plus Phi_r."""
+    r = np.hypot(x, y)
     raise_where((t < sol.scale.t_start) | (t > sol.scale.t_end), OutOfRange,
-                f"t outside solved range [{sol.scale.t_start}, {sol.scale.t_end}]", **point)
+                f"t outside solved range [{sol.scale.t_start}, {sol.scale.t_end}]", t=t, x=x, y=y)
     scale = sol.scale.evaluate(t)
     a = scale[..., 0]
     s = r / a
     raise_where(s > sol.profile.s_max, OutOfRange,
-                f"r/a beyond solved profile range {sol.profile.s_max}", **point)
-    return a, scale[..., 1], s
-
-
-def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
-    """rho = e^f(r/a)/a^2, u = (a'/a) x_vec + (xi/a^2) x_vec_perp, plus Phi_r."""
-    r = np.hypot(x, y)
-    a, adot, s = _scaled_radius(sol, t, r, dict(t=t, x=x, y=y))
+                f"r/a beyond solved profile range {sol.profile.s_max}", t=t, x=x, y=y)
     rho = sol.profile.density(sol.profile.f_at(s)) / (a * a)
-    stretch = adot / a
+    stretch = scale[..., 1] / a
     swirl = sol.emden.xi / (a * a)
     u1 = stretch * x - swirl * y
     u2 = swirl * x + stretch * y
@@ -130,22 +123,10 @@ def eval_gw(profile: RadialProfile, scale: Trajectory, t, x, y) -> FieldSample:
 
 def eval_gravity_radial(sol: RotSolution2D, t, r):
     """Phi_r(t, r) = (2*pi/r) * integral_0^r rho(t, eta) eta deta, for r > 0: the phi_r
-    of `eval_rotational` at (x, y) = (r, 0)."""
+    of `eval_rotational` at (x, y) = (r, 0).  No command calls it; it stays while the
+    benchmark's tracer (`perfbench/tracing.py`) patches it by name."""
     raise_where(np.logical_not(r > 0), DomainError, "gravity evaluation requires r > 0", t=t, r=r)
     return eval_rotational(sol, t, r, 0.0).phi_r
-
-
-def gravity_radial_two_ways(sol: RotSolution2D, t, r):
-    """Phi_r by quadrature (eval_gravity_radial) and by the enclosed-mass
-    identity, for cross-checks.
-
-    The identity route is (lam*s - K*f'(s))/a at s = r/a; agreement of the
-    two is an end-to-end check of the profile solve.
-    """
-    quad_route = eval_gravity_radial(sol, t, r)
-    a, _, s = _scaled_radius(sol, t, r, dict(t=t, r=r))
-    p = sol.profile.params
-    return quad_route, (p.lam * s - p.K * sol.profile.fdot_at(s)) / a
 
 
 # ----------------------------------------------------------------------

@@ -233,21 +233,10 @@ def _panel_mass(prof: RadialProfile, i: np.ndarray, a: np.ndarray, b: np.ndarray
     return alpha_const(d) * np.sum(_GK_W * prof.density(f) * tau ** (d - 1), axis=1) * half[:, 0]
 
 
-def momentum_bracket(prof: RadialProfile, s):
-    """-lam*s + K*f'(s) + enclosed_mass(s)/s for a Liouville profile; zero for
-    an exact profile.  OutOfRange unless 0 < s <= s_max."""
-    mass = enclosed_mass(prof, s)
-    return _bracket(prof.params, s, prof.fdot_at(s), mass)
-
-
 def node_brackets(prof: RadialProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The node radii after s = 0 (where mass/s is 0/0), the enclosed mass and
-    the momentum bracket there: `momentum_bracket` bit for bit, with f' read
-    off the nodes and the mass computed once."""
-    s = prof.grid[1:]
+    """The node radii after s = 0 (where mass/s is 0/0), the enclosed mass and the
+    momentum bracket -lam*s + K*f'(s) + mass/s there, f' read off the nodes: the tests'
+    `momentum_bracket` bit for bit (`test_node_brackets_is_the_bracket_at_the_nodes`)."""
+    s, p = prof.grid[1:], prof.params
     mass = enclosed_mass(prof, s)
-    return s, mass, _bracket(prof.params, s, prof.fdot[1:], mass)
-
-
-def _bracket(p: LiouvilleParams, s, fdot, mass):
-    return -p.lam * s + p.K * fdot + mass / s
+    return s, mass, -p.lam * s + p.K * prof.fdot[1:] + mass / s

@@ -239,33 +239,16 @@ def study_passes(result: ConvergenceResult) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Negative-control field transforms
+# Negative-control field transform
 # ----------------------------------------------------------------------
-
-
-def _changed(field: FieldFn, **change: Callable) -> FieldFn:
-    """field, with each named member of its samples passed through its function."""
-
-    def corrupted(t: float, x: float, y: float) -> FieldSample:
-        s = field(t, x, y)
-        return replace(s, **{name: f(getattr(s, name)) for name, f in change.items()})
-
-    return corrupted
 
 
 def corrupt_density_offset(field: FieldFn, delta: float) -> FieldFn:
     """Add a constant to rho.  Breaks mass, momentum, and gravity residuals
     (the offset feels div(u), the inertial terms, and the source term)."""
-    return _changed(field, rho=lambda rho: rho + delta)
 
+    def corrupted(t: float, x: float, y: float) -> FieldSample:
+        s = field(t, x, y)
+        return replace(s, rho=s.rho + delta)
 
-def corrupt_density_scale(field: FieldFn, factor: float) -> FieldFn:
-    """Multiply rho by a constant.  Mass and momentum are linear in rho at
-    fixed velocity, so they stay exactly satisfied; only the gravity
-    residual detects this corruption."""
-    return _changed(field, rho=lambda rho: rho * factor)
-
-
-def corrupt_gravity_scale(field: FieldFn, factor: float) -> FieldFn:
-    """Multiply phi_r by a constant; breaks the gravity residual."""
-    return _changed(field, phi_r=lambda phi_r: None if phi_r is None else phi_r * factor)
+    return corrupted

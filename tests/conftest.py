@@ -1,12 +1,14 @@
-"""Shared fixtures: expensive solution bundles are built once per session."""
+"""Shared fixtures, built once per session if expensive, and the test-only oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from eulerpoisson.emden import EmdenParams
-from eulerpoisson.fields import ZZSolution, build_rotational
+from eulerpoisson.emden import EmdenParams, energy_level, equilibrium_radius, potential
+from eulerpoisson.fields import ZZSolution, build_rotational, eval_gravity_radial
+from eulerpoisson.liouville import enclosed_mass
 from eulerpoisson.ode import IntegratorConfig
 
 
@@ -52,6 +54,39 @@ def disk_points(rng, n, t_range, r_range):
         ang = rng.uniform(0.0, 2 * math.pi)
         pts.append((float(t), float(r * math.cos(ang)), float(r * math.sin(ang))))
     return pts
+
+
+def linearized_period(p):
+    """Small-oscillation period 2*pi/sqrt(V''(abar)), where V''(abar) = 2 lam/abar^2."""
+    return 2 * math.pi * equilibrium_radius(p) / math.sqrt(2 * p.lam)
+
+
+def energy_drift(traj, p):
+    """Max |energy(t) - theta| over the trajectory nodes."""
+    e = traj.ys[:, 1] ** 2 / 2 + potential(traj.ys[:, 0], p)
+    return float(np.max(np.abs(e - energy_level(p))))
+
+
+def gravity_radial_two_ways(sol, t, r):
+    """Phi_r by quadrature (`eval_gravity_radial`) and by the enclosed-mass identity
+    (lam*s - K*f'(s))/a at s = r/a: their agreement checks the profile solve end to end."""
+    a = sol.scale.evaluate(t)[..., 0]
+    s, p = r / a, sol.profile.params
+    return eval_gravity_radial(sol, t, r), (p.lam * s - p.K * sol.profile.fdot_at(s)) / a
+
+
+def momentum_bracket(prof, s):
+    """-lam*s + K*f'(s) + enclosed_mass(s)/s, zero for an exact Liouville profile."""
+    mass, p = enclosed_mass(prof, s), prof.params
+    return -p.lam * s + p.K * prof.fdot_at(s) + mass / s
+
+
+def scaled_field(field, member, factor):
+    """field with the `member` (rho or phi_r) of its samples times factor: a negative control."""
+    def scaled(t, x, y):
+        s = field(t, x, y)
+        return dataclasses.replace(s, **{member: getattr(s, member) * factor})
+    return scaled
 
 
 @pytest.fixture()

@@ -25,7 +25,6 @@ from eulerpoisson.fields import (
     eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
-    gravity_radial_two_ways,
 )
 from eulerpoisson.goldreich_weber import GWParams, alpha_const, gw_density, solve_gw_profile
 from eulerpoisson.liouville import enclosed_mass
@@ -119,7 +118,6 @@ class TestRotational:
     @given(args=inputs([(0.0, 2.5), (0.01, 3.0)], T_BAD + [(1, 0.0), (1, -1.0), (1, 60.0)]))
     def test_gravity(self, rot_solution, args):
         assert_array_first(functools.partial(eval_gravity_radial, rot_solution), args)
-        assert_array_first(functools.partial(gravity_radial_two_ways, rot_solution), args)
 
 
 class TestProfile:

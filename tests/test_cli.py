@@ -554,6 +554,10 @@ class TestRobustness:
              "non-finite zz-inner sample at (t=1e-300, x=0.0, y=0.0)"),
             (("--family", "zz-outer", "--rmax", "1e300"),
              "non-finite zz-outer sample at (t=0.5, x=-1e+300, y=0.0)"),
+            # each named a t_end that no flag sets, not t1 and the family
+            *[(("--family", family, "--t0", "0", "--t1", "0"),
+               f"error: t1=0.0 must exceed 0, where the {family} scale factor starts")
+              for family in ("rotational", "yuen", "gw")],
         ],
     )
     def test_fields_drop_no_time_or_grid(self, tmp_path, capsys, argv, message):
@@ -561,16 +565,20 @@ class TestRobustness:
         assert message in self.one_line_error(capsys)
         assert not (tmp_path / "fields.csv").exists()
 
+    @pytest.mark.parametrize("at_touchdown", [False, True], ids=["t0-past", "t0-at"])
     @pytest.mark.parametrize("argv,end", [
         (("--family", "yuen"), "1.2533141373154573"),
         (("--family", "gw", "--lam", "1"), "1.110720734543315"),
     ], ids=["yuen", "gw"])
-    def test_a_window_after_the_collapse_names_the_family(self, tmp_path, capsys, argv, end):
-        # the scale factor touches down before t0; the message once named no family
-        assert run(tmp_path, "fields", *argv, "--a1", "0", "--t0", "1.5", "--t1", "4") == 2
+    def test_a_window_after_the_collapse_names_the_family(
+            self, tmp_path, capsys, argv, end, at_touchdown):
+        # a touchdown before t0 was named with no family, one at t0 sampled nt times (exit 0)
+        t0 = end if at_touchdown else "1.5"
+        assert run(tmp_path, "fields", *argv, "--a1", "0", "--t0", t0, "--t1", "4") == 2
+        reason = (f"the window from t0={end} to t1=4.0 is the touchdown" if at_touchdown
+                  else f"times outside trajectory range [0.0, {end}] at (t=1.5)")
         assert self.one_line_error(capsys) == (
-            f"eulerpoisson fields: error: times outside trajectory range [0.0, {end}] "
-            f"at (t=1.5) in the scale factor of the {argv[1]} family")
+            f"eulerpoisson fields: error: {reason} in the scale factor of the {argv[1]} family")
         assert not (tmp_path / "fields.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--K", "--rho0", "--t0", "--t1", "--rmax"])

@@ -13,17 +13,15 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import WIDE_ORBITS
+from conftest import WIDE_ORBITS, energy_drift, linearized_period
 from eulerpoisson import emden
 from eulerpoisson.emden import (
     EmdenParams,
     OrbitClass,
     classify,
-    energy_drift,
     energy_level,
     equilibrium_radius,
     integrate_scale,
-    linearized_period,
     period_by_quadrature,
     period_by_simulation,
     potential,

@@ -17,10 +17,11 @@ from eulerpoisson.fields import (
     eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
-    gravity_radial_two_ways,
     zz_interface_radius,
 )
 from eulerpoisson.ode import TIGHT_CONFIG
+
+from conftest import gravity_radial_two_ways
 
 
 @pytest.fixture(scope="module")

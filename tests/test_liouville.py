@@ -22,10 +22,12 @@ from eulerpoisson.liouville import (
     _WGK,
     _XGK,
     enclosed_mass,
-    momentum_bracket,
+    node_brackets,
     solve_profile,
 )
 from eulerpoisson.ode import Trajectory
+
+from conftest import momentum_bracket
 
 
 def closed_form_lam0(s, K, alpha):
@@ -263,6 +265,13 @@ class TestMomentumBracket:
         )
         worst = max(abs(momentum_bracket(fake, s)) for s in (1.0, 3.0, 10.0))
         assert worst > 1e-4
+
+    @pytest.mark.parametrize("K,lam,alpha", [(1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (0.5, 1.0, 1.0)])
+    def test_node_brackets_is_the_bracket_at_the_nodes(self, K, lam, alpha):
+        prof = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), 20.0)
+        s, mass, bracket = node_brackets(prof)  # f' read off the nodes, as `liouville` writes it
+        assert np.array_equal(s, prof.grid[1:]) and np.array_equal(mass, enclosed_mass(prof, s))
+        assert np.array_equal(bracket, momentum_bracket(prof, s))
 
 
 class TestMassIdentity:

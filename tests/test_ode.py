@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WIDE_ORBITS
+from conftest import WIDE_ORBITS, linearized_period
 from eulerpoisson import ode
 from eulerpoisson.errors import (
     DomainError,
@@ -31,7 +31,6 @@ from eulerpoisson.emden import (
     EmdenParams,
     energy_level,
     integrate_scale,
-    linearized_period,
     period_by_quadrature,
     period_by_simulation,
     potential,

@@ -25,14 +25,12 @@ from eulerpoisson.residuals import (
     PressureLaw,
     convergence_study,
     corrupt_density_offset,
-    corrupt_density_scale,
-    corrupt_gravity_scale,
     flow_residuals,
     poisson_residual,
     study_passes,
 )
 
-from conftest import disk_points
+from conftest import disk_points, scaled_field
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
 ISO = PressureLaw("isothermal", K=1.0)
@@ -85,7 +83,7 @@ class TestMassResidual:
     def test_density_scaling_does_not_break_it(self, rot_field, rot_points):
         # continuity is linear in rho at fixed velocity: a scaled density is
         # still an exact solution of the mass equation
-        scaled = corrupt_density_scale(rot_field, 1.01)
+        scaled = scaled_field(rot_field, "rho", 1.01)
         study = convergence_study([MASS], scaled, rot_points, H_LIST)["mass"]
         assert study_passes(study)
 
@@ -141,12 +139,12 @@ class TestPoissonResidual:
         assert at_step(poisson_residual, rot_field, pts, 1e-4)["poisson"] <= 1e-6
 
     def test_gravity_scaling_breaks_it(self, rot_field, rot_points):
-        bad = corrupt_gravity_scale(rot_field, 1.01)
+        bad = scaled_field(rot_field, "phi_r", 1.01)
         study = convergence_study([poisson_residual], bad, rot_points, H_LIST)
         assert not study_passes(study["poisson"])
 
     def test_density_scaling_breaks_it(self, rot_field, rot_points):
-        bad = corrupt_density_scale(rot_field, 1.01)
+        bad = scaled_field(rot_field, "rho", 1.01)
         study = convergence_study([poisson_residual], bad, rot_points, H_LIST)
         assert not study_passes(study["poisson"])
 
