@@ -268,7 +268,7 @@ def period_by_quadrature(p: EmdenParams) -> PeriodEstimate:
     else -d - (e^(-2(u_t + d)) - e^(-2 u_t))/2, without cancellation at either
     end.  The integrand is smooth, even and 2 pi-periodic in psi, so
     `quad_adaptive`'s midpoint sum converges geometrically.  err_est is its
-    last halving difference plus the rounding 4 (1 + max|u_t|) eps T: the
+    error estimate plus the rounding 4 (1 + max|u_t|) eps T: the
     turning exponents and u - u_max carry absolute errors of order
     eps max|u_t|, which e^(u - u_max) and a_max turn into relative ones.
     An overflowing T raises DomainError.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .emden import ScaleLaw
 from .errors import DomainError, NoCompactSupport, NonRealPower, naming, raise_where
-from .liouville import RadialLaw, RadialProfile, _fpp_source, _radial_rhs, alpha_const
+from .liouville import RadialLaw, RadialProfile, _forcing_source, _radial_rhs, alpha_const
 from .ode import (TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, Trajectory,
                   integrate)
 
@@ -63,12 +63,14 @@ class GWParams:
     @property
     def law(self) -> RadialLaw:
         """d = N, rho = f^(N/(N-2)) clamped to 0 below f = 0, on floats and arrays,
-        g = (N-2)*alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center."""
+        g = (N-2)*alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center,
+        fp_scale = 2^-4 (below it Hairer's first step overshoots the center by 1/w, and
+        a solve rejects more than ten attempts)."""
         power, denom = self.N / (self.N - 2), (2 * self.N - 2) * self.K
         return RadialLaw(self.N, (self.N - 2) * alpha_const(self.N) / denom,
                          self.N * (self.N - 2) * self.lam / denom, self.alpha_center,
                          "{f} ** power if {f} > 0.0 else 0.0", {"power": power},
-                         lambda f: np.power(np.maximum(f, 0.0), power))
+                         lambda f: np.power(np.maximum(f, 0.0), power), 2.0 ** -4)
 
     @property
     def scale_law(self) -> ScaleLaw:
@@ -85,7 +87,8 @@ def solve_gw_profile(
     Three runs locate s_mu.  The run in s stops at the first step over which
     f falls through 0 (`falls=(0, 1)`); that step is dropped, since the
     clamped density has a kink inside it.  From its first node (s_k, f_k, f'_k),
-    the last with f > 0, Henon's swap integrates (s, f') in x = -f, with
+    the last with f > 0, Henon's swap integrates (s, f') in x = -f, f' unscaled
+    from the run's w*f' (`RadialLaw.fp_scale`), with
     ds/dx = -1/f' and df'/dx = -f''/f', from x = -f_k to 0, where f = 0
     exactly: its s is s_mu.  A closing run in s from that node to s_mu makes
     the profile end on the node (s_mu, 0.0, f').  The trajectory is the
@@ -95,17 +98,17 @@ def solve_gw_profile(
     the swap cannot start since f' = 0 at s = 0 (DomainError), name the
     parameters (`errors.naming`).
     """
-    rhs = _radial_rhs(p)
+    rhs, law = _radial_rhs(p), p.law
     with naming(f"in the profile of {p}"):
-        run = integrate(rhs, OdeState(0.0, (p.law.f0, 0.0)), s_cap, cfg, falls=(0, 1))
+        run = integrate(rhs, OdeState(0.0, (law.f0, 0.0)), s_cap, cfg, falls=(0, 1))
         if run.y_end[0] > 0.0:
             return RadialProfile(p, run)
         k = run.n_nodes - 2  # the crossing step starts here
         if k == 0:
             raise DomainError("f falls through 0 inside the first step, so Henon's swap "
                               "cannot start (f' = 0 at s = 0)")
-        swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], run.ys[k, 1])),
-                         0.0, cfg)
+        fp = run.ys[k, 1] / law.fp_scale
+        swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], fp)), 0.0, cfg)
         s_mu = float(swap.y_end[0])
         tail = integrate(rhs, OdeState(run.ts[k], run.ys[k]), s_mu, cfg)
     ys = np.concatenate([run.ys[:k], tail.ys])
@@ -120,13 +123,13 @@ def solve_gw_profile(
 def _henon_rhs(p: GWParams) -> Rhs:
     """(ds/dx, df'/dx) = (-1/f', -f''/f') on the state (s, f') in x = -f, with
     the f'' of `p.law`'s radial rhs (Henon 1982, Physica D 5, 412)."""
-    _, g, F, _, rho, consts, _ = p.law
-    body = _HENON_BODY.format(fpp=_fpp_source(rho, "(-t)", "y_1", "y_0"))
-    return Rhs(body, F=F, g=g, nm1=p.N - 1.0, **consts)
+    law = p.law
+    body = _HENON_BODY.format(forcing=_forcing_source(law.rho, "(-t)"))
+    return Rhs(body, F=law.F, g=law.g, nm1=p.N - 1.0, **law.rho_consts)
 
 
 _HENON_BODY = """\
-fpp = {fpp}
+fpp = {forcing} - nm1 * y_1 / y_0
 f_0 = -1.0 / y_1
 f_1 = -fpp / y_1"""
 

@@ -6,6 +6,10 @@ g = 2*pi/K, F = 2*lam/K, f0 = alpha; `goldreich_weber` is the case d = N,
 whose profile ends at its first zero, the support radius `RadialProfile.s_mu`.
 Integration starts at the regular singular point s = 0, where f'/s -> f''(0)
 and the right-hand side takes its limit f''(0) = (F - g*rho(f0)) / d.
+The state is (f, w*f'), with the power of two w = `RadialLaw.fp_scale` of the
+family: f' = 0 at s = 0, so its error weight atol + rtol*|f'| would sit at
+atol there and crawl the steps out of the center; scaled, f' is held to
+atol/w + rtol*|f'|.  Every reader of f' divides by w, which is exact.
 
 The enclosed mass is alpha(d) * integral_0^s rho(f) tau^(d-1) dtau.  For the
 Liouville profile, integrating s * (the ODE) from 0 gives the identity
@@ -62,7 +66,8 @@ class RadialLaw(NamedTuple):
     """f'' + (d-1)/s * f' + g*rho(f) = F from f(0) = f0, f'(0) = 0.  The
     density law is `rho` on floats, a Python expression in `{f}` that reads
     the constants `rho_consts` and is pasted into the rhs, and `rho_array`
-    on arrays."""
+    on arrays.  The solved state is (f, fp_scale*f'): fp_scale is a power of
+    two, the largest at which the family's step and accuracy bounds hold."""
 
     d: int
     g: float
@@ -71,6 +76,7 @@ class RadialLaw(NamedTuple):
     rho: str
     rho_consts: dict[str, object]
     rho_array: Callable[[np.ndarray], np.ndarray]
+    fp_scale: float
 
 
 @dataclass(frozen=True)
@@ -89,36 +95,39 @@ class LiouvilleParams:
 
     @property
     def law(self) -> RadialLaw:
-        """d = 2, rho = e^f, g = 2*pi/K, F = 2*lam/K, f0 = alpha."""
+        """d = 2, rho = e^f, g = 2*pi/K, F = 2*lam/K, f0 = alpha, fp_scale = 2^-7."""
         return RadialLaw(2, 2 * math.pi / self.K, 2 * self.lam / self.K, self.alpha,
-                         "exp({f})", {"exp": math.exp}, np.exp)
+                         "exp({f})", {"exp": math.exp}, np.exp, 2.0 ** -7)
 
 
 def _radial_rhs(p) -> Rhs:
-    """The right-hand side (f', f'') of `p.law`; at s = 0 it is the limit
-    (f', f''(0)) with f''(0) = (F - g*rho(f0)) / d, which `integrate` checks."""
-    d, g, F, _, rho, consts, _ = p.law
-    body = _RADIAL_BODY.format(rho=rho.format(f="y_0"), fpp=_fpp_source(rho, "y_0", "y_1", "t"))
+    """The right-hand side (f', w*f'') of `p.law` on the state (f, w*f'), w its
+    fp_scale; at s = 0 it is the limit (f', w*f''(0)) with f''(0) =
+    (F - g*rho(f0)) / d, which `integrate` checks.  Since w is a power of two,
+    w*f'' is bit for bit w times the unscaled f'', and f' = (w*f') * (1/w)."""
+    law = p.law
+    body = _RADIAL_BODY.format(forcing=_forcing_source(law.rho, "y_0"))
     # d and d - 1 are floats: an int factor costs a conversion per call
-    return Rhs(body, F=F, g=g, d=float(d), nm1=d - 1.0, **consts)
+    return Rhs(body, F=law.F, g=law.g, d=float(law.d), nm1=law.d - 1.0, w=law.fp_scale,
+               iw=1.0 / law.fp_scale, **law.rho_consts)
 
 
-def _fpp_source(rho: str, f: str, fp: str, s: str) -> str:
-    """f'' = F - g*rho(f) - (d-1)*f'/s as Python source, with f, f' and s
-    spelled `f`, `fp` and `s` and the law's density expression `rho` pasted in."""
-    return f"F - g * ({rho.format(f=f)}) - nm1 * {fp} / {s}"
+def _forcing_source(rho: str, f: str) -> str:
+    """F - g*rho(f) as Python source, with f spelled `f` and the law's density
+    expression `rho` pasted in; f'' is this less (d-1)*f'/s."""
+    return f"F - g * ({rho.format(f=f)})"
 
 
 # the radius s is the integration time t
 _RADIAL_BODY = """\
-f_0 = y_1
-f_1 = (F - g * ({rho})) / d if t == 0.0 else {fpp}"""
+f_0 = y_1 * iw
+f_1 = w * ({forcing}) / d if t == 0.0 else w * ({forcing}) - nm1 * y_1 / t"""
 
 
 class RadialProfile:
-    """Solved radial profile: the dense solution (f, f') on [0, s_max], the
-    dimension d and array density law of its params, and the support radius
-    s_mu: None for a Liouville profile, whose density e^f never vanishes,
+    """Solved radial profile: the dense solution (f, w*f') on [0, s_max], whose
+    w = law.fp_scale `fdot` and `fdot_at` divide out, the dimension d and array
+    density law of its params, and the support radius s_mu: None for a Liouville profile, whose density e^f never vanishes,
     and for a Goldreich-Weber profile with no zero before its cap."""
 
     def __init__(self, params, traj: Trajectory, s_mu: float | None = None):
@@ -126,7 +135,7 @@ class RadialProfile:
         self.traj = traj
         self.s_mu = s_mu
         law = params.law
-        self.d, self.density = law.d, law.rho_array
+        self.d, self.density, self.fp_scale = law.d, law.rho_array, law.fp_scale
 
     @property
     def grid(self) -> np.ndarray:
@@ -138,7 +147,7 @@ class RadialProfile:
 
     @property
     def fdot(self) -> np.ndarray:
-        return self.traj.ys[:, 1]
+        return self.traj.ys[:, 1] / self.fp_scale
 
     @property
     def s_max(self) -> float:
@@ -150,7 +159,7 @@ class RadialProfile:
 
     def fdot_at(self, s):
         """f' at radii s of any shape; a float in gives a float out."""
-        return self._at(s, 1)
+        return self._at(s, 1) / self.fp_scale
 
     def _at(self, s, k: int):
         raise_where((s < 0) | (s > self.s_max), OutOfRange, f"s outside [0, {self.s_max}]", s=s)

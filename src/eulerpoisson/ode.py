@@ -731,20 +731,28 @@ def quad_adaptive(f, lo: float, hi: float) -> tuple[float, float]:
 
     The n-point sum h * fsum(f(lo + (k + 1/2) h)), h = (hi - lo)/n, runs for
     n = 8, 16, ... until it differs from the previous one by at most 1e-14
-    of its own value.  Returns (that sum, the difference).  The sum
-    converges geometrically for a smooth f that is periodic with period
-    hi - lo or even about both ends (Trefethen & Weideman 2014, SIAM Review
-    56, 385), and slowly otherwise.  Raises NoConvergence past 16,384 nodes.
+    of its own value; returns (that sum, the difference).  An integrand whose
+    own rounding keeps the sums further apart settles once two successive
+    differences are both at most 1e-13 of the sum (a truncation error would
+    have shrunk below 1e-14 by then, or be a fraction of the difference): it
+    returns the sum and the spread of the last three, the two differences
+    added.  The sum converges geometrically for a smooth f that is periodic
+    with period hi - lo or even about both ends (Trefethen & Weideman 2014,
+    SIAM Review 56, 385), and slowly otherwise.  Raises NoConvergence past
+    16,384 nodes.
     """
     if hi == lo:
         return 0.0, 0.0
     if hi < lo:
         raise DomainError("quad_adaptive requires hi >= lo")
-    n, coarse = 8, math.nan
+    n, coarse, last = 8, math.nan, math.nan
     while n <= _MAX_NODES:
         h = float(hi - lo) / n
         fine = h * math.fsum(f(lo + (k + 0.5) * h) for k in range(n))
-        if abs(fine - coarse) <= 1e-14 * abs(fine):
-            return fine, abs(fine - coarse)
-        n, coarse = 2 * n, fine
+        diff = abs(fine - coarse)
+        if diff <= 1e-14 * abs(fine):
+            return fine, diff
+        if diff <= 1e-13 * abs(fine) and last <= 1e-13 * abs(fine):
+            return fine, diff + last
+        n, coarse, last = 2 * n, fine, diff
     raise NoConvergence(f"the midpoint sum did not settle to 1e-14 within {_MAX_NODES} nodes")

@@ -81,6 +81,43 @@ def momentum_bracket(prof, s):
     return -p.lam * s + p.K * prof.fdot_at(s) + mass / s
 
 
+def radial_reference(law, s_end, zero=False):
+    """scipy's DOP853 on the unscaled profile (f, f') of `law` from s = 0 to s_end,
+    at atol 1e-22 and rtol 2.3e-14, just above the 100 eps to which scipy raises
+    a smaller rtol with a warning.  Returns the dense solution, a callable of s
+    giving the rows f and f', and the first falling zero of f, or None.  With
+    zero the run stops there; a second pass from 2% before the zero, on steps of
+    at most 1e-4 of it, locates it again and serves the solution past that point."""
+    import scipy.integrate as scipy_integrate  # a test dependency, never skipped
+
+    d, g, F = law.d, law.g, law.F
+
+    def rhs(s, y):
+        forcing = F - g * float(law.rho_array(y[0]))
+        return [y[1], forcing / d if s == 0.0 else forcing - (d - 1) * y[1] / s]
+
+    def falls(s, y):
+        return y[0]
+
+    falls.terminal, falls.direction = True, -1
+    tight = dict(method="DOP853", rtol=2.3e-14, atol=1e-22, dense_output=True,
+                 events=falls if zero else None)
+    first = scipy_integrate.solve_ivp(rhs, (0.0, s_end), [law.f0, 0.0], **tight)
+    assert first.success
+    if not (zero and first.t_events[0].size):
+        return first.sol, None
+    s0 = 0.98 * float(first.t_events[0][0])
+    again = scipy_integrate.solve_ivp(rhs, (s0, s_end), first.sol(s0), max_step=1e-4 * s0,
+                                      **tight)
+    assert again.success and again.t_events[0].size
+
+    def sol(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s < s0, first.sol(np.minimum(s, s0)), again.sol(np.maximum(s, s0)))
+
+    return sol, float(again.t_events[0][0])
+
+
 def scaled_field(field, member, factor):
     """field with the `member` (rho or phi_r) of its samples times factor: a negative control."""
     def scaled(t, x, y):

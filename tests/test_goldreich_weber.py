@@ -66,8 +66,10 @@ class TestProfile:
         assert le3_profile.f_at(le3_profile.s_mu) == pytest.approx(0.0, abs=1e-10)
 
     def test_series_coefficient(self, le3_profile):
-        # N f''(0) = 2Nc = forcing - gravity at the center; f''(0) is the first derivative row
-        assert le3_profile.traj.fs[0, 1] == pytest.approx(-math.pi / 3, rel=1e-15)
+        # N f''(0) = 2Nc = forcing - gravity at the center; f''(0) is the first derivative
+        # row, which the state carries scaled by the law's fp_scale
+        fpp0 = le3_profile.traj.fs[0, 1] / le3_profile.params.law.fp_scale
+        assert fpp0 == pytest.approx(-math.pi / 3, rel=1e-15)
 
     def test_series_coefficient_that_overflows_names_alpha_center(self):
         # alpha_center^3 is finite, pi times it is not

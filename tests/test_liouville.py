@@ -15,19 +15,20 @@ from hypothesis import strategies as st
 
 from eulerpoisson import liouville
 from eulerpoisson.errors import DomainError, OutOfRange
-from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
+from eulerpoisson.goldreich_weber import S_CAP_DEFAULT, GWParams, solve_gw_profile
 from eulerpoisson.liouville import (
     LiouvilleParams,
     RadialProfile,
     _WGK,
     _XGK,
+    _radial_rhs,
     enclosed_mass,
     node_brackets,
     solve_profile,
 )
 from eulerpoisson.ode import Trajectory
 
-from conftest import momentum_bracket
+from conftest import momentum_bracket, radial_reference
 
 
 def closed_form_lam0(s, K, alpha):
@@ -52,10 +53,13 @@ class TestSolveProfile:
         assert np.abs(constant_profile.fdot).max() == 0.0
 
     def test_series_coefficient_balances(self, constant_profile):
-        # f''(0) = 2c, the rhs at s = 0, is the profile's first derivative row
+        # f''(0) = 2c, the rhs at s = 0, is the profile's first derivative row, which
+        # the state carries scaled by the law's fp_scale
         assert constant_profile.traj.fs[0, 1] == 0.0
-        prof = solve_profile(LiouvilleParams(K=2.0, lam=1.0, alpha=0.0), 0.5)
-        assert prof.traj.fs[0, 1] == pytest.approx((1.0 - math.pi) / 2.0, rel=1e-15)
+        p = LiouvilleParams(K=2.0, lam=1.0, alpha=0.0)
+        prof = solve_profile(p, 0.5)
+        fpp0 = prof.traj.fs[0, 1] / p.law.fp_scale
+        assert fpp0 == pytest.approx((1.0 - math.pi) / 2.0, rel=1e-15)
 
     @pytest.mark.parametrize("K,alpha,names", [(1.0, 709.0, "alpha=709.0"),
                                                (1.0, 710.0, "alpha=710.0"),
@@ -155,6 +159,99 @@ class TestSolveProfile:
             LiouvilleParams(K=0.0, lam=1.0, alpha=0.0)
         with pytest.raises(DomainError, match="must be finite"):
             LiouvilleParams(K=1.0, lam=math.inf, alpha=0.0)
+
+
+def _unscaled_fpp(p, s, f, fp):
+    """f'' of the profile equation of p, stated here per family: the limit
+    (F - g*rho(f))/d at s = 0, else F - g*rho(f) - (d-1)*f'/s."""
+    law = p.law
+    if isinstance(p, LiouvilleParams):
+        forcing, d = law.F - law.g * math.exp(f), 2
+    else:
+        forcing, d = law.F - law.g * (f ** (p.N / (p.N - 2)) if f > 0.0 else 0.0), p.N
+    return forcing / d if s == 0.0 else forcing - (d - 1.0) * fp / s
+
+
+_FAMILIES = [LiouvilleParams(K=1.3, lam=0.7, alpha=-0.4), GWParams(3, 1.0, -0.2, 1.0),
+             GWParams(6, 0.8, -0.4, 1.7)]
+
+
+class TestScaledState:
+    """A profile's state is (f, w*f'), w = law.fp_scale a power of two; the rhs, the
+    readers of f' and the swap's start undo w exactly."""
+
+    @pytest.mark.parametrize("p", _FAMILIES, ids=lambda p: type(p).__name__)
+    def test_fp_scale_is_a_power_of_two_below_one(self, p):
+        mantissa, _ = math.frexp(p.law.fp_scale)
+        assert mantissa == 0.5 and p.law.fp_scale < 1.0
+
+    # w*f' must stay a normal float, or the scaling would round
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(family=st.sampled_from(_FAMILIES), s=st.sampled_from([0.0]) | st.floats(1e-6, 50.0),
+           f=st.floats(-2.0, 2.0), fp=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-100))
+    def test_the_rhs_is_the_unscaled_rhs_scaled(self, family, s, f, fp):
+        w = family.law.fp_scale
+        got = _radial_rhs(family)(s, (f, w * fp))
+        assert got == (fp, w * _unscaled_fpp(family, s, f, fp))
+
+    @pytest.mark.parametrize("solve", [lambda: solve_profile(_FAMILIES[0], 20.0),
+                                       lambda: solve_gw_profile(_FAMILIES[1]),
+                                       lambda: solve_gw_profile(_FAMILIES[2])],
+                             ids=["liouville", "gw-N3", "gw-N6"])
+    def test_fdot_and_fdot_at_divide_the_state_by_w(self, solve):
+        prof = solve()
+        w, ys = prof.params.law.fp_scale, prof.traj.ys
+        assert np.array_equal(prof.fdot, ys[:, 1] / w)
+        s = np.random.default_rng(5).uniform(0.0, prof.s_max, 50)
+        assert np.array_equal(prof.fdot_at(s), prof.traj.evaluate(s)[:, 1] / w)
+        assert np.array_equal(prof.fdot_at(prof.grid), prof.fdot)
+        assert prof.fdot_at(float(s[0])) == prof.traj.evaluate(s[0])[1] / w
+
+    @pytest.mark.parametrize("p", _FAMILIES[1:], ids=["N3", "N6"])
+    def test_the_swap_starts_from_the_unscaled_fdot(self, monkeypatch, p):
+        from eulerpoisson import goldreich_weber, ode
+
+        starts = []
+
+        def integrate(rhs, y0, *args, **kwargs):
+            starts.append(y0)
+            return ode.integrate(rhs, y0, *args, **kwargs)
+
+        monkeypatch.setattr(goldreich_weber, "integrate", integrate)
+        prof = solve_gw_profile(p)
+        swap = starts[1]  # the run in s, the swap, the closing run
+        k = int(np.flatnonzero(prof.grid == swap.y[0])[0])
+        assert (swap.t, tuple(swap.y)) == (-prof.f[k], (prof.grid[k], prof.fdot[k]))
+        assert swap.y[1] == prof.traj.ys[k, 1] / p.law.fp_scale != prof.traj.ys[k, 1]
+
+
+def _profiles_box(n: int) -> list:
+    """A fixed draw of n points of each family from the `profiles` benchmark box: the
+    `liouville` K, lam on [0.5, 2] and alpha on [-1, 1], to s = 20; the GW N in 3..6,
+    lam on [-0.5, 0] and alpha_center on [0.5, 2], at K = 1 (the `fields` default)."""
+    u = np.random.default_rng(20261017).random((n, 5)).tolist()
+    return ([LiouvilleParams(0.5 + 1.5 * a, 0.5 + 1.5 * b, 2.0 * c - 1.0) for a, b, c, _, _ in u]
+            + [GWParams(3 + i % 4, 1.0, -0.5 * d, 0.5 + 1.5 * e)
+               for i, (_, _, _, d, e) in enumerate(u)])
+
+
+class TestAgainstATightReference:
+    """Both families over the `profiles` box against scipy's DOP853 at atol 1e-22 on
+    the unscaled (f, f') (`conftest.radial_reference`).  Over the benchmark pools of
+    seeds 20261017 and 555 (`tools/profile_accuracy.py`) the worst errors were 1.7e-12
+    for f, 3.7e-12 for f' and 1.4e-13 for s_mu, relative."""
+
+    @pytest.mark.parametrize("p", _profiles_box(4), ids=[f"liouville-{i}" for i in range(4)]
+                             + [f"gw-N{n}" for n in range(3, 7)])
+    def test_nodes_and_support_radius(self, p):
+        gw = isinstance(p, GWParams)
+        prof = solve_gw_profile(p) if gw else solve_profile(p, 20.0)
+        ref, s_mu = radial_reference(p.law, S_CAP_DEFAULT if gw else 20.0, zero=gw)
+        f, fdot = ref(prof.grid)
+        assert np.abs(prof.f - f).max() <= 1e-11
+        assert np.abs(prof.fdot - fdot).max() <= 1e-11
+        if gw:
+            assert abs(prof.s_mu - s_mu) <= 1e-11 * s_mu
 
 
 class TestEnclosedMass:

@@ -238,14 +238,14 @@ class TestStepper:
         assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
 
     def test_profile_node_count_is_stable(self):
-        # guards the step controller: 197 DOP853 nodes from s = 0 here (191
-        # before the predictive factor; 194
+        # guards the step controller: 156 DOP853 nodes from s = 0 here (197
+        # before the state carried f' scaled by 2^-7; 191 before the predictive factor; 194
         # from a series start at s = 1e-6; 188 with a fixed 1e-4 first step,
         # before the first step was derived from the start state; 1,907 with
         # the DP5 pair, 4,031 when a 0.005 cap made up for a cubic-Hermite
         # dense output)
         prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
-        assert abs(prof.traj.n_nodes - 197) <= 0.01 * 197
+        assert abs(prof.traj.n_nodes - 156) <= 0.01 * 156
 
     def test_the_unit_orbit_rejects_at_most_one_attempt_in_eight(self):
         # guards the predictive factor: without it the controller saw-toothed,
@@ -364,13 +364,13 @@ class TestGeneratedStep:
                      "dd396261df7a5826d49677ce421c953f516fa676107e53edf62b23f8ce2b38c0",
                      id="unit-scale-factor"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
-                     "2f57859b6ada4358e181e58598f9c11942479fe33903f4a82b7d5d34b8fa6132",
+                     "318024f4174c8e615e02518fb60ea6fb26da391d5dbd30ed1f913743011be9c3",
                      id="default-profile"),
         pytest.param(lambda: solve_gw_profile(GWParams(3, 1.0, -0.2, 1.0)).traj,
-                     "86ee8cb0b1b3eb8b1932d3ca7845e9081bba5eb3c75c819d1836b442cbb45642",
+                     "113326cf6fb53fbd2c1ee5f4a9f997b4b6369a91b1c2fafa212fbcd6d254815e",
                      id="gw-profile-N3"),
         pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
-                     "2a7e987e9977f378afeb7e50703995304996415b7c3fe86566062e0a5a6a4e9e",
+                     "af13e5579c6c9cc0836b0ae36cb06fc8da6758ccd51ad902e59c535eafaeab67",
                      id="gw-profile-N5"),
         pytest.param(lambda: integrate_scale(GWParams(5, 1.0, 1.0, 1.0), 10.0).trajectory,
                      "c0555f9b66dbbe6ec7c1c62cff411785a78e9d535c787b30f4cc4629d7a916d3",
@@ -384,7 +384,9 @@ class TestGeneratedStep:
         # all four again when the controller gained Gustafsson's predictive factor; the
         # N = 5 collapse is the trajectory its StepUnderflow carried before that halt
         # counted as the touchdown; the GW profiles again when their support radius
-        # became the zero of Henon's swap, with the step over it replaced by a closing run
+        # became the zero of Henon's swap, with the step over it replaced by a closing run;
+        # all three profiles again when their state began to carry f' scaled by the law's
+        # fp_scale
         assert _digest(solve()) == digest
 
 
@@ -472,8 +474,8 @@ class TestChunkedPacking:
                      "df007adf4edf2d0d0eb89a498073eddfecce5d6985c7f3096cf3317110a56093",
                      id="unit-orbit-4-chunks"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0),
-                                           400.0).traj, 3009,
-                     "2d8475118065719fca51e8615cc300fa08161e20584a6df4b68cf1766b6a2f14",
+                                           500.0).traj, 2696,
+                     "f54089a39366b1bb423bbd766d848be41fe700fa9d66f45a64a9298836fd93da",
                      id="profile-6-chunks"),
         pytest.param(lambda: integrate(*_UNIT_START, _TIME_OF_NODE_1024), 1024,
                      "b9d65af44b6fe107fd53dacde478ea94f13192fcaf26d9b17217fce431f8c251",
@@ -483,7 +485,9 @@ class TestChunkedPacking:
                      id="falls-after-a-pack"),
     ])
     def test_multi_chunk_runs_are_bitwise_pinned(self, solve, accepted, digest):
-        # recorded when a run packed its lists once, at its end
+        # recorded when a run packed its lists once, at its end; the profile's again, to
+        # s = 500 (it was 400), with a patched _CHUNK that packs once, when its state
+        # began to carry f' scaled by the law's fp_scale
         traj = solve()
         assert traj.stats.accepted == accepted == traj.n_nodes - 1
         assert _digest(traj) == digest
@@ -1489,6 +1493,31 @@ class TestQuadrature:
         assert f.calls == 2 * 8192 - 8
         exact = 2 * math.pi / math.sqrt(eps * (2.0 + eps))
         assert abs(val - exact) <= 1e-14 * exact
+
+    def test_an_integrand_rounded_above_the_target_settles_at_rounding_level(self):
+        # 1/(1 + eps - cos psi) loses about 13 bits to cancellation near psi = 0, so
+        # once the truncation error is gone successive sums differ by 7.1e-14 and then
+        # 1.2e-14 of the sum, never 1e-14: the sum settles at n = 16384 on those two
+        # differences, whose sum bounds its error (it raised NoConvergence there)
+        mp = pytest.importorskip("mpmath")
+        c, hi = 1.0 + 8e-5, 2 * math.pi
+        f = self.counted(lambda psi: 1.0 / (c - math.cos(psi)))
+        val, err = quad_adaptive(f, 0.0, hi)
+        assert f.calls == 2 * ode._MAX_NODES - 8
+        with mp.workdps(30):
+            # over the period, less the sliver past the float hi, where f = 1/eps
+            eps = mp.mpf(c) - 1
+            exact = float(2 * mp.pi / mp.sqrt(eps * (2 + eps)) - (2 * mp.pi - hi) / eps)
+        assert abs(val - exact) <= err <= 1e-13 * val
+
+    def test_one_difference_at_rounding_level_does_not_settle_the_sum(self):
+        # the 8- and 16-point sums alias eps*cos(16 psi) to +eps and -eps, and the 32-point
+        # sum is exact: the first difference, 2 eps = 6e-14 of the sum, has none before it,
+        # so the sum goes on and settles at 32 on it and the next one, eps
+        f = self.counted(lambda psi: 1.0 + 3e-14 * math.cos(16.0 * psi))
+        val, err = quad_adaptive(f, 0.0, 2 * math.pi)
+        assert f.calls == 8 + 16 + 32
+        assert abs(val - 2 * math.pi) <= err <= 1e-13 * val
 
     def test_zero_width(self):
         assert quad_adaptive(math.sin, 1.0, 1.0) == (0.0, 0.0)

@@ -125,11 +125,12 @@ def test_the_field_is_evaluated_again_on_other_points():
 
 
 # sha256 of json.dumps(run_bundle(seed, 20, H_LIST, True, 0.01), sort_keys=True),
-# recorded when the corrupted control still sampled the rotating field anew
+# recorded when the corrupted control still sampled the rotating field anew, and again
+# when the profile's state began to carry f' scaled by the law's fp_scale
 REPORT_DIGESTS = {
-    0: "7baaa2eef36525d80f9905823cbe8a303095bb1476229397251f82b7a77e81e4",
-    7: "71dbbf931013215f7c1ce4e3dee2768d416bfe74c00d3551c7373c3ac94aff34",
-    20261017: "b7cc892702017401e63d87a43c43d667b89df3f266a5b96d4afdc75fe9ddee49",
+    0: "0aff78ebab438a71d6ffa6dc4a3a30223de687db1749fb90578df84fa81b5fb5",
+    7: "491b50e4999ed8a17cf37cc1b8eff7c772666235244df6e9da401cd1bb8a5179",
+    20261017: "f91e8beb3bdb61f774f7f3a7aea2a051a392f420f2d06343d426164032fdb2d4",
 }
 
 

@@ -1,0 +1,76 @@
+"""Steps and accuracy of the radial profiles of one `profiles` benchmark pool.
+
+Solves the Liouville and Goldreich-Weber profile of every task in one seed's
+`profiles` pool (`perfbench/workloads.py`, the same pool the benchmark times)
+with the parameters and defaults of its `liouville` and `fields --family gw`
+commands, and compares each against scipy's DOP853 at atol 1e-22 and rtol
+2.3e-14 on the unscaled (f, f') (`tests/conftest.py::radial_reference`).
+Prints one line per family: profiles, mean nodes, total and largest
+rejections, and the largest errors of f and f' at the nodes, of s_mu
+(relative) and of the Liouville momentum bracket at the nodes.
+
+    python tools/profile_accuracy.py                     # seed 20261017, 57 tasks
+    python tools/profile_accuracy.py --seed 555 --seconds 10
+
+It reads only the profiles' public API (`f`, `fdot`, `grid`, `s_mu`, `traj`),
+so it runs on older trees too.  Needs scipy.  No part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+from conftest import radial_reference  # noqa: E402
+from eulerpoisson import cli  # noqa: E402
+from eulerpoisson.goldreich_weber import S_CAP_DEFAULT, GWParams, solve_gw_profile  # noqa: E402
+from eulerpoisson.liouville import LiouvilleParams, node_brackets, solve_profile  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _errors(prof, s_end: float, zero: bool) -> dict[str, float]:
+    ref, s_mu = radial_reference(prof.params.law, s_end, zero)
+    f, fdot = ref(prof.grid)
+    out = {"f": np.abs(prof.f - f).max(), "fdot": np.abs(prof.fdot - fdot).max()}
+    if zero:
+        out["s_mu"] = abs(prof.s_mu - s_mu) / s_mu
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seed", type=int, default=20261017)
+    ap.add_argument("--seconds", type=float, default=30.0,
+                    help="pool size as the benchmark's --seconds sets it")
+    args = ap.parse_args(argv)
+    parser, _ = cli.build_parser()
+    pool = workloads.make_pool("profiles", args.seed,
+                               workloads.pool_size("profiles", args.seconds))
+    rows = {"liouville": [], "gw": []}
+    for task in pool:
+        lv, gw = (parser.parse_args(argv) for argv in task.argvs)
+        prof = solve_profile(LiouvilleParams(lv.K, lv.lam, lv.alpha), lv.s_max)
+        errs = _errors(prof, lv.s_max, False)
+        errs["bracket"] = np.abs(node_brackets(prof)[2]).max()
+        rows["liouville"].append((prof.traj, errs))
+        prof = solve_gw_profile(GWParams(gw.N, gw.K, gw.lam, gw.alpha, gw.a0, gw.a1))
+        rows["gw"].append((prof.traj, _errors(prof, S_CAP_DEFAULT, True)))
+    print(f"seed {args.seed}, {len(pool)} tasks")
+    for family, runs in rows.items():
+        rejected = [traj.stats.rejected for traj, _ in runs]
+        line = [f"{family:9s} profiles {len(runs)}",
+                f"nodes {np.mean([traj.n_nodes for traj, _ in runs]):.1f}",
+                f"rejected {sum(rejected)} (max {max(rejected)})"]
+        line += [f"max_err_{key} {max(errs[key] for _, errs in runs):.2e}" for key in runs[0][1]]
+        print("  ".join(line))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
