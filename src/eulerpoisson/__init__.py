@@ -12,7 +12,6 @@ from .emden import (
     EmdenParams,
     OrbitClass,
     PeriodEstimate,
-    ScaleRun,
     TurningPoints,
     classify,
     energy_level,

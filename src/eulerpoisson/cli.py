@@ -255,8 +255,7 @@ class _ConfigError(Exception):
 def cmd_emden(args) -> int:
     p = emden.EmdenParams(lam=args.lam, xi=args.xi, a0=args.a0, a1=args.a1)
     cfg = _integrator_config(args, IntegratorConfig())
-    run = emden.integrate_scale(p, args.t_end, cfg)
-    traj = run.trajectory
+    traj = emden.integrate_scale(p, args.t_end, cfg)
 
     times = np.linspace(0.0, traj.t_end, args.samples)
     a, adot = traj.evaluate(times).T
@@ -274,7 +273,7 @@ def cmd_emden(args) -> int:
         "a_max": None,
         "T_quadrature": None,
         "T_simulation": None,
-        "touchdown_time": run.touchdown_time,
+        "touchdown_time": traj.t_end if traj.t_end < args.t_end else None,
         "integrator": traj.stats._asdict(),
     }
     if p.lam > 0 and p.xi != 0:
@@ -365,7 +364,7 @@ def _fields_gw(args):
     p = goldreich_weber.GWParams(N=args.N, K=args.K, lam=args.lam, alpha_center=args.alpha,
                                  a0=args.a0, a1=args.a1)
     prof = goldreich_weber.solve_gw_profile(p)  # first, so a run failing both names it
-    scale = emden.integrate_scale(p, _t_max(args)).trajectory
+    scale = emden.integrate_scale(p, _t_max(args))
     return scale, functools.partial(fields.eval_gw, prof, scale)
 
 

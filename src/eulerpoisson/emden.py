@@ -108,14 +108,6 @@ class PeriodEstimate:
     stats: IntegratorStats = IntegratorStats()
 
 
-@dataclass(frozen=True)
-class ScaleRun:
-    """Result of `integrate_scale` in either family: trajectory plus touchdown time, if any."""
-
-    trajectory: Trajectory
-    touchdown_time: float | None = None
-
-
 def scale_rhs(p) -> Rhs:
     """Right-hand side of (a, a') under `p.scale_law`, NaN once a <= 0; at d = 2 the
     divisor a^(d-1) is `a` itself, as `a ** 1.0` rounds alike but costs a power per stage."""
@@ -333,22 +325,22 @@ def period_by_simulation(p: EmdenParams, cfg: IntegratorConfig = IntegratorConfi
     return PeriodEstimate(T=T, err_est=float(np.max(np.abs(gaps - T))), stats=stats)
 
 
-def integrate_scale(p, t_end: float, cfg: IntegratorConfig = IntegratorConfig()) -> ScaleRun:
+def integrate_scale(p, t_end: float, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Trajectory of (a, a') under `p.scale_law` on [0, t_end], or up to its touchdown.
 
     Past a = 0 the rhs is NaN, so the step size collapses at the touchdown.
     With xi2 = 0 <= lam, a StepUnderflow or StateBlowup halt whose last node
     (t_k, a_k, a'_k) has a'_k < 0 and a_k <= 1e-9 * max(1, t_k) * |a'_k| is
-    that touchdown, within a_k/|a'_k| of t_k: the trajectory is returned with
-    the halt time.  Any other halt, and a run that cannot start (DomainError),
-    is re-raised naming p (`naming`).
+    that touchdown, within a_k/|a'_k| of t_k: the halt's trajectory is returned,
+    so a run ends before t_end exactly when it touched down.  Any other halt,
+    and a run that cannot start (DomainError), is re-raised naming p (`naming`).
     """
     law = p.scale_law
     with naming(f"in the scale factor of {p}"):
         try:
-            return ScaleRun(integrate(scale_rhs(p), OdeState(0.0, (law.a0, law.a1)), t_end, cfg))
+            return integrate(scale_rhs(p), OdeState(0.0, (law.a0, law.a1)), t_end, cfg)
         except (StepUnderflow, StateBlowup) as halt:
             a, v = halt.trajectory.y_end
             if law.xi2 == 0 <= law.lam and v < 0 and a <= 1e-9 * max(1.0, halt.t) * -v:
-                return ScaleRun(halt.trajectory, halt.t)
+                return halt.trajectory
             raise

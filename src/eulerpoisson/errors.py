@@ -76,18 +76,17 @@ class MissingGravity(EulerPoissonError, ValueError):
 
 
 class IntegrationHalted(EulerPoissonError, RuntimeError):
-    """Base for abnormal integrator termination.
+    """Base for abnormal integrator termination: `trajectory` is the run up to the halt,
+    at least its start node (`integrate` builds one for every halt, and `naming` passes
+    it on), and `t`, the time at which the run stopped, is read off its end."""
 
-    Attributes:
-        t: time at which integration stopped.
-        trajectory: partial trajectory up to ``t``, at least its start node:
-            `integrate` builds one for every halt, and `naming` passes it on.
-    """
-
-    def __init__(self, message: str, t: float, trajectory=None):
+    def __init__(self, message: str, trajectory):
         super().__init__(message)
-        self.t = t
         self.trajectory = trajectory
+
+    @property
+    def t(self) -> float:
+        return self.trajectory.t_end
 
 
 class StepBudgetExceeded(IntegrationHalted):
@@ -105,10 +104,10 @@ class StepUnderflow(IntegrationHalted):
 @contextmanager
 def naming(clause: str):
     """How a solver's failure names its parameters: a halt or DomainError raised in the block
-    is re-raised as its own type, `clause` after its message, a halt with its t and trajectory."""
+    is re-raised as its own type, `clause` after its message, a halt with its trajectory."""
     try:
         yield
     except IntegrationHalted as halt:
-        raise type(halt)(f"{halt} {clause}", halt.t, halt.trajectory) from None
+        raise type(halt)(f"{halt} {clause}", halt.trajectory) from None
     except DomainError as exc:
         raise DomainError(f"{exc} {clause}") from None

@@ -82,7 +82,7 @@ def build_rotational(
     touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
-    scale, s_max = integrate_scale(emden_p, t_max, TIGHT_CONFIG).trajectory, 20.0
+    scale, s_max = integrate_scale(emden_p, t_max, TIGHT_CONFIG), 20.0
     if samples is not None:
         t, r = samples
         a = scale.evaluate(np.clip(t, scale.t_start, scale.t_end))[..., 0]

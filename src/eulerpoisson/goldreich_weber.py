@@ -29,8 +29,7 @@ import numpy as np
 from .emden import ScaleLaw
 from .errors import DomainError, NoCompactSupport, NonRealPower, naming, raise_where
 from .liouville import RadialLaw, RadialProfile, _forcing_source, _radial_rhs, alpha_const
-from .ode import (TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, Trajectory,
-                  integrate)
+from .ode import TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, integrate
 
 S_CAP_DEFAULT = 100.0
 
@@ -88,15 +87,15 @@ def solve_gw_profile(
     f falls through 0 (`falls=(0, 1)`); that step is dropped, since the
     clamped density has a kink inside it.  From its first node (s_k, f_k, f'_k),
     the last with f > 0, Henon's swap integrates (s, f') in x = -f, f' unscaled
-    from the run's w*f' (`RadialLaw.fp_scale`), with
-    ds/dx = -1/f' and df'/dx = -f''/f', from x = -f_k to 0, where f = 0
-    exactly: its s is s_mu.  A closing run in s from that node to s_mu makes
-    the profile end on the node (s_mu, 0.0, f').  The trajectory is the
-    prefix plus the closing run, and its stats add up all three runs.  With
-    no zero before s_cap the full trajectory is kept and s_mu is None.  A
-    halt, a run that cannot start, and a zero inside the first step, where
-    the swap cannot start since f' = 0 at s = 0 (DomainError), name the
-    parameters (`errors.naming`).
+    from the run's w*f' (`RadialLaw.fp_scale`), with ds/dx = -1/f' and
+    df'/dx = -f''/f', from x = -f_k to 0, where f = 0 exactly: its s is s_mu.
+    A closing run in s from that node to s_mu makes the profile end on the
+    node (s_mu, 0.0, f').  The trajectory is the prefix joined to the closing
+    run (`Trajectory._joined`), and its stats add up all three runs.  With no
+    zero before s_cap the full trajectory is kept and s_mu is None.  A halt, a
+    run that cannot start, and a zero inside the first step, where the swap
+    cannot start since f' = 0 at s = 0 (DomainError), name the parameters
+    (`errors.naming`).
     """
     rhs, law = _radial_rhs(p), p.law
     with naming(f"in the profile of {p}"):
@@ -111,12 +110,9 @@ def solve_gw_profile(
         swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], fp)), 0.0, cfg)
         s_mu = float(swap.y_end[0])
         tail = integrate(rhs, OdeState(run.ts[k], run.ys[k]), s_mu, cfg)
-    ys = np.concatenate([run.ys[:k], tail.ys])
-    ys[-1, 0] = 0.0
     stats = IntegratorStats(*map(sum, zip(run.stats, swap.stats, tail.stats)))
-    traj = Trajectory(np.concatenate([run.ts[:k], tail.ts]), ys,
-                      np.concatenate([run.fs[:k], tail.fs]),
-                      np.concatenate([run.cont[:k], tail.cont]), stats)
+    traj = run._joined(k, tail, stats)
+    traj.ys[-1, 0] = 0.0
     return RadialProfile(p, traj, s_mu)
 
 

@@ -239,12 +239,18 @@ class Trajectory:
     def _unchecked(cls, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, cont: np.ndarray,
                    stats: IntegratorStats) -> Trajectory:
         """A trajectory of arrays that pass the constructor's checks by the way
-        `integrate` builds them: float64 of matching shapes, on strictly
-        increasing times (a step is never below 1e-14 * max(1, |t|), so no
-        node time repeats)."""
+        `integrate` and `_joined` build them: float64 of matching shapes, on
+        strictly increasing times (a step is never below 1e-14 * max(1, |t|),
+        so no node time repeats)."""
         self = object.__new__(cls)
         self.ts, self.ys, self.fs, self.cont, self.stats = ts, ys, fs, cont, stats
         return self
+
+    def _joined(self, k: int, tail: Trajectory, stats: IntegratorStats) -> Trajectory:
+        """The first k nodes and segments of this trajectory, then `tail`, with `stats`,
+        unchecked: the caller's tail starts after node k - 1, so node times rise."""
+        return Trajectory._unchecked(*(np.concatenate([getattr(self, x)[:k], getattr(tail, x)])
+                                       for x in ("ts", "ys", "fs", "cont")), stats)
 
     @property
     def t_start(self) -> float:
@@ -376,7 +382,8 @@ def _step_lines(n: int, body: str) -> list[str]:
         stage(i, inputs(i))
     for j in js:  # not max(): a NaN in the new state must reach the norm
         lines += [f"yn_{j} = y0_{j} + h * ({_combo(_A[12], j)})",
-                  f"u, v = abs(y0_{j}), abs(yn_{j})", "sc = atol + rtol * (u if u > v else v)",
+                  f"u, v = abs(y0_{j}), abs(yn_{j})",
+                  "sc = atol + rtol * (u if u > v else v) or inf",  # a zero scale counts not at all
                   f"e5_{j} = ({_combo(_E5, j)}) / sc", f"e3_{j} = ({_combo(_E3, j)}) / sc"]
     # both estimates zero: no error (a NaN still reaches the check)
     lines += [f"sq5 = {' + '.join(f'e5_{j} * e5_{j}' for j in js)}",
@@ -460,9 +467,10 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | Non
         f"    {halt.format('None if t0 < inf else StateBlowup')}", ""])
 
 
-def _is_component(k, n: int) -> bool:
-    """k indexes one component of an n-state: an integer in range(n), never from the end."""
-    return isinstance(k, Integral) and 0 <= k < n
+def _component(k, n: int) -> int | None:
+    """k as the int index of one component of an n-state, if it is an integer in
+    range(n) (never from the end; numpy would read a bool as a mask), else None."""
+    return int(k) if isinstance(k, Integral) and 0 <= k < n else None
 
 
 def _length_error(f, n: int, t: float) -> DomainError:
@@ -562,9 +570,10 @@ def integrate(
     `rhs` receives the state as a tuple of floats and returns a new sequence of
     the same length (node derivatives keep it); another length, or no sequence,
     raises DomainError naming what came back and the time.  Local error is
-    controlled against atol + rtol*|y| by Hairer's combined 5th/3rd-order
-    estimate, before the FSAL stage, so a rejected attempt costs 11 rhs calls
-    and an accepted one 15 (11, the FSAL stage and three dense-output stages);
+    controlled against atol + rtol*|y|, where a component of scale 0 counts
+    not at all, by Hairer's combined 5th/3rd-order estimate, before the FSAL
+    stage, so a rejected attempt costs 11 rhs calls and an accepted one 15
+    (11, the FSAL stage and three dense-output stages);
     a run makes 1 + 11*attempts + 4*accepted calls, and one more when its first
     estimate is at or below the underflow floor (`_euler_start`).  A step h
     accepted after an accepted h_prev is followed by h times the smaller of 0.9
@@ -617,10 +626,9 @@ def integrate(
     fall_k, falls_left = None, 1  # no fall rule and no check: isinstance on an ABC is slow
     if falls:
         fall_k, falls_left = falls
-        if not (_is_component(fall_k, n) and isinstance(falls_left, Integral)
-                and falls_left >= 1):
+        fall_k = _component(fall_k, n)
+        if fall_k is None or not (isinstance(falls_left, Integral) and falls_left >= 1):
             raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
-        fall_k = int(fall_k)
     run = _run(n, rhs.body, rhs.names, fall_k)
     h, starts = _first_step(y, k1, t_end - t, config), 1  # the rhs calls before the run
     if h <= STEP_UNDERFLOW_REL * max(1.0, abs(t)):
@@ -641,7 +649,7 @@ def integrate(
             StepBudgetExceeded: f"exceeded {config.max_steps} steps",
             StateBlowup: f"state exceeded {OVERFLOW_GUARD:.0e}" if t + h < math.inf
             else f"step size {h:.3e} overflowed"}[halt]
-    raise halt(f"{what} at t={t!r}", t, traj)
+    raise halt(f"{what} at t={t!r}", traj)
 
 
 # ----------------------------------------------------------------------
@@ -674,17 +682,18 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     right end, so before its segment's end, where `evaluate` takes the same
     segment; on the segment's start, where y0 > 0, `_dense` gives y0 as
     `evaluate`'s node override does.  So the roots are those of rounds
-    through `evaluate`, bit for bit.  A k outside range(n) raises
-    DomainError, as in `integrate(falls=...)`.
+    through `evaluate`, bit for bit.  k is read as an int (a bool or numpy
+    integer too); a k that is no integer in range(n) raises DomainError, as
+    in `integrate(falls=...)`.
     """
-    if not _is_component(k, traj.ys.shape[1]):
+    if (j := _component(k, traj.ys.shape[1])) is None:
         raise DomainError(f"component k={k!r} is not in range({traj.ys.shape[1]})")
-    y = traj.ys[:, k]
+    y = traj.ys[:, j]
     fall = np.flatnonzero((y[:-1] > 0) & (y[1:] <= 0))
     if not fall.size:
         return np.empty(0)
     grid = np.linspace(traj.ts[fall], traj.ts[fall + 1], _EVENT_SUBSAMPLES, axis=1)
-    g = traj.evaluate(grid)[..., k]
+    g = traj.evaluate(grid)[..., j]
     row, col = np.nonzero((g[:, :-1] > 0) & (g[:, 1:] <= 0))
     ta, tb, ga, gb = grid[row, col], grid[row, col + 1], g[row, col], g[row, col + 1]
     exact = gb == 0
@@ -693,8 +702,8 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     # the live brackets, and their segments' rows of component k
     a, b, fa, fb, width = ta[live], tb[live], ga[live], gb[live], width[live]
     i = fall[row[live]]
-    seg = (traj.ts[i], traj.ts[i + 1], y[i], y[i + 1], traj.fs[i, k], traj.fs[i + 1, k],
-           traj.cont[i, k])
+    seg = (traj.ts[i], traj.ts[i + 1], y[i], y[i + 1], traj.fs[i, j], traj.fs[i + 1, j],
+           traj.cont[i, j])
     moved = np.full(len(live), -1)  # 1: the last round moved the left end, 0: the right
     while live.size:
         # a proposal stays tol/4 inside the bracket, so an end already on the

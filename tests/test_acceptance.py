@@ -85,11 +85,10 @@ class _Criterion:
 
 def test_01_steady_solution():
     with _Criterion(1, "steady orbit stays within 1e-10 of the equilibrium", 1.0):
-        run = integrate_scale(
+        traj = integrate_scale(
             EmdenParams(1.0, 1.0, 1.0, 0.0), 100.0,
             IntegratorConfig(rtol=1e-10, atol=1e-12),
         )
-        traj = run.trajectory
         assert traj.t_end == 100.0
         assert np.abs(traj.ys[:, 0] - 1.0).max() <= 1e-10
         dense = np.array([traj.state_at(t)[0] for t in np.linspace(0, 100, 2001)])
@@ -98,11 +97,10 @@ def test_01_steady_solution():
 
 def test_02_energy_conservation(unit_orbit):
     with _Criterion(2, "energy drift <= 1e-8 relative over t in [0, 100]", 1.0):
-        run = integrate_scale(
+        traj = integrate_scale(
             unit_orbit, 100.0, IntegratorConfig(rtol=1e-10, atol=1e-12)
         )
         th = energy_level(unit_orbit)
-        traj = run.trajectory
         # drift at every computed state (interpolation between nodes is a
         # local reconstruction, not integrator drift)
         assert traj.t_start == 0.0 and traj.t_end == 100.0
@@ -137,8 +135,8 @@ def test_05_blowup_limit():
         run = integrate_scale(EmdenParams(1.0, 0.0, 1.0, 0.0), 10.0)
         # the energy quadrature integral_0^1 da / sqrt(-2 ln a) in closed form
         t_ref = math.sqrt(math.pi / 2)
-        assert run.touchdown_time is not None
-        assert abs(run.touchdown_time - t_ref) / t_ref <= 1e-6
+        assert run.t_end < 10.0
+        assert abs(run.t_end - t_ref) / t_ref <= 1e-6
 
 
 def test_06_liouville_identity_grid():

@@ -150,7 +150,7 @@ class TestProfile:
                        T_BAD + [(1, 200.0), (2, NAN), (1, 0.0)]))
     def test_eval_gw(self, gw_profiles, args):
         for prof in gw_profiles:  # an expanding scale factor, solved to t = 2.5
-            scale = integrate_scale(dataclasses.replace(prof.params, a1=2.0), 2.5).trajectory
+            scale = integrate_scale(dataclasses.replace(prof.params, a1=2.0), 2.5)
             assert_array_first(functools.partial(eval_gw, prof, scale), args)
 
 

@@ -85,6 +85,17 @@ class TestEmdenCommand:
         assert float(lines[-1].split(",")[0]) <= td
         assert float(lines[-1].split(",")[1]) < 1e-6  # density blew up
 
+    def test_rest_at_zero_speed_runs_with_a_zero_atol(self, tmp_path):
+        # a' stays 0, whose error scale is then 0: every attempt was rejected until
+        # the step underflowed at t = 0 (exit 2)
+        argv = ("emden", "--lam", "0", "--xi", "0", "--a1", "0", "--atol", "0")
+        assert run(tmp_path, *argv) == 0
+        report = json.loads((tmp_path / "emden_report.json").read_text())
+        assert report["touchdown_time"] is None and report["integrator"]["rejected"] == 0
+        lines = (tmp_path / "emden.csv").read_text().splitlines()[1:]
+        assert float(lines[-1].split(",")[0]) == 50.0
+        assert all(line.split(",")[1:3] == ["1", "0"] for line in lines)
+
     def test_a_linear_collapse_is_a_blowup_at_a0_over_its_speed(self, tmp_path):
         # xi = 0 = lam: a = a0 + a1*t; the report once said global_non_periodic
         # beside the touchdown of its own run
@@ -158,8 +169,8 @@ class TestFieldsCommand:
                    "--a1", "0") == 0
         cols = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1, usecols=(0, 3))
         p = goldreich_weber.GWParams(int(N), 1.0, 1.0, 1.0, 1.0, 0.0)
-        touchdown = emden.integrate_scale(p, 2.0).touchdown_time
-        assert touchdown is not None and touchdown < 2.0
+        touchdown = emden.integrate_scale(p, 2.0).t_end
+        assert touchdown < 2.0
         assert np.all(np.isfinite(cols[:, 1])) and np.all(cols[:, 1] >= 0)
         assert cols[-1, 0] <= touchdown
 

@@ -417,7 +417,7 @@ class TestPeriodOfARun:
     """`period_by_simulation(p, cfg, run)` searches the falls of a' on `run` first."""
 
     def test_the_events_are_searched_on_the_run_itself(self, unit_orbit, monkeypatch):
-        run = integrate_scale(unit_orbit, 200.0).trajectory
+        run = integrate_scale(unit_orbit, 200.0)
         gaps = np.diff(detect_events(run, 1)[:4])
         searched = []
         monkeypatch.setattr(emden, "detect_events",
@@ -453,7 +453,7 @@ class TestPeriodOfARun:
         # the period is about 1.1e6, far past the 256 linearized periods
         # (about 1,100) that once bounded the continuation
         p = EmdenParams(1.0, 1.0, 1.0, 5.0)
-        run = integrate_scale(p, 300 * linearized_period(p)).trajectory
+        run = integrate_scale(p, 300 * linearized_period(p))
         est = period_by_simulation(p, IntegratorConfig(), run)
         assert est.stats.accepted > 0
         tq = period_by_quadrature(p).T
@@ -479,9 +479,9 @@ class TestPeriodOfARun:
         assert exc.value.t == exc.value.trajectory.t_end
 
     def test_a_run_from_elsewhere_raises(self, unit_orbit):
-        run = integrate_scale(unit_orbit, 10.0).trajectory
+        run = integrate_scale(unit_orbit, 10.0)
         late = Trajectory(run.ts + 1.0, run.ys, run.fs, run.cont)
-        other = integrate_scale(EmdenParams(1.0, 1.0, 1.0, 0.5), 10.0).trajectory
+        other = integrate_scale(EmdenParams(1.0, 1.0, 1.0, 0.5), 10.0)
         for bad in (late, other):
             with pytest.raises(DomainError, match="must start at t = 0"):
                 period_by_simulation(unit_orbit, IntegratorConfig(), bad)
@@ -524,15 +524,15 @@ class TestIntegrateScale:
         run = integrate_scale(
             EmdenParams(1.0, 1.0, 1.0, 0.0), 100.0, IntegratorConfig(rtol=1e-10)
         )
-        assert run.touchdown_time is None
-        assert np.abs(run.trajectory.ys[:, 0] - 1.0).max() <= 1e-10
+        assert run.t_end == 100.0
+        assert np.abs(run.ys[:, 0] - 1.0).max() <= 1e-10
 
     def test_touchdown_matches_energy_quadrature(self):
         run = integrate_scale(EmdenParams(1.0, 0.0, 1.0, 0.0), 10.0)
         # oracle: time = integral_0^1 da / sqrt(-2 ln a) = sqrt(pi/2)
         t_ref = math.sqrt(math.pi / 2)
-        assert run.touchdown_time is not None
-        assert abs(run.touchdown_time - t_ref) / t_ref <= 1e-6
+        assert run.t_end < 10.0
+        assert abs(run.t_end - t_ref) / t_ref <= 1e-6
 
     def test_a_rotating_halt_is_no_touchdown(self):
         # the bounce near a_min of about 1.9e-152 underflows the step in t; with xi != 0
@@ -546,9 +546,8 @@ class TestIntegrateScale:
 
     def test_global_growth_for_negative_lam(self):
         run = integrate_scale(EmdenParams(-1.0, 1.0, 1.0, 0.0), 100.0)
-        assert run.touchdown_time is None
-        a = run.trajectory.ys[:, 0]
-        assert run.trajectory.t_end == 100.0
+        a = run.ys[:, 0]
+        assert run.t_end == 100.0
         assert a[-1] > 10.0
         # monotone growth after the initial transient
         late = a[len(a) // 10 :]
@@ -556,8 +555,8 @@ class TestIntegrateScale:
 
     def test_blowup_monotone_decrease(self):
         run = integrate_scale(EmdenParams(1.0, 0.0, 1.0, -0.1), 10.0)
-        a = run.trajectory.ys[:, 0]
-        assert run.touchdown_time is not None
+        a = run.ys[:, 0]
+        assert run.t_end < 10.0
         assert np.all(np.diff(a) < 0)
 
     def test_energy_conservation_long_run(self, unit_orbit):
@@ -565,7 +564,7 @@ class TestIntegrateScale:
             unit_orbit, 100.0, IntegratorConfig(rtol=1e-10, atol=1e-12)
         )
         th = energy_level(unit_orbit)
-        assert energy_drift(run.trajectory, unit_orbit) <= 1e-8 * max(1.0, abs(th))
+        assert energy_drift(run, unit_orbit) <= 1e-8 * max(1.0, abs(th))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(lam=st.floats(0.25, 4.0), xi=st.floats(0.25, 4.0), a0=st.floats(0.5, 2.0),
@@ -575,14 +574,14 @@ class TestIntegrateScale:
         p = EmdenParams(lam, xi, a0, a1)
         assume(classify(p) is not OrbitClass.STEADY)
         run = integrate_scale(p, 20.0, TIGHT_CONFIG)
-        assert energy_drift(run.trajectory, p) / max(1.0, abs(energy_level(p))) <= 1e-9
+        assert energy_drift(run, p) / max(1.0, abs(energy_level(p))) <= 1e-9
 
     def test_confinement_to_turning_points(self, unit_orbit):
         run = integrate_scale(
             unit_orbit, 50.0, IntegratorConfig(rtol=1e-10, atol=1e-12)
         )
         tp = turning_points(unit_orbit)
-        a = run.trajectory.ys[:, 0]
+        a = run.ys[:, 0]
         assert a.min() >= tp.a_min - 1e-8
         assert a.max() <= tp.a_max + 1e-8
 
@@ -594,7 +593,7 @@ class TestIntegrateScale:
             T / 2,
             IntegratorConfig(rtol=1e-12, atol=1e-14),
         )
-        a_end, adot_end = run.trajectory.y_end
+        a_end, adot_end = run.y_end
         assert a_end == pytest.approx(tp.a_max, abs=1e-7)
         assert adot_end == pytest.approx(0.0, abs=1e-7)
 
@@ -612,7 +611,7 @@ class TestIntegrateScale:
             reject()  # no touchdown, or one past the float range (lam = 0, a1 ~ -1e-300)
         p = EmdenParams(lam, 0.0, a0, a1) if d == 2 else GWParams(d, 1.0, lam, 1.0, a0, a1)
         run = integrate_scale(p, 2 * t_ref + 1, TIGHT_CONFIG)
-        assert abs(run.touchdown_time - t_ref) <= 1e-9 * t_ref
+        assert abs(run.t_end - t_ref) <= 1e-9 * t_ref
 
     def test_params_validation(self):
         with pytest.raises(DomainError):

@@ -59,6 +59,15 @@ def test_a_failure_is_its_own_error_naming_the_parameters(monkeypatch, module, s
         assert named.t == raw.t and named.trajectory is raw.trajectory
 
 
+def test_a_halt_is_its_trajectory():
+    # the time a halt names is the end of the run it carries, stored nowhere else
+    with pytest.raises(StepBudgetExceeded) as e:
+        emden.integrate_scale(EmdenParams(1.0, 1.0, 1.0, 1.0), 50.0, IntegratorConfig(max_steps=5))
+    halt = e.value
+    assert halt.t == halt.trajectory.t_end > 0.0 and "t" not in vars(halt)
+    assert str(halt).startswith(f"exceeded 5 steps at t={halt.t!r} ")
+
+
 @pytest.mark.parametrize("p,cls", [
     (EmdenParams(1.0, 1.0, 1.0, 0.0), OrbitClass.STEADY),
     (EmdenParams(1.0, 0.0, 1.0, 0.0), OrbitClass.FINITE_TIME_BLOWUP),

@@ -35,7 +35,7 @@ def rigid_rotation():
 
 def _collapse_touchdown():
     """The touchdown of the scale factor of build_rotational(lam=1, xi=0, a0=1, a1=0, t_max=2)."""
-    return integrate_scale(EmdenParams(1.0, 0.0, 1.0, 0.0), 2.0, TIGHT_CONFIG).touchdown_time
+    return integrate_scale(EmdenParams(1.0, 0.0, 1.0, 0.0), 2.0, TIGHT_CONFIG).t_end
 
 
 class TestRotational:

@@ -106,6 +106,19 @@ class TestIntegrate:
         traj = excinfo.value.trajectory
         assert traj.t_end == pytest.approx(t_halt, abs=1e-9)
 
+    @pytest.mark.parametrize("rhs,y0,exact", [
+        (lambda t, y: (0.0,), [0.0], lambda t: [0.0 * t]),
+        (lambda t, y: (y[1], 0.0), [1.0, 0.0], lambda t: [1.0 + 0.0 * t, 0.0 * t]),
+        (lambda t, y: (1.0, 0.0), [0.0, 0.0], lambda t: [t, 0.0 * t]),
+    ], ids=["zero", "rest", "drift-beside-zero"])
+    def test_a_component_of_zero_error_scale_counts_not_at_all(self, rhs, y0, exact):
+        # with atol = 0 a component that is 0 at both ends of a step has the scale
+        # atol + rtol*|y| = 0: each attempt divided by it and was rejected at a
+        # tenth of its step until StepUnderflow at t = 0
+        traj = integrate(rhs, OdeState(0.0, y0), 1.0, IntegratorConfig(rtol=1e-8, atol=0.0))
+        assert traj.t_end == 1.0 and traj.stats == IntegratorStats(10, 0, 151)
+        assert np.allclose(traj.ys, np.transpose(exact(traj.ts)), rtol=1e-14, atol=0.0)
+
     def test_error_never_increases_under_tolerance_halving(self):
         cases = [
             (rhs_harmonic, [1.0, 0.0], 8 * math.pi, np.array([1.0, 0.0])),
@@ -250,7 +263,7 @@ class TestStepper:
     def test_the_unit_orbit_rejects_at_most_one_attempt_in_eight(self):
         # guards the predictive factor: without it the controller saw-toothed,
         # 109 rejections of 426 attempts here
-        stats = integrate_scale(EmdenParams(1, 1, 1, 1), 50).trajectory.stats
+        stats = integrate_scale(EmdenParams(1, 1, 1, 1), 50).stats
         assert stats.rejected <= (stats.accepted + stats.rejected) / 8
 
     def test_stats_on_normal_run(self):
@@ -360,7 +373,7 @@ class TestGeneratedStep:
             integrate(rhs, OdeState(0.0, [1.0, 0.0]), 1.0)
 
     @pytest.mark.parametrize("solve,digest", [
-        pytest.param(lambda: integrate_scale(EmdenParams(1, 1, 1, 1), 50).trajectory,
+        pytest.param(lambda: integrate_scale(EmdenParams(1, 1, 1, 1), 50),
                      "dd396261df7a5826d49677ce421c953f516fa676107e53edf62b23f8ce2b38c0",
                      id="unit-scale-factor"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
@@ -372,7 +385,7 @@ class TestGeneratedStep:
         pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
                      "af13e5579c6c9cc0836b0ae36cb06fc8da6758ccd51ad902e59c535eafaeab67",
                      id="gw-profile-N5"),
-        pytest.param(lambda: integrate_scale(GWParams(5, 1.0, 1.0, 1.0), 10.0).trajectory,
+        pytest.param(lambda: integrate_scale(GWParams(5, 1.0, 1.0, 1.0), 10.0),
                      "c0555f9b66dbbe6ec7c1c62cff411785a78e9d535c787b30f4cc4629d7a916d3",
                      id="gw-scale-collapse-N5"),
     ])
@@ -470,7 +483,7 @@ class TestChunkedPacking:
     make the trajectory of one packing at the end, bit for bit."""
 
     @pytest.mark.parametrize("solve,accepted,digest", [
-        pytest.param(lambda: integrate_scale(EmdenParams(1, 1, 1, 1), 300.0).trajectory, 1962,
+        pytest.param(lambda: integrate_scale(EmdenParams(1, 1, 1, 1), 300.0), 1962,
                      "df007adf4edf2d0d0eb89a498073eddfecce5d6985c7f3096cf3317110a56093",
                      id="unit-orbit-4-chunks"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0),
@@ -927,6 +940,14 @@ class TestEvents:
         traj = Trajectory([0.0], [[-1.0, 0.0]], [[0.0, -1.0]])
         assert detect_events(traj, 0).size == 0
 
+    @pytest.mark.parametrize("k", [True, np.int64(1)], ids=["bool", "numpy-int"])
+    def test_a_bool_or_numpy_integer_is_its_int(self, k):
+        # True escaped as an IndexError: numpy read it as a mask of the nodes
+        traj = integrate(scale_rhs(EmdenParams(1.0, 1.0, 1.0, 1.0)), OdeState(0.0, [1.0, 1.0]),
+                         20.0)
+        assert np.array_equal(detect_events(traj, k), detect_events(traj, 1))
+        assert len(detect_events(traj, 1)) == 3
+
     @pytest.mark.parametrize("k", [2, -1, 1.5])
     def test_a_component_outside_the_state_raises(self, k):
         # k = -1 once searched the last component, 2 and 1.5 raised IndexError
@@ -1221,6 +1242,13 @@ class TestFallStop:
         with pytest.raises(StepBudgetExceeded, match="exceeded 50 steps"):
             integrate(rhs, y0, math.inf, IntegratorConfig(max_steps=50))
 
+    @pytest.mark.parametrize("k", [True, np.int64(1)], ids=["bool", "numpy-int"])
+    def test_a_bool_or_numpy_integer_component_is_its_int(self, unit, k):
+        rhs, y0, t_lin = unit
+        traj = integrate(rhs, y0, 8.0 * t_lin, TIGHT_CONFIG, falls=(k, 2))
+        same = integrate(rhs, y0, 8.0 * t_lin, TIGHT_CONFIG, falls=(1, 2))
+        assert _digest(traj) == _digest(same) and traj.stats == same.stats
+
     @pytest.mark.parametrize("falls", [(2, 1), (-1, 1), (0, 0), (1, -3), (0, 1.5)])
     def test_bad_component_or_count_raises(self, falls):
         with pytest.raises(DomainError, match="falls="):
@@ -1389,11 +1417,11 @@ class TestDenseOutput:
             assert np.abs(ref).max() > 1e-10
 
     def test_a_failed_error_norm_leaves_no_row(self):
-        # atol = 0 with a component that stays 0: the norm divides by zero,
-        # so every attempt fails and no step adds continuation rows
+        # a scale of 1e-300 |y|: the norm's squares overflow, so every attempt
+        # fails its error norm and no step adds continuation rows
         with pytest.raises(StepUnderflow) as excinfo:
             integrate(lambda t, y: (-y[0], 0.0), OdeState(0.0, [1.0, 0.0]), 1.0,
-                      IntegratorConfig(atol=0.0))
+                      IntegratorConfig(rtol=1e-300, atol=0.0))
         halt = excinfo.value.trajectory
         assert halt.stats.rejected > 0 and halt.cont.shape == (0, 2, 4)
         assert halt.stats.rhs_calls == 1 + 11 * halt.stats.rejected

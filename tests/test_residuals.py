@@ -408,7 +408,7 @@ class TestGoldreichWeberStencils:
         p = GWParams(N=3, K=1.0, lam=1.0, alpha_center=1.0)
         prof = solve_gw_profile(p)
         assert prof.s_mu is None and prof.s_max == 100.0
-        scale = integrate_scale(p, 1.0).trajectory
+        scale = integrate_scale(p, 1.0)
         field = functools.partial(eval_gw, prof, scale)
         r = 100.0 * scale.evaluate(0.5)[0] - 5e-3  # inside; its x + h neighbour is not
         with pytest.raises(StencilOutOfDomain, match="profile has no first zero") as e:
