@@ -186,22 +186,17 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     p.add_argument(
         "--inject-corruption",
-        action="store_true",
-        help="self-test: corrupt the exact field and require the oracle to flag it",
-    )
-    p.add_argument(
-        "--corruption-delta",
-        dest="corruption_delta",
+        dest="inject_corruption",
+        metavar="DELTA",
         type=finite_float,
-        default=0.01,
-        help="density offset used by --inject-corruption",
+        nargs="?",
+        const=0.01,
+        help="self-test: add DELTA (0.01 if bare) to the exact rotating density and "
+             "require the oracle to flag it",
     )
     _add_common(p)
 
     return parser, sub.choices
-
-
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
@@ -225,18 +220,10 @@ def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
             if key not in actions:
                 raise _ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             action = actions[key]
-            if isinstance(action, argparse._StoreTrueAction):
-                if val.lower() not in _BOOLEANS:
-                    raise _ConfigError(f"{path}:{lineno}: bad value for {key}: expected "
-                                       f"1/0/true/false/yes/no, got {val!r}")
-                values[key] = _BOOLEANS[val.lower()]
-            elif action.type is not None:
-                try:
-                    values[key] = action.type(val)
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise _ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
-            else:
-                values[key] = val
+            try:  # read through the flag's own type, as from the command line
+                values[key] = (action.type or str)(val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise _ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
             if action.choices is not None and values[key] not in action.choices:
                 raise _ConfigError(f"{path}:{lineno}: bad value for {key}: expected one of "
                                    f"{', '.join(action.choices)}, got {val!r}")
@@ -257,6 +244,7 @@ def cmd_emden(args) -> int:
     cfg = _integrator_config(args, IntegratorConfig())
     traj = emden.integrate_scale(p, args.t_end, cfg)
 
+    theta = emden.energy_level(p)  # raises if it overflows, before the energy column does
     times = np.linspace(0.0, traj.t_end, args.samples)
     a, adot = traj.evaluate(times).T
     energy = adot * adot / 2 + emden.potential(a, p)
@@ -267,7 +255,7 @@ def cmd_emden(args) -> int:
         "version": __version__,
         "params": {"lam": p.lam, "xi": p.xi, "a0": p.a0, "a1": p.a1, "t_end": args.t_end},
         "classification": cls.value,
-        "theta": emden.energy_level(p),
+        "theta": theta,
         "abar": None,
         "a_min": None,
         "a_max": None,
@@ -417,8 +405,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify.run_bundle(args.seed, args.points, args.h_list,
-                               args.inject_corruption, args.corruption_delta)
+    checks = verify.run_bundle(args.seed, args.points, args.h_list, args.inject_corruption)
     all_passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
@@ -426,7 +413,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "n_points": args.points,
         "h_list": args.h_list,
-        "inject_corruption": bool(args.inject_corruption),
+        "inject_corruption": args.inject_corruption is not None,
         "checks": checks,
         "all_passed": all_passed,
     }

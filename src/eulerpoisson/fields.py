@@ -175,10 +175,10 @@ class ZZSolution:
     rho0: float
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise DomainError("K must be > 0")
-        if not self.rho0 > 0:
-            raise DomainError("rho0 must be > 0")
+        if not 0 < self.K < math.inf:
+            raise DomainError("K must be > 0 and finite")
+        if not 0 < self.rho0 < math.inf:
+            raise DomainError("rho0 must be > 0 and finite")
 
     @property
     def pdot0(self) -> float:

@@ -70,8 +70,8 @@ class PressureLaw:
     def __post_init__(self):
         if self.kind not in ("isothermal", "gamma2", "none"):
             raise DomainError("pressure kind must be isothermal, gamma2, or none")
-        if self.kind != "none" and not self.K > 0:
-            raise DomainError("pressure law needs K > 0")
+        if self.kind != "none" and not 0 < self.K < math.inf:
+            raise DomainError("pressure law needs K > 0 and finite")
 
     def __call__(self, rho: float) -> float:
         if self.kind == "isothermal":

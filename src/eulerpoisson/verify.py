@@ -46,10 +46,10 @@ def _reusing_last_call(field):
     return field_once
 
 
-def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> list[dict]:
+def run_bundle(seed, points, h_list, corruption=None) -> list[dict]:
     """The checks of one run in report order, over `points` stencil centres
-    per family drawn from `seed`; `inject_corruption` adds rho + delta on the
-    rotating field as a control that must fail."""
+    per family drawn from `seed`; a `corruption` delta, 0 included, adds
+    rho + delta on the rotating field as a control that must fail."""
     if not (isinstance(seed, Integral) and seed >= 0):
         raise DomainError(f"seed must be >= 0 and an integer, got {seed}")
     if not (isinstance(points, Integral) and points >= 1):
@@ -83,8 +83,8 @@ def run_bundle(seed, points, h_list, inject_corruption, corruption_delta) -> lis
         ("zz_inner_as_printed", False, g2,
          functools.partial(fields.eval_zz_inner, zz, as_printed=True), pts_in, ("mass",)),
     ]
-    if inject_corruption:
-        bad = residuals.corrupt_density_offset(rot, corruption_delta)
+    if corruption is not None:
+        bad = residuals.corrupt_density_offset(rot, corruption)
         table.append(("corrupted_rotational", False, rot_ops, bad, pts,
                       ("mass", "momentum_x", "poisson")))
 

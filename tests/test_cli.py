@@ -360,15 +360,15 @@ class TestVerifyCommand:
     def test_null_corruption_fails_self_test(self, tmp_path):
         # delta = 0 leaves the field exact, so the expected failure never
         # happens and the run must exit with the verification-failure code
-        assert run(tmp_path, "verify", "--inject-corruption",
-                   "--corruption-delta", "0") == 3
+        assert run(tmp_path, "verify", "--inject-corruption", "0") == 3
+        assert json.loads((tmp_path / "verify.json").read_text())["inject_corruption"] is True
 
 
 class TestUsageAndConfig:
     @pytest.mark.parametrize("value", ["-1e300", "-1e-300", "-1.5E+10", "-.5e3", "-3", "-0.25"])
     @pytest.mark.parametrize("argv,dest", [(("emden", "--a1"), "a1"), (("period", "--lam"), "lam"),
                                            (("fields", "--t0"), "t0"),
-                                           (("verify", "--corruption-delta"), "corruption_delta")])
+                                           (("verify", "--inject-corruption"), "inject_corruption")])
     def test_a_negative_number_is_a_value(self, argv, dest, value):
         # exponent forms were read as options: "expected one argument", exit 1
         parser, _ = cli.build_parser()
@@ -500,7 +500,7 @@ class TestRobustness:
             # never returned
             (("liouville", "--s-max", "inf"), "--s-max"),
             (("period", "--lam", "-inf"), "--lam"),
-            (("verify", "--corruption-delta", "nan"), "--corruption-delta"),
+            (("verify", "--inject-corruption", "nan"), "--inject-corruption"),
         ],
     )
     def test_non_finite_float_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
@@ -611,20 +611,26 @@ class TestRobustness:
                 cells = [float(c) for row in rows for c in row.split(",") if c]
                 assert rows and np.isfinite(cells).all(), value
 
-    def test_config_boolean_must_be_a_boolean_word(self, tmp_path, capsys, monkeypatch):
-        # 'ture' ran without the negative control and exited 0
+    @pytest.mark.parametrize("value", ["ture", "yes", "", "nan"])
+    def test_config_inject_corruption_must_be_a_number(self, tmp_path, capsys, monkeypatch,
+                                                        value):
+        # 'ture' ran without the negative control and exited 0; the control's
+        # value is its density offset, so a boolean word is no longer one
         monkeypatch.setattr(cli, "cmd_verify", self.must_not_run)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("inject_corruption=ture\n")
+        cfg.write_text(f"inject_corruption={value}\n")
         assert main(["verify", "--config", str(cfg)]) == 1
         assert "bad value for inject_corruption" in self.one_line_error(capsys)
 
-    @pytest.mark.parametrize("word,value", [("YES", True), ("1", True), ("False", False),
-                                            ("no", False), ("0", False)])
-    def test_config_boolean_words(self, tmp_path, word, value):
+    def test_config_inject_corruption_is_the_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"inject_corruption={word}\n")
-        assert cli._parse(["verify", "--config", str(cfg)]).inject_corruption is value
+        cfg.write_text("inject_corruption=0.02\n")
+        argvs = [("--config", str(cfg)), ("--inject-corruption", "0.02")]
+        for name, argv in zip("ab", argvs):
+            assert cli._parse(["verify", *argv]).inject_corruption == 0.02
+            assert run(tmp_path / name, "verify", "--points", "2", *argv) == 0
+        assert (tmp_path / "a" / "verify.json").read_bytes() == (
+            tmp_path / "b" / "verify.json").read_bytes()
 
     def test_fields_config_rejects_an_unknown_family(self, tmp_path, capsys):
         # 'family=rotatonal' once wrote the gw family's fields.csv and exited 0
@@ -674,6 +680,9 @@ class TestRobustness:
             # each exited 2 with "turning-point bracket expansion failed" alone
             (("emden", "--a0", "1e300"), "a0=1e+300"),
             (("emden", "--lam", "1e-250", "--xi", "2"), "lam=1e-250"),
+            # printed numpy's overflow warning from the energy column first
+            (("emden", "--lam", "1", "--xi", "0", "--a1", "-1e200"),
+             "the energy level overflows"),
         ],
     )
     def test_overflowing_parameter_exits_2(self, tmp_path, capsys, argv, message):
@@ -773,8 +782,8 @@ class TestRobustness:
             steps = sorted(steps, reverse=True)
         capsys.readouterr()
         outdir = tmp_path_factory.mktemp("verify")
-        code = run(outdir, "verify", "--points", "2", "--inject-corruption",
-                   "--h-list", ",".join(map(repr, steps)), "--corruption-delta", delta)
+        code = run(outdir, "verify", "--points", "2", "--h-list", ",".join(map(repr, steps)),
+                   "--inject-corruption", delta)
         assert code in (0, 2, 3)
         if code == 2:
             self.one_line_error(capsys)
@@ -811,7 +820,7 @@ class TestIntegratorFlags:
         # every option of every subcommand, --config and --outdir included
         settable = [a for sp in cli.build_parser()[1].values() for a in sp._actions
                     if a.option_strings and not isinstance(a, argparse._HelpAction)]
-        assert len(settable) == 53
+        assert len(settable) == 52
 
     @pytest.mark.parametrize("flag,key", [("--h-max", "h_max"), ("--h-init", "h_init")])
     @pytest.mark.parametrize("command", ["emden", "liouville", "period"])
@@ -823,6 +832,16 @@ class TestIntegratorFlags:
         cfg.write_text(f"{key}=0.01\n")
         assert main([command, "--config", str(cfg)]) == 1
         assert f"unknown key '{key}'" in TestRobustness.one_line_error(capsys)
+
+    def test_corruption_delta_is_gone(self, tmp_path, capsys, monkeypatch):
+        # it set the control's offset, and alone it ran no control and exited 0
+        monkeypatch.setattr(cli, "cmd_verify", TestRobustness.must_not_run)
+        assert run(tmp_path, "verify", "--corruption-delta", "5") == 1
+        assert "--corruption-delta" in TestRobustness.one_line_error(capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("corruption_delta=5\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "unknown key 'corruption_delta'" in TestRobustness.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv", [("fields", "--rtol", "1e-6"), ("verify", "--max-steps", "1")]

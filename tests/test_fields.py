@@ -291,3 +291,11 @@ class TestZhangZheng:
             eval_zz_outer(zz, -1.0, 5.0, 0.0)
         with pytest.raises(DomainError):
             ZZSolution(K=-1.0, rho0=0.5)
+
+    @pytest.mark.parametrize("K,rho0,message", [(math.inf, 0.5, "K must be > 0 and finite"),
+                                                (1.0, math.inf, "rho0 must be > 0 and finite"),
+                                                (math.nan, 0.5, "K must be > 0 and finite")])
+    def test_a_non_finite_parameter_raises(self, K, rho0, message):
+        # K = inf was accepted and put the interface at r = inf; so was rho0 = inf
+        with pytest.raises(DomainError, match=message):
+            ZZSolution(K=K, rho0=rho0)

@@ -106,7 +106,10 @@ class TestMomentumResidual:
             at_step(flow(ISO), field, [(0.0, 1.0, 0.0)], 1e-3)
 
     @pytest.mark.parametrize("kind,K,message", [("adiabatic", 1.0, "pressure kind must be"),
-                                                ("gamma2", 0.0, "needs K > 0")])
+                                                ("gamma2", 0.0, "needs K > 0"),
+                                                # accepted, and P(1) was inf
+                                                ("isothermal", math.inf, "needs K > 0 and finite"),
+                                                ("gamma2", math.inf, "needs K > 0 and finite")])
     def test_a_bad_pressure_law_raises(self, kind, K, message):
         with pytest.raises(DomainError, match=message):
             PressureLaw(kind, K=K)

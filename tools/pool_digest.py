@@ -1,4 +1,5 @@
-"""One digest per benchmark workload of everything the `perfbench` pools write.
+"""One digest per benchmark workload of everything the `perfbench` pools write,
+and one over a fixed list of single commands the pools do not run.
 
 Runs every task of the `orbits`, `profiles` and `verify` pools of each seed
 (`perfbench/workloads.py`, sized from --seconds as `perfbench/run.py` sizes
@@ -7,7 +8,10 @@ order, each in one fresh temporary directory, stopping at the first nonzero
 exit.  Prints, per workload, the tasks, the output files and one sha256 over,
 task by task, each command's exit code (or the exception it let through),
 its stderr lines but the wall-time line, and every output file's name and
-bytes.  Two source trees that print the same lines wrote the same pools.
+bytes.  The last line hashes `SINGLES` the same way, each command a task of
+its own: every command at its defaults, `verify` with and without the
+injected control, and `fields` on each of its five families.  Two source
+trees that print the same lines wrote the same files.
 
     python tools/pool_digest.py                       # seeds 20261017 555 1, 30 s pools
     python tools/pool_digest.py --src ../parent --seeds 555 --seconds 10
@@ -31,6 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("orbits", "profiles", "verify")
 WALL_LINE = re.compile(r"\S+: \d+\.\d+s wall")  # the one volatile line `cli.main` prints
+SINGLES = [["emden"], ["liouville"], ["period"], ["verify"], ["verify", "--inject-corruption"],
+           *(["fields", "--family", family]
+             for family in ("rotational", "yuen", "zz-inner", "zz-outer", "gw"))]
 
 
 def _run_task(cli, argvs: list[list[str]], outdir: Path, h) -> int:
@@ -82,6 +89,12 @@ def main(argv=None) -> int:
                     files += _run_task(cli, task.argvs, outdir, h)
                     tasks += 1
             print(f"{workload:9s} tasks {tasks:4d}  files {files:4d}  sha256 {h.hexdigest()}")
+        h, files = hashlib.sha256(), 0
+        for i, argv in enumerate(SINGLES):
+            outdir = Path(tmp) / f"single-{i}"
+            outdir.mkdir()
+            files += _run_task(cli, [argv], outdir, h)
+        print(f"{'singles':9s} tasks {len(SINGLES):4d}  files {files:4d}  sha256 {h.hexdigest()}")
     return 0
 
 
