@@ -271,6 +271,7 @@ def cmd_emden(args) -> int:
         report["a_min"], report["a_max"] = tp.a_min, tp.a_max
         report["T_quadrature"] = emden.period_by_quadrature(p).T
         report["T_simulation"] = emden.period_by_simulation(p, cfg, traj).T
+        _warn_if_periods_differ(args.command, report["T_quadrature"], report["T_simulation"])
 
     out = _outdir(args)
     _write_csv(out / "emden.csv", ["t", "a", "adot", "energy"], [times, a, adot, energy])
@@ -295,7 +296,7 @@ def cmd_liouville(args) -> int:
     }
     out = _outdir(args)
     _write_csv(out / "liouville.csv", ["s", "f", "fdot", "enclosed_mass", "bracket"],
-               [s, prof.f[1:], prof.fdot[1:], mass, bracket])
+               [s, prof.f, prof.fdot, mass, bracket])
     _write_json(out / "liouville_report.json", report)
     return 0
 
@@ -340,12 +341,33 @@ def _t_max(args) -> float:
     raise DomainError(f"t1={args.t1} must exceed 0, where the {args.family} scale factor starts")
 
 
+def _times(args, scale) -> np.ndarray:
+    """nt times from t0 to t1, or to the scale factor's touchdown if that comes sooner (but
+    not at t0), checked against its solved range; a family with no scale factor (None)
+    takes t0 to t1."""
+    if scale is None:
+        return np.linspace(args.t0, args.t1, args.nt)
+    times = np.linspace(args.t0, min(args.t1, scale.t_end), args.nt)
+    with naming(f"in the scale factor of the {args.family} family"):
+        scale.evaluate(times)  # a time outside the solved range raises DomainError
+        if args.t0 == scale.t_end < args.t1:
+            raise DomainError(f"the window from t0={args.t0} to t1={args.t1} is the touchdown")
+    return times
+
+
 def _fields_rotational(args, xi: float):
-    sol = fields.build_rotational(
-        lam=args.lam, xi=xi, K=args.K, alpha=args.alpha, a0=args.a0, a1=args.a1,
-        t_max=_t_max(args), samples=(np.linspace(args.t0, args.t1, args.nt), args.rmax),
-    )
-    return sol.scale, functools.partial(fields.eval_rotational, sol)
+    """The member of `fields.build_rotational` on one scale-factor solve: the window
+    (`_times`) is placed on it, then the profile is solved to the window's
+    `fields.profile_reach`."""
+    t_max, scale_p = _t_max(args), emden.EmdenParams(lam=args.lam, xi=xi, a0=args.a0, a1=args.a1)
+    scale = emden.integrate_scale(scale_p, t_max, TIGHT_CONFIG)
+    times = _times(args, scale)
+    with naming(f"in the {args.family} family"):
+        profile = liouville.solve_profile(
+            liouville.LiouvilleParams(K=args.K, lam=args.lam, alpha=args.alpha),
+            fields.profile_reach(scale, t_max, times, args.rmax))
+    sol = fields.RotSolution2D(scale_p, profile, scale)
+    return times, functools.partial(fields.eval_rotational, sol)
 
 
 def _fields_gw(args):
@@ -353,37 +375,44 @@ def _fields_gw(args):
                                  a0=args.a0, a1=args.a1)
     prof = goldreich_weber.solve_gw_profile(p)  # first, so a run failing both names it
     scale = emden.integrate_scale(p, _t_max(args))
-    return scale, functools.partial(fields.eval_gw, prof, scale)
+    return _times(args, scale), functools.partial(fields.eval_gw, prof, scale)
 
 
-# each family's scale-factor trajectory (None for the zz families) and evaluator by
-# name; these names are the --family choices
+# each family's sample times (`_times`) and evaluator by name; these names are the
+# --family choices
 _FIELD_FAMILIES = {
     "rotational": lambda args: _fields_rotational(args, xi=args.xi),
     "yuen": lambda args: _fields_rotational(args, xi=0.0),
-    "zz-inner": lambda args: (None, functools.partial(
+    "zz-inner": lambda args: (_times(args, None), functools.partial(
         fields.eval_zz_inner, fields.ZZSolution(K=args.K, rho0=args.rho0))),
-    "zz-outer": lambda args: (None, functools.partial(
+    "zz-outer": lambda args: (_times(args, None), functools.partial(
         fields.eval_zz_outer, fields.ZZSolution(K=args.K, rho0=args.rho0))),
     "gw": _fields_gw,
 }
 
 
 def cmd_fields(args) -> int:
-    """nt times from t0 to t1, or to the scale factor's touchdown if that comes sooner (but
-    not at t0), checked against its solved range, then sampled by `_sample_columns`."""
+    """The family's times (`_times`) and evaluator, sampled by `_sample_columns`."""
     if args.alpha is None:  # the family's own central value: gw's must be > 0
         args.alpha = 1.0 if args.family == "gw" else 0.0
-    scale, ev = _FIELD_FAMILIES[args.family](args)
-    times = np.linspace(args.t0, args.t1 if scale is None else min(args.t1, scale.t_end), args.nt)
-    if scale is not None:
-        with naming(f"in the scale factor of the {args.family} family"):
-            scale.evaluate(times)  # a time outside the solved range raises DomainError
-            if args.t0 == scale.t_end < args.t1:
-                raise DomainError(f"the window from t0={args.t0} to t1={args.t1} is the touchdown")
+    times, ev = _FIELD_FAMILIES[args.family](args)
     columns = _sample_columns(args, times, ev)
     _write_csv(_outdir(args) / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
     return 0
+
+
+# relative difference of the two periods above which a command warns on stderr
+_PERIOD_WARN_RTOL = 1e-6
+
+
+def _warn_if_periods_differ(command: str, t_quadrature: float, t_simulation: float) -> None:
+    """One stderr line when the quadrature and simulated periods differ by more than
+    _PERIOD_WARN_RTOL of the quadrature period: both are written anyway."""
+    rel_diff = abs(t_quadrature - t_simulation) / t_quadrature
+    if rel_diff > _PERIOD_WARN_RTOL:
+        print(f"eulerpoisson {command}: warning: the periods disagree: T_quadrature "
+              f"{t_quadrature!r}, T_simulation {t_simulation!r}, relative difference "
+              f"{rel_diff:.3g}", file=sys.stderr)
 
 
 def cmd_period(args) -> int:
@@ -391,6 +420,7 @@ def cmd_period(args) -> int:
     cfg = _integrator_config(args, IntegratorConfig())
     tq = emden.period_by_quadrature(p)
     ts = emden.period_by_simulation(p, cfg)
+    _warn_if_periods_differ(args.command, tq.T, ts.T)
     report = {
         "command": "period",
         "version": __version__,

@@ -70,25 +70,37 @@ def build_rotational(
     lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float,
     samples: tuple[np.ndarray, np.ndarray | float] | None = None,
 ) -> RotSolution2D:
-    """Solve the scale factor and the profile (to s = 20), both at
-    TIGHT_CONFIG, and bundle them for evaluation.
+    """Solve the scale factor and the profile, both at TIGHT_CONFIG, and bundle
+    them for evaluation.
 
-    Given `samples`, the t and r to be evaluated (they broadcast), the profile
-    stops 1 past their largest r/a if that is nearer: several profile steps,
-    so the samples fall in segments a solve to 20 shares bitwise.  A time
-    outside the solved range counts at its nearer end (past the end lies only
-    a touchdown, where a is so small that the reach stays 20).  xi = 0 yields
+    Given `samples`, the t and r to be evaluated, the profile is solved to their
+    `profile_reach`, however far that is: several profile steps, so the samples
+    that a solve to 20 would reach fall in segments it shares bitwise.  A reach
+    that the step budget cannot make raises its halt, naming the profile's
+    parameters.  Without samples the profile is solved to s = 20.  xi = 0 yields
     the non-rotating family; with lam > 0 that trajectory ends at its finite
     touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
-    scale, s_max = integrate_scale(emden_p, t_max, TIGHT_CONFIG), 20.0
-    if samples is not None:
-        t, r = samples
-        a = scale.evaluate(np.clip(t, scale.t_start, scale.t_end))[..., 0]
-        s_max = min(s_max, 1.0 + float(np.max(r / a, initial=0.0)))
+    scale = integrate_scale(emden_p, t_max, TIGHT_CONFIG)
+    s_max = 20.0 if samples is None else profile_reach(scale, t_max, *samples)
     profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), s_max)
     return RotSolution2D(emden_p, profile, scale)
+
+
+def profile_reach(scale: Trajectory, t_max: float, t, r) -> float:
+    """1 past the largest r/a of the samples at times t and radii r, which broadcast,
+    with a read off `scale`, the scale factor solved to t_max: the radius to which a
+    profile is solved so that every sample has its field.  A time outside the solved
+    range has no field and does not count.  Nor does the end of a run that stopped
+    short of t_max: that is its touchdown, where a is all but 0, so that the samples
+    there have no field but at r = 0."""
+    t, r = np.broadcast_arrays(t, r)
+    counts = (t >= scale.t_start) & (t <= scale.t_end)
+    if scale.t_end < t_max:
+        counts &= t != scale.t_end
+    a = scale.evaluate(np.where(counts, t, scale.t_start))[..., 0]
+    return 1.0 + float(np.max(r / a, where=counts, initial=0.0))
 
 
 def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:

@@ -28,7 +28,14 @@ import numpy as np
 
 from .emden import ScaleLaw
 from .errors import DomainError, NoCompactSupport, NonRealPower, naming, raise_where
-from .liouville import RadialLaw, RadialProfile, _forcing_source, _radial_rhs, alpha_const
+from .liouville import (
+    RadialLaw,
+    RadialProfile,
+    _core_start,
+    _forcing_source,
+    _radial_rhs,
+    alpha_const,
+)
 from .ode import TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, integrate
 
 S_CAP_DEFAULT = 100.0
@@ -63,13 +70,13 @@ class GWParams:
     def law(self) -> RadialLaw:
         """d = N, rho = f^(N/(N-2)) clamped to 0 below f = 0, on floats and arrays,
         g = (N-2)*alpha(N)/((2N-2)K), F = N(N-2)*lam/((2N-2)K), f0 = alpha_center,
-        fp_scale = 2^-4 (below it Hairer's first step overshoots the center by 1/w, and
-        a solve rejects more than ten attempts)."""
-        power, denom = self.N / (self.N - 2), (2 * self.N - 2) * self.K
+        fp_scale = 1: from the core's end, 2^-4 and 1 take the same steps (1,391 and
+        1,393 nodes on the `profiles` pool of seed 20261017), and 1 holds f' closer
+        (largest error 7.9e-13, not 1.1e-12)."""
+        denom = (2 * self.N - 2) * self.K
         return RadialLaw(self.N, (self.N - 2) * alpha_const(self.N) / denom,
                          self.N * (self.N - 2) * self.lam / denom, self.alpha_center,
-                         "{f} ** power if {f} > 0.0 else 0.0", {"power": power},
-                         lambda f: np.power(np.maximum(f, 0.0), power), 2.0 ** -4)
+                         self.N / (self.N - 2), 1.0)
 
     @property
     def scale_law(self) -> ScaleLaw:
@@ -80,32 +87,29 @@ class GWParams:
 def solve_gw_profile(
     p: GWParams, cfg: IntegratorConfig = TIGHT_CONFIG, s_cap: float = S_CAP_DEFAULT
 ) -> RadialProfile:
-    """Integrate the profile outward from s = 0, where f = law.f0 = alpha_center
-    and f' = 0, to its first zero s_mu, the support radius.
+    """Integrate the profile outward from the end of its core (`liouville._core_start`),
+    whose series starts from f = law.f0 = alpha_center and f' = 0 at s = 0, to its
+    first zero s_mu, the support radius.
 
     Three runs locate s_mu.  The run in s stops at the first step over which
     f falls through 0 (`falls=(0, 1)`); that step is dropped, since the
     clamped density has a kink inside it.  From its first node (s_k, f_k, f'_k),
-    the last with f > 0, Henon's swap integrates (s, f') in x = -f, f' unscaled
-    from the run's w*f' (`RadialLaw.fp_scale`), with ds/dx = -1/f' and
+    the last with f > 0 (the core's end at the latest, where f > 0 and f' != 0),
+    Henon's swap integrates (s, f') in x = -f, f' unscaled
+    from the run's w*f' (`RadialLaw.fp_scale`, 1 here), with ds/dx = -1/f' and
     df'/dx = -f''/f', from x = -f_k to 0, where f = 0 exactly: its s is s_mu.
     A closing run in s from that node to s_mu makes the profile end on the
     node (s_mu, 0.0, f').  The trajectory is the prefix joined to the closing
     run (`Trajectory._joined`), and its stats add up all three runs.  With no
-    zero before s_cap the full trajectory is kept and s_mu is None.  A halt, a
-    run that cannot start, and a zero inside the first step, where the swap
-    cannot start since f' = 0 at s = 0 (DomainError), name the parameters
-    (`errors.naming`).
+    zero before s_cap the full trajectory is kept and s_mu is None.  A halt and
+    a run that cannot start name the parameters (`errors.naming`).
     """
     rhs, law = _radial_rhs(p), p.law
     with naming(f"in the profile of {p}"):
-        run = integrate(rhs, OdeState(0.0, (law.f0, 0.0)), s_cap, cfg, falls=(0, 1))
+        run = integrate(rhs, _core_start(law, s_cap, cfg), s_cap, cfg, falls=(0, 1))
         if run.y_end[0] > 0.0:
             return RadialProfile(p, run)
         k = run.n_nodes - 2  # the crossing step starts here
-        if k == 0:
-            raise DomainError("f falls through 0 inside the first step, so Henon's swap "
-                              "cannot start (f' = 0 at s = 0)")
         fp = run.ys[k, 1] / law.fp_scale
         swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], fp)), 0.0, cfg)
         s_mu = float(swap.y_end[0])

@@ -331,10 +331,10 @@ def _euler_start(rhs: RhsFn, t: float, y: Sequence[float], k1: Sequence[float], 
     """The second phase of Hairer's starting step from the first estimate h0: one
     explicit Euler step of h0 gives d2, the `_norm` of the change in the derivative
     per unit step, and the step is min(100 h0, (0.01 / max(d1, d2))^(1/8), span), with
-    max(1e-6, 1e-3 h0) in place of the middle term when both norms are at most 1e-15.
-    The cap 100 h0 is dropped when it lies below the underflow floor 1e-14 * max(1,
-    |t|), where it would halt the run before its first step.  0 when the Euler step
-    gives no finite derivative, so that the run halts at once."""
+    max(1e-6, 1e-3 h0, 100 times the underflow floor 1e-14 * max(1, |t|)) in place of
+    the middle term when both norms are at most 1e-15.  The cap 100 h0 is dropped when
+    it lies below the floor, where it would halt the run before its first step.  0 when
+    the Euler step gives no finite derivative, so that the run halts at once."""
     try:
         k2 = rhs(t + h0, tuple(u + h0 * p for u, p in zip(y, k1)))
         d2 = _norm([q - p for q, p in zip(k2, k1)], y, cfg) / h0
@@ -342,10 +342,10 @@ def _euler_start(rhs: RhsFn, t: float, y: Sequence[float], k1: Sequence[float], 
         return 0.0
     if not d2 < math.inf:  # NaN fails too
         return 0.0
-    d = max(_norm(k1, y, cfg), d2)
-    h = min((0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0), span)
+    d, floor = max(_norm(k1, y, cfg), d2), STEP_UNDERFLOW_REL * max(1.0, abs(t))
+    h = min((0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0, 100 * floor), span)
     cap = 100 * h0
-    return h if cap < STEP_UNDERFLOW_REL * max(1.0, abs(t)) else min(cap, h)
+    return h if cap < floor else min(cap, h)
 
 
 def _combo(weights: Sequence[float], j: int) -> str:

@@ -197,7 +197,8 @@ class TestFieldsCommand:
         # and the rest take a second call
         (("--family", "zz-inner"), fields, "eval_zz_inner", 2, 111),
         (("--family", "zz-outer"), fields, "eval_zz_outer", 2, 36),
-        (("--family", "rotational", "--rmax", "40"), fields, "eval_rotational", 2, 123),
+        # the profile reaches past s = 20 to the whole grid (cut at 20, 24 points dropped)
+        (("--family", "rotational", "--rmax", "40"), fields, "eval_rotational", 1, 3 * 49),
         (("--family", "gw", "--N", "3", "--alpha", "0.7", "--lam", "2", "--rmax", "150"),
          fields, "eval_gw", 2, 75),
     ], ids=["gw", "rotational", "zz-inner", "zz-outer", "rotational-rmax-40", "gw-no-support"])
@@ -211,38 +212,86 @@ class TestFieldsCommand:
 
     @pytest.mark.parametrize("argv", [
         ("--family", "rotational"),
-        ("--family", "rotational", "--rmax", "40"),
         ("--family", "rotational", "--K", "1e-3"),
-        # a touchdown before t1 re-spaces the sampled times after the scale solve
+        # a touchdown after t1: the window keeps t1
+        ("--family", "yuen", "--lam", "0.5", "--a1", "-0.5", "--t1", "1"),
+        # a touchdown before t1 re-spaces the sampled times after the scale solve; the
+        # touchdown's own time sets no reach, and its points off the center have no field
         ("--family", "yuen", "--lam", "2", "--xi", "0.5", "--a1", "-0.5"),
-    ], ids=["defaults", "rmax-40", "K-1e-3", "yuen-touchdown"])
+    ], ids=["defaults", "K-1e-3", "yuen", "yuen-touchdown"])
     def test_a_profile_solved_to_the_grid_writes_the_csv_of_a_solve_to_20(
             self, tmp_path, monkeypatch, argv):
         assert run(tmp_path / "grid", "fields", *argv) == 0
-        build = fields.build_rotational
-        monkeypatch.setattr(fields, "build_rotational",
-                            lambda *args, samples=None, **kwargs: build(*args, **kwargs))
+        monkeypatch.setattr(fields, "profile_reach", lambda *args: 20.0)
         assert run(tmp_path / "to-20", "fields", *argv) == 0
         assert ((tmp_path / "grid" / "fields.csv").read_bytes()
                 == (tmp_path / "to-20" / "fields.csv").read_bytes())
 
     def test_the_rotating_profile_reaches_1_past_the_grid(self, tmp_path, monkeypatch):
-        sols, build = [], fields.build_rotational
-        monkeypatch.setattr(fields, "build_rotational",
-                            lambda *args, **kwargs: sols.append(build(*args, **kwargs)) or sols[-1])
+        sols = []
+        monkeypatch.setattr(fields, "eval_rotational", lambda sol, *args: sols.append(sol) or
+                            fields.FieldSample(0.0, 0.0, 0.0, 0.0))
         assert run(tmp_path, "fields", "--family", "rotational") == 0
         a = sols[0].scale.evaluate(np.linspace(0.5, 2.0, 3))[:, 0]
         assert sols[0].profile.s_max == 1.0 + np.max(2.0 / a) < 3.0
 
+    @pytest.mark.parametrize("family", ["rotational", "yuen"])
+    def test_the_scale_factor_is_solved_once(self, tmp_path, monkeypatch, family):
+        # fields.build_rotational solved it a second time, from its own import
+        calls, solve = [], emden.integrate_scale
+        for module in (emden, fields):
+            monkeypatch.setattr(module, "integrate_scale",
+                                lambda *args: calls.append(args) or solve(*args))
+        assert run(tmp_path, "fields", "--family", family) == 0
+        assert len(calls) == 1
+
+    def test_the_collapse_from_rest_is_sampled_to_its_touchdown(self, tmp_path):
+        # the touchdown at 1.2533 comes before t1 = 2, where a is 7e-13: its time sets
+        # no reach (a reach of 3e12 took the profile's whole step budget and exited 2),
+        # and of its points only the center has a field
+        assert run(tmp_path, "fields", "--family", "yuen", "--a1", "0") == 0
+        rows = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2 * 49 + 1, 7)
+        t_end = rows[-1, 0]
+        assert 1.2533 < t_end < 1.2534
+        assert rows[-1, 1:3].tolist() == [0.0, 0.0] and np.sum(rows[:, 0] == t_end) == 1
+
+    def test_a_hundred_dimensional_gw_member_is_sampled(self, tmp_path):
+        # exited 2 when the step underflowed at s = 9.3e-14, crawling out of the center
+        assert run(tmp_path, "fields", "--family", "gw", "--N", "100") == 0
+        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + 3 * 49
+
+    def test_a_rotating_member_beyond_20_keeps_every_sample(self, tmp_path):
+        # at t = 1.9, near a_min = 0.008, r/a passes 20: a profile cut at s = 20 dropped
+        # 12 of the 49 grid points there, and the command wrote 1,017 rows with exit 0
+        argv = ("--lam", "4", "--xi", "0.05", "--a0", "1", "--a1", "0", "--t0", "0", "--t1", "2",
+                "--nt", "21")
+        assert run(tmp_path, "fields", *argv) == 0
+        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 1 + 21 * 49
+
+    def test_a_reach_the_budget_cannot_make_names_the_family(self, tmp_path, capsys, monkeypatch):
+        # the window ends 1e-9 before the touchdown, where a = 8.8e-9 and r/a is about
+        # 2e8; the profile's step budget (here 2,000 steps, so the test is quick) cannot
+        # reach it
+        touchdown = emden.integrate_scale(emden.EmdenParams(lam=2.0, xi=0.0, a0=1.0, a1=-0.5),
+                                          2.0, ode.TIGHT_CONFIG).t_end
+        few, solve = dataclasses.replace(ode.TIGHT_CONFIG, max_steps=2000), liouville.solve_profile
+        monkeypatch.setattr(liouville, "solve_profile", lambda p, s_max: solve(p, s_max, few))
+        assert run(tmp_path, "fields", "--family", "yuen", "--lam", "2", "--a1", "-0.5",
+                   "--t1", repr(touchdown - 1e-9)) == 2
+        line = TestRobustness.one_line_error(capsys)
+        assert line.startswith("eulerpoisson fields: error: exceeded 2000 steps at t=")
+        assert line.endswith("in the profile of LiouvilleParams(K=1.0, lam=2.0, alpha=0.0) "
+                             "in the yuen family")
+        assert not (tmp_path / "fields.csv").exists()
+
     @pytest.mark.parametrize("argv,name,error,rows", [
         # the inner points of the disk lie inside the interface
         (("--family", "zz-outer"), "eval_zz_outer", errors.OutsideRegion, 36),
-        # the points past the profile solved to s = 20
-        (("--family", "rotational", "--rmax", "100"), "eval_rotational", errors.OutOfRange, 23),
         # the points past a profile with no zero
         (("--family", "gw", "--lam", "1", "--t1", "1", "--rmax", "200"), "eval_gw",
          errors.NoCompactSupport, 87),
-    ], ids=["zz-outer", "rotational-rmax-100", "gw-no-support"])
+    ], ids=["zz-outer", "gw-no-support"])
     def test_one_rule_drops_the_points_with_no_field(self, tmp_path, monkeypatch, argv, name,
                                                      error, rows):
         raised, evaluator = [], getattr(fields, name)
@@ -297,11 +346,30 @@ class TestWriteCsv:
         assert (tmp_path / "out.csv").read_text() == expected
 
 
+def _stderr_lines(capsys) -> list[str]:
+    """The stderr lines of a command but its wall-time line."""
+    return [line for line in capsys.readouterr().err.splitlines() if not line.endswith("s wall")]
+
+
 class TestPeriodCommand:
-    def test_default_agreement(self, tmp_path):
+    def test_default_agreement(self, tmp_path, capsys):
         assert run(tmp_path, "period") == 0
         report = json.loads((tmp_path / "period.json").read_text())
         assert report["rel_diff"] <= 1e-6
+        assert _stderr_lines(capsys) == []
+
+    @pytest.mark.parametrize("command", ["period", "emden"])
+    def test_periods_that_disagree_warn(self, tmp_path, capsys, command):
+        # period wrote rel_diff 0.664 (T_q 4.4429, T_sim 7.3933) with nothing on stderr
+        assert run(tmp_path, command, "--a1", "1e-11") == 0
+        name = "period.json" if command == "period" else "emden_report.json"
+        report = json.loads((tmp_path / name).read_text())
+        tq, ts = report["T_quadrature"], report["T_simulation"]
+        rel_diff = abs(tq - ts) / tq
+        assert rel_diff > 0.3
+        assert _stderr_lines(capsys) == [
+            f"eulerpoisson {command}: warning: the periods disagree: T_quadrature {tq!r}, "
+            f"T_simulation {ts!r}, relative difference {rel_diff:.3g}"]
 
     def test_near_steady_agreement(self, tmp_path):
         # exited 2 when the period quadrature ran out of panels
@@ -427,8 +495,12 @@ class TestUsageAndConfig:
     def test_csv_uses_17_significant_digits(self, tmp_path):
         assert run(tmp_path, "liouville", "--s-max", "2") == 0
         lines = (tmp_path / "liouville.csv").read_text().splitlines()
-        s_first = lines[1].split(",")[0]
-        assert s_first == "9.9999999999999995e-07"
+        # every cell is its float's %.17g, and some need all 17 digits
+        cells = [cell for line in lines[1:] for cell in line.split(",")]
+        assert all(cell == "%.17g" % float(cell) for cell in cells)
+        digits = [len(cell.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
+                  for cell in cells]
+        assert max(digits) == 17
 
     def test_bad_config_value_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -458,9 +530,10 @@ class TestRobustness:
         assert "underflowed" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize("argv,where", [
-        (("liouville", "--s-max", "1e-300"), "at t=0.0 in the profile of LiouvilleParams("
+        # the run starts at the core's end, at most s_max/2
+        (("liouville", "--s-max", "1e-300"), "at t=5e-301 in the profile of LiouvilleParams("
                                              "K=1.0, lam=1.0, alpha=0.0)"),
-        # the rotational family solves its profile through fields.build_rotational
+        # the rotational family's profile is named too
         (("fields", "--family", "rotational", "--K", "1e-300"), " in the profile of "
                                                                  "LiouvilleParams(K=1e-300, "),
     ], ids=["liouville", "fields-rotational"])

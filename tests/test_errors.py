@@ -15,41 +15,41 @@ _FEW = IntegratorConfig(max_steps=5)
 _ORBIT = EmdenParams(1.0, 1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("module,solve,p,error,clause", [
-    (emden, lambda p: emden.integrate_scale(p, 50.0, _FEW), _ORBIT, StepBudgetExceeded,
-     "in the scale factor of"),
+@pytest.mark.parametrize("module,source,solve,p,error,clause", [
+    (emden, "integrate", lambda p: emden.integrate_scale(p, 50.0, _FEW), _ORBIT,
+     StepBudgetExceeded, "in the scale factor of"),
     # a^3 underflows to 0 in the first rhs call
-    (emden, lambda p: emden.integrate_scale(p, 50.0), EmdenParams(1.0, 0.0, 1e-110, 0.0),
-     DomainError, "in the scale factor of"),
-    (emden, lambda p: emden.period_by_simulation(p, _FEW), _ORBIT, StepBudgetExceeded,
-     "(Sundman time) in the period of"),
+    (emden, "integrate", lambda p: emden.integrate_scale(p, 50.0),
+     EmdenParams(1.0, 0.0, 1e-110, 0.0), DomainError, "in the scale factor of"),
+    (emden, "integrate", lambda p: emden.period_by_simulation(p, _FEW), _ORBIT,
+     StepBudgetExceeded, "(Sundman time) in the period of"),
     # the Sundman start's rhs is not finite; this start once named no parameter
-    (emden, emden.period_by_simulation, EmdenParams(1.0, 1e-160, 1e-170, 0.0), DomainError,
-     "(Sundman time) in the period of"),
-    (liouville, lambda p: liouville.solve_profile(p, 20.0, _FEW), LiouvilleParams(1.0, 1.0, 0.0),
-     StepBudgetExceeded, "in the profile of"),
-    # e^710 overflows in f''(0)
-    (liouville, lambda p: liouville.solve_profile(p, 20.0), LiouvilleParams(1.0, 1.0, 710.0),
-     DomainError, "in the profile of"),
-    (goldreich_weber, lambda p: goldreich_weber.solve_gw_profile(p, _FEW),
+    (emden, "integrate", emden.period_by_simulation, EmdenParams(1.0, 1e-160, 1e-170, 0.0),
+     DomainError, "(Sundman time) in the period of"),
+    (liouville, "integrate", lambda p: liouville.solve_profile(p, 20.0, _FEW),
+     LiouvilleParams(1.0, 1.0, 0.0), StepBudgetExceeded, "in the profile of"),
+    # e^710 overflows in f''(0), the core's first coefficient
+    (liouville, "_core_start", lambda p: liouville.solve_profile(p, 20.0),
+     LiouvilleParams(1.0, 1.0, 710.0), DomainError, "in the profile of"),
+    (goldreich_weber, "integrate", lambda p: goldreich_weber.solve_gw_profile(p, _FEW),
      GWParams(3, 1.0, 1.0, 1.0), StepBudgetExceeded, "in the profile of"),
-    # alpha_center^3 overflows in f''(0)
-    (goldreich_weber, goldreich_weber.solve_gw_profile, GWParams(3, 1.0, 1.0, 1e200),
-     DomainError, "in the profile of"),
+    # alpha_center^3 overflows in f''(0), the core's first coefficient
+    (goldreich_weber, "_core_start", goldreich_weber.solve_gw_profile,
+     GWParams(3, 1.0, 1.0, 1e200), DomainError, "in the profile of"),
 ], ids=["scale-halt", "scale-start", "period-halt", "period-start", "liouville-halt",
         "liouville-start", "gw-halt", "gw-start"])
-def test_a_failure_is_its_own_error_naming_the_parameters(monkeypatch, module, solve, p, error,
-                                                          clause):
-    raised, integrate = [], module.integrate
+def test_a_failure_is_its_own_error_naming_the_parameters(monkeypatch, module, source, solve, p,
+                                                          error, clause):
+    raised, raw_source = [], getattr(module, source)
 
     def recorded(*args, **kwargs):
         try:
-            return integrate(*args, **kwargs)
+            return raw_source(*args, **kwargs)
         except (IntegrationHalted, DomainError) as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(module, "integrate", recorded)
+    monkeypatch.setattr(module, source, recorded)
     with pytest.raises(error) as e:
         solve(p)
     (raw,), named = raised, e.value

@@ -114,19 +114,36 @@ class TestRotational:
         for name in ("rho", "u1", "u2", "phi_r"):
             assert np.array_equal(getattr(full, name), getattr(part, name))
 
-    def test_samples_beyond_the_profile_or_the_times_keep_20(self):
-        # r/a = 40/a(1) is past 19; t = 99 is outside [0, 2.5] and counts at t = 2.5
+    def test_samples_beyond_20_are_reached_and_a_time_outside_does_not_count(self):
+        # r/a = 40/a(1) is past 20 (the profile was cut there once, and the sample had
+        # no field); t = 99 is outside [0, 2.5], has no field and sets no reach
+        t, r = np.array([1.0, 99.0]), np.array([40.0, 1e9])
         sol = build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
-                               t_max=2.5, samples=(np.array([1.0, 99.0]), np.array([40.0, 1e9])))
-        assert sol.profile.s_max == 20.0
+                               t_max=2.5, samples=(t, r))
+        assert sol.profile.s_max == 1.0 + 40.0 / sol.scale.evaluate(1.0)[0] > 21.0
+        assert np.isfinite(eval_rotational(sol, 1.0, 40.0, 0.0).rho)
 
-    def test_a_time_past_a_touchdown_counts_at_the_touchdown(self):
-        # r/a = 1/a(0.5) is below 2, but t = 2 lies past the touchdown, where a is tiny
+    def test_a_time_past_a_touchdown_does_not_count(self):
+        # r/a = 1/a(0.5) is below 2, and t = 2 lies past the touchdown, where a is tiny
         sol = build_rotational(lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0,
                                t_max=2.0, samples=(np.array([0.5, 2.0]), 1.0))
         assert sol.scale.t_end == _collapse_touchdown() < 2.0
-        assert 1.0 / sol.scale.evaluate(0.5)[0] < 2.0
-        assert sol.profile.s_max == 20.0
+        assert sol.profile.s_max == 1.0 + 1.0 / sol.scale.evaluate(0.5)[0] < 3.0
+
+    def test_the_touchdown_sets_no_reach_and_has_no_field_but_at_the_center(self):
+        # a = 7e-13 at the touchdown: r/a = 1.4e12 there took the whole step budget
+        t_end = _collapse_touchdown()
+        sol = build_rotational(lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0,
+                               t_max=2.0, samples=(np.array([0.5, t_end]), 1.0))
+        assert sol.profile.s_max == 1.0 + 1.0 / sol.scale.evaluate(0.5)[0] < 3.0
+        with pytest.raises(OutOfRange):
+            eval_rotational(sol, t_end, 1.0, 0.0)
+        assert np.isfinite(eval_rotational(sol, t_end, 0.0, 0.0).rho)
+
+    def test_a_run_to_t_max_counts_its_end(self):
+        sol = build_rotational(lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0,
+                               t_max=2.5, samples=(2.5, 1.0))
+        assert sol.profile.s_max == 1.0 + 1.0 / sol.scale.evaluate(2.5)[0]
 
     def test_total_mass_constant_in_time(self, rot_solution):
         # with the cutoff fixed in profile coordinates the mass integral is

@@ -22,6 +22,8 @@ from eulerpoisson.goldreich_weber import (
 from eulerpoisson.liouville import RadialProfile, enclosed_mass, unit_ball_volume
 from eulerpoisson.ode import TIGHT_CONFIG
 
+from conftest import radial_reference
+
 # offline fixed-step reference for the first zero at N=3, lam=0, K=1, alpha=1
 S_MU_REFERENCE = 3.8911301
 
@@ -66,9 +68,8 @@ class TestProfile:
         assert le3_profile.f_at(le3_profile.s_mu) == pytest.approx(0.0, abs=1e-10)
 
     def test_series_coefficient(self, le3_profile):
-        # N f''(0) = 2Nc = forcing - gravity at the center; f''(0) is the first derivative
-        # row, which the state carries scaled by the law's fp_scale
-        fpp0 = le3_profile.traj.fs[0, 1] / le3_profile.params.law.fp_scale
+        # N f''(0) = 2Nc = forcing - gravity at the center; c is the core's a_1
+        fpp0 = 2 * le3_profile._series[0][1]
         assert fpp0 == pytest.approx(-math.pi / 3, rel=1e-15)
 
     def test_series_coefficient_that_overflows_names_alpha_center(self):
@@ -77,11 +78,12 @@ class TestProfile:
             solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=5e102))
 
     def test_a_profile_that_cannot_start_names_its_parameters(self):
-        # alpha_center^3 overflows in f''(0), the rhs at s = 0
+        # alpha_center^3 overflows in f''(0), the core's first coefficient
         p = GWParams(3, 1.0, 1.0, 1e200)
         with pytest.raises(DomainError) as e:
             solve_gw_profile(p)
-        assert str(e.value) == f"rhs is not finite at the initial state in the profile of {p}"
+        assert str(e.value) == ("f''(0) = (F - g*rho(f0))/d is not finite at the center "
+                                f"in the profile of {p}")
 
     def test_support_below_the_step_floor_names_alpha_center(self):
         # the support radius is about 1e-100, below the step floor 1e-14 at s = 0
@@ -198,16 +200,35 @@ class TestSupportRadius:
         assert len(integrations) == 3 and searches == []
         assert prof.traj.stats.rejected <= 10
 
-    def test_a_zero_inside_the_first_step_names_alpha_center(self):
-        # f stays below atol, so the first step falls through 0 from s = 0, where
-        # f' = 0 and the swap cannot start; the error names that cause, not the
-        # swap's non-finite rhs at its initial state
-        match = "falls through 0 inside the first step.* in the profile of .*alpha_center=1e-30"
-        with pytest.raises(DomainError, match=match):
-            solve_gw_profile(GWParams(N=3, K=1.0, lam=-1.0, alpha_center=1e-30))
+    def test_a_zero_below_the_step_floor_names_alpha_center(self):
+        # f = 1e-30 - s^2/8 nearly, whose zero 2.8e-15 lies below the step floor 1e-14:
+        # the core ends where f > 0, so the swap starts there (f' != 0), over a span
+        # in x = -f of 4e-31, and its step underflows (a zero inside the first step
+        # from s = 0 raised DomainError, since the swap could not start at f' = 0)
+        p = GWParams(N=3, K=1.0, lam=-1.0, alpha_center=1e-30)
+        with pytest.raises(StepUnderflow, match="in the profile of .*alpha_center=1e-30") as e:
+            solve_gw_profile(p)
+        swap = e.value.trajectory
+        s_core, f_core = swap.ys[0, 0], -swap.ts[0]
+        law = p.law
+        zero = math.sqrt(-2 * law.d * law.f0 / law.F)
+        assert 0 < s_core < zero and 0 < f_core < law.f0
+        assert f_core == pytest.approx(law.f0 + law.F * s_core**2 / (2 * law.d), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, -0.2])
+    def test_a_hundred_dimensions_start_from_the_core(self, lam):
+        # from s = 0 the step underflowed at s = 9.3e-14 in the center's crawl (`fields
+        # --family gw --N 100` exited 2); at lam = 1 the profile has no zero before the cap
+        p = GWParams(N=100, K=1.0, lam=lam, alpha_center=1.0)
+        prof = solve_gw_profile(p)
+        _, s_mu = radial_reference(p.law, S_CAP_DEFAULT, zero=True)
+        if lam > 0:
+            assert prof.s_mu is None and s_mu is None and prof.s_max == S_CAP_DEFAULT
+        else:
+            assert abs(prof.s_mu - s_mu) <= 1e-12 * s_mu
 
     def test_a_halt_that_is_not_a_zero_raises(self):
-        cfg = dataclasses.replace(TIGHT_CONFIG, max_steps=50)
+        cfg = dataclasses.replace(TIGHT_CONFIG, max_steps=5)
         with pytest.raises(StepBudgetExceeded):
             solve_gw_profile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0), cfg)
 

@@ -39,7 +39,7 @@ from eulerpoisson.emden import (
     turning_points,
 )
 from eulerpoisson.goldreich_weber import GWParams, _henon_rhs, alpha_const, solve_gw_profile
-from eulerpoisson.liouville import LiouvilleParams, _radial_rhs, solve_profile
+from eulerpoisson.liouville import LiouvilleParams, _core_start, _radial_rhs, solve_profile
 from eulerpoisson.ode import (
     _A,
     _C,
@@ -251,14 +251,15 @@ class TestStepper:
         assert np.abs(ref.y.T - traj.ys).max() <= 1e-9
 
     def test_profile_node_count_is_stable(self):
-        # guards the step controller: 156 DOP853 nodes from s = 0 here (197
-        # before the state carried f' scaled by 2^-7; 191 before the predictive factor; 194
+        # guards the step controller: 134 DOP853 nodes from the core's end here (156 from
+        # s = 0, before the profile started from its Taylor core;
+        # 197 before the state carried f' scaled by 2^-7; 191 before the predictive factor; 194
         # from a series start at s = 1e-6; 188 with a fixed 1e-4 first step,
         # before the first step was derived from the start state; 1,907 with
         # the DP5 pair, 4,031 when a 0.005 cap made up for a cubic-Hermite
         # dense output)
         prof = solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0)
-        assert abs(prof.traj.n_nodes - 156) <= 0.01 * 156
+        assert abs(prof.traj.n_nodes - 134) <= 0.01 * 134
 
     def test_the_unit_orbit_rejects_at_most_one_attempt_in_eight(self):
         # guards the predictive factor: without it the controller saw-toothed,
@@ -377,13 +378,13 @@ class TestGeneratedStep:
                      "dd396261df7a5826d49677ce421c953f516fa676107e53edf62b23f8ce2b38c0",
                      id="unit-scale-factor"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0), 20.0).traj,
-                     "318024f4174c8e615e02518fb60ea6fb26da391d5dbd30ed1f913743011be9c3",
+                     "814eea6a352e3132489db19097ca5333700aedb67656307a6f4bae29e68a8636",
                      id="default-profile"),
         pytest.param(lambda: solve_gw_profile(GWParams(3, 1.0, -0.2, 1.0)).traj,
-                     "113326cf6fb53fbd2c1ee5f4a9f997b4b6369a91b1c2fafa212fbcd6d254815e",
+                     "16434b7705c3a651d1e2b0b795586bbd3f1f4b9e9cbf85dc07a435a09af30adf",
                      id="gw-profile-N3"),
         pytest.param(lambda: solve_gw_profile(GWParams(5, 1.0, -0.2, 1.0)).traj,
-                     "af13e5579c6c9cc0836b0ae36cb06fc8da6758ccd51ad902e59c535eafaeab67",
+                     "8d3ee226864ea85dc382a98bbe740a5f05d670df8298f858f33dfcc44c44ea61",
                      id="gw-profile-N5"),
         pytest.param(lambda: integrate_scale(GWParams(5, 1.0, 1.0, 1.0), 10.0),
                      "c0555f9b66dbbe6ec7c1c62cff411785a78e9d535c787b30f4cc4629d7a916d3",
@@ -399,7 +400,8 @@ class TestGeneratedStep:
         # counted as the touchdown; the GW profiles again when their support radius
         # became the zero of Henon's swap, with the step over it replaced by a closing run;
         # all three profiles again when their state began to carry f' scaled by the law's
-        # fp_scale
+        # fp_scale, and when they began to start from a Taylor core; the GW profiles again
+        # when their fp_scale became 1
         assert _digest(solve()) == digest
 
 
@@ -411,6 +413,10 @@ def _run_or_halt(rhs, y0, t_end, cfg, falls=None):
         return integrate(rhs, start, t_end, cfg, falls), None
     except IntegrationHalted as halt:
         return halt.trajectory, (type(halt), halt.t)
+
+
+_UNIT_PROFILE = LiouvilleParams(K=1.0, lam=1.0, alpha=0.0)
+_GW = {n: GWParams(n, 1.0, -0.2, 1.0) for n in (3, 5)}
 
 
 class TestPastedSystems:
@@ -426,12 +432,13 @@ class TestPastedSystems:
                      IntegratorConfig(), None, True, id="collapse"),
         pytest.param(sundman_rhs(_UNIT), (0.0, 1.0, 0.0), math.inf, IntegratorConfig(), (1, 3),
                      False, id="sundman-unit-orbit"),
-        pytest.param(_radial_rhs(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0)), (0.0, 0.0), 20.0,
-                     TIGHT_CONFIG, None, False, id="default-profile"),
-        pytest.param(_radial_rhs(GWParams(3, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
-                     (0, 1), False, id="gw-profile-N3"),
-        pytest.param(_radial_rhs(GWParams(5, 1.0, -0.2, 1.0)), (1.0, 0.0), 100.0, TIGHT_CONFIG,
-                     (0, 1), False, id="gw-profile-N5"),
+        # the profiles start at the end of their core
+        pytest.param(_radial_rhs(_UNIT_PROFILE), _core_start(_UNIT_PROFILE.law, 20.0, TIGHT_CONFIG),
+                     20.0, TIGHT_CONFIG, None, False, id="default-profile"),
+        pytest.param(_radial_rhs(_GW[3]), _core_start(_GW[3].law, 100.0, TIGHT_CONFIG), 100.0,
+                     TIGHT_CONFIG, (0, 1), False, id="gw-profile-N3"),
+        pytest.param(_radial_rhs(_GW[5]), _core_start(_GW[5].law, 100.0, TIGHT_CONFIG), 100.0,
+                     TIGHT_CONFIG, (0, 1), False, id="gw-profile-N5"),
         pytest.param(_henon_rhs(GWParams(3, 1.0, -0.2, 1.0)), OdeState(-0.02, (2.6, -0.25)), 0.0,
                      TIGHT_CONFIG, None, False, id="gw-henon-swap"),
         pytest.param(scale_rhs(GWParams(3, 1.0, 1.0, 1.0)), (1.0, 0.0), 10.0,
@@ -487,8 +494,8 @@ class TestChunkedPacking:
                      "df007adf4edf2d0d0eb89a498073eddfecce5d6985c7f3096cf3317110a56093",
                      id="unit-orbit-4-chunks"),
         pytest.param(lambda: solve_profile(LiouvilleParams(K=1.0, lam=1.0, alpha=0.0),
-                                           500.0).traj, 2696,
-                     "f54089a39366b1bb423bbd766d848be41fe700fa9d66f45a64a9298836fd93da",
+                                           500.0).traj, 2674,
+                     "cb4cd492cc7e7c353fc2b3822d7517715fe20d0282563955f68bc24e16d1d89f",
                      id="profile-6-chunks"),
         pytest.param(lambda: integrate(*_UNIT_START, _TIME_OF_NODE_1024), 1024,
                      "b9d65af44b6fe107fd53dacde478ea94f13192fcaf26d9b17217fce431f8c251",
@@ -500,7 +507,8 @@ class TestChunkedPacking:
     def test_multi_chunk_runs_are_bitwise_pinned(self, solve, accepted, digest):
         # recorded when a run packed its lists once, at its end; the profile's again, to
         # s = 500 (it was 400), with a patched _CHUNK that packs once, when its state
-        # began to carry f' scaled by the law's fp_scale
+        # began to carry f' scaled by the law's fp_scale, and when it began to start from
+        # a Taylor core
         traj = solve()
         assert traj.stats.accepted == accepted == traj.n_nodes - 1
         assert _digest(traj) == digest
@@ -714,6 +722,17 @@ class TestEdgesEndAtOnce:
         st = traj.stats
         assert st.rhs_calls == 2 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
         assert traj.y_end[0] == pytest.approx(math.sin(20.0), abs=1e-3)
+
+    def test_a_flat_start_far_out_steps_above_the_floor(self):
+        # both norms are 0 at t = 1e150, so the Euler start's fallback max(1e-6, 1e-3 h0)
+        # lay below the floor 1e136 and the run halted before its first step (a profile
+        # whose core ends at s = 2.5e143 did); it is 100 times the floor now
+        rhs, floor = (lambda t, y: (0.0,)), 1e-14 * 1e150
+        h = _euler_start(rhs, 1e150, (1.0,), (0.0,), 1e-6, 1e150, IntegratorConfig())
+        assert h == 100 * floor
+        traj, dt = _timed(lambda: integrate(rhs, OdeState(1e150, [1.0]), 2e150))
+        assert _within_10_ms(dt) and traj.t_end == 2e150 and traj.y_end[0] == 1.0
+        assert traj.ts[1] == 1e150 + 100 * floor
 
     def test_an_endless_run_whose_step_overflows_ends_at_once(self):
         # with f = 0 the step grows fivefold per step until 5 h is inf (it took the
@@ -1001,9 +1020,8 @@ class TestEventsMatchScipyOracle:
         def rhs(s, y):
             return [y[1], forcing - grav * max(y[0], 0.0) ** power - (p.N - 1) * y[1] / s]
 
-        # the profile starts at s = 0, where this rhs divides by zero: the
-        # oracle starts at 1e-6 from the series f = alpha_center + c s^2,
-        # 2Nc = forcing - gravity at the center
+        # this rhs divides by zero at s = 0: the oracle starts at 1e-6 from the
+        # series f = alpha_center + c s^2, 2Nc = forcing - gravity at the center
         c, s0 = (forcing - grav * p.alpha_center**power) / (2 * p.N), 1e-6
         traj = _shifted(prof.traj, 0.5)
         for direction, found in ((-1, detect_events(traj, 0)),
@@ -1467,7 +1485,7 @@ class TestDenseOutput:
     def test_lam0_profile_matches_closed_form_off_nodes(self):
         # f = alpha - 2 ln(1 + b^2 s^2), b^2 = pi e^alpha / (4K), at lam = 0
         prof = solve_profile(LiouvilleParams(K=1.0, lam=0.0, alpha=0.0), 20.0)
-        s = np.random.default_rng(3).uniform(1e-6, 20.0, 200)
+        s = np.random.default_rng(3).uniform(prof.s_core, 20.0, 200)  # the run's dense output
         assert not np.isin(s, prof.grid).any()
         b2 = math.pi / 4
         f = prof.traj.evaluate(s)[:, 0]

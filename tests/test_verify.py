@@ -125,12 +125,13 @@ def test_the_field_is_evaluated_again_on_other_points():
 
 
 # sha256 of json.dumps(run_bundle(seed, 20, H_LIST, 0.01), sort_keys=True),
-# recorded when the corrupted control still sampled the rotating field anew, and again
-# when the profile's state began to carry f' scaled by the law's fp_scale
+# recorded when the corrupted control still sampled the rotating field anew, again
+# when the profile's state began to carry f' scaled by the law's fp_scale, and again when
+# the profile began to start from a Taylor core
 REPORT_DIGESTS = {
-    0: "0aff78ebab438a71d6ffa6dc4a3a30223de687db1749fb90578df84fa81b5fb5",
-    7: "491b50e4999ed8a17cf37cc1b8eff7c772666235244df6e9da401cd1bb8a5179",
-    20261017: "f91e8beb3bdb61f774f7f3a7aea2a051a392f420f2d06343d426164032fdb2d4",
+    0: "07b30f03ff5cef2e111d1e7f00f8ef8b131d34635c33f7fdc5a1c1acdaa7475b",
+    7: "15524d8135c19c3cf116f236c4417d717cb5f7ab77d2d79bd81f55a13fac9ffe",
+    20261017: "14700747a01aef0f29f14f82ebfa9e7ae67dc21df4b368a705523b2fa57459e0",
 }
 
 
