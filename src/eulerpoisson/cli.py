@@ -284,8 +284,10 @@ def cmd_liouville(args) -> int:
     cfg = _integrator_config(args, TIGHT_CONFIG)
     prof = liouville.solve_profile(p, args.s_max, cfg)
 
-    s, mass, bracket = liouville.node_brackets(prof)
-
+    with np.errstate(all="ignore"):  # a non-finite cell raises below
+        s, mass, bracket = liouville.node_brackets(prof)
+    raise_where(~(np.isfinite(mass) & np.isfinite(bracket)), DomainError,
+                "non-finite enclosed mass or bracket", s=s)
     report = {
         "command": "liouville",
         "version": __version__,

@@ -18,12 +18,12 @@ fn becomes the `Rhs` of its call `f = fn(t, (y_0, ...))` and length
 check.  A step costs 11 rhs calls before its error check; an accepted one
 adds the derivative at the new point (FSAL) and three stages for the
 stepper's own 7th-order continuous extension (section II.6), so a run makes
-1 + 11*attempts + 4*accepted rhs calls.  The first step is Hairer's first
-estimate (section II.4), 0.01 * |y0| / |k1| with both norms in the error
-norm's scale atol + rtol*|y0|, or 1e-6 when either norm is below 1e-5; it
-costs no rhs call and stops at t_end.  Only a first estimate at or below the
-underflow floor takes the second phase of that algorithm, one explicit
-Euler step and one more rhs call (`_euler_start`).  The next step also
+1 + 11*attempts + 4*accepted rhs calls.  A run starts in one way: the first
+step is Hairer's first estimate (section II.4), 0.01 * |y0| / |k1| with both
+norms in the error norm's scale atol + rtol*|y0|, or 1e-6 when either norm is
+below 1e-5; an estimate at or below the underflow floor 1e-14 * max(1, |t0|)
+becomes 100 times that floor, so the run does not halt before its first step.
+It costs no rhs call and stops at t_end.  The next step also
 weighs the last accepted one, by Gustafsson's predictive controller
 (Hairer & Wanner II, section IV.8; its formula is in `integrate`), so the
 step does not saw-tooth between growth and rejection.  Accepted steps
@@ -175,15 +175,17 @@ class OdeState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error tolerances and step limits for `integrate`."""
+    """Error tolerances and step limits for `integrate`: 0 < rtol < 1 (at rtol >= 1 a
+    step would pass with an error as large as the state), 0 <= atol < inf and an
+    integer max_steps >= 1, else DomainError."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not 0 < self.rtol < math.inf:
-            raise DomainError("rtol must be finite and > 0")
+        if not 0 < self.rtol < 1:
+            raise DomainError(f"rtol must be > 0 and < 1, not {self.rtol!r}")
         if not 0 <= self.atol < math.inf:
             raise DomainError("atol must be finite and >= 0")
         if not (isinstance(self.max_steps, Integral) and self.max_steps > 0):
@@ -317,35 +319,17 @@ def _norm(v: Sequence[float], y: Sequence[float], cfg: IntegratorConfig) -> floa
     return math.hypot(*[p / s for p, s in zip(v, sc) if s])
 
 
-def _first_step(y: Sequence[float], k1: Sequence[float], span: float, cfg: IntegratorConfig):
+def _first_step(t: float, y: Sequence[float], k1: Sequence[float], span: float,
+                cfg: IntegratorConfig) -> float:
     """Hairer's first estimate 0.01 * d0 / d1 with d0 = |y| and d1 = |k1| (`_norm`); 1e-6
     when either norm is below 1e-5 or the quotient is no positive number (an overflowed
-    norm); at most `span`."""
+    norm); 100 times the underflow floor 1e-14 * max(1, |t|) when the estimate is at or
+    below that floor, where it would halt the run before its first step; at most `span`."""
     d0, d1 = _norm(y, y, cfg), _norm(k1, y, cfg)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 0.0
-    return min(h if h > 0.0 else 1e-6, span)
-
-
-def _euler_start(rhs: RhsFn, t: float, y: Sequence[float], k1: Sequence[float], h0: float,
-                 span: float, cfg: IntegratorConfig) -> float:
-    """The second phase of Hairer's starting step from the first estimate h0: one
-    explicit Euler step of h0 gives d2, the `_norm` of the change in the derivative
-    per unit step, and the step is min(100 h0, (0.01 / max(d1, d2))^(1/8), span), with
-    max(1e-6, 1e-3 h0, 100 times the underflow floor 1e-14 * max(1, |t|)) in place of
-    the middle term when both norms are at most 1e-15.  The cap 100 h0 is dropped when
-    it lies below the floor, where it would halt the run before its first step.  0 when
-    the Euler step gives no finite derivative, so that the run halts at once."""
-    try:
-        k2 = rhs(t + h0, tuple(u + h0 * p for u, p in zip(y, k1)))
-        d2 = _norm([q - p for q, p in zip(k2, k1)], y, cfg) / h0
-    except ArithmeticError:
-        return 0.0
-    if not d2 < math.inf:  # NaN fails too
-        return 0.0
-    d, floor = max(_norm(k1, y, cfg), d2), STEP_UNDERFLOW_REL * max(1.0, abs(t))
-    h = min((0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0, 100 * floor), span)
-    cap = 100 * h0
-    return h if cap < floor else min(cap, h)
+    h = h if h > 0.0 else 1e-6
+    floor = STEP_UNDERFLOW_REL * max(1.0, abs(t))
+    return min(h if h > floor else 100 * floor, span)
 
 
 def _combo(weights: Sequence[float], j: int) -> str:
@@ -574,8 +558,8 @@ def integrate(
     not at all, by Hairer's combined 5th/3rd-order estimate, before the FSAL
     stage, so a rejected attempt costs 11 rhs calls and an accepted one 15
     (11, the FSAL stage and three dense-output stages);
-    a run makes 1 + 11*attempts + 4*accepted calls, and one more when its first
-    estimate is at or below the underflow floor (`_euler_start`).  A step h
+    a run makes 1 + 11*attempts + 4*accepted calls.  The first step is Hairer's
+    first estimate, raised to 100 underflow floors if at or below one (`_first_step`).  A step h
     accepted after an accepted h_prev is followed by h times the smaller of 0.9
     err^(-1/8) and Gustafsson's 0.9 err^(-1/8) (h/h_prev) (err_prev/err)^(1/8),
     err_prev the error of h_prev floored at 1e-2.  A step is rejected when a
@@ -630,9 +614,7 @@ def integrate(
         if fall_k is None or not (isinstance(falls_left, Integral) and falls_left >= 1):
             raise DomainError(f"falls={falls} needs a k in range({n}) and an integer count >= 1")
     run = _run(n, rhs.body, rhs.names, fall_k)
-    h, starts = _first_step(y, k1, t_end - t, config), 1  # the rhs calls before the run
-    if h <= STEP_UNDERFLOW_REL * max(1.0, abs(t)):
-        h, starts = _euler_start(rhs, t, y, k1, h, t_end - t, config), 2
+    h = _first_step(t, y, k1, t_end - t, config)
     # the nodes, and per accepted step its size and the stage values the dense output
     # weights; the run packs them into `chunks` of arrays every _CHUNK accepted steps
     ts, ys, fs, hs, ks, chunks = [t], list(y), list(k1), [], [], []
@@ -642,7 +624,7 @@ def integrate(
     if ts:  # the steps since the last full chunk, or all of a run shorter than one
         chunks.append(_pack(n, ts, ys, fs, hs, ks))
     arrays = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
-    traj = Trajectory._unchecked(*arrays, IntegratorStats(accepted, rejected, starts + calls))
+    traj = Trajectory._unchecked(*arrays, IntegratorStats(accepted, rejected, 1 + calls))
     if halt is None:
         return traj
     what = {StepUnderflow: f"step size {h:.3e} underflowed",

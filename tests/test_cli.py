@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -550,6 +551,34 @@ class TestRobustness:
         assert run(tmp_path, *argv) == 2
         assert "underflowed" in self.one_line_error(capsys)
         assert not any(tmp_path.iterdir())
+
+    @staticmethod
+    def _no_non_finite(name):
+        raise AssertionError(f"{name} written")
+
+    @pytest.mark.parametrize("atol", [None, "1", "1e100", "1e300"])
+    @pytest.mark.parametrize("rtol", [None, "0.5", "0.99", "1", "2", "7", "1e300"])
+    @pytest.mark.parametrize("command", ["emden", "liouville", "period"])
+    def test_loose_tolerances_exit_0_or_2_and_write_finite_files(self, tmp_path, capsys, command,
+                                                                 rtol, atol):
+        # rtol >= 1 passes any step (liouville --rtol 7 wrote inf cells), and a huge atol
+        # overflowed liouville's enclosed mass: both exit 2 now, writing nothing
+        argv = (command, *(("--rtol", rtol) if rtol else ()), *(("--atol", atol) if atol else ()),
+                "--max-steps", "2000")
+        code = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        lines = [line for line in err.splitlines() if not re.fullmatch(r"\S+: \d+\.\d+s wall", line)
+                 and not line.startswith(f"eulerpoisson {command}: warning: the periods disagree")]
+        assert len(lines) <= 1, err
+        files = sorted(tmp_path.iterdir())
+        assert bool(files) == (code == 0)
+        for path in files:
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=self._no_non_finite)
+            else:
+                cells = path.read_text().splitlines()[1:]
+                assert all(math.isfinite(float(c)) for row in cells for c in row.split(",") if c)
 
     def test_negative_samples_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "emden", "--samples", "-1") == 1

@@ -52,7 +52,6 @@ from eulerpoisson.ode import (
     OdeState,
     Trajectory,
     _call_body,
-    _euler_start,
     _first_step,
     _run_source,
     _step_lines,
@@ -185,8 +184,10 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             IntegratorConfig(max_steps=0)
         # an infinite tolerance accepts every step: 23 nodes and energy drift 61
-        # on the unit orbit to t = 50
-        for bad in ({"rtol": math.inf}, {"atol": math.inf}, {"max_steps": 1.5}):
+        # on the unit orbit to t = 50; at rtol >= 1 a step passes with an error as
+        # large as the state (liouville --rtol 7 wrote inf cells)
+        for bad in ({"rtol": math.inf}, {"rtol": 1.0}, {"rtol": 7.0}, {"atol": math.inf},
+                    {"max_steps": 1.5}):
             with pytest.raises(DomainError):
                 IntegratorConfig(**bad)
         with pytest.raises(DomainError):
@@ -570,7 +571,7 @@ def _zero_start(monkeypatch):
 
 def _step_past_the_end(monkeypatch):
     # 0.01 * |y0| / |k1| = 1e4 against a span of 0.2: one step, ending on t_end
-    assert _first_step((1.0,), (1e-6,), 0.2, IntegratorConfig()) == 0.2
+    assert _first_step(0.1, (1.0,), (1e-6,), 0.2, IntegratorConfig()) == 0.2
     traj = integrate(lambda t, y: (1e-6,), OdeState(0.1, [1.0]), 0.3)
     assert traj.n_nodes == 2
     return traj, 0.3
@@ -584,15 +585,15 @@ def _restart(monkeypatch):
     mid = first.n_nodes // 2
     second = integrate(scale_rhs(p), OdeState(first.ts[mid], first.ys[mid]), first.t_end,
                        TIGHT_CONFIG)
-    h = _first_step(second.ys[0].tolist(), second.fs[0].tolist(),
+    h = _first_step(second.t_start, second.ys[0].tolist(), second.fs[0].tolist(),
                     second.t_end - second.t_start, TIGHT_CONFIG)
     assert h != first.ts[1] - first.ts[0]
     return second, second.t_start + h
 
 
 class TestFirstStep:
-    """The first step is Hairer's first estimate from y0 and k1, at no rhs call,
-    unless that estimate is at or below the underflow floor."""
+    """The first step is Hairer's first estimate from y0 and k1, at no rhs call, or
+    100 times the underflow floor when the estimate is at or below it."""
 
     @pytest.mark.parametrize("case", [_zero_start, _step_past_the_end, _restart],
                              ids=["zero-start", "past-the-end", "restart"])
@@ -602,38 +603,38 @@ class TestFirstStep:
         st = traj.stats
         assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
 
-    def test_a_first_estimate_at_the_floor_takes_the_euler_start(self):
-        # a span of exactly 1e-14 from t = 0 caps the first estimate at the floor
-        # 1e-14: the Euler start makes one more call, and caps its step at the span too
+    def test_a_span_at_the_floor_is_one_step(self):
+        # a span of exactly 1e-14 from t = 0 caps the first step at the floor 1e-14,
+        # which the run takes in one step, at no call before it but k1
         traj = integrate(lambda t, y: (1.0,), OdeState(0.0, [0.0]), 1e-14)
         assert traj.ts.tolist() == [0.0, 1e-14]
-        assert traj.stats == IntegratorStats(accepted=1, rejected=0, rhs_calls=2 + 15)
+        assert traj.stats == IntegratorStats(accepted=1, rejected=0, rhs_calls=1 + 15)
 
     @pytest.mark.parametrize("bad", [lambda: 1 / 0, lambda: math.nan], ids=["raises", "nan"])
-    def test_an_euler_start_with_no_finite_derivative_halts_at_once(self, bad):
-        # k1 = 1e20 puts the first estimate below the floor; the Euler step's
-        # derivative raises or is NaN, so the step is 0 and the run halts at t = 0
+    def test_a_start_with_no_finite_next_derivative_halts_at_t0(self, bad):
+        # k1 = 1e20 puts the first estimate 1e-22 below the floor 1e-14, so the first
+        # step is 1e-12; every stage 2 raises or is NaN, each attempt is rejected
+        # after its one call, and the third tenth of the step, 1e-15, underflows
+        assert _first_step(0.0, (1.0,), (1e20,), 1.0, IntegratorConfig()) == 100 * 1e-14
         with pytest.raises(StepUnderflow) as halted:
             integrate(lambda t, y: (1e20 if t == 0 else bad(),), OdeState(0.0, [1.0]), 1.0)
         assert halted.value.t == 0.0
-        assert halted.value.trajectory.stats == IntegratorStats(0, 0, rhs_calls=2)
+        assert halted.value.trajectory.stats == IntegratorStats(0, 3, rhs_calls=1 + 3)
 
     @pytest.mark.parametrize("t0,y0,cfg,nodes", [
-        pytest.param(0.0, (0.0, 1.0), IntegratorConfig(1e-6, 1e-30), 8, id="atol-1e-30"),
+        pytest.param(0.0, (0.0, 1.0), IntegratorConfig(1e-6, 1e-30), 20, id="atol-1e-30"),
         pytest.param(1e10, (1.0, 0.0), IntegratorConfig(1e-6, 1e-10), 5, id="start-at-1e10"),
     ])
-    def test_a_cap_below_the_floor_is_dropped(self, t0, y0, cfg, nodes):
-        # the first estimate and its cap 100 h0 both lie below the floor
-        # 1e-14 * max(1, |t0|): with the cap the run halted before its first step
+    def test_a_first_estimate_below_the_floor_steps_100_floors(self, t0, y0, cfg, nodes):
+        # the first estimate, and 100 times it, lie below the floor 1e-14 * max(1, |t0|),
+        # where the run would halt before its first step; it starts from 100 floors
         import scipy.integrate as scipy_integrate  # a test dependency, never skipped
 
         rhs = lambda t, y: (y[1], -y[0])
-        k1 = rhs(t0, y0)
-        h0 = _first_step(y0, k1, 1.0, cfg)
-        assert 100 * h0 < 1e-14 * max(1.0, t0)
-        h = _euler_start(rhs, t0, y0, k1, h0, 1.0, cfg)
-        # (0.01 / d)^(1/8), where d1 = |k1| is the larger norm: 1e-4 and 10^-1.5
-        assert h > 100 * h0 and h == (0.01 / ode._norm(k1, y0, cfg)) ** 0.125
+        d0, d1 = ode._norm(y0, y0, cfg), ode._norm(rhs(t0, y0), y0, cfg)
+        floor = 1e-14 * max(1.0, t0)
+        assert 100 * 0.01 * d0 / d1 < floor
+        assert _first_step(t0, y0, rhs(t0, y0), 1.0, cfg) == 100 * floor
         traj = integrate(rhs, OdeState(t0, list(y0)), t0 + 1.0, cfg)
         assert traj.n_nodes == nodes and traj.t_end == t0 + 1.0
         c, s = math.cos(1.0), math.sin(1.0)
@@ -656,11 +657,8 @@ class TestFirstStep:
         # the box of the benchmark's orbits workload, collapsing orbits included
         cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=40)
         rhs = scale_rhs(EmdenParams(lam, xi, a0, a1))
-        h = _first_step((a0, a1), rhs(0.0, (a0, a1)), 50.0, cfg)
-        assert math.isfinite(h) and 0.0 < h <= 50.0
-        starts = 1  # the rhs calls before the run: k1, and the Euler start at the floor
-        if h <= 1e-14:
-            h, starts = _euler_start(rhs, 0.0, (a0, a1), rhs(0.0, (a0, a1)), h, 50.0, cfg), 2
+        h = _first_step(0.0, (a0, a1), rhs(0.0, (a0, a1)), 50.0, cfg)
+        assert 1e-14 < h <= 50.0  # above the floor, so the run never halts before a step
         calls, failed = [], []
 
         def counted(t, y):
@@ -680,7 +678,7 @@ class TestFirstStep:
         st = traj.stats
         assert st.rhs_calls == len(calls)
         if not failed:  # a failed stage ends its attempt early
-            assert st.rhs_calls == starts + 11 * (st.accepted + st.rejected) + 4 * st.accepted
+            assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
         if st.accepted:
             assert traj.ts[1] <= h  # the first attempt or a shorter retry
 
@@ -709,27 +707,25 @@ class TestEdgesEndAtOnce:
     """Runs at the edges of the float range end within 10 ms, with a typed halt
     that names the cause or a completed trajectory."""
 
-    def test_a_start_at_the_underflow_floor_takes_the_euler_start(self):
-        # the zero component's scale is atol alone, so the first estimate is the
-        # floor 1e-14 * 100; the Euler start's 100 * h0 is the first step
+    def test_a_start_at_the_underflow_floor_steps_100_floors(self):
+        # the zero component's scale is atol alone, so the first estimate lies at or
+        # below the floor 1e-14 * 100, and 100 floors is the first step
         rhs, y0, cfg = (lambda t, y: (y[1], -y[0])), (0.0, 1.0), IntegratorConfig(1e-4, 1e-14)
-        h0 = _first_step(y0, rhs(100.0, y0), 20.0, cfg)
-        assert h0 <= 1e-14 * 100.0
+        d0, d1 = ode._norm(y0, y0, cfg), ode._norm(rhs(100.0, y0), y0, cfg)
+        assert 0.01 * d0 / d1 <= 1e-14 * 100.0
         traj, dt = _timed(lambda: integrate(rhs, OdeState(100.0, list(y0)), 120.0, cfg))
-        assert _within_10_ms(dt) and traj.t_end == 120.0
-        assert traj.ts[1] == 100.0 + _euler_start(rhs, 100.0, y0, rhs(100.0, y0), h0, 20.0, cfg)
-        assert traj.ts[1] == 100.0 + 100 * h0
+        assert _within_10_ms(dt) and traj.t_end == 120.0 and traj.n_nodes == 27
+        assert traj.ts[1] == 100.0 + 100 * (1e-14 * 100.0)
         st = traj.stats
-        assert st.rhs_calls == 2 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
+        assert st.rhs_calls == 1 + 11 * (st.accepted + st.rejected) + 4 * st.accepted
         assert traj.y_end[0] == pytest.approx(math.sin(20.0), abs=1e-3)
 
     def test_a_flat_start_far_out_steps_above_the_floor(self):
-        # both norms are 0 at t = 1e150, so the Euler start's fallback max(1e-6, 1e-3 h0)
-        # lay below the floor 1e136 and the run halted before its first step (a profile
-        # whose core ends at s = 2.5e143 did); it is 100 times the floor now
+        # k1 = 0 at t = 1e150, so the first estimate is the fixed 1e-6, far below the
+        # floor 1e136, where the run would halt before its first step (a profile whose
+        # core ends at s = 2.5e143 did); it starts from 100 times the floor
         rhs, floor = (lambda t, y: (0.0,)), 1e-14 * 1e150
-        h = _euler_start(rhs, 1e150, (1.0,), (0.0,), 1e-6, 1e150, IntegratorConfig())
-        assert h == 100 * floor
+        assert _first_step(1e150, (1.0,), (0.0,), 1e150, IntegratorConfig()) == 100 * floor
         traj, dt = _timed(lambda: integrate(rhs, OdeState(1e150, [1.0]), 2e150))
         assert _within_10_ms(dt) and traj.t_end == 2e150 and traj.y_end[0] == 1.0
         assert traj.ts[1] == 1e150 + 100 * floor
