@@ -10,11 +10,14 @@ numbers are written with 17 significant digits, JSON keys are sorted, line
 endings are '\\n', and nothing volatile (wall time, paths, timestamps) goes
 into an output file.  Wall time is logged to stderr.
 
-Exit codes: 0 success, 1 usage error, 2 package error (any
-`errors.EulerPoissonError`), 3 verification failure.  The integrator flags
-exist only on emden, liouville and period and replace only the named fields
-of the base config, `ode.TIGHT_CONFIG` for liouville and the `IntegratorConfig`
-defaults otherwise; emden's flags govern both its CSV and its simulated period.
+Each value comes from its flag alone; `--outdir` defaults to the current
+directory.  Exit codes: 0 success, 1 usage error, 2 package error (any
+`errors.EulerPoissonError`), 3 verification failure.  A usage error is an
+unknown or abbreviated flag, a missing or invalid value, or an `--outdir`
+that cannot be made or written to.  The integrator flags exist only on
+emden, liouville and period and replace only the named fields of the base
+config, `ode.TIGHT_CONFIG` for liouville and the `IntegratorConfig` defaults
+otherwise; emden's flags govern both its CSV and its simulated period.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -54,8 +56,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _outdir(args) -> Path:
-    out = args.outdir or os.environ.get("EULERPOISSON_OUTDIR") or "."
-    path = Path(out)
+    path = Path(args.outdir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -74,7 +75,8 @@ def _integrator_config(args, base: IntegratorConfig) -> IntegratorConfig:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # one spelling per flag: a prefix such as --sam is an unknown flag, not --samples
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # a value such as -1e300 or -.5e3 is a negative number, not an option
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -113,8 +115,7 @@ def step_list(text: str) -> list[float]:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key=value file; flags override file values")
-    sp.add_argument("--outdir", help="output directory (default: . or $EULERPOISSON_OUTDIR)")
+    sp.add_argument("--outdir", default=".", help="output directory (default: .)")
 
 
 def _add_orbit(sp: argparse.ArgumentParser) -> None:
@@ -131,9 +132,8 @@ def _add_integrator(sp: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    """The parser and argparse's own map of subcommand parsers by name, built on
-    first use and never modified."""
+def build_parser() -> _Parser:
+    """The parser, built on first use and never modified."""
     parser = _Parser(prog="eulerpoisson", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,42 +196,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     _add_common(p)
 
-    return parser, sub.choices
-
-
-def _load_config_file(path: str, sp: argparse.ArgumentParser) -> dict:
-    """Parse KEY=VALUE lines, validating keys against the subcommand's options."""
-    actions = {
-        a.dest: a
-        for a in sp._actions
-        if a.dest not in ("help", "config") and a.option_strings
-    }
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in actions:
-                raise _ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            action = actions[key]
-            try:  # read through the flag's own type, as from the command line
-                values[key] = (action.type or str)(val)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise _ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
-            if action.choices is not None and values[key] not in action.choices:
-                raise _ConfigError(f"{path}:{lineno}: bad value for {key}: expected one of "
-                                   f"{', '.join(action.choices)}, got {val!r}")
-    return values
-
-
-class _ConfigError(Exception):
-    pass
+    return parser
 
 
 # ----------------------------------------------------------------------
@@ -455,28 +420,11 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 3
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Arguments of one run.  With --config, the file's values pre-fill a
-    namespace that the subcommand parser then fills from its part of the
-    command line, so an explicit flag wins over the file."""
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    sub = subparsers[args.command]
-    prefilled = argparse.Namespace(command=args.command, **_load_config_file(args.config, sub))
-    return sub.parse_args(argv[argv.index(args.command) + 1:], prefilled)
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (_ConfigError, OSError) as exc:
-        print(f"eulerpoisson: config error: {exc}", file=sys.stderr)
-        return 1
 
     t0 = time.perf_counter()
     try:
@@ -485,6 +433,9 @@ def main(argv=None) -> int:
     except EulerPoissonError as exc:
         print(f"eulerpoisson {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the output directory cannot be made or written to
+        print(f"eulerpoisson {args.command}: error: unusable --outdir: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.command}: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return code
 

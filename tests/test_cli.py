@@ -1,4 +1,4 @@
-"""CLI contract: artifact schemas, determinism, exit codes, config handling."""
+"""CLI contract: artifact schemas, determinism, exit codes, flag handling."""
 
 import argparse
 import dataclasses
@@ -24,6 +24,13 @@ from eulerpoisson.ode import IntegratorConfig
 
 def run(tmp_path, *argv):
     return main([*argv, "--outdir", str(tmp_path)])
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers by name, from the parser's own subparsers action."""
+    action, = (a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def test_importing_the_cli_loads_no_test_dependency():
@@ -185,10 +192,8 @@ class TestFieldsCommand:
         assert len(text.splitlines()) == 1 + 3 * 49  # the 3 default times on the 9x9 disk
         assert run(tmp_path / "alpha-1", "fields", "--family", "gw", "--alpha", "1") == 0
         assert (tmp_path / "alpha-1" / "fields.csv").read_text() == text
-        # a config file's alpha still applies over the family's default
-        (tmp_path / "alpha.cfg").write_text("alpha=0\n")
-        assert run(tmp_path / "file", "fields", "--family", "gw",
-                   "--config", str(tmp_path / "alpha.cfg")) == 2
+        # an explicit alpha still applies over the family's default
+        assert run(tmp_path / "alpha-0", "fields", "--family", "gw", "--alpha", "0") == 2
 
     @pytest.mark.parametrize("argv,module,name,n_calls,rows", [
         # the 3 default times, each on the 49 points of the 9x9 grid in the disk
@@ -433,21 +438,29 @@ class TestVerifyCommand:
         assert json.loads((tmp_path / "verify.json").read_text())["inject_corruption"] is True
 
 
-class TestUsageAndConfig:
+class TestUsage:
     @pytest.mark.parametrize("value", ["-1e300", "-1e-300", "-1.5E+10", "-.5e3", "-3", "-0.25"])
     @pytest.mark.parametrize("argv,dest", [(("emden", "--a1"), "a1"), (("period", "--lam"), "lam"),
                                            (("fields", "--t0"), "t0"),
                                            (("verify", "--inject-corruption"), "inject_corruption")])
     def test_a_negative_number_is_a_value(self, argv, dest, value):
         # exponent forms were read as options: "expected one argument", exit 1
-        parser, _ = cli.build_parser()
-        assert getattr(parser.parse_args([*argv, value]), dest) == float(value)
+        assert getattr(cli.build_parser().parse_args([*argv, value]), dest) == float(value)
 
     def test_unknown_flag_exits_1(self, tmp_path):
         assert main(["emden", "--nonsense"]) == 1
 
     def test_missing_command_exits_1(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", ["emden", "liouville", "fields", "period", "verify"])
+    def test_config_is_an_unknown_flag(self, tmp_path, capsys, monkeypatch, command):
+        # a key=value file once pre-filled every command's flags
+        monkeypatch.setattr(cli, f"cmd_{command}", TestRobustness.must_not_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("outdir=.\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "unrecognized arguments: --config" in TestRobustness.one_line_error(capsys)
 
     def test_the_module_runs_as_main(self, monkeypatch, capsys):
         # runpy warns that the module it runs is already imported
@@ -456,42 +469,8 @@ class TestUsageAndConfig:
             runpy.run_module("eulerpoisson.cli", run_name="__main__")
         assert e.value.code == 0 and capsys.readouterr().out.strip() == cli.__version__
 
-    def test_config_file_applies_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        # a blank or comment-only line is skipped
-        cfg.write_text("# collapse\n\nxi=0\na1=0   # collapse configuration\n")
-        out = tmp_path / "out"
-        assert main(["emden", "--config", str(cfg), "--outdir", str(out)]) == 0
-        report = json.loads((out / "emden_report.json").read_text())
-        assert report["classification"] == "finite_time_blowup"
-        # explicit flag wins over the file value
-        out2 = tmp_path / "out2"
-        assert main(["emden", "--config", str(cfg), "--xi", "1",
-                     "--outdir", str(out2)]) == 0
-        report2 = json.loads((out2 / "emden_report.json").read_text())
-        assert report2["classification"] == "steady"
-
-    def test_unknown_config_key_exits_1(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus=1\n")
-        assert main(["emden", "--config", str(cfg)]) == 1
-
-    def test_a_line_without_equals_exits_1(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("xi 0\n")
-        assert main(["emden", "--config", str(cfg)]) == 1
-        assert "expected KEY=VALUE" in capsys.readouterr().err
-
-    def test_the_subcommand_map_is_argparses_own(self):
-        parser, subparsers = cli.build_parser()
-        action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert subparsers is action.choices
-        assert list(subparsers) == ["emden", "liouville", "fields", "period", "verify"]
-
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EULERPOISSON_OUTDIR", str(tmp_path / "envout"))
-        assert main(["liouville", "--s-max", "2"]) == 0
-        assert (tmp_path / "envout" / "liouville.csv").exists()
+    def test_the_five_subcommands_in_order(self):
+        assert list(subparsers()) == ["emden", "liouville", "fields", "period", "verify"]
 
     def test_csv_uses_17_significant_digits(self, tmp_path):
         assert run(tmp_path, "liouville", "--s-max", "2") == 0
@@ -502,12 +481,6 @@ class TestUsageAndConfig:
         digits = [len(cell.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
                   for cell in cells]
         assert max(digits) == 17
-
-    def test_bad_config_value_exits_1(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("points=abc\n")
-        assert main(["verify", "--config", str(cfg)]) == 1
-        assert "bad value for points" in capsys.readouterr().err
 
 
 class TestRobustness:
@@ -603,21 +576,44 @@ class TestRobustness:
             (("liouville", "--s-max", "inf"), "--s-max"),
             (("period", "--lam", "-inf"), "--lam"),
             (("verify", "--inject-corruption", "nan"), "--inject-corruption"),
+            # not a family, and not a number
+            (("fields", "--family", "bogus"), "--family"),
+            (("verify", "--inject-corruption", "yes"), "--inject-corruption"),
+            # a prefix of --samples is no flag
+            (("emden", "--sam", "5"), "--sam"),
         ],
     )
-    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+    def test_a_bad_flag_or_value_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
         # rejected while parsing: the command itself must never start
         monkeypatch.setattr(cli, f"cmd_{argv[0]}", self.must_not_run)
         assert run(tmp_path, *argv) == 1
         assert flag in self.one_line_error(capsys)
         assert not any(tmp_path.iterdir())
 
-    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_liouville", self.must_not_run)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("s_max=inf\n")
-        assert main(["liouville", "--config", str(cfg)]) == 1
-        assert "bad value for s_max" in self.one_line_error(capsys)
+    @pytest.mark.parametrize("argv", [
+        ("emden", "--samples", "2"), ("liouville", "--s-max", "2"),
+        ("fields", "--family", "zz-inner"), ("period",), ("verify", "--points", "2"),
+    ])
+    @pytest.mark.parametrize("below", [False, True], ids=["at-a-file", "below-a-file"])
+    def test_an_unusable_outdir_is_usage_error(self, tmp_path, capsys, argv, below):
+        # each was a FileExistsError or NotADirectoryError traceback, exit 1
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        outdir = blocker / "sub" if below else blocker
+        assert run(outdir, *argv) == 1
+        line = self.one_line_error(capsys)
+        assert line.startswith(f"eulerpoisson {argv[0]}: error: unusable --outdir: ")
+        assert str(outdir) in line
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+    def test_peak_memory_leaves_its_cwd_untouched(self, tmp_path):
+        # the tool once set EULERPOISSON_OUTDIR, which no command reads now
+        tool = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
+        out = subprocess.run([sys.executable, str(tool), "--", "liouville", "--s-max", "2"],
+                             cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "exit 0" in out.stdout.splitlines()
+        assert not any(tmp_path.iterdir())
 
     def test_zero_points_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "--points", "0") == 1
@@ -712,35 +708,6 @@ class TestRobustness:
                 rows = csv.read_text().splitlines()[1:]
                 cells = [float(c) for row in rows for c in row.split(",") if c]
                 assert rows and np.isfinite(cells).all(), value
-
-    @pytest.mark.parametrize("value", ["ture", "yes", "", "nan"])
-    def test_config_inject_corruption_must_be_a_number(self, tmp_path, capsys, monkeypatch,
-                                                        value):
-        # 'ture' ran without the negative control and exited 0; the control's
-        # value is its density offset, so a boolean word is no longer one
-        monkeypatch.setattr(cli, "cmd_verify", self.must_not_run)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"inject_corruption={value}\n")
-        assert main(["verify", "--config", str(cfg)]) == 1
-        assert "bad value for inject_corruption" in self.one_line_error(capsys)
-
-    def test_config_inject_corruption_is_the_flag(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("inject_corruption=0.02\n")
-        argvs = [("--config", str(cfg)), ("--inject-corruption", "0.02")]
-        for name, argv in zip("ab", argvs):
-            assert cli._parse(["verify", *argv]).inject_corruption == 0.02
-            assert run(tmp_path / name, "verify", "--points", "2", *argv) == 0
-        assert (tmp_path / "a" / "verify.json").read_bytes() == (
-            tmp_path / "b" / "verify.json").read_bytes()
-
-    def test_fields_config_rejects_an_unknown_family(self, tmp_path, capsys):
-        # 'family=rotatonal' once wrote the gw family's fields.csv and exited 0
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha=1\nfamily=bogus\n")
-        assert main(["fields", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
-        assert f"{cfg}:2: bad value for family" in self.one_line_error(capsys)
-        assert not (tmp_path / "fields.csv").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # was a numpy ValueError traceback, exit 1
@@ -910,7 +877,7 @@ class TestIntegratorFlags:
     def test_flags_are_the_config_fields(self):
         names = {f.name for f in dataclasses.fields(IntegratorConfig)}
         assert names == {"rtol", "atol", "max_steps"}
-        for command, sp in cli.build_parser()[1].items():
+        for command, sp in subparsers().items():
             group = {a.dest for g in sp._action_groups if g.title == "integrator"
                      for a in g._group_actions}
             if command in ("emden", "liouville", "period"):
@@ -919,31 +886,23 @@ class TestIntegratorFlags:
                 assert not group and names.isdisjoint(a.dest for a in sp._actions)
 
     def test_settable_value_count(self):
-        # every option of every subcommand, --config and --outdir included
-        settable = [a for sp in cli.build_parser()[1].values() for a in sp._actions
+        # every option of every subcommand, --outdir included
+        settable = [a for sp in subparsers().values() for a in sp._actions
                     if a.option_strings and not isinstance(a, argparse._HelpAction)]
-        assert len(settable) == 52
+        assert len(settable) == 47
 
-    @pytest.mark.parametrize("flag,key", [("--h-max", "h_max"), ("--h-init", "h_init")])
+    @pytest.mark.parametrize("flag", ["--h-max", "--h-init"])
     @pytest.mark.parametrize("command", ["emden", "liouville", "period"])
-    def test_h_max_is_gone(self, tmp_path, capsys, monkeypatch, command, flag, key):
+    def test_h_max_is_gone(self, tmp_path, capsys, monkeypatch, command, flag):
         monkeypatch.setattr(cli, f"cmd_{command}", TestRobustness.must_not_run)
         assert run(tmp_path, command, flag, "0.01") == 1
         assert flag in TestRobustness.one_line_error(capsys)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}=0.01\n")
-        assert main([command, "--config", str(cfg)]) == 1
-        assert f"unknown key '{key}'" in TestRobustness.one_line_error(capsys)
 
     def test_corruption_delta_is_gone(self, tmp_path, capsys, monkeypatch):
         # it set the control's offset, and alone it ran no control and exited 0
         monkeypatch.setattr(cli, "cmd_verify", TestRobustness.must_not_run)
         assert run(tmp_path, "verify", "--corruption-delta", "5") == 1
         assert "--corruption-delta" in TestRobustness.one_line_error(capsys)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("corruption_delta=5\n")
-        assert main(["verify", "--config", str(cfg)]) == 1
-        assert "unknown key 'corruption_delta'" in TestRobustness.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv", [("fields", "--rtol", "1e-6"), ("verify", "--max-steps", "1")]
@@ -954,13 +913,6 @@ class TestIntegratorFlags:
         monkeypatch.setattr(cli, f"cmd_{argv[0]}", TestRobustness.must_not_run)
         assert run(tmp_path, *argv) == 1
         assert argv[1] in TestRobustness.one_line_error(capsys)
-
-    def test_fields_config_rejects_rtol(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_fields", TestRobustness.must_not_run)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rtol=1e-6\n")
-        assert main(["fields", "--config", str(cfg)]) == 1
-        assert "unknown key 'rtol'" in TestRobustness.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv,flags,names",
@@ -976,14 +928,6 @@ class TestIntegratorFlags:
         for name in names:
             plain = (tmp_path / "plain" / name).read_bytes()
             assert (tmp_path / "flagged" / name).read_bytes() == plain
-
-    def test_config_values_do_not_outlive_their_run(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("xi=0\n")
-        assert main(["emden", "--config", str(cfg), "--outdir", str(tmp_path / "a")]) == 0
-        assert main(["emden", "--outdir", str(tmp_path / "b")]) == 0
-        report = json.loads((tmp_path / "b" / "emden_report.json").read_text())
-        assert report["classification"] == "periodic"
 
 
 class TestNodeMass:

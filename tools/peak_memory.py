@@ -16,9 +16,10 @@ all, while a forked child's peak starts at its own size.
     python tools/peak_memory.py --t-end 4600         # the same orbit, about 30,000 nodes
     python tools/peak_memory.py -- fields --family rotational --t1 1e10
 
-A CLI command writes its files into a temporary directory unless its argv
-names `--outdir` or `EULERPOISSON_OUTDIR` is set.  The output is one `name value` pair per line, sizes in
-MiB: `peak_rss_rise_mb`, `kept_arrays_mb`, `nodes` (of the largest
+A CLI command writes its files into a temporary directory: `--outdir` and
+that directory go right after the command's name, so an `--outdir` of its
+own, which comes later, wins.  The output is one `name value` pair per line,
+sizes in MiB: `peak_rss_rise_mb`, `kept_arrays_mb`, `nodes` (of the largest
 trajectory), `trajectories` and `exit` (the command's exit code, 0 for the
 reference run).  Linux only: `ru_maxrss` is read in KiB.
 """
@@ -60,13 +61,12 @@ def measure(argv: list[str] | None, t_end: float = 20000.0) -> dict[str, float]:
     ode.Trajectory._unchecked = classmethod(spy)
     try:
         with tempfile.TemporaryDirectory() as out:
-            os.environ.setdefault("EULERPOISSON_OUTDIR", out)
             before = _peak_rss()
             code = 0
             if argv is None:
                 integrate_scale(EmdenParams(1.0, 1.0, 1.0, 1.0), t_end)
             else:
-                code = cli.main(argv)
+                code = cli.main([argv[0], "--outdir", out, *argv[1:]])
             rise = _peak_rss() - before
     finally:
         ode.Trajectory._unchecked = classmethod(unchecked)

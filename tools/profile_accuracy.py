@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30.0,
                     help="pool size as the benchmark's --seconds sets it")
     args = ap.parse_args(argv)
-    parser, _ = cli.build_parser()
+    parser = cli.build_parser()
     pool = workloads.make_pool("profiles", args.seed,
                                workloads.pool_size("profiles", args.seconds))
     rows = {"liouville": [], "gw": []}
