@@ -25,13 +25,11 @@ from .emden import (
 from .fields import (
     FieldSample,
     RotSolution2D,
-    SwirlAnsatz,
     ZZSolution,
     build_rotational,
     eval_gravity_radial,
     eval_gw,
     eval_rotational,
-    eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
     zz_interface_radius,

@@ -13,17 +13,19 @@ into an output file.  Wall time is logged to stderr.
 Each value comes from its flag alone; `--outdir` defaults to the current
 directory.  Exit codes: 0 success, 1 usage error, 2 package error (any
 `errors.EulerPoissonError`), 3 verification failure.  A usage error is an
-unknown or abbreviated flag, a missing or invalid value, or an `--outdir`
-that cannot be made or written to.  The integrator flags exist only on
-emden, liouville and period and replace only the named fields of the base
-config, `ode.TIGHT_CONFIG` for liouville and the `IntegratorConfig` defaults
-otherwise; emden's flags govern both its CSV and its simulated period.
+unknown or abbreviated flag, a missing or invalid value, a `fields` flag its
+family does not read, or an `--outdir` that cannot be made or written to.  The
+integrator flags exist only on emden, liouville and period and replace only the
+named fields of the base config, `ode.TIGHT_CONFIG` for liouville and the
+`IntegratorConfig` defaults otherwise; emden's flags govern both its CSV and
+its simulated period.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -156,11 +158,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fields", help="sample spacetime fields of a family")
     p.add_argument("--family", choices=list(_FIELD_FAMILIES), default="rotational")
-    _add_orbit(p)
+    for name, defaults in _FIELDS_ONLY.items():  # None until `_family_flags` sets it
+        p.add_argument(f"--{name}", type=int if name == "N" else finite_float,
+                       help="default " + ", ".join(f"{v} for {k}" for k, v in defaults.items()))
     p.add_argument("--K", type=finite_float, default=1.0)
-    p.add_argument("--alpha", type=finite_float, help="default 1.0 for gw, else 0.0")
-    p.add_argument("--rho0", type=finite_float, default=0.5, help="outer density (zz families)")
-    p.add_argument("--N", type=int, default=3, help="dimension (gw family)")
     p.add_argument("--t0", type=finite_float, default=0.5)
     p.add_argument("--t1", type=finite_float, default=2.0)
     p.add_argument("--nt", type=positive_int, default=3)
@@ -345,24 +346,38 @@ def _fields_gw(args):
     return _times(args, scale), functools.partial(fields.eval_gw, prof, scale)
 
 
-# each family's sample times (`_times`) and evaluator by name; these names are the
-# --family choices
+# each family by name (the --family choices): the fields-only flags it reads, with their
+# defaults, and its sample times (`_times`) and evaluator
 _FIELD_FAMILIES = {
-    "rotational": lambda args: _fields_rotational(args, xi=args.xi),
-    "yuen": lambda args: _fields_rotational(args, xi=0.0),
-    "zz-inner": lambda args: (_times(args, None), functools.partial(
-        fields.eval_zz_inner, fields.ZZSolution(K=args.K, rho0=args.rho0))),
-    "zz-outer": lambda args: (_times(args, None), functools.partial(
-        fields.eval_zz_outer, fields.ZZSolution(K=args.K, rho0=args.rho0))),
-    "gw": _fields_gw,
+    "rotational": ({"lam": 1.0, "xi": 1.0, "a0": 1.0, "a1": 1.0, "alpha": 0.0},
+                   lambda args: _fields_rotational(args, xi=args.xi)),
+    "yuen": ({"lam": 1.0, "a0": 1.0, "a1": 1.0, "alpha": 0.0},
+             lambda args: _fields_rotational(args, xi=0.0)),
+    "zz-inner": ({"rho0": 0.5}, lambda args: (_times(args, None), functools.partial(
+        fields.eval_zz_inner, fields.ZZSolution(K=args.K, rho0=args.rho0)))),
+    "zz-outer": ({"rho0": 0.5}, lambda args: (_times(args, None), functools.partial(
+        fields.eval_zz_outer, fields.ZZSolution(K=args.K, rho0=args.rho0)))),
+    "gw": ({"lam": 1.0, "a0": 1.0, "a1": 1.0, "alpha": 1.0, "N": 3}, _fields_gw),
 }
+# each fields-only flag by name, with its default in each family that reads it
+_FIELDS_ONLY = {name: {family: flags[name] for family, (flags, _) in _FIELD_FAMILIES.items()
+                       if name in flags} for name in ("lam", "xi", "a0", "a1", "alpha", "rho0", "N")}
+
+
+def _family_flags(args) -> None:
+    """Set each fields-only flag left unset to its family's default; one given that the
+    family does not read exits 1 through the fields parser's `error`, naming both."""
+    own = _FIELD_FAMILIES[args.family][0]
+    unread = [f"--{k}" for k in _FIELDS_ONLY if k not in own and getattr(args, k) is not None]
+    if unread:
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices["fields"].error(f"the {args.family} family does not read {', '.join(unread)}")
+    vars(args).update({k: v for k, v in own.items() if getattr(args, k) is None})
 
 
 def cmd_fields(args) -> int:
     """The family's times (`_times`) and evaluator, sampled by `_sample_columns`."""
-    if args.alpha is None:  # the family's own central value: gw's must be > 0
-        args.alpha = 1.0 if args.family == "gw" else 0.0
-    times, ev = _FIELD_FAMILIES[args.family](args)
+    times, ev = _FIELD_FAMILIES[args.family][1](args)
     columns = _sample_columns(args, times, ev)
     _write_csv(_outdir(args) / "fields.csv", ["t", "x", "y", "rho", "u1", "u2", "phi_r"], columns)
     return 0
@@ -423,11 +438,18 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "fields":
+            _family_flags(args)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     t0 = time.perf_counter()
     try:
+        # an --outdir at or below a file fails before the command computes; the first
+        # write makes the directory
+        path = Path(args.outdir).absolute()
+        if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", args.outdir)
         # looked up per call, so the cached parser holds no command functions
         code = globals()[f"cmd_{args.command}"](args)
     except EulerPoissonError as exc:

@@ -1,14 +1,12 @@
 """Closed-form spacetime fields (rho, u, Phi_r) for the exact families.
 
-Five families are assembled here:
+Four families are assembled here:
 
 * the rotating isothermal family: rho = e^f(r/a)/a^2 with uniform swirl
   xi/a^2 on top of the radial stretch a'/a;
 * its xi = 0 limit (purely radial velocity, collapsing scale factor);
 * the N-dimensional Goldreich-Weber family at z = 0 (`eval_gw`): the compact
   support density of `gw_density` with the radial stretch a'/a alone, no Phi_r;
-* the general mass-equation ansatz with an arbitrary swirl profile G(t, r),
-  which satisfies continuity for any choice of G, a, f;
 * the two-region Zhang-Zheng spiral of the gamma = 2 Euler equations
   (parabolic density inside an expanding circle, constant density outside).
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -68,22 +65,21 @@ class RotSolution2D:
 
 def build_rotational(
     lam: float, xi: float, K: float, alpha: float, a0: float, a1: float, t_max: float,
-    samples: tuple[np.ndarray, np.ndarray | float] | None = None,
+    samples: tuple[np.ndarray, np.ndarray | float],
 ) -> RotSolution2D:
     """Solve the scale factor and the profile, both at TIGHT_CONFIG, and bundle
     them for evaluation.
 
-    Given `samples`, the t and r to be evaluated, the profile is solved to their
+    `samples` are the t and r to be evaluated; the profile is solved to their
     `profile_reach`, however far that is: several profile steps, so the samples
     that a solve to 20 would reach fall in segments it shares bitwise.  A reach
     that the step budget cannot make raises its halt, naming the profile's
-    parameters.  Without samples the profile is solved to s = 20.  xi = 0 yields
-    the non-rotating family; with lam > 0 that trajectory ends at its finite
-    touchdown time instead of t_max.
+    parameters.  xi = 0 yields the non-rotating family; with lam > 0 that
+    trajectory ends at its finite touchdown time instead of t_max.
     """
     emden_p = EmdenParams(lam=lam, xi=xi, a0=a0, a1=a1)
     scale = integrate_scale(emden_p, t_max, TIGHT_CONFIG)
-    s_max = 20.0 if samples is None else profile_reach(scale, t_max, *samples)
+    s_max = profile_reach(scale, t_max, *samples)
     profile = solve_profile(LiouvilleParams(K=K, lam=lam, alpha=alpha), s_max)
     return RotSolution2D(emden_p, profile, scale)
 
@@ -139,39 +135,6 @@ def eval_gravity_radial(sol: RotSolution2D, t, r):
     benchmark's tracer (`perfbench/tracing.py`) patches it by name."""
     raise_where(np.logical_not(r > 0), DomainError, "gravity evaluation requires r > 0", t=t, r=r)
     return eval_rotational(sol, t, r, 0.0).phi_r
-
-
-# ----------------------------------------------------------------------
-# General continuity ansatz with arbitrary swirl
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SwirlAnsatz:
-    """rho = f(r/a)/a^2 with u = (a'/a) x_vec + (G(t,r)/r) x_vec_perp.
-
-    Satisfies the continuity equation for any C^1 choices of f >= 0,
-    a > 0 and swirl G; exists to property-test exactly that.
-    """
-
-    f_profile: Callable[[float], float]
-    a_fn: Callable[[float], float]
-    adot_fn: Callable[[float], float]
-    G_fn: Callable[[float, float], float]
-
-
-def eval_swirl_ansatz(ansatz: SwirlAnsatz, t, x, y) -> FieldSample:
-    """Fields of the ansatz, its scalar callables applied elementwise; the
-    swirl term is defined as 0 at r = 0 (G is called there too, unused)."""
-    a_fn, adot_fn, f_fn, g_fn = (np.vectorize(fn, otypes=[float]) for fn in (
-        ansatz.a_fn, ansatz.adot_fn, ansatz.f_profile, ansatz.G_fn))
-    a = a_fn(t)
-    raise_where(np.logical_not(a > 0), DomainError, "a(t) must stay positive", t=t, x=x, y=y)
-    r = np.hypot(x, y)
-    rho = f_fn(r / a) / (a * a)
-    stretch = adot_fn(t) / a
-    swirl = np.where(r > 0, g_fn(t, r) / np.where(r > 0, r, 1.0), 0.0)[()]
-    return FieldSample(rho=rho, u1=stretch * x - swirl * y, u2=swirl * x + stretch * y)
 
 
 # ----------------------------------------------------------------------

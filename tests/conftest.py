@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from eulerpoisson.emden import EmdenParams, energy_level, equilibrium_radius, potential
-from eulerpoisson.fields import ZZSolution, build_rotational, eval_gravity_radial
+from eulerpoisson.errors import DomainError, raise_where
+from eulerpoisson.fields import FieldSample, ZZSolution, build_rotational, eval_gravity_radial
 from eulerpoisson.liouville import enclosed_mass
 from eulerpoisson.ode import IntegratorConfig
 
@@ -31,7 +33,7 @@ def unit_orbit():
 def rot_solution():
     """Rotating isothermal solution bundle used by field and residual tests."""
     return build_rotational(
-        lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5
+        lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5, samples=(0.0, 19.0)
     )
 
 
@@ -54,6 +56,36 @@ def disk_points(rng, n, t_range, r_range):
         ang = rng.uniform(0.0, 2 * math.pi)
         pts.append((float(t), float(r * math.cos(ang)), float(r * math.sin(ang))))
     return pts
+
+
+@dataclasses.dataclass(frozen=True)
+class SwirlAnsatz:
+    """rho = f(r/a)/a^2 with u = (a'/a) x_vec + (G(t,r)/r) x_vec_perp: the general
+    mass-equation ansatz with an arbitrary swirl profile G(t, r).
+
+    Satisfies the continuity equation for any C^1 choices of f >= 0, a > 0 and
+    swirl G: an oracle for the residual study's mass equation (acceptance 8) and
+    an independent reference for `eval_rotational`'s velocity.
+    """
+
+    f_profile: Callable[[float], float]
+    a_fn: Callable[[float], float]
+    adot_fn: Callable[[float], float]
+    G_fn: Callable[[float, float], float]
+
+
+def eval_swirl_ansatz(ansatz: SwirlAnsatz, t, x, y) -> FieldSample:
+    """Fields of the ansatz, its scalar callables applied elementwise; the
+    swirl term is defined as 0 at r = 0 (G is called there too, unused)."""
+    a_fn, adot_fn, f_fn, g_fn = (np.vectorize(fn, otypes=[float]) for fn in (
+        ansatz.a_fn, ansatz.adot_fn, ansatz.f_profile, ansatz.G_fn))
+    a = a_fn(t)
+    raise_where(np.logical_not(a > 0), DomainError, "a(t) must stay positive", t=t, x=x, y=y)
+    r = np.hypot(x, y)
+    rho = f_fn(r / a) / (a * a)
+    stretch = adot_fn(t) / a
+    swirl = np.where(r > 0, g_fn(t, r) / np.where(r > 0, r, 1.0), 0.0)[()]
+    return FieldSample(rho=rho, u1=stretch * x - swirl * y, u2=swirl * x + stretch * y)
 
 
 def linearized_period(p):

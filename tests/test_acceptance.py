@@ -22,10 +22,8 @@ from eulerpoisson.emden import (
     period_by_simulation,
 )
 from eulerpoisson.fields import (
-    SwirlAnsatz,
     build_rotational,
     eval_rotational,
-    eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
     zz_interface_radius,
@@ -47,7 +45,7 @@ from eulerpoisson.residuals import (
     study_passes,
 )
 
-from conftest import disk_points
+from conftest import SwirlAnsatz, disk_points, eval_swirl_ansatz
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
 
@@ -157,7 +155,7 @@ def test_07_full_pde_verification():
     with _Criterion(7, "all four residuals converge at order 2.0 +/- 0.2; "
                        "corrupted field does not", 30.0):
         sol = build_rotational(
-            lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5
+            lam=1.0, xi=1.0, K=1.0, alpha=0.0, a0=1.0, a1=1.0, t_max=2.5, samples=(0.0, 19.0)
         )
         field = lambda t, x, y: eval_rotational(sol, t, x, y)
         pts = disk_points(np.random.default_rng(7), 20, (0.1, 2.0), (0.2, 3.0))

@@ -18,16 +18,16 @@ from eulerpoisson.emden import integrate_scale
 from eulerpoisson.errors import EulerPoissonError
 from eulerpoisson.fields import (
     FieldSample,
-    SwirlAnsatz,
     eval_gravity_radial,
     eval_gw,
     eval_rotational,
-    eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
 )
 from eulerpoisson.goldreich_weber import GWParams, alpha_const, gw_density, solve_gw_profile
 from eulerpoisson.liouville import enclosed_mass
+
+from conftest import SwirlAnsatz, eval_swirl_ansatz
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 

@@ -182,6 +182,25 @@ class TestFieldsCommand:
         assert np.all(np.isfinite(cols[:, 1])) and np.all(cols[:, 1] >= 0)
         assert cols[-1, 0] <= touchdown
 
+    @pytest.mark.parametrize("family,argv", [
+        # each exited 0 and wrote the family's fields.csv at its defaults
+        ("gw", ("--xi", "2")),
+        ("gw", ("--rho0", "9")),
+        ("yuen", ("--xi", "3")),
+        ("zz-inner", ("--lam", "5")),
+        ("zz-outer", ("--alpha", "2")),
+        ("zz-inner", ("--N", "7")),
+        ("rotational", ("--N", "9")),
+        ("rotational", ("--rho0", "4")),
+    ])
+    def test_a_flag_the_family_does_not_read_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                            family, argv):
+        monkeypatch.setattr(cli, "cmd_fields", TestRobustness.must_not_run)
+        assert run(tmp_path, "fields", "--family", family, *argv) == 1
+        line = TestRobustness.one_line_error(capsys)
+        assert line == f"eulerpoisson fields: error: the {family} family does not read {argv[0]}"
+        assert not any(tmp_path.iterdir())
+
     def test_gw_rejects_bad_alpha(self, tmp_path):
         assert run(tmp_path, "fields", "--family", "gw", "--alpha", "0") == 2
 
@@ -223,7 +242,7 @@ class TestFieldsCommand:
         ("--family", "yuen", "--lam", "0.5", "--a1", "-0.5", "--t1", "1"),
         # a touchdown before t1 re-spaces the sampled times after the scale solve; the
         # touchdown's own time sets no reach, and its points off the center have no field
-        ("--family", "yuen", "--lam", "2", "--xi", "0.5", "--a1", "-0.5"),
+        ("--family", "yuen", "--lam", "2", "--a1", "-0.5"),
     ], ids=["defaults", "K-1e-3", "yuen", "yuen-touchdown"])
     def test_a_profile_solved_to_the_grid_writes_the_csv_of_a_solve_to_20(
             self, tmp_path, monkeypatch, argv):
@@ -595,8 +614,10 @@ class TestRobustness:
         ("fields", "--family", "zz-inner"), ("period",), ("verify", "--points", "2"),
     ])
     @pytest.mark.parametrize("below", [False, True], ids=["at-a-file", "below-a-file"])
-    def test_an_unusable_outdir_is_usage_error(self, tmp_path, capsys, argv, below):
-        # each was a FileExistsError or NotADirectoryError traceback, exit 1
+    def test_an_unusable_outdir_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, below):
+        # each was a FileExistsError or NotADirectoryError traceback, exit 1, and then
+        # an exit 1 only after the command had computed everything it writes
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", self.must_not_run)
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
         outdir = blocker / "sub" if below else blocker

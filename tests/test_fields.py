@@ -9,19 +9,17 @@ import pytest
 from eulerpoisson.emden import EmdenParams, integrate_scale
 from eulerpoisson.errors import DomainError, OutOfRange, OutsideRegion
 from eulerpoisson.fields import (
-    SwirlAnsatz,
     ZZSolution,
     build_rotational,
     eval_gravity_radial,
     eval_rotational,
-    eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
     zz_interface_radius,
 )
 from eulerpoisson.ode import TIGHT_CONFIG
 
-from conftest import gravity_radial_two_ways
+from conftest import SwirlAnsatz, eval_swirl_ansatz, gravity_radial_two_ways
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +27,7 @@ def rigid_rotation():
     """Constant-density steady state: abar = 1, f = 0, pure rigid rotation."""
     return build_rotational(
         lam=math.pi, xi=math.sqrt(math.pi), K=1.0, alpha=0.0,
-        a0=1.0, a1=0.0, t_max=3.0,
+        a0=1.0, a1=0.0, t_max=3.0, samples=(0.0, 19.0),
     )
 
 
@@ -85,7 +83,7 @@ class TestRotational:
 
     def test_xi_zero_reduction_is_radial(self):
         sol = build_rotational(
-            lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0, t_max=2.0
+            lam=1.0, xi=0.0, K=1.0, alpha=0.0, a0=1.0, a1=0.0, t_max=2.0, samples=(0.0, 19.0)
         )
         touchdown = _collapse_touchdown()
         assert touchdown is not None  # non-rotating collapse
@@ -237,6 +235,23 @@ class TestSwirlAnsatz:
             assert sa.u1 == pytest.approx(sr.u1, rel=1e-12)
             assert sa.u2 == pytest.approx(sr.u2, rel=1e-12)
             assert sa.rho == pytest.approx(sr.rho, rel=1e-12)
+
+    def test_continuity_holds_symbolically(self):
+        """rho_t + div(rho u) of the ansatz is 0 for undefined f, a and G, and the
+        mutant rho = f(r/a)/a leaves a nonzero residual."""
+        import sympy as sp  # a test dependency, never skipped
+
+        t, x, y = sp.symbols("t x y", real=True)
+        a, f, G = sp.Function("a")(t), sp.Function("f"), sp.Function("G")
+        r = sp.sqrt(x**2 + y**2)
+        u1 = a.diff(t) / a * x - G(t, r) / r * y
+        u2 = a.diff(t) / a * y + G(t, r) / r * x
+
+        def mass_residual(rho):
+            return sp.simplify(rho.diff(t) + (rho * u1).diff(x) + (rho * u2).diff(y))
+
+        assert mass_residual(f(r / a) / a**2) == 0
+        assert mass_residual(f(r / a) / a) != 0
 
 
 class TestZhangZheng:

@@ -12,10 +12,8 @@ from eulerpoisson.emden import integrate_scale
 from eulerpoisson.errors import DomainError, MissingGravity, NoCompactSupport, StencilOutOfDomain
 from eulerpoisson.fields import (
     FieldSample,
-    SwirlAnsatz,
     eval_gw,
     eval_rotational,
-    eval_swirl_ansatz,
     eval_zz_inner,
     eval_zz_outer,
 )
@@ -30,7 +28,7 @@ from eulerpoisson.residuals import (
     study_passes,
 )
 
-from conftest import disk_points, scaled_field
+from conftest import SwirlAnsatz, disk_points, eval_swirl_ansatz, scaled_field
 
 H_LIST = [1e-2, 5e-3, 2.5e-3]
 ISO = PressureLaw("isothermal", K=1.0)
@@ -126,7 +124,7 @@ def rigid_rotation_field():
 
     sol = build_rotational(
         lam=math.pi, xi=math.sqrt(math.pi), K=1.0, alpha=0.0, a0=1.0, a1=0.0,
-        t_max=2.2,
+        t_max=2.2, samples=(0.0, 19.0),
     )
     return lambda t, x, y: eval_rotational(sol, t, x, y)
 
