@@ -230,7 +230,7 @@ def cmd_emden(args) -> int:
         "touchdown_time": traj.t_end if traj.t_end < args.t_end else None,
         "integrator": traj.stats._asdict(),
     }
-    if p.lam > 0 and p.xi != 0:
+    if cls in (emden.OrbitClass.STEADY, emden.OrbitClass.PERIODIC):
         report["abar"] = emden.equilibrium_radius(p)
     if cls is emden.OrbitClass.PERIODIC:
         tp = emden.turning_points(p)

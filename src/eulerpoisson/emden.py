@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotPeriodic, StateBlowup, StepUnderflow, naming
+from .errors import DomainError, NotPeriodic, StateBlowup, StepUnderflow, naming, raise_where
 from .ode import (
     IntegratorConfig,
     IntegratorStats,
@@ -139,10 +139,10 @@ f_2 = math.exp(y_0)"""
 
 def potential(a, p: EmdenParams):
     """Effective potential lam*ln(a) + xi^2/(2 a^2), elementwise on an array a of
-    any shape; a float gives a float."""
+    any shape; a float gives a float.  An a that is not > 0 (NaN too) raises
+    DomainError naming p and the first such a."""
     x = np.asarray(a, dtype=float)
-    if not np.all(x > 0):
-        raise DomainError("potential requires a > 0")
+    raise_where(np.logical_not(x > 0), DomainError, f"the potential of {p} requires a > 0", a=x)
     with np.errstate(over="ignore"):  # an infinite a^2 leaves lam*ln(a)
         a2 = 2 * x * x
     if not np.all(a2):  # a nonzero subnormal xi^2 can put a_min where a^2 underflows

@@ -64,7 +64,8 @@ class NoCompactSupport(OutOfRange):
 
 
 class NonRealPower(EulerPoissonError, ValueError):
-    """A fractional power of a negative profile value was requested."""
+    """A profile goes negative inside its support; the density clamps f at 0,
+    so it never takes a fractional power of a negative value."""
 
 
 class StencilOutOfDomain(EulerPoissonError, ValueError):

@@ -36,7 +36,15 @@ from .liouville import (
     _radial_rhs,
     alpha_const,
 )
-from .ode import TIGHT_CONFIG, IntegratorConfig, IntegratorStats, OdeState, Rhs, integrate
+from .ode import (
+    TIGHT_CONFIG,
+    IntegratorConfig,
+    IntegratorStats,
+    OdeState,
+    Rhs,
+    Trajectory,
+    integrate,
+)
 
 S_CAP_DEFAULT = 100.0
 
@@ -99,8 +107,8 @@ def solve_gw_profile(
     from the run's w*f' (`RadialLaw.fp_scale`, 1 here), with ds/dx = -1/f' and
     df'/dx = -f''/f', from x = -f_k to 0, where f = 0 exactly: its s is s_mu.
     A closing run in s from that node to s_mu makes the profile end on the
-    node (s_mu, 0.0, f').  The trajectory is the prefix joined to the closing
-    run (`Trajectory._joined`), and its stats add up all three runs.  With no
+    node (s_mu, 0.0, f').  The trajectory is the run's first k nodes and
+    segments, then the closing run, and its stats add up all three runs.  With no
     zero before s_cap the full trajectory is kept and s_mu is None.  A halt and
     a run that cannot start name the parameters (`errors.naming`).
     """
@@ -114,10 +122,11 @@ def solve_gw_profile(
         swap = integrate(_henon_rhs(p), OdeState(-run.ys[k, 0], (run.ts[k], fp)), 0.0, cfg)
         s_mu = float(swap.y_end[0])
         tail = integrate(rhs, OdeState(run.ts[k], run.ys[k]), s_mu, cfg)
+    ts, ys, fs, cont = (np.concatenate([getattr(run, x)[:k], getattr(tail, x)])
+                        for x in ("ts", "ys", "fs", "cont"))
+    ys[-1, 0] = 0.0
     stats = IntegratorStats(*map(sum, zip(run.stats, swap.stats, tail.stats)))
-    traj = run._joined(k, tail, stats)
-    traj.ys[-1, 0] = 0.0
-    return RadialProfile(p, traj, s_mu)
+    return RadialProfile(p, Trajectory(ts, ys, fs, cont, stats), s_mu)
 
 
 def _henon_rhs(p: GWParams) -> Rhs:

@@ -264,10 +264,8 @@ class RadialProfile:
         s_core, which gives the run's first node at s_core bit for bit, the dense
         output from there on."""
         raise_where((s < 0) | (s > self.s_max), OutOfRange, f"s outside [0, {self.s_max}]", s=s)
-        core = s < self.s_core
-        if not np.any(core):
-            return self.traj.evaluate(s)[..., k][()]
         s = np.asarray(s, dtype=float)
+        core = s < self.s_core
         out = self.traj.evaluate(np.where(core, self.s_core, s))[..., k]
         a, b = self._series
         x = s[core] ** 2

@@ -48,10 +48,9 @@ and the chunk's continuation rows formed in one product, and clears them.
 So a run's memory is its arrays plus at most one chunk of lists, and a run
 of any length gives the nodes and rows of one packing at its end, bit for
 bit.  `integrate` packs what remains, concatenates the chunks only when the
-run packed one, and builds its trajectory unchecked
-(`Trajectory._unchecked`): the run makes strictly increasing node times,
-and the public constructor keeps every check.  Each trajectory carries the
-integrator's work counters in `Trajectory.stats`.
+run packed one, and builds its trajectory through the public constructor,
+whose checks every run passes, a halted one too.  Each trajectory carries
+the integrator's work counters in `Trajectory.stats`.
 """
 
 from __future__ import annotations
@@ -207,7 +206,9 @@ class IntegratorStats(NamedTuple):
 class Trajectory:
     """Accepted integration nodes plus the DOP853 dense output.
 
-    Nodes are strictly increasing in t.  Evaluation at a node time returns
+    Node times are finite and strictly increasing; the constructor checks
+    them and the shapes, and every trajectory passes its checks, the one a
+    halt of `integrate` carries too.  Evaluation at a node time returns
     the stored state bitwise.  Inside segment i, at the fraction s of its
     step h, with s' = 1 - s, D = y1 - y0 and the end derivatives f0, f1, it
     is y0 + s (D + s' (h f0 - D + s (2 D - h (f1 + f0) + s' (r0 + s (r1 +
@@ -228,31 +229,14 @@ class Trajectory:
         self.stats = stats
         if self.ts.ndim != 1 or len(self.ts) < 1:
             raise DomainError("trajectory needs at least one node")
-        if not np.all(np.isfinite(self.ts)):
+        if not np.isfinite(self.ts).all():
             raise DomainError("trajectory node times must be finite")
-        if np.any(np.diff(self.ts) <= 0):
+        if (self.ts[1:] <= self.ts[:-1]).any():
             raise DomainError("trajectory nodes must strictly increase")
         shape = (len(self.ts) - 1,) + self.ys.shape[1:] + (4,)
         self.cont = np.zeros(shape) if cont is None else np.asarray(cont, dtype=float)
         if self.cont.shape != shape:
             raise DomainError(f"cont has shape {self.cont.shape}, expected {shape}")
-
-    @classmethod
-    def _unchecked(cls, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, cont: np.ndarray,
-                   stats: IntegratorStats) -> Trajectory:
-        """A trajectory of arrays that pass the constructor's checks by the way
-        `integrate` and `_joined` build them: float64 of matching shapes, on
-        strictly increasing times (a step is never below 1e-14 * max(1, |t|),
-        so no node time repeats)."""
-        self = object.__new__(cls)
-        self.ts, self.ys, self.fs, self.cont, self.stats = ts, ys, fs, cont, stats
-        return self
-
-    def _joined(self, k: int, tail: Trajectory, stats: IntegratorStats) -> Trajectory:
-        """The first k nodes and segments of this trajectory, then `tail`, with `stats`,
-        unchecked: the caller's tail starts after node k - 1, so node times rise."""
-        return Trajectory._unchecked(*(np.concatenate([getattr(self, x)[:k], getattr(tail, x)])
-                                       for x in ("ts", "ys", "fs", "cont")), stats)
 
     @property
     def t_start(self) -> float:
@@ -394,11 +378,12 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | Non
     """Source of `run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps,
     falls_left, ts, ys, fs, hs, ks, chunks, pack)`, the whole DOP853 run of
     `integrate` on an n-state from (t0, y0) with derivative k1 and first step
-    h_try.  Each pass of its loop checks the step for underflow and the
-    budget, runs the attempt `step` (`_step_lines`) inside a handler that
-    rejects it on ArithmeticError, and on acceptance stores the node (t0 on
-    `ts`, the state and derivative flat on `ys` and `fs`, the step on `hs`,
-    the dense stage values flat on `ks`), after every 512th accepted step
+    h_try.  Each pass of its loop checks the step for underflow, the budget
+    and a node time past the floats (in a run to t_end = inf), runs the
+    attempt `step` (`_step_lines`) inside a handler that rejects it on
+    ArithmeticError, and on acceptance stores the node (t0 on `ts`, the
+    state and derivative flat on `ys` and `fs`, the step on `hs`, the
+    dense stage values flat on `ks`), after every 512th accepted step
     appends `pack(n, ts, ys, fs, hs, ks)` (`_pack`, which empties the lists)
     to `chunks`, checks the overflow guard and, for `fall` k, the fall of
     y[k], and sets the next step.  `consts` holds the values of the
@@ -418,15 +403,15 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | Non
         f"if h_try < {STEP_UNDERFLOW_REL!r} * (u if u > 1.0 else 1.0): "
         f"{halt.format('StepUnderflow')}",
         f"if accepted + rejected >= max_steps: {halt.format('StepBudgetExceeded')}",
-        "if h_try >= t_end - t0:",  # the last step, or with t_end inf a step past the floats
-        "    h = t_end - t0; hits_end = True",
-        f"    if h == inf: {halt.format('StateBlowup')}",
-        "else: h = h_try; hits_end = False",
+        "if h_try >= t_end - t0: h = t_end - t0; t1 = t_end",  # the last step
+        "else: h = h_try; t1 = t0 + h",
+        # with t_end inf, a step whose node time t1 is past the floats halts before it
+        f"if t1 == inf: {halt.format('StateBlowup')}",
         "try:", *("    " + line for line in step),
         "except ArithmeticError:", f"    {_REJECT.format('calls')}",
         "rhs_calls += 15", "accepted += 1", "hs.append(h)", f"ks += ({dense})",
         *([f"y_old = y0_{fall}"] if fall is not None else []),
-        "t0 = t_end if hits_end else t0 + h",
+        "t0 = t1",
         *(f"y0_{j} = yn_{j}" for j in js),
         *(f"k1_{j} = k13_{j}" for j in js),  # the end derivative is the next step's stage 1
         "ts.append(t0)", f"ys += {vec(lambda j: f'y0_{j}')}", f"fs += {vec(lambda j: f'k1_{j}')}",
@@ -447,8 +432,7 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | Non
         "    accepted = rejected = rhs_calls = 0",
         "    h_prev = err_prev = 0.0  # the last accepted step and its error, floored at 1e-2",
         "    while t0 < t_end:", *("        " + line for line in loop),
-        # with t_end inf the loop ends only when the time overflowed on a finite step
-        f"    {halt.format('None if t0 < inf else StateBlowup')}", ""])
+        f"    {halt.format(None)}", ""])
 
 
 def _component(k, n: int) -> int | None:
@@ -588,8 +572,9 @@ def integrate(
 
     Raises:
         StepBudgetExceeded: config.max_steps attempted steps reached.
-        StateBlowup: a component passed the 1e300 overflow guard, or the time
-            or the step of a run to t_end = math.inf passed the float range.
+        StateBlowup: a component passed the 1e300 overflow guard, or the next
+            step of a run to t_end = math.inf would carry its time past the
+            float range; the run then ends on its last node, whose time is finite.
         StepUnderflow: the step fell below 1e-14 * max(1, |t|).
     """
     t = float(y0.t)
@@ -624,7 +609,7 @@ def integrate(
     if ts:  # the steps since the last full chunk, or all of a run shorter than one
         chunks.append(_pack(n, ts, ys, fs, hs, ks))
     arrays = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
-    traj = Trajectory._unchecked(*arrays, IntegratorStats(accepted, rejected, 1 + calls))
+    traj = Trajectory(*arrays, IntegratorStats(accepted, rejected, 1 + calls))
     if halt is None:
         return traj
     what = {StepUnderflow: f"step size {h:.3e} underflowed",

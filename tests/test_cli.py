@@ -780,6 +780,14 @@ class TestRobustness:
         assert message in self.one_line_error(capsys)
         assert not any(tmp_path.iterdir())
 
+    def test_a_loose_run_through_zero_names_the_orbit_and_the_point(self, tmp_path, capsys):
+        # exited 2 with "potential requires a > 0" alone: the loose run stepped a through 0
+        assert run(tmp_path, "emden", "--rtol", "0.5") == 2
+        line = self.one_line_error(capsys)
+        assert "EmdenParams(lam=1.0, xi=1.0, a0=1.0, a1=1.0) requires a > 0" in line
+        assert re.search(r" at \(a=-?[0-9.e+-]+\)$", line), line
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         # each was a ZeroDivisionError traceback, exit 1, where a turning point's
         # cube underflowed to 0, then exited 2 when the simulated period's step

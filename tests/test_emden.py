@@ -89,6 +89,15 @@ class TestEnergyAndPotential:
         with pytest.raises(DomainError, match="a=1e-170 underflows a"):
             potential(np.array([1.0, 1e-170]), EmdenParams(1.0, 1e-160, 1.0, 0.0))
 
+    @pytest.mark.parametrize("a,first", [((1.0, 0.0, math.nan), "a=0.0"),
+                                         ((1.0, math.nan, 0.0), "a=nan")])
+    def test_a_bad_a_is_named_with_the_orbit(self, a, first):
+        p = EmdenParams(1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError) as exc:
+            potential(np.array(a), p)
+        assert str(exc.value) == f"the potential of {p} requires a > 0 at ({first})"
+        assert exc.value.where.tolist() == [False, True, True]
+
     @pytest.mark.parametrize(
         "lam,xi,expected", [(1.0, 1.0, 1.0), (4.0, 2.0, 1.0), (1.0, 3.0, 3.0)]
     )

@@ -268,6 +268,10 @@ class TestZhangZheng:
     def test_interface_grows_linearly(self, zz):
         assert zz_interface_radius(zz, 2.0) == 2 * zz_interface_radius(zz, 1.0)
 
+    def test_interface_radius_rejects_negative_t(self, zz):
+        with pytest.raises(DomainError, match=r"requires t >= 0 at \(t=-1\.0\)"):
+            zz_interface_radius(zz, -1.0)
+
     def test_density_continuity_at_interface(self, zz):
         for t in (0.25, 1.0, 4.0):
             ri = zz_interface_radius(zz, t)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from eulerpoisson import ode
 from eulerpoisson.emden import integrate_scale
-from eulerpoisson.errors import DomainError, NoCompactSupport, StepBudgetExceeded, StepUnderflow
+from eulerpoisson.errors import (
+    DomainError,
+    NoCompactSupport,
+    NonRealPower,
+    StepBudgetExceeded,
+    StepUnderflow,
+)
 from eulerpoisson.goldreich_weber import (
     S_CAP_DEFAULT,
     GWParams,
@@ -20,7 +26,7 @@ from eulerpoisson.goldreich_weber import (
     solve_gw_profile,
 )
 from eulerpoisson.liouville import RadialProfile, enclosed_mass, unit_ball_volume
-from eulerpoisson.ode import TIGHT_CONFIG
+from eulerpoisson.ode import TIGHT_CONFIG, Trajectory
 
 from conftest import radial_reference
 
@@ -359,6 +365,16 @@ class TestDensity:
         rho = np.array([gw_density(le3_profile, 1.0, smu - d) for d in deltas])
         slope = np.polyfit(np.log(deltas), np.log(rho), 1)[0]
         assert slope == pytest.approx(3.0, rel=0.05)
+
+    def test_a_profile_negative_inside_its_support_is_non_real_power(self):
+        # the density is clamped at f = 0, so only a profile that goes negative inside
+        # s_mu reaches the check: node 1 here, at s = 1 < s_mu = 2
+        ts, ys = [0.5, 1.0, 2.0], [[0.9, -0.4], [-0.5, -1.0], [0.0, -1.0]]
+        prof = RadialProfile(GWParams(N=3, K=1.0, lam=0.0, alpha_center=1.0),
+                             Trajectory(ts, ys, [[-0.4, 0.0], [-1.0, 0.0], [-1.0, 0.0]]), 2.0)
+        with pytest.raises(NonRealPower, match=r"f < 0 at \(a=1\.0, r=1\.0\)") as exc:
+            gw_density(prof, 1.0, np.array([0.0, 1.0, 3.0]))
+        assert exc.value.where.tolist() == [False, True, False]
 
     def test_no_support_error(self):
         alpha_c = 1.0

@@ -740,12 +740,17 @@ class TestEdgesEndAtOnce:
         assert exc.t == exc.trajectory.t_end and exc.trajectory.stats.rejected == 0
 
     def test_an_endless_run_whose_time_overflows_ends_there(self):
-        # here the last finite step carries t past the largest float
+        # here the next finite step would carry t past the largest float: the run halts
+        # before it, on its last finite node
         exc, dt = _timed(lambda: integrate(ode.Rhs("f_0 = c", c=5e-11), OdeState(0.0, [1.0]),
                                            math.inf, falls=(0, 1)))
         assert isinstance(exc, StateBlowup) and _within_10_ms(dt)
-        assert str(exc).endswith("overflowed at t=inf")
+        traj = exc.trajectory
+        assert str(exc).endswith(f"overflowed at t={traj.t_end!r}")
         assert exc.trajectory.stats.rejected == 0 and math.isfinite(exc.trajectory.ts[-2])
+        assert np.all(np.isfinite(traj.ts))
+        again = Trajectory(traj.ts, traj.ys, traj.fs, traj.cont, traj.stats)
+        assert again.t_end == traj.t_end and again.n_nodes == traj.n_nodes
 
 
 _ENTRY = st.sampled_from([0.0, 1e-3, 1.0, -1.0, 2.5, -2.5])

@@ -5,12 +5,12 @@ Runs either the reference run of a long scale factor,
 about 130,000 nodes), or one command of the `eulerpoisson` CLI, and prints
 how far the run raised the peak resident set (`resource.getrusage`'s
 `ru_maxrss`, read after the package is imported and before the run) beside
-the bytes of the arrays of the largest trajectory that `ode.integrate`
-built during the run (`ts`, `ys`, `fs` and `cont`).  The package is
-imported and the run made in a child forked before the import: Linux
-carries `ru_maxrss` across `exec`, so a process started by a larger one (a
-test suite, say) begins with that one's peak and would report no rise at
-all, while a forked child's peak starts at its own size.
+the bytes of the arrays of the largest trajectory built during the run
+(`ts`, `ys`, `fs` and `cont`).  The package is imported and the run made
+in a child forked before the import: Linux carries `ru_maxrss` across
+`exec`, so a process started by a larger one (a test suite, say) begins
+with that one's peak and would report no rise at all, while a forked
+child's peak starts at its own size.
 
     python tools/peak_memory.py                      # the reference run
     python tools/peak_memory.py --t-end 4600         # the same orbit, about 30,000 nodes
@@ -21,7 +21,10 @@ that directory go right after the command's name, so an `--outdir` of its
 own, which comes later, wins.  The output is one `name value` pair per line,
 sizes in MiB: `peak_rss_rise_mb`, `kept_arrays_mb`, `nodes` (of the largest
 trajectory), `trajectories` and `exit` (the command's exit code, 0 for the
-reference run).  Linux only: `ru_maxrss` is read in KiB.
+reference run).  The spy wraps `Trajectory.__init__`, so `trajectories`
+counts every trajectory constructed, those built outside `integrate` too,
+such as the lone start node of `period`.  Linux only: `ru_maxrss` is read in
+KiB.
 """
 
 from __future__ import annotations
@@ -51,14 +54,13 @@ def measure(argv: list[str] | None, t_end: float = 20000.0) -> dict[str, float]:
     from eulerpoisson.emden import EmdenParams, integrate_scale
 
     built = []
-    unchecked = ode.Trajectory._unchecked.__func__
+    init = ode.Trajectory.__init__
 
-    def spy(cls, *args):
-        traj = unchecked(cls, *args)
+    def spy(traj, *args, **kwargs):
+        init(traj, *args, **kwargs)
         built.append((sum(a.nbytes for a in (traj.ts, traj.ys, traj.fs, traj.cont)), traj.n_nodes))
-        return traj
 
-    ode.Trajectory._unchecked = classmethod(spy)
+    ode.Trajectory.__init__ = spy
     try:
         with tempfile.TemporaryDirectory() as out:
             before = _peak_rss()
@@ -69,7 +71,7 @@ def measure(argv: list[str] | None, t_end: float = 20000.0) -> dict[str, float]:
                 code = cli.main([argv[0], "--outdir", out, *argv[1:]])
             rise = _peak_rss() - before
     finally:
-        ode.Trajectory._unchecked = classmethod(unchecked)
+        ode.Trajectory.__init__ = init
     kept, nodes = max(built, default=(0, 0))
     return {"peak_rss_rise_mb": rise / MIB, "kept_arrays_mb": kept / MIB, "nodes": nodes,
             "trajectories": len(built), "exit": code}
