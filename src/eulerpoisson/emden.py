@@ -128,7 +128,8 @@ else:
 def sundman_rhs(p: EmdenParams) -> Rhs:
     """Right-hand side of (ln a, a', t) in Sundman time tau, dt = a dtau, in which
     the bounce near a_min takes as many steps as the swing out to a_max."""
-    return Rhs(_SUNDMAN_BODY, lam=p.lam, xi2=p.xi * p.xi)
+    _, lam, xi2, _, _ = p.scale_law
+    return Rhs(_SUNDMAN_BODY, lam=lam, xi2=xi2)
 
 
 _SUNDMAN_BODY = """\

@@ -124,6 +124,8 @@ def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
 def eval_gw(profile: RadialProfile, scale: Trajectory, t, x, y) -> FieldSample:
     """rho = gw_density(profile, a, r) and u = (a'/a) x_vec, with a and a' read
     from the scale-factor trajectory `scale`; no swirl, and phi_r is None."""
+    raise_where((t < scale.t_start) | (t > scale.t_end), OutOfRange,
+                f"t outside solved range [{scale.t_start}, {scale.t_end}]", t=t, x=x, y=y)
     a, adot = np.moveaxis(scale.evaluate(t), -1, 0)
     rho = gw_density(profile, a, np.hypot(x, y))
     return FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)

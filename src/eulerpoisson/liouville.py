@@ -160,10 +160,10 @@ def _series(law: RadialLaw) -> tuple[tuple[float, ...], tuple[float, ...]]:
     sum_j j*a_j*R_(k-j) for rho = e^f and, by J.C.P. Miller's recurrence for the
     powers of a series (Knuth, TAOCP vol. 2, 4.7), k*a_0*R_k = sum_j (p*j - (k-j))
     *a_j*R_(k-j) = (p+1) sum_j j*a_j*R_(k-j) - k sum_j a_j*R_(k-j) for rho = f^p,
-    j = 1..k.  A non-finite a_1, f''(0)/2, raises DomainError; a_1 = 0 is the
-    constant profile f = f0.  Otherwise the series stops before the first R_k or
-    a_(k+1) that is not finite or lies below _TINY, where a term of its sums may
-    have underflowed to 0: a series cut there would pass for exact."""
+    j = 1..k.  A non-finite a_1, f''(0)/2, raises DomainError.  The series stops
+    before the first R_k or a_(k+1) that is not finite or lies below _TINY, where a
+    term of its sums may have underflowed to 0: a series cut there would pass for
+    exact.  So a_1 = 0, a balanced law, gives R_1 = 0 and the constant profile f = f0."""
     f0, p, g, d = law.f0, law.power, law.g, law.d
     try:
         r0 = math.exp(f0) if p is None else f0 ** p
@@ -172,8 +172,6 @@ def _series(law: RadialLaw) -> tuple[tuple[float, ...], tuple[float, ...]]:
     a1 = (law.F - g * r0) / (2 * d)
     if not math.isfinite(a1):
         raise DomainError("f''(0) = (F - g*rho(f0))/d is not finite at the center")
-    if not a1:
-        return (f0, 0.0), (0.0,)
     # a_j and j*a_j from j = 1, and R_(k-1) .. R_0
     a, ja, back = [a1], [a1], [r0]
     for k in range(1, _CORE_TERMS - 1):
@@ -306,8 +304,7 @@ def enclosed_mass(prof: RadialProfile, s):
     inner, core = off & (i > 0), off & (i == 0)
     seg = i[inner] - 1
     out[inner] = mass[seg] + _panel_mass(prof, seg, ts[seg], flat[inner])
-    if core.any():
-        out[core] = _core_mass(prof, flat[core])
+    out[core] = _core_mass(prof, flat[core])
     return out.reshape(s.shape)[()]
 
 

@@ -23,7 +23,8 @@ step is Hairer's first estimate (section II.4), 0.01 * |y0| / |k1| with both
 norms in the error norm's scale atol + rtol*|y0|, or 1e-6 when either norm is
 below 1e-5; an estimate at or below the underflow floor 1e-14 * max(1, |t0|)
 becomes 100 times that floor, so the run does not halt before its first step.
-It costs no rhs call and stops at t_end.  The next step also
+It costs no rhs call and stops at t_end; a step that ends the run is spared
+the floor, so a span shorter than the floor is one step.  The next step also
 weighs the last accepted one, by Gustafsson's predictive controller
 (Hairer & Wanner II, section IV.8; its formula is in `integrate`), so the
 step does not saw-tooth between growth and rejection.  Accepted steps
@@ -39,9 +40,8 @@ location, `detect_events(traj, k)`, finds the falling zeros of component k
 on the dense output: it searches only the segments over which y[k] falls
 at the nodes, brackets the zeros there on an 8-point subsample grid, with
 y[k] > 0 at one sample and y[k] <= 0 at the next, and refines all brackets
-together to a width of 1e-12 * max(1, |t|).  Its rounds call the kernel on
-component k of the bracketed segments alone, gathered once, which gives
-the floats `evaluate` gives there.  A run keeps its nodes and steps in
+together to a width of 1e-12 * max(1, |t|), each round one `evaluate` call
+on the open brackets' proposals.  A run keeps its nodes and steps in
 Python lists only for 512 accepted steps at a time: then it packs them
 (`_pack`) into a chunk of float64 arrays, each list converted in one pass
 and the chunk's continuation rows formed in one product, and clears them.
@@ -378,7 +378,8 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | Non
     """Source of `run(consts, t0, t_end, h_try, y0, k1, atol, rtol, max_steps,
     falls_left, ts, ys, fs, hs, ks, chunks, pack)`, the whole DOP853 run of
     `integrate` on an n-state from (t0, y0) with derivative k1 and first step
-    h_try.  Each pass of its loop checks the step for underflow, the budget
+    h_try.  Each pass of its loop checks a step that does not end the run
+    for underflow, then every step against the budget
     and a node time past the floats (in a run to t_end = inf), runs the
     attempt `step` (`_step_lines`) inside a handler that rejects it on
     ArithmeticError, and on acceptance stores the node (t0 on `ts`, the
@@ -399,8 +400,8 @@ def _run_source(n: int, step: list[str], names: tuple[str, ...], fall: int | Non
         f"if y_old > 0.0 >= y0_{fall}:", "    falls_left -= 1",
         f"    if not falls_left: {halt.format(None)}"]
     loop = [
-        "u = abs(t0)",  # max(1.0, |t0|)
-        f"if h_try < {STEP_UNDERFLOW_REL!r} * (u if u > 1.0 else 1.0): "
+        "u = abs(t0)",  # max(1.0, |t0|); the floor spares a step that ends the run
+        f"if h_try < {STEP_UNDERFLOW_REL!r} * (u if u > 1.0 else 1.0) and h_try < t_end - t0: "
         f"{halt.format('StepUnderflow')}",
         f"if accepted + rejected >= max_steps: {halt.format('StepBudgetExceeded')}",
         "if h_try >= t_end - t0: h = t_end - t0; t1 = t_end",  # the last step
@@ -575,7 +576,8 @@ def integrate(
         StateBlowup: a component passed the 1e300 overflow guard, or the next
             step of a run to t_end = math.inf would carry its time past the
             float range; the run then ends on its last node, whose time is finite.
-        StepUnderflow: the step fell below 1e-14 * max(1, |t|).
+        StepUnderflow: the step fell below 1e-14 * max(1, |t|); the floor
+            spares a step that ends the run, however short its span.
     """
     t = float(y0.t)
     if not t_end > t:
@@ -643,22 +645,16 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     once in total.  All brackets are refined together by regula falsi with
     the Illinois modification, until each is at most tol = 1e-12 * max(1,
     |t|) wide; the root is then its midpoint.  Every round shrinks a bracket
-    by at least tol/4, so the refinement ends.  The rounds evaluate only
-    component k, by one `_dense` call on the bracketed segments' rows,
-    gathered once.  A proposal lies at least tol/4 before its bracket's
-    right end, so before its segment's end, where `evaluate` takes the same
-    segment; on the segment's start, where y0 > 0, `_dense` gives y0 as
-    `evaluate`'s node override does.  So the roots are those of rounds
-    through `evaluate`, bit for bit.  k is read as an int (a bool or numpy
-    integer too); a k that is no integer in range(n) raises DomainError, as
-    in `integrate(falls=...)`.
+    by at least tol/4, so the refinement ends, and each round is one
+    `evaluate` call on the open brackets' proposals.  With no fall there is
+    no bracket, and the result is empty.  k is read as an int (a bool or
+    numpy integer too); a k that is no integer in range(n) raises
+    DomainError, as in `integrate(falls=...)`.
     """
     if (j := _component(k, traj.ys.shape[1])) is None:
         raise DomainError(f"component k={k!r} is not in range({traj.ys.shape[1]})")
     y = traj.ys[:, j]
     fall = np.flatnonzero((y[:-1] > 0) & (y[1:] <= 0))
-    if not fall.size:
-        return np.empty(0)
     grid = np.linspace(traj.ts[fall], traj.ts[fall + 1], _EVENT_SUBSAMPLES, axis=1)
     g = traj.evaluate(grid)[..., j]
     row, col = np.nonzero((g[:, :-1] > 0) & (g[:, 1:] <= 0))
@@ -666,18 +662,14 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
     exact = gb == 0
     width = _EVENT_RTOL * np.maximum(1.0, np.abs(tb))  # each bracket's tol, at its right end
     live = np.flatnonzero(~exact & (tb - ta > width))
-    # the live brackets, and their segments' rows of component k
     a, b, fa, fb, width = ta[live], tb[live], ga[live], gb[live], width[live]
-    i = fall[row[live]]
-    seg = (traj.ts[i], traj.ts[i + 1], y[i], y[i + 1], traj.fs[i, j], traj.fs[i + 1, j],
-           traj.cont[i, j])
     moved = np.full(len(live), -1)  # 1: the last round moved the left end, 0: the right
     while live.size:
         # a proposal stays tol/4 inside the bracket, so an end already on the
         # root closes it in one round; fmax/fmin send a NaN (0/0) to a + tol/4
         d = 0.25 * width
         tm = np.fmin(np.fmax(b - fb * (b - a) / (fb - fa), a + d), b - d)
-        gm = _dense(tm, *seg)
+        gm = traj.evaluate(tm)[:, j]
         left = gm > 0
         # Illinois: an end kept for a second round running has its value halved
         half = np.where(moved == left, 0.5, 1.0)
@@ -691,7 +683,6 @@ def detect_events(traj: Trajectory, k: int) -> np.ndarray:
             ta[done], tb[done], exact[done] = a[~keep], b[~keep], gm[~keep] == 0
             live, a, b, fa, fb, width, moved = (
                 x[keep] for x in (live, a, b, fa, fb, width, moved))
-            seg = tuple(x[keep] for x in seg)
     return np.where(exact, tb, 0.5 * (ta + tb))
 
 

@@ -523,9 +523,10 @@ class TestRobustness:
         assert "underflowed" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize("argv,where", [
-        # the run starts at the core's end, at most s_max/2
-        (("liouville", "--s-max", "1e-300"), "at t=5e-301 in the profile of LiouvilleParams("
-                                             "K=1.0, lam=1.0, alpha=0.0)"),
+        # a gravity of 2*pi/K = 6e300 collapses the step off the center; a tiny
+        # s_max no longer halts, since the floor spares a step that ends the run
+        (("liouville", "--K", "1e-300"), " in the profile of LiouvilleParams("
+                                         "K=1e-300, lam=1.0, alpha=0.0)"),
         # the rotational family's profile is named too
         (("fields", "--family", "rotational", "--K", "1e-300"), " in the profile of "
                                                                  "LiouvilleParams(K=1e-300, "),
@@ -534,6 +535,18 @@ class TestRobustness:
         assert run(tmp_path, *argv) == 2
         line = self.one_line_error(capsys)
         assert "underflowed" in line and where in line
+
+    @pytest.mark.parametrize("argv,files", [
+        (("emden", "--t-end", "1e-15"), ["emden.csv", "emden_report.json"]),
+        (("liouville", "--s-max", "1e-14"), ["liouville.csv", "liouville_report.json"]),
+        (("fields", "--family", "rotational", "--t0", "0", "--t1", "1e-15"), ["fields.csv"]),
+    ], ids=["emden", "liouville", "fields-rotational"])
+    def test_a_span_below_the_step_floor_completes(self, tmp_path, capsys, argv, files):
+        # each exited 2 with "step size ... underflowed": its run's span, below the
+        # floor 1e-14, was one first step that the floor halted; it spares a last step
+        assert run(tmp_path, *argv) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == files
+        assert "underflowed" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("atol", ["0", "1e-300"])
     @pytest.mark.parametrize("command", ["emden", "liouville", "period"])

@@ -12,11 +12,13 @@ from eulerpoisson.fields import (
     ZZSolution,
     build_rotational,
     eval_gravity_radial,
+    eval_gw,
     eval_rotational,
     eval_zz_inner,
     eval_zz_outer,
     zz_interface_radius,
 )
+from eulerpoisson.goldreich_weber import GWParams, solve_gw_profile
 from eulerpoisson.ode import TIGHT_CONFIG
 
 from conftest import SwirlAnsatz, eval_swirl_ansatz, gravity_radial_two_ways
@@ -158,6 +160,28 @@ class TestRotational:
         m0 = mass_at(0.0)
         m1 = mass_at(2.0)
         assert abs(m1 - m0) <= 1e-8 * m0
+
+
+class TestGoldreichWeber:
+    @pytest.fixture(scope="class")
+    def member(self):
+        p = GWParams(N=3, K=1.0, lam=-0.2, alpha_center=1.0)
+        return solve_gw_profile(p), integrate_scale(p, 2.0, TIGHT_CONFIG)
+
+    def test_a_time_outside_the_solved_range_is_out_of_range(self, member):
+        # it raised DomainError from the scale factor's `evaluate`, naming t alone
+        with pytest.raises(OutOfRange, match=r"^t outside solved range \[0\.0, 2\.0\] "
+                                             r"at \(t=5\.0, x=0\.5, y=0\.25\)$"):
+            eval_gw(*member, 5.0, 0.5, 0.25)
+
+    def test_the_error_masks_every_time_outside(self, member):
+        t = np.array([1.0, 5.0, -1.0, 2.0])
+        with pytest.raises(OutOfRange, match=r"at \(t=5\.0, x=0\.5, y=0\.0\)$") as e:
+            eval_gw(*member, t, 0.5, 0.0)
+        assert e.value.where.tolist() == [False, True, True, False]
+        inside = ~e.value.where
+        rho = eval_gw(*member, t[inside], 0.5, 0.0).rho
+        assert rho.shape == (2,) and np.all(rho > 0)
 
 
 class TestGravity:

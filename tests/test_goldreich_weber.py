@@ -206,19 +206,19 @@ class TestSupportRadius:
         assert len(integrations) == 3 and searches == []
         assert prof.traj.stats.rejected <= 10
 
-    def test_a_zero_below_the_step_floor_names_alpha_center(self):
+    def test_a_zero_below_the_step_floor_is_solved(self):
         # f = 1e-30 - s^2/8 nearly, whose zero 2.8e-15 lies below the step floor 1e-14:
         # the core ends where f > 0, so the swap starts there (f' != 0), over a span
-        # in x = -f of 4e-31, and its step underflows (a zero inside the first step
-        # from s = 0 raised DomainError, since the swap could not start at f' = 0)
+        # in x = -f of 4e-31, which it crosses in one step, since the floor spares a
+        # step that ends the run (it underflowed before), and so does the closing run
         p = GWParams(N=3, K=1.0, lam=-1.0, alpha_center=1e-30)
-        with pytest.raises(StepUnderflow, match="in the profile of .*alpha_center=1e-30") as e:
-            solve_gw_profile(p)
-        swap = e.value.trajectory
-        s_core, f_core = swap.ys[0, 0], -swap.ts[0]
+        prof = solve_gw_profile(p)
         law = p.law
         zero = math.sqrt(-2 * law.d * law.f0 / law.F)
-        assert 0 < s_core < zero and 0 < f_core < law.f0
+        assert prof.s_mu == pytest.approx(zero, rel=0, abs=TIGHT_CONFIG.atol)
+        assert prof.traj.t_end == prof.s_mu and prof.f[-1] == 0.0
+        s_core, f_core = prof.s_core, prof.f[0]
+        assert 0 < s_core < min(zero, prof.s_mu) and 0 < f_core < law.f0
         assert f_core == pytest.approx(law.f0 + law.F * s_core**2 / (2 * law.d), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, -0.2])

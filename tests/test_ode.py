@@ -610,6 +610,23 @@ class TestFirstStep:
         assert traj.ts.tolist() == [0.0, 1e-14]
         assert traj.stats == IntegratorStats(accepted=1, rejected=0, rhs_calls=1 + 15)
 
+    def test_a_span_below_the_floor_is_one_step(self):
+        # the span 1.05e-9 from t = 1e6 lies below the floor 1e-8, which halted the
+        # first step, capped at the span, with "step size 1.048e-09 underflowed";
+        # the floor spares a step that ends the run
+        t_end = 1e6 + 1e-9
+        traj = integrate(ode.Rhs("f_0 = 1.0"), OdeState(1e6, [0.0]), t_end)
+        assert traj.ts.tolist() == [1e6, t_end]
+        assert traj.stats == IntegratorStats(accepted=1, rejected=0, rhs_calls=1 + 15)
+
+    def test_a_rejected_step_below_the_floor_still_underflows(self):
+        # a NaN at stage 2, off the start state, rejects that last step; its tenth is
+        # below the floor and ends no run, so the run halts at its start
+        rhs = lambda t, y: (1.0 if y[0] == 0.0 else math.nan,)
+        with pytest.raises(StepUnderflow, match="underflowed at t=1000000.0") as halted:
+            integrate(rhs, OdeState(1e6, [0.0]), 1e6 + 1e-9)
+        assert halted.value.trajectory.stats == IntegratorStats(0, 1, rhs_calls=1 + 1)
+
     @pytest.mark.parametrize("bad", [lambda: 1 / 0, lambda: math.nan], ids=["raises", "nan"])
     def test_a_start_with_no_finite_next_derivative_halts_at_t0(self, bad):
         # k1 = 1e20 puts the first estimate 1e-22 below the floor 1e-14, so the first
@@ -872,7 +889,7 @@ def _scipy_zeros(rhs, t0, y0, t1, k, direction, level=0.0):
 def _count_rounds(monkeypatch, calls):
     """Patch the dense kernel `ode._dense` to append to `calls` once per call
     and fail past 60 calls, so a refinement that crawls fails instead of
-    hanging.  `detect_events` calls it once for its grid (through `evaluate`)
+    hanging.  `detect_events` calls it, through `evaluate`, once for its grid
     and once per refinement round."""
     dense = ode._dense
 
@@ -954,11 +971,13 @@ class TestEvents:
         # -1.5 at the middle: two zeros inside one step, over which y does not fall
         traj = Trajectory([0.0, 1.0], [[1.0], [1.0]], [[-10.0], [10.0]])
         assert traj.evaluate(0.5)[0] == -1.5
-        assert detect_events(traj, 0).size == 0
+        events = detect_events(traj, 0)
+        assert events.shape == (0,) and events.dtype == np.float64
 
     def test_single_node_trajectory_has_no_events(self):
         traj = Trajectory([0.0], [[-1.0, 0.0]], [[0.0, -1.0]])
-        assert detect_events(traj, 0).size == 0
+        events = detect_events(traj, 0)
+        assert events.shape == (0,) and events.dtype == np.float64
 
     @pytest.mark.parametrize("k", [True, np.int64(1)], ids=["bool", "numpy-int"])
     def test_a_bool_or_numpy_integer_is_its_int(self, k):
@@ -1088,9 +1107,10 @@ class TestHalfOpenBrackets:
 
 
 def _events_through_evaluate(traj, k):
-    """`detect_events` with every refinement round one `evaluate` call on the
-    whole trajectory, all components and node overrides included: the
-    oracle of the rounds on the gathered fall segments, bit for bit."""
+    """`detect_events` restated with its own algorithm, every refinement round
+    one `evaluate` call, but each bracket kept in place by its index instead of
+    the implementation's compaction of the open brackets: the reference that
+    the implementation's bookkeeping must match bit for bit."""
     fall = np.flatnonzero((traj.ys[:-1, k] > 0) & (traj.ys[1:, k] <= 0))
     if not fall.size:
         return np.empty(0)
@@ -1125,8 +1145,10 @@ def _assert_events_bitwise(traj, k):
 
 
 class TestEventsMatchTheEvaluateRefinement:
-    """The rounds on the gathered fall segments return the roots of rounds
-    through `evaluate` bit for bit, falling and rising."""
+    """`detect_events` returns the roots of its reference `_events_through_evaluate`
+    bit for bit, falling and rising.  Both refine through `evaluate` by one algorithm,
+    so this guards the implementation's bookkeeping of the open brackets: a bracket
+    dropped, closed twice or stored in another's place changes a root."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(lam=st.floats(0.25, 4.0), xi=st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
