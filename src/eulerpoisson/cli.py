@@ -52,7 +52,8 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         fh.write(text)
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path, command: str, report: dict) -> None:
+    obj = {"command": command, "version": __version__, **report}
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -213,12 +214,12 @@ def cmd_emden(args) -> int:
     theta = emden.energy_level(p)  # raises if it overflows, before the energy column does
     times = np.linspace(0.0, traj.t_end, args.samples)
     a, adot = traj.evaluate(times).T
-    energy = adot * adot / 2 + emden.potential(a, p)
+    # a loose run's interpolant can dip to a <= 0 between nodes that keep a > 0
+    with naming(f"on the dense output of the run at {cfg}"):
+        energy = adot * adot / 2 + emden.potential(a, p)
 
     cls = emden.classify(p)
     report = {
-        "command": "emden",
-        "version": __version__,
         "params": {"lam": p.lam, "xi": p.xi, "a0": p.a0, "a1": p.a1, "t_end": args.t_end},
         "classification": cls.value,
         "theta": theta,
@@ -235,13 +236,12 @@ def cmd_emden(args) -> int:
     if cls is emden.OrbitClass.PERIODIC:
         tp = emden.turning_points(p)
         report["a_min"], report["a_max"] = tp.a_min, tp.a_max
-        report["T_quadrature"] = emden.period_by_quadrature(p).T
-        report["T_simulation"] = emden.period_by_simulation(p, cfg, traj).T
-        _warn_if_periods_differ(args.command, report["T_quadrature"], report["T_simulation"])
+        tq, ts, _ = _periods(args.command, p, cfg, traj)
+        report["T_quadrature"], report["T_simulation"] = tq.T, ts.T
 
     out = _outdir(args)
     _write_csv(out / "emden.csv", ["t", "a", "adot", "energy"], [times, a, adot, energy])
-    _write_json(out / "emden_report.json", report)
+    _write_json(out / "emden_report.json", args.command, report)
     return 0
 
 
@@ -255,8 +255,6 @@ def cmd_liouville(args) -> int:
     raise_where(~(np.isfinite(mass) & np.isfinite(bracket)), DomainError,
                 "non-finite enclosed mass or bracket", s=s)
     report = {
-        "command": "liouville",
-        "version": __version__,
         "params": {"K": p.K, "lam": p.lam, "alpha": p.alpha, "s_max": args.s_max},
         "n_nodes": int(prof.traj.n_nodes),
         "integrator": prof.traj.stats._asdict(),
@@ -265,7 +263,7 @@ def cmd_liouville(args) -> int:
     out = _outdir(args)
     _write_csv(out / "liouville.csv", ["s", "f", "fdot", "enclosed_mass", "bracket"],
                [s, prof.f, prof.fdot, mass, bracket])
-    _write_json(out / "liouville_report.json", report)
+    _write_json(out / "liouville_report.json", args.command, report)
     return 0
 
 
@@ -366,12 +364,12 @@ _FIELDS_ONLY = {name: {family: flags[name] for family, (flags, _) in _FIELD_FAMI
 
 def _family_flags(args) -> None:
     """Set each fields-only flag left unset to its family's default; one given that the
-    family does not read exits 1 through the fields parser's `error`, naming both."""
+    family does not read is a usage error (exit 1), naming both."""
     own = _FIELD_FAMILIES[args.family][0]
     unread = [f"--{k}" for k in _FIELDS_ONLY if k not in own and getattr(args, k) is not None]
     if unread:
-        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        sub.choices["fields"].error(f"the {args.family} family does not read {', '.join(unread)}")
+        build_parser().exit(1, f"eulerpoisson fields: error: the {args.family} family does "
+                               f"not read {', '.join(unread)}\n")
     vars(args).update({k: v for k, v in own.items() if getattr(args, k) is None})
 
 
@@ -387,32 +385,31 @@ def cmd_fields(args) -> int:
 _PERIOD_WARN_RTOL = 1e-6
 
 
-def _warn_if_periods_differ(command: str, t_quadrature: float, t_simulation: float) -> None:
-    """One stderr line when the quadrature and simulated periods differ by more than
-    _PERIOD_WARN_RTOL of the quadrature period: both are written anyway."""
-    rel_diff = abs(t_quadrature - t_simulation) / t_quadrature
+def _periods(command: str, p: emden.EmdenParams, cfg: IntegratorConfig, run=None):
+    """The quadrature and simulated `PeriodEstimate`s of p, the simulated one searched on
+    `run` first, and their relative difference |T_q - T_s|/T_q, with one stderr line when
+    that passes _PERIOD_WARN_RTOL: both periods are written anyway."""
+    tq = emden.period_by_quadrature(p)
+    ts = emden.period_by_simulation(p, cfg, run)
+    rel_diff = abs(tq.T - ts.T) / tq.T
     if rel_diff > _PERIOD_WARN_RTOL:
         print(f"eulerpoisson {command}: warning: the periods disagree: T_quadrature "
-              f"{t_quadrature!r}, T_simulation {t_simulation!r}, relative difference "
+              f"{tq.T!r}, T_simulation {ts.T!r}, relative difference "
               f"{rel_diff:.3g}", file=sys.stderr)
+    return tq, ts, rel_diff
 
 
 def cmd_period(args) -> int:
     p = emden.EmdenParams(lam=args.lam, xi=args.xi, a0=args.a0, a1=args.a1)
-    cfg = _integrator_config(args, IntegratorConfig())
-    tq = emden.period_by_quadrature(p)
-    ts = emden.period_by_simulation(p, cfg)
-    _warn_if_periods_differ(args.command, tq.T, ts.T)
+    tq, ts, rel_diff = _periods(args.command, p, _integrator_config(args, IntegratorConfig()))
     report = {
-        "command": "period",
-        "version": __version__,
         "params": {"lam": p.lam, "xi": p.xi, "a0": p.a0, "a1": p.a1},
         "T_quadrature": tq.T,
         "T_simulation": ts.T,
-        "rel_diff": abs(tq.T - ts.T) / tq.T,
+        "rel_diff": rel_diff,
         "simulation": {"integrator": ts.stats._asdict()},
     }
-    _write_json(_outdir(args) / "period.json", report)
+    _write_json(_outdir(args) / "period.json", args.command, report)
     return 0
 
 
@@ -420,8 +417,6 @@ def cmd_verify(args) -> int:
     checks = verify.run_bundle(args.seed, args.points, args.h_list, args.inject_corruption)
     all_passed = all(c["passed"] for c in checks)
     report = {
-        "command": "verify",
-        "version": __version__,
         "seed": args.seed,
         "n_points": args.points,
         "h_list": args.h_list,
@@ -429,7 +424,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "all_passed": all_passed,
     }
-    _write_json(_outdir(args) / "verify.json", report)
+    _write_json(_outdir(args) / "verify.json", args.command, report)
     for c in checks:
         print(f"  [{'ok' if c['passed'] else 'FAIL'}] {c['name']}", file=sys.stderr)
     return 0 if all_passed else 3

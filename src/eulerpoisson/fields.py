@@ -99,18 +99,22 @@ def profile_reach(scale: Trajectory, t_max: float, t, r) -> float:
     return 1.0 + float(np.max(r / a, where=counts, initial=0.0))
 
 
+def _scale_at(scale: Trajectory, t, x, y):
+    """(a, a') of `scale` at times t; one outside its solved range (NaN too) is OutOfRange."""
+    raise_where(np.logical_not((t >= scale.t_start) & (t <= scale.t_end)), OutOfRange,
+                f"t outside solved range [{scale.t_start}, {scale.t_end}]", t=t, x=x, y=y)
+    return np.moveaxis(scale.evaluate(t), -1, 0)
+
+
 def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
     """rho = e^f(r/a)/a^2, u = (a'/a) x_vec + (xi/a^2) x_vec_perp, plus Phi_r."""
     r = np.hypot(x, y)
-    raise_where((t < sol.scale.t_start) | (t > sol.scale.t_end), OutOfRange,
-                f"t outside solved range [{sol.scale.t_start}, {sol.scale.t_end}]", t=t, x=x, y=y)
-    scale = sol.scale.evaluate(t)
-    a = scale[..., 0]
+    a, adot = _scale_at(sol.scale, t, x, y)
     s = r / a
     raise_where(s > sol.profile.s_max, OutOfRange,
                 f"r/a beyond solved profile range {sol.profile.s_max}", t=t, x=x, y=y)
     rho = sol.profile.density(sol.profile.f_at(s)) / (a * a)
-    stretch = scale[..., 1] / a
+    stretch = adot / a
     swirl = sol.emden.xi / (a * a)
     u1 = stretch * x - swirl * y
     u2 = swirl * x + stretch * y
@@ -124,9 +128,7 @@ def eval_rotational(sol: RotSolution2D, t, x, y) -> FieldSample:
 def eval_gw(profile: RadialProfile, scale: Trajectory, t, x, y) -> FieldSample:
     """rho = gw_density(profile, a, r) and u = (a'/a) x_vec, with a and a' read
     from the scale-factor trajectory `scale`; no swirl, and phi_r is None."""
-    raise_where((t < scale.t_start) | (t > scale.t_end), OutOfRange,
-                f"t outside solved range [{scale.t_start}, {scale.t_end}]", t=t, x=x, y=y)
-    a, adot = np.moveaxis(scale.evaluate(t), -1, 0)
+    a, adot = _scale_at(scale, t, x, y)
     rho = gw_density(profile, a, np.hypot(x, y))
     return FieldSample(rho=rho, u1=adot / a * x, u2=adot / a * y)
 

@@ -261,7 +261,8 @@ class RadialProfile:
         """Component k of the state (f, w*f') at radii s: the core's series below
         s_core, which gives the run's first node at s_core bit for bit, the dense
         output from there on."""
-        raise_where((s < 0) | (s > self.s_max), OutOfRange, f"s outside [0, {self.s_max}]", s=s)
+        raise_where(np.logical_not((s >= 0) & (s <= self.s_max)), OutOfRange,
+                    f"s outside [0, {self.s_max}]", s=s)
         s = np.asarray(s, dtype=float)
         core = s < self.s_core
         out = self.traj.evaluate(np.where(core, self.s_core, s))[..., k]

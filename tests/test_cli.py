@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerpoisson import cli, emden, errors, fields, goldreich_weber, liouville, ode
+from eulerpoisson import __version__, cli, emden, errors, fields, goldreich_weber, liouville, ode
 from eulerpoisson.cli import main
 from eulerpoisson.ode import IntegratorConfig
 
@@ -457,6 +457,22 @@ class TestVerifyCommand:
         assert json.loads((tmp_path / "verify.json").read_text())["inject_corruption"] is True
 
 
+class TestReportHeader:
+    @pytest.mark.parametrize("argv,name", [
+        (("emden",), "emden_report.json"),
+        (("liouville", "--s-max", "2"), "liouville_report.json"),
+        (("period",), "period.json"),
+        (("verify",), "verify.json"),
+    ])
+    def test_each_report_names_its_command_and_version(self, tmp_path, argv, name):
+        assert run(tmp_path, *argv) == 0
+        report = json.loads((tmp_path / name).read_text())
+        assert (report["command"], report["version"]) == (argv[0], __version__)
+        if argv[0] == "period":  # the warning's number, of the report's own periods
+            tq, ts = report["T_quadrature"], report["T_simulation"]
+            assert report["rel_diff"] == abs(tq - ts) / tq
+
+
 class TestUsage:
     @pytest.mark.parametrize("value", ["-1e300", "-1e-300", "-1.5E+10", "-.5e3", "-3", "-0.25"])
     @pytest.mark.parametrize("argv,dest", [(("emden", "--a1"), "a1"), (("period", "--lam"), "lam"),
@@ -794,11 +810,15 @@ class TestRobustness:
         assert not any(tmp_path.iterdir())
 
     def test_a_loose_run_through_zero_names_the_orbit_and_the_point(self, tmp_path, capsys):
-        # exited 2 with "potential requires a > 0" alone: the loose run stepped a through 0
+        # exited 2 with "potential requires a > 0" alone: every node of the loose run keeps
+        # a >= 0.577, but its interpolant dips below 0 on the CSV grid, so the line also
+        # names the tolerances that produced the interpolant
         assert run(tmp_path, "emden", "--rtol", "0.5") == 2
         line = self.one_line_error(capsys)
         assert "EmdenParams(lam=1.0, xi=1.0, a0=1.0, a1=1.0) requires a > 0" in line
-        assert re.search(r" at \(a=-?[0-9.e+-]+\)$", line), line
+        config = r"IntegratorConfig\(rtol=0\.5, atol=1e-12, max_steps=1000000\)"
+        assert re.search(rf" at \(a=-?[0-9.e+-]+\) on the dense output of the run at {config}$",
+                         line), line
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -184,6 +184,33 @@ class TestGoldreichWeber:
         assert rho.shape == (2,) and np.all(rho > 0)
 
 
+class TestNanTime:
+    """A NaN time has no field in either solved family: it passed the range checks,
+    which NaN compares false against, and raised DomainError from the scale factor's
+    `evaluate`, naming t alone."""
+
+    @pytest.fixture(scope="class", params=["rotational", "gw"])
+    def ev(self, request, rot_solution):
+        if request.param == "rotational":
+            return lambda t, x, y: eval_rotational(rot_solution, t, x, y)
+        p = GWParams(N=3, K=1.0, lam=-0.2, alpha_center=1.0)
+        member = solve_gw_profile(p), integrate_scale(p, 2.0, TIGHT_CONFIG)
+        return lambda t, x, y: eval_gw(*member, t, x, y)
+
+    def test_a_nan_time_is_out_of_range(self, ev):
+        with pytest.raises(OutOfRange, match=r"^t outside solved range \[0\.0, \d\.\d+\] "
+                                             r"at \(t=nan, x=0\.5, y=0\.25\)$") as e:
+            ev(math.nan, 0.5, 0.25)
+        assert e.value.where.tolist() is True
+
+    def test_the_error_masks_only_the_nan(self, ev):
+        t = np.array([1.0, math.nan])
+        with pytest.raises(OutOfRange, match=r"at \(t=nan, x=0\.5, y=0\.25\)$") as e:
+            ev(t, 0.5, 0.25)
+        assert e.value.where.tolist() == [False, True]
+        assert np.isfinite(ev(t[~e.value.where], 0.5, 0.25).rho).all()
+
+
 class TestGravity:
     def test_constant_profile_linear_in_r(self, rigid_rotation):
         for r in (0.5, 1.0, 5.0):

@@ -161,6 +161,14 @@ class TestSolveProfile:
         with pytest.raises(DomainError, match="must be finite"):
             LiouvilleParams(K=1.0, lam=math.inf, alpha=0.0)
 
+    @pytest.mark.parametrize("read", ["f_at", "fdot_at"])
+    @pytest.mark.parametrize("s", [math.nan, -0.5, 25.0])
+    def test_a_radius_outside_the_profile_is_out_of_range(self, unit_profile, read, s):
+        # a NaN radius passed the check and raised DomainError from `evaluate`, naming
+        # the trajectory range [s_core, s_max] and not s
+        with pytest.raises(OutOfRange, match=rf"^s outside \[0, 20\.0\] at \(s={s}\)$"):
+            getattr(unit_profile, read)(s)
+
 
 def _unscaled_fpp(p, s, f, fp):
     """f'' of the profile equation of p at s > 0, stated here per family:
